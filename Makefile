@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: test test-race bench bench-core batch experiments examples fuzz fuzz-smoke race recovery wire fanout matrix matrix-smoke catalog family sharing bench-compare serve-demo lint
+.PHONY: test test-race bench bench-core batch experiments examples fuzz fuzz-smoke race matrix matrix-smoke catalog bench-compare serve-demo lint
 
 test:
 	go build ./... && go vet ./... && go test ./...
@@ -59,30 +59,7 @@ fuzz-smoke:
 	go test -fuzz FuzzSnapshotRoundTrip -fuzztime 10s -run '^$$' ./internal/engine/
 	go test -fuzz FuzzWALRecords -fuzztime 10s -run '^$$' ./internal/checkpoint/
 	go test -fuzz FuzzWireFrames -fuzztime 10s -run '^$$' ./internal/wire/
-
-# The durability surface: crash-injection/recovery tests under -race, plus
-# the recovery-vs-replay experiment at quick scale (CI's recovery job).
-recovery:
-	go test -race -run 'Crash|Snapshot|Recover|WAL|Torn|Manifest|Checkpoint|Generation' \
-		./internal/checkpoint/ ./internal/engine/ ./internal/serve/
-	go run ./cmd/rpaibench -exp recovery -quick -recovery-out ""
-
-# The networked serving surface under -race, plus the wire experiment at
-# quick scale (CI's wire job).
-wire:
-	go build ./cmd/rpaiserver
-	go test -race ./internal/wire/...
-	go run ./cmd/rpaibench -exp wire -quick -wire-out ""
-
-# The read fan-out surface: subscription/replica/read-only tests under
-# -race, the subscription and wire fuzz smokes, and the push-vs-pull
-# experiment at quick scale (CI's fanout job).
-fanout:
-	go test -race -run 'Subscri|Delta|Replica|ReadOnly|Downgrade|Version|Tail|View' \
-		./internal/serve/ ./internal/wire/... ./internal/checkpoint/
 	go test -fuzz FuzzSubscriptionDeltas -fuzztime 10s -run '^$$' ./internal/serve/
-	go test -fuzz FuzzWireFrames -fuzztime 10s -run '^$$' ./internal/wire/
-	go run ./cmd/rpaibench -exp fanout -quick -fanout-out ""
 
 # The multicore scaling matrix at full scale: serve / wire / fanout modes
 # swept over GOMAXPROCS x shards x batch size x connections, written to
@@ -101,43 +78,19 @@ matrix-smoke:
 	go run ./cmd/rpaibench -exp matrix -quick -matrix-out /tmp/rpai-matrix-new.json
 	go run ./cmd/rpaibench -compare BENCH_matrix_baseline.json /tmp/rpai-matrix-new.json
 
-# CI's catalog job: the multi-query surface under -race (catalog lifecycle,
-# sharing, crash/recover, wire v4 routing), the catalog differential fuzz
-# smoke, then a quick multi run gated against the committed baseline.
+# CI's catalog job: the serving surface unabridged under -race (catalog
+# lifecycle and sharing, the shared WAL's crash/recover/torn-tail matrices,
+# the follower, wire server and client), the catalog differential fuzz smoke,
+# a quick multi run (all six arms) gated against the committed baseline, the
+# loopback demo, and the daemon boot smoke on real processes (-query,
+# -register twice, -replica; -compact-every, SIGTERM drain, restart-and-recover).
 catalog:
-	go test -race ./internal/catalog/
-	go test -race -run 'Catalog|Register|Explain|QueryList|SubscribeQ|VersionGate' \
-		./internal/wire/...
+	go test -race -count 1 ./internal/catalog/ ./internal/wire/...
 	go test -fuzz FuzzCatalogDifferential -fuzztime 10s -run '^$$' ./internal/catalog/
 	go run ./cmd/rpaibench -exp multi -quick -multi-out /tmp/rpai-multi-new.json
 	go run ./cmd/rpaibench -compare BENCH_multi_baseline.json /tmp/rpai-multi-new.json
-
-# CI's family job: predicate-generalized index sharing end to end — the
-# engine family-key and fan bit-identity tests (both RPAI representations),
-# serve fan lanes, catalog family lifecycle (churn race, v1-manifest
-# recovery) under -race, the family-seeded catalog fuzz smoke, then a quick
-# multi run (shared/family/distinct arms) gated against the committed
-# baseline at the default 15% threshold.
-family:
-	go test -race -run 'Family|Fan|PredSig|V1Manifest' \
-		./internal/engine/ ./internal/serve/ ./internal/catalog/
-	go test -fuzz FuzzCatalogDifferential -fuzztime 10s -run '^$$' ./internal/catalog/
-	go run ./cmd/rpaibench -exp multi -quick -multi-out /tmp/rpai-family-new.json
-	go run ./cmd/rpaibench -compare BENCH_multi_baseline.json /tmp/rpai-family-new.json
-
-# CI's sharing job: the state/probe split end to end — StateKey/SplitResidual
-# and probe-lane bit-identity in the engine, aggregate and filtered variants
-# on one state set, retroactive fork-join attach with crash/recover and
-# rotation reuse, the v5 EXPLAIN cross-version codec, and the variant churn
-# race, all under -race; the extended catalog differential fuzz smoke; then a
-# quick multi run (all six arms) gated against the committed baseline at the
-# default 15% threshold.
-sharing:
-	go test -race -run 'StateKey|SplitResidual|ResultProbe|Variant|ForkAttach|RotationFork|CrossVersion|ChurnRace' \
-		./internal/engine/ ./internal/catalog/ ./internal/checkpoint/ ./internal/wire/...
-	go test -fuzz FuzzCatalogDifferential -fuzztime 10s -run '^$$' ./internal/catalog/
-	go run ./cmd/rpaibench -exp multi -quick -multi-out /tmp/rpai-sharing-new.json
-	go run ./cmd/rpaibench -compare BENCH_multi_baseline.json /tmp/rpai-sharing-new.json
+	go run ./examples/wiredemo
+	go test -run 'TestDaemon|TestBoot' -count 1 -v ./cmd/rpaiserver/
 
 # Static analysis beyond `go vet`: formatting drift, staticcheck, and the
 # vulnerability scan. CI installs the two tools in its lint job; locally they

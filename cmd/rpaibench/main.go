@@ -4,7 +4,7 @@
 // Usage:
 //
 //	rpaibench -exp table1|scaling|fig7|fig8|fig8d|fig9|cadence|latency|all [flags]
-//	rpaibench -exp serve|recovery|wire|arena|batch|fanout|matrix|multi [-quick] [flags]  # BENCH_*.json reports
+//	rpaibench -exp serve|arena|batch|matrix|multi [-quick] [flags]  # BENCH_*.json reports
 //	rpaibench -exp replay -trace book.csv [-query vwap]
 //	rpaibench -compare old.json new.json [-threshold 0.15]   # regression gate
 //
@@ -31,7 +31,7 @@ import (
 
 func main() {
 	var (
-		exp      = flag.String("exp", "all", "experiment: table1, scaling, fig7, fig8, fig8d, fig9, cadence, latency, serve, replay, recovery, wire, arena, batch, fanout, multi, or all")
+		exp      = flag.String("exp", "all", "experiment: table1, scaling, fig7, fig8, fig8d, fig9, cadence, latency, serve, replay, arena, batch, matrix, multi, or all")
 		events   = flag.Int("events", 10000, "finance trace length for fig7")
 		sf       = flag.Float64("sf", 1, "TPC-H scale factor for fig7")
 		seed     = flag.Int64("seed", 1, "workload seed")
@@ -42,11 +42,8 @@ func main() {
 		trace    = flag.String("trace", "", "replay: order-book CSV trace file (as emitted by datagen)")
 		rQuery   = flag.String("query", "vwap", "replay: finance query to run over -trace")
 		srvOut   = flag.String("serve-out", "BENCH_serve.json", "serve: JSON report path (empty to skip the file)")
-		recOut   = flag.String("recovery-out", "BENCH_recovery.json", "recovery: JSON report path (empty to skip the file)")
-		wireOut  = flag.String("wire-out", "BENCH_wire.json", "wire: JSON report path (empty to skip the file)")
 		arenaOut = flag.String("arena-out", "BENCH_arena.json", "arena: JSON report path (empty to skip the file)")
 		batchOut = flag.String("batch-out", "BENCH_batch.json", "batch: JSON report path (empty to skip the file)")
-		fanOut   = flag.String("fanout-out", "BENCH_fanout.json", "fanout: JSON report path (empty to skip the file)")
 		matOut   = flag.String("matrix-out", "BENCH_matrix.json", "matrix: JSON report path (empty to skip the file)")
 		multiOut = flag.String("multi-out", "BENCH_multi.json", "multi: JSON report path (empty to skip the file)")
 		compare  = flag.Bool("compare", false, "compare two BENCH_*.json reports: rpaibench -compare old.json new.json")
@@ -237,56 +234,6 @@ func main() {
 			fmt.Printf("wrote %s\n", *srvOut)
 		}
 	}
-	if *exp == "recovery" {
-		ran = true
-		cfg := bench.DefaultRecovery()
-		if *quick {
-			cfg.Events, cfg.Partitions, cfg.QueueLen = 20000, 128, 2048
-		}
-		cfg.Seed = *seed
-		rep, err := bench.Recovery(cfg)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "rpaibench:", err)
-			os.Exit(1)
-		}
-		fmt.Print(bench.FormatRecovery(rep))
-		if *recOut != "" {
-			data, err := bench.RecoveryJSON(rep)
-			if err == nil {
-				err = os.WriteFile(*recOut, data, 0o644)
-			}
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "rpaibench:", err)
-				os.Exit(1)
-			}
-			fmt.Printf("wrote %s\n", *recOut)
-		}
-	}
-	if *exp == "wire" {
-		ran = true
-		cfg := bench.DefaultWire()
-		if *quick {
-			cfg.Events, cfg.Partitions = 20000, 128
-		}
-		cfg.Seed = *seed
-		rep, err := bench.Wire(cfg)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "rpaibench:", err)
-			os.Exit(1)
-		}
-		fmt.Print(bench.FormatWire(rep))
-		if *wireOut != "" {
-			data, err := bench.WireJSON(rep)
-			if err == nil {
-				err = os.WriteFile(*wireOut, data, 0o644)
-			}
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "rpaibench:", err)
-				os.Exit(1)
-			}
-			fmt.Printf("wrote %s\n", *wireOut)
-		}
-	}
 	if *exp == "batch" {
 		ran = true
 		cfg := bench.DefaultBatchNative()
@@ -310,31 +257,6 @@ func main() {
 				os.Exit(1)
 			}
 			fmt.Printf("wrote %s\n", *batchOut)
-		}
-	}
-	if *exp == "fanout" {
-		ran = true
-		cfg := bench.DefaultFanout()
-		if *quick {
-			cfg = bench.QuickFanout()
-		}
-		cfg.Seed = *seed
-		rep, err := bench.Fanout(cfg)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "rpaibench:", err)
-			os.Exit(1)
-		}
-		fmt.Print(bench.FormatFanout(rep))
-		if *fanOut != "" {
-			data, err := bench.FanoutJSON(rep)
-			if err == nil {
-				err = os.WriteFile(*fanOut, data, 0o644)
-			}
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "rpaibench:", err)
-				os.Exit(1)
-			}
-			fmt.Printf("wrote %s\n", *fanOut)
 		}
 	}
 	if *exp == "matrix" {

@@ -1,36 +1,37 @@
-// Command rpaiserver is the network daemon of the serving layer: it maintains
-// a nested-aggregate query incrementally per partition (the sharded service
-// of internal/serve) and speaks the wire protocol of internal/wire over TCP —
-// batched applies with exactly-once sessions, drain barriers, scalar and
-// grouped reads, stats, and checkpoint triggers.
+// Command rpaiserver is the network daemon of the serving layer: it hosts a
+// catalog of nested-aggregate queries (internal/catalog), maintains each
+// incrementally per partition over one shared ingest stream, and speaks the
+// wire protocol of internal/wire over TCP — batched applies with exactly-once
+// sessions, drain barriers, runtime registration and EXPLAIN, scalar and
+// grouped reads, push subscriptions, stats, and checkpoint triggers.
 //
-// With -data the service is durable: applied events are logged to per-shard
-// WALs, checkpoints rotate generations, and a restart recovers from the
-// directory before accepting connections.
+// Queries are registered at boot with -register (repeatable) and at runtime
+// by clients. -query (or -query-file) is shorthand for a single -register:
+// the un-routed reads and subscriptions of the protocol address the lowest
+// registered QueryID, so a client of a one-query daemon never needs an id.
 //
-// With -replica the daemon is a read replica instead: it boots from the
-// primary's checkpoint directory, tails the primary's per-shard WALs applying
-// group-committed batches as they land, and serves reads and subscriptions
-// while shedding every write with CodeReadOnly. The directory must be shared
-// with (or mirrored from) the primary; -data is ignored in replica mode.
+// With -data the catalog is durable: registrations persist in a manifest,
+// every applied batch is logged once to a shared WAL however many queries are
+// registered, checkpoints (and -compact-every) rotate generations, and a
+// restart recovers every query from the directory before accepting
+// connections.
+//
+// With -replica the daemon is a read-only follower instead: it restores from
+// the primary's data directory, tails the primary's WAL applying batches as
+// they land, follows its rotations and runtime registrations, and serves
+// reads and subscriptions while refusing every write with CodeReadOnly. The
+// queries and partition columns come from the primary's manifest. The
+// directory must be shared with (or mirrored from) the primary.
 //
 // Usage:
 //
 //	rpaiserver -addr :7411 -partition sym -data /var/lib/rpai \
 //	  -query "SELECT Sum(b.price * b.volume) FROM bids b WHERE 0.75 * (SELECT Sum(b1.volume) FROM bids b1) < (SELECT Sum(b2.volume) FROM bids b2 WHERE b2.price <= b.price)"
 //
-//	rpaiserver -addr :7412 -partition sym -replica /var/lib/rpai -query "..."
-//
-// With -catalog (or one or more -register flags) the daemon hosts a
-// multi-query catalog instead of a single query: every -register SQL is
-// registered at boot, clients register and unregister queries at runtime over
-// protocol version 4, one shared ingest stream fans out to every registered
-// query behind a single WAL append per batch, and EXPLAIN reports each
-// query's strategy and index sharing. With -data the catalog is durable: the
-// registrations persist in a manifest and a restart recovers every query.
-//
-//	rpaiserver -addr :7413 -partition sym -catalog -data /var/lib/rpai \
+//	rpaiserver -addr :7412 -partition sym -data /var/lib/rpai2 \
 //	  -register "SELECT ..." -register "SELECT ..."
+//
+//	rpaiserver -addr :7413 -replica /var/lib/rpai2
 //
 // Clients connect with internal/wire/client, or any implementation of the
 // framing in DESIGN.md section 5d.
@@ -47,11 +48,9 @@ import (
 	"path/filepath"
 	"strings"
 	"syscall"
+	"time"
 
 	"rpai/internal/catalog"
-	"rpai/internal/checkpoint"
-	"rpai/internal/engine"
-	"rpai/internal/serve"
 	"rpai/internal/sqlparse"
 	"rpai/internal/wire"
 )
@@ -68,24 +67,23 @@ func (m *multiFlag) Set(s string) error {
 func main() {
 	var (
 		addr         = flag.String("addr", "127.0.0.1:7411", "TCP listen address")
-		queryText    = flag.String("query", "", "SQL query in the supported fragment")
-		queryFile    = flag.String("query-file", "", "read the query from a file instead")
-		partition    = flag.String("partition", "", "comma-separated partition key columns (required)")
+		queryText    = flag.String("query", "", "SQL query to serve; shorthand for one -register")
+		queryFile    = flag.String("query-file", "", "read the -query text from a file instead")
+		partition    = flag.String("partition", "", "comma-separated partition key columns (required unless -replica)")
 		shards       = flag.Int("shards", 0, "shard worker count (0: serve default)")
 		queueLen     = flag.Int("queue", 0, "per-shard queue length (0: serve default)")
 		batch        = flag.Int("batch", 0, "per-shard apply batch size (0: serve default)")
 		dataDir      = flag.String("data", "", "checkpoint/WAL directory; enables durability and boot-time recovery")
-		replicaDir   = flag.String("replica", "", "serve as a read replica tailing this primary data directory (sheds writes)")
-		replicaPoll  = flag.Duration("replica-poll", 0, "replica WAL tail polling interval (0: serve default)")
-		compactEvery = flag.Int("compact-every", 0, "auto-compact a shard's WAL after this many events (0: off)")
+		replicaDir   = flag.String("replica", "", "serve as a read-only follower of this primary data directory")
+		replicaPoll  = flag.Duration("replica-poll", 0, "follower WAL tail polling interval (0: catalog default)")
+		compactEvery = flag.Int("compact-every", 0, "rotate a checkpoint generation after this many logged events (0: off; needs -data)")
 		maxInFlight  = flag.Int("max-inflight", 0, "admission limit for in-flight work requests (0: wire default)")
 		perConn      = flag.Int("per-conn", 0, "pipelined requests buffered per connection (0: wire default)")
 		idleTimeout  = flag.Duration("idle-timeout", 0, "per-frame read deadline (0: wire default)")
 		pprofAddr    = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. 127.0.0.1:6060; empty: off)")
-		catalogMode  = flag.Bool("catalog", false, "host a multi-query catalog (runtime registration over protocol v4)")
 	)
 	var registers multiFlag
-	flag.Var(&registers, "register", "register this SQL query at boot (repeatable; implies -catalog)")
+	flag.Var(&registers, "register", "register this SQL query at boot (repeatable)")
 	flag.Parse()
 	if *pprofAddr != "" {
 		go func() {
@@ -98,7 +96,6 @@ func main() {
 		}()
 	}
 
-	isCatalog := *catalogMode || len(registers) > 0
 	sql := *queryText
 	if *queryFile != "" {
 		data, err := os.ReadFile(*queryFile)
@@ -107,19 +104,8 @@ func main() {
 		}
 		sql = string(data)
 	}
-	if isCatalog && strings.TrimSpace(sql) != "" {
-		fmt.Fprintln(os.Stderr, "rpaiserver: -catalog hosts many queries; use -register instead of -query")
-		os.Exit(2)
-	}
-	if !isCatalog && strings.TrimSpace(sql) == "" {
-		fmt.Fprintln(os.Stderr, "rpaiserver: no query given (use -query or -query-file, or -catalog/-register)")
-		flag.Usage()
-		os.Exit(2)
-	}
-	if strings.TrimSpace(*partition) == "" {
-		fmt.Fprintln(os.Stderr, "rpaiserver: -partition is required (e.g. -partition sym)")
-		flag.Usage()
-		os.Exit(2)
+	if strings.TrimSpace(sql) != "" {
+		registers = append(multiFlag{sql}, registers...) // lowest QueryID: the default query
 	}
 	var partitionBy []string
 	for _, c := range strings.Split(*partition, ",") {
@@ -127,177 +113,42 @@ func main() {
 			partitionBy = append(partitionBy, c)
 		}
 	}
-
-	if isCatalog {
-		if *replicaDir != "" {
-			fmt.Fprintln(os.Stderr, "rpaiserver: -catalog and -replica are mutually exclusive")
-			os.Exit(2)
-		}
-		runCatalog(*addr, partitionBy, registers, catalog.Options{
-			PartitionBy: partitionBy,
-			Shards:      *shards,
-			QueueLen:    *queueLen,
-			BatchSize:   *batch,
-			Dir:         *dataDir,
-		}, wire.ServerConfig{
-			MaxInFlight:  *maxInFlight,
-			PerConnQueue: *perConn,
-			IdleTimeout:  *idleTimeout,
-			Query:        "catalog",
-		})
-		return
-	}
-
-	q, err := sqlparse.Parse(sql)
-	if err != nil {
-		fatal(err)
-	}
-	if *replicaDir != "" && *dataDir != "" {
-		fmt.Fprintln(os.Stderr, "rpaiserver: -replica and -data are mutually exclusive (a replica keeps no WALs of its own)")
-		os.Exit(2)
-	}
-	opt := serve.Options{
+	opt := catalog.Options{
+		PartitionBy:  partitionBy,
 		Shards:       *shards,
 		QueueLen:     *queueLen,
 		BatchSize:    *batch,
 		Dir:          *dataDir,
 		CompactEvery: *compactEvery,
 	}
-
-	// Replica mode: boot from the primary's checkpoint directory and keep
-	// tailing its WALs; the wire server sheds writes. Otherwise, with a data
-	// directory holding a manifest, resume from it; else start fresh (logging
-	// into the directory if one was given).
-	var svc *serve.Service[engine.Event]
-	var replica *serve.Replica[engine.Event]
 	if *replicaDir != "" {
-		replica, err = serve.ReplicaForQuery(*replicaDir, q, partitionBy, opt, *replicaPoll)
-		if err != nil {
-			fatal(fmt.Errorf("replicating %s: %w", *replicaDir, err))
+		if *dataDir != "" || *compactEvery != 0 || len(registers) > 0 {
+			usage("-replica follows the primary's directory, log and queries; it excludes -data, -compact-every, -query and -register")
 		}
-		svc = replica.Service()
-		fmt.Printf("rpaiserver: read replica tailing %s (generation %d)\n", *replicaDir, replica.Generation())
-	}
-	if svc == nil && *dataDir != "" {
-		if _, merr := checkpoint.ReadManifest(*dataDir); merr == nil {
-			svc, err = serve.RecoverForQuery(*dataDir, q, partitionBy, opt)
-			if err != nil {
-				fatal(fmt.Errorf("recovering from %s: %w", *dataDir, err))
-			}
-			fmt.Printf("rpaiserver: recovered state from %s\n", *dataDir)
-		}
-	}
-	if svc == nil {
-		if svc, err = serve.ForQuery(q, partitionBy, opt); err != nil {
-			fatal(err)
-		}
+		opt.Dir = *replicaDir
+	} else if len(partitionBy) == 0 {
+		usage("-partition is required (e.g. -partition sym)")
 	}
 
-	srv := wire.NewServer(svc, wire.ServerConfig{
+	cat, err := boot(opt, *replicaDir != "", *replicaPoll, registers)
+	if err != nil {
+		fatal(err)
+	}
+	srv := wire.NewCatalogServer(cat, wire.ServerConfig{
 		MaxInFlight:  *maxInFlight,
 		PerConnQueue: *perConn,
 		IdleTimeout:  *idleTimeout,
-		DataDir:      *dataDir,
-		Query:        q.String(),
-		ReadOnly:     replica != nil,
+		Query:        "catalog",
 	})
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		fatal(err)
 	}
-	fmt.Printf("rpaiserver: serving %s\n  partition by %v, %d shards, listening on %s\n",
-		q, partitionBy, svc.Shards(), ln.Addr())
+	fmt.Printf("rpaiserver: serving %d queries\n  %d shards, listening on %s\n", cat.Len(), cat.Shards(), ln.Addr())
 
 	// Graceful shutdown: stop the front door first (in-flight replies still
-	// flush), then drain the shards and close the service to flush the WALs.
-	sigc := make(chan os.Signal, 1)
-	signal.Notify(sigc, syscall.SIGINT, syscall.SIGTERM)
-	done := make(chan error, 1)
-	go func() { done <- srv.Serve(ln) }()
-	select {
-	case sig := <-sigc:
-		fmt.Printf("rpaiserver: %v, shutting down\n", sig)
-		srv.Close()
-		if err := <-done; err != nil {
-			fatal(err)
-		}
-	case err := <-done:
-		if err != nil {
-			fatal(err)
-		}
-	}
-	if replica != nil {
-		// Replica shutdown: stop the tailer; it closes the service (no WALs
-		// to flush). A sticky tail error is worth surfacing on the way out.
-		if err := replica.Close(); err != nil {
-			fatal(err)
-		}
-	} else {
-		if err := svc.Drain(); err != nil {
-			fatal(err)
-		}
-		if err := svc.Close(); err != nil {
-			fatal(err)
-		}
-	}
-	fmt.Println("rpaiserver: clean shutdown")
-}
-
-// runCatalog boots the multi-query catalog daemon: recover the catalog from
-// its data directory when one holds a manifest, register the boot queries,
-// and serve protocol v4 until a signal, then drain and close.
-func runCatalog(addr string, partitionBy []string, registers []string, opt catalog.Options, cfg wire.ServerConfig) {
-	var cat *catalog.Service
-	var err error
-	if opt.Dir != "" {
-		if _, serr := os.Stat(filepath.Join(opt.Dir, "CATALOG")); serr == nil {
-			if cat, err = catalog.Recover(opt); err != nil {
-				fatal(fmt.Errorf("recovering catalog from %s: %w", opt.Dir, err))
-			}
-			fmt.Printf("rpaiserver: recovered catalog from %s (%d queries)\n", opt.Dir, cat.Len())
-		}
-	}
-	if cat == nil {
-		if cat, err = catalog.New(opt); err != nil {
-			fatal(err)
-		}
-	}
-	// Boot registrations are idempotent across restarts: a -register query
-	// whose canonical form is already in the recovered manifest is kept, not
-	// registered again as a duplicate.
-	recovered := make(map[string]catalog.QueryID)
-	for _, ex := range cat.List() {
-		recovered[ex.Canonical] = ex.ID
-	}
-	for _, sql := range registers {
-		q, err := sqlparse.Parse(sql)
-		if err != nil {
-			fatal(fmt.Errorf("registering %q: %w", sql, err))
-		}
-		if id, ok := recovered[q.String()]; ok {
-			fmt.Printf("rpaiserver: query %d already registered (recovered)\n", id)
-			continue
-		}
-		id, ex, err := cat.Register(sql)
-		if err != nil {
-			fatal(fmt.Errorf("registering %q: %w", sql, err))
-		}
-		recovered[ex.Canonical] = id
-		shared := ""
-		if len(ex.SharedWith) > 0 {
-			shared = fmt.Sprintf(", sharing indexes with %v", ex.SharedWith)
-		}
-		fmt.Printf("rpaiserver: query %d registered (%s/%s%s)\n", id, ex.Strategy, ex.IndexKind, shared)
-	}
-
-	srv := wire.NewCatalogServer(cat, cfg)
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Printf("rpaiserver: catalog serving %d queries\n  partition by %v, %d shards, listening on %s\n",
-		cat.Len(), partitionBy, cat.Shards(), ln.Addr())
-
+	// flush), then drain the executor sets and close the catalog, which
+	// flushes the WAL.
 	sigc := make(chan os.Signal, 1)
 	signal.Notify(sigc, syscall.SIGINT, syscall.SIGTERM)
 	done := make(chan error, 1)
@@ -317,10 +168,75 @@ func runCatalog(addr string, partitionBy []string, registers []string, opt catal
 	if err := cat.DrainAll(); err != nil {
 		fatal(err)
 	}
+	// On a follower Close reports the error that stopped its tailer, if any.
 	if err := cat.Close(); err != nil {
 		fatal(err)
 	}
 	fmt.Println("rpaiserver: clean shutdown")
+}
+
+// boot opens the daemon's catalog, the one way there is: follow a primary's
+// directory, or recover opt.Dir when it holds a CATALOG manifest, or start
+// fresh (catalog.New refuses a directory written in a retired format rather
+// than starting a generation beside its files) — then register the boot
+// queries the catalog does not already serve.
+func boot(opt catalog.Options, replica bool, poll time.Duration, registers []string) (*catalog.Service, error) {
+	if replica {
+		cat, err := catalog.Follow(opt, poll)
+		if err != nil {
+			return nil, fmt.Errorf("following %s: %w", opt.Dir, err)
+		}
+		fmt.Printf("rpaiserver: read-only follower of %s (%d queries)\n", opt.Dir, cat.Len())
+		return cat, nil
+	}
+	var cat *catalog.Service
+	var err error
+	if _, serr := os.Stat(filepath.Join(opt.Dir, "CATALOG")); opt.Dir != "" && serr == nil {
+		if cat, err = catalog.Recover(opt); err == nil {
+			fmt.Printf("rpaiserver: recovered catalog from %s (%d queries)\n", opt.Dir, cat.Len())
+		}
+	} else {
+		cat, err = catalog.New(opt)
+	}
+	if err != nil {
+		return nil, err
+	}
+	// Boot registrations are idempotent across restarts: a query whose
+	// canonical form is already in the recovered manifest is kept, not
+	// registered again as a duplicate.
+	have := make(map[string]catalog.QueryID)
+	for _, ex := range cat.List() {
+		have[ex.Canonical] = ex.ID
+	}
+	for _, sql := range registers {
+		q, err := sqlparse.Parse(sql)
+		if err != nil {
+			cat.Close()
+			return nil, fmt.Errorf("registering %q: %w", sql, err)
+		}
+		if id, ok := have[q.String()]; ok {
+			fmt.Printf("rpaiserver: query %d already registered (recovered)\n", id)
+			continue
+		}
+		id, ex, err := cat.Register(sql)
+		if err != nil {
+			cat.Close()
+			return nil, fmt.Errorf("registering %q: %w", sql, err)
+		}
+		have[ex.Canonical] = id
+		shared := ""
+		if len(ex.SharedWith) > 0 {
+			shared = fmt.Sprintf(", sharing indexes with %v", ex.SharedWith)
+		}
+		fmt.Printf("rpaiserver: query %d registered (%s/%s%s)\n", id, ex.Strategy, ex.IndexKind, shared)
+	}
+	return cat, nil
+}
+
+func usage(msg string) {
+	fmt.Fprintln(os.Stderr, "rpaiserver:", msg)
+	flag.Usage()
+	os.Exit(2)
 }
 
 func fatal(err error) {

@@ -1,12 +1,12 @@
 // Wiredemo: the networked serving layer end to end, in one process.
 //
 // This example boots the wire-protocol server (the core of cmd/rpaiserver)
-// over a sharded VWAP service on a loopback port, then drives it with the
-// pipelined client: batched applies routed by symbol, a drain barrier,
-// scalar and grouped reads, and the stats RPC. The networked results are
-// compared bit for bit against a second, in-process service fed the same
-// trace — the serving layer adds a network without changing a single bit of
-// the query's semantics.
+// over a one-query catalog — what `rpaiserver -query` serves — on a loopback
+// port, then drives it with the pipelined client: batched applies routed by
+// symbol, a drain barrier, scalar and grouped reads, and the stats RPC. The
+// networked results are compared bit for bit against an in-process service
+// fed the same trace — the serving layer adds a network without changing a
+// single bit of the query's semantics.
 //
 // Run with: go run ./examples/wiredemo
 package main
@@ -17,6 +17,7 @@ import (
 	"net"
 	"time"
 
+	"rpai/internal/catalog"
 	"rpai/internal/engine"
 	"rpai/internal/query"
 	"rpai/internal/serve"
@@ -39,17 +40,25 @@ func vwap() *query.Query {
 	}
 }
 
+// vwapSQL is vwap() as the SQL a client (or rpaiserver -query) registers.
+const vwapSQL = `SELECT SUM(b.price * b.volume) FROM bids b
+WHERE 0.75 * (SELECT SUM(b1.volume) FROM bids b1)
+      < (SELECT SUM(b2.volume) FROM bids b2 WHERE b2.price <= b.price)`
+
 func main() {
 	q := vwap()
 
-	// Server side: a 4-shard service behind the TCP front door.
-	svc, err := serve.ForQuery(q, []string{"sym"}, serve.Options{Shards: 4})
+	// Server side: a 4-shard catalog serving the one query behind the TCP
+	// front door. The client's un-routed reads address it.
+	cat, err := catalog.New(catalog.Options{PartitionBy: []string{"sym"}, Shards: 4})
+	check(err)
+	_, ex, err := cat.Register(vwapSQL)
 	check(err)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	check(err)
-	srv := wire.NewServer(svc, wire.ServerConfig{Query: q.String()})
+	srv := wire.NewCatalogServer(cat, wire.ServerConfig{Query: ex.Canonical})
 	go srv.Serve(ln)
-	fmt.Printf("serving %s\n  on %s with %d shards\n\n", q, ln.Addr(), svc.Shards())
+	fmt.Printf("serving %s\n  on %s with %d shards\n\n", ex.Canonical, ln.Addr(), cat.Shards())
 
 	// Reference: an identical in-process service fed the same trace.
 	ref, err := serve.ForQuery(q, []string{"sym"}, serve.Options{Shards: 4})
@@ -120,8 +129,8 @@ func main() {
 
 	check(c.Close())
 	check(srv.Close())
-	check(svc.Drain())
-	check(svc.Close())
+	check(cat.DrainAll())
+	check(cat.Close())
 	fmt.Println("\nclean shutdown")
 }
 

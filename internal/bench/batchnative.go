@@ -128,8 +128,8 @@ func BatchNative(cfg BatchNativeConfig) (*BatchNativeReport, error) {
 		cfg = DefaultBatchNative()
 	}
 	rep := &BatchNativeReport{Header: NewHeader("batch", 1), Config: cfg}
-	q := recoveryQuery()
-	events := recoveryEvents(cfg.Seed, cfg.Events, cfg.Partitions)
+	q := vwapQuery()
+	events := vwapEvents(cfg.Seed, cfg.Events, cfg.Partitions)
 	for _, strat := range batchNativeStrategies(q) {
 		var base BatchNativePoint
 		for _, bs := range cfg.BatchSizes {

@@ -4,13 +4,19 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"math/rand"
+	"net"
 	"runtime"
 	"strings"
 	"sync"
 	"time"
 
+	"rpai/internal/catalog"
 	"rpai/internal/engine"
+	"rpai/internal/query"
 	"rpai/internal/serve"
+	"rpai/internal/wire"
+	"rpai/internal/wire/client"
 )
 
 // MatrixConfig parameterizes the multicore scaling matrix: the same
@@ -141,7 +147,7 @@ func Matrix(cfg MatrixConfig) (*MatrixReport, error) {
 	}
 	cores := resolveCores(cfg.Cores)
 	rep := &MatrixReport{Header: NewHeader("matrix", cfg.Iters), Config: cfg}
-	events := recoveryEvents(cfg.Seed, cfg.Events, cfg.Partitions)
+	events := vwapEvents(cfg.Seed, cfg.Events, cfg.Partitions)
 
 	// Sequential single-shard reference for the bit-identity checks.
 	wantScalar, wantGroups, err := matrixReference(events)
@@ -167,21 +173,14 @@ func Matrix(cfg MatrixConfig) (*MatrixReport, error) {
 	}
 
 	// Wire mode: cores x client pool sizes over loopback TCP.
-	wcfg := WireConfig{
-		Events: cfg.Events, Partitions: cfg.Partitions, Shards: maxInt(cfg.Shards),
-		BatchSize: 128, MaxInFlight: 32, Seed: cfg.Seed,
-	}
+	netShards := maxInt(cfg.Shards)
 	for _, conns := range cfg.Conns {
 		for i, c := range cores {
 			conns := conns
 			cell, err := matrixCell(rep, cores[0], i == 0, MatrixCell{
-				Mode: "wire", Cores: c, Conns: conns, Shards: wcfg.Shards,
+				Mode: "wire", Cores: c, Conns: conns, Shards: netShards,
 			}, cfg, func() (float64, float64, error) {
-				wp, err := wirePoint(events, wcfg, conns, wantScalar, wantGroups)
-				if err != nil {
-					return 0, 0, err
-				}
-				return wp.IngestMS, wp.Result, nil
+				return matrixWireRun(events, netShards, conns, wantGroups)
 			}, wantScalar)
 			if err != nil {
 				return nil, err
@@ -192,22 +191,15 @@ func Matrix(cfg MatrixConfig) (*MatrixReport, error) {
 
 	// Fan-out mode: one cell per core count at a fixed reader population.
 	if cfg.Readers > 0 {
-		fcfg := FanoutConfig{
-			Events: cfg.Events, Partitions: cfg.Partitions, Shards: maxInt(cfg.Shards),
-			BatchSize: 128, SubBuffer: 256, Seed: cfg.Seed,
-		}
 		for i, c := range cores {
 			cell, err := matrixCell(rep, cores[0], i == 0, MatrixCell{
-				Mode: "fanout", Cores: c, Readers: cfg.Readers, Shards: fcfg.Shards,
+				Mode: "fanout", Cores: c, Readers: cfg.Readers, Shards: netShards,
 			}, cfg, func() (float64, float64, error) {
-				var p FanoutPoint
-				if err := fanoutPush(events, fcfg, cfg.Readers, &p); err != nil {
-					return 0, 0, err
-				}
 				// The cell's elapsed is until every subscriber view caught
-				// up; its "result" is the push-identity check (fanoutPush
-				// fails on divergence), so reuse the scalar reference.
-				return p.PushElapsedMS, wantScalar, nil
+				// up; its "result" is the push-identity check (the run fails
+				// on divergence), so reuse the scalar reference.
+				ms, err := matrixFanoutRun(events, netShards, cfg.Readers)
+				return ms, wantScalar, err
 			}, wantScalar)
 			if err != nil {
 				return nil, err
@@ -277,7 +269,7 @@ func findBase(cells []MatrixCell, c MatrixCell, baseCores int) *MatrixCell {
 // matrixReference replays the trace sequentially through a single-shard
 // service: the ground truth every matrix cell must reproduce bit for bit.
 func matrixReference(events []engine.Event) (float64, []engine.GroupResult, error) {
-	svc, err := serve.ForQuery(recoveryQuery(), []string{"sym"}, serve.Options{Shards: 1})
+	svc, err := serve.ForQuery(vwapQuery(), []string{"sym"}, serve.Options{Shards: 1})
 	if err != nil {
 		return 0, nil, err
 	}
@@ -299,7 +291,7 @@ func matrixReference(events []engine.Event) (float64, []engine.GroupResult, erro
 // hash, so per-partition order is preserved and the drained result is
 // bit-identical to the sequential replay.
 func matrixServeRun(events []engine.Event, cfg MatrixConfig, shards, batch, producers int) (float64, float64, error) {
-	svc, err := serve.ForQuery(recoveryQuery(), []string{"sym"},
+	svc, err := serve.ForQuery(vwapQuery(), []string{"sym"},
 		serve.Options{Shards: shards, BatchSize: batch, QueueLen: cfg.QueueLen})
 	if err != nil {
 		return 0, 0, err
@@ -382,4 +374,236 @@ func FormatMatrix(rep *MatrixReport) string {
 			c.ElapsedMS, c.EventsPerSec, c.Speedup, c.ElapsedDist.RSD)
 	}
 	return b.String()
+}
+
+// vwapSQL is vwapQuery as the SQL a catalog registers.
+const vwapSQL = `SELECT SUM(b.price * b.volume) FROM bids b
+WHERE 0.75 * (SELECT SUM(b1.volume) FROM bids b1)
+      < (SELECT SUM(b2.volume) FROM bids b2 WHERE b2.price <= b.price)`
+
+// vwapQuery is the Example 2.2 VWAP decile query, evaluated per partition by
+// the serving layer.
+func vwapQuery() *query.Query {
+	return &query.Query{
+		Agg: query.Mul(query.Col("price"), query.Col("volume")),
+		Preds: []query.Predicate{{
+			Left: query.ValSub(0.75, &query.Subquery{Kind: query.Sum, Of: query.Col("volume")}),
+			Op:   query.Lt,
+			Right: query.ValSub(1, &query.Subquery{
+				Kind:  query.Sum,
+				Of:    query.Col("volume"),
+				Where: &query.CorrPred{Inner: query.Col("price"), Op: query.Le, Outer: query.Col("price")},
+			}),
+		}},
+	}
+}
+
+// vwapEvents generates the insert/delete trace over sym partitions.
+func vwapEvents(seed int64, n, partitions int) []engine.Event {
+	rng := rand.New(rand.NewSource(seed))
+	var live []query.Tuple
+	out := make([]engine.Event, 0, n)
+	for i := 0; i < n; i++ {
+		if len(live) > 0 && rng.Float64() < 0.25 {
+			j := rng.Intn(len(live))
+			out = append(out, engine.Delete(live[j]))
+			live[j] = live[len(live)-1]
+			live = live[:len(live)-1]
+			continue
+		}
+		t := query.Tuple{
+			"sym":    float64(rng.Intn(partitions)),
+			"price":  float64(rng.Intn(64) + 1),
+			"volume": float64(rng.Intn(32) + 1),
+		}
+		live = append(live, t)
+		out = append(out, engine.Insert(t))
+	}
+	return out
+}
+
+// matrixServer boots a one-query catalog (what rpaiserver -query serves)
+// behind a loopback wire server for one network-mode repetition.
+func matrixServer(shards int) (cat *catalog.Service, addr string, stop func(), err error) {
+	if cat, err = catalog.New(catalog.Options{PartitionBy: []string{"sym"}, Shards: shards}); err != nil {
+		return nil, "", nil, err
+	}
+	if _, _, err = cat.Register(vwapSQL); err != nil {
+		cat.Close()
+		return nil, "", nil, err
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		cat.Close()
+		return nil, "", nil, err
+	}
+	srv := wire.NewCatalogServer(cat, wire.ServerConfig{})
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve(ln) }()
+	return cat, ln.Addr().String(), func() {
+		srv.Close()
+		<-served
+		cat.Close()
+	}, nil
+}
+
+// matrixIngest streams the trace through a pooled, partition-routed client
+// and drains, returning the elapsed milliseconds.
+func matrixIngest(c *client.Client, events []engine.Event) (float64, error) {
+	start := time.Now()
+	for _, e := range events {
+		if err := c.Apply(e); err != nil {
+			return 0, err
+		}
+	}
+	if err := c.Drain(); err != nil {
+		return 0, err
+	}
+	return float64(time.Since(start).Microseconds()) / 1e3, nil
+}
+
+// matrixWireRun is one wire-mode repetition: a fresh server ingested over
+// conns loopback connections, its networked reads checked against the
+// sequential reference.
+func matrixWireRun(events []engine.Event, shards, conns int, wantGroups []engine.GroupResult) (float64, float64, error) {
+	_, addr, stop, err := matrixServer(shards)
+	if err != nil {
+		return 0, 0, err
+	}
+	defer stop()
+	c, err := client.Dial(addr, client.Options{
+		Conns:       conns,
+		BatchSize:   128,
+		MaxInFlight: 32,
+		Route:       func(e engine.Event) int { return int(e.Tuple["sym"]) },
+	})
+	if err != nil {
+		return 0, 0, err
+	}
+	defer c.Close()
+	ms, err := matrixIngest(c, events)
+	if err != nil {
+		return 0, 0, err
+	}
+	res, err := c.Result()
+	if err != nil {
+		return 0, 0, err
+	}
+	groups, err := c.ResultGrouped()
+	if err != nil {
+		return 0, 0, err
+	}
+	if !groupsBitIdentical(groups, wantGroups) {
+		return 0, 0, fmt.Errorf("bench: networked grouped results diverged at %d conns", conns)
+	}
+	return ms, res, nil
+}
+
+// matrixFanoutRun is one fan-out repetition: readers push subscribers attach,
+// the trace is ingested over one connection, and the clock stops when every
+// subscriber's view has reached the server's final shard versions — at which
+// point each view must equal the server's grouped results bit for bit.
+func matrixFanoutRun(events []engine.Event, shards, readers int) (float64, error) {
+	cat, addr, stop, err := matrixServer(shards)
+	if err != nil {
+		return 0, err
+	}
+	defer stop()
+	c, err := client.Dial(addr, client.Options{
+		BatchSize: 128,
+		Route:     func(e engine.Event) int { return int(e.Tuple["sym"]) },
+	})
+	if err != nil {
+		return 0, err
+	}
+	defer c.Close()
+	type reader struct {
+		view *serve.View
+		errc chan error // the first Apply error, or nil when Frames closes
+	}
+	subs := make([]reader, readers)
+	for i := range subs {
+		sub, err := c.Subscribe(client.SubOptions{Buffer: 256})
+		if err != nil {
+			return 0, err
+		}
+		defer sub.Close()
+		r := reader{view: serve.NewView(), errc: make(chan error, 1)}
+		subs[i] = r
+		go func() {
+			var first error
+			for f := range sub.Frames() {
+				if err := r.view.Apply(f); err != nil && first == nil {
+					first = err
+				}
+			}
+			r.errc <- first
+		}()
+	}
+
+	start := time.Now()
+	if _, err := matrixIngest(c, events); err != nil {
+		return 0, err
+	}
+	target, err := cat.ShardVersions(1)
+	if err != nil {
+		return 0, err
+	}
+	deadline := start.Add(60 * time.Second)
+	for _, r := range subs {
+		for !viewReached(r.view, target) {
+			select {
+			case err := <-r.errc:
+				return 0, fmt.Errorf("bench: subscriber stream ended early: %v", err)
+			default:
+			}
+			if time.Now().After(deadline) {
+				return 0, fmt.Errorf("bench: subscriber views never reached %v", target)
+			}
+			time.Sleep(200 * time.Microsecond)
+		}
+	}
+	ms := float64(time.Since(start).Microseconds()) / 1e3
+	want, err := cat.ResultGrouped(1)
+	if err != nil {
+		return 0, err
+	}
+	for i, r := range subs {
+		if !groupsBitIdentical(r.view.Grouped(), want) {
+			return 0, fmt.Errorf("bench: subscriber %d view diverged from server results", i)
+		}
+	}
+	return ms, nil
+}
+
+// viewReached reports whether the view is at or past every target version.
+func viewReached(v *serve.View, target []serve.ShardVersion) bool {
+	got := make(map[int]uint64, len(target))
+	for _, sv := range v.Versions() {
+		got[sv.Shard] = sv.Version
+	}
+	for _, sv := range target {
+		if got[sv.Shard] < sv.Version {
+			return false
+		}
+	}
+	return true
+}
+
+// groupsBitIdentical compares grouped results by IEEE-754 bit pattern.
+func groupsBitIdentical(a, b []engine.GroupResult) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if len(a[i].Key) != len(b[i].Key) || math.Float64bits(a[i].Value) != math.Float64bits(b[i].Value) {
+			return false
+		}
+		for j := range a[i].Key {
+			if math.Float64bits(a[i].Key[j]) != math.Float64bits(b[i].Key[j]) {
+				return false
+			}
+		}
+	}
+	return true
 }

@@ -146,7 +146,7 @@ func Multi(cfg MultiConfig) (*MultiReport, error) {
 		cfg.BatchSize = 256
 	}
 	rep := &MultiReport{Header: NewHeader("multi", cfg.Iters), Config: cfg}
-	events := recoveryEvents(cfg.Seed, cfg.Events, cfg.Partitions)
+	events := vwapEvents(cfg.Seed, cfg.Events, cfg.Partitions)
 	for _, n := range cfg.Queries {
 		for _, mode := range []string{"shared", "family", "aggvar", "filtered", "late", "distinct"} {
 			p, err := multiPoint(cfg, events, n, mode)

@@ -12,9 +12,9 @@
 //     WAL — one record per batch regardless of how many queries are
 //     registered — then applied to every distinct executor set;
 //   - per-query reads (Result, ResultGrouped, Subscribe, Stats) are served
-//     by the query's own serve.Service, so every property of the
-//     single-query serving layer (sharding, snapshots, coalescing push
-//     subscriptions) holds per registered query.
+//     by the query's own serve.Service, so every property of the sharded
+//     serving layer (sharding, snapshots, coalescing push subscriptions)
+//     holds per registered query.
 //
 // Index sharing is organized around the engine's StateSet/ProbePlan split: an
 // executor set is a *state set* — the maintained base-relation state and its
@@ -63,6 +63,14 @@ var ErrUnknownQuery = errors.New("catalog: unknown query id")
 // ErrClosed is returned after Close.
 var ErrClosed = errors.New("catalog: closed")
 
+// ErrNotDurable is returned by Checkpoint on a catalog built without
+// Options.Dir: there is no generation to rotate.
+var ErrNotDurable = errors.New("catalog: Checkpoint requires Options.Dir")
+
+// ErrReadOnly is returned by every write and registration call on a follower
+// (see Follow): its state changes only by tailing the primary's log.
+var ErrReadOnly = errors.New("catalog: read-only follower")
+
 // Options configures a catalog. PartitionBy applies to every registered
 // query (the catalog serves one logical relation, so grouping keys are
 // shared); Shards/QueueLen/BatchSize parameterize each query's executor
@@ -76,6 +84,10 @@ type Options struct {
 	// CATALOG manifest, every applied batch is logged once to a shared WAL,
 	// and Recover rebuilds the full catalog after a crash.
 	Dir string
+	// CompactEvery, when positive, rotates a generation (as Checkpoint does)
+	// once that many events have been logged since the last rotation,
+	// bounding replay work on recovery. It needs Dir.
+	CompactEvery int
 }
 
 // registration is one registered query: its ID, the SQL text as submitted,
@@ -154,8 +166,10 @@ type Service struct {
 	ingestMu sync.Mutex
 	records  uint64 // WAL records written this generation (== batches applied)
 	applied  uint64 // lifetime batches applied, never reset — founding epochs
+	logged   int    // events logged this generation, for Options.CompactEvery
 
-	dur *durableState // nil for in-memory catalogs
+	dur    *durableState // nil for in-memory catalogs and followers
+	follow *follower     // nil unless built by Follow
 }
 
 // New builds a catalog. With Options.Dir set it becomes durable: an existing
@@ -164,6 +178,9 @@ type Service struct {
 func New(opt Options) (*Service, error) {
 	if len(opt.PartitionBy) == 0 {
 		return nil, errors.New("catalog: Options.PartitionBy must name at least one column")
+	}
+	if opt.CompactEvery > 0 && opt.Dir == "" {
+		return nil, errors.New("catalog: Options.CompactEvery requires Options.Dir")
 	}
 	s := &Service{
 		opt:      opt,
@@ -182,22 +199,9 @@ func New(opt Options) (*Service, error) {
 	return s, nil
 }
 
-// serveOptions are the per-set service options: never durable on their own —
-// the catalog's shared WAL is the only log.
+// serveOptions are the per-set service options.
 func (s *Service) serveOptions() serve.Options {
 	return serve.Options{Shards: s.opt.Shards, QueueLen: s.opt.QueueLen, BatchSize: s.opt.BatchSize}
-}
-
-// deriveSpec computes a query's probe plan: directly (StateKey-eligible), or
-// after splitting off a residual partition-column conjunct.
-func deriveSpec(q *query.Query, partitionBy []string) (engine.ProbeSpec, bool) {
-	if _, _, sp, ok := engine.StateKey(q); ok {
-		return sp, true
-	}
-	if _, sp, ok := engine.SplitResidual(q, partitionBy); ok {
-		return sp, true
-	}
-	return engine.ProbeSpec{}, false
 }
 
 // deriveState resolves a founder query's sharing identity and the query its
@@ -263,6 +267,9 @@ func (s *Service) Register(sql string) (QueryID, Explain, error) {
 	defer s.mu.Unlock()
 	if s.closed {
 		return 0, Explain{}, ErrClosed
+	}
+	if s.follow != nil {
+		return 0, Explain{}, ErrReadOnly
 	}
 	id := s.nextID
 	s.nextID++
@@ -439,6 +446,9 @@ func (s *Service) Unregister(id QueryID) error {
 	if s.closed {
 		return ErrClosed
 	}
+	if s.follow != nil {
+		return ErrReadOnly
+	}
 	reg, ok := s.regs[id]
 	if !ok {
 		return fmt.Errorf("%w: %d", ErrUnknownQuery, id)
@@ -535,8 +545,8 @@ func (s *Service) Len() int {
 	return len(s.regs)
 }
 
-// Default is the lowest live QueryID — the query legacy (pre-v4) wire
-// connections are routed to.
+// Default is the lowest live QueryID — the query un-routed wire reads and
+// subscriptions address (with rpaiserver -query, the only one).
 func (s *Service) Default() (QueryID, bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -570,35 +580,65 @@ func (s *Service) Apply(e engine.Event) error { return s.ApplyBatch([]engine.Eve
 
 // ApplyBatch ingests one batch into every registered query: one WAL record —
 // regardless of query count — then a fan-out to each distinct executor set.
-// Batches are serialized so WAL order equals application order.
+// Batches are serialized so WAL order equals application order. With
+// Options.CompactEvery set, the batch that carries the log past the bound
+// also rotates the generation before returning.
 func (s *Service) ApplyBatch(events []engine.Event) error {
 	if len(events) == 0 {
 		return nil
 	}
+	full, err := s.applyBatch(events)
+	if full && err == nil {
+		err = s.compact()
+	}
+	return err
+}
+
+// applyBatch logs and fans out one batch under the shared ingest lock, and
+// reports whether the log has reached Options.CompactEvery.
+func (s *Service) applyBatch(events []engine.Event) (full bool, err error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	if s.closed {
-		return ErrClosed
+		return false, ErrClosed
+	}
+	if s.follow != nil {
+		return false, ErrReadOnly
 	}
 	s.ingestMu.Lock()
 	defer s.ingestMu.Unlock()
 	if s.dur != nil {
 		if err := s.appendWAL(events); err != nil {
-			return err
+			return false, err
 		}
+		s.logged += len(events)
 	}
 	s.records++
 	s.applied++
-	var first error
 	for _, set := range s.distinctSetsLocked() {
-		if err := set.svc.ApplyBatch(events); err != nil {
+		if aerr := set.svc.ApplyBatch(events); aerr != nil {
 			set.rejected.Add(uint64(len(events)))
-			if first == nil {
-				first = err
+			if err == nil {
+				err = aerr
 			}
 		}
 	}
-	return first
+	return s.opt.CompactEvery > 0 && s.logged >= s.opt.CompactEvery, err
+}
+
+// compact rotates the generation if the log is still past
+// Options.CompactEvery once the write lock is held (a concurrent ApplyBatch
+// or Checkpoint may have rotated first).
+func (s *Service) compact() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed || s.logged < s.opt.CompactEvery {
+		return nil
+	}
+	if err := s.rotateLocked(); err != nil {
+		return fmt.Errorf("catalog: auto-compaction: %w", err)
+	}
+	return nil
 }
 
 // distinctSetsLocked lists each live executor set once (registrations can
@@ -617,8 +657,7 @@ func (s *Service) distinctSetsLocked() []*execSet {
 }
 
 // encodeBatchRecord frames a batch as one WAL record: a u32-LE
-// length-prefixed event encoding per event, the same inner framing the
-// single-query serve WAL uses.
+// length-prefixed event encoding per event.
 func encodeBatchRecord(buf []byte, events []engine.Event) []byte {
 	for _, e := range events {
 		off := len(buf)
@@ -733,6 +772,10 @@ func (s *Service) Epoch(id QueryID) (uint64, error) {
 	return reg.set.svc.Epoch(), nil
 }
 
+// ReadOnly reports whether the catalog is a follower (see Follow), on which
+// every write and registration call returns ErrReadOnly.
+func (s *Service) ReadOnly() bool { return s.follow != nil }
+
 // Shards reports the per-query shard count (identical for every query).
 func (s *Service) Shards() int {
 	if s.opt.Shards > 0 {
@@ -826,15 +869,20 @@ func (s *Service) DrainAll() error {
 }
 
 // Close stops every executor set and closes the WAL. Events still queued are
-// applied first (serve.Close drains); the catalog stays recoverable.
+// applied first (serve.Close drains); the catalog stays recoverable. On a
+// follower it stops the tailer first and returns the error that stopped it
+// early, if any.
 func (s *Service) Close() error {
+	var first error
+	if s.follow != nil {
+		first = s.follow.stop()
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return nil
 	}
 	s.closed = true
-	var first error
 	seen := make(map[uint64]bool)
 	for _, reg := range s.regs {
 		if seen[reg.set.setID] {

@@ -1,7 +1,6 @@
 package catalog
 
 import (
-	"bytes"
 	"errors"
 	"math/rand"
 	"os"
@@ -662,175 +661,6 @@ func TestCatalogStatsAndSubscribe(t *testing.T) {
 		case <-deadline:
 			t.Fatalf("subscription stalled at %v, want %v", versions, want)
 		}
-	}
-}
-
-// writeCatalogV1 writes a CATALOG manifest in the pre-family version-1
-// layout: no flags byte, no lane constant after each entry's SQL.
-func writeCatalogV1(t *testing.T, dir string, nextID, nextSet uint64, partitionBy []string, entries []catEntry) {
-	t.Helper()
-	var rec bytes.Buffer
-	e := checkpoint.NewEncoder(&rec)
-	e.U32(1) // version
-	e.U64(1) // gen
-	e.U64(nextID)
-	e.U64(nextSet)
-	e.U32(uint32(len(partitionBy)))
-	for _, c := range partitionBy {
-		e.Str(c)
-	}
-	e.U32(uint32(len(entries)))
-	for _, ent := range entries {
-		e.U64(uint64(ent.id))
-		e.U64(ent.setID)
-		e.U64(ent.since)
-		e.Str(ent.sql)
-	}
-	if err := e.Err(); err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	buf.WriteString(catalogMagic)
-	if err := checkpoint.WriteRecord(&buf, rec.Bytes()); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, catalogName), buf.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestCatalogRecoverV1Manifest recovers a directory written by the
-// pre-family manifest format: a version-1 CATALOG where the two constant
-// variants occupy separate executor sets and carry no plan fields.
-// Recovery must accept it, re-derive each member's probe plan from its SQL,
-// keep the persisted set topology (recovery never merges sets — only new
-// registrations join retroactively), and serve bit-identical results.
-func TestCatalogRecoverV1Manifest(t *testing.T) {
-	dir := t.TempDir()
-	events := catEvents(47, 400, 7)
-
-	// Hand-write the v1 on-disk state: manifest plus the shared WAL, no
-	// snapshot directories (the crash predates the first checkpoint, so
-	// every set recovers from its WAL suffix alone).
-	wal, err := checkpoint.CreateWAL(walPath(dir, 1), checkpoint.Header{Gen: 1, Shard: 0, ShardCount: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	applyBatches(t, events, 32, func(b []engine.Event) error {
-		return wal.Append(encodeBatchRecord(nil, b))
-	})
-	if err := wal.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if err := wal.Close(); err != nil {
-		t.Fatal(err)
-	}
-	writeCatalogV1(t, dir, 4, 3, []string{"sym"}, []catEntry{
-		{id: 1, setID: 1, since: 0, sql: sqlVWAP},
-		{id: 2, setID: 2, since: 0, sql: sqlVWAP90},
-		{id: 3, setID: 1, since: 0, sql: sqlVWAP2}, // exact duplicate in set 1
-	})
-
-	rec, err := Recover(Options{Dir: dir, Shards: 2, BatchSize: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rec.Close()
-	if err := rec.DrainAll(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Bit-identical to fresh single-query references over the same trace.
-	for id, sql := range map[QueryID]string{1: sqlVWAP, 2: sqlVWAP90, 3: sqlVWAP2} {
-		ref, err := serve.ForQuery(mustParse(t, sql), []string{"sym"}, serve.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := ref.ApplyBatch(events); err != nil {
-			t.Fatal(err)
-		}
-		if err := ref.Drain(); err != nil {
-			t.Fatal(err)
-		}
-		got, err := rec.Result(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want := ref.Result(); got != want {
-			t.Fatalf("query %d recovered %v, reference %v", id, got, want)
-		}
-		gotG, err := rec.ResultGrouped(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !groupsEqual(gotG, ref.ResultGrouped()) {
-			t.Fatalf("query %d grouped results diverged", id)
-		}
-		ref.Close()
-	}
-
-	// The v1 topology survives: the exact duplicates share set 1, the
-	// constant variant keeps set 2, and the sharing report reflects it.
-	stats := rec.Stats()
-	if len(stats) != 3 {
-		t.Fatalf("recovered %d registrations, want 3", len(stats))
-	}
-	if stats[0].SetID != stats[2].SetID || stats[0].SetID == stats[1].SetID {
-		t.Fatalf("set topology = %d/%d/%d, want 1 and 3 together, 2 apart",
-			stats[0].SetID, stats[1].SetID, stats[2].SetID)
-	}
-	ex1, err := rec.Get(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ex2, err := rec.Get(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ex1.SharedExact) != 1 || ex1.SharedExact[0] != 3 || len(ex1.SharedFamily) != 0 {
-		t.Fatalf("query 1 sharing = exact %v family %v", ex1.SharedExact, ex1.SharedFamily)
-	}
-	if ex1.PredSig != ex2.PredSig {
-		t.Fatal("constant variants lost their shared predicate signature")
-	}
-
-	// The recovered catalog keeps serving: a new constant variant joins the
-	// newest recovered family set retroactively — inheriting its history —
-	// and continued ingest stays readable everywhere.
-	id4, ex4, err := rec.Register(sqlVWAP60)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ex4.SharedWith) != 1 || ex4.SharedWith[0] != 2 {
-		t.Fatalf("late variant sharing = %v, want the newest family set's member [2]", ex4.SharedWith)
-	}
-	more := catEvents(53, 80, 7)
-	applyBatches(t, more, 16, rec.ApplyBatch)
-	if err := rec.DrainAll(); err != nil {
-		t.Fatal(err)
-	}
-	for _, id := range []QueryID{1, 2, 3} {
-		if _, err := rec.Result(id); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// The retroactive joiner reads the full trace, v1-era history included.
-	ref, err := serve.ForQuery(mustParse(t, sqlVWAP60), []string{"sym"}, serve.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ref.Close()
-	if err := ref.ApplyBatch(events); err != nil {
-		t.Fatal(err)
-	}
-	if err := ref.ApplyBatch(more); err != nil {
-		t.Fatal(err)
-	}
-	if err := ref.Drain(); err != nil {
-		t.Fatal(err)
-	}
-	if got, err := rec.Result(id4); err != nil || got != ref.Result() {
-		t.Fatalf("late variant recovered %v (%v), reference %v", got, err, ref.Result())
 	}
 }
 

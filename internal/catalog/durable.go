@@ -41,31 +41,30 @@ import (
 // manifest, which points at the old state, and the orphaned fork directory
 // is swept with its generation at the next rotation.
 //
-// Checkpoint rotates generations in the crash-safe order the single-query
-// layer established: drain and snapshot every set under g<G+1>/ (cloning a
-// set's current fork snapshot with checkpoint.Fork instead of
-// re-serializing, when one is current), create the g<G+1> WAL, swap the
-// CATALOG manifest (the commit point), then delete generation G. A crash
-// anywhere before the swap recovers from G; after it, from G+1.
+// Checkpoint rotates generations in a crash-safe order: drain and snapshot
+// every set under g<G+1>/ (cloning a set's current fork snapshot with
+// checkpoint.Fork instead of re-serializing, when one is current), create the
+// g<G+1> WAL, swap the CATALOG manifest (the commit point), then delete
+// generation G. A crash anywhere before the swap recovers from G; after it,
+// from G+1. Options.CompactEvery triggers the same rotation from ingest.
+//
+// This is the only log, manifest and recovery routine in the repository:
+// Recover is restore (manifest + snapshots) + WAL replay + rotation, and a
+// follower (Follow, follow.go) is restore + a tail over the same WAL.
 
 const (
 	// catalogName is the manifest file.
 	catalogName = "CATALOG"
-	// catalogMagic brands the manifest; catalogVersion the record format.
-	// Version 3 records each entry's full probe plan (aggregate kind and
-	// residual conjunct beyond version 2's threshold constant), the set's
-	// founding SQL and founding record index, and the catalog's lifetime
-	// batch counter. Version-2 manifests decode with SUM plans (all v2
-	// sharing was threshold-only); version-1 manifests re-derive plans from
-	// each entry's SQL at recovery.
+	// catalogMagic brands the manifest; catalogVersion is the one record
+	// format this build reads and writes (a directory written in any other is
+	// refused by name, see decodeManifest).
 	catalogMagic   = "RPCG"
 	catalogVersion = 3
 	// entryShared marks an entry whose query reads a probe lane of a shared
 	// state set; its plan fields (constant, kind, residual) are meaningful.
-	// In version-2 manifests the same bit meant threshold-family membership.
 	entryShared = 1 << 0
-	// entryResidual marks a version-3 entry whose probe plan carries a
-	// residual partition-column conjunct.
+	// entryResidual marks an entry whose probe plan carries a residual
+	// partition-column conjunct.
 	entryResidual = 1 << 1
 	// maxManifestQueries bounds decode allocation for corrupt files.
 	maxManifestQueries = 1 << 20
@@ -79,9 +78,7 @@ type durableState struct {
 }
 
 // catEntry is one manifest line: the registration (id, sql), its set (setID,
-// since, baseSQL, founded) and its probe plan (shared, spec). A version-1
-// manifest leaves the plan zero with derive set, and recovery re-derives it
-// from the SQL.
+// since, baseSQL, founded) and its probe plan (shared, spec).
 type catEntry struct {
 	id      QueryID
 	setID   uint64
@@ -91,7 +88,13 @@ type catEntry struct {
 	founded uint64
 	shared  bool
 	spec    engine.ProbeSpec
-	derive  bool
+}
+
+// manifest is the decoded CATALOG file.
+type manifest struct {
+	gen, nextID, nextSet, appliedBase uint64
+	partitionBy                       []string
+	entries                           []catEntry
 }
 
 func walPath(dir string, gen uint64) string { return checkpoint.WALPath(dir, gen, 0) }
@@ -122,6 +125,9 @@ func (s *Service) initDurable() error {
 	} else if !errors.Is(err, os.ErrNotExist) {
 		return err
 	}
+	if err := refuseLegacyDir(dir); err != nil {
+		return err
+	}
 	const gen = 1
 	wal, err := checkpoint.CreateWAL(walPath(dir, gen), checkpoint.Header{Gen: gen, Shard: 0, ShardCount: 1})
 	if err != nil {
@@ -131,6 +137,20 @@ func (s *Service) initDurable() error {
 	if err := s.writeManifestLocked(); err != nil {
 		wal.Close()
 		s.dur = nil
+		return err
+	}
+	return nil
+}
+
+// refuseLegacyDir reports a directory written by the retired single-query
+// serving mode (a top-level checkpoint MANIFEST beside per-shard WALs, no
+// CATALOG). Starting a catalog generation beside those files would silently
+// abandon the state they hold.
+func refuseLegacyDir(dir string) error {
+	if _, err := os.Stat(filepath.Join(dir, checkpoint.ManifestName)); err == nil {
+		return fmt.Errorf("catalog: %s holds a single-query data directory (top-level %s and g*-shard-*.wal, no %s), a format this build no longer reads; replay its source stream into a fresh directory",
+			dir, checkpoint.ManifestName, catalogName)
+	} else if !errors.Is(err, os.ErrNotExist) {
 		return err
 	}
 	return nil
@@ -190,27 +210,27 @@ func (s *Service) manifestEntriesLocked() []catEntry {
 // generation's WAL — is constant between rotations, so any manifest write
 // within a generation records the same value.
 func (s *Service) writeManifestLocked() error {
-	return writeCatalogFile(s.dur.dir, s.dur.gen, uint64(s.nextID), s.nextSet,
-		s.applied-s.records, s.opt.PartitionBy, s.manifestEntriesLocked())
+	return writeCatalogFile(s.dur.dir, manifest{gen: s.dur.gen, nextID: uint64(s.nextID), nextSet: s.nextSet,
+		appliedBase: s.applied - s.records, partitionBy: s.opt.PartitionBy, entries: s.manifestEntriesLocked()})
 }
 
 // writeCatalogFile writes the CATALOG manifest: magic, then one CRC-framed
 // record, installed by tmp+rename+sync so readers see the old manifest or
 // the new one, never a torn mix.
-func writeCatalogFile(dir string, gen, nextID, nextSet, appliedBase uint64, partitionBy []string, entries []catEntry) error {
+func writeCatalogFile(dir string, m manifest) error {
 	var rec bytes.Buffer
 	e := checkpoint.NewEncoder(&rec)
 	e.U32(catalogVersion)
-	e.U64(gen)
-	e.U64(nextID)
-	e.U64(nextSet)
-	e.U64(appliedBase)
-	e.U32(uint32(len(partitionBy)))
-	for _, c := range partitionBy {
+	e.U64(m.gen)
+	e.U64(m.nextID)
+	e.U64(m.nextSet)
+	e.U64(m.appliedBase)
+	e.U32(uint32(len(m.partitionBy)))
+	for _, c := range m.partitionBy {
 		e.Str(c)
 	}
-	e.U32(uint32(len(entries)))
-	for _, ent := range entries {
+	e.U32(uint32(len(m.entries)))
+	for _, ent := range m.entries {
 		e.U64(uint64(ent.id))
 		e.U64(ent.setID)
 		e.U64(ent.since)
@@ -261,40 +281,53 @@ func writeCatalogFile(dir string, gen, nextID, nextSet, appliedBase uint64, part
 	return catalogSyncDir(dir)
 }
 
-// readCatalogFile loads and validates the CATALOG manifest.
-func readCatalogFile(dir string) (gen, nextID, nextSet, appliedBase uint64, partitionBy []string, entries []catEntry, err error) {
+// readCatalogFile loads and validates the CATALOG manifest, returning the
+// raw bytes too (a follower compares them to notice a manifest swap).
+func readCatalogFile(dir string) (manifest, []byte, error) {
 	b, err := os.ReadFile(filepath.Join(dir, catalogName))
 	if err != nil {
-		return 0, 0, 0, 0, nil, nil, err
+		if errors.Is(err, os.ErrNotExist) {
+			if lerr := refuseLegacyDir(dir); lerr != nil {
+				return manifest{}, nil, lerr
+			}
+		}
+		return manifest{}, nil, err
 	}
+	m, err := decodeManifest(b)
+	if err != nil {
+		return manifest{}, nil, fmt.Errorf("catalog: %s: %w", filepath.Join(dir, catalogName), err)
+	}
+	return m, b, nil
+}
+
+// decodeManifest parses CATALOG file bytes.
+func decodeManifest(b []byte) (manifest, error) {
+	var m manifest
 	if len(b) < len(catalogMagic) || string(b[:len(catalogMagic)]) != catalogMagic {
-		return 0, 0, 0, 0, nil, nil, fmt.Errorf("catalog: bad CATALOG magic in %s", dir)
+		return m, errors.New("bad CATALOG magic")
 	}
 	rec, err := checkpoint.ReadRecord(bytes.NewReader(b[len(catalogMagic):]))
 	if err != nil {
-		return 0, 0, 0, 0, nil, nil, fmt.Errorf("catalog: CATALOG manifest: %w", err)
+		return m, fmt.Errorf("CATALOG manifest: %w", err)
 	}
 	d := checkpoint.NewDecoder(bytes.NewReader(rec))
-	v := d.U32()
-	if d.Err() == nil && (v < 1 || v > catalogVersion) {
-		return 0, 0, 0, 0, nil, nil, fmt.Errorf("catalog: unsupported CATALOG version %d", v)
+	if v := d.U32(); d.Err() == nil && v != catalogVersion {
+		return m, fmt.Errorf("CATALOG manifest is format version %d; this build reads only version %d (versions 1 and 2 were retired with the single-query serving mode)", v, catalogVersion)
 	}
-	gen = d.U64()
-	nextID = d.U64()
-	nextSet = d.U64()
-	if v >= 3 {
-		appliedBase = d.U64()
-	}
+	m.gen = d.U64()
+	m.nextID = d.U64()
+	m.nextSet = d.U64()
+	m.appliedBase = d.U64()
 	np := d.U32()
 	if d.Err() == nil && np > maxManifestQueries {
-		return 0, 0, 0, 0, nil, nil, fmt.Errorf("catalog: implausible partition-column count %d", np)
+		return m, fmt.Errorf("implausible partition-column count %d", np)
 	}
 	for i := uint32(0); i < np && d.Err() == nil; i++ {
-		partitionBy = append(partitionBy, d.Str())
+		m.partitionBy = append(m.partitionBy, d.Str())
 	}
 	nq := d.U32()
 	if d.Err() == nil && nq > maxManifestQueries {
-		return 0, 0, 0, 0, nil, nil, fmt.Errorf("catalog: implausible query count %d", nq)
+		return m, fmt.Errorf("implausible query count %d", nq)
 	}
 	for i := uint32(0); i < nq && d.Err() == nil; i++ {
 		ent := catEntry{
@@ -303,44 +336,25 @@ func readCatalogFile(dir string) (gen, nextID, nextSet, appliedBase uint64, part
 			since: d.U64(),
 			sql:   d.Str(),
 		}
-		switch {
-		case v >= 3:
-			flags := d.U8()
-			ent.spec.Const = d.F64()
-			ent.baseSQL = d.Str()
-			ent.spec.Kind = query.AggKind(d.U8())
-			ent.spec.ResidualCol = d.Str()
-			ent.spec.ResidualOp = query.CmpOp(d.U8())
-			ent.spec.ResidualVal = d.F64()
-			ent.founded = d.U64()
-			ent.shared = flags&entryShared != 0
-			ent.spec.Residual = flags&entryResidual != 0
-			if !ent.spec.Residual {
-				ent.spec.ResidualCol, ent.spec.ResidualOp, ent.spec.ResidualVal = "", 0, 0
-			}
-		case v == 2:
-			// Threshold-family era: every shared plan was a SUM lane at the
-			// persisted constant. The founding SQL was not recorded; the
-			// lowest surviving member stands in, and founded is approximated
-			// by since (exact for any catalog that had not rotated, and never
-			// later than the truth).
-			flags := d.U8()
-			ent.spec.Const = d.F64()
-			ent.shared = flags&entryShared != 0
-			ent.spec.Kind = query.Sum
-			ent.founded = ent.since
-		default:
-			// Pre-family manifest: plans are re-derived from the SQL during
-			// recovery.
-			ent.derive = true
-			ent.founded = ent.since
+		flags := d.U8()
+		ent.spec.Const = d.F64()
+		ent.baseSQL = d.Str()
+		ent.spec.Kind = query.AggKind(d.U8())
+		ent.spec.ResidualCol = d.Str()
+		ent.spec.ResidualOp = query.CmpOp(d.U8())
+		ent.spec.ResidualVal = d.F64()
+		ent.founded = d.U64()
+		ent.shared = flags&entryShared != 0
+		ent.spec.Residual = flags&entryResidual != 0
+		if !ent.spec.Residual {
+			ent.spec.ResidualCol, ent.spec.ResidualOp, ent.spec.ResidualVal = "", 0, 0
 		}
-		entries = append(entries, ent)
+		m.entries = append(m.entries, ent)
 	}
 	if err := d.Err(); err != nil {
-		return 0, 0, 0, 0, nil, nil, fmt.Errorf("catalog: CATALOG manifest: %w", err)
+		return m, fmt.Errorf("CATALOG manifest: %w", err)
 	}
-	return gen, nextID, nextSet, appliedBase, partitionBy, entries, nil
+	return m, nil
 }
 
 func catalogSyncDir(dir string) error {
@@ -362,8 +376,11 @@ func (s *Service) Checkpoint() error {
 	if s.closed {
 		return ErrClosed
 	}
+	if s.follow != nil {
+		return ErrReadOnly
+	}
 	if s.dur == nil {
-		return errors.New("catalog: Checkpoint requires Options.Dir")
+		return ErrNotDurable
 	}
 	return s.rotateLocked()
 }
@@ -407,7 +424,8 @@ func (s *Service) rotateLocked() error {
 	for i := range entries {
 		entries[i].since = 0
 	}
-	if err := writeCatalogFile(dir, newGen, uint64(s.nextID), s.nextSet, s.applied, s.opt.PartitionBy, entries); err != nil {
+	if err := writeCatalogFile(dir, manifest{gen: newGen, nextID: uint64(s.nextID), nextSet: s.nextSet,
+		appliedBase: s.applied, partitionBy: s.opt.PartitionBy, entries: entries}); err != nil {
 		newWAL.Close()
 		os.Remove(walPath(dir, newGen))
 		os.RemoveAll(filepath.Join(dir, fmt.Sprintf("g%d", newGen)))
@@ -419,6 +437,7 @@ func (s *Service) rotateLocked() error {
 	s.dur.wal = newWAL
 	s.dur.gen = newGen
 	s.records = 0
+	s.logged = 0
 	for _, set := range sets {
 		set.since = 0
 		set.snapDir = setDir(dir, newGen, set.setID)
@@ -429,56 +448,73 @@ func (s *Service) rotateLocked() error {
 	return nil
 }
 
-// Recover rebuilds a durable catalog from its directory: registrations come
-// back from the CATALOG manifest, each executor set restores from its
-// snapshot (a fork snapshot at the set's since when one exists, else the
-// rotation snapshot), and the shared WAL replays into every set that had not
-// yet seen its records. Recovery ends with a generation rotation, so the
-// next crash replays only what follows. opt.Dir names the directory;
-// opt.PartitionBy, when set, must match the persisted columns.
+// Recover rebuilds a durable catalog from its directory: restore brings back
+// the registrations and each executor set's snapshot, the shared WAL replays
+// into every set that had not yet seen its records, and a generation rotation
+// ends it, so the next crash replays only what follows. opt.Dir names the
+// directory; opt.PartitionBy, when set, must match the persisted columns.
 func Recover(opt Options) (*Service, error) {
-	if opt.Dir == "" {
-		return nil, errors.New("catalog: Recover requires Options.Dir")
-	}
-	gen, nextID, nextSet, appliedBase, partitionBy, entries, err := readCatalogFile(opt.Dir)
+	s, m, _, err := restore(opt)
 	if err != nil {
 		return nil, err
 	}
-	if len(opt.PartitionBy) > 0 && !equalStrings(opt.PartitionBy, partitionBy) {
-		return nil, fmt.Errorf("catalog: partition columns %v do not match persisted %v", opt.PartitionBy, partitionBy)
+	if _, _, err := checkpoint.ReadWAL(walPath(opt.Dir, m.gen), s.replayer()); err != nil {
+		s.closeSets()
+		return nil, fmt.Errorf("catalog: WAL replay: %w", err)
 	}
-	opt.PartitionBy = partitionBy
-	s := &Service{
+	// Rotate to a fresh generation so the replayed WAL is compacted away.
+	// CreateWAL truncates, so the old WAL must never be reopened for append.
+	s.dur = &durableState{dir: opt.Dir, gen: m.gen}
+	if err := s.rotateLocked(); err != nil {
+		s.closeSets()
+		return nil, err
+	}
+	return s, nil
+}
+
+// restore is the part of recovery a primary and a follower share: it reads
+// the CATALOG manifest, re-registers every query, and restores each executor
+// set from its snapshot (a fork snapshot at the set's since when one exists,
+// else the rotation snapshot, else empty — a set registered after the last
+// checkpoint lives in the WAL suffix alone). The returned service has
+// replayed nothing and has no persistence handle yet; raw is the manifest as
+// read.
+func restore(opt Options) (s *Service, m manifest, raw []byte, err error) {
+	if opt.Dir == "" {
+		return nil, m, nil, errors.New("catalog: recovery requires Options.Dir")
+	}
+	if m, raw, err = readCatalogFile(opt.Dir); err != nil {
+		return nil, m, nil, err
+	}
+	if len(opt.PartitionBy) > 0 && !equalStrings(opt.PartitionBy, m.partitionBy) {
+		return nil, m, nil, fmt.Errorf("catalog: partition columns %v do not match persisted %v", opt.PartitionBy, m.partitionBy)
+	}
+	opt.PartitionBy = m.partitionBy
+	s = &Service{
 		opt:      opt,
 		regs:     make(map[QueryID]*registration),
 		sets:     make(map[string]*execSet),
 		states:   make(map[string]*execSet),
 		baseKeys: make(map[string]*execSet),
-		nextID:   QueryID(nextID),
-		nextSet:  nextSet,
-	}
-	if s.nextID < 1 {
-		s.nextID = 1
-	}
-	if s.nextSet < 1 {
-		s.nextSet = 1
+		nextID:   max(QueryID(m.nextID), 1),
+		nextSet:  max(m.nextSet, 1),
+		applied:  m.appliedBase,
 	}
 
 	// Rebuild executor sets: group manifest entries by set, restore each set
 	// from its snapshot directory when one exists.
 	bySet := make(map[uint64][]catEntry)
 	var setIDs []uint64
-	for _, ent := range entries {
+	for _, ent := range m.entries {
 		if _, ok := bySet[ent.setID]; !ok {
 			setIDs = append(setIDs, ent.setID)
 		}
 		bySet[ent.setID] = append(bySet[ent.setID], ent)
 	}
 	sort.Slice(setIDs, func(i, j int) bool { return setIDs[i] < setIDs[j] })
-	closeAll := func() {
-		for _, set := range s.sets {
-			set.svc.Close()
-		}
+	fail := func(err error) (*Service, manifest, []byte, error) {
+		s.closeSets()
+		return nil, m, nil, err
 	}
 	serveOpt := s.serveOptions()
 	for _, sid := range setIDs {
@@ -491,56 +527,45 @@ func Recover(opt Options) (*Service, error) {
 		for i, ent := range ents {
 			q, err := sqlparse.Parse(ent.sql)
 			if err != nil {
-				closeAll()
-				return nil, fmt.Errorf("catalog: manifest query %d: %w", ent.id, err)
+				return fail(fmt.Errorf("catalog: manifest query %d: %w", ent.id, err))
 			}
 			plan, err := engine.Describe(q)
 			if err != nil {
-				closeAll()
-				return nil, fmt.Errorf("catalog: manifest query %d: %w", ent.id, err)
+				return fail(fmt.Errorf("catalog: manifest query %d: %w", ent.id, err))
 			}
 			qs[i], plans[i] = q, plan
 		}
-		// The set's executors run its founder's query (version-3 manifests
-		// record it; older manifests fall back to the lowest surviving member,
-		// whose canonical form matched its set in those eras).
-		baseSQL := ents[0].sql
-		for _, ent := range ents {
-			if ent.baseSQL != "" {
-				baseSQL = ent.baseSQL
-				break
-			}
-		}
+		// The set's executors run its founder's query, which every member's
+		// entry records.
+		baseSQL := ents[0].baseSQL
 		bq, err := sqlparse.Parse(baseSQL)
 		if err != nil {
-			closeAll()
-			return nil, fmt.Errorf("catalog: set %d founding query: %w", sid, err)
+			return fail(fmt.Errorf("catalog: set %d founding query: %w", sid, err))
 		}
-		exec, stateKey, baseKey, baseSpec, setShared := deriveState(bq, partitionBy)
-		sd := setDir(opt.Dir, gen, sid)
-		fd := forkDir(opt.Dir, gen, sid, ents[0].since)
+		exec, stateKey, baseKey, baseSpec, setShared := deriveState(bq, m.partitionBy)
+		sd := setDir(opt.Dir, m.gen, sid)
+		fd := forkDir(opt.Dir, m.gen, sid, ents[0].since)
 		var svc *serve.Service[engine.Event]
 		snapDir, snapAt := "", uint64(0)
 		if _, statErr := os.Stat(fd); statErr == nil {
 			// A late joiner forked this set at record `since`; the fork is the
 			// newest committed state.
-			svc, err = serve.RecoverForQuery(fd, exec, partitionBy, serveOpt)
+			svc, err = serve.RecoverForQuery(fd, exec, m.partitionBy, serveOpt)
 			snapDir, snapAt = fd, ents[0].since
 		} else if !errors.Is(statErr, os.ErrNotExist) {
 			err = statErr
 		} else if _, statErr := os.Stat(sd); statErr == nil {
-			svc, err = serve.RecoverForQuery(sd, exec, partitionBy, serveOpt)
+			svc, err = serve.RecoverForQuery(sd, exec, m.partitionBy, serveOpt)
 			snapDir, snapAt = sd, ents[0].since
 		} else if errors.Is(statErr, os.ErrNotExist) {
 			// Registered after the last checkpoint: state lives in the WAL
 			// suffix alone.
-			svc, err = serve.ForQuery(exec, partitionBy, serveOpt)
+			svc, err = serve.ForQuery(exec, m.partitionBy, serveOpt)
 		} else {
 			err = statErr
 		}
 		if err != nil {
-			closeAll()
-			return nil, fmt.Errorf("catalog: recover set %d: %w", sid, err)
+			return fail(fmt.Errorf("catalog: recover set %d: %w", sid, err))
 		}
 		set := &execSet{setID: sid, canon: bq.String(), baseSQL: baseSQL, q: exec,
 			stateKey: stateKey, baseKey: baseKey,
@@ -553,19 +578,12 @@ func Recover(opt Options) (*Service, error) {
 			set.baseSpec.Kind = exec.Outer
 		}
 		for i, ent := range ents {
-			spec, shared := ent.spec, ent.shared
-			if ent.derive {
-				// Pre-family (v1) manifest: the probe plan comes from the
-				// member's own SQL. v1 members of one set share a canonical
-				// form, so the derivation cannot diverge from the set's.
-				spec, shared = deriveSpec(qs[i], partitionBy)
-			}
-			if shared && set.lanes != nil {
-				set.lanes[spec]++
+			if ent.shared && set.lanes != nil {
+				set.lanes[ent.spec]++
 			}
 			set.refs[ent.id] = struct{}{}
 			s.regs[ent.id] = &registration{id: ent.id, sql: ent.sql, set: set,
-				plan: plans[i], canon: qs[i].String(), shared: shared && set.lanes != nil, spec: spec}
+				plan: plans[i], canon: qs[i].String(), shared: ent.shared && set.lanes != nil, spec: ent.spec}
 			// Newest set per canonical form wins the join table (higher
 			// setID == created later); every member registers its own form.
 			if prev, ok := s.sets[qs[i].String()]; !ok || prev.setID < sid {
@@ -585,18 +603,22 @@ func Recover(opt Options) (*Service, error) {
 			// WAL replay maintains them (a no-op while every member reads the
 			// base result).
 			if err := s.installLanesLocked(set); err != nil {
-				closeAll()
-				return nil, fmt.Errorf("catalog: recover set %d: %w", sid, err)
+				return fail(fmt.Errorf("catalog: recover set %d: %w", sid, err))
 			}
 		}
 	}
+	return s, m, raw, nil
+}
 
-	// Replay the shared WAL: record i fans out to every set with since <= i.
+// replayer returns the function that applies the shared WAL's records in
+// order: record i fans out to every set with since <= i — exactly the
+// fan-out the live catalog performed. The set list is captured once, so the
+// registration tables must not change while the returned function is in use.
+func (s *Service) replayer() func(rec []byte) error {
 	sets := s.distinctSetsLocked()
 	var dec engine.EventDecoder
 	var batch []engine.Event
-	idx := uint64(0)
-	_, _, err = checkpoint.ReadWAL(walPath(opt.Dir, gen), func(rec []byte) error {
+	return func(rec []byte) error {
 		batch = batch[:0]
 		if err := decodeBatchRecord(rec, &dec, func(e engine.Event) error {
 			batch = append(batch, e)
@@ -605,30 +627,24 @@ func Recover(opt Options) (*Service, error) {
 			return err
 		}
 		for _, set := range sets {
-			if set.since <= idx {
+			if set.since <= s.records {
 				if err := set.svc.ApplyBatch(batch); err != nil {
 					return err
 				}
 			}
 		}
-		idx++
+		s.records++
+		s.applied++
 		return nil
-	})
-	if err != nil {
-		closeAll()
-		return nil, fmt.Errorf("catalog: WAL replay: %w", err)
 	}
-	s.records = idx
-	s.applied = appliedBase + idx
+}
 
-	// Rotate to a fresh generation so the replayed WAL is compacted away.
-	// CreateWAL truncates, so the old WAL must never be reopened for append.
-	s.dur = &durableState{dir: opt.Dir, gen: gen}
-	if err := s.rotateLocked(); err != nil {
-		closeAll()
-		return nil, err
+// closeSets closes every executor set (a failed recovery, or a follower
+// discarding the state a rebuild replaced).
+func (s *Service) closeSets() {
+	for _, set := range s.distinctSetsLocked() {
+		set.svc.Close()
 	}
-	return s, nil
 }
 
 func equalStrings(a, b []string) bool {

@@ -60,14 +60,14 @@ func TestApplyBatchMatchesApply(t *testing.T) {
 	}
 }
 
-// TestApplyBatchDurableRecovery drives a durable service exclusively through
-// ApplyBatch — so WAL records are genuinely multi-event group commits — and
-// checks recovery replays the framed batches back to the same state.
+// TestApplyBatchDurableRecovery drives a service exclusively through
+// ApplyBatch and checks the state it built survives a checkpoint export and
+// a restore onto another shard count.
 func TestApplyBatchDurableRecovery(t *testing.T) {
 	q := vwapSpec()
 	events := symEvents(29, 1500, 9)
 	dir := t.TempDir()
-	svc, err := ForQuery(q, []string{"sym"}, Options{Shards: 2, BatchSize: 32, Dir: dir})
+	svc, err := ForQuery(q, []string{"sym"}, Options{Shards: 2, BatchSize: 32})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,6 +78,9 @@ func TestApplyBatchDurableRecovery(t *testing.T) {
 		}
 	}
 	if err := svc.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	if err := svc.Checkpoint(dir); err != nil {
 		t.Fatal(err)
 	}
 	if err := svc.Close(); err != nil {

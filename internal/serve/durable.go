@@ -2,37 +2,28 @@ package serve
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
-	"path/filepath"
 	"sort"
-	"strings"
 
 	"rpai/internal/checkpoint"
 )
 
-// This file is the durability coordinator for a Service: Checkpoint fans a
-// snapshot request out to every shard worker, Recover rebuilds a service from
-// a checkpoint directory, and compactShard is the per-shard rotation both of
-// them (and the workers' own auto-compaction) share. All shard-state access
+// This file is the snapshot half of durability: Checkpoint exports a
+// consistent point-in-time copy of every shard to a directory, Recover
+// rebuilds a service from one. There is no log here — events between two
+// snapshots are the catalog's shared WAL's business. All shard-state access
 // happens on the owning worker goroutine via control requests, so none of
 // this code takes locks on partition state.
 
-// compactShard snapshots one shard's partitions to dir under generation gen
-// and, when rotate is set, starts a fresh WAL at the next sequence number.
-// It runs on the shard's worker goroutine (via a control request or the
-// worker's own auto-compaction), so it owns ws exclusively.
-//
-// Rotation order matters for crash safety: the snapshot is renamed into
-// place first, then the WAL is recreated. A crash between the two leaves a
-// WAL whose Seq is below the snapshot's; recovery ignores it as stale, since
-// every event it holds is already inside the snapshot.
-func (s *Service[E]) compactShard(ws *workerState[E], dir string, gen uint64, rotate bool) error {
-	if ws.err != nil {
-		return ws.err
-	}
+// snapshotGen is the generation every exported checkpoint carries: an export
+// is a standalone directory, so there is nothing to rotate against.
+const snapshotGen = 1
+
+// snapshotShard writes one shard's partitions to dir. It runs on the shard's
+// worker goroutine, so it owns ws exclusively.
+func (s *Service[E]) snapshotShard(ws *workerState[E], dir string) error {
 	d := s.cfg.Durable
 	keys := make([]string, 0, len(ws.parts))
 	for k := range ws.parts {
@@ -49,52 +40,22 @@ func (s *Service[E]) compactShard(ws *workerState[E], dir string, gen uint64, ro
 		}
 		parts = append(parts, checkpoint.Partition{Key: p.vals, State: append([]byte(nil), buf.Bytes()...)})
 	}
-	seq := ws.seq + 1
-	h := checkpoint.Header{Gen: gen, Seq: seq, Shard: uint32(ws.idx), ShardCount: uint32(len(s.shards))}
-	if err := checkpoint.WriteSnapshotFile(checkpoint.SnapPath(dir, gen, ws.idx), h, parts); err != nil {
-		return err
-	}
-	if !rotate {
-		return nil
-	}
-	if ws.wal != nil {
-		if err := ws.wal.Close(); err != nil {
-			return err
-		}
-		ws.wal = nil
-	}
-	w, err := checkpoint.CreateWAL(checkpoint.WALPath(dir, gen, ws.idx), h)
-	if err != nil {
-		return err
-	}
-	ws.wal, ws.gen, ws.seq, ws.pending = w, gen, seq, 0
-	return nil
+	h := checkpoint.Header{Gen: snapshotGen, Shard: uint32(ws.idx), ShardCount: uint32(len(s.shards))}
+	return checkpoint.WriteSnapshotFile(checkpoint.SnapPath(dir, snapshotGen, ws.idx), h, parts)
 }
 
-// Checkpoint writes a consistent snapshot of every shard to dir.
-//
-// When dir is the service's own Durable.Dir, this is a full rotation: a new
-// generation is written, the per-shard WALs restart empty, the MANIFEST is
-// swapped only after every shard is durable, and the previous generation's
-// files are removed — so a crash at any point leaves either the old or the
-// new generation recoverable, never a mix. When dir is any other directory
-// the call exports a standalone generation-1 checkpoint (no WALs) that
-// Recover can open later; the live WALs are untouched.
+// Checkpoint exports a standalone snapshot of every shard to dir: one
+// snapshot file per shard, then the MANIFEST, written last so a directory
+// with a manifest is always complete. Recover opens it later, on any shard
+// count.
 //
 // Each shard snapshots between batches, so the checkpoint captures a
-// point-in-time state per partition. Checkpoint returns ErrClosed after
-// Close.
+// point-in-time state per partition; call Drain first for a state that
+// includes everything sent so far. Checkpoint returns ErrClosed after Close.
 func (s *Service[E]) Checkpoint(dir string) error {
 	d := s.cfg.Durable
 	if d == nil || d.Snapshot == nil {
 		return errors.New("serve: Checkpoint requires Config.Durable.Snapshot")
-	}
-	s.ckMu.Lock()
-	defer s.ckMu.Unlock()
-	own := s.walEnabled() && filepath.Clean(dir) == filepath.Clean(d.Dir)
-	gen, rotate := uint64(1), false
-	if own {
-		gen, rotate = s.gen+1, true
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
@@ -109,7 +70,7 @@ func (s *Service[E]) Checkpoint(dir string) error {
 		done := make(chan error, 1)
 		dones[i] = done
 		sh.in <- item[E]{ctl: &ctl[E]{
-			fn:   func(ws *workerState[E]) error { return s.compactShard(ws, dir, gen, rotate) },
+			fn:   func(ws *workerState[E]) error { return s.snapshotShard(ws, dir) },
 			done: done,
 		}}
 	}
@@ -123,14 +84,7 @@ func (s *Service[E]) Checkpoint(dir string) error {
 	if first != nil {
 		return first
 	}
-	if err := checkpoint.WriteManifest(dir, checkpoint.Manifest{Gen: gen, Shards: uint32(len(s.shards))}); err != nil {
-		return err
-	}
-	if own {
-		s.gen = gen
-		removeStale(dir, gen, len(s.shards))
-	}
-	return nil
+	return checkpoint.WriteManifest(dir, checkpoint.Manifest{Gen: snapshotGen, Shards: uint32(len(s.shards))})
 }
 
 // control runs fn on shard i's worker goroutine and returns its error.
@@ -146,248 +100,54 @@ func (s *Service[E]) control(i int, fn func(ws *workerState[E]) error) error {
 	return <-done
 }
 
-// removeStale deletes checkpoint files that do not belong to the current
-// generation, plus orphaned temp files from interrupted writes. Temp files
-// of the current generation are left alone: a worker's auto-compaction may
-// be renaming one concurrently.
-func removeStale(dir string, gen uint64, shards int) {
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		return
-	}
-	for _, ent := range ents {
-		name := ent.Name()
-		if base, _, found := strings.Cut(name, ".tmp-"); found {
-			g, sIdx, _, ok := checkpoint.ParseName(base)
-			live := ok && g == gen && sIdx < shards
-			if !live && (ok || strings.HasPrefix(base, checkpoint.ManifestName)) {
-				os.Remove(filepath.Join(dir, name))
-			}
-			continue
-		}
-		g, sIdx, _, ok := checkpoint.ParseName(name)
-		if ok && (g != gen || sIdx >= shards) {
-			os.Remove(filepath.Join(dir, name))
-		}
-	}
-}
-
-// errStopWAL aborts walHeader's read after the header record.
-var errStopWAL = errors.New("serve: stop after WAL header")
-
-// walHeader reads just a WAL file's header, without replaying its events.
-func walHeader(path string) (checkpoint.Header, error) {
-	h, _, err := checkpoint.ReadWAL(path, func([]byte) error { return errStopWAL })
-	if err != nil && !errors.Is(err, errStopWAL) {
-		return checkpoint.Header{}, err
-	}
-	return h, nil
-}
-
-// recoveredShard is one shard of a checkpoint generation as loaded from
-// disk: its restored partition executors plus the WAL to replay, if any.
-// seq is the snapshot sequence the state corresponds to (0 when the shard is
-// carried by a fresh WAL alone) — the alignment point WAL tailing resumes at.
-type recoveredShard[E any] struct {
-	parts   []*partition[E]
-	walPath string
-	seq     uint64
-}
-
-// scanGens lists the generations present in a checkpoint directory, highest
-// first.
-func scanGens(dir string) ([]uint64, error) {
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	seen := map[uint64]bool{}
-	for _, ent := range ents {
-		if g, _, _, ok := checkpoint.ParseName(ent.Name()); ok {
-			seen[g] = true
-		}
-	}
-	gens := make([]uint64, 0, len(seen))
-	for g := range seen {
-		gens = append(gens, g)
-	}
-	sort.Slice(gens, func(i, j int) bool { return gens[i] > gens[j] })
-	return gens, nil
-}
-
-// loadGen loads one checkpoint generation, restoring every partition
-// executor and validating the snapshot/WAL sequence pairing. It returns an
-// error if the generation is incomplete or inconsistent, in which case the
-// caller falls back to the previous generation.
-func loadGen[E any](dir string, gen uint64, d *Durable[E]) ([]recoveredShard[E], error) {
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	hasSnap, hasWAL := map[int]bool{}, map[int]bool{}
-	for _, ent := range ents {
-		g, sIdx, isWAL, ok := checkpoint.ParseName(ent.Name())
-		if !ok || g != gen {
-			continue
-		}
-		if isWAL {
-			hasWAL[sIdx] = true
-		} else {
-			hasSnap[sIdx] = true
-		}
-	}
-	if len(hasSnap)+len(hasWAL) == 0 {
-		return nil, fmt.Errorf("generation %d: no files", gen)
-	}
-	type snapUnit struct {
-		h     checkpoint.Header
-		parts []checkpoint.Partition
-	}
-	var count uint32
-	note := func(h checkpoint.Header, kind string, i int) error {
-		if h.Gen != gen || int(h.Shard) != i {
-			return fmt.Errorf("generation %d shard %d %s: header says gen %d shard %d", gen, i, kind, h.Gen, h.Shard)
-		}
-		if count == 0 {
-			count = h.ShardCount
-		} else if h.ShardCount != count {
-			return fmt.Errorf("generation %d: inconsistent shard counts %d vs %d", gen, count, h.ShardCount)
-		}
-		return nil
-	}
-	snaps := map[int]snapUnit{}
-	walSeq := map[int]uint64{}
-	for i := range hasSnap {
-		h, parts, err := checkpoint.ReadSnapshotFile(checkpoint.SnapPath(dir, gen, i))
-		if err != nil {
-			return nil, fmt.Errorf("generation %d shard %d snapshot: %w", gen, i, err)
-		}
-		if err := note(h, "snapshot", i); err != nil {
-			return nil, err
-		}
-		snaps[i] = snapUnit{h: h, parts: parts}
-	}
-	for i := range hasWAL {
-		h, err := walHeader(checkpoint.WALPath(dir, gen, i))
-		if err != nil {
-			// A WAL whose header is torn was cut down mid-creation, before
-			// any event could be logged: with a valid snapshot the shard is
-			// still whole, without one the generation is unrecoverable.
-			if !hasSnap[i] {
-				return nil, fmt.Errorf("generation %d shard %d WAL: %w", gen, i, err)
-			}
-			continue
-		}
-		if err := note(h, "WAL", i); err != nil {
-			return nil, err
-		}
-		walSeq[i] = h.Seq
-	}
-	out := make([]recoveredShard[E], count)
-	for i := 0; i < int(count); i++ {
-		su, haveSnap := snaps[i]
-		seq, haveWAL := walSeq[i]
-		switch {
-		case haveSnap && haveWAL:
-			if seq > su.h.Seq {
-				return nil, fmt.Errorf("generation %d shard %d: WAL seq %d ahead of snapshot seq %d", gen, i, seq, su.h.Seq)
-			}
-			out[i].seq = su.h.Seq
-			if seq == su.h.Seq {
-				out[i].walPath = checkpoint.WALPath(dir, gen, i)
-			}
-			// seq < snapshot seq: stale WAL from a crash mid-rotation; the
-			// snapshot already contains everything it holds.
-		case haveSnap:
-			// Snapshot alone carries the shard.
-			out[i].seq = su.h.Seq
-		case haveWAL:
-			if seq != 0 {
-				return nil, fmt.Errorf("generation %d shard %d: WAL seq %d but no snapshot", gen, i, seq)
-			}
-			out[i].walPath = checkpoint.WALPath(dir, gen, i)
-		default:
-			return nil, fmt.Errorf("generation %d: shard %d of %d missing", gen, i, count)
-		}
-		for _, p := range su.parts {
-			ex, err := d.Restore(bytes.NewReader(p.State), p.Key)
-			if err != nil {
-				return nil, fmt.Errorf("generation %d shard %d partition %v: %w", gen, i, p.Key, err)
-			}
-			key := append([]float64(nil), p.Key...)
-			np := newPartition(key, ex)
-			np.last = ex.Result()
-			out[i].parts = append(out[i].parts, np)
-		}
-	}
-	return out, nil
-}
-
-// Recover rebuilds a Service from the checkpoint directory dir: it loads the
-// highest complete generation (falling back past a partially written one),
-// restores every partition executor from its snapshot, replays the paired
-// WALs, and returns the service ready for new events.
+// Recover rebuilds a Service from a directory Checkpoint wrote: it restores
+// every partition executor from the shard snapshots the MANIFEST names and
+// returns the service ready for new events.
 //
 // cfg.Shards need not match the checkpointed shard count — partitions are
-// rehashed onto the new shards, and per-partition event order is preserved
-// because each partition's WAL suffix lived on exactly one old shard.
-// cfg.Durable must provide Restore and DecodeEvent; when cfg.Durable.Dir is
-// set (normally dir itself), recovery finishes with a Checkpoint into it, so
-// the service resumes with compact state and fresh WALs.
+// rehashed onto the new shards. cfg.Durable must provide Restore.
 func Recover[E any](dir string, cfg Config[E]) (*Service[E], error) {
 	d := cfg.Durable
-	if d == nil || d.Restore == nil || d.DecodeEvent == nil {
-		return nil, errors.New("serve: Recover requires Config.Durable with Restore and DecodeEvent")
+	if d == nil || d.Restore == nil {
+		return nil, errors.New("serve: Recover requires Config.Durable.Restore")
 	}
-	if _, err := checkpoint.ReadManifest(dir); err != nil {
+	m, err := checkpoint.ReadManifest(dir)
+	if err != nil {
 		if errors.Is(err, os.ErrNotExist) {
 			return nil, fmt.Errorf("serve: %s is not a checkpoint directory", dir)
 		}
 		return nil, err
 	}
-	gens, err := scanGens(dir)
+	svc, err := New(cfg)
 	if err != nil {
 		return nil, err
 	}
-	var (
-		gen     uint64
-		loaded  []recoveredShard[E]
-		lastErr error
-	)
-	for _, g := range gens {
-		l, err := loadGen(dir, g, d)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		gen, loaded = g, l
-		break
-	}
-	if loaded == nil {
-		if lastErr != nil {
-			return nil, fmt.Errorf("serve: no recoverable generation in %s: %w", dir, lastErr)
-		}
-		return nil, fmt.Errorf("serve: no checkpoint files in %s", dir)
-	}
-	svc, err := newService(cfg, true)
-	if err != nil {
-		return nil, err
-	}
-	svc.gen = gen
 	fail := func(err error) (*Service[E], error) {
 		svc.Close()
 		return nil, err
 	}
 	// Rehash the restored partitions onto the (possibly different) shard
-	// count and install each batch on its owning worker. Installs are
-	// control requests on the same channels as events, so FIFO ordering
-	// guarantees every install lands before any replayed event.
+	// count, then install each list on its owning worker.
 	installs := make([][]*partition[E], len(svc.shards))
-	for _, rs := range loaded {
-		for _, p := range rs.parts {
+	for i := 0; i < int(m.Shards); i++ {
+		h, parts, err := checkpoint.ReadSnapshotFile(checkpoint.SnapPath(dir, m.Gen, i))
+		if err != nil {
+			return fail(fmt.Errorf("serve: %s shard %d snapshot: %w", dir, i, err))
+		}
+		if h.Gen != m.Gen || int(h.Shard) != i || h.ShardCount != m.Shards {
+			return fail(fmt.Errorf("serve: %s shard %d snapshot: header says gen %d shard %d of %d, manifest gen %d of %d",
+				dir, i, h.Gen, h.Shard, h.ShardCount, m.Gen, m.Shards))
+		}
+		for _, sp := range parts {
+			ex, err := d.Restore(bytes.NewReader(sp.State), sp.Key)
+			if err != nil {
+				return fail(fmt.Errorf("serve: %s shard %d partition %v: %w", dir, i, sp.Key, err))
+			}
 			// Normalize restored keys so checkpoints written before the -0/NaN
 			// canonicalization still rehash onto the same shard as live events.
-			p.vals = normalizeVals(p.vals)
+			p := newPartition(normalizeVals(append([]float64(nil), sp.Key...)), ex)
+			p.ekey = string(encodeKey(nil, p.vals))
+			p.last = ex.Result()
 			t := int(hashVals(p.vals) % uint64(len(svc.shards)))
 			installs[t] = append(installs[t], p)
 		}
@@ -399,7 +159,6 @@ func Recover[E any](dir string, cfg Config[E]) (*Service[E], error) {
 		list := list
 		if err := svc.control(i, func(ws *workerState[E]) error {
 			for _, p := range list {
-				p.ekey = string(encodeKey(nil, p.vals))
 				if _, dup := ws.parts[p.ekey]; dup {
 					return fmt.Errorf("serve: duplicate partition %v in checkpoint", p.vals)
 				}
@@ -411,58 +170,10 @@ func Recover[E any](dir string, cfg Config[E]) (*Service[E], error) {
 			return fail(err)
 		}
 	}
-	for i, rs := range loaded {
-		if rs.walPath == "" {
-			continue
-		}
-		if _, _, err := checkpoint.ReadWAL(rs.walPath, func(rec []byte) error {
-			// Each WAL record is one group-committed batch: the batch's events
-			// concatenated with u32 length prefixes. Replaying them through
-			// Apply in frame order reproduces the original event order.
-			return forEachWALEvent(rec, func(p []byte) error {
-				ev, err := d.DecodeEvent(p)
-				if err != nil {
-					return err
-				}
-				return svc.Apply(ev)
-			})
-		}); err != nil {
-			return fail(fmt.Errorf("serve: replaying shard %d WAL: %w", i, err))
-		}
-	}
+	// The installs ran as control requests, each followed by a publication;
+	// the barrier makes the restored results readable before Recover returns.
 	if err := svc.Drain(); err != nil {
 		return fail(err)
 	}
-	if svc.walEnabled() {
-		if d.Snapshot == nil {
-			return fail(errors.New("serve: Recover with Durable.Dir requires Durable.Snapshot"))
-		}
-		if err := svc.Checkpoint(d.Dir); err != nil {
-			return fail(err)
-		}
-	}
 	return svc, nil
-}
-
-// forEachWALEvent walks one group-committed WAL record — a concatenation of
-// u32-little-endian-length-prefixed event encodings — and calls fn on each
-// event payload in order. A truncated frame is an error: the WAL writer's own
-// record checksums make a torn record unreadable as a unit, so a bad frame
-// inside a readable record indicates corruption, not a torn tail.
-func forEachWALEvent(rec []byte, fn func(p []byte) error) error {
-	for len(rec) > 0 {
-		if len(rec) < 4 {
-			return fmt.Errorf("serve: truncated WAL batch frame header (%d bytes left)", len(rec))
-		}
-		n := binary.LittleEndian.Uint32(rec)
-		rec = rec[4:]
-		if uint64(n) > uint64(len(rec)) {
-			return fmt.Errorf("serve: WAL batch frame length %d exceeds record remainder %d", n, len(rec))
-		}
-		if err := fn(rec[:n]); err != nil {
-			return err
-		}
-		rec = rec[n:]
-	}
-	return nil
 }

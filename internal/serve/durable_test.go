@@ -33,28 +33,23 @@ func requireSameGroups(t *testing.T, ctx string, got, want map[float64]float64) 
 	}
 }
 
-// buildDurableDir runs a durable service over events, checkpointing after
-// checkpointAt events (0 skips the explicit checkpoint), and closes it.
-func buildDurableDir(t *testing.T, dir string, shards, checkpointAt int, events []engine.Event) {
+// exportDir runs a service over events on the given shard count, exports a
+// checkpoint of the drained state to dir, and closes the service.
+func exportDir(t *testing.T, dir string, shards int, events []engine.Event) {
 	t.Helper()
-	svc, err := ForQuery(vwapSpec(), []string{"sym"}, Options{Shards: shards, BatchSize: 16, Dir: dir})
+	svc, err := ForQuery(vwapSpec(), []string{"sym"}, Options{Shards: shards, BatchSize: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, e := range events {
+	for _, e := range events {
 		if err := svc.Apply(e); err != nil {
 			t.Fatal(err)
 		}
-		if checkpointAt > 0 && i+1 == checkpointAt {
-			if err := svc.Drain(); err != nil {
-				t.Fatal(err)
-			}
-			if err := svc.Checkpoint(dir); err != nil {
-				t.Fatal(err)
-			}
-		}
 	}
 	if err := svc.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	if err := svc.Checkpoint(dir); err != nil {
 		t.Fatal(err)
 	}
 	if err := svc.Close(); err != nil {
@@ -62,20 +57,17 @@ func buildDurableDir(t *testing.T, dir string, shards, checkpointAt int, events 
 	}
 }
 
-// TestRecoverMatchesReference is the core recovery differential: a service
-// that checkpointed mid-stream and then crashed (Close stands in for the
-// crash; Drain guarantees the WAL tail) must recover to exactly the serial
-// reference state — under the original shard count and under different ones,
-// which forces the partitions to rehash.
+// TestRecoverMatchesReference is the core restore differential: a checkpoint
+// exported on three shards must restore to exactly the serial reference state
+// — under the original shard count and under different ones, which forces the
+// partitions to rehash.
 func TestRecoverMatchesReference(t *testing.T) {
 	q := vwapSpec()
 	events := symEvents(11, 5000, 17)
 	dir := t.TempDir()
-	buildDurableDir(t, dir, 3, 3000, events)
+	exportDir(t, dir, 3, events)
 	want := serialReference(t, q, events)
 	for _, shards := range []int{1, 2, 3, 5} {
-		// Options.Dir is left empty: a read-only recovery that leaves the
-		// checkpoint directory untouched, so every shard count sees it.
 		rec, err := RecoverForQuery(dir, q, []string{"sym"}, Options{Shards: shards})
 		if err != nil {
 			t.Fatalf("shards=%d: %v", shards, err)
@@ -87,16 +79,15 @@ func TestRecoverMatchesReference(t *testing.T) {
 	}
 }
 
-// TestRecoverResumesService recovers with durability re-enabled, applies more
-// events, crashes again, and recovers again: the full resume cycle, across a
-// shard-count change, with auto-compaction running in the second life.
+// TestRecoverResumesService restores, applies more events, exports again and
+// restores again: the full resume cycle, across two shard-count changes.
 func TestRecoverResumesService(t *testing.T) {
 	q := vwapSpec()
 	first := symEvents(21, 2500, 13)
 	dir := t.TempDir()
-	buildDurableDir(t, dir, 3, 1500, first)
+	exportDir(t, dir, 3, first)
 
-	rec, err := RecoverForQuery(dir, q, []string{"sym"}, Options{Shards: 2, Dir: dir, CompactEvery: 400})
+	rec, err := RecoverForQuery(dir, q, []string{"sym"}, Options{Shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,11 +103,15 @@ func TestRecoverResumesService(t *testing.T) {
 	all := append(append([]engine.Event(nil), first...), second...)
 	want := serialReference(t, q, all)
 	requireSameGroups(t, "resumed", groupedMap(rec), want)
+	dir2 := t.TempDir()
+	if err := rec.Checkpoint(dir2); err != nil {
+		t.Fatal(err)
+	}
 	if err := rec.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	rec2, err := RecoverForQuery(dir, q, []string{"sym"}, Options{Shards: 4})
+	rec2, err := RecoverForQuery(dir2, q, []string{"sym"}, Options{Shards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,169 +121,8 @@ func TestRecoverResumesService(t *testing.T) {
 	}
 }
 
-// TestWALOnlyRecovery recovers a service that never checkpointed: generation
-// 1, sequence 0, state rebuilt purely by replay.
-func TestWALOnlyRecovery(t *testing.T) {
-	q := vwapSpec()
-	events := symEvents(5, 1500, 9)
-	dir := t.TempDir()
-	buildDurableDir(t, dir, 2, 0, events)
-	rec, err := RecoverForQuery(dir, q, []string{"sym"}, Options{Shards: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireSameGroups(t, "wal-only", groupedMap(rec), serialReference(t, q, events))
-	if err := rec.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestAutoCompaction checks that CompactEvery actually rotates (the snapshot
-// sequence advances and the WAL stays short) and that the compacted state
-// still recovers exactly.
-func TestAutoCompaction(t *testing.T) {
-	q := vwapSpec()
-	events := symEvents(9, 3000, 9)
-	dir := t.TempDir()
-	svc, err := ForQuery(q, []string{"sym"}, Options{Shards: 2, BatchSize: 16, Dir: dir, CompactEvery: 200})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range events {
-		if err := svc.Apply(e); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := svc.Drain(); err != nil {
-		t.Fatal(err)
-	}
-	if err := svc.Close(); err != nil {
-		t.Fatal(err)
-	}
-	rotated := false
-	walEvents := 0
-	for i := 0; i < 2; i++ {
-		if h, _, err := checkpoint.ReadSnapshotFile(checkpoint.SnapPath(dir, 1, i)); err == nil && h.Seq >= 1 {
-			rotated = true
-		}
-		// Count events, not records: each record is a group-committed batch
-		// of length-prefixed event frames.
-		_, _, err := checkpoint.ReadWAL(checkpoint.WALPath(dir, 1, i), func(rec []byte) error {
-			return forEachWALEvent(rec, func([]byte) error { walEvents++; return nil })
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	if !rotated {
-		t.Fatal("no shard rotated a snapshot despite CompactEvery")
-	}
-	if walEvents >= len(events) {
-		t.Fatalf("WALs hold %d events of %d: compaction did not bound replay", walEvents, len(events))
-	}
-	rec, err := RecoverForQuery(dir, q, []string{"sym"}, Options{Shards: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireSameGroups(t, "compacted", groupedMap(rec), serialReference(t, q, events))
-	if err := rec.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestTornWALTailRecovery truncates the log mid-record after a crash and
-// checks recovery equals a twin that applied exactly the surviving prefix —
-// the serving-layer end of the torn-tail property the checkpoint package's
-// fuzzers establish for the framing.
-func TestTornWALTailRecovery(t *testing.T) {
-	q := vwapSpec()
-	events := symEvents(13, 1200, 7)
-	dir := t.TempDir()
-	buildDurableDir(t, dir, 1, 0, events)
-
-	path := checkpoint.WALPath(dir, 1, 0)
-	info, err := os.Stat(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Truncate(path, info.Size()-7); err != nil {
-		t.Fatal(err)
-	}
-	// A record that survives truncation is a whole group-committed batch;
-	// unpack its event frames in order.
-	var surviving []engine.Event
-	if _, _, err := checkpoint.ReadWAL(path, func(rec []byte) error {
-		return forEachWALEvent(rec, func(p []byte) error {
-			ev, err := engine.DecodeEvent(p)
-			if err != nil {
-				return err
-			}
-			surviving = append(surviving, ev)
-			return nil
-		})
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if len(surviving) >= len(events) {
-		t.Fatalf("truncation dropped nothing: %d of %d events survive", len(surviving), len(events))
-	}
-	rec, err := RecoverForQuery(dir, q, []string{"sym"}, Options{Shards: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireSameGroups(t, "torn-tail", groupedMap(rec), serialReference(t, q, surviving))
-	if err := rec.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestGenerationFallback plants a torn higher generation next to a complete
-// one (the on-disk shape of a crash mid-Checkpoint): recovery must fall back
-// to the complete generation, and must fail outright when no complete
-// generation remains.
-func TestGenerationFallback(t *testing.T) {
-	q := vwapSpec()
-	events := symEvents(17, 1000, 7)
-	dir := t.TempDir()
-	buildDurableDir(t, dir, 2, len(events), events) // checkpoint at the end -> gen 2 complete
-	want := serialReference(t, q, events)
-
-	// A torn gen-3 snapshot: the prefix of a real snapshot file, cut before
-	// its trailer, under the next generation's name.
-	g2, err := os.ReadFile(checkpoint.SnapPath(dir, 2, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(checkpoint.SnapPath(dir, 3, 0), g2[:len(g2)/2], 0o644); err != nil {
-		t.Fatal(err)
-	}
-	rec, err := RecoverForQuery(dir, q, []string{"sym"}, Options{Shards: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireSameGroups(t, "fallback", groupedMap(rec), want)
-	if err := rec.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Corrupt the only complete generation: recovery must error rather than
-	// silently serve damaged state.
-	snap := checkpoint.SnapPath(dir, 2, 1)
-	b, err := os.ReadFile(snap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b[len(b)/2] ^= 0x40
-	if err := os.WriteFile(snap, b, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := RecoverForQuery(dir, q, []string{"sym"}, Options{Shards: 2}); err == nil {
-		t.Fatal("recovery from a corrupt sole generation succeeded")
-	}
-}
-
-// TestExportCheckpoint snapshots an in-memory (WAL-less) service to a
-// foreign directory and recovers from the export.
+// TestExportCheckpoint snapshots a live service to a directory, keeps
+// serving, and recovers from the export.
 func TestExportCheckpoint(t *testing.T) {
 	q := vwapSpec()
 	events := symEvents(19, 1500, 11)
@@ -326,9 +160,9 @@ func TestExportCheckpoint(t *testing.T) {
 }
 
 // TestDurableErrors pins the error surface: Checkpoint after Close returns
-// ErrClosed, New refuses a directory that already holds a checkpoint,
-// Recover refuses a directory that does not, and Durable misconfiguration is
-// rejected up front.
+// ErrClosed, Recover refuses a directory that holds no checkpoint, a
+// configuration that cannot restore, and a checkpoint whose snapshot is
+// damaged — it must error rather than silently serve corrupt state.
 func TestDurableErrors(t *testing.T) {
 	q := vwapSpec()
 	svc, err := ForQuery(q, []string{"sym"}, Options{Shards: 2})
@@ -342,18 +176,13 @@ func TestDurableErrors(t *testing.T) {
 		t.Fatalf("Checkpoint after Close = %v, want ErrClosed", err)
 	}
 
-	dir := t.TempDir()
-	buildDurableDir(t, dir, 2, 0, symEvents(3, 50, 3))
-	if _, err := ForQuery(q, []string{"sym"}, Options{Shards: 2, Dir: dir}); err == nil ||
-		!strings.Contains(err.Error(), "Recover") {
-		t.Fatalf("New over an existing checkpoint = %v, want refusal pointing at Recover", err)
-	}
-
 	if _, err := RecoverForQuery(t.TempDir(), q, []string{"sym"}, Options{}); err == nil ||
 		!strings.Contains(err.Error(), "not a checkpoint directory") {
 		t.Fatalf("Recover from empty dir = %v", err)
 	}
 
+	dir := t.TempDir()
+	exportDir(t, dir, 2, symEvents(3, 50, 3))
 	if _, err := Recover(dir, Config[engine.Event]{
 		Partition: func(e engine.Event, buf []float64) []float64 { return append(buf, e.Tuple["sym"]) },
 		New:       func([]float64) Executor[engine.Event] { panic("unused") },
@@ -361,11 +190,16 @@ func TestDurableErrors(t *testing.T) {
 		t.Fatalf("Recover without Durable = %v", err)
 	}
 
-	if _, err := New(Config[engine.Event]{
-		Partition: func(e engine.Event, buf []float64) []float64 { return append(buf, e.Tuple["sym"]) },
-		New:       func([]float64) Executor[engine.Event] { panic("unused") },
-		Durable:   &Durable[engine.Event]{Dir: t.TempDir()},
-	}); err == nil || !strings.Contains(err.Error(), "EncodeEvent") {
-		t.Fatalf("Durable.Dir without codec = %v", err)
+	snap := checkpoint.SnapPath(dir, 1, 1)
+	b, err := os.ReadFile(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b[len(b)/2] ^= 0x40
+	if err := os.WriteFile(snap, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := RecoverForQuery(dir, q, []string{"sym"}, Options{Shards: 2}); err == nil {
+		t.Fatal("recovery from a corrupt snapshot succeeded")
 	}
 }

@@ -4,49 +4,30 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"time"
 
 	"rpai/internal/engine"
 	"rpai/internal/query"
 )
 
-// Options configures ForQuery; the zero value picks the Config defaults and
-// keeps the service in-memory only.
+// Options configures ForQuery; the zero value picks the Config defaults.
 type Options struct {
 	Shards   int
 	QueueLen int
 	// BatchSize bounds how many queued events a shard drains into one batch
-	// before refreshing results, publishing a snapshot and (when durable)
-	// group-committing the batch to its WAL. 0 selects the default of 64;
-	// negative values are rejected. The effective value is surfaced per shard
-	// in ShardStats.BatchSize.
+	// before refreshing results and publishing a snapshot. 0 selects the
+	// default of 64; negative values are rejected. The effective value is
+	// surfaced per shard in ShardStats.BatchSize.
 	BatchSize int
-	// Dir, when set, makes the service durable: applied events are logged to
-	// per-shard WALs under Dir, Checkpoint(Dir) rotates generations, and
-	// RecoverForQuery resumes from it after a crash.
-	Dir string
-	// CompactEvery bounds replay work by rotating a shard's snapshot after
-	// that many logged events (0 disables auto-compaction).
-	CompactEvery int
 }
 
-// engineDurable wires the engine's executor snapshot codec and event codec
-// into the serving layer's persistence hooks. It is always installed, so any
-// engine-backed service can Checkpoint; Dir decides whether WALs are kept.
-// exec is the query the partition executors actually run (the residual-split
-// base when orig carries a residual conjunct); snapshots persist only the
-// base state, and Restore re-derives each partition's gate from its key —
-// the gate is configuration, not state.
-func engineDurable(exec, orig *query.Query, gate func([]float64) bool, opt Options) *Durable[engine.Event] {
-	// WAL replay is sequential (Recover walks shards one at a time), so one
-	// interning decoder serves the whole recovery: each distinct column name
-	// is allocated once for the entire replay instead of once per event.
-	var dec engine.EventDecoder
+// engineDurable wires the engine's executor snapshot codec into the serving
+// layer's persistence hooks. It is always installed, so any engine-backed
+// service can Checkpoint. exec is the query the partition executors actually
+// run (the residual-split base when orig carries a residual conjunct);
+// snapshots persist only the base state, and Restore re-derives each
+// partition's gate from its key — the gate is configuration, not state.
+func engineDurable(exec, orig *query.Query, gate func([]float64) bool) *Durable[engine.Event] {
 	return &Durable[engine.Event]{
-		Dir:          opt.Dir,
-		CompactEvery: opt.CompactEvery,
-		EncodeEvent:  engine.EncodeEvent,
-		DecodeEvent:  dec.Decode,
 		Snapshot: func(w io.Writer, _ []float64, ex Executor[engine.Event]) error {
 			s, ok := ex.(engine.Snapshotter)
 			if !ok {
@@ -115,7 +96,7 @@ func engineConfig(q *query.Query, partitionBy []string, opt Options) (Config[eng
 			}
 			return ex
 		},
-		Durable: engineDurable(exec, q, gate, opt),
+		Durable: engineDurable(exec, q, gate),
 	}
 	return cfg, nil
 }
@@ -125,8 +106,7 @@ func engineConfig(q *query.Query, partitionBy []string, opt Options) (Config[eng
 // its own executor from engine.New (so eligible queries use the aggregate-
 // index strategy per partition). The query is validated and planned once up
 // front; per-partition construction cannot fail afterwards. The service can
-// always Checkpoint; set Options.Dir to additionally keep WALs for crash
-// recovery via RecoverForQuery.
+// always Checkpoint, and RecoverForQuery reopens what it exported.
 func ForQuery(q *query.Query, partitionBy []string, opt Options) (*Service[engine.Event], error) {
 	cfg, err := engineConfig(q, partitionBy, opt)
 	if err != nil {
@@ -145,16 +125,4 @@ func RecoverForQuery(dir string, q *query.Query, partitionBy []string, opt Optio
 		return nil, err
 	}
 	return Recover(dir, cfg)
-}
-
-// ReplicaForQuery boots a read replica tailing the primary ForQuery service
-// whose data directory is dir. The query and partition columns must match
-// the primary's; opt.Dir is ignored (replicas keep no WALs of their own).
-// poll is the WAL tail polling interval (0 selects ReplicaPollDefault).
-func ReplicaForQuery(dir string, q *query.Query, partitionBy []string, opt Options, poll time.Duration) (*Replica[engine.Event], error) {
-	cfg, err := engineConfig(q, partitionBy, opt)
-	if err != nil {
-		return nil, err
-	}
-	return NewReplica(dir, cfg, poll)
 }

@@ -60,14 +60,10 @@ func TestForQueryMissingPartitionColumn(t *testing.T) {
 
 // TestDrainBeforeAnyEvent pins the empty-service surface: Drain with zero
 // events applied must return promptly with no error, Result must be 0, and
-// ResultGrouped must be empty (no phantom partitions) — for both a plain and
-// a durable service, whose WAL machinery must tolerate an empty first batch.
+// ResultGrouped must be empty (no phantom partitions) — for both a fresh
+// service and one restored from the checkpoint of an empty service.
 func TestDrainBeforeAnyEvent(t *testing.T) {
-	run := func(t *testing.T, opt Options) {
-		svc, err := ForQuery(vwapSpec(), []string{"sym"}, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
+	run := func(t *testing.T, svc *Service[engine.Event]) {
 		if err := svc.Drain(); err != nil {
 			t.Fatalf("Drain on empty service: %v", err)
 		}
@@ -82,12 +78,25 @@ func TestDrainBeforeAnyEvent(t *testing.T) {
 				t.Fatalf("empty service stats: %+v", st)
 			}
 		}
-		if err := svc.Close(); err != nil {
+	}
+	svc, err := ForQuery(vwapSpec(), []string{"sym"}, Options{Shards: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	t.Run("in-memory", func(t *testing.T) { run(t, svc) })
+	t.Run("durable", func(t *testing.T) {
+		dir := t.TempDir()
+		if err := svc.Checkpoint(dir); err != nil {
 			t.Fatal(err)
 		}
-	}
-	t.Run("in-memory", func(t *testing.T) { run(t, Options{Shards: 4}) })
-	t.Run("durable", func(t *testing.T) { run(t, Options{Shards: 4, Dir: t.TempDir()}) })
+		rec, err := RecoverForQuery(dir, vwapSpec(), []string{"sym"}, Options{Shards: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer rec.Close()
+		run(t, rec)
+	})
 }
 
 // TestForQueryValidation pins constructor errors: no partition columns, and

@@ -32,13 +32,11 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"os"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"rpai/internal/checkpoint"
 	"rpai/internal/engine"
 )
 
@@ -83,10 +81,10 @@ type Config[E any] struct {
 	// QueueLen is the per-shard input channel buffer (default 1024 events).
 	QueueLen int
 	// BatchSize bounds how many queued events a shard drains into one batch
-	// before it applies them, republishes its snapshot and group-commits the
-	// WAL. The zero value selects the default of 64; negative values are
-	// rejected by New. Larger batches amortize executor dispatch, snapshot
-	// publication and the WAL flush; smaller ones tighten read freshness.
+	// before it applies them and republishes its snapshot. The zero value
+	// selects the default of 64; negative values are rejected by New. Larger
+	// batches amortize executor dispatch and snapshot publication; smaller
+	// ones tighten read freshness.
 	// The effective value is surfaced per shard in ShardStats.BatchSize.
 	BatchSize int
 	// Partition appends the event's partition key columns to buf and returns
@@ -101,33 +99,14 @@ type Config[E any] struct {
 	PartitionCols []string
 	// New constructs the executor for a new partition key.
 	New func(key []float64) Executor[E]
-	// Durable enables checkpoint/WAL persistence (nil disables it).
+	// Durable enables snapshot export and restore (nil disables both).
 	Durable *Durable[E]
 }
 
-// Durable configures persistence for a Service: how events are framed in the
-// per-shard write-ahead logs and how partition executors are snapshotted and
-// restored. Snapshot/Restore are required for Checkpoint and Recover;
-// EncodeEvent/DecodeEvent and Dir are additionally required for WAL logging.
+// Durable says how partition executors are snapshotted and restored, which
+// is all Checkpoint and Recover need. The service keeps no log of its own:
+// the catalog's shared WAL is the only one (see catalog/durable.go).
 type Durable[E any] struct {
-	// Dir, when non-empty, is the live checkpoint directory: each batch a
-	// shard applies is group-committed to its WAL under Dir as a single
-	// record (the batch's events concatenated with u32 length prefixes). The
-	// WAL is flushed whenever the shard goes idle and before any barrier is
-	// acknowledged, so under sustained load one flush covers many batch
-	// records and after Drain returns all acknowledged events survive a
-	// process crash. Checkpoint(Dir) rotates the WALs into a fresh snapshot
-	// generation. When Dir is empty no WAL is kept; Checkpoint still exports
-	// consistent snapshots to any directory.
-	Dir string
-	// CompactEvery, when positive, rotates a shard's snapshot after that many
-	// events have accumulated in its WAL, bounding replay work on recovery.
-	CompactEvery int
-	// EncodeEvent appends e's WAL encoding to buf and returns the extended
-	// slice.
-	EncodeEvent func(buf []byte, e E) []byte
-	// DecodeEvent parses a WAL record payload written by EncodeEvent.
-	DecodeEvent func(p []byte) (E, error)
 	// Snapshot writes one partition executor's state to w.
 	Snapshot func(w io.Writer, key []float64, ex Executor[E]) error
 	// Restore rebuilds one partition executor from a Snapshot stream.
@@ -152,15 +131,16 @@ type batchBox[E any] struct {
 	events []E
 }
 
-// ctl is a control request executed inline by a shard worker (checkpoint
-// rotation, recovery installation). The worker sends fn's error on done.
+// ctl is a control request executed inline by a shard worker (snapshot
+// export, restore installation, lane changes). The worker sends fn's error on
+// done.
 type ctl[E any] struct {
 	fn   func(ws *workerState[E]) error
 	done chan<- error
 }
 
 // workerState is the state a shard worker owns exclusively: its partitions
-// and its WAL position. Control requests mutate it between batches.
+// and publication counters. Control requests mutate it between batches.
 type workerState[E any] struct {
 	idx      int
 	partCols []string // Config.PartitionCols (residual gate evaluation)
@@ -170,13 +150,8 @@ type workerState[E any] struct {
 	// publishes by cloning groups in one copy instead of walking the parts
 	// map and re-boxing every row — the map walk plus per-row append was the
 	// dominant snapshot-publish cost at high partition counts.
-	plist   []*partition[E]
-	groups  []engine.GroupResult
-	wal     *checkpoint.WALWriter
-	gen     uint64 // checkpoint generation the WAL belongs to
-	seq     uint64 // snapshot sequence the WAL follows
-	pending int    // events appended to the WAL since its header
-	err     error  // sticky durability error, surfaced on control requests
+	plist  []*partition[E]
+	groups []engine.GroupResult
 	// version counts this shard's snapshot publications: every commit bumps
 	// it, so it is the monotonic version readers and subscribers key on.
 	version uint64
@@ -189,9 +164,8 @@ type workerState[E any] struct {
 	// each publication's delta into every slot (see subscribe.go).
 	subs []*subShard
 	// publishFull makes the next commit offer subscribers the full partition
-	// set instead of the dirty delta — set after a wholesale state swap
-	// (replica rebase) or a lane change (SetProbes), where the previous
-	// published state is no longer a valid delta base.
+	// set instead of the dirty delta — set after a lane change (SetProbes),
+	// where the previous published state is no longer a valid delta base.
 	publishFull bool
 	// specs are the installed probe lanes in canonical order (see SetProbes);
 	// empty disables the lane read path. hasAvg notes whether any lane needs
@@ -249,7 +223,7 @@ func (ws *workerState[E]) addPartition(p *partition[E]) {
 	ws.groups = append(ws.groups, engine.GroupResult{Key: p.vals, Value: p.last})
 	if len(ws.specs) > 0 && p.probeEx != nil {
 		// Seed the lane results so partitions installed outside the dirty
-		// path (recovery restore, replica rebase) publish correct lanes.
+		// path (snapshot restore) publish correct lanes.
 		ws.sizeLanes(p)
 		p.refreshLanes(ws)
 	}
@@ -309,16 +283,6 @@ func sizedFloats(buf []float64, n int) []float64 {
 		buf[i] = 0
 	}
 	return buf
-}
-
-// resetParts replaces the worker's partition set wholesale (replica rebase).
-func (ws *workerState[E]) resetParts(list []*partition[E]) {
-	ws.parts = make(map[string]*partition[E], len(list))
-	ws.plist = ws.plist[:0]
-	ws.groups = ws.groups[:0]
-	for _, p := range list {
-		ws.addPartition(p)
-	}
 }
 
 // newPartition wraps an executor, capturing its batched path once so the hot
@@ -407,13 +371,6 @@ type shard[E any] struct {
 	_          [64]byte
 	waitNS     atomic.Uint64
 	rejected   atomic.Uint64
-
-	// initWAL is the WAL opened by New before the worker starts (nil when
-	// durability is off or WALs are deferred until after recovery replay).
-	initWAL *checkpoint.WALWriter
-	// werr is the worker's sticky durability error; written by the worker
-	// goroutine only and read after wg.Wait in Close.
-	werr error
 }
 
 // Service is the sharded serving layer. Apply may be called from any number
@@ -431,9 +388,6 @@ type Service[E any] struct {
 	closed bool
 	wg     sync.WaitGroup
 
-	ckMu sync.Mutex // serializes Checkpoint calls
-	gen  uint64     // current checkpoint generation (guarded by ckMu)
-
 	// epoch identifies this service instance for subscription resume: version
 	// counters restart at zero on every boot, so a resume request is honored
 	// only when its epoch matches (see Subscribe).
@@ -443,16 +397,8 @@ type Service[E any] struct {
 	subs  map[*Subscription]struct{}
 }
 
-// New starts the service's shard workers. When cfg.Durable has a Dir, the
-// per-shard WALs of generation 1 are created up front and a MANIFEST is
-// written, so even a never-checkpointed service recovers from its logs; a
-// directory that already holds a checkpoint is rejected — use Recover to
-// resume from it instead of silently truncating its logs.
+// New starts the service's shard workers.
 func New[E any](cfg Config[E]) (*Service[E], error) {
-	return newService(cfg, false)
-}
-
-func newService[E any](cfg Config[E], deferWAL bool) (*Service[E], error) {
 	if cfg.Partition == nil || cfg.New == nil {
 		return nil, errors.New("serve: Config.Partition and Config.New are required")
 	}
@@ -468,66 +414,18 @@ func newService[E any](cfg Config[E], deferWAL bool) (*Service[E], error) {
 	if cfg.BatchSize == 0 {
 		cfg.BatchSize = 64
 	}
-	if d := cfg.Durable; d != nil && d.Dir != "" {
-		if d.EncodeEvent == nil || d.DecodeEvent == nil {
-			return nil, errors.New("serve: Durable.Dir requires EncodeEvent and DecodeEvent")
-		}
-		if d.CompactEvery > 0 && (d.Snapshot == nil || d.Restore == nil) {
-			return nil, errors.New("serve: Durable.CompactEvery requires Snapshot and Restore")
-		}
-	}
-	s := &Service[E]{cfg: cfg, shards: make([]*shard[E], cfg.Shards), gen: 1,
+	s := &Service[E]{cfg: cfg, shards: make([]*shard[E], cfg.Shards),
 		epoch: newEpoch(), subs: make(map[*Subscription]struct{})}
-	logged := s.walEnabled() && !deferWAL
-	if logged {
-		d := cfg.Durable
-		if err := os.MkdirAll(d.Dir, 0o755); err != nil {
-			return nil, err
-		}
-		if _, err := checkpoint.ReadManifest(d.Dir); err == nil {
-			return nil, fmt.Errorf("serve: %s already holds a checkpoint; use Recover to resume from it", d.Dir)
-		} else if !errors.Is(err, os.ErrNotExist) {
-			return nil, err
-		}
-	}
 	for i := range s.shards {
 		sh := &shard[E]{idx: i, in: make(chan item[E], cfg.QueueLen)}
-		if logged {
-			w, err := checkpoint.CreateWAL(checkpoint.WALPath(cfg.Durable.Dir, 1, i),
-				checkpoint.Header{Gen: 1, Seq: 0, Shard: uint32(i), ShardCount: uint32(cfg.Shards)})
-			if err != nil {
-				closeWALs(s.shards[:i])
-				return nil, err
-			}
-			sh.initWAL = w
-		}
 		sh.snap.Store(&Snapshot{})
 		s.shards[i] = sh
-	}
-	if logged {
-		if err := checkpoint.WriteManifest(cfg.Durable.Dir, checkpoint.Manifest{Gen: 1, Shards: uint32(cfg.Shards)}); err != nil {
-			closeWALs(s.shards)
-			return nil, err
-		}
 	}
 	for _, sh := range s.shards {
 		s.wg.Add(1)
 		go s.run(sh)
 	}
 	return s, nil
-}
-
-// walEnabled reports whether applied events are logged to per-shard WALs.
-func (s *Service[E]) walEnabled() bool {
-	return s.cfg.Durable != nil && s.cfg.Durable.Dir != ""
-}
-
-func closeWALs[E any](shards []*shard[E]) {
-	for _, sh := range shards {
-		if sh.initWAL != nil {
-			sh.initWAL.Close()
-		}
-	}
 }
 
 // normalizeVals canonicalizes the key columns in place so that values that
@@ -681,32 +579,21 @@ func (s *Service[E]) TryApply(e E) error {
 }
 
 // run is the shard worker: drain a batch, buffer its events per partition,
-// hand each touched partition its run via ApplyBatch, group-commit the batch
-// to the WAL (one record per batch, flushed when the worker goes idle or a
-// barrier needs acknowledging), refresh the touched partitions, publish the
-// snapshot, release any drain barriers — in that order, so a released Drain
-// implies the acknowledged events are in the log. Control
-// requests and drain barriers terminate the in-progress batch: the worker
-// commits everything queued before them, then serves them, preserving the
-// FIFO semantics recovery and checkpointing rely on.
+// hand each touched partition its run via ApplyBatch, refresh the touched
+// partitions, publish the snapshot, release any drain barriers — in that
+// order, so a released Drain implies the acknowledged events are readable.
+// Control requests and drain barriers terminate the in-progress batch: the
+// worker commits everything queued before them, then serves them, preserving
+// the FIFO semantics snapshot export and restore rely on.
 func (s *Service[E]) run(sh *shard[E]) {
 	defer s.wg.Done()
 	ws := &workerState[E]{idx: sh.idx, partCols: s.cfg.PartitionCols,
-		parts: make(map[string]*partition[E]), wal: sh.initWAL, gen: 1}
-	defer func() {
-		if ws.wal != nil {
-			if err := ws.wal.Close(); err != nil && ws.err == nil {
-				ws.err = err
-			}
-		}
-		sh.werr = ws.err
-	}()
+		parts: make(map[string]*partition[E])}
 	var (
 		dirty   []*partition[E]
 		syncs   []chan<- struct{}
 		keyBuf  []float64
 		byteBuf []byte
-		walBuf  []byte
 	)
 	enqueue := func(e E) {
 		keyBuf = normalizeVals(s.cfg.Partition(e, keyBuf[:0]))
@@ -720,29 +607,14 @@ func (s *Service[E]) run(sh *shard[E]) {
 			sh.partitions.Store(int64(len(ws.parts)))
 		}
 		p.pend = append(p.pend, e)
-		if ws.wal != nil && ws.err == nil {
-			// Group commit: frame the event into the batch record (u32 length
-			// prefix + encoding); the record is appended and flushed once per
-			// batch in commit.
-			off := len(walBuf)
-			walBuf = append(walBuf, 0, 0, 0, 0)
-			walBuf = s.cfg.Durable.EncodeEvent(walBuf, e)
-			binary.LittleEndian.PutUint32(walBuf[off:], uint32(len(walBuf)-off-4))
-			ws.pending++
-		}
 		if !p.dirty {
 			p.dirty = true
 			dirty = append(dirty, p)
 		}
 		sh.applied.Add(1)
 	}
-	// commit applies the drained batch and publishes the snapshot. flushWAL
-	// says whether the WAL is flushed now or left buffered: the worker defers
-	// the flush while more input is already queued (group commit across
-	// batches — one write syscall covers many batch records) and flushes when
-	// it goes idle or before acknowledging a barrier, so Drain's durability
-	// guarantee is unchanged.
-	commit := func(flushWAL bool) {
+	// commit applies the drained batch and publishes the snapshot.
+	commit := func() {
 		for _, p := range dirty {
 			p.applyPend()
 			p.last = p.ex.Result()
@@ -791,24 +663,6 @@ func (s *Service[E]) run(sh *shard[E]) {
 			s.publishSubs(ws, dirty)
 		}
 		dirty = dirty[:0]
-		if ws.wal != nil && ws.err == nil && len(walBuf) > 0 {
-			if err := ws.wal.Append(walBuf); err != nil {
-				ws.err = err
-			}
-		}
-		if flushWAL && ws.wal != nil && ws.err == nil {
-			if err := ws.wal.Flush(); err != nil {
-				ws.err = err
-			}
-		}
-		walBuf = walBuf[:0]
-		// Bound replay work: rotate the shard's snapshot once the WAL has
-		// accumulated CompactEvery events since the last rotation.
-		if d := s.cfg.Durable; ws.wal != nil && ws.err == nil && d.CompactEvery > 0 && ws.pending >= d.CompactEvery {
-			if err := s.compactShard(ws, d.Dir, ws.gen, true); err != nil {
-				ws.err = err
-			}
-		}
 	}
 	for it := range sh.in {
 		n, stop := 0, false
@@ -816,9 +670,9 @@ func (s *Service[E]) run(sh *shard[E]) {
 			switch {
 			case it.ctl != nil:
 				// Commit queued work first so the control request observes
-				// (and checkpoints) fully applied, flushed state, then stop:
-				// the next loop iteration starts a fresh batch.
-				commit(true)
+				// (and snapshots) fully applied state, then stop: the next
+				// loop iteration starts a fresh batch.
+				commit()
 				it.ctl.done <- it.ctl.fn(ws)
 				stop = true
 			case it.sync != nil:
@@ -848,10 +702,7 @@ func (s *Service[E]) run(sh *shard[E]) {
 				break drain
 			}
 		}
-		// Flush when a barrier must be acknowledged or the queue ran dry; a
-		// full batch with more input already queued leaves the WAL buffered
-		// for the next commit.
-		commit(stop || len(sh.in) == 0)
+		commit()
 		for _, c := range syncs {
 			close(c)
 		}
@@ -973,11 +824,8 @@ func (s *Service[E]) Drain() error {
 }
 
 // Close stops accepting events, drains every queue, publishes the final
-// snapshots, flushes and closes the WALs, and waits for the shard workers to
-// exit. It returns the sticky durability errors of every failed shard, joined
-// with errors.Join, so a multi-shard WAL failure is never truncated to the
-// first shard's report. It is idempotent only in the sense that a second call
-// returns ErrClosed.
+// snapshots, and waits for the shard workers to exit. It is idempotent only
+// in the sense that a second call returns ErrClosed.
 func (s *Service[E]) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -1001,13 +849,7 @@ func (s *Service[E]) Close() error {
 	for _, sub := range live {
 		sub.Close()
 	}
-	var errs []error
-	for _, sh := range s.shards {
-		if sh.werr != nil {
-			errs = append(errs, fmt.Errorf("serve: shard %d durability: %w", sh.idx, sh.werr))
-		}
-	}
-	return errors.Join(errs...)
+	return nil
 }
 
 // Shards reports the shard count.

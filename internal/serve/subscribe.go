@@ -21,7 +21,8 @@ import (
 // deleted), so a frame is a set of (key, value) upserts. A frame with Full
 // set carries every live group of its shard and is therefore a valid
 // transition from any base — that one property powers attach seeding, resume
-// after a version mismatch, and replica rebase, with no delta history kept.
+// after a version mismatch, and reseeding after a follower's rebuild, with no
+// delta history kept.
 
 // ShardVersion names one shard's snapshot version, the unit subscription
 // resume is expressed in.
@@ -34,7 +35,7 @@ type ShardVersion struct {
 // to a reader's state at version Base yields the shard's grouped results at
 // version Version. When Full is set the frame instead replaces the reader's
 // entire state for the shard (Base is 0) — the rebase frame sent at attach,
-// on resume mismatch, and after a replica generation swap.
+// on resume mismatch, and after a lane change.
 type DeltaFrame struct {
 	Shard   int
 	Version uint64
@@ -200,7 +201,7 @@ func (s *Service[E]) detachSub(sub *Subscription) {
 // whose subscription has closed. dirty is the batch's touched partitions
 // (results already refreshed); when ws.publishFull is set the worker offers
 // the full partition set instead, because the previous published state is not
-// a valid delta base (replica rebase).
+// a valid delta base (a lane change).
 func (s *Service[E]) publishSubs(ws *workerState[E], dirty []*partition[E]) {
 	live := ws.subs[:0]
 	for _, ss := range ws.subs {

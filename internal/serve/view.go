@@ -29,8 +29,10 @@ func NewView() *View {
 }
 
 // Apply folds one frame into the view. A Full frame replaces the shard's
-// state from any base; an incremental frame upserts and must extend the
-// shard's current version exactly.
+// state from any base and at any version — a service that restarted, or a
+// follower that rebuilt its state, reseeds under a new epoch whose versions
+// start over; an incremental frame upserts and must extend the shard's
+// current version exactly.
 func (v *View) Apply(f DeltaFrame) error {
 	v.mu.Lock()
 	defer v.mu.Unlock()
@@ -38,9 +40,6 @@ func (v *View) Apply(f DeltaFrame) error {
 	if vs == nil {
 		vs = &viewShard{groups: make(map[string]engine.GroupResult)}
 		v.shards[f.Shard] = vs
-	}
-	if f.Version < vs.version {
-		return fmt.Errorf("serve: view shard %d: frame version %d behind current %d", f.Shard, f.Version, vs.version)
 	}
 	if f.Full {
 		clear(vs.groups)

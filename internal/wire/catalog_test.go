@@ -1,7 +1,6 @@
 package wire
 
 import (
-	"net"
 	"testing"
 
 	"rpai/internal/catalog"
@@ -10,7 +9,7 @@ import (
 	"rpai/internal/sqlparse"
 )
 
-// The catalog-mode test queries: two spellings of the VWAP query (shared
+// The catalog test queries: two spellings of the VWAP query (shared
 // executor set), a different-constant variant (own set, same predicate
 // signature), and an equality-correlated query (PAI strategy).
 const (
@@ -25,26 +24,6 @@ WHERE 0.9 * (SELECT SUM(b1.volume) FROM bids b1)
 WHERE 0.5 * (SELECT SUM(b1.volume) FROM bids b1)
     = (SELECT SUM(b2.volume) FROM bids b2 WHERE b2.a = b.a)`
 )
-
-// startCatalogServer boots a catalog-mode Server on a loopback listener.
-func startCatalogServer(t *testing.T, cat *catalog.Service, cfg ServerConfig) string {
-	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := NewCatalogServer(cat, cfg)
-	done := make(chan error, 1)
-	go func() { done <- srv.Serve(ln) }()
-	t.Cleanup(func() {
-		srv.Close()
-		if err := <-done; err != nil {
-			t.Errorf("Serve: %v", err)
-		}
-		cat.Close()
-	})
-	return ln.Addr().String()
-}
 
 // register registers sql over rc and returns the decoded EXPLAIN.
 func (rc *rawConn) register(sql string) catalog.Explain {
@@ -61,7 +40,7 @@ func (rc *rawConn) register(sql string) catalog.Explain {
 	return ex
 }
 
-// TestServerCatalogRoundtrip drives the version-4 catalog catalogue over one
+// TestServerCatalogRoundtrip drives the catalog message catalogue over one
 // loopback connection: runtime registration with sharing reported in EXPLAIN,
 // QueryID-routed reads bit-identical to independent single-query services,
 // the per-query stats table, and unregistration.
@@ -70,7 +49,7 @@ func TestServerCatalogRoundtrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	addr := startCatalogServer(t, cat, ServerConfig{})
+	addr := startServer(t, cat, ServerConfig{})
 	rc := dialRaw(t, addr, 21)
 
 	sqls := []string{catSQLVWAP, catSQLVWAP2, catSQLVWAP90, catSQLEq}
@@ -156,7 +135,7 @@ func TestServerCatalogRoundtrip(t *testing.T) {
 		}
 	}
 
-	// The unrouted legacy reads route to the default (lowest-ID) query.
+	// The un-routed reads address the default (lowest-ID) query.
 	rc.send(MsgResult, nil)
 	_, _, body := rc.recv()
 	if got, _ := DecodeScalar(body); got != refs[0].Result() {
@@ -194,7 +173,7 @@ func TestServerCatalogRoundtrip(t *testing.T) {
 		}
 	}
 
-	// The v4 stats reply carries the per-query counter table.
+	// The stats reply carries the per-query counter table.
 	rc.send(MsgStats, nil)
 	_, _, body = rc.recv()
 	st, err := DecodeStats(body)
@@ -239,60 +218,6 @@ func TestServerCatalogRoundtrip(t *testing.T) {
 	}
 }
 
-// TestServerCatalogVersionGates pins the downgrade contract around the v4
-// messages: a v3 connection to a catalog server gets legacy routing but its
-// catalog requests are refused per message, and a v4 connection to a
-// single-query server is refused with "not a catalog".
-func TestServerCatalogVersionGates(t *testing.T) {
-	cat, err := catalog.New(catalog.Options{PartitionBy: []string{"sym"}, Shards: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := cat.Register(catSQLVWAP); err != nil {
-		t.Fatal(err)
-	}
-	addr := startCatalogServer(t, cat, ServerConfig{})
-
-	// v3 connection: legacy reads work (routed to the default query), v4
-	// messages are refused with CodeBadRequest, and the stats reply has no
-	// query table (the v3 layout is strict about trailing bytes).
-	rc3 := dialRawVersion(t, addr, 22, 3)
-	rc3.send(MsgResult, nil)
-	if tp, _, _ := rc3.recv(); tp != MsgScalar {
-		t.Fatalf("v3 result reply %s", tp)
-	}
-	rc3.send(MsgRegister, EncodeRegister(nil, catSQLEq))
-	rc3.errCode(CodeBadRequest)
-	rc3.send(MsgListQueries, nil)
-	rc3.errCode(CodeBadRequest)
-	rc3.send(MsgStats, nil)
-	_, _, body := rc3.recv()
-	st, err := DecodeStats(body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Queries != nil {
-		t.Fatalf("v3 stats reply carries a query table: %+v", st.Queries)
-	}
-
-	// v4 connection to a non-catalog server: catalog messages refused.
-	q := vwapSpec()
-	svc, err := serve.ForQuery(q, []string{"sym"}, serve.Options{Shards: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	plainAddr := startServer(t, svc, ServerConfig{})
-	rc4 := dialRaw(t, plainAddr, 23)
-	rc4.send(MsgRegister, EncodeRegister(nil, catSQLVWAP))
-	rc4.errCode(CodeBadRequest)
-	rc4.send(MsgExplain, EncodeQueryID(nil, 1))
-	rc4.errCode(CodeBadRequest)
-	rc4.send(MsgResult, nil)
-	if tp, _, _ := rc4.recv(); tp != MsgScalar {
-		t.Fatalf("plain server result reply %s", tp)
-	}
-}
-
 // TestServerCatalogSubscribeQ subscribes to one registered query by id and
 // checks the pushed MsgDeltaQ frames converge on that query's grouped state.
 func TestServerCatalogSubscribeQ(t *testing.T) {
@@ -308,7 +233,7 @@ func TestServerCatalogSubscribeQ(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	addr := startCatalogServer(t, cat, ServerConfig{})
+	addr := startServer(t, cat, ServerConfig{})
 
 	events := symEvents(31, 400, 5)
 	if err := cat.ApplyBatch(events); err != nil {
@@ -369,71 +294,4 @@ func TestServerCatalogSubscribeQ(t *testing.T) {
 		}
 	}
 	_ = id1
-}
-
-// TestExplainCrossVersion pins the version-parameterized EXPLAIN codec: a v4
-// body carries no state/probe tail (and a v5 decoder rejects it as
-// truncated), the v5 body round-trips the state/probe split, and a live v4
-// connection to a v5 server receives the v4 body.
-func TestExplainCrossVersion(t *testing.T) {
-	ex := catalog.Explain{
-		ID: 7, SQL: "SELECT 1", Canonical: "SELECT 1", Strategy: "relstate",
-		IndexKind: "rpai-arena", KeyCol: "price", SubOp: "<=", Agg: "(price * volume)",
-		PredSig: "sig", Predicates: []string{"p"},
-		StateKey: "rel0|agg=(price * volume)", Probe: "count@0.75 | sym > 2",
-		Residual: "sym > 2", SharedWith: []catalog.QueryID{3},
-		SharedFamily: []catalog.QueryID{3}, Since: 4, StateSince: 9, IngestSets: 2,
-	}
-	v4 := EncodeExplainAt(nil, ex, 4)
-	got4, err := DecodeExplainAt(v4, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got4.StateKey != "" || got4.Probe != "" || got4.Residual != "" || got4.StateSince != 0 {
-		t.Fatalf("v4 body carried v5 fields: %+v", got4)
-	}
-	if got4.ID != ex.ID || got4.Since != ex.Since || got4.Strategy != ex.Strategy {
-		t.Fatalf("v4 round-trip = %+v", got4)
-	}
-	if _, err := DecodeExplainAt(v4, 5); err == nil {
-		t.Fatal("v5 decoder accepted a v4 body")
-	}
-	got5, err := DecodeExplainAt(EncodeExplainAt(nil, ex, 5), 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got5.StateKey != ex.StateKey || got5.Probe != ex.Probe ||
-		got5.Residual != ex.Residual || got5.StateSince != ex.StateSince {
-		t.Fatalf("v5 round-trip = %+v", got5)
-	}
-	list4, err := DecodeQueryListAt(EncodeQueryListAt(nil, []catalog.Explain{ex, ex}, 4), 4)
-	if err != nil || len(list4) != 2 {
-		t.Fatalf("v4 list round-trip: %v, %d entries", err, len(list4))
-	}
-
-	// Live downgrade: a v4 connection registers against a v5 server and gets
-	// a decodable v4 reply; a v5 connection sees the state/probe split.
-	cat, err := catalog.New(catalog.Options{PartitionBy: []string{"sym"}, BatchSize: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := startCatalogServer(t, cat, ServerConfig{})
-	rc4 := dialRawVersion(t, addr, 31, 4)
-	rc4.send(MsgRegister, EncodeRegister(nil, catSQLVWAP))
-	tp, _, body := rc4.recv()
-	if tp != MsgRegistered {
-		t.Fatalf("v4 register reply %s", tp)
-	}
-	ex4, err := DecodeExplainAt(body, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ex4.Strategy != "relstate" || ex4.StateKey != "" {
-		t.Fatalf("v4 connection explain = %+v", ex4)
-	}
-	rc5 := dialRaw(t, addr, 32)
-	ex5 := rc5.register(catSQLVWAP)
-	if ex5.StateKey == "" || ex5.Probe != "sum@0.75" {
-		t.Fatalf("v5 connection explain = %+v", ex5)
-	}
 }

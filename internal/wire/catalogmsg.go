@@ -7,14 +7,10 @@ import (
 	"rpai/internal/serve"
 )
 
-// This file holds the codecs for the version-4 catalog messages — runtime
-// query registration, EXPLAIN, and the QueryID-routed reads and
-// subscriptions — plus the version-5 EXPLAIN extension (the state/probe
-// split). The EXPLAIN codecs are version-parameterized: the server encodes
-// each reply at the connection's negotiated version, and older peers receive
-// the older body byte for byte. The encoders/decoders follow messages.go's
-// discipline: encoders never fail, decoders are total and strictly
-// bounds-checked.
+// This file holds the codecs for the catalog messages — runtime query
+// registration, EXPLAIN, and the QueryID-routed reads and subscriptions. The
+// encoders/decoders follow messages.go's discipline: encoders never fail,
+// decoders are total and strictly bounds-checked.
 
 // maxSQLLen bounds a registered query's SQL text on the wire.
 const maxSQLLen = 1 << 16
@@ -75,16 +71,10 @@ func DecodeQueryID(p []byte) (catalog.QueryID, error) {
 	return catalog.QueryID(le.Uint64(p)), nil
 }
 
-// EncodeExplain appends one query's EXPLAIN at the newest protocol version.
+// EncodeExplain appends one query's EXPLAIN: the planner's strategy and
+// index choice, the catalog's sharing report, and the state/probe split
+// (StateKey, Probe, Residual, StateSince).
 func EncodeExplain(buf []byte, ex catalog.Explain) []byte {
-	return EncodeExplainAt(buf, ex, Version)
-}
-
-// EncodeExplainAt appends one query's EXPLAIN — the planner's strategy and
-// index choice plus the catalog's sharing report — encoded for a connection
-// negotiated at ver: version 5 appends the state/probe split (StateKey,
-// Probe, Residual, StateSince) after the v4 body.
-func EncodeExplainAt(buf []byte, ex catalog.Explain, ver uint32) []byte {
 	buf = le.AppendUint64(buf, uint64(ex.ID))
 	buf = appendStr(buf, ex.SQL)
 	buf = appendStr(buf, ex.Canonical)
@@ -116,18 +106,14 @@ func EncodeExplainAt(buf []byte, ex catalog.Explain, ver uint32) []byte {
 	}
 	buf = le.AppendUint64(buf, ex.Since)
 	buf = le.AppendUint32(buf, uint32(ex.IngestSets))
-	if ver >= 5 {
-		buf = appendStr(buf, ex.StateKey)
-		buf = appendStr(buf, ex.Probe)
-		buf = appendStr(buf, ex.Residual)
-		buf = le.AppendUint64(buf, ex.StateSince)
-	}
-	return buf
+	buf = appendStr(buf, ex.StateKey)
+	buf = appendStr(buf, ex.Probe)
+	buf = appendStr(buf, ex.Residual)
+	return le.AppendUint64(buf, ex.StateSince)
 }
 
-// decodeExplain consumes one EXPLAIN encoded at ver from p, returning the
-// remainder.
-func decodeExplain(p []byte, ver uint32) (catalog.Explain, []byte, error) {
+// decodeExplain consumes one EXPLAIN from p, returning the remainder.
+func decodeExplain(p []byte) (catalog.Explain, []byte, error) {
 	var ex catalog.Explain
 	if len(p) < 8 {
 		return ex, nil, fmt.Errorf("wire: explain body too short (%d bytes)", len(p))
@@ -203,34 +189,25 @@ func decodeExplain(p []byte, ver uint32) (catalog.Explain, []byte, error) {
 	ex.Since = le.Uint64(p)
 	ex.IngestSets = int(le.Uint32(p[8:]))
 	p = p[12:]
-	if ver >= 5 {
-		if ex.StateKey, p, err = takeStr(p, maxSQLLen, "explain state key"); err != nil {
-			return ex, nil, err
-		}
-		if ex.Probe, p, err = takeStr(p, maxSQLLen, "explain probe"); err != nil {
-			return ex, nil, err
-		}
-		if ex.Residual, p, err = takeStr(p, maxSQLLen, "explain residual"); err != nil {
-			return ex, nil, err
-		}
-		if len(p) < 8 {
-			return ex, nil, fmt.Errorf("wire: explain truncated before state epoch")
-		}
-		ex.StateSince = le.Uint64(p)
-		p = p[8:]
+	if ex.StateKey, p, err = takeStr(p, maxSQLLen, "explain state key"); err != nil {
+		return ex, nil, err
 	}
-	return ex, p, nil
+	if ex.Probe, p, err = takeStr(p, maxSQLLen, "explain probe"); err != nil {
+		return ex, nil, err
+	}
+	if ex.Residual, p, err = takeStr(p, maxSQLLen, "explain residual"); err != nil {
+		return ex, nil, err
+	}
+	if len(p) < 8 {
+		return ex, nil, fmt.Errorf("wire: explain truncated before state epoch")
+	}
+	ex.StateSince = le.Uint64(p)
+	return ex, p[8:], nil
 }
 
-// DecodeExplain parses a registered/explained body (exactly one EXPLAIN) at
-// the newest protocol version.
+// DecodeExplain parses a registered/explained body (exactly one EXPLAIN).
 func DecodeExplain(p []byte) (catalog.Explain, error) {
-	return DecodeExplainAt(p, Version)
-}
-
-// DecodeExplainAt parses a registered/explained body encoded at ver.
-func DecodeExplainAt(p []byte, ver uint32) (catalog.Explain, error) {
-	ex, rest, err := decodeExplain(p, ver)
+	ex, rest, err := decodeExplain(p)
 	if err != nil {
 		return ex, err
 	}
@@ -240,28 +217,17 @@ func DecodeExplainAt(p []byte, ver uint32) (catalog.Explain, error) {
 	return ex, nil
 }
 
-// EncodeQueryList appends a query-list body at the newest protocol version.
+// EncodeQueryList appends a query-list body: every registration's EXPLAIN.
 func EncodeQueryList(buf []byte, list []catalog.Explain) []byte {
-	return EncodeQueryListAt(buf, list, Version)
-}
-
-// EncodeQueryListAt appends a query-list body — every registration's
-// EXPLAIN — encoded for a connection negotiated at ver.
-func EncodeQueryListAt(buf []byte, list []catalog.Explain, ver uint32) []byte {
 	buf = le.AppendUint32(buf, uint32(len(list)))
 	for _, ex := range list {
-		buf = EncodeExplainAt(buf, ex, ver)
+		buf = EncodeExplain(buf, ex)
 	}
 	return buf
 }
 
-// DecodeQueryList parses a query-list body at the newest protocol version.
+// DecodeQueryList parses a query-list body.
 func DecodeQueryList(p []byte) ([]catalog.Explain, error) {
-	return DecodeQueryListAt(p, Version)
-}
-
-// DecodeQueryListAt parses a query-list body encoded at ver.
-func DecodeQueryListAt(p []byte, ver uint32) ([]catalog.Explain, error) {
 	if len(p) < 4 {
 		return nil, fmt.Errorf("wire: query-list body too short (%d bytes)", len(p))
 	}
@@ -273,7 +239,7 @@ func DecodeQueryListAt(p []byte, ver uint32) ([]catalog.Explain, error) {
 	}
 	var list []catalog.Explain
 	for i := uint32(0); i < n; i++ {
-		ex, rest, err := decodeExplain(p, ver)
+		ex, rest, err := decodeExplain(p)
 		if err != nil {
 			return nil, fmt.Errorf("wire: query-list entry %d: %w", i, err)
 		}

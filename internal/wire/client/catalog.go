@@ -8,10 +8,8 @@ import (
 	"rpai/internal/wire"
 )
 
-// This file holds the version-4 catalog calls: runtime query registration,
-// EXPLAIN, and the QueryID-routed reads. Against a server that negotiated an
-// older protocol version (or is not a catalog) these return ErrBadRequest
-// with the server's refusal message.
+// This file holds the catalog calls: runtime query registration, EXPLAIN,
+// and the QueryID-routed reads.
 
 // Register registers a query at runtime and returns its EXPLAIN — the
 // assigned QueryID, the planner's strategy and index choice, and which
@@ -24,7 +22,7 @@ func (c *Client) Register(sql string) (catalog.Explain, error) {
 	if r.t != wire.MsgRegistered {
 		return catalog.Explain{}, fmt.Errorf("wire client: register got reply %s", r.t)
 	}
-	return wire.DecodeExplainAt(r.body, c.protoVersion())
+	return wire.DecodeExplain(r.body)
 }
 
 // Unregister removes a registered query by QueryID.
@@ -46,7 +44,7 @@ func (c *Client) ListQueries() ([]catalog.Explain, error) {
 	if r.t != wire.MsgQueryList {
 		return nil, fmt.Errorf("wire client: list-queries got reply %s", r.t)
 	}
-	return wire.DecodeQueryListAt(r.body, c.protoVersion())
+	return wire.DecodeQueryList(r.body)
 }
 
 // ExplainQuery returns one registered query's EXPLAIN.
@@ -58,7 +56,7 @@ func (c *Client) ExplainQuery(id catalog.QueryID) (catalog.Explain, error) {
 	if r.t != wire.MsgExplained {
 		return catalog.Explain{}, fmt.Errorf("wire client: explain got reply %s", r.t)
 	}
-	return wire.DecodeExplainAt(r.body, c.protoVersion())
+	return wire.DecodeExplain(r.body)
 }
 
 // ResultQuery reads one registered query's scalar result.

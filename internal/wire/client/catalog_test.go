@@ -20,8 +20,8 @@ WHERE 0.9 * (SELECT SUM(b1.volume) FROM bids b1)
       < (SELECT SUM(b2.volume) FROM bids b2 WHERE b2.price <= b.price)`
 )
 
-// startCatalogServer boots a catalog-mode wire server and returns its address
-// plus the catalog (for direct result comparison).
+// startCatalogServer boots a wire server over an empty catalog and returns its
+// address plus the catalog (for direct result comparison).
 func startCatalogServer(t *testing.T, shards int, cfg wire.ServerConfig) (string, *catalog.Service) {
 	t.Helper()
 	cat, err := catalog.New(catalog.Options{PartitionBy: []string{"sym"}, Shards: shards})
@@ -172,8 +172,10 @@ func TestClientCatalog(t *testing.T) {
 	}
 }
 
-// TestClientCatalogAgainstPlainServer pins the refusal: catalog calls against
-// a single-query server surface ErrBadRequest without wedging the pool.
+// TestClientCatalogAgainstPlainServer: a server booted with one query — what
+// `rpaiserver -query` serves — is a catalog like any other. The catalog calls
+// work against it, the un-routed reads keep addressing the boot query, and a
+// refused registration surfaces ErrBadRequest without wedging the pool.
 func TestClientCatalogAgainstPlainServer(t *testing.T) {
 	addr, _ := startServer(t, 1, wire.ServerConfig{})
 	c, err := client.Dial(addr, client.Options{})
@@ -181,8 +183,18 @@ func TestClientCatalogAgainstPlainServer(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if _, err := c.Register(catSQLVWAP); !errors.Is(err, wire.ErrBadRequest) {
-		t.Fatalf("register against plain server: %v, want ErrBadRequest", err)
+	ex, err := c.Register(catSQLVWAP90)
+	if err != nil {
+		t.Fatalf("register against a one-query server: %v", err)
+	}
+	if ex.ID != 2 || len(ex.SharedWith) != 1 || ex.SharedWith[0] != 1 {
+		t.Fatalf("runtime registration = id %d sharing %v, want id 2 sharing the boot query's state", ex.ID, ex.SharedWith)
+	}
+	if _, err := c.Register("SELECT FROM WHERE"); !errors.Is(err, wire.ErrBadRequest) {
+		t.Fatalf("malformed register: %v, want ErrBadRequest", err)
+	}
+	if err := c.Unregister(ex.ID); err != nil {
+		t.Fatal(err)
 	}
 	if _, err := c.Result(); err != nil {
 		t.Fatalf("pool unusable after refused catalog call: %v", err)

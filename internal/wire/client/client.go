@@ -126,7 +126,6 @@ type Client struct {
 
 	conns []*conn
 	rr    atomic.Uint64 // round-robin cursor for read calls
-	ver   atomic.Uint32 // negotiated protocol version (from the last welcome)
 
 	quit      chan struct{}
 	closeOnce sync.Once
@@ -138,8 +137,8 @@ type Client struct {
 	err   error // sticky permanent batch failure
 }
 
-// Dial connects the pool and performs the versioned handshake on every
-// connection; any failure fails the whole Dial.
+// Dial connects the pool and performs the handshake on every connection; any
+// failure fails the whole Dial.
 func Dial(addr string, opt Options) (*Client, error) {
 	opt = opt.withDefaults()
 	c := &Client{addr: addr, opt: opt, quit: make(chan struct{})}
@@ -228,7 +227,8 @@ func (c *Client) Drain() error {
 	return nil
 }
 
-// Result reads the served query's scalar result.
+// Result reads the scalar result of the server's default query (its lowest
+// live QueryID — the one query of an rpaiserver -query daemon).
 func (c *Client) Result() (float64, error) {
 	r, err := c.roundtrip(wire.MsgResult, nil)
 	if err != nil {
@@ -237,7 +237,7 @@ func (c *Client) Result() (float64, error) {
 	return wire.DecodeScalar(r.body)
 }
 
-// ResultGrouped reads the per-partition grouped results.
+// ResultGrouped reads the default query's per-partition grouped results.
 func (c *Client) ResultGrouped() ([]engine.GroupResult, error) {
 	r, err := c.roundtrip(wire.MsgResultGrouped, nil)
 	if err != nil {
@@ -393,86 +393,58 @@ func (cn *conn) sealLocked() error {
 }
 
 // connect dials and performs the handshake, returning the live socket and
-// its buffered reader. It offers the newest protocol version first and, when
-// the server refuses it with CodeVersion, redials once offering the oldest
-// version this client still speaks — so a new client talks to an old server
-// at the old version, losing only the newer messages.
+// its buffered reader.
 func (cn *conn) connect() (net.Conn, *bufio.Reader, error) {
-	nc, br, w, err := dialHandshake(cn.c.addr, cn.c.opt, cn.session)
-	if err == nil {
-		cn.c.ver.Store(w.Version)
-	}
-	return nc, br, err
+	return dialHandshake(cn.c.addr, cn.c.opt, cn.session)
 }
 
-// protoVersion is the pool's negotiated protocol version: every connection
-// handshakes with the same server, so the last welcome's version governs how
-// version-dependent reply bodies (EXPLAIN) are decoded. Before any handshake
-// completes it is the newest version this client speaks.
-func (c *Client) protoVersion() uint32 {
-	if v := c.ver.Load(); v != 0 {
-		return v
-	}
-	return wire.Version
-}
-
-// dialHandshake dials addr and completes the version-negotiated handshake,
-// returning the socket, its reader and the server's welcome.
-func dialHandshake(addr string, opt Options, session [wire.SessionIDLen]byte) (net.Conn, *bufio.Reader, wire.Welcome, error) {
-	nc, br, w, err := dialVersion(addr, opt, session, wire.Version)
-	if errors.Is(err, wire.ErrVersion) && wire.MinVersion < wire.Version {
-		nc, br, w, err = dialVersion(addr, opt, session, wire.MinVersion)
-	}
-	return nc, br, w, err
-}
-
-// dialVersion dials and offers exactly one protocol version.
-func dialVersion(addr string, opt Options, session [wire.SessionIDLen]byte, version uint32) (net.Conn, *bufio.Reader, wire.Welcome, error) {
-	var w wire.Welcome
+// dialHandshake dials addr, offers wire.Version and waits for the welcome. A
+// server that speaks another version refuses with wire.ErrVersion.
+func dialHandshake(addr string, opt Options, session [wire.SessionIDLen]byte) (net.Conn, *bufio.Reader, error) {
 	d := net.Dialer{Timeout: opt.DialTimeout}
 	nc, err := d.Dial("tcp", addr)
 	if err != nil {
-		return nil, nil, w, err
+		return nil, nil, err
 	}
 	if tc, ok := nc.(*net.TCPConn); ok {
 		tc.SetNoDelay(true)
 	}
 	br := bufio.NewReaderSize(nc, 64<<10)
-	hello := wire.EncodeHello(nil, wire.Hello{Version: version, Session: session})
+	hello := wire.EncodeHello(nil, wire.Hello{Version: wire.Version, Session: session})
 	nc.SetDeadline(time.Now().Add(opt.RequestTimeout))
 	if err := wire.WriteFrame(nc, wire.EncodeMsg(nil, wire.MsgHello, 0, hello)); err != nil {
 		nc.Close()
-		return nil, nil, w, err
+		return nil, nil, err
 	}
 	payload, err := wire.ReadFrame(br, opt.MaxFrame)
 	if err != nil {
 		nc.Close()
-		return nil, nil, w, err
+		return nil, nil, err
 	}
 	t, _, body, err := wire.DecodeMsg(payload)
 	if err != nil {
 		nc.Close()
-		return nil, nil, w, err
+		return nil, nil, err
 	}
 	switch t {
 	case wire.MsgWelcome:
-		if w, err = wire.DecodeWelcome(body); err != nil {
+		if _, err := wire.DecodeWelcome(body); err != nil {
 			nc.Close()
-			return nil, nil, w, err
+			return nil, nil, err
 		}
 	case wire.MsgError:
 		code, msg, derr := wire.DecodeError(body)
 		nc.Close()
 		if derr != nil {
-			return nil, nil, w, derr
+			return nil, nil, derr
 		}
-		return nil, nil, w, code.Err(msg)
+		return nil, nil, code.Err(msg)
 	default:
 		nc.Close()
-		return nil, nil, w, fmt.Errorf("wire client: unexpected handshake reply %s", t)
+		return nil, nil, fmt.Errorf("wire client: unexpected handshake reply %s", t)
 	}
 	nc.SetDeadline(time.Time{})
-	return nc, br, w, nil
+	return nc, br, nil
 }
 
 // run owns the connection across reconnects: it writes submitted calls,

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"rpai/internal/catalog"
 	"rpai/internal/engine"
 	"rpai/internal/query"
 	"rpai/internal/serve"
@@ -57,29 +58,50 @@ func symEvents(seed int64, n, partitions int) []engine.Event {
 	return out
 }
 
-// startServer boots a wire.Server over a fresh vwap service and returns its
-// address plus the service (for direct result comparison).
-func startServer(t *testing.T, shards int, cfg wire.ServerConfig) (string, *serve.Service[engine.Event]) {
+// oneQuery is a one-query catalog read through its default query: the
+// in-process twin of what the un-routed client calls read over the wire.
+type oneQuery struct {
+	t   *testing.T
+	cat *catalog.Service
+}
+
+func (q oneQuery) Result() float64 {
+	q.t.Helper()
+	v, err := q.cat.Result(1)
+	if err != nil {
+		q.t.Fatal(err)
+	}
+	return v
+}
+
+func (q oneQuery) ResultGrouped() []engine.GroupResult {
+	q.t.Helper()
+	g, err := q.cat.ResultGrouped(1)
+	if err != nil {
+		q.t.Fatal(err)
+	}
+	return g
+}
+
+func (q oneQuery) ShardVersions() []serve.ShardVersion {
+	q.t.Helper()
+	v, err := q.cat.ShardVersions(1)
+	if err != nil {
+		q.t.Fatal(err)
+	}
+	return v
+}
+
+// startServer boots a wire server over a catalog serving only the vwap query
+// — what rpaiserver -query boots — and returns its address plus the query
+// (for direct result comparison).
+func startServer(t *testing.T, shards int, cfg wire.ServerConfig) (string, oneQuery) {
 	t.Helper()
-	svc, err := serve.ForQuery(vwapSpec(), []string{"sym"}, serve.Options{Shards: shards})
-	if err != nil {
+	addr, cat := startCatalogServer(t, shards, cfg)
+	if _, _, err := cat.Register(catSQLVWAP); err != nil {
 		t.Fatal(err)
 	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := wire.NewServer(svc, cfg)
-	done := make(chan error, 1)
-	go func() { done <- srv.Serve(ln) }()
-	t.Cleanup(func() {
-		srv.Close()
-		if err := <-done; err != nil {
-			t.Errorf("Serve: %v", err)
-		}
-		svc.Close()
-	})
-	return ln.Addr().String(), svc
+	return addr, oneQuery{t, cat}
 }
 
 // chaosProxy forwards TCP byte streams to a backend and can kill every live

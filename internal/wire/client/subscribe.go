@@ -39,9 +39,8 @@ type Subscription struct {
 	c   *Client
 	opt SubOptions
 
-	// routed subscriptions (SubscribeQuery, protocol v4) target one
-	// registered catalog query; unrouted ones follow the server's single
-	// (or default) query.
+	// routed subscriptions (SubscribeQuery) target one registered catalog
+	// query; unrouted ones follow the server's default query.
 	routed bool
 	qid    catalog.QueryID
 
@@ -67,7 +66,7 @@ func (c *Client) Subscribe(opt SubOptions) (*Subscription, error) {
 }
 
 // SubscribeQuery opens a push subscription to one registered catalog query's
-// grouped results (protocol version 4). The stream's semantics match
+// grouped results. The stream's semantics match
 // Subscribe; the server routes the query's delta frames by QueryID.
 func (c *Client) SubscribeQuery(id catalog.QueryID, opt SubOptions) (*Subscription, error) {
 	return c.subscribe(opt, true, id)
@@ -151,21 +150,12 @@ func (sub *Subscription) record(f serve.DeltaFrame) {
 	sub.mu.Unlock()
 }
 
-// attach dials a fresh connection, requires protocol version 3, and
-// registers the subscription, resuming from the last received versions.
+// attach dials a fresh connection and registers the subscription, resuming
+// from the last received versions.
 func (sub *Subscription) attach() (net.Conn, *bufio.Reader, error) {
-	nc, br, w, err := dialHandshake(sub.c.addr, sub.c.opt, sub.session)
+	nc, br, err := dialHandshake(sub.c.addr, sub.c.opt, sub.session)
 	if err != nil {
 		return nil, nil, err
-	}
-	minVer := uint32(3)
-	if sub.routed {
-		minVer = 4
-	}
-	if w.Version < minVer {
-		nc.Close()
-		return nil, nil, fmt.Errorf("%w: server speaks version %d, this subscription needs %d",
-			wire.ErrVersion, w.Version, minVer)
 	}
 	epoch, rs := sub.resumeState()
 	req := wire.Subscribe{Keys: sub.opt.Keys, Epoch: epoch, Resume: rs}

@@ -1,11 +1,14 @@
 package client_test
 
 import (
+	"errors"
 	"math"
+	"net"
 	"sync"
 	"testing"
 	"time"
 
+	"rpai/internal/catalog"
 	"rpai/internal/engine"
 	"rpai/internal/serve"
 	"rpai/internal/wire"
@@ -178,5 +181,90 @@ func TestClientSubscribeClientClose(t *testing.T) {
 	}
 	if _, err := c.Subscribe(client.SubOptions{}); err == nil {
 		t.Fatal("Subscribe after Close succeeded")
+	}
+}
+
+// TestClientSubscribeFollower subscribes, over the wire, to a read-only
+// follower while the primary ingests and rotates generations under it. Each
+// rotation makes the follower rebuild its executor sets, which ends the push
+// connection; the subscription reconnects, is reseeded with Full frames under
+// the new epoch, and the one View the consumer has kept all along must still
+// converge bit for bit on the primary's grouped results. Writes through the
+// same client are refused with ErrReadOnly.
+func TestClientSubscribeFollower(t *testing.T) {
+	dir := t.TempDir()
+	primary, err := catalog.New(catalog.Options{PartitionBy: []string{"sym"}, Shards: 2, Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer primary.Close()
+	if _, _, err := primary.Register(catSQLVWAP); err != nil {
+		t.Fatal(err)
+	}
+	fol, err := catalog.Follow(catalog.Options{Dir: dir, Shards: 2}, time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := wire.NewCatalogServer(fol, wire.ServerConfig{})
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve(ln) }()
+	defer func() {
+		srv.Close()
+		<-served
+		fol.Close()
+	}()
+
+	c, err := client.Dial(ln.Addr().String(), client.Options{BackoffBase: time.Millisecond, BackoffMax: 20 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	sub, err := c.Subscribe(client.SubOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sub.Close()
+	vc := consume(sub)
+
+	events := symEvents(41, 3000, 11)
+	for i := 0; i < len(events); i += 500 {
+		for j := i; j < i+500; j += 50 {
+			if err := primary.ApplyBatch(events[j : j+50]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := primary.DrainAll(); err != nil {
+			t.Fatal(err)
+		}
+		want, err := primary.ResultGrouped(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		deadline := time.Now().Add(15 * time.Second)
+		for !groupsIdentical(vc.view.Grouped(), want) {
+			if err := vc.Err(); err != nil {
+				t.Fatalf("after %d events: view apply failed: %v", i+500, err)
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("after %d events: subscriber view never converged on the primary", i+500)
+			}
+			time.Sleep(time.Millisecond)
+		}
+		if err := primary.Checkpoint(); err != nil { // the follower rebuilds; the push connection drops
+			t.Fatal(err)
+		}
+	}
+	if err := sub.Err(); err != nil {
+		t.Fatalf("subscription parked a permanent error: %v", err)
+	}
+	if err := c.Apply(events[0]); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Drain(); !errors.Is(err, wire.ErrReadOnly) {
+		t.Fatalf("write through a follower's server = %v, want ErrReadOnly", err)
 	}
 }

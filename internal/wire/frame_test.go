@@ -109,6 +109,7 @@ func TestMessageCodecs(t *testing.T) {
 			{Shard: 0, Applied: 10, Flushed: 9, QueueDepth: 1, Partitions: 3, EnqueueWaitNS: 77, Rejected: 2},
 			{Shard: 1, Applied: 20, Flushed: 20, QueueDepth: 0, Partitions: 5},
 		},
+		Queries: []QueryStats{{ID: 1, SetID: 1, Applied: 30, Rejected: 2, Subscribers: 1, Strategy: "relstate", SQL: "SELECT 1"}},
 	}
 	gotS, err := DecodeStats(EncodeStats(nil, st))
 	if err != nil || !reflect.DeepEqual(gotS, st) {

@@ -247,8 +247,7 @@ type ServerStats struct {
 	Sessions    uint64 // tracked dedup sessions
 }
 
-// QueryStats is one registered query's serving counters in the v4 stats
-// reply: the events its executor set applied and rejected, its live push
+// QueryStats is one registered query's serving counters in the stats reply: the events its executor set applied and rejected, its live push
 // subscribers, and the executor-set id (queries sharing indexes share a set).
 type QueryStats struct {
 	ID          uint64
@@ -260,9 +259,8 @@ type QueryStats struct {
 	SQL         string
 }
 
-// Stats is the full stats RPC payload. Queries is the per-query counter
-// table a version-4 catalog server appends; it is nil on pre-v4 connections
-// and on single-query servers.
+// Stats is the full stats RPC payload: the daemon counters, the default
+// query's shard table, and the per-query counter table.
 type Stats struct {
 	Server  ServerStats
 	Shards  []serve.ShardStats
@@ -275,9 +273,7 @@ const maxStatsShards = 1 << 16
 // maxStatsQueries bounds the decoded per-query table.
 const maxStatsQueries = 1 << 16
 
-// EncodeStats appends a stats-reply body. The per-query table is appended
-// only when present (the encoder for a v4 catalog connection passes it;
-// everyone else leaves Queries nil and emits the v2/v3 layout unchanged).
+// EncodeStats appends a stats-reply body.
 func EncodeStats(buf []byte, st Stats) []byte {
 	buf = le.AppendUint64(buf, st.Server.Accepted)
 	buf = le.AppendUint64(buf, st.Server.Shed)
@@ -295,24 +291,20 @@ func EncodeStats(buf []byte, st Stats) []byte {
 		buf = le.AppendUint64(buf, s.Rejected)
 		buf = le.AppendUint64(buf, uint64(s.BatchSize))
 	}
-	if st.Queries != nil {
-		buf = le.AppendUint32(buf, uint32(len(st.Queries)))
-		for _, q := range st.Queries {
-			buf = le.AppendUint64(buf, q.ID)
-			buf = le.AppendUint64(buf, q.SetID)
-			buf = le.AppendUint64(buf, q.Applied)
-			buf = le.AppendUint64(buf, q.Rejected)
-			buf = le.AppendUint64(buf, q.Subscribers)
-			buf = appendStr(buf, q.Strategy)
-			buf = appendStr(buf, q.SQL)
-		}
+	buf = le.AppendUint32(buf, uint32(len(st.Queries)))
+	for _, q := range st.Queries {
+		buf = le.AppendUint64(buf, q.ID)
+		buf = le.AppendUint64(buf, q.SetID)
+		buf = le.AppendUint64(buf, q.Applied)
+		buf = le.AppendUint64(buf, q.Rejected)
+		buf = le.AppendUint64(buf, q.Subscribers)
+		buf = appendStr(buf, q.Strategy)
+		buf = appendStr(buf, q.SQL)
 	}
 	return buf
 }
 
-// DecodeStats parses a stats-reply body. A body ending after the shard list
-// is the v2/v3 layout; remaining bytes must be exactly the v4 per-query
-// table.
+// DecodeStats parses a stats-reply body.
 func DecodeStats(p []byte) (Stats, error) {
 	var st Stats
 	if len(p) < 44 {
@@ -344,9 +336,6 @@ func DecodeStats(p []byte) (Stats, error) {
 			BatchSize:     int(le.Uint64(p[52:])),
 		}
 		p = p[per:]
-	}
-	if len(p) == 0 {
-		return st, nil
 	}
 	if len(p) < 4 {
 		return st, fmt.Errorf("wire: stats query table truncated")
@@ -385,7 +374,7 @@ func DecodeStats(p []byte) (Stats, error) {
 	return st, nil
 }
 
-// --- subscribe / delta (v3) ---
+// --- subscribe / delta ---
 
 // Subscribe is the body of a MsgSubscribe request: an optional partition-key
 // subset, plus the resume coordinates of an earlier subscription (epoch 0

@@ -38,17 +38,9 @@ type ServerConfig struct {
 	// MaxSessions caps the batch-dedup session table; beyond it the oldest
 	// session is evicted (default 4096).
 	MaxSessions int
-	// DataDir, when set, is the checkpoint directory MsgCheckpoint rotates
-	// into — normally the service's own Durable.Dir. Empty refuses the RPC.
-	DataDir string
 	// Query is the human-readable served-query description echoed in the
 	// welcome.
 	Query string
-	// ReadOnly sheds every write-carrying request (apply, batch, drain,
-	// checkpoint) with CodeReadOnly instead of executing it — the mode a
-	// replica daemon serves in. Reads and subscriptions are unaffected, and
-	// shed writes never consume admission tokens.
-	ReadOnly bool
 }
 
 func (c ServerConfig) withDefaults() ServerConfig {
@@ -82,13 +74,15 @@ type session struct {
 	lastSeq uint64
 }
 
-// Server is the TCP front door over a sharded serving Service — or, in
-// catalog mode, over a multi-query catalog: it speaks the wire protocol,
-// pipelines per connection, sheds load past the admission limiter, and
-// deduplicates sequenced batches per session.
+// Server is the TCP front door over a query catalog: it speaks the wire
+// protocol, pipelines per connection, sheds load past the admission limiter,
+// and deduplicates sequenced batches per session. Over a follower catalog
+// (catalog.Follow) it is read-only: every write-carrying request (apply,
+// batch, drain, checkpoint, register, unregister) is refused with
+// CodeReadOnly before admission, so refused writes never consume tokens,
+// while reads and subscriptions are unaffected.
 type Server struct {
-	svc *serve.Service[engine.Event] // single-query mode; nil in catalog mode
-	cat *catalog.Service             // catalog mode; nil in single-query mode
+	cat *catalog.Service
 	cfg ServerConfig
 
 	tokens   chan struct{} // admission limiter; one token per in-flight work request
@@ -106,28 +100,15 @@ type Server struct {
 	wg     sync.WaitGroup
 }
 
-// NewServer returns a Server serving svc. The caller keeps ownership of svc:
-// after Close returns, drain and close the service to flush its WALs.
-func NewServer(svc *serve.Service[engine.Event], cfg ServerConfig) *Server {
-	s := newServer(cfg)
-	s.svc = svc
-	return s
-}
-
-// NewCatalogServer returns a Server hosting a multi-query catalog: ingest
-// fans out to every registered query, version-4 connections register,
-// unregister, explain, and read by QueryID, and pre-v4 connections are routed
-// to the catalog's default (lowest-ID) query so old clients keep working. The
-// caller keeps ownership of cat: after Close returns, drain and close it.
+// NewCatalogServer returns a Server hosting cat: ingest fans out to every
+// registered query, connections register, unregister, explain, and read by
+// QueryID, and the un-routed reads and subscriptions address the catalog's
+// default (lowest-ID) query. The caller keeps ownership of cat: after Close
+// returns, drain and close it.
 func NewCatalogServer(cat *catalog.Service, cfg ServerConfig) *Server {
-	s := newServer(cfg)
-	s.cat = cat
-	return s
-}
-
-func newServer(cfg ServerConfig) *Server {
 	cfg = cfg.withDefaults()
 	return &Server{
+		cat:      cat,
 		cfg:      cfg,
 		tokens:   make(chan struct{}, cfg.MaxInFlight),
 		sessions: make(map[[SessionIDLen]byte]*session),
@@ -136,17 +117,7 @@ func newServer(cfg ServerConfig) *Server {
 	}
 }
 
-// shardCount is the per-query shard count echoed in welcomes and
-// subscription acks (identical for every catalog query).
-func (s *Server) shardCount() int {
-	if s.cat != nil {
-		return s.cat.Shards()
-	}
-	return s.svc.Shards()
-}
-
-// defaultQuery resolves the query a legacy (pre-v4) request addresses on a
-// catalog server.
+// defaultQuery resolves the query an un-routed request addresses.
 func (s *Server) defaultQuery() (catalog.QueryID, error) {
 	id, ok := s.cat.Default()
 	if !ok {
@@ -211,8 +182,8 @@ func (s *Server) Serve(ln net.Listener) error {
 // Close stops the server gracefully: the listeners close first, every
 // connection's read loop is woken so no new requests are accepted, each
 // connection's already-admitted requests finish and their replies flush, and
-// Close returns once every handler has exited. The serving Service itself is
-// left running — the owner drains and closes it (flushing WALs) afterwards.
+// Close returns once every handler has exited. The catalog itself is left
+// running — the owner drains and closes it (flushing the WAL) afterwards.
 func (s *Server) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -319,7 +290,7 @@ func (s *Server) handle(nc net.Conn) {
 	br := bufio.NewReaderSize(nc, 64<<10)
 	bw := bufio.NewWriterSize(nc, 64<<10)
 
-	sess, ver, err := s.handshake(nc, br, bw)
+	sess, err := s.handshake(nc, br, bw)
 	if err != nil {
 		return
 	}
@@ -330,7 +301,7 @@ func (s *Server) handle(nc net.Conn) {
 	ww.Add(1)
 	go func() {
 		defer ww.Done()
-		s.worker(nc, bw, sess, ver, &streaming, work)
+		s.worker(nc, bw, sess, &streaming, work)
 	}()
 	defer ww.Wait()
 	defer close(work)
@@ -352,7 +323,7 @@ func (s *Server) handle(nc net.Conn) {
 		it := reqItem{t: t, id: id, body: body}
 		// A read-only server never admits write work, so it never spends
 		// tokens on requests it will refuse.
-		if needsToken(t) && !s.cfg.ReadOnly {
+		if needsToken(t) && !s.cat.ReadOnly() {
 			select {
 			case s.tokens <- struct{}{}:
 				it.token = true
@@ -366,38 +337,36 @@ func (s *Server) handle(nc net.Conn) {
 	}
 }
 
-// handshake performs the versioned hello/welcome exchange. The server
-// negotiates downward: any hello version in [MinVersion, Version] is welcomed
-// at exactly that version (echoed in the welcome), and the connection then
-// speaks that version's message set for its whole lifetime.
-func (s *Server) handshake(nc net.Conn, br *bufio.Reader, bw *bufio.Writer) (*session, uint32, error) {
+// handshake performs the hello/welcome exchange. There is one protocol
+// version: a hello carrying any other is refused with CodeVersion.
+func (s *Server) handshake(nc net.Conn, br *bufio.Reader, bw *bufio.Writer) (*session, error) {
 	if s.cfg.IdleTimeout > 0 {
 		nc.SetReadDeadline(time.Now().Add(s.cfg.IdleTimeout))
 	}
 	payload, err := ReadFrame(br, s.cfg.MaxFrame)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	t, id, body, err := DecodeMsg(payload)
 	if err != nil || t != MsgHello {
 		s.reply(nc, bw, MsgError, id, EncodeError(nil, CodeBadRequest, "expected hello"))
-		return nil, 0, ErrBadRequest
+		return nil, ErrBadRequest
 	}
 	h, err := DecodeHello(body)
 	if err != nil {
 		s.reply(nc, bw, MsgError, id, EncodeError(nil, CodeBadRequest, err.Error()))
-		return nil, 0, ErrBadRequest
+		return nil, ErrBadRequest
 	}
-	if h.Version < MinVersion || h.Version > Version {
+	if h.Version != Version {
 		s.reply(nc, bw, MsgError, id, EncodeError(nil, CodeVersion,
-			fmt.Sprintf("server speaks versions %d through %d, client sent %d", MinVersion, Version, h.Version)))
-		return nil, 0, ErrVersion
+			fmt.Sprintf("server speaks version %d, client sent %d", Version, h.Version)))
+		return nil, ErrVersion
 	}
-	w := Welcome{Version: h.Version, Shards: uint32(s.shardCount()), Query: s.cfg.Query}
+	w := Welcome{Version: Version, Shards: uint32(s.cat.Shards()), Query: s.cfg.Query}
 	if err := s.reply(nc, bw, MsgWelcome, id, EncodeWelcome(nil, w)); err != nil {
-		return nil, 0, err
+		return nil, err
 	}
-	return s.session(h.Session), h.Version, nil
+	return s.session(h.Session), nil
 }
 
 // reply writes one framed message and flushes it.
@@ -415,7 +384,7 @@ func (s *Server) reply(nc net.Conn, bw *bufio.Writer, t MsgType, id uint64, body
 // through the buffered writer and flushing whenever the queue goes idle.
 // Closing the work channel drains the remaining items (their replies still go
 // out) and exits; hence graceful shutdown never drops an admitted request.
-func (s *Server) worker(nc net.Conn, bw *bufio.Writer, sess *session, ver uint32, streaming *atomic.Bool, work <-chan reqItem) {
+func (s *Server) worker(nc net.Conn, bw *bufio.Writer, sess *session, streaming *atomic.Bool, work <-chan reqItem) {
 	cs := &connScratch{}
 	flush := func() {
 		if s.cfg.WriteTimeout > 0 {
@@ -437,12 +406,12 @@ func (s *Server) worker(nc net.Conn, bw *bufio.Writer, sess *session, ver uint32
 			return
 		}
 		if it.t == MsgSubscribe || it.t == MsgSubscribeQ {
-			if s.subscribeConn(nc, bw, ver, streaming, it, work) {
+			if s.subscribeConn(nc, bw, streaming, it, work) {
 				return // push mode ran until the connection went away
 			}
 			continue // subscribe refused with an error reply; keep serving
 		}
-		t, body := s.process(cs, sess, ver, it)
+		t, body := s.process(cs, sess, it)
 		if s.cfg.WriteTimeout > 0 {
 			nc.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
 		}
@@ -464,63 +433,32 @@ func (s *Server) worker(nc net.Conn, bw *bufio.Writer, sess *session, ver uint32
 }
 
 // subscribeConn handles MsgSubscribe / MsgSubscribeQ on the connection's
-// worker. A refused subscribe (old protocol version, bad body, closed
-// service) gets an error reply and returns false so the worker keeps serving
-// requests. A successful subscribe turns the worker into the subscription's
-// pump: it acknowledges with MsgSubscribed and then streams MsgDelta (or
+// worker. A refused subscribe (bad body, unknown query, closed catalog) gets
+// an error reply and returns false so the worker keeps serving requests. A
+// successful subscribe turns the worker into the subscription's pump: it
+// acknowledges with MsgSubscribed and then streams MsgDelta (or
 // QueryID-routed MsgDeltaQ) frames — echoing the subscribe request's id —
-// until the connection or the service goes away, returning true so the
-// worker exits.
-func (s *Server) subscribeConn(nc net.Conn, bw *bufio.Writer, ver uint32, streaming *atomic.Bool, it reqItem, work <-chan reqItem) bool {
-	if minV := uint32(3); it.t == MsgSubscribeQ {
-		minV = 4
-		if ver < minV {
-			s.reply(nc, bw, MsgError, it.id, EncodeError(nil, CodeBadRequest,
-				fmt.Sprintf("subscribe-q requires protocol version 4, connection negotiated %d", ver)))
-			return false
-		}
-	} else if ver < minV {
-		s.reply(nc, bw, MsgError, it.id, EncodeError(nil, CodeBadRequest,
-			fmt.Sprintf("subscribe requires protocol version 3, connection negotiated %d", ver)))
-		return false
-	}
-	// Resolve the subscription target: a plain subscribe goes to the single
-	// service (or the catalog's default query); subscribe-q names a QueryID.
+// until the connection or the query's executor set goes away, returning true
+// so the worker exits.
+func (s *Server) subscribeConn(nc net.Conn, bw *bufio.Writer, streaming *atomic.Bool, it reqItem, work <-chan reqItem) bool {
+	// A plain subscribe goes to the default query; subscribe-q names a QueryID.
 	var req Subscribe
 	var qid catalog.QueryID
 	var err error
-	switch {
-	case it.t == MsgSubscribeQ:
-		if s.cat == nil {
-			s.reply(nc, bw, MsgError, it.id, EncodeError(nil, CodeBadRequest, "server is not a catalog"))
-			return false
-		}
+	if it.t == MsgSubscribeQ {
 		qid, req, err = DecodeSubscribeQ(it.body)
-	default:
-		req, err = DecodeSubscribe(it.body)
-		if err == nil && s.cat != nil {
-			var derr error
-			if qid, derr = s.defaultQuery(); derr != nil {
-				s.reply(nc, bw, MsgError, it.id, EncodeError(nil, CodeBadRequest, derr.Error()))
-				return false
-			}
-		}
+	} else if req, err = DecodeSubscribe(it.body); err == nil {
+		qid, err = s.defaultQuery()
 	}
 	if err != nil {
 		s.reply(nc, bw, MsgError, it.id, EncodeError(nil, CodeBadRequest, err.Error()))
 		return false
 	}
 	opt := serve.SubOptions{Keys: req.Keys, Resume: req.Resume, ResumeEpoch: req.Epoch}
-	var sub *serve.Subscription
 	var epoch uint64
-	if s.cat != nil {
-		if sub, err = s.cat.Subscribe(qid, opt); err == nil {
-			epoch, err = s.cat.Epoch(qid)
-		}
-	} else {
-		if sub, err = s.svc.Subscribe(opt); err == nil {
-			epoch = s.svc.Epoch()
-		}
+	sub, err := s.cat.Subscribe(qid, opt)
+	if err == nil {
+		epoch, err = s.cat.Epoch(qid)
 	}
 	if err != nil {
 		t, body := errReply(err)
@@ -542,7 +480,7 @@ func (s *Server) subscribeConn(nc net.Conn, bw *bufio.Writer, ver uint32, stream
 		s.reply(nc, bw, MsgError, it.id, EncodeError(nil, CodeClosed, ""))
 		return false
 	}
-	ack := EncodeSubscribed(nil, Subscribed{Shards: uint32(s.shardCount()), Epoch: epoch})
+	ack := EncodeSubscribed(nil, Subscribed{Shards: uint32(s.cat.Shards()), Epoch: epoch})
 	if err := s.reply(nc, bw, MsgSubscribed, it.id, ack); err != nil {
 		s.drainWork(work)
 		return true
@@ -605,36 +543,15 @@ func (s *Server) drainWork(work <-chan reqItem) {
 	}
 }
 
-// catalogOnly reports whether a request type exists only in the version-4
-// catalog message set.
-func catalogOnly(t MsgType) bool {
-	switch t {
-	case MsgRegister, MsgUnregister, MsgListQueries, MsgExplain, MsgResultQ, MsgGroupedQ, MsgSubscribeQ:
-		return true
-	}
-	return false
-}
-
 // process executes one request and returns the reply. Replies on the hot
 // paths (acks, scalar results) are built in cs.body; error replies are cold
 // and allocate.
-func (s *Server) process(cs *connScratch, sess *session, ver uint32, it reqItem) (MsgType, []byte) {
+func (s *Server) process(cs *connScratch, sess *session, it reqItem) (MsgType, []byte) {
 	if it.shed {
 		return MsgError, EncodeError(nil, CodeOverloaded, "admission limiter saturated")
 	}
-	if s.cfg.ReadOnly && needsToken(it.t) {
+	if s.cat.ReadOnly() && needsToken(it.t) {
 		return MsgError, EncodeError(nil, CodeReadOnly, "server is a read-only replica")
-	}
-	if catalogOnly(it.t) {
-		// The v4 messages follow the v3 downgrade style: a connection that
-		// negotiated an older version is refused per message, not torn down.
-		if ver < 4 {
-			return MsgError, EncodeError(nil, CodeBadRequest,
-				fmt.Sprintf("%s requires protocol version 4, connection negotiated %d", it.t, ver))
-		}
-		if s.cat == nil {
-			return MsgError, EncodeError(nil, CodeBadRequest, "server is not a catalog")
-		}
 	}
 	switch it.t {
 	case MsgApply:
@@ -642,23 +559,10 @@ func (s *Server) process(cs *connScratch, sess *session, ver uint32, it reqItem)
 		if err != nil {
 			return MsgError, EncodeError(nil, CodeBadRequest, err.Error())
 		}
-		if s.cat != nil {
-			// Catalog ingest is all-queries-atomic, so there is no per-shard
-			// TryApply; the admission limiter already bounds the blocking.
-			if err := s.cat.Apply(ev); err != nil {
-				return errReply(err)
-			}
-			cs.body = EncodeAck(cs.body[:0], 1)
-			return MsgAck, cs.body
-		}
-		switch err := s.svc.TryApply(ev); {
-		case errors.Is(err, serve.ErrBusy):
-			s.shed.Add(1)
-			return MsgError, EncodeError(nil, CodeOverloaded, "shard queue full")
-		case errors.Is(err, serve.ErrClosed):
-			return MsgError, EncodeError(nil, CodeClosed, "")
-		case err != nil:
-			return MsgError, EncodeError(nil, CodeInternal, err.Error())
+		// Catalog ingest is all-queries-atomic, so there is no per-shard
+		// TryApply; the admission limiter already bounds the blocking.
+		if err := s.cat.Apply(ev); err != nil {
+			return errReply(err)
 		}
 		cs.body = EncodeAck(cs.body[:0], 1)
 		return MsgAck, cs.body
@@ -667,61 +571,39 @@ func (s *Server) process(cs *connScratch, sess *session, ver uint32, it reqItem)
 		return s.processBatch(cs, sess, it.body)
 
 	case MsgDrain:
-		var err error
-		if s.cat != nil {
-			err = s.cat.DrainAll()
-		} else {
-			err = s.svc.Drain()
-		}
-		if err != nil {
+		if err := s.cat.DrainAll(); err != nil {
 			return errReply(err)
 		}
 		return MsgAck, EncodeAck(nil, 0)
 
-	case MsgResult:
-		if s.cat != nil {
-			id, err := s.defaultQuery()
-			if err != nil {
-				return MsgError, EncodeError(nil, CodeBadRequest, err.Error())
-			}
-			v, err := s.cat.Result(id)
-			if err != nil {
-				return errReply(err)
-			}
-			cs.body = EncodeScalar(cs.body[:0], v)
-			return MsgScalar, cs.body
+	case MsgResult, MsgResultQ:
+		id, err := s.queryID(it)
+		if err != nil {
+			return MsgError, EncodeError(nil, CodeBadRequest, err.Error())
 		}
-		cs.body = EncodeScalar(cs.body[:0], s.svc.Result())
+		v, err := s.cat.Result(id)
+		if err != nil {
+			return errReply(err)
+		}
+		cs.body = EncodeScalar(cs.body[:0], v)
 		return MsgScalar, cs.body
 
-	case MsgResultGrouped:
-		if s.cat != nil {
-			id, err := s.defaultQuery()
-			if err != nil {
-				return MsgError, EncodeError(nil, CodeBadRequest, err.Error())
-			}
-			groups, err := s.cat.ResultGrouped(id)
-			if err != nil {
-				return errReply(err)
-			}
-			return MsgGrouped, EncodeGrouped(nil, groups)
+	case MsgResultGrouped, MsgGroupedQ:
+		id, err := s.queryID(it)
+		if err != nil {
+			return MsgError, EncodeError(nil, CodeBadRequest, err.Error())
 		}
-		return MsgGrouped, EncodeGrouped(nil, s.svc.ResultGrouped())
+		groups, err := s.cat.ResultGrouped(id)
+		if err != nil {
+			return errReply(err)
+		}
+		return MsgGrouped, EncodeGrouped(nil, groups)
 
 	case MsgStats:
-		return s.processStats(ver)
+		return s.processStats()
 
 	case MsgCheckpoint:
-		if s.cat != nil {
-			if err := s.cat.Checkpoint(); err != nil {
-				return errReply(err)
-			}
-			return MsgAck, EncodeAck(nil, 0)
-		}
-		if s.cfg.DataDir == "" {
-			return MsgError, EncodeError(nil, CodeBadRequest, "server has no data dir")
-		}
-		if err := s.svc.Checkpoint(s.cfg.DataDir); err != nil {
+		if err := s.cat.Checkpoint(); err != nil {
 			return errReply(err)
 		}
 		return MsgAck, EncodeAck(nil, 0)
@@ -739,7 +621,7 @@ func (s *Server) process(cs *connScratch, sess *session, ver uint32, it reqItem)
 			// Parse and plan failures carry positions worth relaying verbatim.
 			return MsgError, EncodeError(nil, CodeBadRequest, err.Error())
 		}
-		return MsgRegistered, EncodeExplainAt(nil, ex, ver)
+		return MsgRegistered, EncodeExplain(nil, ex)
 
 	case MsgUnregister:
 		id, err := DecodeQueryID(it.body)
@@ -755,7 +637,7 @@ func (s *Server) process(cs *connScratch, sess *session, ver uint32, it reqItem)
 		if len(it.body) != 0 {
 			return MsgError, EncodeError(nil, CodeBadRequest, "list-queries takes no body")
 		}
-		return MsgQueryList, EncodeQueryListAt(nil, s.cat.List(), ver)
+		return MsgQueryList, EncodeQueryList(nil, s.cat.List())
 
 	case MsgExplain:
 		id, err := DecodeQueryID(it.body)
@@ -766,63 +648,41 @@ func (s *Server) process(cs *connScratch, sess *session, ver uint32, it reqItem)
 		if err != nil {
 			return errReply(err)
 		}
-		return MsgExplained, EncodeExplainAt(nil, ex, ver)
-
-	case MsgResultQ:
-		id, err := DecodeQueryID(it.body)
-		if err != nil {
-			return MsgError, EncodeError(nil, CodeBadRequest, err.Error())
-		}
-		v, err := s.cat.Result(id)
-		if err != nil {
-			return errReply(err)
-		}
-		cs.body = EncodeScalar(cs.body[:0], v)
-		return MsgScalar, cs.body
-
-	case MsgGroupedQ:
-		id, err := DecodeQueryID(it.body)
-		if err != nil {
-			return MsgError, EncodeError(nil, CodeBadRequest, err.Error())
-		}
-		groups, err := s.cat.ResultGrouped(id)
-		if err != nil {
-			return errReply(err)
-		}
-		return MsgGrouped, EncodeGrouped(nil, groups)
+		return MsgExplained, EncodeExplain(nil, ex)
 	}
 	return MsgError, EncodeError(nil, CodeBadRequest, fmt.Sprintf("unknown request type %d", it.t))
 }
 
-// processStats builds the stats reply: daemon counters, the shard table (the
-// catalog's default query in catalog mode), and — on version-4 catalog
-// connections only — the per-query counter table. Pre-v4 connections get the
-// exact v2/v3 layout, whose decoder rejects trailing bytes.
-func (s *Server) processStats(ver uint32) (MsgType, []byte) {
-	st := Stats{Server: s.Stats()}
-	if s.cat == nil {
-		st.Shards = s.svc.Stats()
-		return MsgStatsReply, EncodeStats(nil, st)
+// queryID resolves the query a read addresses: the QueryID in the body of a
+// routed read, the catalog's default query for the un-routed shorthand.
+func (s *Server) queryID(it reqItem) (catalog.QueryID, error) {
+	if it.t == MsgResultQ || it.t == MsgGroupedQ {
+		return DecodeQueryID(it.body)
 	}
+	return s.defaultQuery()
+}
+
+// processStats builds the stats reply: daemon counters, the default query's
+// shard table, and the per-query counter table.
+func (s *Server) processStats() (MsgType, []byte) {
+	st := Stats{Server: s.Stats()}
 	if id, err := s.defaultQuery(); err == nil {
 		if sh, err := s.cat.ShardStats(id); err == nil {
 			st.Shards = sh
 		}
 	}
-	if ver >= 4 {
-		qs := s.cat.Stats()
-		st.Queries = make([]QueryStats, 0, len(qs))
-		for _, q := range qs {
-			st.Queries = append(st.Queries, QueryStats{
-				ID:          uint64(q.ID),
-				SetID:       q.SetID,
-				Applied:     q.Applied,
-				Rejected:    q.Rejected,
-				Subscribers: uint64(q.Subscribers),
-				Strategy:    q.Strategy,
-				SQL:         q.SQL,
-			})
-		}
+	qs := s.cat.Stats()
+	st.Queries = make([]QueryStats, 0, len(qs))
+	for _, q := range qs {
+		st.Queries = append(st.Queries, QueryStats{
+			ID:          uint64(q.ID),
+			SetID:       q.SetID,
+			Applied:     q.Applied,
+			Rejected:    q.Rejected,
+			Subscribers: uint64(q.Subscribers),
+			Strategy:    q.Strategy,
+			SQL:         q.SQL,
+		})
 	}
 	return MsgStatsReply, EncodeStats(nil, st)
 }
@@ -859,19 +719,12 @@ func (s *Server) processBatch(cs *connScratch, sess *session, body []byte) (MsgT
 				fmt.Sprintf("batch seq %d after %d", seq, sess.lastSeq))
 		}
 	}
-	// Hand the whole decoded batch to the service's batched ingest: it is
-	// routed shard by shard and applied through the executors' native
-	// ApplyBatch paths, with results bit-identical to per-event Apply. In
-	// catalog mode the batch fans out to every registered query behind one
-	// WAL append.
-	var applyErr error
-	if s.cat != nil {
-		applyErr = s.cat.ApplyBatch(events)
-	} else {
-		applyErr = s.svc.ApplyBatch(events)
-	}
-	if applyErr != nil {
-		return errReply(applyErr)
+	// Hand the whole decoded batch to the catalog's batched ingest: one WAL
+	// append, then a fan-out to every registered query's executors through
+	// their native ApplyBatch paths, with results bit-identical to per-event
+	// Apply.
+	if err := s.cat.ApplyBatch(events); err != nil {
+		return errReply(err)
 	}
 	if seq != 0 && sess != nil {
 		sess.lastSeq = seq
@@ -885,7 +738,7 @@ func errReply(err error) (MsgType, []byte) {
 	switch {
 	case errors.Is(err, serve.ErrClosed), errors.Is(err, catalog.ErrClosed):
 		return MsgError, EncodeError(nil, CodeClosed, "")
-	case errors.Is(err, catalog.ErrUnknownQuery):
+	case errors.Is(err, catalog.ErrUnknownQuery), errors.Is(err, catalog.ErrNotDurable):
 		return MsgError, EncodeError(nil, CodeBadRequest, err.Error())
 	case errors.Is(err, io.EOF):
 		return MsgError, EncodeError(nil, CodeInternal, "unexpected EOF")

@@ -5,9 +5,12 @@ import (
 	"io"
 	"math/rand"
 	"net"
+	"os"
 	"testing"
 	"time"
 
+	"rpai/internal/catalog"
+	"rpai/internal/checkpoint"
 	"rpai/internal/engine"
 	"rpai/internal/query"
 	"rpai/internal/serve"
@@ -53,15 +56,33 @@ func symEvents(seed int64, n, partitions int) []engine.Event {
 	return out
 }
 
-// startServer boots a Server over svc on a loopback listener and returns its
-// address. Cleanup closes the server, then the service.
-func startServer(t *testing.T, svc *serve.Service[engine.Event], cfg ServerConfig) string {
+// vwapSQL is vwapSpec as SQL, the one query of the single-query tests.
+const vwapSQL = catSQLVWAP
+
+// oneQueryCatalog builds a catalog serving exactly vwapSQL — what rpaiserver
+// -query boots — so the un-routed reads and subscriptions address it.
+func oneQueryCatalog(t *testing.T, opt catalog.Options) *catalog.Service {
+	t.Helper()
+	opt.PartitionBy = []string{"sym"}
+	cat, err := catalog.New(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := cat.Register(vwapSQL); err != nil {
+		t.Fatal(err)
+	}
+	return cat
+}
+
+// bootServer starts a Server over cat on a loopback listener. Cleanup closes
+// the server, then the catalog.
+func bootServer(t *testing.T, cat *catalog.Service, cfg ServerConfig) (*Server, string) {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := NewServer(svc, cfg)
+	srv := NewCatalogServer(cat, cfg)
 	done := make(chan error, 1)
 	go func() { done <- srv.Serve(ln) }()
 	t.Cleanup(func() {
@@ -69,9 +90,15 @@ func startServer(t *testing.T, svc *serve.Service[engine.Event], cfg ServerConfi
 		if err := <-done; err != nil {
 			t.Errorf("Serve: %v", err)
 		}
-		svc.Close()
+		cat.Close()
 	})
-	return ln.Addr().String()
+	return srv, ln.Addr().String()
+}
+
+func startServer(t *testing.T, cat *catalog.Service, cfg ServerConfig) string {
+	t.Helper()
+	_, addr := bootServer(t, cat, cfg)
+	return addr
 }
 
 // rawConn is a frame-level test client: no pipelining, no reconnects, so the
@@ -83,12 +110,6 @@ type rawConn struct {
 }
 
 func dialRaw(t *testing.T, addr string, session byte) *rawConn {
-	return dialRawVersion(t, addr, session, Version)
-}
-
-// dialRawVersion offers exactly one protocol version in the hello and asserts
-// the welcome echoes it back — the downgrade contract.
-func dialRawVersion(t *testing.T, addr string, session byte, version uint32) *rawConn {
 	t.Helper()
 	nc, err := net.DialTimeout("tcp", addr, 5*time.Second)
 	if err != nil {
@@ -98,7 +119,7 @@ func dialRawVersion(t *testing.T, addr string, session byte, version uint32) *ra
 	rc := &rawConn{t: t, nc: nc}
 	var sess [SessionIDLen]byte
 	sess[0] = session
-	rc.send(MsgHello, EncodeHello(nil, Hello{Version: version, Session: sess}))
+	rc.send(MsgHello, EncodeHello(nil, Hello{Version: Version, Session: sess}))
 	tp, _, body := rc.recv()
 	if tp != MsgWelcome {
 		t.Fatalf("handshake reply %s, want welcome", tp)
@@ -107,8 +128,8 @@ func dialRawVersion(t *testing.T, addr string, session byte, version uint32) *ra
 	if err != nil {
 		t.Fatal(err)
 	}
-	if w.Version != version {
-		t.Fatalf("welcome echoes version %d, want the offered %d", w.Version, version)
+	if w.Version != Version {
+		t.Fatalf("welcome carries version %d, want %d", w.Version, Version)
 	}
 	return rc
 }
@@ -161,9 +182,9 @@ func encodeEvents(events []engine.Event) [][]byte {
 	return out
 }
 
-// TestServerRoundtrip drives the full request catalogue over one loopback
-// connection and checks the networked results are bit-identical to an
-// in-process service fed the same trace.
+// TestServerRoundtrip drives the un-routed request catalogue over one
+// loopback connection to a one-query catalog and checks the networked results
+// are bit-identical to an in-process service fed the same trace.
 func TestServerRoundtrip(t *testing.T) {
 	q := vwapSpec()
 	events := symEvents(11, 2000, 17)
@@ -182,11 +203,7 @@ func TestServerRoundtrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	svc, err := serve.ForQuery(q, []string{"sym"}, serve.Options{Shards: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := startServer(t, svc, ServerConfig{Query: "vwap"})
+	addr := startServer(t, oneQueryCatalog(t, catalog.Options{Shards: 4}), ServerConfig{Query: "vwap"})
 	rc := dialRaw(t, addr, 1)
 
 	// One single apply, then the rest in sequenced batches of 256.
@@ -270,96 +287,33 @@ func TestServerRoundtrip(t *testing.T) {
 	}
 }
 
-// gateExec wedges its shard: Apply blocks until the gate closes.
-type gateExec struct {
-	gate <-chan struct{}
-	n    float64
-}
-
-func (g *gateExec) Apply(engine.Event) { <-g.gate; g.n++ }
-func (g *gateExec) Result() float64    { return g.n }
-
-// gatedService builds a one-shard service whose executor blocks on gate.
-func gatedService(t *testing.T, gate <-chan struct{}, queueLen int) *serve.Service[engine.Event] {
-	t.Helper()
-	svc, err := serve.New(serve.Config[engine.Event]{
-		Shards:   1,
-		QueueLen: queueLen,
-		Partition: func(e engine.Event, buf []float64) []float64 {
-			return append(buf, e.Tuple["sym"])
-		},
-		New: func([]float64) serve.Executor[engine.Event] { return &gateExec{gate: gate} },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return svc
-}
-
-// TestServerOverloadSheds saturates the admission limiter through a wedged
-// shard and asserts the overload contract: work is shed with CodeOverloaded,
-// read-only requests still go through, and the stats RPC reports the shed
-// count, a bounded in-flight gauge and a bounded shard queue.
+// TestServerOverloadSheds saturates the admission limiter and asserts the
+// overload contract: work is shed with CodeOverloaded, read-only requests
+// still go through, and the stats RPC reports the shed count and a bounded
+// in-flight gauge. The limiter is saturated by holding its tokens directly —
+// what requests stuck inside the catalog would do — because nothing a client
+// can send wedges a catalog on demand.
 func TestServerOverloadSheds(t *testing.T) {
-	gate := make(chan struct{})
-	const queueLen = 8
-	svc := gatedService(t, gate, queueLen)
-	addr := startServer(t, svc, ServerConfig{MaxInFlight: 2, PerConnQueue: 4})
-
+	srv, addr := bootServer(t, oneQueryCatalog(t, catalog.Options{}), ServerConfig{MaxInFlight: 2, PerConnQueue: 4})
 	ev := engine.EncodeEvent(nil, engine.Insert(query.Tuple{"sym": 1, "price": 2, "volume": 3}))
 	batch := EncodeBatch(nil, 0, [][]byte{ev})
 
-	// Wedge the shard directly: the worker drains its first batch and blocks
-	// applying it, and the queue behind it fills until admission reports
-	// busy. The double-check tolerates the startup race where TryApply sees
-	// a full queue that the worker is still about to drain.
-	wedgeEv := engine.Insert(query.Tuple{"sym": 1, "price": 2, "volume": 3})
-	for {
-		err := svc.TryApply(wedgeEv)
-		if errors.Is(err, serve.ErrBusy) {
-			time.Sleep(time.Millisecond)
-			if errors.Is(svc.TryApply(wedgeEv), serve.ErrBusy) {
-				break
-			}
-			continue
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	// Connection A's batches block enqueueing onto the full shard — the
-	// first inside ApplyBatch, the second queued behind it — so both
-	// admission tokens stay held.
-	wedge := dialRaw(t, addr, 2)
-	wedge.send(MsgApplyBatch, batch)
-	wedge.send(MsgApplyBatch, batch)
-
-	// Wait until both tokens are actually held.
-	deadline := time.Now().Add(5 * time.Second)
 	probe := dialRaw(t, addr, 3)
-	for {
-		probe.send(MsgStats, nil)
-		_, _, body := probe.recv()
-		st, err := DecodeStats(body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st.Server.InFlight == 2 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("limiter never saturated: %+v", st.Server)
-		}
-		time.Sleep(time.Millisecond)
+	probe.send(MsgApplyBatch, batch)
+	if tp, _, _ := probe.recv(); tp != MsgAck {
+		t.Fatalf("batch below the limit replied %s", tp)
 	}
+	srv.tokens <- struct{}{}
+	srv.tokens <- struct{}{}
 
-	// Work on connection B must now be shed immediately.
+	// Work must now be shed immediately.
 	probe.send(MsgApplyBatch, batch)
 	probe.errCode(CodeOverloaded)
 	probe.send(MsgApply, ev)
 	probe.errCode(CodeOverloaded)
 	probe.send(MsgDrain, nil)
+	probe.errCode(CodeOverloaded)
+	probe.send(MsgRegister, EncodeRegister(nil, catSQLEq))
 	probe.errCode(CodeOverloaded)
 
 	// Reads bypass the limiter: the server stays observable while saturated.
@@ -373,24 +327,19 @@ func TestServerOverloadSheds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Server.Shed < 3 {
-		t.Fatalf("shed counter %d, want >= 3", st.Server.Shed)
+	if st.Server.Shed != 4 || st.Server.Accepted != 1 || st.Server.InFlight != 2 {
+		t.Fatalf("saturated server stats %+v, want 4 shed, 1 accepted, 2 in flight", st.Server)
 	}
-	if st.Server.InFlight > 2 {
-		t.Fatalf("in-flight %d exceeds limiter 2", st.Server.InFlight)
-	}
-	for _, sh := range st.Shards {
-		if sh.QueueDepth > queueLen {
-			t.Fatalf("shard queue depth %d exceeds bound %d", sh.QueueDepth, queueLen)
-		}
+	if len(st.Queries) != 1 || st.Queries[0].Applied != 1 {
+		t.Fatalf("shed work reached the catalog: %+v", st.Queries)
 	}
 
-	// Open the gate: the wedged batches complete and normal service resumes.
-	close(gate)
-	for i := 0; i < 2; i++ {
-		if tp, _, _ := wedge.recv(); tp != MsgAck {
-			t.Fatalf("wedged batch reply %s after gate opened", tp)
-		}
+	// Release the tokens: normal service resumes.
+	<-srv.tokens
+	<-srv.tokens
+	probe.send(MsgApplyBatch, batch)
+	if tp, _, _ := probe.recv(); tp != MsgAck {
+		t.Fatalf("batch after recovery replied %s", tp)
 	}
 	probe.send(MsgDrain, nil)
 	if tp, _, _ := probe.recv(); tp != MsgAck {
@@ -398,35 +347,34 @@ func TestServerOverloadSheds(t *testing.T) {
 	}
 }
 
-// TestServerVersionMismatch pins the handshake refusal.
+// TestServerVersionMismatch pins the handshake refusal: there is one
+// protocol version, and a hello carrying any other — newer, or one of the
+// retired versions 2 through 4 — gets CodeVersion.
 func TestServerVersionMismatch(t *testing.T) {
-	q := vwapSpec()
-	svc, err := serve.ForQuery(q, []string{"sym"}, serve.Options{Shards: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := startServer(t, svc, ServerConfig{})
-	nc, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer nc.Close()
-	hello := EncodeHello(nil, Hello{Version: Version + 7})
-	if err := WriteFrame(nc, EncodeMsg(nil, MsgHello, 0, hello)); err != nil {
-		t.Fatal(err)
-	}
-	nc.SetReadDeadline(time.Now().Add(5 * time.Second))
-	payload, err := ReadFrame(nc, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tp, _, body, err := DecodeMsg(payload)
-	if err != nil || tp != MsgError {
-		t.Fatalf("reply %s (err %v), want error", tp, err)
-	}
-	code, _, err := DecodeError(body)
-	if err != nil || code != CodeVersion {
-		t.Fatalf("code %d (err %v), want CodeVersion", code, err)
+	addr := startServer(t, oneQueryCatalog(t, catalog.Options{}), ServerConfig{})
+	for _, v := range []uint32{Version + 7, Version + 1, 4, 3, 2, 0} {
+		nc, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer nc.Close()
+		hello := EncodeHello(nil, Hello{Version: v})
+		if err := WriteFrame(nc, EncodeMsg(nil, MsgHello, 0, hello)); err != nil {
+			t.Fatal(err)
+		}
+		nc.SetReadDeadline(time.Now().Add(5 * time.Second))
+		payload, err := ReadFrame(nc, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tp, _, body, err := DecodeMsg(payload)
+		if err != nil || tp != MsgError {
+			t.Fatalf("hello v%d: reply %s (err %v), want error", v, tp, err)
+		}
+		code, _, err := DecodeError(body)
+		if err != nil || code != CodeVersion {
+			t.Fatalf("hello v%d: code %d (err %v), want CodeVersion", v, code, err)
+		}
 	}
 }
 
@@ -434,12 +382,7 @@ func TestServerVersionMismatch(t *testing.T) {
 // and checks it tears those connections down without disturbing a well-
 // behaved one.
 func TestServerSurvivesGarbage(t *testing.T) {
-	q := vwapSpec()
-	svc, err := serve.ForQuery(q, []string{"sym"}, serve.Options{Shards: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := startServer(t, svc, ServerConfig{MaxFrame: 1 << 16})
+	addr := startServer(t, oneQueryCatalog(t, catalog.Options{Shards: 2}), ServerConfig{MaxFrame: 1 << 16})
 
 	send := func(raw []byte) {
 		t.Helper()
@@ -485,17 +428,13 @@ func TestServerSurvivesGarbage(t *testing.T) {
 	}
 }
 
-// TestServerCheckpointRPC triggers a checkpoint over the wire and recovers a
-// fresh service from it.
+// TestServerCheckpointRPC triggers a checkpoint over the wire: the data
+// directory rotates to generation 2, and a follower opened on it serves what
+// the server does.
 func TestServerCheckpointRPC(t *testing.T) {
-	q := vwapSpec()
 	dir := t.TempDir()
 	events := symEvents(13, 600, 7)
-	svc, err := serve.ForQuery(q, []string{"sym"}, serve.Options{Shards: 2, Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := startServer(t, svc, ServerConfig{DataDir: dir})
+	addr := startServer(t, oneQueryCatalog(t, catalog.Options{Shards: 2, Dir: dir}), ServerConfig{})
 	rc := dialRaw(t, addr, 5)
 	rc.send(MsgApplyBatch, EncodeBatch(nil, 1, encodeEvents(events)))
 	if tp, _, _ := rc.recv(); tp != MsgAck {
@@ -511,13 +450,24 @@ func TestServerCheckpointRPC(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if _, err := os.Stat(checkpoint.WALPath(dir, 2, 0)); err != nil {
+		t.Fatalf("no generation-2 WAL after the checkpoint RPC: %v", err)
+	}
+	if _, err := os.Stat(checkpoint.WALPath(dir, 1, 0)); !os.IsNotExist(err) {
+		t.Fatalf("generation-1 WAL survived the rotation (stat: %v)", err)
+	}
 
-	rec, err := serve.RecoverForQuery(dir, q, []string{"sym"}, serve.Options{Shards: 3, Dir: dir})
+	fol, err := catalog.Follow(catalog.Options{Dir: dir, Shards: 3}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer rec.Close()
-	if got := rec.Result(); got != want {
-		t.Fatalf("recovered Result = %v, want %v", got, want)
+	defer fol.Close()
+	if got, err := fol.Result(1); err != nil || got != want {
+		t.Fatalf("checkpointed Result = %v (%v), want %v", got, err, want)
 	}
+
+	// Without a data directory the RPC is refused, not acknowledged.
+	plain := dialRaw(t, startServer(t, oneQueryCatalog(t, catalog.Options{}), ServerConfig{}), 6)
+	plain.send(MsgCheckpoint, nil)
+	plain.errCode(CodeBadRequest)
 }

@@ -2,10 +2,10 @@ package wire
 
 import (
 	"math"
-	"net"
 	"testing"
 	"time"
 
+	"rpai/internal/catalog"
 	"rpai/internal/engine"
 	"rpai/internal/serve"
 )
@@ -51,13 +51,17 @@ func subscribeRaw(t *testing.T, rc *rawConn, req Subscribe, wantShards uint32) (
 }
 
 // catchUpView reads pushed MsgDelta frames off rc into view until every shard
-// reaches its target version, then asserts the view reconstructs the
-// service's grouped results bit-identically.
+// reaches its target version, then asserts the view reconstructs the default
+// query's grouped results bit-identically.
 func catchUpView(t *testing.T, rc *rawConn, subID uint64, view *serve.View,
-	svc *serve.Service[engine.Event], what string) {
+	cat *catalog.Service, what string) {
 	t.Helper()
+	versions, err := cat.ShardVersions(1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	target := make(map[int]uint64)
-	for _, sv := range svc.ShardVersions() {
+	for _, sv := range versions {
 		target[sv.Shard] = sv.Version
 	}
 	caughtUp := func() bool {
@@ -85,7 +89,11 @@ func catchUpView(t *testing.T, rc *rawConn, subID uint64, view *serve.View,
 			t.Fatalf("%s: %v", what, err)
 		}
 	}
-	if got, want := view.Grouped(), svc.ResultGrouped(); !wireGroupsIdentical(got, want) {
+	want, err := cat.ResultGrouped(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := view.Grouped(); !wireGroupsIdentical(got, want) {
 		t.Fatalf("%s: subscriber view diverged:\n got %v\nwant %v", what, got, want)
 	}
 }
@@ -96,12 +104,8 @@ func catchUpView(t *testing.T, rc *rawConn, subID uint64, view *serve.View,
 // through an idle period longer than the server's read deadline (a subscribed
 // connection legitimately goes silent and must not be torn down).
 func TestServerSubscribePush(t *testing.T) {
-	q := vwapSpec()
-	svc, err := serve.ForQuery(q, []string{"sym"}, serve.Options{Shards: 2, BatchSize: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := startServer(t, svc, ServerConfig{IdleTimeout: 100 * time.Millisecond})
+	cat := oneQueryCatalog(t, catalog.Options{Shards: 2, BatchSize: 8})
+	addr := startServer(t, cat, ServerConfig{IdleTimeout: 100 * time.Millisecond})
 
 	events := symEvents(19, 1800, 11)
 	feeder := dialRaw(t, addr, 1)
@@ -128,7 +132,7 @@ func TestServerSubscribePush(t *testing.T) {
 	sub := dialRaw(t, addr, 2)
 	subID, _ := subscribeRaw(t, sub, Subscribe{}, 2)
 	view := serve.NewView()
-	catchUpView(t, sub, subID, view, svc, "mid-stream attach")
+	catchUpView(t, sub, subID, view, cat, "mid-stream attach")
 
 	// Go silent past the idle deadline; the subscription must stay alive and
 	// keep receiving pushes afterwards. The feeder connection, by contrast,
@@ -137,85 +141,32 @@ func TestServerSubscribePush(t *testing.T) {
 	time.Sleep(300 * time.Millisecond)
 	feeder = dialRaw(t, addr, 1)
 	feed(900, len(events))
-	catchUpView(t, sub, subID, view, svc, "after idle period")
-}
-
-// TestServerHandshakeDowngrade pins the version negotiation window: a v2
-// hello is welcomed at v2 and served everything except subscriptions, and a
-// hello below MinVersion is refused with CodeVersion.
-func TestServerHandshakeDowngrade(t *testing.T) {
-	q := vwapSpec()
-	svc, err := serve.ForQuery(q, []string{"sym"}, serve.Options{Shards: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := startServer(t, svc, ServerConfig{})
-
-	// A downgraded connection keeps full v2 service...
-	rc := dialRawVersion(t, addr, 6, MinVersion)
-	rc.send(MsgApplyBatch, EncodeBatch(nil, 1,
-		encodeEvents([]engine.Event{events1()})))
-	if tp, _, _ := rc.recv(); tp != MsgAck {
-		t.Fatal("v2 batch not acked")
-	}
-	rc.send(MsgResult, nil)
-	if tp, _, _ := rc.recv(); tp != MsgScalar {
-		t.Fatal("v2 result not served")
-	}
-	// ...but v3 messages are refused without tearing the connection down.
-	rc.send(MsgSubscribe, EncodeSubscribe(nil, Subscribe{}))
-	rc.errCode(CodeBadRequest)
-	rc.send(MsgResult, nil)
-	if tp, _, _ := rc.recv(); tp != MsgScalar {
-		t.Fatal("v2 connection dead after refused subscribe")
-	}
-
-	// Below the negotiation window: refused outright.
-	nc, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer nc.Close()
-	hello := EncodeHello(nil, Hello{Version: MinVersion - 1})
-	if err := WriteFrame(nc, EncodeMsg(nil, MsgHello, 0, hello)); err != nil {
-		t.Fatal(err)
-	}
-	nc.SetReadDeadline(time.Now().Add(5 * time.Second))
-	payload, err := ReadFrame(nc, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tp, _, body, err := DecodeMsg(payload)
-	if err != nil || tp != MsgError {
-		t.Fatalf("reply %s (err %v), want error", tp, err)
-	}
-	if code, _, err := DecodeError(body); err != nil || code != CodeVersion {
-		t.Fatalf("code %d (err %v), want CodeVersion", code, err)
-	}
+	catchUpView(t, sub, subID, view, cat, "after idle period")
 }
 
 func events1() engine.Event {
 	return engine.Insert(map[string]float64{"sym": 1, "price": 4, "volume": 2})
 }
 
-// TestServerReadOnly pins the replica serving contract: every write-carrying
-// request is shed with CodeReadOnly without spending admission tokens, while
-// reads and subscriptions are served in full.
+// TestServerReadOnly pins the replica serving contract: over a follower
+// catalog every write-carrying request — registration included — is refused
+// with CodeReadOnly without spending admission tokens, while reads and
+// subscriptions are served in full.
 func TestServerReadOnly(t *testing.T) {
-	q := vwapSpec()
-	svc, err := serve.ForQuery(q, []string{"sym"}, serve.Options{Shards: 2})
+	dir := t.TempDir()
+	primary := oneQueryCatalog(t, catalog.Options{Shards: 2, Dir: dir})
+	defer primary.Close()
+	if err := primary.ApplyBatch(symEvents(23, 500, 7)); err != nil {
+		t.Fatal(err)
+	}
+	if err := primary.DrainAll(); err != nil {
+		t.Fatal(err)
+	}
+	fol, err := catalog.Follow(catalog.Options{Dir: dir, Shards: 2}, time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Pre-load state through the service itself, the way a replica's tailer
-	// does — the wire front door only serves it.
-	if err := svc.ApplyBatch(symEvents(23, 500, 7)); err != nil {
-		t.Fatal(err)
-	}
-	if err := svc.Drain(); err != nil {
-		t.Fatal(err)
-	}
-	addr := startServer(t, svc, ServerConfig{ReadOnly: true})
+	addr := startServer(t, fol, ServerConfig{})
 
 	rc := dialRaw(t, addr, 7)
 	ev := engine.EncodeEvent(nil, events1())
@@ -227,26 +178,30 @@ func TestServerReadOnly(t *testing.T) {
 	rc.errCode(CodeReadOnly)
 	rc.send(MsgCheckpoint, nil)
 	rc.errCode(CodeReadOnly)
+	rc.send(MsgRegister, EncodeRegister(nil, catSQLEq))
+	rc.errCode(CodeReadOnly)
+	rc.send(MsgUnregister, EncodeQueryID(nil, 1))
+	rc.errCode(CodeReadOnly)
 
-	// Reads still flow, bit-identical to the service.
+	// Reads still flow, bit-identical to the primary.
 	rc.send(MsgResult, nil)
 	_, _, body := rc.recv()
 	got, err := DecodeScalar(body)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := svc.Result(); got != want {
+	if want, _ := primary.Result(1); got != want {
 		t.Fatalf("read-only Result = %v, want %v", got, want)
 	}
 
-	// Shed writes never touched the admission limiter.
+	// Refused writes never touched the admission limiter.
 	rc.send(MsgStats, nil)
 	_, _, body = rc.recv()
 	st, err := DecodeStats(body)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Server.Accepted != 0 || st.Server.InFlight != 0 {
+	if st.Server.Accepted != 0 || st.Server.InFlight != 0 || st.Server.Shed != 0 {
 		t.Fatalf("read-only server spent admission tokens: %+v", st.Server)
 	}
 
@@ -255,7 +210,7 @@ func TestServerReadOnly(t *testing.T) {
 	sub := dialRaw(t, addr, 8)
 	subID, _ := subscribeRaw(t, sub, Subscribe{}, 2)
 	view := serve.NewView()
-	catchUpView(t, sub, subID, view, svc, "read-only subscribe")
+	catchUpView(t, sub, subID, view, fol, "read-only subscribe")
 }
 
 // TestDecodeDeltaMalformed is the rejection table for pushed delta frames: a

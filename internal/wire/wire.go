@@ -1,5 +1,5 @@
 // Package wire is the network protocol of the RPAI serving layer: the front
-// door that turns the in-process sharded service (internal/serve) into a
+// door that turns the in-process query catalog (internal/catalog) into a
 // daemon external applications can feed change streams to and query — the
 // deployment shape DBToaster-style IVM and DBSP both presume.
 //
@@ -33,6 +33,12 @@
 // immediately while read-only requests (result, stats) still go through, so
 // the system stays observable under load. See DESIGN.md section 5d for the
 // full message catalogue and the overload semantics.
+//
+// Reads and subscriptions come in two spellings: routed by QueryID
+// (MsgResultQ, MsgGroupedQ, MsgSubscribeQ) and un-routed (MsgResult,
+// MsgResultGrouped, MsgSubscribe), which is shorthand for the catalog's
+// default query — the lowest live QueryID, the only one under rpaiserver
+// -query.
 package wire
 
 import (
@@ -40,28 +46,11 @@ import (
 	"fmt"
 )
 
-// Version is the newest protocol version this package speaks. Version 2
-// added the per-shard BatchSize field to the stats reply; version 3 added
-// server-push subscriptions (MsgSubscribe/MsgSubscribed/MsgDelta) and the
-// read-only replica refusal (CodeReadOnly); version 4 added the multi-query
-// catalog: runtime query registration (MsgRegister/MsgUnregister/
-// MsgListQueries), EXPLAIN (MsgExplain), QueryID-routed reads and
-// subscriptions (MsgResultQ/MsgGroupedQ/MsgSubscribeQ/MsgDeltaQ), and the
-// per-query table appended to the stats reply; version 5 appends the
-// state/probe split to every EXPLAIN body — the maintained-state key, the
-// query's probe-plan rendering, its residual conjunct, and the state set's
-// founding epoch (StateKey/Probe/Residual/StateSince) — so clients of a
-// sharing catalog can see which registrations run as probe plans over one
-// state set. A v4 connection receives the v4 body unchanged.
+// Version is the protocol version this package speaks — the only one. The
+// server refuses a hello carrying any other with CodeVersion, and the client
+// offers no other; a peer built from another version of this package must be
+// rebuilt.
 const Version = 5
-
-// MinVersion is the oldest protocol version the server still accepts. The
-// handshake negotiates downward: a hello carrying any version in
-// [MinVersion, Version] is welcomed at that version, and the connection then
-// speaks only the messages that version defines (a v2 connection asking to
-// subscribe is refused with CodeBadRequest). Versions outside the window are
-// refused with CodeVersion.
-const MinVersion = 2
 
 // DefaultMaxFrame bounds a frame payload (8 MiB) unless overridden: large
 // enough for multi-thousand-event batches and wide grouped results, small
@@ -77,35 +66,35 @@ type MsgType uint8
 // Request messages (client to server).
 const (
 	MsgHello         MsgType = 1 // handshake: version + session id
-	MsgApply         MsgType = 2 // single event, fire-with-ack, load-shed when the shard queue is full
+	MsgApply         MsgType = 2 // single event, fire-with-ack
 	MsgApplyBatch    MsgType = 3 // sequenced event batch (the bulk ingestion path)
 	MsgDrain         MsgType = 4 // barrier: ack after all prior events are applied and durable
-	MsgResult        MsgType = 5 // scalar result read
-	MsgResultGrouped MsgType = 6 // per-partition grouped result read
+	MsgResult        MsgType = 5 // scalar result read (default query)
+	MsgResultGrouped MsgType = 6 // per-partition grouped result read (default query)
 	MsgStats         MsgType = 7 // server + per-shard serving counters
-	MsgCheckpoint    MsgType = 8 // trigger a checkpoint into the server's data dir
-	// MsgSubscribe (v3) registers the connection for pushed grouped-result
-	// deltas; after MsgSubscribed the server streams MsgDelta frames until the
-	// connection closes. A subscribed connection sends nothing further.
+	MsgCheckpoint    MsgType = 8 // rotate a checkpoint generation in the server's data dir
+	// MsgSubscribe registers the connection for pushed grouped-result deltas
+	// of the default query; after MsgSubscribed the server streams MsgDelta
+	// frames until the connection closes. A subscribed connection sends
+	// nothing further.
 	MsgSubscribe MsgType = 15
-	// MsgRegister (v4) registers a query at runtime on a catalog server: the
-	// body is the SQL text, the reply MsgRegistered carries the assigned
-	// QueryID and the query's EXPLAIN.
+	// MsgRegister registers a query at runtime: the body is the SQL text, the
+	// reply MsgRegistered carries the assigned QueryID and the query's EXPLAIN.
 	MsgRegister MsgType = 18
-	// MsgUnregister (v4) removes a registered query by QueryID; acknowledged
+	// MsgUnregister removes a registered query by QueryID; acknowledged
 	// with MsgAck.
 	MsgUnregister MsgType = 20
-	// MsgListQueries (v4) asks for every registered query's EXPLAIN; the
+	// MsgListQueries asks for every registered query's EXPLAIN; the
 	// reply is MsgQueryList.
 	MsgListQueries MsgType = 21
-	// MsgExplain (v4) asks for one query's EXPLAIN by QueryID; the reply is
+	// MsgExplain asks for one query's EXPLAIN by QueryID; the reply is
 	// MsgExplained.
 	MsgExplain MsgType = 23
-	// MsgResultQ / MsgGroupedQ (v4) are the QueryID-routed reads; replies are
+	// MsgResultQ / MsgGroupedQ are the QueryID-routed reads; replies are
 	// the plain MsgScalar / MsgGrouped.
 	MsgResultQ  MsgType = 25
 	MsgGroupedQ MsgType = 26
-	// MsgSubscribeQ (v4) subscribes to one registered query's delta stream:
+	// MsgSubscribeQ subscribes to one registered query's delta stream:
 	// a QueryID followed by a subscribe body. The server acknowledges with
 	// MsgSubscribed and streams MsgDeltaQ frames.
 	MsgSubscribeQ MsgType = 27
@@ -119,21 +108,21 @@ const (
 	MsgGrouped    MsgType = 12 // grouped result
 	MsgStatsReply MsgType = 13 // stats payload
 	MsgError      MsgType = 14 // typed failure reply
-	// MsgSubscribed (v3) acknowledges a subscription: shard count plus the
+	// MsgSubscribed acknowledges a subscription: shard count plus the
 	// service epoch the client quotes when resuming after a reconnect.
 	MsgSubscribed MsgType = 16
-	// MsgDelta (v3) is one pushed coalesced delta frame for one shard. Its
+	// MsgDelta is one pushed coalesced delta frame for one shard. Its
 	// request id echoes the subscribe request's id.
 	MsgDelta MsgType = 17
-	// MsgRegistered (v4) acknowledges MsgRegister: the assigned QueryID plus
+	// MsgRegistered acknowledges MsgRegister: the assigned QueryID plus
 	// the query's EXPLAIN (strategy, index kind, sharing).
 	MsgRegistered MsgType = 19
-	// MsgQueryList (v4) answers MsgListQueries with every registration's
+	// MsgQueryList answers MsgListQueries with every registration's
 	// EXPLAIN, ordered by QueryID.
 	MsgQueryList MsgType = 22
-	// MsgExplained (v4) answers MsgExplain with one query's EXPLAIN.
+	// MsgExplained answers MsgExplain with one query's EXPLAIN.
 	MsgExplained MsgType = 24
-	// MsgDeltaQ (v4) is one pushed delta frame routed by QueryID: the
+	// MsgDeltaQ is one pushed delta frame routed by QueryID: the
 	// MsgDelta body prefixed with the query's id.
 	MsgDeltaQ MsgType = 28
 )
@@ -211,7 +200,7 @@ const (
 	CodeClosed Code = 2
 	// CodeBadRequest: the request was syntactically or semantically invalid.
 	CodeBadRequest Code = 3
-	// CodeVersion: the hello's protocol version is unsupported.
+	// CodeVersion: the hello's protocol version is not Version.
 	CodeVersion Code = 4
 	// CodeSeqGap: a sequenced batch skipped ahead of the session's last
 	// applied sequence (an earlier batch was shed or lost); the client must
@@ -219,8 +208,9 @@ const (
 	CodeSeqGap Code = 5
 	// CodeInternal: an unexpected server-side failure.
 	CodeInternal Code = 6
-	// CodeReadOnly: the server is a read replica; write-carrying requests
-	// (apply, batch, drain, checkpoint) are shed. Point writes at the primary.
+	// CodeReadOnly: the server fronts a follower catalog; write-carrying
+	// requests (apply, batch, drain, checkpoint, register, unregister) are
+	// refused. Point writes at the primary.
 	CodeReadOnly Code = 7
 )
 
