@@ -1,9 +1,20 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: test test-race bench bench-core batch experiments examples fuzz fuzz-smoke race matrix matrix-smoke catalog bench-compare serve-demo lint
+.PHONY: test test-race bench bench-core batch experiments examples fuzz fuzz-smoke race matrix matrix-smoke catalog bench-compare serve-demo lint benchmark benchmark-check
 
-test:
+test: benchmark-check
 	go build ./... && go vet ./... && go test ./...
+
+# The stack benchmark (BENCHMARK.json) is a module of its own under
+# benchmark/, so nothing above compiles it. benchmark-check builds it against
+# this checkout and runs its unit tests (-o /dev/null: a bare `go build` would
+# drop the binary into benchmark/; -short skips the 1/100-scale smoke
+# pass); benchmark runs it: all four workloads, timed.
+benchmark-check:
+	cd benchmark && go build -o /dev/null ./... && go vet ./... && go test -short ./...
+
+benchmark:
+	bash benchmark/run.sh
 
 test-race:
 	go test -race ./...
@@ -14,11 +25,15 @@ race:
 bench:
 	go test -bench=. -benchmem ./...
 
-# Core-tree micro-benchmarks, pointer vs arena side by side (satellite of the
-# arena experiment; `rpaibench -exp arena` is the reportable version).
+# Core micro-benchmarks: the tree operations, pointer vs arena side by side
+# (satellite of the arena experiment; `rpaibench -exp arena` is the
+# reportable version), and the range-shift executor's per-event cost at the
+# stack benchmark's deep-index and wide-shallow tree sizes.
 bench-core:
 	go test -run '^$$' -bench 'BenchmarkTree(Put|Add|GetSum|Delete)' -benchmem \
 		-benchtime 200ms -count 3 ./internal/rpai/
+	go test -run '^$$' -bench BenchmarkRelStateApply -benchmem \
+		-benchtime 400000x -count 3 ./internal/engine/
 
 experiments:
 	go run ./cmd/rpaibench -exp all
@@ -42,6 +57,7 @@ examples:
 
 fuzz:
 	go test -fuzz FuzzTreeOps -fuzztime 30s ./internal/rpai/
+	go test -fuzz FuzzPairOps -fuzztime 30s ./internal/rpai/
 	go test -fuzz FuzzEngineDifferential -fuzztime 30s ./internal/engine/
 	go test -fuzz FuzzBatchEquivalence -fuzztime 30s ./internal/engine/
 	go test -fuzz FuzzSnapshotRoundTrip -fuzztime 30s ./internal/engine/
@@ -54,6 +70,7 @@ fuzz:
 # The 10-second smoke CI runs on every push.
 fuzz-smoke:
 	go test -fuzz FuzzTreeOps -fuzztime 10s -run '^$$' ./internal/rpai/
+	go test -fuzz FuzzPairOps -fuzztime 10s -run '^$$' ./internal/rpai/
 	go test -fuzz FuzzEngineDifferential -fuzztime 10s -run '^$$' ./internal/engine/
 	go test -fuzz FuzzBatchEquivalence -fuzztime 10s -run '^$$' ./internal/engine/
 	go test -fuzz FuzzSnapshotRoundTrip -fuzztime 10s -run '^$$' ./internal/engine/

@@ -143,6 +143,9 @@ type execSet struct {
 	snapDir  string
 	snapAt   uint64
 	rejected atomic.Uint64
+	// admit is engine.Admission(q): whether the set's executors can maintain
+	// an event. ApplyBatch asks every set before it logs a batch.
+	admit func(engine.Event) error
 }
 
 // Service is the catalog. All public methods are safe for concurrent use.
@@ -289,11 +292,16 @@ func (s *Service) Register(sql string) (QueryID, Explain, error) {
 		if err != nil {
 			return 0, Explain{}, err
 		}
+		admit, err := engine.Admission(exec)
+		if err != nil {
+			return 0, Explain{}, err
+		}
 		set = &execSet{
 			setID:    s.nextSet,
 			canon:    canon,
 			baseSQL:  sql,
 			q:        exec,
+			admit:    admit,
 			stateKey: stateKey,
 			baseKey:  baseKey,
 			svc:      svc,
@@ -607,6 +615,21 @@ func (s *Service) applyBatch(events []engine.Event) (full bool, err error) {
 	}
 	s.ingestMu.Lock()
 	defer s.ingestMu.Unlock()
+	sets := s.distinctSetsLocked()
+	// Admission comes before the log: an event some set's executor cannot
+	// maintain would take down its shard worker after the batch is already
+	// in the shared WAL, and every recovery would replay it. The whole
+	// batch is refused instead — nothing logged, nothing applied.
+	for _, set := range sets {
+		for i := range events {
+			if aerr := set.admit(events[i]); aerr != nil {
+				for _, st := range sets {
+					st.rejected.Add(uint64(len(events)))
+				}
+				return false, fmt.Errorf("catalog: batch refused: event %d: %w", i, aerr)
+			}
+		}
+	}
 	if s.dur != nil {
 		if err := s.appendWAL(events); err != nil {
 			return false, err
@@ -615,7 +638,7 @@ func (s *Service) applyBatch(events []engine.Event) (full bool, err error) {
 	}
 	s.records++
 	s.applied++
-	for _, set := range s.distinctSetsLocked() {
+	for _, set := range sets {
 		if aerr := set.svc.ApplyBatch(events); aerr != nil {
 			set.rejected.Add(uint64(len(events)))
 			if err == nil {

@@ -567,7 +567,11 @@ func restore(opt Options) (s *Service, m manifest, raw []byte, err error) {
 		if err != nil {
 			return fail(fmt.Errorf("catalog: recover set %d: %w", sid, err))
 		}
-		set := &execSet{setID: sid, canon: bq.String(), baseSQL: baseSQL, q: exec,
+		admit, err := engine.Admission(exec)
+		if err != nil {
+			return fail(fmt.Errorf("catalog: recover set %d: %w", sid, err))
+		}
+		set := &execSet{setID: sid, canon: bq.String(), baseSQL: baseSQL, q: exec, admit: admit,
 			stateKey: stateKey, baseKey: baseKey,
 			refs: make(map[QueryID]struct{}), svc: svc,
 			since: ents[0].since, founded: ents[0].founded,

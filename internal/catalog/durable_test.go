@@ -2,7 +2,9 @@ package catalog
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -10,6 +12,7 @@ import (
 
 	"rpai/internal/checkpoint"
 	"rpai/internal/engine"
+	"rpai/internal/query"
 )
 
 // catState is every registered query's scalar and grouped result, keyed by
@@ -512,4 +515,98 @@ func dirListing(t *testing.T, dir string) string {
 		t.Fatal(err)
 	}
 	return sb.String()
+}
+
+// poisonBatches are batches some registered executor cannot maintain: the
+// range-shift executor panics on a non-positive inner weight (a tuple that
+// merely omits `volume` reads as weight 0), and a non-finite column or X
+// either panics in the index or poisons a sum for good. Each hides its bad
+// event among good ones.
+func poisonBatches() map[string][]engine.Event {
+	good := func(sym float64) engine.Event {
+		return engine.Insert(query.Tuple{"sym": sym, "price": 7, "volume": 3, "a": 2})
+	}
+	with := func(bad engine.Event) []engine.Event { return []engine.Event{good(0), bad, good(1)} }
+	return map[string][]engine.Event{
+		"volume omitted":  with(engine.Insert(query.Tuple{"sym": 0, "price": 7, "a": 2})),
+		"negative volume": with(engine.Insert(query.Tuple{"sym": 0, "price": 7, "volume": -4, "a": 2})),
+		"infinite volume": with(engine.Insert(query.Tuple{"sym": 0, "price": 7, "volume": math.Inf(1), "a": 2})),
+		"NaN price":       with(engine.Insert(query.Tuple{"sym": 0, "price": math.NaN(), "volume": 3, "a": 2})),
+		"NaN X":           with(engine.Event{X: math.NaN(), Tuple: query.Tuple{"sym": 0, "price": 7, "volume": 3, "a": 2}}),
+	}
+}
+
+// TestCatalogRefusesPoisonBatch is the admission contract: a batch holding an
+// event some state set cannot maintain is refused whole with
+// engine.ErrBadEvent — nothing logged, nothing applied, every query's
+// Rejected counter moved by the batch size — the catalog keeps serving, and
+// after a restart on the same directory it recovers to the state of the good
+// batches alone. Without the check the bad event reaches the shard worker
+// after the batch is in the shared WAL: the process dies, and dies again on
+// every recovery.
+func TestCatalogRefusesPoisonBatch(t *testing.T) {
+	sqls := []string{sqlVWAP, sqlVWAP90, sqlEq, sqlNested}
+	dir := t.TempDir()
+	cat, err := New(Options{PartitionBy: []string{"sym"}, Shards: 2, BatchSize: 16, Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cat.Close()
+	for _, sql := range sqls {
+		if _, _, err := cat.Register(sql); err != nil {
+			t.Fatal(err)
+		}
+	}
+	batches := chunk(catEvents(23, 400, 3), 25)
+	half := len(batches) / 2
+	for _, b := range batches[:half] {
+		if err := cat.ApplyBatch(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := cat.DrainAll(); err != nil {
+		t.Fatal(err)
+	}
+	before, logged := readState(t, cat), walEvents(t, dir, cat.dur.gen)
+
+	var refused uint64
+	for name, bad := range poisonBatches() {
+		if err := cat.ApplyBatch(bad); !errors.Is(err, engine.ErrBadEvent) {
+			t.Fatalf("%s: ApplyBatch error %v, want engine.ErrBadEvent", name, err)
+		}
+		refused += uint64(len(bad))
+	}
+	if err := cat.DrainAll(); err != nil {
+		t.Fatal(err)
+	}
+	if d := diffState(readState(t, cat), before); d != "" {
+		t.Fatalf("a refused batch changed a result: %s", d)
+	}
+	if got := walEvents(t, dir, cat.dur.gen); got != logged {
+		t.Fatalf("refused batches reached the WAL: %d events logged, %d before", got, logged)
+	}
+	for _, st := range cat.Stats() {
+		if st.Rejected != refused {
+			t.Fatalf("query %d: Rejected %d, want %d", st.ID, st.Rejected, refused)
+		}
+	}
+
+	for _, b := range batches[half:] {
+		if err := cat.ApplyBatch(b); err != nil {
+			t.Fatalf("good batch after a refusal: %v", err)
+		}
+	}
+	if err := cat.DrainAll(); err != nil {
+		t.Fatal(err)
+	}
+	want := reference(t, sqls, batches)
+	if d := diffState(readState(t, cat), want); d != "" {
+		t.Fatalf("after the refusals: %s", d)
+	}
+	if err := cat.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if d := diffState(recoverState(t, dir), want); d != "" {
+		t.Fatalf("recovered: %s", d)
+	}
 }

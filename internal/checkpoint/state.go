@@ -146,6 +146,21 @@ func (e *Encoder) Index(idx aggindex.Index) {
 	}
 }
 
+// IndexPair encodes the two lanes of p as two consecutive RPAI index streams,
+// byte for byte what Index writes for two single-lane trees maintained under
+// p's keys with lane 0's and lane 1's values. Both streams come from one walk
+// of the tree.
+func (e *Encoder) IndexPair(p *rpai.ArenaPair) {
+	var b0, b1 bytes.Buffer
+	if e.err == nil {
+		e.err = p.Encode(&b0, &b1)
+	}
+	e.U8(idxRPAI)
+	e.Bytes(b0.Bytes())
+	e.U8(idxRPAI)
+	e.Bytes(b1.Bytes())
+}
+
 func (e *Encoder) rpaiStream(encode func(io.Writer) error) {
 	var buf bytes.Buffer
 	if e.err == nil {
@@ -166,10 +181,38 @@ func (e *Encoder) indexEntries(idx aggindex.Index) {
 	})
 }
 
+// IndexPair decodes two consecutive index streams that were maintained under
+// the same keys (written by IndexPair, or by Index twice). Two RPAI streams
+// are zipped into one two-lane tree, node by node as they are read, and a
+// difference in shape, colours or keys fails the decode; streams of any other
+// kind come back as two independent indexes and pair is nil.
+func (d *Decoder) IndexPair() (pair *rpai.ArenaPair, a, b aggindex.Index) {
+	tag := d.U8()
+	if tag != idxRPAI {
+		return nil, d.index(tag), d.Index()
+	}
+	b0 := d.Bytes()
+	if tag1 := d.U8(); d.err == nil && tag1 != idxRPAI {
+		d.Fail(fmt.Errorf("checkpoint: index pair mixes kind tags %d and %d", tag, tag1))
+	}
+	b1 := d.Bytes()
+	if d.err != nil {
+		return nil, nil, nil
+	}
+	pair, err := rpai.DecodeArenaPair(bytes.NewReader(b0), bytes.NewReader(b1))
+	if err != nil {
+		d.Fail(err)
+		return nil, nil, nil
+	}
+	return pair, nil, nil
+}
+
 // Index decodes an aggregate index written by Encoder.Index.
-func (d *Decoder) Index() aggindex.Index {
+func (d *Decoder) Index() aggindex.Index { return d.index(d.U8()) }
+
+func (d *Decoder) index(tag uint8) aggindex.Index {
 	var kind aggindex.Kind
-	switch tag := d.U8(); tag {
+	switch tag {
 	case idxRPAI:
 		// Restore into the arena representation regardless of which
 		// representation wrote the stream: the codecs are byte-identical,

@@ -228,10 +228,6 @@ func (rs *relState) probeFan(cntSide bool, consts, dst []float64) {
 		}
 		return
 	}
-	side := rs.term
-	if cntSide {
-		side = rs.cnt
-	}
 	keys, reversed := rs.fan.keysFor(consts, hasSub, base)
 	out := dst
 	if reversed {
@@ -241,16 +237,38 @@ func (rs *relState) probeFan(cntSide bool, consts, dst []float64) {
 	// defines SuffixSum that way (the tree representations do; see
 	// rpai.Tree.SuffixSum). Elsewhere each lane calls the implementation's
 	// own method, exactly as a solo aggregates() would.
-	_, isTree := side.(interface{ PrefixSums(_, _ []float64, _ bool) })
+	var side aggindex.Index // stays nil on the arena path, which probes a lane of rs.idx
+	isTree := true
+	if rs.idx == nil {
+		side = rs.term
+		if cntSide {
+			side = rs.cnt
+		}
+		_, isTree = side.(interface{ PrefixSums(_, _ []float64, _ bool) })
+	}
+	// prefixes answers every probe in one shared descent of the side and
+	// returns the side's total.
+	prefixes := func(inclusive bool) (total float64) {
+		if side != nil {
+			aggindex.PrefixSums(side, keys, out, inclusive)
+			return side.Total()
+		}
+		cntTotal, termTotal := rs.idx.Total()
+		if cntSide {
+			rs.idx.PrefixSums(0, keys, out, inclusive)
+			return cntTotal
+		}
+		rs.idx.PrefixSums(1, keys, out, inclusive)
+		return termTotal
+	}
 	switch rs.plan.thetaCorrFirst {
 	case query.Lt:
-		aggindex.PrefixSums(side, keys, out, false)
+		prefixes(false)
 	case query.Le:
-		aggindex.PrefixSums(side, keys, out, true)
+		prefixes(true)
 	case query.Gt:
 		if isTree {
-			aggindex.PrefixSums(side, keys, out, true)
-			total := side.Total()
+			total := prefixes(true)
 			for i := range out {
 				out[i] = total - out[i]
 			}
@@ -261,8 +279,7 @@ func (rs *relState) probeFan(cntSide bool, consts, dst []float64) {
 		}
 	case query.Ge:
 		if isTree {
-			aggindex.PrefixSums(side, keys, out, false)
-			total := side.Total()
+			total := prefixes(false)
 			for i := range out {
 				out[i] = total - out[i]
 			}

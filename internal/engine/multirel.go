@@ -5,6 +5,7 @@ import (
 
 	"rpai/internal/aggindex"
 	"rpai/internal/query"
+	"rpai/internal/rpai"
 	"rpai/internal/treemap"
 )
 
@@ -190,9 +191,16 @@ type relState struct {
 	thr  *subState // uncorrelated threshold subquery (nil for constants)
 
 	// PredCorrelated state: byKey maps the correlation column to summed
-	// weights; cnt/term are aggregate indexes keyed by the correlated
-	// aggregate value.
+	// weights. The count and term aggregate indexes, both keyed by the
+	// correlated aggregate value, always hold the same key set (same
+	// shifts, same Add key, deleted together), so they are the two lanes of
+	// one tree: idx lane 0 is the count, lane 1 the term sum — one index per
+	// correlated predicate, as in the paper's Algorithm 4. cnt/term hold the
+	// same two indexes apart and are built only by NewWithIndexKind with a
+	// kind other than the arena: the ablation arms, and the reference the
+	// differential fuzzers compare idx against.
 	byKey *treemap.Tree
+	idx   *rpai.ArenaPair
 	cnt   aggindex.Index
 	term  aggindex.Index
 
@@ -216,8 +224,12 @@ func newRelState(spec RelSpec, kind aggindex.Kind) (*relState, error) {
 	switch plan.kind {
 	case PredCorrelated:
 		rs.byKey = treemap.New()
-		rs.cnt = aggindex.New(kind)
-		rs.term = aggindex.New(kind)
+		if kind == aggindex.KindArena {
+			rs.idx = rpai.NewArenaPair()
+		} else {
+			rs.cnt = aggindex.New(kind)
+			rs.term = aggindex.New(kind)
+		}
 	case PredColumn:
 		rs.cntByCol = treemap.New()
 		rs.termByCol = treemap.New()
@@ -256,70 +268,54 @@ func (rs *relState) apply(t query.Tuple, x float64) {
 		}
 		// Orient by the correlation operator: <=/< index prefix sums of the
 		// weights (VWAP orientation), >=/> index suffix sums (MST
-		// orientation). The shift boundary arguments mirror the
-		// single-relation executors in package queries.
-		switch rs.plan.subOp {
-		case query.Le, query.Lt:
-			rhs := rs.byKey.PrefixSum(k)
-			if rs.plan.subOp == query.Lt {
-				rhs = rs.byKey.PrefixSumLess(k)
-			}
-			volAt, _ := rs.byKey.Get(k)
-			if rs.plan.subOp == query.Le {
-				rs.cnt.ShiftKeys(rhs-volAt, x*w)
-				rs.term.ShiftKeys(rhs-volAt, x*w)
-			} else {
-				// Strict <: the level's own key excludes its weight, like
-				// the suffix case; a fresh level can share a key with its
-				// neighbour, requiring the inclusive shift.
-				if volAt > 0 {
-					rs.cnt.ShiftKeys(rhs, x*w)
-					rs.term.ShiftKeys(rhs, x*w)
-				} else {
-					rs.cnt.ShiftKeysInclusive(rhs, x*w)
-					rs.term.ShiftKeysInclusive(rhs, x*w)
-				}
-			}
-			rs.finishCorr(t, x, term, k, rhsAfter(rhs, rs.plan.subOp, x, w))
-		case query.Ge, query.Gt:
-			rhs := rs.byKey.SuffixSum(k)
-			if rs.plan.subOp == query.Gt {
-				rhs = rs.byKey.SuffixSumGreater(k)
-			}
-			volAt, _ := rs.byKey.Get(k)
-			if rs.plan.subOp == query.Gt {
-				if volAt > 0 {
-					rs.cnt.ShiftKeys(rhs, x*w)
-					rs.term.ShiftKeys(rhs, x*w)
-				} else {
-					rs.cnt.ShiftKeysInclusive(rhs, x*w)
-					rs.term.ShiftKeysInclusive(rhs, x*w)
-				}
-			} else { // Ge: own level's weight included, like Le
-				rs.cnt.ShiftKeys(rhs-volAt, x*w)
-				rs.term.ShiftKeys(rhs-volAt, x*w)
-			}
-			rs.finishCorr(t, x, term, k, rhsAfter(rhs, rs.plan.subOp, x, w))
+		// orientation). One byKey descent yields that sum as it stood before
+		// this event and the level's weight before it, and applies the
+		// update.
+		op := rs.plan.subOp
+		strict := op == query.Lt || op == query.Gt
+		var rhs, volAt float64
+		if op == query.Le || op == query.Lt {
+			rhs, volAt, _ = rs.byKey.AddPrefix(k, x*w, strict)
+		} else {
+			rhs, volAt, _ = rs.byKey.AddSuffix(k, x*w, strict)
 		}
-		rs.byKey.Add(k, x*w)
-		if v, _ := rs.byKey.Get(k); v == 0 {
-			rs.byKey.Delete(k)
+		// The shift boundary mirrors the single-relation executors in package
+		// queries. Inclusive orientations (<=, >=) count the level's own
+		// weight in its key, so the boundary sits just below it. Strict ones
+		// exclude it; a fresh level can then share a key with its neighbour,
+		// which requires the inclusive shift.
+		if strict {
+			rs.shiftAdd(rhs, !(volAt > 0), x*w, rhs, x, x*term)
+		} else {
+			rs.shiftAdd(rhs-volAt, false, x*w, rhs+x*w, x, x*term)
 		}
 	}
 }
 
-// rhsAfter is the tuple's own aggregate key after the update: inclusive
-// orientations (Le, Ge) include the tuple's own weight; strict ones do not.
-func rhsAfter(rhs float64, op query.CmpOp, x, w float64) float64 {
-	if op == query.Le || op == query.Ge {
-		return rhs + x*w
+// shiftAdd is the aggregate-index half of one event: shift the keys above at
+// (from at, when inclusive) by d, then add (dc, dt) to the count and term
+// under key, dropping the key when its count returns to zero.
+func (rs *relState) shiftAdd(at float64, inclusive bool, d, key, dc, dt float64) {
+	if p := rs.idx; p != nil {
+		if inclusive {
+			p.ShiftKeysInclusive(at, d)
+		} else {
+			p.ShiftKeys(at, d)
+		}
+		if c, _ := p.Add(key, dc, dt); c == 0 {
+			p.Delete(key)
+		}
+		return
 	}
-	return rhs
-}
-
-func (rs *relState) finishCorr(t query.Tuple, x, term, k, key float64) {
-	rs.cnt.Add(key, x)
-	rs.term.Add(key, x*term)
+	if inclusive {
+		rs.cnt.ShiftKeysInclusive(at, d)
+		rs.term.ShiftKeysInclusive(at, d)
+	} else {
+		rs.cnt.ShiftKeys(at, d)
+		rs.term.ShiftKeys(at, d)
+	}
+	rs.cnt.Add(key, dc)
+	rs.term.Add(key, dt)
 	if v, ok := rs.cnt.Get(key); ok && v == 0 {
 		rs.cnt.Delete(key)
 		rs.term.Delete(key)
@@ -360,6 +356,20 @@ func (rs *relState) aggregates() (cnt, sum float64) {
 	}
 	if rs.plan.kind == PredColumn {
 		return pick(treeSums{rs.cntByCol}, treeSums{rs.termByCol})
+	}
+	if p := rs.idx; p != nil {
+		// Both lanes from one descent.
+		switch rs.plan.thetaCorrFirst {
+		case query.Lt:
+			return p.GetSumLess(thr)
+		case query.Le:
+			return p.GetSum(thr)
+		case query.Gt:
+			return p.SuffixSumGreater(thr)
+		case query.Ge:
+			return p.SuffixSum(thr)
+		}
+		panic("engine: equality thresholds are not part of the multi-relation shape")
 	}
 	return pick(rs.cnt, rs.term)
 }

@@ -423,9 +423,15 @@ func snapRelState(e *checkpoint.Encoder, rs *relState) {
 	e.U8(uint8(rs.plan.kind))
 	switch rs.plan.kind {
 	case PredCorrelated:
+		// Two index streams either way: the pair writes each lane as the
+		// stream the single-lane tree it replaces would write.
 		e.TreeMap(rs.byKey)
-		e.Index(rs.cnt)
-		e.Index(rs.term)
+		if rs.idx != nil {
+			e.IndexPair(rs.idx)
+		} else {
+			e.Index(rs.cnt)
+			e.Index(rs.term)
+		}
 	case PredColumn:
 		e.TreeMap(rs.cntByCol)
 		e.TreeMap(rs.termByCol)
@@ -457,8 +463,7 @@ func restoreRelState(d *checkpoint.Decoder, spec RelSpec) *relState {
 	switch plan.kind {
 	case PredCorrelated:
 		rs.byKey = d.TreeMap()
-		rs.cnt = d.Index()
-		rs.term = d.Index()
+		rs.idx, rs.cnt, rs.term = d.IndexPair()
 	case PredColumn:
 		rs.cntByCol = d.TreeMap()
 		rs.termByCol = d.TreeMap()

@@ -65,6 +65,25 @@ func TestAllocGuardArenaChurn(t *testing.T) {
 			ar.Add(k, 1)
 		}
 	})
+
+	// The two-lane tree shares the slab and free list, so the same holds,
+	// including the executor's own cycle: add, and delete on a zero count.
+	pair := NewArenaPair()
+	for _, k := range keys {
+		pair.Put(k, 1, 0.5)
+	}
+	for _, k := range keys[:64] {
+		pair.Delete(k)
+		pair.Add(k, 1, 0.5)
+	}
+	requireAllocs(t, "ArenaPair delete/insert churn", 0, func() {
+		i++
+		k := keys[i%len(keys)]
+		if c, _ := pair.Add(k, -1, -0.5); c == 0 {
+			pair.Delete(k)
+		}
+		pair.Add(k, 1, 0.5)
+	})
 }
 
 // TestAllocGuardAddMany pins the batched path: on a warmed tree, a batch
@@ -112,5 +131,24 @@ func TestAllocGuardArenaShift(t *testing.T) {
 	requireAllocs(t, "ArenaTree.ShiftKeys(positive)", 0, func() {
 		step++
 		ar.ShiftKeys(100+step, 2)
+	})
+
+	pair := NewArenaPair()
+	for i := 0; i < 1024; i++ {
+		pair.Add(float64(i), 1, 0.5)
+	}
+	pair.ShiftKeys(500, -3)
+	step = 0
+	requireAllocs(t, "ArenaPair.ShiftKeys(negative)", 0, func() {
+		step++
+		pair.ShiftKeys(200+step, -2)
+	})
+	requireAllocs(t, "ArenaPair.ShiftKeysInclusive(negative)", 0, func() {
+		step++
+		pair.ShiftKeysInclusive(600+step, -2)
+	})
+	requireAllocs(t, "ArenaPair.ShiftKeys(positive)", 0, func() {
+		step++
+		pair.ShiftKeys(100+step, 2)
 	})
 }

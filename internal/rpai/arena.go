@@ -6,7 +6,17 @@ import (
 	"unsafe"
 )
 
-// ArenaTree is a Relative Partial Aggregate Index with the same semantics as
+// lanes is the payload of an arena node: one aggregate value per lane. The
+// tree logic below is written once over this payload and Go stencils it per
+// array shape, so the one-lane ArenaTree and the two-lane ArenaPair run the
+// same rotations, rebalancing, shifts and codec — a lane of the pair sees,
+// float for float, the operations a one-lane tree holding only that lane
+// would see, in the same order, and therefore stays bit-identical to it.
+type lanes interface {
+	[1]float64 | [2]float64
+}
+
+// arena is a Relative Partial Aggregate Index with the same semantics as
 // Tree, backed by a flat node slab instead of per-node heap allocations.
 //
 // Nodes live in a single []anode slice and refer to each other by int32
@@ -14,44 +24,46 @@ import (
 // an intrusive free list (linked through the left field), and inserts pop
 // from that list before growing the slab, so steady-state churn — the
 // aggregate-maintenance workload of the paper, where every event adds and
-// removes entries — allocates nothing. The hot read/update paths (Get,
-// GetSum, GetSumLess, and Add/Put on an existing key) are iterative loops
-// with no recursion and no closure captures; structural inserts and deletes
-// reuse the recursive LLRB algorithms of Tree, ported index-for-index so the
+// removes entries — allocates nothing. The hot read/update paths (get,
+// prefix, and insert on an existing key) are iterative loops with no
+// recursion and no closure captures; structural inserts and deletes reuse
+// the recursive LLRB algorithms of Tree, ported index-for-index so the
 // balancing decisions, relative-key arithmetic and floating-point evaluation
 // order are bit-identical to the pointer tree. A snapshot taken from either
 // implementation restores into the other and re-encodes to the same bytes.
 //
-// The zero value is not usable; call NewArena.
-type ArenaTree struct {
-	nodes []anode
+// The exported methods declared on arena are the ones whose signatures do not
+// mention values; ArenaTree and ArenaPair embed an arena and inherit them.
+type arena[V lanes] struct {
+	nodes []anode[V]
 	root  int32
 	free  int32 // head of the free list, linked through anode.left
 	freeN int32 // number of slots on the free list
 	// scratch backs extractRange during negative shifts so repeated shifts
 	// reuse one buffer.
-	scratch []Entry
+	scratch []entryOf[V]
 }
 
-// anode is the arena form of node, exactly 64 bytes so indexing compiles to
-// a shift instead of a multiply and a node never straddles two cache lines.
-// key is relative to the parent's true key; minRel and maxRel are the
-// min/max true keys of the subtree expressed relative to this node's true
-// key (0 for a leaf).
+// anode is the arena form of node. key is relative to the parent's true key;
+// minRel and maxRel are the min/max true keys of the subtree expressed
+// relative to this node's true key (0 for a leaf). With one lane it is
+// exactly 64 bytes, so indexing compiles to a shift and a node never
+// straddles two cache lines; with two lanes it is 88 bytes, deliberately not
+// padded to 128 — the slab is the executor's resident heap.
 //
 // Where the pointer tree stores each node's own subtree sum, anode caches
 // the two child subtree sums (leftSum/rightSum, 0 for a missing child) and
 // derives its own as value + leftSum + rightSum — the exact evaluation order
 // node.update uses, so every derived sum is bit-identical to the pointer
-// tree's stored one. The payoff is locality: the GetSum/GetSumLess descent
+// tree's stored one. The payoff is locality: the prefix descent
 // (s += value + leftSum on right turns) and the bottom-up sum propagation
 // after Add/Put read only nodes already on the root-to-leaf path, never a
 // sibling's cache line.
-type anode struct {
+type anode[V lanes] struct {
 	key      float64
-	value    float64
-	leftSum  float64
-	rightSum float64
+	value    V
+	leftSum  V
+	rightSum V
 	minRel   float64
 	maxRel   float64
 	left     int32
@@ -62,41 +74,77 @@ type anode struct {
 
 const nilIdx = int32(-1)
 
-// anodeShift is the node size as a power of two; nodeAt relies on it. The
-// two zero-length array declarations are compile-time asserts that anode is
-// exactly 64 bytes — either direction of drift fails the build.
-const anodeShift = 6
-
+// Compile-time asserts on the two node sizes — either direction of drift
+// fails the build.
 var (
-	_ [unsafe.Sizeof(anode{}) - (1 << anodeShift)]byte
-	_ [(1 << anodeShift) - unsafe.Sizeof(anode{})]byte
+	_ [unsafe.Sizeof(anode[[1]float64]{}) - 64]byte
+	_ [64 - unsafe.Sizeof(anode[[1]float64]{})]byte
+	_ [unsafe.Sizeof(anode[[2]float64]{}) - 88]byte
+	_ [88 - unsafe.Sizeof(anode[[2]float64]{})]byte
 )
+
+// The lane helpers are written lane 0 then lane 1, not as a loop: len(v) is a
+// constant once the shape is stencilled, so the one-lane form compiles to the
+// single float expression the pre-generic ArenaTree had, with no loop
+// control in the descent. (Lane 1 goes through a variable because a constant
+// index must be in range for every shape.)
+
+// laneSum returns v + l + r per lane, in node.update's evaluation order.
+func laneSum[V lanes](v, l, r V) V {
+	v[0] = v[0] + l[0] + r[0]
+	if len(v) == 2 {
+		i := 1
+		v[i] = v[i] + l[i] + r[i]
+	}
+	return v
+}
+
+// laneAdd returns a + b per lane.
+func laneAdd[V lanes](a, b V) V {
+	a[0] += b[0]
+	if len(a) == 2 {
+		i := 1
+		a[i] += b[i]
+	}
+	return a
+}
+
+// laneSub returns a - b per lane.
+func laneSub[V lanes](a, b V) V {
+	a[0] -= b[0]
+	if len(a) == 2 {
+		i := 1
+		a[i] -= b[i]
+	}
+	return a
+}
 
 // nodeAt returns the node at index i without a bounds check. The descent
 // loops of the hot paths pay two checked slab accesses per level otherwise;
 // indices come only from the tree's own links, which the differential
 // fuzzers and Validate keep honest. i must be a live index (>= 0, < len).
-func (t *ArenaTree) nodeAt(i int32) *anode {
-	return (*anode)(unsafe.Add(unsafe.Pointer(unsafe.SliceData(t.nodes)), uintptr(i)<<anodeShift))
+// The node size is a constant once the shape is stencilled (a shift for the
+// 64-byte node).
+func (t *arena[V]) nodeAt(i int32) *anode[V] {
+	return (*anode[V])(unsafe.Add(unsafe.Pointer(unsafe.SliceData(t.nodes)), uintptr(i)*unsafe.Sizeof(anode[V]{})))
 }
 
-// NewArena returns an empty arena-backed RPAI tree.
-func NewArena() *ArenaTree { return &ArenaTree{root: nilIdx, free: nilIdx} }
+func newArena[V lanes]() arena[V] { return arena[V]{root: nilIdx, free: nilIdx} }
 
 // Len reports the number of keys in the tree.
-func (t *ArenaTree) Len() int { return int(t.sizeOf(t.root)) }
+func (t *arena[V]) Len() int { return int(t.sizeOf(t.root)) }
 
-// Total returns the sum of all values in the tree, i.e. GetSum(+inf).
-func (t *ArenaTree) Total() float64 { return t.sumOf(t.root) }
+// total returns the per-lane sum of all values, i.e. prefix(+inf).
+func (t *arena[V]) total() V { return t.sumOf(t.root) }
 
 // Cap reports the slab capacity in nodes (live + free-listed). Intended for
 // tests and benchmarks asserting on allocation behaviour.
-func (t *ArenaTree) Cap() int { return len(t.nodes) }
+func (t *arena[V]) Cap() int { return len(t.nodes) }
 
 // FreeSlots reports the number of recycled slots awaiting reuse.
-func (t *ArenaTree) FreeSlots() int { return int(t.freeN) }
+func (t *arena[V]) FreeSlots() int { return int(t.freeN) }
 
-func (t *ArenaTree) sizeOf(i int32) int32 {
+func (t *arena[V]) sizeOf(i int32) int32 {
 	if i < 0 {
 		return 0
 	}
@@ -105,36 +153,36 @@ func (t *ArenaTree) sizeOf(i int32) int32 {
 
 // sumOf returns the subtree sum rooted at i, derived from the cached child
 // sums with node.update's evaluation order.
-func (t *ArenaTree) sumOf(i int32) float64 {
+func (t *arena[V]) sumOf(i int32) (s V) {
 	if i < 0 {
-		return 0
+		return s
 	}
 	n := &t.nodes[i]
-	return n.value + n.leftSum + n.rightSum
+	return laneSum(n.value, n.leftSum, n.rightSum)
 }
 
-func (t *ArenaTree) isRed(i int32) bool { return i >= 0 && t.nodes[i].color == red }
+func (t *arena[V]) isRed(i int32) bool { return i >= 0 && t.nodes[i].color == red }
 
 // alloc pops a slot off the free list, growing the slab only when the list is
 // empty, and initialises it as a red leaf holding (k, v).
-func (t *ArenaTree) alloc(k, v float64) int32 {
+func (t *arena[V]) alloc(k float64, v V) int32 {
 	var i int32
 	if t.free >= 0 {
 		i = t.free
 		t.free = t.nodes[i].left
 		t.freeN--
 	} else {
-		t.nodes = append(t.nodes, anode{})
+		t.nodes = append(t.nodes, anode[V]{})
 		i = int32(len(t.nodes) - 1)
 	}
-	t.nodes[i] = anode{key: k, value: v, left: nilIdx, right: nilIdx, size: 1, color: red}
+	t.nodes[i] = anode[V]{key: k, value: v, left: nilIdx, right: nilIdx, size: 1, color: red}
 	return i
 }
 
 // freeNode pushes slot i onto the free list. The slot is cleared so stale
 // float payloads cannot leak into a future Validate or Encode.
-func (t *ArenaTree) freeNode(i int32) {
-	t.nodes[i] = anode{left: t.free, right: nilIdx}
+func (t *arena[V]) freeNode(i int32) {
+	t.nodes[i] = anode[V]{left: t.free, right: nilIdx}
 	t.free = i
 	t.freeN++
 }
@@ -142,7 +190,7 @@ func (t *ArenaTree) freeNode(i int32) {
 // update recomputes size, leftSum, rightSum, minRel and maxRel from the
 // children, with the same evaluation order as node.update so results are
 // bit-identical.
-func (t *ArenaTree) update(h int32) {
+func (t *arena[V]) update(h int32) {
 	n := &t.nodes[h]
 	n.size = 1 + t.sizeOf(n.left) + t.sizeOf(n.right)
 	n.leftSum = t.sumOf(n.left)
@@ -162,7 +210,7 @@ func (t *ArenaTree) update(h int32) {
 // rotateLeft rotates h's right child above h, re-expressing the stored
 // relative keys so that every true key is unchanged. Rotations never allocate,
 // so the node pointers taken here cannot be invalidated by slab growth.
-func (t *ArenaTree) rotateLeft(h int32) int32 {
+func (t *arena[V]) rotateLeft(h int32) int32 {
 	x := t.nodes[h].right
 	hn, xn := &t.nodes[h], &t.nodes[x]
 	hk, xk := hn.key, xn.key
@@ -181,7 +229,7 @@ func (t *ArenaTree) rotateLeft(h int32) int32 {
 }
 
 // rotateRight rotates h's left child above h, preserving true keys.
-func (t *ArenaTree) rotateRight(h int32) int32 {
+func (t *arena[V]) rotateRight(h int32) int32 {
 	x := t.nodes[h].left
 	hn, xn := &t.nodes[h], &t.nodes[x]
 	hk, xk := hn.key, xn.key
@@ -199,14 +247,14 @@ func (t *ArenaTree) rotateRight(h int32) int32 {
 	return x
 }
 
-func (t *ArenaTree) flipColors(h int32) {
+func (t *arena[V]) flipColors(h int32) {
 	n := &t.nodes[h]
 	n.color = !n.color
 	t.nodes[n.left].color = !t.nodes[n.left].color
 	t.nodes[n.right].color = !t.nodes[n.right].color
 }
 
-func (t *ArenaTree) fixUp(h int32) int32 {
+func (t *arena[V]) fixUp(h int32) int32 {
 	if t.isRed(t.nodes[h].right) && !t.isRed(t.nodes[h].left) {
 		h = t.rotateLeft(h)
 	}
@@ -220,8 +268,8 @@ func (t *ArenaTree) fixUp(h int32) int32 {
 	return h
 }
 
-// Get returns the value stored under true key k and whether k is present.
-func (t *ArenaTree) Get(k float64) (float64, bool) {
+// get returns the value stored under true key k and whether k is present.
+func (t *arena[V]) get(k float64) (v V, ok bool) {
 	i := t.root
 	for i >= 0 {
 		n := t.nodeAt(i)
@@ -236,12 +284,12 @@ func (t *ArenaTree) Get(k float64) (float64, bool) {
 			return n.value, true
 		}
 	}
-	return 0, false
+	return v, false
 }
 
 // Contains reports whether true key k is present.
-func (t *ArenaTree) Contains(k float64) bool {
-	_, ok := t.Get(k)
+func (t *arena[V]) Contains(k float64) bool {
+	_, ok := t.get(k)
 	return ok
 }
 
@@ -264,16 +312,19 @@ const maxPathLen = 64
 //     same calls the recursive insert makes, in the same order.
 //
 // Neither branch recurses or captures a closure; the found branch and the
-// free-list-served absent branch allocate nothing.
-func (t *ArenaTree) insert(k, v float64, set bool) {
+// free-list-served absent branch allocate nothing. The return value is the
+// value stored under k after the call.
+func (t *arena[V]) insert(k float64, v V, set bool) V {
+	checkKey(k)
 	if t.root < 0 {
 		t.root = t.alloc(k, v)
 		t.nodes[t.root].color = black
-		return
+		return v
 	}
+	key := k // k itself is rebased along the descent
 	var path [maxPathLen]int32
 	var dirs [maxPathLen]bool // true: path[d+1] hangs off path[d].right
-	var touch float64         // see arenaTouchSink
+	var touch float64         // see prefix
 	depth := 0
 	i := t.root
 	for {
@@ -281,22 +332,19 @@ func (t *ArenaTree) insert(k, v float64, set bool) {
 			// Unreachable for any slab that fits in memory (LLRB height is
 			// at most 2*log2(n+1) <= 64 for n < 2^31); kept as a defensive
 			// fallback to the recursive insert.
-			if set {
-				t.root = t.put(t.root, k, v)
-			} else {
-				t.root = t.add(t.root, k, v)
-			}
+			t.root = t.ins(t.root, key, v, set)
 			t.nodes[t.root].color = black
-			return
+			out, _ := t.get(key)
+			return out
 		}
 		n := t.nodeAt(i)
 		l, r := n.left, n.right
-		// Touch both children before the comparison resolves (see GetSum).
+		// Touch both children before the comparison resolves (see prefix).
 		if l >= 0 {
-			touch += t.nodes[l].key
+			touch += t.nodeAt(l).key
 		}
 		if r >= 0 {
-			touch += t.nodes[r].key
+			touch += t.nodeAt(r).key
 		}
 		if k < n.key {
 			path[depth], dirs[depth] = i, false
@@ -322,9 +370,10 @@ func (t *ArenaTree) insert(k, v float64, set bool) {
 			if set {
 				n.value = v
 			} else {
-				n.value += v
+				n.value = laneAdd(n.value, v)
 			}
-			s := n.value + n.leftSum + n.rightSum
+			out := n.value
+			s := laneSum(out, n.leftSum, n.rightSum)
 			// Propagate the fresh sum upward. Each ancestor caches both
 			// child sums and the on-path child's fresh sum is in s, so the
 			// whole unwind touches only the path nodes the descent just
@@ -334,18 +383,27 @@ func (t *ArenaTree) insert(k, v float64, set bool) {
 				m := t.nodeAt(path[d])
 				if dirs[d] {
 					m.rightSum = s
-					s = m.value + m.leftSum + s
+					s = laneSum(m.value, m.leftSum, s)
 				} else {
 					m.leftSum = s
-					s = m.value + s + m.rightSum
+					s = laneSum(m.value, s, m.rightSum)
 				}
 			}
 			runtime.KeepAlive(touch)
-			return
+			return out
 		}
 	}
 	runtime.KeepAlive(touch)
-	for d := depth - 1; d >= 0; d-- {
+	t.unwind(path[:depth], dirs[:depth])
+	return v
+}
+
+// unwind reattaches a freshly linked leaf's ancestors deepest-first through
+// fixUp — the calls the recursive insert makes on its way out, in the same
+// order — and blackens the root. dirs[d] tells which side of path[d] the
+// path continues on.
+func (t *arena[V]) unwind(path []int32, dirs []bool) {
+	for d := len(path) - 1; d >= 0; d-- {
 		h := t.fixUp(path[d])
 		switch {
 		case d == 0:
@@ -359,13 +417,10 @@ func (t *ArenaTree) insert(k, v float64, set bool) {
 	t.nodes[t.root].color = black
 }
 
-// Put stores v under key k, replacing any existing value.
-func (t *ArenaTree) Put(k, v float64) {
-	checkKey(k)
-	t.insert(k, v, true)
-}
-
-func (t *ArenaTree) put(h int32, k, v float64) int32 {
+// ins is the recursive LLRB insert (set selects Put semantics), the form
+// Tree uses; the iterative insert and addMany fall back to it only past
+// maxPathLen.
+func (t *arena[V]) ins(h int32, k float64, v V, set bool) int32 {
 	if h < 0 {
 		return t.alloc(k, v)
 	}
@@ -374,45 +429,22 @@ func (t *ArenaTree) put(h int32, k, v float64) int32 {
 	hk := t.nodes[h].key
 	switch {
 	case k < hk:
-		l := t.put(t.nodes[h].left, k-hk, v)
+		l := t.ins(t.nodes[h].left, k-hk, v, set)
 		t.nodes[h].left = l
 	case k > hk:
-		r := t.put(t.nodes[h].right, k-hk, v)
+		r := t.ins(t.nodes[h].right, k-hk, v, set)
 		t.nodes[h].right = r
-	default:
+	case set:
 		t.nodes[h].value = v
-	}
-	return t.fixUp(h)
-}
-
-// Add adds dv to the value stored under k, inserting k with value dv if
-// absent. Zero-valued entries remain present; use Delete to drop a key.
-func (t *ArenaTree) Add(k, dv float64) {
-	checkKey(k)
-	t.insert(k, dv, false)
-}
-
-func (t *ArenaTree) add(h int32, k, dv float64) int32 {
-	if h < 0 {
-		return t.alloc(k, dv)
-	}
-	hk := t.nodes[h].key
-	switch {
-	case k < hk:
-		l := t.add(t.nodes[h].left, k-hk, dv)
-		t.nodes[h].left = l
-	case k > hk:
-		r := t.add(t.nodes[h].right, k-hk, dv)
-		t.nodes[h].right = r
 	default:
-		t.nodes[h].value += dv
+		t.nodes[h].value = laneAdd(t.nodes[h].value, v)
 	}
 	return t.fixUp(h)
 }
 
 // Delete removes key k and reports whether it was present. The vacated slot
 // goes onto the free list for reuse by a later insert.
-func (t *ArenaTree) Delete(k float64) bool {
+func (t *arena[V]) Delete(k float64) bool {
 	if !t.Contains(k) {
 		return false
 	}
@@ -423,7 +455,7 @@ func (t *ArenaTree) Delete(k float64) bool {
 	return true
 }
 
-func (t *ArenaTree) moveRedLeft(h int32) int32 {
+func (t *arena[V]) moveRedLeft(h int32) int32 {
 	t.flipColors(h)
 	if r := t.nodes[h].right; t.isRed(t.nodes[r].left) {
 		t.nodes[h].right = t.rotateRight(r)
@@ -433,7 +465,7 @@ func (t *ArenaTree) moveRedLeft(h int32) int32 {
 	return h
 }
 
-func (t *ArenaTree) moveRedRight(h int32) int32 {
+func (t *arena[V]) moveRedRight(h int32) int32 {
 	t.flipColors(h)
 	if l := t.nodes[h].left; t.isRed(t.nodes[l].left) {
 		h = t.rotateRight(h)
@@ -442,7 +474,7 @@ func (t *ArenaTree) moveRedRight(h int32) int32 {
 	return h
 }
 
-func (t *ArenaTree) deleteMin(h int32) int32 {
+func (t *arena[V]) deleteMin(h int32) int32 {
 	if t.nodes[h].left < 0 {
 		t.freeNode(h)
 		return nilIdx
@@ -458,7 +490,7 @@ func (t *ArenaTree) deleteMin(h int32) int32 {
 // minOffset returns the offset of the minimum node's true key from the
 // parent frame of h (i.e. the sum of stored keys down the left spine,
 // including h's own), together with that node's value.
-func (t *ArenaTree) minOffset(h int32) (off, value float64) {
+func (t *arena[V]) minOffset(h int32) (off float64, value V) {
 	off = t.nodes[h].key
 	for t.nodes[h].left >= 0 {
 		h = t.nodes[h].left
@@ -467,7 +499,7 @@ func (t *ArenaTree) minOffset(h int32) (off, value float64) {
 	return off, t.nodes[h].value
 }
 
-func (t *ArenaTree) del(h int32, k float64) int32 {
+func (t *arena[V]) del(h int32, k float64) int32 {
 	if k < t.nodes[h].key {
 		if l := t.nodes[h].left; !t.isRed(l) && !t.isRed(t.nodes[l].left) {
 			h = t.moveRedLeft(h)
@@ -512,7 +544,7 @@ func (t *ArenaTree) del(h int32, k float64) int32 {
 }
 
 // Min returns the smallest true key, or ok=false if the tree is empty.
-func (t *ArenaTree) Min() (float64, bool) {
+func (t *arena[V]) Min() (float64, bool) {
 	if t.root < 0 {
 		return 0, false
 	}
@@ -521,7 +553,7 @@ func (t *ArenaTree) Min() (float64, bool) {
 }
 
 // Max returns the largest true key, or ok=false if the tree is empty.
-func (t *ArenaTree) Max() (float64, bool) {
+func (t *arena[V]) Max() (float64, bool) {
 	if t.root < 0 {
 		return 0, false
 	}
@@ -529,10 +561,11 @@ func (t *ArenaTree) Max() (float64, bool) {
 	return n.key + n.maxRel, true
 }
 
-// GetSum returns the sum of values over all entries with key <= k
-// (paper section 3.1, Figure 3).
-func (t *ArenaTree) GetSum(k float64) float64 {
-	var s, touch float64
+// prefix returns the per-lane sum of values over all entries with key <= k
+// (paper section 3.1, Figure 3), or key < k when strict.
+func (t *arena[V]) prefix(k float64, strict bool) V {
+	var s V
+	var touch float64
 	i := t.root
 	for i >= 0 {
 		n := t.nodeAt(i)
@@ -542,16 +575,16 @@ func (t *ArenaTree) GetSum(k float64) float64 {
 		// the descent takes is already in flight even when the branch
 		// mispredicts.
 		if l >= 0 {
-			touch += t.nodes[l].key
+			touch += t.nodeAt(l).key
 		}
 		if r >= 0 {
-			touch += t.nodes[r].key
+			touch += t.nodeAt(r).key
 		}
-		if k < n.key {
+		if k < n.key || (k == n.key && strict) {
 			k -= n.key
 			i = l
 		} else {
-			s += n.value + n.leftSum
+			s = laneAdd(s, laneAdd(n.value, n.leftSum))
 			k -= n.key
 			i = r
 		}
@@ -559,47 +592,15 @@ func (t *ArenaTree) GetSum(k float64) float64 {
 	runtime.KeepAlive(touch)
 	return s
 }
-
-// GetSumLess returns the sum of values over all entries with key < k.
-func (t *ArenaTree) GetSumLess(k float64) float64 {
-	var s, touch float64
-	i := t.root
-	for i >= 0 {
-		n := t.nodeAt(i)
-		l, r := n.left, n.right
-		if l >= 0 {
-			touch += t.nodes[l].key
-		}
-		if r >= 0 {
-			touch += t.nodes[r].key
-		}
-		if k <= n.key {
-			k -= n.key
-			i = l
-		} else {
-			s += n.value + n.leftSum
-			k -= n.key
-			i = r
-		}
-	}
-	runtime.KeepAlive(touch)
-	return s
-}
-
-// SuffixSum returns the sum of values over all entries with key >= k.
-func (t *ArenaTree) SuffixSum(k float64) float64 { return t.Total() - t.GetSumLess(k) }
-
-// SuffixSumGreater returns the sum of values over all entries with key > k.
-func (t *ArenaTree) SuffixSumGreater(k float64) float64 { return t.Total() - t.GetSum(k) }
 
 // ShiftKeys shifts every key strictly greater than k by d. d may be negative;
 // see the package comment of Tree for the cost model.
-func (t *ArenaTree) ShiftKeys(k, d float64) { t.shift(k, d, false) }
+func (t *arena[V]) ShiftKeys(k, d float64) { t.shift(k, d, false) }
 
 // ShiftKeysInclusive shifts every key greater than or equal to k by d.
-func (t *ArenaTree) ShiftKeysInclusive(k, d float64) { t.shift(k, d, true) }
+func (t *arena[V]) ShiftKeysInclusive(k, d float64) { t.shift(k, d, true) }
 
-func (t *ArenaTree) shift(k, d float64, inclusive bool) {
+func (t *arena[V]) shift(k, d float64, inclusive bool) {
 	checkKey(d)
 	if t.root < 0 || d == 0 {
 		return
@@ -615,7 +616,7 @@ func (t *ArenaTree) shift(k, d float64, inclusive bool) {
 		for i := range moved {
 			moved[i].Key += d
 		}
-		t.AddMany(moved)
+		t.addMany(moved)
 		t.scratch = moved[:0]
 		return
 	}
@@ -625,39 +626,50 @@ func (t *ArenaTree) shift(k, d float64, inclusive bool) {
 // shiftRel is the arena form of the package-level shiftRel (the paper's
 // Algorithm 1): a single root-to-leaf descent that shifts all qualifying keys
 // via relative-key updates. It never allocates, so node pointers are stable.
-func (t *ArenaTree) shiftRel(i int32, k, d float64, inclusive bool) {
+//
+// Where Tree's shiftRel ends each level with a full update, only one field
+// can have moved here, and it is recomputed from the child the descent just
+// left (update's expression, so the same bits): a shift changes no value, sum
+// or size, and the off-path subtree keeps its offset from this node — a
+// qualifying node moves together with its right subtree, a non-qualifying one
+// stays put with its left. The off-path child's cache line is never read.
+func (t *arena[V]) shiftRel(i int32, k, d float64, inclusive bool) {
 	if i < 0 {
 		return
 	}
 	n := &t.nodes[i]
-	qualifies := k < n.key || (inclusive && k == n.key)
-	if qualifies {
+	if k < n.key || (inclusive && k == n.key) {
 		t.shiftRel(n.left, k-n.key, d, inclusive)
 		n.key += d
 		if n.left >= 0 {
-			t.nodes[n.left].key -= d
+			l := &t.nodes[n.left]
+			l.key -= d
+			n.minRel = l.key + l.minRel
 		}
 	} else {
 		t.shiftRel(n.right, k-n.key, d, inclusive)
+		if n.right >= 0 {
+			r := &t.nodes[n.right]
+			n.maxRel = r.key + r.maxRel
+		}
 	}
-	t.update(i)
 }
 
 // extractRange removes and returns all entries with key in (lo, hi], or
 // [lo, hi] when inclusive is true. The returned slice aliases t.scratch and
 // is only valid until the next shift.
-func (t *ArenaTree) extractRange(lo, hi float64, inclusive bool) []Entry {
+func (t *arena[V]) extractRange(lo, hi float64, inclusive bool) []entryOf[V] {
 	out := t.scratch[:0]
 	t.collectRange(t.root, 0, lo, hi, inclusive, &out)
-	for _, e := range out {
-		t.Delete(e.Key)
+	for i := range out {
+		t.Delete(out[i].Key)
 	}
 	return out
 }
 
 // collectRange appends entries with true key in the range to out. base is the
 // accumulated offset of i's parent frame.
-func (t *ArenaTree) collectRange(i int32, base, lo, hi float64, inclusive bool, out *[]Entry) {
+func (t *arena[V]) collectRange(i int32, base, lo, hi float64, inclusive bool, out *[]entryOf[V]) {
 	if i < 0 {
 		return
 	}
@@ -667,7 +679,7 @@ func (t *ArenaTree) collectRange(i int32, base, lo, hi float64, inclusive bool, 
 	if aboveLo {
 		t.collectRange(n.left, k, lo, hi, inclusive, out)
 		if k <= hi {
-			*out = append(*out, Entry{k, t.nodes[i].value})
+			*out = append(*out, entryOf[V]{k, t.nodes[i].value})
 		}
 	}
 	if k <= hi {
@@ -675,11 +687,9 @@ func (t *ArenaTree) collectRange(i int32, base, lo, hi float64, inclusive bool, 
 	}
 }
 
-// Ascend calls fn for each entry in increasing key order until fn returns
-// false.
-func (t *ArenaTree) Ascend(fn func(k, v float64) bool) { t.ascend(t.root, 0, fn) }
-
-func (t *ArenaTree) ascend(i int32, base float64, fn func(k, v float64) bool) bool {
+// ascend calls fn for each entry of the subtree at i in increasing key order
+// until fn returns false. base is the true key of i's parent frame.
+func (t *arena[V]) ascend(i int32, base float64, fn func(k float64, v V) bool) bool {
 	if i < 0 {
 		return true
 	}
@@ -695,9 +705,9 @@ func (t *ArenaTree) ascend(i int32, base float64, fn func(k, v float64) bool) bo
 }
 
 // Keys returns all true keys in increasing order. O(n); intended for tests.
-func (t *ArenaTree) Keys() []float64 {
+func (t *arena[V]) Keys() []float64 {
 	out := make([]float64, 0, t.Len())
-	t.Ascend(func(k, _ float64) bool {
+	t.ascend(t.root, 0, func(k float64, _ V) bool {
 		out = append(out, k)
 		return true
 	})
@@ -705,7 +715,7 @@ func (t *ArenaTree) Keys() []float64 {
 }
 
 // Rank returns the number of entries with key <= k.
-func (t *ArenaTree) Rank(k float64) int {
+func (t *arena[V]) Rank(k float64) int {
 	var c int32
 	i := t.root
 	for i >= 0 {
@@ -722,11 +732,11 @@ func (t *ArenaTree) Rank(k float64) int {
 	return int(c)
 }
 
-// Kth returns the i-th smallest key (0-based) and its value. ok is false
+// kth returns the i-th smallest key (0-based) and its value. ok is false
 // when i is out of range. O(log n) via the size augmentation.
-func (t *ArenaTree) Kth(i int) (key, value float64, ok bool) {
+func (t *arena[V]) kth(i int) (key float64, value V, ok bool) {
 	if i < 0 || i >= t.Len() {
-		return 0, 0, false
+		return 0, value, false
 	}
 	h := t.root
 	var base float64
@@ -748,7 +758,7 @@ func (t *ArenaTree) Kth(i int) (key, value float64, ok bool) {
 }
 
 // Higher returns the smallest key strictly greater than k.
-func (t *ArenaTree) Higher(k float64) (float64, bool) {
+func (t *arena[V]) Higher(k float64) (float64, bool) {
 	var best float64
 	found := false
 	i := t.root
@@ -769,7 +779,7 @@ func (t *ArenaTree) Higher(k float64) (float64, bool) {
 }
 
 // Lower returns the largest key strictly less than k.
-func (t *ArenaTree) Lower(k float64) (float64, bool) {
+func (t *arena[V]) Lower(k float64) (float64, bool) {
 	var best float64
 	found := false
 	i := t.root
@@ -792,7 +802,7 @@ func (t *ArenaTree) Lower(k float64) (float64, bool) {
 // Validate checks the BST order of true keys, the LLRB shape invariants, the
 // augmented size/sum/minRel/maxRel fields and the slab accounting (live nodes
 // plus free-listed slots cover the arena exactly). Intended for tests.
-func (t *ArenaTree) Validate() error {
+func (t *arena[V]) Validate() error {
 	if int(t.sizeOf(t.root))+int(t.freeN) != len(t.nodes) {
 		return fmt.Errorf("rpai: arena accounting: %d live + %d free != %d slots",
 			t.sizeOf(t.root), t.freeN, len(t.nodes))
@@ -817,7 +827,7 @@ func (t *ArenaTree) Validate() error {
 	return err
 }
 
-func (t *ArenaTree) validate(i int32, base float64) (blackHeight int, err error) {
+func (t *arena[V]) validate(i int32, base float64) (blackHeight int, err error) {
 	if i < 0 {
 		return 1, nil
 	}

@@ -8,29 +8,43 @@ import (
 	"math"
 )
 
-// Encode writes the same structural snapshot stream as Tree.Encode: magic,
-// version, node count, then a preorder walk of (flags, relative key, value).
-// Because the arena tree maintains bit-identical structure to the pointer
-// tree, a snapshot taken from either implementation re-encodes to the same
-// bytes, and Decode/DecodeArena restore across implementations freely.
-func (t *ArenaTree) Encode(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(encodeMagic); err != nil {
+// encode writes, for each lane, the same structural snapshot stream as
+// Tree.Encode — magic, version, node count, then a preorder walk of (flags,
+// relative key, value) — to that lane's writer, all in one walk. Because the
+// arena maintains bit-identical structure to the pointer tree, a snapshot
+// taken from either implementation re-encodes to the same bytes, and a lane's
+// stream is the stream a one-lane tree holding that lane would write.
+func (t *arena[V]) encode(ws ...io.Writer) error {
+	var lane V
+	if len(ws) != len(lane) {
+		panic("rpai: one snapshot writer per lane")
+	}
+	bws := make([]*bufio.Writer, len(ws))
+	for i, w := range ws {
+		bw := bufio.NewWriter(w)
+		if _, err := bw.WriteString(encodeMagic); err != nil {
+			return err
+		}
+		if err := binary.Write(bw, binary.LittleEndian, uint32(encodeVersion)); err != nil {
+			return err
+		}
+		if err := binary.Write(bw, binary.LittleEndian, uint32(t.Len())); err != nil {
+			return err
+		}
+		bws[i] = bw
+	}
+	if err := t.encodeNode(bws, t.root); err != nil {
 		return err
 	}
-	if err := binary.Write(bw, binary.LittleEndian, uint32(encodeVersion)); err != nil {
-		return err
+	for _, bw := range bws {
+		if err := bw.Flush(); err != nil {
+			return err
+		}
 	}
-	if err := binary.Write(bw, binary.LittleEndian, uint32(t.Len())); err != nil {
-		return err
-	}
-	if err := t.encodeANode(bw, t.root); err != nil {
-		return err
-	}
-	return bw.Flush()
+	return nil
 }
 
-func (t *ArenaTree) encodeANode(w *bufio.Writer, i int32) error {
+func (t *arena[V]) encodeNode(ws []*bufio.Writer, i int32) error {
 	if i < 0 {
 		return nil
 	}
@@ -45,84 +59,104 @@ func (t *ArenaTree) encodeANode(w *bufio.Writer, i int32) error {
 	if n.color == red {
 		flags |= flagRed
 	}
-	if err := w.WriteByte(flags); err != nil {
+	var buf [17]byte
+	buf[0] = flags
+	binary.LittleEndian.PutUint64(buf[1:], math.Float64bits(n.key))
+	for lane, w := range ws {
+		binary.LittleEndian.PutUint64(buf[9:], math.Float64bits(n.value[lane]))
+		if _, err := w.Write(buf[:]); err != nil {
+			return err
+		}
+	}
+	if err := t.encodeNode(ws, n.left); err != nil {
 		return err
 	}
-	var buf [16]byte
-	binary.LittleEndian.PutUint64(buf[0:], math.Float64bits(n.key))
-	binary.LittleEndian.PutUint64(buf[8:], math.Float64bits(n.value))
-	if _, err := w.Write(buf[:]); err != nil {
-		return err
-	}
-	if err := t.encodeANode(w, n.left); err != nil {
-		return err
-	}
-	return t.encodeANode(w, t.nodes[i].right)
+	return t.encodeNode(ws, t.nodes[i].right)
 }
 
-// DecodeArena reads a snapshot written by Tree.Encode or ArenaTree.Encode and
-// restores it into an arena tree. The augmented fields are recomputed and the
-// result is validated, so a corrupted stream is reported rather than silently
-// accepted.
-func DecodeArena(r io.Reader) (*ArenaTree, error) {
-	br := bufio.NewReader(r)
-	magic := make([]byte, len(encodeMagic))
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, fmt.Errorf("rpai: reading snapshot header: %w", err)
+// decode restores the tree from one snapshot stream per lane, written by
+// Tree.Encode or an arena encode. The streams are read in lockstep and must
+// describe the same structure (node count, shape, colours, relative keys);
+// each contributes its lane's values. The augmented fields are recomputed
+// and the result is validated, so a corrupted stream is reported rather than
+// silently accepted.
+func (t *arena[V]) decode(rs ...io.Reader) error {
+	var lane V
+	if len(rs) != len(lane) {
+		panic("rpai: one snapshot reader per lane")
 	}
-	if string(magic) != encodeMagic {
-		return nil, fmt.Errorf("rpai: bad snapshot magic %q", magic)
+	*t = newArena[V]()
+	d := arenaDecoder[V]{t: t, rs: make([]*bufio.Reader, len(rs))}
+	var count uint32
+	for i, r := range rs {
+		br := bufio.NewReader(r)
+		magic := make([]byte, len(encodeMagic))
+		if _, err := io.ReadFull(br, magic); err != nil {
+			return fmt.Errorf("rpai: reading snapshot header: %w", err)
+		}
+		if string(magic) != encodeMagic {
+			return fmt.Errorf("rpai: bad snapshot magic %q", magic)
+		}
+		var version, c uint32
+		if err := binary.Read(br, binary.LittleEndian, &version); err != nil {
+			return err
+		}
+		if version != encodeVersion {
+			return fmt.Errorf("rpai: unsupported snapshot version %d", version)
+		}
+		if err := binary.Read(br, binary.LittleEndian, &c); err != nil {
+			return err
+		}
+		if i > 0 && c != count {
+			return fmt.Errorf("rpai: lane snapshots disagree on node count: %d vs %d", count, c)
+		}
+		count = c
+		d.rs[i] = br
 	}
-	var version, count uint32
-	if err := binary.Read(br, binary.LittleEndian, &version); err != nil {
-		return nil, err
-	}
-	if version != encodeVersion {
-		return nil, fmt.Errorf("rpai: unsupported snapshot version %d", version)
-	}
-	if err := binary.Read(br, binary.LittleEndian, &count); err != nil {
-		return nil, err
-	}
-	t := NewArena()
 	if count > 0 {
-		t.nodes = make([]anode, 0, count)
+		t.nodes = make([]anode[V], 0, count)
 	}
-	d := arenaDecoder{r: br, t: t}
-	root, err := d.node(int(count) > 0)
+	root, err := d.node(count > 0)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	t.root = root
 	if t.Len() != int(count) {
-		return nil, fmt.Errorf("rpai: snapshot node count mismatch: header %d, stream %d", count, t.Len())
+		return fmt.Errorf("rpai: snapshot node count mismatch: header %d, stream %d", count, t.Len())
 	}
 	if err := t.Validate(); err != nil {
-		return nil, fmt.Errorf("rpai: snapshot fails validation: %w", err)
+		return fmt.Errorf("rpai: snapshot fails validation: %w", err)
 	}
-	return t, nil
+	return nil
 }
 
-type arenaDecoder struct {
-	r *bufio.Reader
-	t *ArenaTree
+type arenaDecoder[V lanes] struct {
+	rs []*bufio.Reader
+	t  *arena[V]
 }
 
-func (d *arenaDecoder) node(present bool) (int32, error) {
+func (d *arenaDecoder[V]) node(present bool) (int32, error) {
 	if !present {
 		return nilIdx, nil
 	}
-	flags, err := d.r.ReadByte()
-	if err != nil {
-		return nilIdx, fmt.Errorf("rpai: truncated snapshot: %w", err)
-	}
-	var buf [16]byte
-	if _, err := io.ReadFull(d.r, buf[:]); err != nil {
-		return nilIdx, fmt.Errorf("rpai: truncated snapshot: %w", err)
-	}
-	i := d.t.alloc(
-		math.Float64frombits(binary.LittleEndian.Uint64(buf[0:])),
-		math.Float64frombits(binary.LittleEndian.Uint64(buf[8:])),
+	var (
+		first [9]byte // lane 0's flags and relative key, which every lane must repeat
+		value V
 	)
+	for lane, r := range d.rs {
+		var buf [17]byte
+		if _, err := io.ReadFull(r, buf[:]); err != nil {
+			return nilIdx, fmt.Errorf("rpai: truncated snapshot: %w", err)
+		}
+		if lane == 0 {
+			copy(first[:], buf[:9])
+		} else if [9]byte(buf[:9]) != first {
+			return nilIdx, fmt.Errorf("rpai: lane snapshots disagree on tree structure")
+		}
+		value[lane] = math.Float64frombits(binary.LittleEndian.Uint64(buf[9:]))
+	}
+	flags := first[0]
+	i := d.t.alloc(math.Float64frombits(binary.LittleEndian.Uint64(first[1:])), value)
 	d.t.nodes[i].color = flags&flagRed != 0
 	l, err := d.node(flags&flagLeft != 0)
 	if err != nil {

@@ -427,3 +427,38 @@ func TestArenaKeyChecks(t *testing.T) {
 		}()
 	}
 }
+
+// TestDecodeArenaPairRejectsMismatchedLanes pins the zip contract: two
+// streams restore into one two-lane tree only when they describe the same
+// tree — a different node count, shape or key, or a truncated lane, fails.
+func TestDecodeArenaPairRejectsMismatchedLanes(t *testing.T) {
+	encode := func(keys ...float64) []byte {
+		tr := NewArena()
+		for i, k := range keys {
+			tr.Add(k, float64(i)+0.5)
+		}
+		var b bytes.Buffer
+		if err := tr.Encode(&b); err != nil {
+			t.Fatal(err)
+		}
+		return b.Bytes()
+	}
+	base := encode(1, 2, 3, 4, 5, 6)
+	if p, err := DecodeArenaPair(bytes.NewReader(base), bytes.NewReader(base)); err != nil || p.Len() != 6 {
+		t.Fatalf("identical lanes: %v", err)
+	}
+	for name, other := range map[string][]byte{
+		"count":     encode(1, 2, 3, 4, 5),
+		"shape":     encode(6, 5, 4, 3, 2, 1),
+		"key":       encode(1, 2, 3, 4, 5, 8),
+		"truncated": base[:len(base)-9],
+		"empty":     encode(),
+	} {
+		if _, err := DecodeArenaPair(bytes.NewReader(base), bytes.NewReader(other)); err == nil {
+			t.Errorf("%s: mismatched lane accepted", name)
+		}
+		if _, err := DecodeArenaPair(bytes.NewReader(other), bytes.NewReader(base)); err == nil {
+			t.Errorf("%s (as lane 0): mismatched lane accepted", name)
+		}
+	}
+}

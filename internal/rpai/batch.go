@@ -29,17 +29,24 @@ type Entry struct {
 	Value float64
 }
 
-// AddMany applies Add(e.Key, e.Value) for each entry in order. The resulting
-// tree state is bit-identical to the sequential Adds; see the pointer tree's
-// AddMany and the batch fuzzers for the differential contract.
-func (t *ArenaTree) AddMany(entries []Entry) {
+// entryOf is Entry over an arena payload; entryOf[[1]float64] has Entry's
+// memory layout (see ArenaTree.AddMany).
+type entryOf[V lanes] struct {
+	Key   float64
+	Value V
+}
+
+// addMany applies insert(e.Key, e.Value, false) for each entry in order. The
+// resulting tree state is bit-identical to the sequential Adds; see the
+// pointer tree's AddMany and the batch fuzzers for the differential contract.
+func (t *arena[V]) addMany(entries []entryOf[V]) {
 	var (
 		path  [maxPathLen]int32
 		dirs  [maxPathLen]bool // dirs[d]: the descent leaves path[d] rightward
 		depth int              // cached frames; path[depth-1] is the last found node
 		dirty bool             // some cached frame has a deferred sum unwind
 		prev  float64          // key of the entry that produced the cached tip
-		touch float64          // see arenaTouchSink in arena.go
+		touch float64          // see prefix in arena.go
 	)
 	// flush recomputes the deferred frames deepest-first down to (and
 	// including) frame from. Children of a flushed frame are canonical — the
@@ -65,7 +72,8 @@ entries:
 		// cached path exactly (keys are untouched by value updates), so
 		// update the tip in place.
 		if depth > 0 && e.Key == prev {
-			t.nodeAt(path[depth-1]).value += e.Value
+			tip := t.nodeAt(path[depth-1])
+			tip.value = laneAdd(tip.value, e.Value)
 			dirty = true
 			continue
 		}
@@ -83,7 +91,7 @@ entries:
 					// Found at a cached frame: frames below it leave the
 					// path — flush them — and this frame becomes the tip.
 					flush(j + 1)
-					n.value += e.Value
+					n.value = laneAdd(n.value, e.Value)
 					dirty = true
 					prev = e.Key
 					continue entries
@@ -127,17 +135,17 @@ entries:
 				// Unreachable in practice (see insert); fall back to the
 				// recursive add on a canonical tree.
 				flush(0)
-				t.root = t.add(t.root, e.Key, e.Value)
+				t.root = t.ins(t.root, e.Key, e.Value, false)
 				t.nodes[t.root].color = black
 				continue entries
 			}
 			n := t.nodeAt(i)
 			l, r := n.left, n.right
 			if l >= 0 {
-				touch += t.nodes[l].key
+				touch += t.nodeAt(l).key
 			}
 			if r >= 0 {
-				touch += t.nodes[r].key
+				touch += t.nodeAt(r).key
 			}
 			if rem < n.key {
 				path[depth], dirs[depth] = i, false
@@ -158,7 +166,7 @@ entries:
 			} else {
 				path[depth] = i
 				depth++
-				n.value += e.Value
+				n.value = laneAdd(n.value, e.Value)
 				dirty = true
 				prev = e.Key
 				continue entries
@@ -187,18 +195,7 @@ entries:
 			} else {
 				t.nodes[p].left = c
 			}
-			for d := depth - 1; d >= 0; d-- {
-				h := t.fixUp(path[d])
-				switch {
-				case d == 0:
-					t.root = h
-				case dirs[d-1]:
-					t.nodes[path[d-1]].right = h
-				default:
-					t.nodes[path[d-1]].left = h
-				}
-			}
-			t.nodes[t.root].color = black
+			t.unwind(path[:depth], dirs[:depth])
 			depth = 0
 		}
 	}

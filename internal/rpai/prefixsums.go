@@ -66,18 +66,18 @@ func prefixSums(n *node, keys, dst []float64, acc float64, inclusive bool) {
 	}
 }
 
-// PrefixSums is the arena counterpart of Tree.PrefixSums: many
+// prefixSums is the arena counterpart of Tree.PrefixSums over one lane: many
 // GetSum/GetSumLess probes in one shared descent, each bit-identical to its
 // standalone call. keys must be sorted ascending and is clobbered; dst must
 // have the same length.
-func (t *ArenaTree) PrefixSums(keys, dst []float64, inclusive bool) {
+func (t *arena[V]) prefixSums(lane int, keys, dst []float64, inclusive bool) {
 	if len(keys) != len(dst) {
 		panic("rpai: PrefixSums keys/dst length mismatch")
 	}
-	t.prefixSums(t.root, keys, dst, 0, inclusive)
+	t.prefixSumsAt(t.root, lane, keys, dst, 0, inclusive)
 }
 
-func (t *ArenaTree) prefixSums(i int32, keys, dst []float64, acc float64, inclusive bool) {
+func (t *arena[V]) prefixSumsAt(i int32, lane int, keys, dst []float64, acc float64, inclusive bool) {
 	for i >= 0 && len(keys) > 0 {
 		n := t.nodeAt(i)
 		cut := 0
@@ -94,14 +94,14 @@ func (t *ArenaTree) prefixSums(i int32, keys, dst []float64, acc float64, inclus
 			keys[j] -= n.key
 		}
 		if cut > 0 && cut < len(keys) {
-			t.prefixSums(n.left, keys[:cut], dst[:cut], acc, inclusive)
+			t.prefixSumsAt(n.left, lane, keys[:cut], dst[:cut], acc, inclusive)
 			keys, dst = keys[cut:], dst[cut:]
-			acc += n.value + n.leftSum
+			acc += n.value[lane] + n.leftSum[lane]
 			i = n.right
 		} else if cut == len(keys) {
 			i = n.left
 		} else {
-			acc += n.value + n.leftSum
+			acc += n.value[lane] + n.leftSum[lane]
 			i = n.right
 		}
 	}

@@ -439,3 +439,111 @@ func TestKeysSorted(t *testing.T) {
 		t.Fatalf("Keys len %d != Len %d", len(ks), tr.Len())
 	}
 }
+
+// sameTree reports the first field in which two subtrees differ, comparing
+// floats by bit pattern: shape, colours, keys, values and every augmented
+// field.
+func sameTree(a, b *node) string {
+	switch {
+	case a == nil && b == nil:
+		return ""
+	case a == nil || b == nil:
+		return "shape"
+	case a.color != b.color || a.size != b.size:
+		return "colour/size"
+	case math.Float64bits(a.key) != math.Float64bits(b.key) || math.Float64bits(a.value) != math.Float64bits(b.value):
+		return "key/value"
+	case math.Float64bits(a.sum) != math.Float64bits(b.sum):
+		return "sum"
+	case a.minKey != b.minKey || a.maxKey != b.maxKey:
+		return "min/max"
+	}
+	if d := sameTree(a.left, b.left); d != "" {
+		return d
+	}
+	return sameTree(a.right, b.right)
+}
+
+// TestAddMatchesGetPut is the differential for the single-descent Add: over
+// random adds and deletes with fractional keys and values (every sum
+// order-sensitive), the tree must stay node for node, bit for bit, the tree
+// that the old form — Get, then recursive Put — builds.
+func TestAddMatchesGetPut(t *testing.T) {
+	oldAdd := func(t *Tree, k, dv float64) {
+		if v, ok := t.Get(k); ok {
+			t.Put(k, v+dv)
+			return
+		}
+		t.Put(k, dv)
+	}
+	for seed := int64(1); seed <= 6; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		got, want := New(), New()
+		span := 40 << uint(seed) // from a few dozen keys to a few thousand
+		for step := 0; step < 6000; step++ {
+			k := 0.1*float64(rng.Intn(span)) - 7.3
+			if rng.Intn(4) == 0 {
+				if got.Delete(k) != want.Delete(k) {
+					t.Fatalf("seed %d step %d: Delete(%v) disagrees", seed, step, k)
+				}
+			} else {
+				dv := 0.3*float64(rng.Intn(50)) - 4.9
+				got.Add(k, dv)
+				oldAdd(want, k, dv)
+			}
+			if d := sameTree(got.root, want.root); d != "" {
+				t.Fatalf("seed %d step %d (key %v): trees differ in %s", seed, step, k, d)
+			}
+		}
+		if err := got.Validate(); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+	}
+}
+
+// TestAddPrefixMatchesStandaloneCalls holds AddPrefix to the sequence it
+// fuses — PrefixSum or PrefixSumLess, Get, Add, and Delete once the value is
+// exactly zero — on results and on the resulting tree, bit for bit.
+func TestAddPrefixMatchesStandaloneCalls(t *testing.T) {
+	for _, strict := range []bool{false, true} {
+		rng := rand.New(rand.NewSource(9))
+		got, want := New(), New()
+		var live [][2]float64
+		for step := 0; step < 8000; step++ {
+			var k, dv float64
+			if len(live) > 0 && rng.Intn(2) == 0 {
+				// Retract an earlier delta exactly, so levels empty out.
+				j := rng.Intn(len(live))
+				k, dv = live[j][0], -live[j][1]
+				live[j] = live[len(live)-1]
+				live = live[:len(live)-1]
+			} else {
+				k, dv = 0.1*float64(rng.Intn(300)), 0.3*float64(rng.Intn(40)+1)+0.07
+				live = append(live, [2]float64{k, dv})
+			}
+			wantPrefix := want.PrefixSum(k)
+			if strict {
+				wantPrefix = want.PrefixSumLess(k)
+			}
+			wantOld, _ := want.Get(k)
+			want.Add(k, dv)
+			wantNew, _ := want.Get(k)
+			if wantNew == 0 {
+				want.Delete(k)
+			}
+			prefix, old, now := got.AddPrefix(k, dv, strict)
+			if math.Float64bits(prefix) != math.Float64bits(wantPrefix) ||
+				math.Float64bits(old) != math.Float64bits(wantOld) ||
+				math.Float64bits(now) != math.Float64bits(wantNew) {
+				t.Fatalf("strict=%v step %d: AddPrefix(%v, %v) = (%v, %v, %v), standalone (%v, %v, %v)",
+					strict, step, k, dv, prefix, old, now, wantPrefix, wantOld, wantNew)
+			}
+			if d := sameTree(got.root, want.root); d != "" {
+				t.Fatalf("strict=%v step %d (key %v): trees differ in %s", strict, step, k, d)
+			}
+		}
+		if err := got.Validate(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}

@@ -738,7 +738,7 @@ func errReply(err error) (MsgType, []byte) {
 	switch {
 	case errors.Is(err, serve.ErrClosed), errors.Is(err, catalog.ErrClosed):
 		return MsgError, EncodeError(nil, CodeClosed, "")
-	case errors.Is(err, catalog.ErrUnknownQuery), errors.Is(err, catalog.ErrNotDurable):
+	case errors.Is(err, catalog.ErrUnknownQuery), errors.Is(err, catalog.ErrNotDurable), errors.Is(err, engine.ErrBadEvent):
 		return MsgError, EncodeError(nil, CodeBadRequest, err.Error())
 	case errors.Is(err, io.EOF):
 		return MsgError, EncodeError(nil, CodeInternal, "unexpected EOF")

@@ -471,3 +471,71 @@ func TestServerCheckpointRPC(t *testing.T) {
 	plain.send(MsgCheckpoint, nil)
 	plain.errCode(CodeBadRequest)
 }
+
+// TestServerRefusesPoisonBatch sends, over the wire, a batch with an event
+// the range-shift executor cannot maintain (an insert that omits `volume`, so
+// its inner weight reads 0). The reply is CodeBadRequest, the connection and
+// the daemon keep serving — the sequence number is not consumed, so the
+// client may resend it corrected — and a follower on the same directory, fed
+// only by what reached the WAL, agrees with the primary.
+func TestServerRefusesPoisonBatch(t *testing.T) {
+	dir := t.TempDir()
+	events := symEvents(17, 300, 5)
+	addr := startServer(t, oneQueryCatalog(t, catalog.Options{Shards: 2, Dir: dir}), ServerConfig{})
+	rc := dialRaw(t, addr, 9)
+	rc.send(MsgApplyBatch, EncodeBatch(nil, 1, encodeEvents(events[:150])))
+	if tp, _, _ := rc.recv(); tp != MsgAck {
+		t.Fatal("batch not acked")
+	}
+	rc.send(MsgDrain, nil)
+	if tp, _, _ := rc.recv(); tp != MsgAck {
+		t.Fatal("drain not acked")
+	}
+	result := func() float64 {
+		rc.send(MsgResult, nil)
+		_, _, body := rc.recv()
+		v, err := DecodeScalar(body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v
+	}
+	before := result()
+
+	poison := append(append([]engine.Event{}, events[150:160]...),
+		engine.Insert(query.Tuple{"sym": 1, "price": 12}))
+	rc.send(MsgApplyBatch, EncodeBatch(nil, 2, encodeEvents(poison)))
+	rc.errCode(CodeBadRequest)
+	if got := result(); got != before {
+		t.Fatalf("refused batch moved the result: %v, was %v", got, before)
+	}
+
+	rc.send(MsgApplyBatch, EncodeBatch(nil, 2, encodeEvents(events[150:])))
+	if tp, _, _ := rc.recv(); tp != MsgAck {
+		t.Fatal("the refused sequence number, resent corrected, was not acked")
+	}
+	rc.send(MsgDrain, nil)
+	if tp, _, _ := rc.recv(); tp != MsgAck {
+		t.Fatal("drain not acked")
+	}
+	want := result()
+
+	rc.send(MsgStats, nil)
+	_, _, body := rc.recv()
+	st, err := DecodeStats(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(st.Queries) != 1 || st.Queries[0].Rejected != uint64(len(poison)) {
+		t.Fatalf("stats %+v, want one query with Rejected %d", st.Queries, len(poison))
+	}
+
+	fol, err := catalog.Follow(catalog.Options{Dir: dir, Shards: 3}, 0)
+	if err != nil {
+		t.Fatalf("follower on the directory that saw a poison batch: %v", err)
+	}
+	defer fol.Close()
+	if got, err := fol.Result(1); err != nil || got != want {
+		t.Fatalf("follower Result = %v (%v), want %v", got, err, want)
+	}
+}
