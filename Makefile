@@ -1,17 +1,29 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: test test-race bench bench-core batch experiments examples fuzz fuzz-smoke race matrix matrix-smoke catalog bench-compare serve-demo lint benchmark benchmark-check
+.PHONY: test test-race race catalog bench bench-core experiments examples fuzz fuzz-smoke lint benchmark benchmark-check benchmark-smoke serve-demo
 
+# CI's test job: tier-1 (build, vet, every unit test), the stack benchmark's
+# build and unit tests, the allocation guards re-run uncached (steady-state
+# hot paths stay allocation-free: both tree representations, the engine event
+# codec, serve's per-event apply), and an end-to-end smoke of every retained
+# rpaibench experiment.
 test: benchmark-check
 	go build ./... && go vet ./... && go test ./...
+	go test -run 'TestAllocGuard' -count 1 ./internal/rpai/ ./internal/engine/ ./internal/serve/
+	go run ./cmd/rpaibench -exp all -quick
 
 # The stack benchmark (BENCHMARK.json) is a module of its own under
 # benchmark/, so nothing above compiles it. benchmark-check builds it against
 # this checkout and runs its unit tests (-o /dev/null: a bare `go build` would
 # drop the binary into benchmark/; -short skips the 1/100-scale smoke
-# pass); benchmark runs it: all four workloads, timed.
+# pass); benchmark-smoke (a CI job) runs that pass too: all four workloads
+# against a real child rpaiserver, every answer checked by the oracle;
+# benchmark runs it in full, timed — the one source of serving-stack numbers.
 benchmark-check:
 	cd benchmark && go build -o /dev/null ./... && go vet ./... && go test -short ./...
+
+benchmark-smoke:
+	cd benchmark && go test -count 1 ./...
 
 benchmark:
 	bash benchmark/run.sh
@@ -19,16 +31,32 @@ benchmark:
 test-race:
 	go test -race ./...
 
-race:
-	go test -race ./internal/...
+# CI's race job: every package under -race (-short downscales the
+# delete-heavy soak traces; test-race is the full soak), the serving suites
+# unabridged (catalog), and the batch-equivalence and subscription-delta fuzz
+# smokes under -race at GOMAXPROCS=4.
+race: catalog
+	go test -race -short ./...
+	GOMAXPROCS=4 go test -race -fuzz FuzzBatchEquivalence -fuzztime 10s -run '^$$' ./internal/engine/
+	GOMAXPROCS=4 go test -race -fuzz FuzzSubscriptionDeltas -fuzztime 10s -run '^$$' ./internal/serve/
+
+# The serving surface unabridged under -race (catalog lifecycle and sharing,
+# the shared WAL's crash/recover/torn-tail matrices, the follower, wire server
+# and client, serve's parallel-ingest differential and stats race), the
+# loopback demo, and the daemon boot smoke on real processes (-query,
+# -register twice, -replica; -compact-every, SIGTERM drain,
+# restart-and-recover).
+catalog:
+	go test -race -count 1 ./internal/catalog/ ./internal/wire/... ./internal/serve/
+	go run ./examples/wiredemo
+	go test -run 'TestDaemon|TestBoot' -count 1 -v ./cmd/rpaiserver/
 
 bench:
 	go test -bench=. -benchmem ./...
 
-# Core micro-benchmarks: the tree operations, pointer vs arena side by side
-# (satellite of the arena experiment; `rpaibench -exp arena` is the
-# reportable version), and the range-shift executor's per-event cost at the
-# stack benchmark's deep-index and wide-shallow tree sizes.
+# Core micro-benchmarks: the tree operations, pointer vs arena side by side,
+# and the range-shift executor's per-event cost at the stack benchmark's
+# deep-index and wide-shallow tree sizes.
 bench-core:
 	go test -run '^$$' -bench 'BenchmarkTree(Put|Add|GetSum|Delete)' -benchmem \
 		-benchtime 200ms -count 3 ./internal/rpai/
@@ -37,13 +65,6 @@ bench-core:
 
 experiments:
 	go run ./cmd/rpaibench -exp all
-
-# Batch-native ingest: the ApplyBatch sweep across strategies and batch
-# sizes, the equivalence fuzz target, and the alloc guards (CI's batch job).
-batch:
-	go test -race -run 'ApplyBatch|Batch' -fuzz FuzzBatchEquivalence -fuzztime 10s ./internal/engine/
-	go test -race -run 'ApplyBatch|BatchSize|AllocGuard' ./internal/serve/
-	go run ./cmd/rpaibench -exp batch -quick -batch-out ""
 
 examples:
 	go run ./examples/quickstart
@@ -55,59 +76,32 @@ examples:
 	go run ./examples/checkpoint
 	go run ./examples/wiredemo
 
+# Every Fuzz* target in the module, as package:target. fuzz and fuzz-smoke
+# (a CI job) run the same list and differ only in time per target.
+FUZZ_TARGETS := \
+	internal/rpai:FuzzTreeOps \
+	internal/rpai:FuzzPairOps \
+	internal/rpaibtree:FuzzBTreeVsBinary \
+	internal/engine:FuzzEngineDifferential \
+	internal/engine:FuzzBatchEquivalence \
+	internal/engine:FuzzSnapshotRoundTrip \
+	internal/checkpoint:FuzzWALRecords \
+	internal/sqlparse:FuzzParse \
+	internal/wire:FuzzWireFrames \
+	internal/serve:FuzzSubscriptionDeltas \
+	internal/catalog:FuzzCatalogDifferential
+
+# $(call fuzz-each,TIME): one recipe line per target.
+define fuzz-each
+$(foreach t,$(FUZZ_TARGETS),go test -fuzz '^$(lastword $(subst :, ,$t))$$' -fuzztime $(1) -run '^$$' ./$(firstword $(subst :, ,$t))/
+)
+endef
+
 fuzz:
-	go test -fuzz FuzzTreeOps -fuzztime 30s ./internal/rpai/
-	go test -fuzz FuzzPairOps -fuzztime 30s ./internal/rpai/
-	go test -fuzz FuzzEngineDifferential -fuzztime 30s ./internal/engine/
-	go test -fuzz FuzzBatchEquivalence -fuzztime 30s ./internal/engine/
-	go test -fuzz FuzzSnapshotRoundTrip -fuzztime 30s ./internal/engine/
-	go test -fuzz FuzzWALRecords -fuzztime 30s ./internal/checkpoint/
-	go test -fuzz FuzzBTreeVsBinary -fuzztime 30s ./internal/rpaibtree/
-	go test -fuzz FuzzParse -fuzztime 30s ./internal/sqlparse/
-	go test -fuzz FuzzWireFrames -fuzztime 30s ./internal/wire/
-	go test -fuzz FuzzSubscriptionDeltas -fuzztime 30s ./internal/serve/
+	$(call fuzz-each,30s)
 
-# The 10-second smoke CI runs on every push.
 fuzz-smoke:
-	go test -fuzz FuzzTreeOps -fuzztime 10s -run '^$$' ./internal/rpai/
-	go test -fuzz FuzzPairOps -fuzztime 10s -run '^$$' ./internal/rpai/
-	go test -fuzz FuzzEngineDifferential -fuzztime 10s -run '^$$' ./internal/engine/
-	go test -fuzz FuzzBatchEquivalence -fuzztime 10s -run '^$$' ./internal/engine/
-	go test -fuzz FuzzSnapshotRoundTrip -fuzztime 10s -run '^$$' ./internal/engine/
-	go test -fuzz FuzzWALRecords -fuzztime 10s -run '^$$' ./internal/checkpoint/
-	go test -fuzz FuzzWireFrames -fuzztime 10s -run '^$$' ./internal/wire/
-	go test -fuzz FuzzSubscriptionDeltas -fuzztime 10s -run '^$$' ./internal/serve/
-
-# The multicore scaling matrix at full scale: serve / wire / fanout modes
-# swept over GOMAXPROCS x shards x batch size x connections, written to
-# BENCH_matrix.json with the host baseline in the header.
-matrix:
-	go run ./cmd/rpaibench -exp matrix
-
-# CI's matrix job: parallel differential + stats-race tests under -race, the
-# GOMAXPROCS=4 fuzz smokes, then a quick matrix run gated against the
-# committed baseline at the default 15% threshold.
-matrix-smoke:
-	go test -race -run 'ParallelIngest|StatsRace|MaxProcs|Matrix|Compare' \
-		./internal/serve/ ./internal/bench/
-	GOMAXPROCS=4 go test -race -fuzz FuzzBatchEquivalence -fuzztime 10s -run '^$$' ./internal/engine/
-	GOMAXPROCS=4 go test -race -fuzz FuzzSubscriptionDeltas -fuzztime 10s -run '^$$' ./internal/serve/
-	go run ./cmd/rpaibench -exp matrix -quick -matrix-out /tmp/rpai-matrix-new.json
-	go run ./cmd/rpaibench -compare BENCH_matrix_baseline.json /tmp/rpai-matrix-new.json
-
-# CI's catalog job: the serving surface unabridged under -race (catalog
-# lifecycle and sharing, the shared WAL's crash/recover/torn-tail matrices,
-# the follower, wire server and client), the catalog differential fuzz smoke,
-# a quick multi run (all six arms) gated against the committed baseline, the
-# loopback demo, and the daemon boot smoke on real processes (-query,
-# -register twice, -replica; -compact-every, SIGTERM drain, restart-and-recover).
-catalog:
-	go test -race -count 1 ./internal/catalog/ ./internal/wire/...
-	go test -fuzz FuzzCatalogDifferential -fuzztime 10s -run '^$$' ./internal/catalog/
-	go run ./cmd/rpaibench -exp multi -quick -multi-out /tmp/rpai-multi-new.json
-	go run ./cmd/rpaibench -compare BENCH_multi_baseline.json /tmp/rpai-multi-new.json
-	go run ./examples/wiredemo
-	go test -run 'TestDaemon|TestBoot' -count 1 -v ./cmd/rpaiserver/
+	$(call fuzz-each,10s)
 
 # Static analysis beyond `go vet`: formatting drift, staticcheck, and the
 # vulnerability scan. CI installs the two tools in its lint job; locally they
@@ -120,10 +114,6 @@ lint:
 		else echo "staticcheck not installed; skipping"; fi
 	@if command -v govulncheck >/dev/null; then govulncheck ./...; \
 		else echo "govulncheck not installed; skipping"; fi
-
-# Compare two benchmark reports: make bench-compare OLD=a.json NEW=b.json
-bench-compare:
-	go run ./cmd/rpaibench -compare $(OLD) $(NEW)
 
 # Boot a durable rpaiserver on :7411 with the VWAP decile query, partitioned
 # by symbol, and run the in-process demo against a loopback server.

@@ -4,13 +4,11 @@
 // Usage:
 //
 //	rpaibench -exp table1|scaling|fig7|fig8|fig8d|fig9|cadence|latency|all [flags]
-//	rpaibench -exp serve|arena|batch|matrix|multi [-quick] [flags]  # BENCH_*.json reports
 //	rpaibench -exp replay -trace book.csv [-query vwap]
-//	rpaibench -compare old.json new.json [-threshold 0.15]   # regression gate
 //
-// -compare diffs two BENCH_*.json reports of the same experiment and exits 1
-// when any metric regressed by more than -threshold (or a baseline
-// measurement disappeared), 2 on malformed input — the CI regression gate.
+// Every experiment here runs the hand-written executors of internal/queries.
+// The serving stack (catalog, shards, WAL, wire, subscriptions) is measured
+// by the stack benchmark instead: `make benchmark` (BENCHMARK.json).
 //
 // The default scales finish in minutes on a laptop; -full switches Figure 8
 // to the paper's 100k-event sweep. Any experiment can be profiled with
@@ -29,32 +27,26 @@ import (
 	"rpai/internal/stream"
 )
 
+// experiments lists every -exp value, for the flag's help text and the
+// unknown-experiment message.
+const experiments = "table1, scaling, fig7, fig8, fig8d, fig9, cadence, latency, replay, or all"
+
 func main() {
 	var (
-		exp      = flag.String("exp", "all", "experiment: table1, scaling, fig7, fig8, fig8d, fig9, cadence, latency, serve, replay, arena, batch, matrix, multi, or all")
-		events   = flag.Int("events", 10000, "finance trace length for fig7")
-		sf       = flag.Float64("sf", 1, "TPC-H scale factor for fig7")
-		seed     = flag.Int64("seed", 1, "workload seed")
-		full     = flag.Bool("full", false, "run fig8 at paper scale (adds the 100k point)")
-		quick    = flag.Bool("quick", false, "shrink every experiment for a fast smoke run")
-		figNine  = flag.Int("fig9-events", 4000, "trace length for fig9")
-		format   = flag.String("format", "text", "output format: text or csv")
-		trace    = flag.String("trace", "", "replay: order-book CSV trace file (as emitted by datagen)")
-		rQuery   = flag.String("query", "vwap", "replay: finance query to run over -trace")
-		srvOut   = flag.String("serve-out", "BENCH_serve.json", "serve: JSON report path (empty to skip the file)")
-		arenaOut = flag.String("arena-out", "BENCH_arena.json", "arena: JSON report path (empty to skip the file)")
-		batchOut = flag.String("batch-out", "BENCH_batch.json", "batch: JSON report path (empty to skip the file)")
-		matOut   = flag.String("matrix-out", "BENCH_matrix.json", "matrix: JSON report path (empty to skip the file)")
-		multiOut = flag.String("multi-out", "BENCH_multi.json", "multi: JSON report path (empty to skip the file)")
-		compare  = flag.Bool("compare", false, "compare two BENCH_*.json reports: rpaibench -compare old.json new.json")
-		thresh   = flag.Float64("threshold", 0.15, "compare: relative regression threshold (0.15 = 15%)")
-		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memProf  = flag.String("memprofile", "", "write a heap profile to this file on exit")
+		exp     = flag.String("exp", "all", "experiment: "+experiments)
+		events  = flag.Int("events", 10000, "finance trace length for fig7")
+		sf      = flag.Float64("sf", 1, "TPC-H scale factor for fig7")
+		seed    = flag.Int64("seed", 1, "workload seed")
+		full    = flag.Bool("full", false, "run fig8 at paper scale (adds the 100k point)")
+		quick   = flag.Bool("quick", false, "shrink every experiment for a fast smoke run")
+		figNine = flag.Int("fig9-events", 4000, "trace length for fig9")
+		format  = flag.String("format", "text", "output format: text or csv")
+		trace   = flag.String("trace", "", "replay: order-book CSV trace file (as emitted by datagen)")
+		rQuery  = flag.String("query", "vwap", "replay: finance query to run over -trace")
+		cpuProf = flag.String("cpuprofile", "", "write a CPU profile to this file")
+		memProf = flag.String("memprofile", "", "write a heap profile to this file on exit")
 	)
 	flag.Parse()
-	if *compare {
-		os.Exit(runCompare(flag.Args(), *thresh))
-	}
 	if *cpuProf != "" {
 		f, err := os.Create(*cpuProf)
 		if err != nil {
@@ -84,6 +76,10 @@ func main() {
 	csvOut := *format == "csv"
 	if !csvOut && *format != "text" {
 		fmt.Fprintf(os.Stderr, "rpaibench: unknown format %q\n", *format)
+		os.Exit(2)
+	}
+	if csvOut && *exp == "table1" {
+		fmt.Fprintln(os.Stderr, "rpaibench: table1 has no CSV form; use -format text")
 		os.Exit(2)
 	}
 
@@ -209,131 +205,6 @@ func main() {
 			fmt.Printf("  %-8s %12v   result %g\n", sys, elapsed.Round(time.Microsecond), res)
 		}
 	}
-	if *exp == "serve" {
-		ran = true
-		cfg := bench.DefaultServe()
-		if *quick {
-			cfg.Events, cfg.Partitions, cfg.QueueLen = 20000, 1024, 2048
-		}
-		cfg.Seed = *seed
-		rep, err := bench.Serve(cfg)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "rpaibench:", err)
-			os.Exit(1)
-		}
-		fmt.Print(bench.FormatServe(rep))
-		if *srvOut != "" {
-			data, err := bench.ServeJSON(rep)
-			if err == nil {
-				err = os.WriteFile(*srvOut, data, 0o644)
-			}
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "rpaibench:", err)
-				os.Exit(1)
-			}
-			fmt.Printf("wrote %s\n", *srvOut)
-		}
-	}
-	if *exp == "batch" {
-		ran = true
-		cfg := bench.DefaultBatchNative()
-		if *quick {
-			cfg = bench.QuickBatchNative()
-		}
-		cfg.Seed = *seed
-		rep, err := bench.BatchNative(cfg)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "rpaibench:", err)
-			os.Exit(1)
-		}
-		fmt.Print(bench.FormatBatchNative(rep))
-		if *batchOut != "" {
-			data, err := bench.BatchNativeJSON(rep)
-			if err == nil {
-				err = os.WriteFile(*batchOut, data, 0o644)
-			}
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "rpaibench:", err)
-				os.Exit(1)
-			}
-			fmt.Printf("wrote %s\n", *batchOut)
-		}
-	}
-	if *exp == "matrix" {
-		ran = true
-		cfg := bench.DefaultMatrix()
-		if *quick {
-			cfg = bench.QuickMatrix()
-		}
-		cfg.Seed = *seed
-		rep, err := bench.Matrix(cfg)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "rpaibench:", err)
-			os.Exit(1)
-		}
-		fmt.Print(bench.FormatMatrix(rep))
-		if *matOut != "" {
-			data, err := bench.MatrixJSON(rep)
-			if err == nil {
-				err = os.WriteFile(*matOut, data, 0o644)
-			}
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "rpaibench:", err)
-				os.Exit(1)
-			}
-			fmt.Printf("wrote %s\n", *matOut)
-		}
-	}
-	if *exp == "multi" {
-		ran = true
-		cfg := bench.DefaultMulti()
-		if *quick {
-			cfg = bench.QuickMulti()
-		}
-		cfg.Seed = *seed
-		rep, err := bench.Multi(cfg)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "rpaibench:", err)
-			os.Exit(1)
-		}
-		fmt.Print(bench.FormatMulti(rep))
-		if *multiOut != "" {
-			data, err := bench.MultiJSON(rep)
-			if err == nil {
-				err = os.WriteFile(*multiOut, data, 0o644)
-			}
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "rpaibench:", err)
-				os.Exit(1)
-			}
-			fmt.Printf("wrote %s\n", *multiOut)
-		}
-	}
-	if *exp == "arena" {
-		ran = true
-		cfg := bench.DefaultArena()
-		if *quick {
-			cfg = bench.QuickArena()
-		}
-		cfg.Seed = *seed
-		rep, err := bench.Arena(cfg)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "rpaibench:", err)
-			os.Exit(1)
-		}
-		fmt.Print(bench.FormatArena(rep))
-		if *arenaOut != "" {
-			data, err := bench.ArenaJSON(rep)
-			if err == nil {
-				err = os.WriteFile(*arenaOut, data, 0o644)
-			}
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "rpaibench:", err)
-				os.Exit(1)
-			}
-			fmt.Printf("wrote %s\n", *arenaOut)
-		}
-	}
 	if run("fig9") {
 		ran = true
 		cfg := bench.DefaultFig9()
@@ -350,39 +221,7 @@ func main() {
 		}
 	}
 	if !ran {
-		fmt.Fprintf(os.Stderr, "rpaibench: unknown experiment %q\n", *exp)
-		flag.Usage()
+		fmt.Fprintf(os.Stderr, "rpaibench: unknown experiment %q; valid: %s. Serving-stack numbers come from `make benchmark`.\n", *exp, experiments)
 		os.Exit(2)
 	}
-}
-
-// runCompare is the regression-gate mode: diff two reports, print the table,
-// exit 0 when clean, 1 on a regression (or vanished baseline measurement),
-// 2 on usage or malformed input.
-func runCompare(args []string, threshold float64) int {
-	if len(args) != 2 {
-		fmt.Fprintln(os.Stderr, "rpaibench: -compare needs exactly two report paths: old.json new.json")
-		return 2
-	}
-	oldData, err := os.ReadFile(args[0])
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "rpaibench:", err)
-		return 2
-	}
-	newData, err := os.ReadFile(args[1])
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "rpaibench:", err)
-		return 2
-	}
-	rep, err := bench.Compare(oldData, newData, threshold)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "rpaibench:", err)
-		return 2
-	}
-	fmt.Print(bench.FormatCompare(rep))
-	if err := rep.Gate(); err != nil {
-		fmt.Fprintln(os.Stderr, "rpaibench:", err)
-		return 1
-	}
-	return 0
 }

@@ -7,7 +7,7 @@
 // The paper's value proposition is that higher-order incremental state is
 // expensive to rebuild; this package makes that state durable so a restart
 // recovers it from a snapshot plus a short WAL suffix instead of a full
-// replay (the recovery experiment in internal/bench quantifies the speedup).
+// replay (the stack benchmark's recover_s measures it).
 //
 // Every multi-byte integer is little-endian. Every on-disk structure is built
 // from checksummed records:

@@ -21,13 +21,6 @@ import (
 // the same events — the engine's ProbeExecutor contract plus gate-zeroing —
 // so a catalog can serve N structural variants from one executor set.
 
-// FanExecutor mirrors engine.FanExecutor through the serving layer: consts
-// is sorted ascending, dst has the same length, and dst[i] must equal (bit
-// for bit) the Result of a dedicated executor built with constant consts[i].
-type FanExecutor interface {
-	ResultFan(consts, dst []float64)
-}
-
 // ProbeExecutor mirrors engine.ProbeExecutor through the serving layer; see
 // that contract for the vals/cnts convention (AVG lanes are raw pairs).
 type ProbeExecutor interface {
@@ -137,16 +130,6 @@ func colNamed(cols []string, name string) bool {
 	return false
 }
 
-// SetFan installs plain SUM threshold lanes, one per constant — the PR 9
-// fan surface, kept as a thin wrapper over SetProbes.
-func (s *Service[E]) SetFan(consts []float64) error {
-	specs := make([]engine.ProbeSpec, len(consts))
-	for i, c := range consts {
-		specs[i] = engine.ProbeSpec{Const: c}
-	}
-	return s.SetProbes(specs)
-}
-
 // laneOfSpec locates the lane serving spec in the canonical lane set; -1
 // when absent. Constants match by exact bits (ProbeSpec equality).
 func laneOfSpec(specs []engine.ProbeSpec, spec engine.ProbeSpec) int {
@@ -215,16 +198,4 @@ func (s *Service[E]) ProbeResultGrouped(spec engine.ProbeSpec) ([]engine.GroupRe
 	}
 	sortGroups(out)
 	return out, true
-}
-
-// FanResult returns the sum of all partition results at the plain SUM lane
-// with constant c — the PR 9 fan read, a wrapper over ProbeResult.
-func (s *Service[E]) FanResult(c float64) (float64, bool) {
-	return s.ProbeResult(engine.ProbeSpec{Const: c})
-}
-
-// FanResultGrouped returns the per-partition results at the plain SUM lane
-// with constant c, sorted by partition key.
-func (s *Service[E]) FanResultGrouped(c float64) ([]engine.GroupResult, bool) {
-	return s.ProbeResultGrouped(engine.ProbeSpec{Const: c})
 }

@@ -24,19 +24,24 @@ func fanVWAP(c float64) *query.Query {
 	}
 }
 
-// TestServeFanDifferential runs one fan service against K dedicated
-// services over the same event stream and checks FanResult,
-// FanResultGrouped and fan subscriptions are bit-identical per lane.
+// TestServeFanDifferential runs one service with K threshold probe lanes
+// against K dedicated services over the same event stream and checks
+// ProbeResult, ProbeResultGrouped and lane subscriptions are bit-identical
+// per lane.
 func TestServeFanDifferential(t *testing.T) {
 	consts := []float64{0.3, 0.75, 0.9}
+	lanes := make([]engine.ProbeSpec, len(consts))
+	for i, c := range consts {
+		lanes[i] = engine.ProbeSpec{Const: c}
+	}
 	opt := Options{Shards: 3, BatchSize: 8}
 	fam, err := ForQuery(fanVWAP(consts[1]), []string{"broker"}, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer fam.Close()
-	if err := fam.SetFan(consts); err != nil {
-		t.Fatalf("SetFan: %v", err)
+	if err := fam.SetProbes(lanes); err != nil {
+		t.Fatalf("SetProbes: %v", err)
 	}
 	solo := make([]*Service[engine.Event], len(consts))
 	for i, c := range consts {
@@ -48,11 +53,10 @@ func TestServeFanDifferential(t *testing.T) {
 		solo[i] = s
 	}
 
-	// A fan subscription per lane, attached before ingest.
+	// A subscription per lane, attached before ingest.
 	subs := make([]*Subscription, len(consts))
-	for i := range consts {
-		c := consts[i]
-		sub, err := fam.Subscribe(SubOptions{FanConst: &c, Buffer: 1024})
+	for i := range lanes {
+		sub, err := fam.Subscribe(SubOptions{Probe: &lanes[i], Buffer: 1024})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -97,15 +101,15 @@ func TestServeFanDifferential(t *testing.T) {
 			}
 		}
 		for i, c := range consts {
-			got, ok := fam.FanResult(c)
+			got, ok := fam.ProbeResult(lanes[i])
 			if !ok {
 				t.Fatalf("batch %d: lane %v not installed", batch, c)
 			}
 			want := solo[i].Result()
 			if math.Float64bits(got) != math.Float64bits(want) {
-				t.Fatalf("batch %d lane %v: FanResult %v, solo %v", batch, c, got, want)
+				t.Fatalf("batch %d lane %v: ProbeResult %v, solo %v", batch, c, got, want)
 			}
-			gg, ok := fam.FanResultGrouped(c)
+			gg, ok := fam.ProbeResultGrouped(lanes[i])
 			if !ok {
 				t.Fatalf("batch %d: grouped lane %v not installed", batch, c)
 			}
@@ -132,7 +136,7 @@ func TestServeFanDifferential(t *testing.T) {
 				state[string(encodeKey(nil, g.Key))] = g.Value
 			}
 		}
-		want, _ := fam.FanResultGrouped(c)
+		want, _ := fam.ProbeResultGrouped(lanes[i])
 		if len(state) != len(want) {
 			t.Fatalf("lane %v: replay has %d groups, want %d", c, len(state), len(want))
 		}
@@ -144,15 +148,14 @@ func TestServeFanDifferential(t *testing.T) {
 		}
 	}
 
-	// SetFan with an unsupported lane set still leaves base reads intact;
-	// removing lanes disables fan reads.
-	if err := fam.SetFan(nil); err != nil {
-		t.Fatalf("SetFan(nil): %v", err)
+	// Removing the lanes disables lane reads.
+	if err := fam.SetProbes(nil); err != nil {
+		t.Fatalf("SetProbes(nil): %v", err)
 	}
 	if err := fam.Drain(); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := fam.FanResult(consts[0]); ok {
-		t.Fatalf("fan read succeeded after lanes removed")
+	if _, ok := fam.ProbeResult(lanes[0]); ok {
+		t.Fatalf("lane read succeeded after lanes removed")
 	}
 }

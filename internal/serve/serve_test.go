@@ -9,6 +9,7 @@ import (
 	"rpai/internal/queries"
 	"rpai/internal/query"
 	"rpai/internal/stream"
+	"rpai/internal/tpch"
 )
 
 // vwapSpec is Example 2.2 (the per-partition query of most serving tests):
@@ -272,61 +273,82 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
-// TestFinanceExecutorServing serves the hand-written VWAP executor of package
-// queries per broker over raw order-book events — the cross-layer deployment
-// the serving layer exists for — and checks it against per-broker serial
-// replay.
+// TestFinanceExecutorServing serves the hand-written executors of package
+// queries over raw workload events — the cross-layer deployment the serving
+// layer exists for — at several shard counts, and checks each against
+// per-partition serial replay: VWAP per broker over the order book, and
+// TPC-H Q18 per order key.
 func TestFinanceExecutorServing(t *testing.T) {
 	cfg := stream.DefaultOrderBook(5000)
 	cfg.Seed = 42
 	cfg.DeleteRatio = 0.2
 	cfg.PriceLevels = 40
 	cfg.MaxVolume = 50
-	events := stream.GenerateOrderBook(cfg)
-
-	svc, err := New(Config[stream.Event]{
-		Shards:    3,
-		BatchSize: 32,
-		Partition: func(e stream.Event, buf []float64) []float64 {
-			return append(buf, float64(e.Rec.BrokerID))
-		},
-		New: func([]float64) Executor[stream.Event] {
-			return queries.NewBids("vwap", queries.RPAI)
-		},
+	t.Run("vwap-per-broker", func(t *testing.T) {
+		checkServedAgainstSerial(t, stream.GenerateOrderBook(cfg),
+			func(e stream.Event) float64 { return float64(e.Rec.BrokerID) },
+			func() Executor[stream.Event] { return queries.NewBids("vwap", queries.RPAI) })
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer svc.Close()
-	ref := map[int32]queries.BidsExecutor{}
+	t.Run("q18-per-order", func(t *testing.T) {
+		checkServedAgainstSerial(t, tpch.Generate(tpch.DefaultConfig(0.1, false)).Events,
+			func(e tpch.Event) float64 { return float64(e.Rec.OrderKey) },
+			func() Executor[tpch.Event] { return queries.NewQ18(queries.RPAI) })
+	})
+}
+
+// checkServedAgainstSerial replays events through a fresh service per shard
+// count, partitioned by key, and requires the drained scalar and grouped
+// results to equal one serially fed executor per key.
+func checkServedAgainstSerial[E any](t *testing.T, events []E, key func(E) float64, newEx func() Executor[E]) {
+	t.Helper()
+	ref := map[float64]Executor[E]{}
 	for _, e := range events {
-		if err := svc.Apply(e); err != nil {
-			t.Fatal(err)
-		}
-		ex, ok := ref[e.Rec.BrokerID]
+		ex, ok := ref[key(e)]
 		if !ok {
-			ex = queries.NewBids("vwap", queries.RPAI)
-			ref[e.Rec.BrokerID] = ex
+			ex = newEx()
+			ref[key(e)] = ex
 		}
 		ex.Apply(e)
-	}
-	if err := svc.Drain(); err != nil {
-		t.Fatal(err)
 	}
 	var wantTotal float64
 	for _, ex := range ref {
 		wantTotal += ex.Result()
 	}
-	if got := svc.Result(); got != wantTotal {
-		t.Fatalf("served VWAP-per-broker = %v, want %v", got, wantTotal)
+	if wantTotal == 0 {
+		t.Fatal("degenerate trace: serial reference is 0")
 	}
-	groups := svc.ResultGrouped()
-	if len(groups) != len(ref) {
-		t.Fatalf("%d broker groups, want %d", len(groups), len(ref))
-	}
-	for _, g := range groups {
-		if want := ref[int32(g.Key[0])].Result(); g.Value != want {
-			t.Fatalf("broker %v = %v, want %v", g.Key[0], g.Value, want)
+	for _, shards := range []int{1, 3, 8} {
+		svc, err := New(Config[E]{
+			Shards:    shards,
+			BatchSize: 32,
+			Partition: func(e E, buf []float64) []float64 { return append(buf, key(e)) },
+			New:       func([]float64) Executor[E] { return newEx() },
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range events {
+			if err := svc.Apply(e); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := svc.Drain(); err != nil {
+			t.Fatal(err)
+		}
+		if got := svc.Result(); got != wantTotal {
+			t.Fatalf("shards=%d: served total = %v, want %v", shards, got, wantTotal)
+		}
+		groups := svc.ResultGrouped()
+		if len(groups) != len(ref) {
+			t.Fatalf("shards=%d: %d groups, want %d", shards, len(groups), len(ref))
+		}
+		for _, g := range groups {
+			if want := ref[g.Key[0]].Result(); g.Value != want {
+				t.Fatalf("shards=%d: partition %v = %v, want %v", shards, g.Key[0], g.Value, want)
+			}
+		}
+		if err := svc.Close(); err != nil {
+			t.Fatal(err)
 		}
 	}
 }

@@ -61,15 +61,11 @@ type SubOptions struct {
 	// attach.
 	Resume      []ShardVersion
 	ResumeEpoch uint64
-	// FanConst, when non-nil, subscribes to the plain SUM lane serving that
-	// threshold constant instead of the base results — shorthand for Probe
-	// with a zero-kind spec.
-	FanConst *float64
-	// Probe, when non-nil, subscribes to the probe lane serving that spec:
-	// frames carry the lane's per-partition values (AVG lanes are finished
-	// per partition, each group its partition's exact average; see
-	// SetProbes). Publications made while the lane is not installed offer
-	// nothing to this subscription.
+	// Probe, when non-nil, subscribes to the probe lane serving that spec
+	// instead of the base results: frames carry the lane's per-partition
+	// values (AVG lanes are finished per partition, each group its
+	// partition's exact average; see SetProbes). Publications made while the
+	// lane is not installed offer nothing to this subscription.
 	Probe *engine.ProbeSpec
 }
 
@@ -156,8 +152,6 @@ func (s *Service[E]) Subscribe(opt SubOptions) (*Subscription, error) {
 			groups: make(map[string]engine.GroupResult)}
 		if opt.Probe != nil {
 			ss.hasLane, ss.lane = true, *opt.Probe
-		} else if opt.FanConst != nil {
-			ss.hasLane, ss.lane = true, engine.ProbeSpec{Const: *opt.FanConst}
 		}
 		sub.shards[i] = ss
 	}
