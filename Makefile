@@ -103,12 +103,14 @@ fuzz:
 fuzz-smoke:
 	$(call fuzz-each,10s)
 
-# Static analysis beyond `go vet`: formatting drift, staticcheck, and the
-# vulnerability scan. CI installs the two tools in its lint job; locally they
-# are skipped with a note when absent (this repo never installs tools for
-# you).
+# Static analysis beyond `go vet`: formatting drift, the serving build
+# linking an ablation index package (printed if it does), staticcheck, and
+# the vulnerability scan. CI installs the two tools in its lint job; locally
+# they are skipped with a note when absent (this repo never installs tools
+# for you).
 lint:
 	test -z "$$(gofmt -l .)" || { gofmt -l .; exit 1; }
+	! go list -deps ./cmd/rpaiserver | grep -E '^rpai/internal/(aggindex|rpaibtree|fenwick)$$'
 	go vet ./...
 	@if command -v staticcheck >/dev/null; then staticcheck ./...; \
 		else echo "staticcheck not installed; skipping"; fi

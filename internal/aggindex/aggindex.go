@@ -1,9 +1,12 @@
-// Package aggindex defines the aggregate-index abstraction shared by the
-// query executors: an ordered multiset of (aggregate key -> aggregate value)
-// entries supporting prefix sums and key-range shifting.
+// Package aggindex defines the aggregate-index abstraction of the ablations:
+// an ordered multiset of (aggregate key -> aggregate value) entries
+// supporting prefix sums and key-range shifting. The hand-written executors
+// of package queries and the benchmarks use it to swap the index structure
+// (the ablation axis of the paper's section 3, Table 1 and Figures 7-9); the
+// engine does not — it builds the two-lane arena tree (rpai.ArenaPair) and
+// the PAI map directly, so the serving build links none of the others.
 //
-// Three implementations are provided so executors and benchmarks can swap the
-// index structure (the ablation axis of the paper's section 3):
+// Six implementations:
 //
 //   - the binary RPAI tree (package rpai): O(log n) GetSum and ShiftKeys,
 //   - the arena RPAI tree (package rpai): the same tree laid out in a flat
@@ -26,7 +29,7 @@ import (
 	"rpai/internal/rpaibtree"
 )
 
-// Index is the aggregate-index contract used by the RPAI query executors.
+// Index is the aggregate-index contract of the ablation executors.
 // Keys are aggregate values (e.g. running volume sums); values are the
 // aggregates the query ultimately reports (e.g. sums of price*volume).
 type Index interface {
@@ -95,47 +98,6 @@ func New(kind Kind) Index {
 // Kinds lists all implementations, for conformance tests and ablations.
 func Kinds() []Kind {
 	return []Kind{KindRPAI, KindArena, KindBTree, KindPAI, KindSorted, KindFenwick}
-}
-
-// AddMany applies Add(e.Key, e.Value) for each entry in order, dispatching to
-// the index's batched bulk path when it has one. The result is bit-identical
-// to the sequential Adds for every implementation; the batched paths only
-// amortize descent and sum-propagation work (see rpai.AddMany).
-func AddMany(ix Index, entries []rpai.Entry) {
-	switch t := ix.(type) {
-	case *rpai.ArenaTree:
-		t.AddMany(entries)
-	case *rpai.Tree:
-		t.AddMany(entries)
-	default:
-		for _, e := range entries {
-			ix.Add(e.Key, e.Value)
-		}
-	}
-}
-
-// PrefixSums answers one GetSum (inclusive=true) or GetSumLess
-// (inclusive=false) probe per entry of keys, which must be sorted ascending,
-// writing the results to dst (same length). The RPAI trees answer all probes
-// in one shared descent (see rpai.Tree.PrefixSums); other implementations
-// fall back to per-probe calls. Either way each dst[i] is bit-identical to
-// the corresponding single-probe call, and keys is clobbered by the tree
-// paths — pass scratch.
-func PrefixSums(ix Index, keys, dst []float64, inclusive bool) {
-	switch t := ix.(type) {
-	case *rpai.ArenaTree:
-		t.PrefixSums(keys, dst, inclusive)
-	case *rpai.Tree:
-		t.PrefixSums(keys, dst, inclusive)
-	default:
-		for i, k := range keys {
-			if inclusive {
-				dst[i] = ix.GetSum(k)
-			} else {
-				dst[i] = ix.GetSumLess(k)
-			}
-		}
-	}
 }
 
 // Sorted is the sorted-slice aggregate index: keys kept in ascending order

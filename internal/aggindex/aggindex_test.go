@@ -1,12 +1,9 @@
 package aggindex
 
 import (
-	"math"
 	"math/rand"
 	"sort"
 	"testing"
-
-	"rpai/internal/rpai"
 )
 
 // TestConformanceAcrossKinds drives every Index implementation through the
@@ -175,49 +172,5 @@ func TestAscendEarlyStopAllKinds(t *testing.T) {
 		if n != 5 {
 			t.Fatalf("%s: visited %d entries, want 5", kind, n)
 		}
-	}
-}
-
-// TestAddManyAcrossKinds checks the batched dispatch against sequential Adds
-// for every implementation — the tree kinds take their bulk paths, the rest
-// the fallback loop — with bitwise-equal resulting state.
-func TestAddManyAcrossKinds(t *testing.T) {
-	for _, kind := range Kinds() {
-		kind := kind
-		t.Run(string(kind), func(t *testing.T) {
-			rng := rand.New(rand.NewSource(42))
-			batched, seq := New(kind), New(kind)
-			for round := 0; round < 5; round++ {
-				entries := make([]rpai.Entry, 1+rng.Intn(200))
-				for i := range entries {
-					entries[i] = rpai.Entry{
-						Key:   float64(rng.Intn(60)),
-						Value: float64(rng.Intn(9) - 4),
-					}
-				}
-				AddMany(batched, entries)
-				for _, e := range entries {
-					seq.Add(e.Key, e.Value)
-				}
-				if batched.Len() != seq.Len() {
-					t.Fatalf("round %d: Len %d vs %d", round, batched.Len(), seq.Len())
-				}
-				type kv struct{ k, v uint64 }
-				var got, want []kv
-				batched.Ascend(func(k, v float64) bool {
-					got = append(got, kv{math.Float64bits(k), math.Float64bits(v)})
-					return true
-				})
-				seq.Ascend(func(k, v float64) bool {
-					want = append(want, kv{math.Float64bits(k), math.Float64bits(v)})
-					return true
-				})
-				for i := range want {
-					if got[i] != want[i] {
-						t.Fatalf("round %d entry %d: %x vs %x", round, i, got[i], want[i])
-					}
-				}
-			}
-		})
 	}
 }

@@ -7,9 +7,11 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
-	"rpai/internal/aggindex"
+	"rpai/internal/paimap"
+	"rpai/internal/rpai"
 	"rpai/internal/treemap"
 )
 
@@ -414,38 +416,103 @@ func TestTreeMapCodecCanonical(t *testing.T) {
 	}
 }
 
+// TestIndexCodecAllKinds covers every index kind tag a stream can carry:
+// the PAI map and the two-lane RPAI pair round-trip byte-identically, and a
+// stream of any other kind where one of them belongs — the btree, sorted and
+// Fenwick tags the engine no longer builds, or a single RPAI lane where the
+// PAI map belongs — is refused with an error naming the kind.
 func TestIndexCodecAllKinds(t *testing.T) {
-	for _, kind := range aggindex.Kinds() {
-		idx := aggindex.New(kind)
-		for _, kv := range [][2]float64{{10, 3}, {4, 1}, {7.5, 2}, {-2, 5}} {
-			idx.Add(kv[0], kv[1])
-		}
+	m := paimap.New()
+	p := rpai.NewArenaPair()
+	for _, kv := range [][2]float64{{10, 3}, {4, 1}, {7.5, 2}, {-2, 5}} {
+		m.Add(kv[0], kv[1])
+		p.Add(kv[0], 1, kv[1])
+	}
+	encode := func(write func(*Encoder)) []byte {
+		t.Helper()
 		var buf bytes.Buffer
 		e := NewEncoder(&buf)
-		e.Index(idx)
+		write(e)
 		if err := e.Err(); err != nil {
-			t.Fatalf("%s: %v", kind, err)
+			t.Fatal(err)
 		}
-		d := NewDecoder(bytes.NewReader(buf.Bytes()))
-		got := d.Index()
-		if err := d.Err(); err != nil {
-			t.Fatalf("%s: %v", kind, err)
+		return buf.Bytes()
+	}
+
+	paiBytes := encode(func(e *Encoder) { e.Index(m) })
+	d := NewDecoder(bytes.NewReader(paiBytes))
+	got := d.Index()
+	if err := d.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if got.Len() != m.Len() || got.Total() != m.Total() || got.GetSum(7.5) != m.GetSum(7.5) {
+		t.Fatalf("pai: decoded Len/Total = %d/%g, want %d/%g", got.Len(), got.Total(), m.Len(), m.Total())
+	}
+	if re := encode(func(e *Encoder) { e.Index(got) }); !bytes.Equal(re, paiBytes) {
+		t.Fatal("pai: re-encode is not byte-identical")
+	}
+
+	pairBytes := encode(func(e *Encoder) { e.IndexPair(p) })
+	d = NewDecoder(bytes.NewReader(pairBytes))
+	gotPair := d.IndexPair()
+	if err := d.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if re := encode(func(e *Encoder) { e.IndexPair(gotPair) }); !bytes.Equal(re, pairBytes) {
+		t.Fatal("rpai pair: re-encode is not byte-identical")
+	}
+
+	// The retired kinds wrote the same entry list as the PAI map under their
+	// own tag; a single RPAI lane is the first half of the pair stream.
+	entries := paiBytes[1:]
+	for _, tc := range []struct {
+		name   string
+		stream []byte
+		read   func(*Decoder)
+	}{
+		{"btree", append([]byte{idxBTree}, entries...), func(d *Decoder) { d.Index() }},
+		{"sorted", append([]byte{idxSorted}, entries...), func(d *Decoder) { d.Index() }},
+		{"fenwick", append([]byte{idxFenwick}, entries...), func(d *Decoder) { d.Index() }},
+		{"rpai", pairBytes, func(d *Decoder) { d.Index() }},
+		{"btree", append(append([]byte{idxBTree}, entries...), append([]byte{idxBTree}, entries...)...), func(d *Decoder) { d.IndexPair() }},
+		{"pai", append(paiBytes, paiBytes...), func(d *Decoder) { d.IndexPair() }},
+	} {
+		d := NewDecoder(bytes.NewReader(tc.stream))
+		tc.read(d)
+		if err := d.Err(); err == nil || !strings.Contains(err.Error(), tc.name+" index stream") {
+			t.Fatalf("%s stream: decode error %v, want a refusal naming %q", tc.name, err, tc.name)
 		}
-		if got.Len() != idx.Len() || got.Total() != idx.Total() {
-			t.Fatalf("%s: decoded Len/Total = %d/%g, want %d/%g",
-				kind, got.Len(), got.Total(), idx.Len(), idx.Total())
+	}
+}
+
+// TestF64MapCanonicalOrder encodes a large map built in descending key order
+// and checks the entry list comes out ascending — the canonical form F64Map
+// decoding requires — with every entry intact.
+func TestF64MapCanonicalOrder(t *testing.T) {
+	const n = 200000
+	m := make(map[float64]float64, n)
+	for i := n; i > 0; i-- {
+		m[float64(i)*0.5-1000] = float64(i)
+	}
+	var buf bytes.Buffer
+	e := NewEncoder(&buf)
+	e.F64Map(m)
+	if err := e.Err(); err != nil {
+		t.Fatal(err)
+	}
+	d := NewDecoder(bytes.NewReader(buf.Bytes()))
+	if got := d.U32(); got != n {
+		t.Fatalf("entry count %d, want %d", got, n)
+	}
+	prev := math.Inf(-1)
+	for i := 0; i < n; i++ {
+		k, v := d.F64(), d.F64()
+		if k <= prev || m[k] != v {
+			t.Fatalf("entry %d: (%v, %v) after key %v; want ascending keys with their values", i, k, v, prev)
 		}
-		if got.GetSum(7.5) != idx.GetSum(7.5) {
-			t.Fatalf("%s: GetSum mismatch", kind)
-		}
-		var buf2 bytes.Buffer
-		e2 := NewEncoder(&buf2)
-		e2.Index(got)
-		if err := e2.Err(); err != nil {
-			t.Fatalf("%s: %v", kind, err)
-		}
-		if !bytes.Equal(buf.Bytes(), buf2.Bytes()) {
-			t.Fatalf("%s: re-encode is not byte-identical", kind)
-		}
+		prev = k
+	}
+	if err := d.Err(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -4,13 +4,10 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"io"
+	"sort"
 
-	"rpai/internal/aggindex"
-	"rpai/internal/fenwick"
 	"rpai/internal/paimap"
 	"rpai/internal/rpai"
-	"rpai/internal/rpaibtree"
 	"rpai/internal/treemap"
 )
 
@@ -19,17 +16,19 @@ import (
 //   - The RPAI tree has its own structural codec (rpai.Encode/Decode) that
 //     preserves the exact node layout — parent-relative keys, subtree sums,
 //     link colors — so a restored tree is bit-identical, not merely
-//     equivalent. The pointer and arena representations share this codec
-//     byte-for-byte and therefore share one tag; decode always produces the
-//     arena form. The stream is embedded length-prefixed because the decoder
-//     buffers its reader and would otherwise over-read the enclosing stream.
-//   - Every other structure (treemaps, PAI maps, the sorted/fenwick/btree
-//     index baselines) is encoded as its canonical sorted entry list and
-//     rebuilt by insertion. Entry lists are canonical regardless of the
-//     in-memory shape, so encode(decode(encode(x))) == encode(x) holds for
-//     them too.
+//     equivalent. A relation state's two-lane tree is written as two such
+//     streams, one per lane, each embedded length-prefixed because the
+//     decoder buffers its reader and would otherwise over-read the enclosing
+//     stream.
+//   - Every other structure (treemaps, float maps, the equality executor's
+//     PAI map) is encoded as its canonical sorted entry list and rebuilt by
+//     insertion. Entry lists are canonical regardless of the in-memory shape,
+//     so encode(decode(encode(x))) == encode(x) holds for them too.
 
 // Index kind tags in encoded streams. Stable on-disk values: never renumber.
+// The engine writes only idxRPAI (relation-state lanes) and idxPAI (the
+// equality executor's map); the other three name index kinds it no longer
+// builds, kept so a stream carrying one is refused by name.
 const (
 	idxRPAI    = 1
 	idxBTree   = 2
@@ -37,6 +36,9 @@ const (
 	idxSorted  = 4
 	idxFenwick = 5
 )
+
+// kindNames names each tag in refusal errors.
+var kindNames = [...]string{idxRPAI: "rpai", idxBTree: "btree", idxPAI: "pai", idxSorted: "sorted", idxFenwick: "fenwick"}
 
 // TreeMap encodes t as its sorted entry list. t must be non-nil; callers
 // encode structure presence separately (it is derivable from the query).
@@ -106,49 +108,27 @@ func sortedKeys(m map[float64]float64) []float64 {
 	for k := range m {
 		keys = append(keys, k)
 	}
-	// Keys are finite (engine state never holds NaN keys), so a simple sort
-	// is total.
-	for i := 1; i < len(keys); i++ {
-		for j := i; j > 0 && keys[j] < keys[j-1]; j-- {
-			keys[j], keys[j-1] = keys[j-1], keys[j]
-		}
-	}
+	// Keys are finite and distinct (engine state never holds NaN keys), so
+	// the order is total and the encoding canonical.
+	sort.Float64s(keys)
 	return keys
 }
 
-// Index encodes an aggregate index with a kind tag. RPAI trees use the
-// structural codec; the rest are sorted entry lists.
-func (e *Encoder) Index(idx aggindex.Index) {
-	switch t := idx.(type) {
-	case *rpai.Tree:
-		e.U8(idxRPAI)
-		e.rpaiStream(t.Encode)
-	case *rpai.ArenaTree:
-		// The arena tree shares the pointer tree's structural codec
-		// byte-for-byte, so both encode under the same tag and snapshots
-		// restore across the two representations in either direction.
-		e.U8(idxRPAI)
-		e.rpaiStream(t.Encode)
-	case *rpaibtree.Tree:
-		e.U8(idxBTree)
-		e.indexEntries(idx)
-	case *paimap.Map:
-		e.U8(idxPAI)
-		e.indexEntries(idx)
-	case *aggindex.Sorted:
-		e.U8(idxSorted)
-		e.indexEntries(idx)
-	case *fenwick.Index:
-		e.U8(idxFenwick)
-		e.indexEntries(idx)
-	default:
-		e.err = fmt.Errorf("checkpoint: unknown index type %T", idx)
-	}
+// Index encodes the equality executor's PAI map under its kind tag, as its
+// sorted entry list.
+func (e *Encoder) Index(m *paimap.Map) {
+	e.U8(idxPAI)
+	e.U32(uint32(m.Len()))
+	m.Ascend(func(k, v float64) bool {
+		e.F64(k)
+		e.F64(v)
+		return e.err == nil
+	})
 }
 
 // IndexPair encodes the two lanes of p as two consecutive RPAI index streams,
-// byte for byte what Index writes for two single-lane trees maintained under
-// p's keys with lane 0's and lane 1's values. Both streams come from one walk
+// byte for byte what two single-lane trees maintained under p's keys with
+// lane 0's and lane 1's values would write. Both streams come from one walk
 // of the tree.
 func (e *Encoder) IndexPair(p *rpai.ArenaPair) {
 	var b0, b1 bytes.Buffer
@@ -161,101 +141,49 @@ func (e *Encoder) IndexPair(p *rpai.ArenaPair) {
 	e.Bytes(b1.Bytes())
 }
 
-func (e *Encoder) rpaiStream(encode func(io.Writer) error) {
-	var buf bytes.Buffer
-	if e.err == nil {
-		if err := encode(&buf); err != nil {
-			e.err = err
-			return
-		}
+// Index decodes a PAI map written by Encoder.Index. A stream of any other
+// kind is refused with an error naming it.
+func (d *Decoder) Index() *paimap.Map {
+	d.kind(idxPAI)
+	entries := make(map[float64]float64)
+	d.F64Map(entries)
+	m := paimap.New()
+	for k, v := range entries {
+		m.Put(k, v)
 	}
-	e.Bytes(buf.Bytes())
+	return m
 }
 
-func (e *Encoder) indexEntries(idx aggindex.Index) {
-	e.U32(uint32(idx.Len()))
-	idx.Ascend(func(k, v float64) bool {
-		e.F64(k)
-		e.F64(v)
-		return e.err == nil
-	})
-}
-
-// IndexPair decodes two consecutive index streams that were maintained under
-// the same keys (written by IndexPair, or by Index twice). Two RPAI streams
-// are zipped into one two-lane tree, node by node as they are read, and a
-// difference in shape, colours or keys fails the decode; streams of any other
-// kind come back as two independent indexes and pair is nil.
-func (d *Decoder) IndexPair() (pair *rpai.ArenaPair, a, b aggindex.Index) {
-	tag := d.U8()
-	if tag != idxRPAI {
-		return nil, d.index(tag), d.Index()
+// IndexPair decodes the two RPAI streams written by Encoder.IndexPair, zipped
+// into one two-lane tree node by node as they are read; a difference in
+// shape, colours or keys fails the decode, and a stream of any other kind is
+// refused with an error naming it.
+func (d *Decoder) IndexPair() *rpai.ArenaPair {
+	var lanes [2][]byte
+	for i := range lanes {
+		d.kind(idxRPAI)
+		lanes[i] = d.Bytes()
 	}
-	b0 := d.Bytes()
-	if tag1 := d.U8(); d.err == nil && tag1 != idxRPAI {
-		d.Fail(fmt.Errorf("checkpoint: index pair mixes kind tags %d and %d", tag, tag1))
-	}
-	b1 := d.Bytes()
 	if d.err != nil {
-		return nil, nil, nil
-	}
-	pair, err := rpai.DecodeArenaPair(bytes.NewReader(b0), bytes.NewReader(b1))
-	if err != nil {
-		d.Fail(err)
-		return nil, nil, nil
-	}
-	return pair, nil, nil
-}
-
-// Index decodes an aggregate index written by Encoder.Index.
-func (d *Decoder) Index() aggindex.Index { return d.index(d.U8()) }
-
-func (d *Decoder) index(tag uint8) aggindex.Index {
-	var kind aggindex.Kind
-	switch tag {
-	case idxRPAI:
-		// Restore into the arena representation regardless of which
-		// representation wrote the stream: the codecs are byte-identical,
-		// and executors hold the index behind the aggindex.Index interface.
-		b := d.Bytes()
-		if d.err != nil {
-			return nil
-		}
-		t, err := rpai.DecodeArena(bytes.NewReader(b))
-		if err != nil {
-			d.Fail(err)
-			return nil
-		}
-		return t
-	case idxBTree:
-		kind = aggindex.KindBTree
-	case idxPAI:
-		kind = aggindex.KindPAI
-	case idxSorted:
-		kind = aggindex.KindSorted
-	case idxFenwick:
-		kind = aggindex.KindFenwick
-	default:
-		if d.err == nil {
-			d.Fail(fmt.Errorf("checkpoint: unknown index kind tag %d", tag))
-		}
 		return nil
 	}
-	idx := aggindex.New(kind)
-	n := d.U32()
-	var prev float64
-	for i := uint32(0); i < n && d.err == nil; i++ {
-		k := d.FiniteF64()
-		v := d.F64()
-		if d.err != nil {
-			break
-		}
-		if i > 0 && k <= prev {
-			d.Fail(errors.New("checkpoint: index keys not strictly ascending"))
-			break
-		}
-		prev = k
-		idx.Put(k, v)
+	pair, err := rpai.DecodeArenaPair(bytes.NewReader(lanes[0]), bytes.NewReader(lanes[1]))
+	if err != nil {
+		d.Fail(err)
+		return nil
 	}
-	return idx
+	return pair
+}
+
+// kind reads an index kind tag and fails the decode unless it is want.
+func (d *Decoder) kind(want uint8) {
+	tag := d.U8()
+	switch {
+	case d.err != nil || tag == want:
+	case int(tag) < len(kindNames) && kindNames[tag] != "":
+		d.Fail(fmt.Errorf("checkpoint: %s index stream (kind tag %d) where a %s stream belongs; the engine restores only the index kinds it builds",
+			kindNames[tag], tag, kindNames[want]))
+	default:
+		d.Fail(fmt.Errorf("checkpoint: unknown index kind tag %d", tag))
+	}
 }

@@ -127,32 +127,19 @@ func (ex *relStateExec) ApplyBatch(events []Event) {
 	}
 }
 
-// ApplyBatch implements BatchExecutor. Equality plans on the PAI map run the
-// fused batched path; inequality plans fall back to the per-event range
-// shifts, whose key arithmetic depends on the index state after every event.
+// ApplyBatch implements BatchExecutor, and is Apply's only path. Per event it
+// performs the bookkeeping on thr/byKey/cntAt/groups, but the two
+// aggregate-index writes — retracting the level's portion from its old key
+// (paimap.Take, which drops the key when it zeroes) and adding it under the
+// new one — are buffered as one paimap.MoveOp and flushed in order at the end
+// of the batch. That deferral is sound because the per-event bookkeeping never
+// reads the aggregate index (only Result does), and bit-identical to
+// event-at-a-time moves because MoveMany replays the identical map operations
+// in the identical order. An event that empties its level (cnt reaching zero)
+// issues only the retraction, in order: the buffer is flushed first, then the
+// bare Take.
 func (ex *AggIndexExec) ApplyBatch(events []Event) {
-	if ex.plan.SubOp == query.Eq {
-		if pm, ok := ex.agg.(*paimap.Map); ok {
-			ex.applyEqBatch(pm, events)
-			return
-		}
-	}
-	for i := range events {
-		ex.Apply(events[i])
-	}
-}
-
-// applyEqBatch is the batched equality path. Per event it performs exactly
-// Apply's bookkeeping on thr/byKey/cntAt/groups, but the two aggregate-index
-// writes — Add(oldKey, -grpVal) with its delete-if-zero (the fused
-// paimap.Take) followed by Add(newKey, grpVal+av) — are buffered as one
-// paimap.MoveOp and flushed in order at the end of the batch. That deferral
-// is sound because Apply never reads the aggregate index (only Result does),
-// and bit-identical because MoveMany replays the identical map operations in
-// the identical order; `v - dv` is IEEE-identical to `v + (-dv)`. An event
-// that empties its level (cnt reaching zero) issues only the retraction, in
-// order: the buffer is flushed first, then the bare Take.
-func (ex *AggIndexExec) applyEqBatch(pm *paimap.Map, events []Event) {
+	pm := ex.agg
 	moves := ex.moveBuf[:0]
 	for i := range events {
 		e := &events[i]
@@ -163,20 +150,21 @@ func (ex *AggIndexExec) applyEqBatch(pm *paimap.Map, events []Event) {
 		w := ex.contribution(t)
 		k := t[ex.plan.KeyCol]
 		av := x * ex.q.Agg.Eval(t)
+		// Point move (Figure 1c): the level's key is its own summed weight.
 		oldKey, _ := ex.byKey.Get(k)
-		grpVal := ex.groupValue(k)
+		grpVal := ex.groups[k]
 		ex.byKey.Add(k, x*w)
 		ex.cntAt[k] += x
 		if ex.cntAt[k] == 0 {
 			delete(ex.cntAt, k)
 			ex.byKey.Delete(k)
-			ex.dropGroup(k)
+			delete(ex.groups, k)
 			pm.MoveMany(moves)
 			moves = moves[:0]
 			pm.Take(oldKey, grpVal)
 			continue
 		}
-		ex.setGroup(k, grpVal+av)
+		ex.groups[k] = grpVal + av
 		newKey, _ := ex.byKey.Get(k)
 		moves = append(moves, paimap.MoveOp{From: oldKey, Take: grpVal, To: newKey, Put: grpVal + av})
 	}

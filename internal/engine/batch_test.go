@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"rpai/internal/aggindex"
 	"rpai/internal/query"
 )
 
@@ -47,15 +46,7 @@ func buildBatchPairs(t *testing.T, q *query.Query) []execPair {
 		}
 		return g, nil
 	})
-	mk("planned-arena", func() (Executor, error) { return New(q) })
-	mk("planned-rpai", func() (Executor, error) { return NewWithIndexKind(q, aggindex.KindRPAI) })
-	mk("aggindex", func() (Executor, error) {
-		ex, err := NewAggIndex(q)
-		if err != nil {
-			return nil, err
-		}
-		return ex, nil
-	})
+	mk("planned", func() (Executor, error) { return New(q) })
 	return pairs
 }
 
@@ -255,8 +246,8 @@ func TestApplyAllFallback(t *testing.T) {
 // FuzzBatchEquivalence is the batching contract as a fuzz target: for a
 // fuzzer-chosen query, event trace and batch partition, every strategy's
 // ApplyBatch must leave bit-identical results to event-at-a-time Apply on a
-// twin executor — covering both aggregate-index representations (arena and
-// pointer RPAI) via the planned-arena/planned-rpai constructions. The input
+// twin executor — the naive oracle, the general algorithm and the planner's
+// pick (the range-shift or the PAI executor where the query allows). The input
 // format matches FuzzEngineDifferential (shape byte, 8 seed bytes, trace
 // bytes), and the batch boundaries are derived from the same bytes, so the
 // corpora cross-pollinate.

@@ -10,8 +10,7 @@ import (
 
 // BenchmarkRelStateApply measures the executor every inequality correlation
 // runs on — relStateExec under VWAP, the planner's pick — at the stack
-// benchmark's geometry, where TestAggIndexOpCountGuard's NewAggIndex is an
-// executor the planner never chooses for it.
+// benchmark's geometry.
 //
 //   - levels=50000 is deep-index: 2 partitions (one executor each) of 50 000
 //     price levels, 100 000 resident rows, so about two rows a level and

@@ -48,11 +48,7 @@ func Describe(q *query.Query) (Plan, error) {
 	case *AggIndexExec:
 		pl.KeyCol = e.plan.KeyCol
 		pl.SubOp = e.plan.SubOp.String()
-		if e.plan.SubOp == query.Eq {
-			pl.IndexKind = "pai"
-		} else {
-			pl.IndexKind = "rpai-arena"
-		}
+		pl.IndexKind = "pai"
 	case *relStateExec:
 		pl.KeyCol = e.rs.plan.keyCol
 		switch e.rs.plan.kind {
@@ -70,8 +66,8 @@ func Describe(q *query.Query) (Plan, error) {
 // PredSig is the query's predicate-structure signature: the canonical query
 // rendering with every literal constant masked to "?". Two queries with equal
 // signatures have identical predicate structure over the same relation — the
-// shape the catalog's family-sharing rule starts from (the family key
-// additionally preserves non-threshold constants; see FamilyKey).
+// shape the catalog's state-sharing rule starts from (the state key
+// additionally preserves non-threshold constants; see StateKey).
 //
 // The rendering is deterministic across spellings of the same predicate
 // structure:

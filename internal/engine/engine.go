@@ -7,7 +7,9 @@
 //     by the outer columns the predicates read,
 //   - AggIndex: the aggregate-index optimization (section 4.3, Algorithm 4)
 //     for queries matching the PlanAggIndex pattern — a PAI map for
-//     equality correlations, an RPAI tree for inequality correlations.
+//     equality correlations (AggIndexExec), one two-lane arena RPAI tree per
+//     correlated predicate for inequality correlations (relStateExec). These
+//     are the only index structures the engine builds.
 //
 // New picks the best applicable strategy, mirroring the identification step
 // the paper describes for a query optimizer (section 4.3.1). The hand-tuned
@@ -18,10 +20,8 @@
 package engine
 
 import (
-	"fmt"
 	"sort"
 
-	"rpai/internal/aggindex"
 	"rpai/internal/paimap"
 	"rpai/internal/query"
 	"rpai/internal/treemap"
@@ -40,12 +40,6 @@ func Insert(t query.Tuple) Event { return Event{X: 1, Tuple: t} }
 // Delete builds a deletion event retracting a previously inserted tuple.
 func Delete(t query.Tuple) Event { return Event{X: -1, Tuple: t} }
 
-// defaultIndexKind is the aggregate index every executor uses unless a
-// benchmark or ablation overrides it: the arena RPAI tree, which maintains
-// the same relative-key invariants as the pointer tree but in a flat slab
-// with no steady-state allocation.
-const defaultIndexKind = aggindex.KindArena
-
 // Executor incrementally maintains a query result over events.
 type Executor interface {
 	// Apply processes one event.
@@ -59,17 +53,10 @@ type Executor interface {
 // New returns the best incremental executor for the query: the aggregate-
 // index strategy when the section 4.3 pattern applies (equality correlations
 // via PAI point moves; <=, <, >=, > correlations and column-vs-aggregate
-// predicates via RPAI range shifts), the general algorithm otherwise. It
-// returns an error for queries outside the maintainable fragment (section
-// 4.2.5).
+// predicates via RPAI range shifts on the arena tree), the general algorithm
+// otherwise. It returns an error for queries outside the maintainable
+// fragment (section 4.2.5).
 func New(q *query.Query) (Executor, error) {
-	return NewWithIndexKind(q, defaultIndexKind)
-}
-
-// NewWithIndexKind is New with the aggregate-index representation pinned,
-// for ablations and benchmarks that compare index structures (e.g. the
-// pointer RPAI tree against the arena) on otherwise identical plans.
-func NewWithIndexKind(q *query.Query, kind aggindex.Kind) (Executor, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err
 	}
@@ -77,10 +64,10 @@ func NewWithIndexKind(q *query.Query, kind aggindex.Kind) (Executor, error) {
 		// The PAI equality executor maintains only the summed aggregate, so it
 		// serves SUM outers; COUNT and AVG need the count side relState keeps.
 		if plan, ok := q.PlanAggIndex(); ok && plan.SubOp == query.Eq && q.Outer == query.Sum {
-			return newAggIndexExec(q, plan, kind)
+			return newAggIndexExec(q, plan), nil
 		}
 		if noNested(q) {
-			if rs, err := newRelState(RelSpec{Name: "R", Term: q.Agg, Pred: q.Preds[0]}, kind); err == nil {
+			if rs, err := newRelState(RelSpec{Name: "R", Term: q.Agg, Pred: q.Preds[0]}); err == nil {
 				return &relStateExec{rs: rs, outer: q.Outer}, nil
 			}
 		}
@@ -500,11 +487,12 @@ func (g *GeneralExec) evalValue(v query.Value, outer query.Tuple) float64 {
 	return v.Scale * g.subs[v.Sub].eval(outer)
 }
 
-// --- Aggregate-index optimization (section 4.3) ---
+// --- Aggregate-index optimization (section 4.3), equality correlations ---
 
-// AggIndexExec executes an eligible query with an aggregate index keyed by
-// the correlated subquery's value: O(1) per event for equality correlations
-// (PAI map), O(log n) for inequality correlations (RPAI tree).
+// AggIndexExec executes an equality-correlated query (paper Example 2.1) with
+// a PAI map keyed by the correlated subquery's value: each event is an O(1)
+// point move of its level's portion between two keys. Inequality correlations
+// run on relStateExec.
 type AggIndexExec struct {
 	q    *query.Query
 	plan query.AggIndexPlan
@@ -515,48 +503,28 @@ type AggIndexExec struct {
 	byKey *treemap.Tree
 	cntAt map[float64]float64
 	// agg is the aggregate index: correlated-aggregate value -> sum(Agg).
-	agg aggindex.Index
-	// groups tracks, for equality plans, each level's summed outer
-	// aggregate (the portion to move between index keys).
+	agg *paimap.Map
+	// groups tracks each level's summed outer aggregate (the portion to move
+	// between index keys).
 	groups map[float64]float64
-	// probe backs ResultProbe's sorted lane constants (see probe.go).
-	probe probeScratch
-	// moveBuf backs the deferred point moves of the batched equality path
-	// (see applyEqBatch) so steady-state batches allocate nothing.
+	// moveBuf backs the deferred point moves of ApplyBatch so steady-state
+	// batches allocate nothing.
 	moveBuf []paimap.MoveOp
-	// fan backs ResultFan's probe keys (see family.go).
-	fan fanProbe
 }
 
-// NewAggIndex returns the aggregate-index executor for an eligible query, or
-// an error when the section 4.3 pattern does not apply.
-func NewAggIndex(q *query.Query) (*AggIndexExec, error) {
-	plan, ok := q.PlanAggIndex()
-	if !ok {
-		return nil, fmt.Errorf("engine: query not eligible for the aggregate-index optimization: %s", q)
-	}
-	return newAggIndexExec(q, plan, defaultIndexKind)
-}
-
-func newAggIndexExec(q *query.Query, plan query.AggIndexPlan, kind aggindex.Kind) (*AggIndexExec, error) {
-	if err := q.Validate(); err != nil {
-		return nil, err
-	}
+func newAggIndexExec(q *query.Query, plan query.AggIndexPlan) *AggIndexExec {
 	ex := &AggIndexExec{
-		q:     q,
-		plan:  plan,
-		byKey: treemap.New(),
-		cntAt: make(map[float64]float64),
+		q:      q,
+		plan:   plan,
+		byKey:  treemap.New(),
+		cntAt:  make(map[float64]float64),
+		agg:    paimap.New(),
+		groups: make(map[float64]float64),
 	}
 	if plan.Threshold.Sub != nil {
 		ex.thr = newSubState(plan.Threshold.Sub)
 	}
-	if plan.SubOp == query.Eq {
-		ex.agg = aggindex.New(aggindex.KindPAI)
-	} else {
-		ex.agg = aggindex.New(kind)
-	}
-	return ex, nil
+	return ex
 }
 
 // Strategy implements Executor.
@@ -567,84 +535,11 @@ func (ex *AggIndexExec) contribution(t query.Tuple) float64 {
 	if ex.plan.Corr.Kind == query.Count {
 		return 1
 	}
-	w := ex.plan.Corr.Of.Eval(t)
-	if w <= 0 && ex.plan.SubOp == query.Le {
-		// The range-shift maintenance relies on every key level carrying
-		// positive weight (distinct levels then have strictly distinct
-		// aggregate keys). The paper's workloads aggregate volumes and
-		// counts, which are positive by construction.
-		panic("engine: aggregate-index maintenance requires positive inner contributions")
-	}
-	return w
+	return ex.plan.Corr.Of.Eval(t)
 }
 
-// Apply implements Executor.
-func (ex *AggIndexExec) Apply(e Event) {
-	t, x := e.Tuple, e.X
-	if ex.thr != nil {
-		ex.thr.apply(t, x)
-	}
-	w := ex.contribution(t)
-	k := t[ex.plan.KeyCol]
-	av := x * ex.q.Agg.Eval(t)
-	switch ex.plan.SubOp {
-	case query.Eq:
-		// Point move (Figure 1c): the level's key is its own summed weight.
-		oldKey, _ := ex.byKey.Get(k)
-		grpVal := ex.groupValue(k)
-		ex.agg.Add(oldKey, -grpVal)
-		if v, ok := ex.agg.Get(oldKey); ok && v == 0 {
-			ex.agg.Delete(oldKey)
-		}
-		ex.byKey.Add(k, x*w)
-		ex.cntAt[k] += x
-		if ex.cntAt[k] == 0 {
-			delete(ex.cntAt, k)
-			ex.byKey.Delete(k)
-			ex.dropGroup(k)
-			return
-		}
-		ex.setGroup(k, grpVal+av)
-		newKey, _ := ex.byKey.Get(k)
-		ex.agg.Add(newKey, grpVal+av)
-	case query.Le:
-		// Range shift (Figure 2c / Algorithm 4): keys are prefix sums of the
-		// weights by the correlation column.
-		rhs := ex.byKey.PrefixSum(k)
-		volAt, _ := ex.byKey.Get(k)
-		ex.agg.ShiftKeys(rhs-volAt, x*w)
-		ex.byKey.Add(k, x*w)
-		ex.cntAt[k] += x
-		if ex.cntAt[k] == 0 {
-			delete(ex.cntAt, k)
-			ex.byKey.Delete(k)
-		}
-		key := rhs + x*w
-		ex.agg.Add(key, av)
-		if v, ok := ex.agg.Get(key); ok && v == 0 {
-			ex.agg.Delete(key)
-		}
-	}
-}
-
-// groupValue / setGroup / dropGroup track, for equality plans, each level's
-// summed outer aggregate (needed to move exactly the level's portion between
-// index keys when levels share an aggregate key).
-func (ex *AggIndexExec) groupValue(k float64) float64 {
-	if ex.groups == nil {
-		ex.groups = make(map[float64]float64)
-	}
-	return ex.groups[k]
-}
-
-func (ex *AggIndexExec) setGroup(k, v float64) {
-	if ex.groups == nil {
-		ex.groups = make(map[float64]float64)
-	}
-	ex.groups[k] = v
-}
-
-func (ex *AggIndexExec) dropGroup(k float64) { delete(ex.groups, k) }
+// Apply implements Executor: a batch of one (see ApplyBatch).
+func (ex *AggIndexExec) Apply(e Event) { ex.ApplyBatch([]Event{e}) }
 
 // Result implements Executor.
 func (ex *AggIndexExec) Result() float64 {
@@ -654,6 +549,11 @@ func (ex *AggIndexExec) Result() float64 {
 	} else {
 		thr = ex.plan.Threshold.Expr.Eval(nil)
 	}
+	return ex.read(thr)
+}
+
+// read sums the index entries whose key qualifies against thr.
+func (ex *AggIndexExec) read(thr float64) float64 {
 	switch ex.plan.ThetaCorrFirst {
 	case query.Lt:
 		return ex.agg.GetSumLess(thr)

@@ -195,6 +195,9 @@ func TestGeneralAgreesWithNaive(t *testing.T) {
 	}
 }
 
+// TestAggIndexAgreesWithNaive runs the section 4.3 executors the planner
+// builds — the range-shift executor for the inequality shapes, the PAI
+// executor for EQ1 — against the naive oracle.
 func TestAggIndexAgreesWithNaive(t *testing.T) {
 	specs := map[string]*query.Query{
 		"vwap":  vwapSpec(),
@@ -206,9 +209,12 @@ func TestAggIndexAgreesWithNaive(t *testing.T) {
 		q := q
 		t.Run(name, func(t *testing.T) {
 			for seed := int64(1); seed <= 3; seed++ {
-				ex, err := NewAggIndex(q)
+				ex, err := New(q)
 				if err != nil {
 					t.Fatal(err)
+				}
+				if s := ex.Strategy(); s != "relstate" && s != "aggindex" {
+					t.Fatalf("planner picked %s, want an aggregate-index executor", s)
 				}
 				checkAgainstNaive(t, q, ex, seed, 300)
 			}
@@ -240,11 +246,14 @@ func TestPlannerSelection(t *testing.T) {
 }
 
 func TestAggIndexRejectsIneligible(t *testing.T) {
-	if _, err := NewAggIndex(sq2Spec()); err == nil {
-		t.Fatal("NewAggIndex accepted an asymmetric correlation")
-	}
-	if _, err := NewAggIndex(twoPredSpec()); err == nil {
-		t.Fatal("NewAggIndex accepted a two-predicate query")
+	for name, q := range map[string]*query.Query{"asymmetric correlation": sq2Spec(), "two predicates": twoPredSpec()} {
+		ex, err := New(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := ex.(*GeneralExec); !ok {
+			t.Fatalf("%s: planner built %T, want the general algorithm", name, ex)
+		}
 	}
 }
 
@@ -311,8 +320,11 @@ func TestGeneralGroupCleanup(t *testing.T) {
 	}
 }
 
+// TestAggIndexPositiveContributionContract pins the range-shift executor's
+// refusal of a non-positive inner weight (distinct levels need strictly
+// distinct keys); admission refuses such events before they get here.
 func TestAggIndexPositiveContributionContract(t *testing.T) {
-	ex, err := NewAggIndex(vwapSpec())
+	ex, err := New(vwapSpec())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,7 +6,6 @@ import (
 	"sort"
 	"testing"
 
-	"rpai/internal/aggindex"
 	"rpai/internal/query"
 )
 
@@ -17,17 +16,20 @@ func vwapAt(c float64) *query.Query {
 	return q
 }
 
+// TestFamilyKey pins threshold-family membership: queries that differ only in
+// their threshold constant share one StateKey, and the constant becomes the
+// probe lane's Const.
 func TestFamilyKey(t *testing.T) {
-	kA, cA, okA := FamilyKey(vwapAt(0.75))
-	kB, cB, okB := FamilyKey(vwapAt(0.9))
+	kA, _, spA, okA := StateKey(vwapAt(0.75))
+	kB, _, spB, okB := StateKey(vwapAt(0.9))
 	if !okA || !okB {
 		t.Fatalf("vwap variants should be family-eligible")
 	}
 	if kA != kB {
-		t.Errorf("constant variants should share a family key:\n a %s\n b %s", kA, kB)
+		t.Errorf("constant variants should share a state key:\n a %s\n b %s", kA, kB)
 	}
-	if cA != 0.75 || cB != 0.9 {
-		t.Errorf("constants: got %v, %v", cA, cB)
+	if spA.Const != 0.75 || spB.Const != 0.9 {
+		t.Errorf("constants: got %v, %v", spA.Const, spB.Const)
 	}
 
 	// Flipped spelling of the same predicate converges to the same key: the
@@ -35,9 +37,9 @@ func TestFamilyKey(t *testing.T) {
 	flipped := vwapAt(0.75)
 	p := flipped.Preds[0]
 	flipped.Preds[0] = query.Predicate{Left: p.Right, Op: p.Op.Flip(), Right: p.Left}
-	kF, cF, okF := FamilyKey(flipped)
-	if !okF || kF != kA || cF != 0.75 {
-		t.Errorf("flipped spelling: ok=%v key match=%v const=%v", okF, kF == kA, cF)
+	kF, _, spF, okF := StateKey(flipped)
+	if !okF || kF != kA || spF.Const != 0.75 {
+		t.Errorf("flipped spelling: ok=%v key match=%v const=%v", okF, kF == kA, spF.Const)
 	}
 
 	// A filter constant inside the threshold subquery shapes maintained
@@ -48,8 +50,8 @@ func TestFamilyKey(t *testing.T) {
 		q.Preds[0].Left.Sub.Filters = []query.FilterPred{{Inner: query.Col("volume"), Op: query.Gt, Value: v}}
 		return q
 	}
-	k1, _, ok1 := FamilyKey(withFilter(1))
-	k2, _, ok2 := FamilyKey(withFilter(2))
+	k1, _, _, ok1 := StateKey(withFilter(1))
+	k2, _, _, ok2 := StateKey(withFilter(2))
 	if !ok1 || !ok2 {
 		t.Skipf("filtered threshold subquery not family-eligible (strategy fell back); acceptable")
 	}
@@ -63,37 +65,47 @@ func TestFamilyKey(t *testing.T) {
 		"nested":   nq1Spec(),
 		"two-pred": twoPredSpec(),
 	} {
-		if k, _, ok := FamilyKey(q); ok {
+		if k, _, _, ok := StateKey(q); ok {
 			t.Errorf("%s should not be family-eligible (key %s)", name, k)
 		}
 	}
 }
 
 // TestResultFanBitIdentity feeds one family executor and K dedicated
-// executors the same event stream and checks every fan lane is bit-identical
-// to its dedicated Result, at every batch boundary, for the relation-state
-// executor (Le and Lt-threshold orientations, positive and negative
-// subquery bases) and the PAI equality executor.
+// executors the same event stream and checks that every threshold lane the
+// family answers through ResultProbe is bit-identical to its dedicated
+// Result, at every verification step, for the relation-state executor (Le
+// and Lt-threshold orientations, positive and negative subquery bases) and
+// the PAI equality executor.
 func TestResultFanBitIdentity(t *testing.T) {
 	consts := []float64{0.3, 0.75, 0.9, 1.25}
 	sort.Float64s(consts)
+	specs := make([]ProbeSpec, len(consts))
+	for i, c := range consts {
+		specs[i] = ProbeSpec{Kind: query.Sum, Const: c}
+	}
 
 	type mk func(c float64) Executor
-	check := func(t *testing.T, build mk, events []Event) {
-		family := build(consts[len(consts)/2])
-		fan, ok := family.(FanExecutor)
-		if !ok {
-			t.Fatalf("executor %T does not implement FanExecutor", family)
+	// check builds the family from build and the dedicated executors from
+	// solo (build again when nil).
+	check := func(t *testing.T, build, solo mk, events []Event) {
+		if solo == nil {
+			solo = build
 		}
-		solo := make([]Executor, len(consts))
+		family := build(consts[len(consts)/2])
+		fan, ok := family.(ProbeExecutor)
+		if !ok {
+			t.Fatalf("executor %T does not implement ProbeExecutor", family)
+		}
+		dedicated := make([]Executor, len(consts))
 		for i, c := range consts {
-			solo[i] = build(c)
+			dedicated[i] = solo(c)
 		}
 		dst := make([]float64, len(consts))
 		verify := func(step int) {
-			fan.ResultFan(consts, dst)
+			fan.ResultProbe(specs, dst, nil)
 			for i := range consts {
-				want := solo[i].Result()
+				want := dedicated[i].Result()
 				if math.Float64bits(dst[i]) != math.Float64bits(want) {
 					t.Fatalf("step %d lane %d (c=%v): fan %v solo %v", step, i, consts[i], dst[i], want)
 				}
@@ -102,7 +114,7 @@ func TestResultFanBitIdentity(t *testing.T) {
 		verify(-1)
 		for i, e := range events {
 			family.Apply(e)
-			for _, s := range solo {
+			for _, s := range dedicated {
 				s.Apply(e)
 			}
 			if i%7 == 0 || i == len(events)-1 {
@@ -128,9 +140,8 @@ func TestResultFanBitIdentity(t *testing.T) {
 		}
 		return ev
 	}
-
-	t.Run("relstate-vwap", func(t *testing.T) {
-		check(t, func(c float64) Executor {
+	relStateAt := func(t *testing.T) mk {
+		return func(c float64) Executor {
 			ex, err := New(vwapAt(c))
 			if err != nil {
 				t.Fatal(err)
@@ -139,26 +150,23 @@ func TestResultFanBitIdentity(t *testing.T) {
 				t.Fatalf("vwap built %T, want relStateExec", ex)
 			}
 			return ex
-		}, mkEvents(160, func() query.Tuple {
+		}
+	}
+
+	t.Run("relstate-vwap", func(t *testing.T) {
+		check(t, relStateAt(t), nil, mkEvents(160, func() query.Tuple {
 			return query.Tuple{"price": float64(rng.Intn(50)) + 1, "volume": float64(rng.Intn(9)) + 1}
 		}))
 	})
 
 	t.Run("relstate-vwap-pointer-tree", func(t *testing.T) {
-		// Same family, pointer-node RPAI representation: the batched descent
-		// must be bit-identical on both tree layouts.
-		check(t, func(c float64) Executor {
-			ex, err := NewWithIndexKind(vwapAt(c), aggindex.KindRPAI)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, ok := ex.(*relStateExec); !ok {
-				t.Fatalf("vwap built %T, want relStateExec", ex)
-			}
-			return ex
-		}, mkEvents(160, func() query.Tuple {
-			return query.Tuple{"price": float64(rng.Intn(50)) + 1, "volume": float64(rng.Intn(9)) + 1}
-		}))
+		// Same family against dedicated two-pointer-tree references: the
+		// batched descent of the two-lane arena tree must be bit-identical to
+		// single probes of the pointer representation.
+		check(t, relStateAt(t), func(c float64) Executor { return newTwoTreeRef(t, vwapAt(c)) },
+			mkEvents(160, func() query.Tuple {
+				return query.Tuple{"price": float64(rng.Intn(50)) + 1, "volume": float64(rng.Intn(9)) + 1}
+			}))
 	})
 
 	t.Run("relstate-negative-base", func(t *testing.T) {
@@ -186,7 +194,7 @@ func TestResultFanBitIdentity(t *testing.T) {
 			}
 			return ex
 		}
-		check(t, build, mkEvents(160, func() query.Tuple {
+		check(t, build, nil, mkEvents(160, func() query.Tuple {
 			return query.Tuple{
 				"price":  float64(rng.Intn(50)) + 1,
 				"volume": float64(rng.Intn(9)) + 1,
@@ -207,7 +215,7 @@ func TestResultFanBitIdentity(t *testing.T) {
 				t.Fatalf("eq1 built %T, want AggIndexExec", ex)
 			}
 			return ex
-		}, mkEvents(120, func() query.Tuple {
+		}, nil, mkEvents(120, func() query.Tuple {
 			return query.Tuple{"a": float64(rng.Intn(6)) + 1, "b": float64(rng.Intn(9)) + 1}
 		}))
 	})

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"bytes"
+	"io"
 	"math"
 	"math/rand"
 	"os"
@@ -9,16 +10,156 @@ import (
 	"strings"
 	"testing"
 
-	"rpai/internal/aggindex"
+	"rpai/internal/checkpoint"
 	"rpai/internal/query"
+	"rpai/internal/rpai"
 	"rpai/internal/treemap"
 )
 
 // Tests for the fused form of relState: one two-lane aggregate index in
 // place of the count and term trees, and one byKey descent per event. The
-// reference throughout is what the fused form replaced — the two-index
-// relState that NewWithIndexKind still builds for a non-arena kind, and the
-// standalone treemap calls the old apply made.
+// reference throughout is what the fused form replaced — twoTreeRef below:
+// the same plan on two single-lane pointer RPAI trees, with byKey maintained
+// by the standalone treemap calls the old apply made.
+
+// twoTreeRef is the range-shift executor as it stood before the fusion, kept
+// here as a test-only reference for single-relation queries with a
+// correlated predicate. Its snapshot is the two-idxRPAI-stream layout that
+// relStateExec still writes.
+type twoTreeRef struct {
+	q         *query.Query
+	plan      relPlan
+	thr       *subState
+	byKey     *treemap.Tree
+	cnt, term *rpai.Tree
+}
+
+func newTwoTreeRef(t testing.TB, q *query.Query) *twoTreeRef {
+	t.Helper()
+	plan, err := classifyRelPred(q.Preds[0])
+	if err != nil || plan.kind != PredCorrelated {
+		t.Fatalf("%s: no correlated range-shift plan (%v)", q, err)
+	}
+	r := &twoTreeRef{q: q, plan: plan, byKey: treemap.New(), cnt: rpai.New(), term: rpai.New()}
+	if plan.threshold.Sub != nil {
+		r.thr = newSubState(plan.threshold.Sub)
+	}
+	return r
+}
+
+func (r *twoTreeRef) Strategy() string { return "two-tree reference" }
+
+func (r *twoTreeRef) Apply(e Event) {
+	t, x := e.Tuple, e.X
+	if r.thr != nil {
+		r.thr.apply(t, x)
+	}
+	w := 1.0
+	if r.plan.corr.Kind == query.Sum {
+		w = r.plan.corr.Of.Eval(t)
+	}
+	k := t[r.plan.keyCol]
+	var rhs float64
+	switch r.plan.subOp {
+	case query.Le:
+		rhs = r.byKey.PrefixSum(k)
+	case query.Lt:
+		rhs = r.byKey.PrefixSumLess(k)
+	case query.Ge:
+		rhs = r.byKey.SuffixSum(k)
+	case query.Gt:
+		rhs = r.byKey.SuffixSumGreater(k)
+	}
+	volAt, _ := r.byKey.Get(k)
+	r.byKey.Add(k, x*w)
+	if v, _ := r.byKey.Get(k); v == 0 {
+		r.byKey.Delete(k)
+	}
+	at, inclusive, key := rhs-volAt, false, rhs+x*w
+	if r.plan.subOp == query.Lt || r.plan.subOp == query.Gt {
+		at, inclusive, key = rhs, !(volAt > 0), rhs
+	}
+	for _, tr := range []*rpai.Tree{r.cnt, r.term} {
+		if inclusive {
+			tr.ShiftKeysInclusive(at, x*w)
+		} else {
+			tr.ShiftKeys(at, x*w)
+		}
+	}
+	r.cnt.Add(key, x)
+	r.term.Add(key, x*r.q.Agg.Eval(t))
+	if v, ok := r.cnt.Get(key); ok && v == 0 {
+		r.cnt.Delete(key)
+		r.term.Delete(key)
+	}
+}
+
+// sums reads (count, term sum) at threshold thr, one single-probe call per
+// tree.
+func (r *twoTreeRef) sums(thr float64) (cnt, sum float64) {
+	switch r.plan.thetaCorrFirst {
+	case query.Lt:
+		return r.cnt.GetSumLess(thr), r.term.GetSumLess(thr)
+	case query.Le:
+		return r.cnt.GetSum(thr), r.term.GetSum(thr)
+	case query.Gt:
+		return r.cnt.SuffixSumGreater(thr), r.term.SuffixSumGreater(thr)
+	}
+	return r.cnt.SuffixSum(thr), r.term.SuffixSum(thr)
+}
+
+func (r *twoTreeRef) Result() float64 {
+	var at float64
+	if r.thr != nil {
+		at = r.plan.threshold.Scale * r.thr.eval(nil)
+	} else {
+		at = r.plan.threshold.Expr.Eval(nil)
+	}
+	cnt, sum := r.sums(at)
+	return finishAgg(r.q.Outer, sum, cnt)
+}
+
+// ResultProbe answers every lane with its own single probes.
+func (r *twoTreeRef) ResultProbe(specs []ProbeSpec, vals, cnts []float64) {
+	for i, s := range specs {
+		at := s.Const
+		if r.thr != nil {
+			at = s.Const * r.thr.eval(nil)
+		}
+		cnt, sum := r.sums(at)
+		switch s.Kind {
+		case query.Sum:
+			vals[i] = sum
+		case query.Count:
+			vals[i] = cnt
+		case query.Avg:
+			vals[i], cnts[i] = sum, cnt
+		}
+	}
+}
+
+// Snapshot writes the relStateExec layout, each tree as one idxRPAI stream.
+func (r *twoTreeRef) Snapshot(w io.Writer) error {
+	e := checkpoint.NewEncoder(w)
+	snapHeader(e, tagRelState)
+	if r.thr != nil {
+		e.U8(1)
+		snapSubState(e, r.thr)
+	} else {
+		e.U8(0)
+	}
+	e.U8(uint8(PredCorrelated))
+	e.TreeMap(r.byKey)
+	for _, tr := range []*rpai.Tree{r.cnt, r.term} {
+		var buf bytes.Buffer
+		if err := tr.Encode(&buf); err != nil {
+			return err
+		}
+		e.U8(1) // the idxRPAI kind tag
+		e.Bytes(buf.Bytes())
+	}
+	return e.Err()
+}
 
 // fractionalEvents is priceVolumeEvents with non-integer columns. Prices are
 // multiples of 0.1 — not representable, so the price*volume terms round and
@@ -136,16 +277,16 @@ func TestFusedByKeyUpdate(t *testing.T) {
 
 // TestFusedRelStateMatchesTwoIndexForm drives, for each orientation and outer
 // comparison, the planner's executor (two-lane arena index) and the
-// two-index reference on the pointer RPAI tree through the same fractional
-// trace, per event and in random batches, and requires bit-equal Result,
-// ResultProbe (SUM, COUNT and AVG lanes) and ResultFan throughout, and equal
-// snapshot bytes at the end.
+// two-pointer-tree reference through the same fractional trace, per event and
+// in random batches, and requires bit-equal Result and ResultProbe (SUM,
+// COUNT and AVG lanes, several thresholds) throughout, and equal snapshot
+// bytes at the end.
 func TestFusedRelStateMatchesTwoIndexForm(t *testing.T) {
 	for _, o := range orientations {
 		for _, theta := range []query.CmpOp{query.Lt, query.Le, query.Gt, query.Ge} {
 			q := orientedSpec(o.subOp, theta)
 			t.Run(o.name+"/"+theta.String(), func(t *testing.T) {
-				checkKindsBitIdentical(t, q, fractionalEvents(int64(theta)*7+int64(o.subOp), 700, 0.35), true)
+				checkFusedMatchesReference(t, q, fractionalEvents(int64(theta)*7+int64(o.subOp), 700, 0.35), true)
 			})
 		}
 	}
@@ -153,7 +294,8 @@ func TestFusedRelStateMatchesTwoIndexForm(t *testing.T) {
 
 // TestFusedRelStateMatchesTwoIndexFormOnCorpus is the same comparison over
 // the committed FuzzEngineDifferential corpus: every query shape the fuzzer
-// knows, wherever the planner picks the range-shift executor.
+// knows, wherever the planner picks the range-shift executor on a correlated
+// predicate.
 func TestFusedRelStateMatchesTwoIndexFormOnCorpus(t *testing.T) {
 	files, err := filepath.Glob(filepath.Join("testdata", "fuzz", "FuzzEngineDifferential", "*"))
 	if err != nil || len(files) == 0 {
@@ -172,7 +314,7 @@ func TestFusedRelStateMatchesTwoIndexFormOnCorpus(t *testing.T) {
 		if q == nil || q.Validate() != nil {
 			continue
 		}
-		if checkKindsBitIdentical(t, q, decodeFuzzTrace(data[9:], 160), false) {
+		if checkFusedMatchesReference(t, q, decodeFuzzTrace(data[9:], 160), false) {
 			compared++
 		}
 	}
@@ -181,34 +323,28 @@ func TestFusedRelStateMatchesTwoIndexFormOnCorpus(t *testing.T) {
 	}
 }
 
-// checkKindsBitIdentical reports whether q plans onto relStateExec; if so it
-// has compared the arena and pointer-tree builds of it over events.
-func checkKindsBitIdentical(t *testing.T, q *query.Query, events []Event, mustPlan bool) bool {
+// checkFusedMatchesReference reports whether q plans onto relStateExec with a
+// correlated predicate; if so it has compared that executor with twoTreeRef
+// over events.
+func checkFusedMatchesReference(t *testing.T, q *query.Query, events []Event, mustPlan bool) bool {
 	t.Helper()
-	a, err := NewWithIndexKind(q, aggindex.KindArena)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := NewWithIndexKind(q, aggindex.KindRPAI)
+	a, err := New(q)
 	if err != nil {
 		t.Fatal(err)
 	}
 	fused, ok := a.(*relStateExec)
-	if !ok {
+	if !ok || fused.rs.plan.kind != PredCorrelated {
 		if mustPlan {
 			t.Fatalf("planner picked %T for %s", a, q)
 		}
 		return false
 	}
-	ref := r.(*relStateExec)
-	if fused.rs.plan.kind == PredCorrelated && (fused.rs.idx == nil || fused.rs.cnt != nil || ref.rs.idx != nil || ref.rs.cnt == nil) {
-		t.Fatal("arena kind must build the two-lane index and only it; other kinds the two-index form")
-	}
+	ref := newTwoTreeRef(t, q)
 	specs := []ProbeSpec{
 		{Kind: query.Sum, Const: 0.4}, {Kind: query.Count, Const: 0.4}, {Kind: query.Avg, Const: 0.4},
 		{Kind: query.Sum, Const: 0.9}, {Kind: query.Avg, Const: 0.05}, {Kind: query.Count, Const: 1.5},
+		{Kind: query.Sum, Const: 0.05}, {Kind: query.Sum, Const: 1.5},
 	}
-	consts := []float64{0.05, 0.4, 0.9, 1.5}
 	same := func(what string, i int, x, y []float64) {
 		t.Helper()
 		for j := range x {
@@ -226,10 +362,6 @@ func checkKindsBitIdentical(t *testing.T, q *query.Query, events []Event, mustPl
 		ref.ResultProbe(specs, vr, cr)
 		same("ResultProbe value", i, va, vr)
 		same("ResultProbe count", i, ca, cr)
-		fa, fr := make([]float64, len(consts)), make([]float64, len(consts))
-		fused.ResultFan(consts, fa)
-		ref.ResultFan(consts, fr)
-		same("ResultFan", i, fa, fr)
 	}
 	rng := rand.New(rand.NewSource(5))
 	for i := 0; i < len(events); {
@@ -270,7 +402,7 @@ func TestParentSnapshotRestores(t *testing.T) {
 		t.Fatal(err)
 	}
 	rs, ok := restored.(*relStateExec)
-	if !ok || rs.rs.idx == nil || rs.rs.cnt != nil {
+	if !ok || rs.rs.idx == nil {
 		t.Fatalf("restored %T; want the range-shift executor on the two-lane index", restored)
 	}
 	if got := math.Float64bits(restored.Result()); got != writerResult {

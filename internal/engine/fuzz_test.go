@@ -5,16 +5,15 @@ import (
 	"math/rand"
 	"testing"
 
-	"rpai/internal/aggindex"
 	"rpai/internal/query"
 )
 
 // FuzzEngineDifferential is the engine-level differential fuzzer: the input
 // byte stream selects a query in the supported fragment plus an insert/delete
 // event trace, and every executor the engine offers for that query — the
-// naive re-evaluation oracle, the general algorithm, the planner's pick, and
-// the aggregate-index executor when the section 4.3 pattern applies — must
-// agree on the result after every event. It promotes the property tested by
+// naive re-evaluation oracle, the general algorithm, and the planner's pick
+// (the range-shift or PAI executor when the section 4.3 pattern applies) —
+// must agree on the result after every event. It promotes the property tested by
 // randomquery_test.go into a native fuzz target so the corpus can grow
 // adversarial traces; the seed corpus covers the paper's worked examples
 // (the Figure 3 PAI point-move shape via EQ1, the Figure 4/5 RPAI range-shift
@@ -40,55 +39,9 @@ func FuzzEngineDifferential(f *testing.F) {
 		if q == nil || q.Validate() != nil {
 			return
 		}
-		execs := []Executor{NewNaive(q)}
-		if g, err := NewGeneral(q); err == nil {
-			execs = append(execs, g)
-		} else {
-			t.Fatalf("NewGeneral(%s): %v", q, err)
-		}
-		planned, err := New(q)
-		if err != nil {
-			t.Fatalf("New(%s): %v", q, err)
-		}
-		execs = append(execs, planned)
-		if ai, err := NewAggIndex(q); err == nil {
-			execs = append(execs, ai)
-			// NewAggIndex runs on the default (arena) index; pair it with a
-			// pointer-tree twin so every trace is also a differential test of
-			// the two RPAI representations behind identical executors.
-			if ptr, err := newAggIndexExec(q, ai.plan, aggindex.KindRPAI); err == nil {
-				execs = append(execs, ptr)
-			}
-		}
-		naive := execs[0].(*NaiveExec)
-		general := execs[1].(*GeneralExec)
-		grouped := len(q.GroupBy) > 0
-
-		var live []query.Tuple
-		events := 0
-		// The naive oracle re-scans the live set per Result (quadratic in the
-		// trace for nested shapes), so bound the trace to keep the worst-case
-		// input cheap enough for CI smoke runs.
-		for i := 9; i+2 < len(data) && events < 160; i += 3 {
-			op, b1, b2 := data[i], data[i+1], data[i+2]
-			var e Event
-			if op%4 == 0 && len(live) > 0 {
-				j := (int(b1)<<8 | int(b2)) % len(live)
-				e = Delete(live[j])
-				live[j] = live[len(live)-1]
-				live = live[:len(live)-1]
-			} else {
-				tup := query.Tuple{
-					"price":  float64(b1%40 + 1),
-					"volume": float64(b2%30 + 1),
-					"a":      float64(b1%10 + 1),
-					"b":      float64(b2%8 + 1),
-					"broker": float64((b1^b2)%5 + 1),
-				}
-				live = append(live, tup)
-				e = Insert(tup)
-			}
-			events++
+		execs := allExecutors(t, q)
+		naive, general := execs[0].(*NaiveExec), execs[1].(*GeneralExec)
+		for i, e := range decodeFuzzTrace(data[9:], fuzzTraceLen(q)) {
 			want := 0.0
 			for j, ex := range execs {
 				ex.Apply(e)
@@ -99,15 +52,27 @@ func FuzzEngineDifferential(f *testing.F) {
 				}
 				if !almostEqual(got, want) {
 					t.Fatalf("query %q: %s diverged from naive at event %d: %v vs %v",
-						q, ex.Strategy(), events, got, want)
+						q, ex.Strategy(), i+1, got, want)
 				}
 			}
-			if grouped && !groupsEqual(general.ResultGrouped(), naive.ResultGrouped()) {
+			if len(q.GroupBy) > 0 && !groupsEqual(general.ResultGrouped(), naive.ResultGrouped()) {
 				t.Fatalf("query %q: grouped results diverged at event %d:\n general %v\n naive   %v",
-					q, events, general.ResultGrouped(), naive.ResultGrouped())
+					q, i+1, general.ResultGrouped(), naive.ResultGrouped())
 			}
 		}
 	})
+}
+
+// fuzzTraceLen bounds the trace a fuzz input decodes to. The naive oracle
+// re-scans the live set per Result — quadratic in the live tuples, cubic for
+// nested shapes — so nested shapes get half the events, which keeps every
+// input under about a second (160 all-insert NQ2 events took 5.5 s, 80 take
+// 0.3 s; the corpus seed slow-nq2-shape40 is that input).
+func fuzzTraceLen(q *query.Query) int {
+	if noNested(q) {
+		return 160
+	}
+	return 80
 }
 
 // fuzzQuery maps the shape byte to a query: the named shapes of the engine

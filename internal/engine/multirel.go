@@ -3,7 +3,6 @@ package engine
 import (
 	"fmt"
 
-	"rpai/internal/aggindex"
 	"rpai/internal/query"
 	"rpai/internal/rpai"
 	"rpai/internal/treemap"
@@ -195,24 +194,19 @@ type relState struct {
 	// correlated aggregate value, always hold the same key set (same
 	// shifts, same Add key, deleted together), so they are the two lanes of
 	// one tree: idx lane 0 is the count, lane 1 the term sum — one index per
-	// correlated predicate, as in the paper's Algorithm 4. cnt/term hold the
-	// same two indexes apart and are built only by NewWithIndexKind with a
-	// kind other than the arena: the ablation arms, and the reference the
-	// differential fuzzers compare idx against.
+	// correlated predicate, as in the paper's Algorithm 4.
 	byKey *treemap.Tree
 	idx   *rpai.ArenaPair
-	cnt   aggindex.Index
-	term  aggindex.Index
 
 	// PredColumn state: count and term sums keyed by the compared column.
 	cntByCol  *treemap.Tree
 	termByCol *treemap.Tree
 
-	// fan backs sumFan's probe keys (see family.go).
-	fan fanProbe
+	// probeKeys and probeOut are probeFan's scratch (see probe.go).
+	probeKeys, probeOut []float64
 }
 
-func newRelState(spec RelSpec, kind aggindex.Kind) (*relState, error) {
+func newRelState(spec RelSpec) (*relState, error) {
 	plan, err := classifyRelPred(spec.Pred)
 	if err != nil {
 		return nil, err
@@ -224,12 +218,7 @@ func newRelState(spec RelSpec, kind aggindex.Kind) (*relState, error) {
 	switch plan.kind {
 	case PredCorrelated:
 		rs.byKey = treemap.New()
-		if kind == aggindex.KindArena {
-			rs.idx = rpai.NewArenaPair()
-		} else {
-			rs.cnt = aggindex.New(kind)
-			rs.term = aggindex.New(kind)
-		}
+		rs.idx = rpai.NewArenaPair()
 	case PredColumn:
 		rs.cntByCol = treemap.New()
 		rs.termByCol = treemap.New()
@@ -296,82 +285,51 @@ func (rs *relState) apply(t query.Tuple, x float64) {
 // (from at, when inclusive) by d, then add (dc, dt) to the count and term
 // under key, dropping the key when its count returns to zero.
 func (rs *relState) shiftAdd(at float64, inclusive bool, d, key, dc, dt float64) {
-	if p := rs.idx; p != nil {
-		if inclusive {
-			p.ShiftKeysInclusive(at, d)
-		} else {
-			p.ShiftKeys(at, d)
-		}
-		if c, _ := p.Add(key, dc, dt); c == 0 {
-			p.Delete(key)
-		}
-		return
-	}
+	p := rs.idx
 	if inclusive {
-		rs.cnt.ShiftKeysInclusive(at, d)
-		rs.term.ShiftKeysInclusive(at, d)
+		p.ShiftKeysInclusive(at, d)
 	} else {
-		rs.cnt.ShiftKeys(at, d)
-		rs.term.ShiftKeys(at, d)
+		p.ShiftKeys(at, d)
 	}
-	rs.cnt.Add(key, dc)
-	rs.term.Add(key, dt)
-	if v, ok := rs.cnt.Get(key); ok && v == 0 {
-		rs.cnt.Delete(key)
-		rs.term.Delete(key)
+	if c, _ := p.Add(key, dc, dt); c == 0 {
+		p.Delete(key)
 	}
 }
-
-// rangeSums is the slice of the index API the result computation needs;
-// treeSums adapts treemap's PrefixSum naming to it.
-type rangeSums interface {
-	GetSum(float64) float64
-	GetSumLess(float64) float64
-	SuffixSum(float64) float64
-	SuffixSumGreater(float64) float64
-}
-
-type treeSums struct{ t *treemap.Tree }
-
-func (a treeSums) GetSum(k float64) float64           { return a.t.PrefixSum(k) }
-func (a treeSums) GetSumLess(k float64) float64       { return a.t.PrefixSumLess(k) }
-func (a treeSums) SuffixSum(k float64) float64        { return a.t.SuffixSum(k) }
-func (a treeSums) SuffixSumGreater(k float64) float64 { return a.t.SuffixSumGreater(k) }
 
 // aggregates returns (count, term sum) over the qualifying subset.
 func (rs *relState) aggregates() (cnt, sum float64) {
 	thr := rs.threshold()
-	pick := func(cntIdx, termIdx rangeSums) (float64, float64) {
-		switch rs.plan.thetaCorrFirst {
-		case query.Lt:
-			return cntIdx.GetSumLess(thr), termIdx.GetSumLess(thr)
-		case query.Le:
-			return cntIdx.GetSum(thr), termIdx.GetSum(thr)
-		case query.Gt:
-			return cntIdx.SuffixSumGreater(thr), termIdx.SuffixSumGreater(thr)
-		case query.Ge:
-			return cntIdx.SuffixSum(thr), termIdx.SuffixSum(thr)
-		}
-		panic("engine: equality thresholds are not part of the multi-relation shape")
-	}
 	if rs.plan.kind == PredColumn {
-		return pick(treeSums{rs.cntByCol}, treeSums{rs.termByCol})
+		return rs.colSum(rs.cntByCol, thr), rs.colSum(rs.termByCol, thr)
 	}
-	if p := rs.idx; p != nil {
-		// Both lanes from one descent.
-		switch rs.plan.thetaCorrFirst {
-		case query.Lt:
-			return p.GetSumLess(thr)
-		case query.Le:
-			return p.GetSum(thr)
-		case query.Gt:
-			return p.SuffixSumGreater(thr)
-		case query.Ge:
-			return p.SuffixSum(thr)
-		}
-		panic("engine: equality thresholds are not part of the multi-relation shape")
+	// Both lanes from one descent.
+	p := rs.idx
+	switch rs.plan.thetaCorrFirst {
+	case query.Lt:
+		return p.GetSumLess(thr)
+	case query.Le:
+		return p.GetSum(thr)
+	case query.Gt:
+		return p.SuffixSumGreater(thr)
+	case query.Ge:
+		return p.SuffixSum(thr)
 	}
-	return pick(rs.cnt, rs.term)
+	panic("engine: equality thresholds are not part of the multi-relation shape")
+}
+
+// colSum is the qualifying sum of one PredColumn tree at threshold thr.
+func (rs *relState) colSum(t *treemap.Tree, thr float64) float64 {
+	switch rs.plan.thetaCorrFirst {
+	case query.Lt:
+		return t.PrefixSumLess(thr)
+	case query.Le:
+		return t.PrefixSum(thr)
+	case query.Gt:
+		return t.SuffixSumGreater(thr)
+	case query.Ge:
+		return t.SuffixSum(thr)
+	}
+	panic("engine: equality thresholds are not part of the multi-relation shape")
 }
 
 // MultiAggIndexExec is the incremental multi-relation executor.
@@ -383,16 +341,12 @@ type MultiAggIndexExec struct {
 // NewMultiAggIndex builds the incremental executor for a multi-relation
 // query, or reports why the query is outside the supported shape.
 func NewMultiAggIndex(q *MultiQuery) (*MultiAggIndexExec, error) {
-	return newMultiAggIndex(q, defaultIndexKind)
-}
-
-func newMultiAggIndex(q *MultiQuery, kind aggindex.Kind) (*MultiAggIndexExec, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err
 	}
 	ex := &MultiAggIndexExec{q: q, rels: make(map[string]*relState, len(q.Rels))}
 	for _, spec := range q.Rels {
-		rs, err := newRelState(spec, kind)
+		rs, err := newRelState(spec)
 		if err != nil {
 			return nil, err
 		}

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -102,38 +103,57 @@ func TestMultiPSPAgreesWithNaive(t *testing.T) {
 	}
 }
 
-// TestMultiMSTMatchesHandCoded replays an order-book trace through both the
-// generic multi-relation executor and the hand-written MST/PSP executors.
+// TestMultiMSTMatchesHandCoded replays order-book traces through the generic
+// multi-relation executor and the hand-written MST/PSP executors of package
+// queries, and requires bit-identical results after every event. For MST this
+// is the independent reference for the range-shift executor: the hand-written
+// side keeps two single-lane pointer RPAI trees and makes the same shift, add
+// and delete-on-count calls in the same order. The second trace has
+// 0.1-multiple prices (inexact, so the price*volume terms round and their
+// summation order shows in the bits) and 0.25-multiple volumes (exact, as the
+// index keys require).
 func TestMultiMSTMatchesHandCoded(t *testing.T) {
 	cfg := stream.DefaultOrderBook(800)
 	cfg.BothSides = true
 	cfg.DeleteRatio = 0.15
 	cfg.PriceLevels = 40
-	for _, tc := range []struct {
-		spec *MultiQuery
-		name string
-	}{
-		{mstSpec(), "mst"},
-		{pspSpec(), "psp"},
-	} {
-		generic, err := NewMultiAggIndex(tc.spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		hand := queries.NewBids(tc.name, queries.RPAI)
-		for i, e := range stream.GenerateOrderBook(cfg) {
-			rel := "bids"
-			if e.Side == stream.Asks {
-				rel = "asks"
+	integer := stream.GenerateOrderBook(cfg)
+	fractional := make([]stream.Event, len(integer))
+	for i, e := range integer {
+		e.Rec.Price = 0.1 * (e.Rec.Price - cfg.BasePrice + 1)
+		e.Rec.Volume = 0.25 * e.Rec.Volume
+		fractional[i] = e
+	}
+	for _, trace := range []struct {
+		name   string
+		events []stream.Event
+	}{{"integer", integer}, {"fractional", fractional}} {
+		for _, tc := range []struct {
+			spec *MultiQuery
+			name string
+		}{
+			{mstSpec(), "mst"},
+			{pspSpec(), "psp"},
+		} {
+			generic, err := NewMultiAggIndex(tc.spec)
+			if err != nil {
+				t.Fatal(err)
 			}
-			generic.Apply(MultiEvent{
-				Rel:   rel,
-				X:     e.X(),
-				Tuple: query.Tuple{"price": e.Rec.Price, "volume": e.Rec.Volume},
-			})
-			hand.Apply(e)
-			if got, want := generic.Result(), hand.Result(); !almostEqual(got, want) {
-				t.Fatalf("%s event %d: generic %v vs hand-coded %v", tc.name, i, got, want)
+			hand := queries.NewBids(tc.name, queries.RPAI)
+			for i, e := range trace.events {
+				rel := "bids"
+				if e.Side == stream.Asks {
+					rel = "asks"
+				}
+				generic.Apply(MultiEvent{
+					Rel:   rel,
+					X:     e.X(),
+					Tuple: query.Tuple{"price": e.Rec.Price, "volume": e.Rec.Volume},
+				})
+				hand.Apply(e)
+				if got, want := generic.Result(), hand.Result(); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("%s trace, %s event %d: generic %v vs hand-coded %v", trace.name, tc.name, i, got, want)
+				}
 			}
 		}
 	}

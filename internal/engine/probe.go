@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -21,7 +22,10 @@ import (
 //
 // Three sharing forms ride on this split:
 //
-//   - threshold variants: lanes differ only in Const (PR 9's families);
+//   - threshold variants: lanes differ only in Const — N queries that differ
+//     only in their threshold constant (`price < 0.75*SUM(...)` vs
+//     `price < 0.9*SUM(...)`) share one state set, because the index answers
+//     any threshold as a probe point;
 //   - aggregate variants: SUM, COUNT(*), and AVG lanes over one state set —
 //     relation state maintains both a count and a term index regardless of
 //     the founding query's outer aggregate, so every variant is a probe;
@@ -92,9 +96,8 @@ func (s ProbeSpec) GateOn(partCols []string, key []float64) bool {
 // final and cnts[i] is untouched. Residual gating is the caller's concern
 // (it is per partition, and the executor sees only its own partition).
 //
-// The bit-identity contract of FanExecutor extends to ResultProbe: each
-// lane's value equals, bit for bit, the Result of a dedicated executor of
-// that variant fed the same events.
+// Each lane's value equals, bit for bit, the Result of a dedicated executor
+// of that variant fed the same events.
 type ProbeExecutor interface {
 	ResultProbe(specs []ProbeSpec, vals, cnts []float64)
 }
@@ -166,8 +169,8 @@ func laneAt(consts, vals []float64, c float64) float64 {
 // state set maintains both a count and a term index (see relState.apply), so
 // every aggregate variant is one side-probe away: SUM lanes read the term
 // index, COUNT lanes the count index, AVG lanes both. Each side runs one
-// shared batched descent over its sorted unique constants, exactly the
-// machinery ResultFan uses, preserving per-lane bit-identity.
+// shared batched descent over its sorted unique constants (probeFan),
+// preserving per-lane bit-identity.
 func (ex *relStateExec) ResultProbe(specs []ProbeSpec, vals, cnts []float64) {
 	ps := &ex.probe
 	ps.termConsts = gatherConsts(ps.termConsts, specs, false)
@@ -195,14 +198,19 @@ func (ex *relStateExec) ResultProbe(specs []ProbeSpec, vals, cnts []float64) {
 	}
 }
 
-// ResultProbe implements ProbeExecutor for the PAI/RPAI executor. This state
-// maintains only the term index, so SUM lanes are served directly and COUNT
-// lanes only when the maintained aggregate term is the constant 1 (then the
-// term index is bitwise a count index — the catalog's attach rule only
-// routes COUNT lanes to such sets). AVG lanes need the missing count side
-// and are a caller bug here.
+// ResultProbe implements ProbeExecutor for the PAI equality executor. This
+// state maintains only the term index, so SUM lanes are served directly and
+// COUNT lanes only when the maintained aggregate term is the constant 1 (then
+// the term index is bitwise a count index — the catalog's attach rule only
+// routes COUNT lanes to such sets). AVG lanes need the missing count side and
+// are a caller bug here. Each lane is one point probe of the map at its
+// threshold, computed as Result computes it.
 func (ex *AggIndexExec) ResultProbe(specs []ProbeSpec, vals, cnts []float64) {
-	for _, s := range specs {
+	var base float64
+	if ex.thr != nil {
+		base = ex.thr.eval(nil)
+	}
+	for i, s := range specs {
 		switch s.Kind {
 		case query.Avg:
 			panic("engine: aggindex state has no count side for AVG probes")
@@ -211,35 +219,96 @@ func (ex *AggIndexExec) ResultProbe(specs []ProbeSpec, vals, cnts []float64) {
 				panic("engine: COUNT probe against a non-count aggindex term")
 			}
 		}
-	}
-	ps := &ex.probe
-	ps.termConsts = ps.termConsts[:0]
-	for _, s := range specs {
-		ps.termConsts = append(ps.termConsts, s.Const)
-	}
-	sort.Float64s(ps.termConsts)
-	uniq := ps.termConsts[:0]
-	for i, c := range ps.termConsts {
-		if i == 0 || c != uniq[len(uniq)-1] {
-			uniq = append(uniq, c)
+		thr := s.Const
+		if ex.thr != nil {
+			thr = s.Const * base
 		}
+		vals[i] = ex.read(thr)
 	}
-	ps.termConsts = uniq
-	ps.termVals = sized(ps.termVals, len(ps.termConsts))
-	ex.ResultFan(ps.termConsts, ps.termVals)
-	for i, s := range specs {
-		vals[i] = laneAt(ps.termConsts, ps.termVals, s.Const)
+}
+
+// probeFan is the multi-threshold counterpart of aggregates(): one probe per
+// constant (consts sorted ascending, dst the same length) against the term
+// lane (cntSide=false, the side relStateExec.Result's sum comes from) or the
+// count lane (cntSide=true, backing COUNT and AVG probe lanes), each
+// bit-identical to what aggregates() reads at that threshold.
+func (rs *relState) probeFan(cntSide bool, consts, dst []float64) {
+	// The probe keys: constant*base exactly as the solo Result computes
+	// Scale*thr.eval(nil), or the constant itself for a literal threshold.
+	var base float64
+	if rs.thr != nil {
+		base = rs.thr.eval(nil)
 	}
-	_ = cnts
+	keys := rs.probeKeys[:0]
+	for _, c := range consts {
+		if rs.thr != nil {
+			c *= base
+		}
+		keys = append(keys, c)
+	}
+	rs.probeKeys = keys
+	if rs.plan.kind == PredColumn {
+		// treemap probes have no batch path; K point probes, like K solo
+		// reads would do.
+		byCol := rs.termByCol
+		if cntSide {
+			byCol = rs.cntByCol
+		}
+		for i, k := range keys {
+			dst[i] = rs.colSum(byCol, k)
+		}
+		return
+	}
+	// The shared descent needs ascending keys; a negative base made them
+	// descending, so descend over them reversed and reverse the answers back.
+	reversed := base < 0
+	out := dst
+	if reversed {
+		slices.Reverse(keys)
+		out = sized(rs.probeOut, len(dst))
+		rs.probeOut = out
+	}
+	lane := 1
+	cntTotal, total := rs.idx.Total()
+	if cntSide {
+		lane, total = 0, cntTotal
+	}
+	// One shared descent answers every probe (it clobbers keys). The suffix
+	// orientations are total - prefix, which is how the tree itself defines
+	// SuffixSum.
+	switch rs.plan.thetaCorrFirst {
+	case query.Lt:
+		rs.idx.PrefixSums(lane, keys, out, false)
+	case query.Le:
+		rs.idx.PrefixSums(lane, keys, out, true)
+	case query.Gt:
+		rs.idx.PrefixSums(lane, keys, out, true)
+		for i := range out {
+			out[i] = total - out[i]
+		}
+	case query.Ge:
+		rs.idx.PrefixSums(lane, keys, out, false)
+		for i := range out {
+			out[i] = total - out[i]
+		}
+	default:
+		panic("engine: equality thresholds are not part of the multi-relation shape")
+	}
+	if reversed {
+		slices.Reverse(out)
+		copy(dst, out)
+	}
 }
 
 // StateKey reports whether q can ride a shared state set, and if so returns
 // the set's identity and q's probe plan against it.
 //
-//   - key identifies the exact maintained state: everything FamilyKey
-//     preserves, including the aggregate term expression. Queries with equal
-//     keys share a set outright, whatever their outer aggregate — the state
-//     carries both indexes.
+//   - key identifies the exact maintained state: a canonical rendering of
+//     everything that shapes the executor's maintained state, including the
+//     aggregate term expression, with only the read-time threshold constant
+//     masked. Queries with equal keys share a set outright, whatever their
+//     outer aggregate or threshold constant — the state carries both indexes
+//     and answers any threshold.
 //   - baseKey is key with the aggregate term masked. A COUNT(*) variant
 //     reads only the count index, which is identical across term
 //     expressions, so it may attach to any relation-state set whose baseKey
@@ -247,12 +316,17 @@ func (ex *AggIndexExec) ResultProbe(specs []ProbeSpec, vals, cnts []float64) {
 //     no count side (COUNT(*) there matches through key: its term is the
 //     constant 1, so only constant-1 sets qualify; AVG is ineligible).
 //
-// The keys are built from the SUM form of q — same predicates, outer forced
-// to SUM — because maintained state never depends on the outer aggregate.
+// Unlike PredSig, which masks every constant, the key preserves constants
+// that feed maintenance (subquery filter thresholds, correlated weights): two
+// queries may only share state when it is identical event for event. The key
+// is orientation-normalized by construction: it is built from the executor's
+// analyzed plan, which already folds flipped spellings. The keys are built
+// from the SUM form of q — same predicates, outer forced to SUM — because
+// maintained state never depends on the outer aggregate.
 func StateKey(q *query.Query) (key, baseKey string, spec ProbeSpec, ok bool) {
 	sumForm := *q
 	sumForm.Outer = query.Sum
-	key, baseKey, c, hasCnt, ok := familyKeys(&sumForm)
+	key, baseKey, c, hasCnt, ok := stateKeys(&sumForm)
 	if !ok {
 		return "", "", ProbeSpec{}, false
 	}
@@ -264,6 +338,65 @@ func StateKey(q *query.Query) (key, baseKey string, spec ProbeSpec, ok bool) {
 		}
 	}
 	return key, baseKey, ProbeSpec{Kind: q.Outer, Const: c}, true
+}
+
+// stateKeys renders StateKey's key and baseKey for the executor New builds
+// for q, extracts the threshold constant, and reports whether the executor
+// maintains a count side. Eligible queries are the single-predicate scalar
+// aggregate-index shapes whose threshold side is an uncorrelated scaled
+// subquery (constant = the scale) or a literal constant: their Result reads
+// the index at the threshold without consulting it during Apply.
+func stateKeys(q *query.Query) (key, baseKey string, constant float64, hasCnt, ok bool) {
+	if len(q.GroupBy) > 0 || len(q.Preds) != 1 {
+		return "", "", 0, false, false
+	}
+	ex, err := New(q)
+	if err != nil {
+		return "", "", 0, false, false
+	}
+	switch e := ex.(type) {
+	case *AggIndexExec:
+		thr, c, ok := maskThreshold(e.plan.Threshold)
+		if !ok {
+			return "", "", 0, false, false
+		}
+		render := func(agg string) string {
+			return fmt.Sprintf("aggidx|agg=%s|key=%s|subop=%s|theta=%s|corr=%s|thr=%s",
+				agg, e.plan.KeyCol, e.plan.SubOp, e.plan.ThetaCorrFirst, e.plan.Corr, thr)
+		}
+		return render(q.Agg.String()), render("#"), c, false, true
+	case *relStateExec:
+		pl := e.rs.plan
+		thr, c, ok := maskThreshold(pl.threshold)
+		if !ok {
+			return "", "", 0, false, false
+		}
+		corr := ""
+		if pl.corr != nil {
+			corr = pl.corr.String()
+		}
+		render := func(agg string) string {
+			return fmt.Sprintf("rel%d|agg=%s|key=%s|subop=%s|theta=%s|corr=%s|thr=%s",
+				pl.kind, agg, pl.keyCol, pl.subOp, pl.thetaCorrFirst, corr, thr)
+		}
+		return render(q.Agg.String()), render("#"), c, true, true
+	}
+	return "", "", 0, false, false
+}
+
+// maskThreshold renders the uncorrelated threshold side with its read-time
+// constant masked, returning that constant. A scaled subquery masks the
+// scale but keeps the subquery rendering verbatim (its internal constants
+// shape maintained state); a literal constant masks to "?". Any other
+// expression is ineligible — there is no single constant to generalize.
+func maskThreshold(v query.Value) (rendered string, constant float64, ok bool) {
+	if v.Sub != nil {
+		return "? * " + v.Sub.String(), v.Scale, true
+	}
+	if c, isConst := v.Expr.(query.Const); isConst {
+		return "?", float64(c), true
+	}
+	return "", 0, false
 }
 
 // SplitResidual splits a two-conjunct query into a shareable base query and
@@ -390,9 +523,4 @@ func (g *Gated) Snapshot(w io.Writer) error {
 // state answers the probes either way.
 func (g *Gated) ResultProbe(specs []ProbeSpec, vals, cnts []float64) {
 	g.Inner.(ProbeExecutor).ResultProbe(specs, vals, cnts)
-}
-
-// ResultFan delegates for the same reason.
-func (g *Gated) ResultFan(consts, dst []float64) {
-	g.Inner.(FanExecutor).ResultFan(consts, dst)
 }

@@ -328,8 +328,8 @@ func restoreGeneral(d *checkpoint.Decoder, q *query.Query) *GeneralExec {
 // --- aggregate index ---
 
 // Snapshot implements Snapshotter: the threshold subquery state, the
-// per-level weight map, the per-level live counts, the aggregate index
-// itself (structural for RPAI trees), and the equality plan's group map.
+// per-level weight map, the per-level live counts, the PAI map, and the
+// per-level group map.
 func (ex *AggIndexExec) Snapshot(w io.Writer) error {
 	e := checkpoint.NewEncoder(w)
 	snapHeader(e, tagAggIndex)
@@ -346,13 +346,16 @@ func (ex *AggIndexExec) Snapshot(w io.Writer) error {
 	return e.Err()
 }
 
+// restoreAggIndex rebuilds the equality executor. Snapshots of the retired
+// range-shift form of AggIndexExec carry a single-lane RPAI stream where the
+// PAI map belongs; Decoder.Index refuses it by name.
 func restoreAggIndex(d *checkpoint.Decoder, q *query.Query) *AggIndexExec {
 	plan, ok := q.PlanAggIndex()
 	if !ok {
 		d.Fail(fmt.Errorf("engine: query not eligible for an aggregate-index snapshot: %s", q))
 		return nil
 	}
-	ex := &AggIndexExec{q: q, plan: plan, cntAt: make(map[float64]float64)}
+	ex := newAggIndexExec(q, plan)
 	hasThr := d.U8()
 	if d.Err() != nil {
 		return ex
@@ -367,24 +370,9 @@ func restoreAggIndex(d *checkpoint.Decoder, q *query.Query) *AggIndexExec {
 	ex.byKey = d.TreeMap()
 	d.F64Map(ex.cntAt)
 	ex.agg = d.Index()
-	if n := d.U32(); d.Err() == nil && n > 0 {
-		// Re-read the group map: back up is impossible on a stream, so the
-		// count is decoded here and the entries inline (mirrors F64Map).
-		ex.groups = make(map[float64]float64, n)
-		var prev float64
-		for i := uint32(0); i < n && d.Err() == nil; i++ {
-			k := d.FiniteF64()
-			v := d.F64()
-			if d.Err() != nil {
-				break
-			}
-			if i > 0 && k <= prev {
-				d.Fail(errors.New("engine: group keys not strictly ascending in snapshot"))
-				break
-			}
-			prev = k
-			ex.groups[k] = v
-		}
+	d.F64Map(ex.groups)
+	if d.Err() == nil && plan.SubOp != query.Eq {
+		d.Fail(fmt.Errorf("engine: aggregate-index snapshot under a %s correlation; only equality plans run on the PAI executor", plan.SubOp))
 	}
 	return ex
 }
@@ -423,15 +411,9 @@ func snapRelState(e *checkpoint.Encoder, rs *relState) {
 	e.U8(uint8(rs.plan.kind))
 	switch rs.plan.kind {
 	case PredCorrelated:
-		// Two index streams either way: the pair writes each lane as the
-		// stream the single-lane tree it replaces would write.
+		// The pair writes each lane as the stream a single-lane tree would.
 		e.TreeMap(rs.byKey)
-		if rs.idx != nil {
-			e.IndexPair(rs.idx)
-		} else {
-			e.Index(rs.cnt)
-			e.Index(rs.term)
-		}
+		e.IndexPair(rs.idx)
 	case PredColumn:
 		e.TreeMap(rs.cntByCol)
 		e.TreeMap(rs.termByCol)
@@ -463,7 +445,7 @@ func restoreRelState(d *checkpoint.Decoder, spec RelSpec) *relState {
 	switch plan.kind {
 	case PredCorrelated:
 		rs.byKey = d.TreeMap()
-		rs.idx, rs.cnt, rs.term = d.IndexPair()
+		rs.idx = d.IndexPair()
 	case PredColumn:
 		rs.cntByCol = d.TreeMap()
 		rs.termByCol = d.TreeMap()

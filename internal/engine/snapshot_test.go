@@ -45,8 +45,7 @@ func decodeFuzzTrace(data []byte, maxEvents int) []Event {
 }
 
 // allExecutors builds every executor the engine offers for q: the naive
-// oracle, the general algorithm, the planner's pick, and the aggregate-index
-// executor when the section 4.3 pattern applies.
+// oracle, the general algorithm, and the planner's pick.
 func allExecutors(t testing.TB, q *query.Query) []Executor {
 	execs := []Executor{NewNaive(q)}
 	g, err := NewGeneral(q)
@@ -58,11 +57,7 @@ func allExecutors(t testing.TB, q *query.Query) []Executor {
 	if err != nil {
 		t.Fatalf("New(%s): %v", q, err)
 	}
-	execs = append(execs, planned)
-	if ai, err := NewAggIndex(q); err == nil {
-		execs = append(execs, ai)
-	}
-	return execs
+	return append(execs, planned)
 }
 
 // snapshotBytes snapshots ex, requiring it to implement Snapshotter (every
@@ -191,13 +186,7 @@ func mustFresh(t testing.TB, q *query.Query, ex Executor) Executor {
 			t.Fatal(err)
 		}
 		return g
-	case *AggIndexExec:
-		ai, err := NewAggIndex(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return ai
-	case *relStateExec:
+	case *AggIndexExec, *relStateExec:
 		p, err := New(q)
 		if err != nil {
 			t.Fatal(err)
@@ -232,7 +221,7 @@ func TestRecoveryMatrixSeedCorpus(t *testing.T) {
 		if q == nil || q.Validate() != nil {
 			continue
 		}
-		events := decodeFuzzTrace(data[9:], 160)
+		events := decodeFuzzTrace(data[9:], fuzzTraceLen(q))
 		splits := []int{0, len(events) / 3, len(events) / 2}
 		if len(events) > 0 {
 			splits = append(splits, len(events)-1, len(events))
@@ -352,5 +341,28 @@ func TestMultiRelSnapshotRoundTrip(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestRetiredIndexStreamsRefused restores snapshots the parent of the
+// one-index engine wrote with index kinds it no longer builds — relStateExec
+// over B-tree, sorted-slice and Fenwick indexes, and AggIndexExec's
+// range-shift form over a single-lane RPAI tree, all VWAP after
+// priceVolumeEvents(7, 200, 0.25) — and requires each to be refused with an
+// error naming the kind.
+func TestRetiredIndexStreamsRefused(t *testing.T) {
+	for file, kind := range map[string]string{
+		"relstate_vwap_btree.snap":   "btree",
+		"relstate_vwap_sorted.snap":  "sorted",
+		"relstate_vwap_fenwick.snap": "fenwick",
+		"aggindex_vwap_rpai.snap":    "rpai",
+	} {
+		snap, err := os.ReadFile(filepath.Join("testdata", "snapshots", file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Restore(vwapSpec(), bytes.NewReader(snap)); err == nil || !strings.Contains(err.Error(), kind+" index stream") {
+			t.Fatalf("%s: Restore error %v, want a refusal naming %q", file, err, kind)
+		}
 	}
 }

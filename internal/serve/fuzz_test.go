@@ -10,14 +10,26 @@ import (
 
 	"rpai/internal/aggindex"
 	"rpai/internal/engine"
+	"rpai/internal/queries"
 	"rpai/internal/query"
+	"rpai/internal/stream"
 )
 
-// subFuzzService builds a one-query sharded service whose per-partition
-// executors run on the chosen RPAI representation, with BatchSize 1 so every
-// applied event is its own commit and publication — the densest possible
-// delta stream for a fuzzed subscriber to reconstruct.
-func subFuzzService(t *testing.T, q *query.Query, shards int, kind aggindex.Kind) *Service[engine.Event] {
+// pointerVWAP is the hand-written VWAP executor of package queries on the
+// pointer RPAI tree, fed the engine's event type.
+type pointerVWAP struct{ queries.BidsExecutor }
+
+func (p pointerVWAP) Apply(e engine.Event) {
+	p.BidsExecutor.Apply(stream.Event{Op: stream.Op(e.X), Side: stream.Bids,
+		Rec: stream.Record{Price: e.Tuple["price"], Volume: e.Tuple["volume"]}})
+}
+
+// subFuzzService builds a sharded VWAP service whose per-partition executors
+// run on the chosen RPAI representation — "arena", the engine's executor, or
+// "rpai", pointerVWAP (the engine builds only the arena) — with BatchSize 1
+// so every applied event is its own commit and publication: the densest
+// possible delta stream for a fuzzed subscriber to reconstruct.
+func subFuzzService(t *testing.T, shards int, kind string) *Service[engine.Event] {
 	t.Helper()
 	svc, err := New(Config[engine.Event]{
 		Shards:    shards,
@@ -26,9 +38,12 @@ func subFuzzService(t *testing.T, q *query.Query, shards int, kind aggindex.Kind
 			return append(buf, e.Tuple["sym"])
 		},
 		New: func([]float64) Executor[engine.Event] {
-			ex, err := engine.NewWithIndexKind(q, kind)
+			if kind == "rpai" {
+				return pointerVWAP{queries.NewVWAPWithIndex(aggindex.KindRPAI)}
+			}
+			ex, err := engine.New(vwapSpec())
 			if err != nil {
-				// Unreachable: the same query planned successfully up front.
+				// Unreachable: the VWAP query is in the fragment.
 				panic("serve fuzz: " + err.Error())
 			}
 			return ex
@@ -63,7 +78,8 @@ func subFuzzSeeds() [][]byte {
 // FuzzSubscriptionDeltas is the subscription half of the differential fuzz
 // suite: a random insert/delete stream with random publish boundaries and
 // random subscriber attach/detach/resume churn, on one or two shards, over
-// both RPAI representations (arena and pointer tree). The invariant is the
+// both RPAI representations (the engine's arena executor and the hand-written
+// pointer-tree VWAP). The invariant is the
 // replay-equals-pull contract: at every drained boundary the subscriber's
 // view, reconstructed from delta frames alone, is bit-identical to what
 // ResultGrouped returns at the same shard versions.
@@ -76,13 +92,12 @@ func FuzzSubscriptionDeltas(f *testing.F) {
 			return
 		}
 		shape := data[0]
-		kind := aggindex.KindArena
+		kind := "arena"
 		if shape&1 == 1 {
-			kind = aggindex.KindRPAI
+			kind = "rpai"
 		}
 		shards := 1 + int(shape>>1)%2
-		q := vwapSpec()
-		svc := subFuzzService(t, q, shards, kind)
+		svc := subFuzzService(t, shards, kind)
 		defer svc.Close()
 
 		rng := rand.New(rand.NewSource(int64(binary.BigEndian.Uint64(data[1:9]))))

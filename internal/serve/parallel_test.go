@@ -6,7 +6,6 @@ import (
 	"sync"
 	"testing"
 
-	"rpai/internal/aggindex"
 	"rpai/internal/engine"
 )
 
@@ -14,7 +13,7 @@ import (
 // suite: many producer goroutines apply partition-disjoint batches at
 // GOMAXPROCS>1, and the drained grouped results must be bit-identical to a
 // sequential single-goroutine apply of the same trace — for both RPAI
-// representations. Partition disjointness is the load-bearing property: each
+// representations (see subFuzzService). Partition disjointness is the load-bearing property: each
 // producer owns the partitions where sym%producers matches its index, so
 // within every partition the event order is the trace order no matter how the
 // scheduler interleaves producers, and float non-associativity cannot leak
@@ -31,14 +30,13 @@ func TestParallelIngestDifferential(t *testing.T) {
 		partitions = 97
 		batch      = 37 // deliberately unaligned with BatchSize below
 	)
-	q := vwapSpec()
 	trace := symEvents(42, events, partitions)
 
-	for _, kind := range []aggindex.Kind{aggindex.KindArena, aggindex.KindRPAI} {
-		t.Run(string(kind), func(t *testing.T) {
+	for _, kind := range []string{"arena", "rpai"} {
+		t.Run(kind, func(t *testing.T) {
 			// Sequential reference on the same representation and shard count,
 			// applied as one goroutine's worth of batches.
-			ref := subFuzzService(t, q, 4, kind)
+			ref := subFuzzService(t, 4, kind)
 			defer ref.Close()
 			for lo := 0; lo < len(trace); lo += batch {
 				hi := min(lo+batch, len(trace))
@@ -57,7 +55,7 @@ func TestParallelIngestDifferential(t *testing.T) {
 
 			// Parallel run: split the trace into producer-owned partition
 			// classes, preserving trace order within each class.
-			svc := subFuzzService(t, q, 4, kind)
+			svc := subFuzzService(t, 4, kind)
 			defer svc.Close()
 			slices := make([][]engine.Event, producers)
 			for _, e := range trace {
