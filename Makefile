@@ -5,8 +5,8 @@
 # CI's test job: tier-1 (build, vet, every unit test), the stack benchmark's
 # build and unit tests, the allocation guards re-run uncached (steady-state
 # hot paths stay allocation-free: both tree representations, the engine event
-# codec, serve's per-event apply), and an end-to-end smoke of every retained
-# rpaibench experiment.
+# codec, serve's ApplyBatch on an engine plan), and an end-to-end smoke of
+# every retained rpaibench experiment.
 test: benchmark-check
 	go build ./... && go vet ./... && go test ./...
 	go test -run 'TestAllocGuard' -count 1 ./internal/rpai/ ./internal/engine/ ./internal/serve/
@@ -104,13 +104,15 @@ fuzz-smoke:
 	$(call fuzz-each,10s)
 
 # Static analysis beyond `go vet`: formatting drift, the serving build
-# linking an ablation index package (printed if it does), staticcheck, and
-# the vulnerability scan. CI installs the two tools in its lint job; locally
-# they are skipped with a note when absent (this repo never installs tools
-# for you).
+# linking an ablation index package or the paper-evaluation harness, serve's
+# tests reaching past engine plans to the hand-written executors and their
+# workloads (each printed if it does), staticcheck, and the vulnerability
+# scan. CI installs the two tools in its lint job; locally they are skipped
+# with a note when absent (this repo never installs tools for you).
 lint:
 	test -z "$$(gofmt -l .)" || { gofmt -l .; exit 1; }
-	! go list -deps ./cmd/rpaiserver | grep -E '^rpai/internal/(aggindex|rpaibtree|fenwick)$$'
+	! go list -deps ./cmd/rpaiserver | grep -E '^rpai/internal/(aggindex|rpaibtree|fenwick|queries|stream|tpch|bench)$$'
+	! go list -test -deps ./internal/serve | grep -E '^rpai/internal/(queries|stream|tpch|aggindex)$$'
 	go vet ./...
 	@if command -v staticcheck >/dev/null; then staticcheck ./...; \
 		else echo "staticcheck not installed; skipping"; fi

@@ -26,9 +26,10 @@ WHERE 0.75 * (SELECT SUM(b1.volume) FROM bids b1)
 
 // TestBoot pins the daemon's one boot path: a fresh directory starts a
 // catalog, a second boot recovers it without registering the same -query
-// twice, -replica follows it read-only, and a directory in the retired
+// twice, -replica follows it read-only, a directory in the retired
 // single-query layout is refused by name instead of gaining a catalog
-// generation beside its files.
+// generation beside its files, and a negative -batch is refused at boot —
+// with nothing to register, before the data directory is created.
 func TestBoot(t *testing.T) {
 	dir := t.TempDir()
 	opt := catalog.Options{PartitionBy: []string{"sym"}, Dir: dir}
@@ -62,6 +63,15 @@ func TestBoot(t *testing.T) {
 	if _, err := boot(catalog.Options{PartitionBy: []string{"sym"}, Dir: legacy}, false, 0, []string{vwapSQL}); err == nil ||
 		!strings.Contains(err.Error(), "single-query data directory") {
 		t.Fatalf("boot over a single-query directory = %v, want a refusal naming the format", err)
+	}
+
+	fresh := filepath.Join(t.TempDir(), "fresh")
+	if _, err := boot(catalog.Options{PartitionBy: []string{"sym"}, Dir: fresh, BatchSize: -1}, false, 0, nil); err == nil ||
+		!strings.Contains(err.Error(), "BatchSize") {
+		t.Fatalf("boot with -batch -1 = %v, want a refusal naming BatchSize", err)
+	}
+	if _, err := os.Stat(fresh); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("refused boot touched its data dir (stat: %v)", err)
 	}
 }
 

@@ -77,6 +77,7 @@ func main() {
 	rng := rand.New(rand.NewSource(42))
 	var live []query.Tuple
 	const n = 20000
+	trace := make([]engine.Event, 0, n)
 	for i := 0; i < n; i++ {
 		var ev engine.Event
 		if len(live) > 0 && rng.Float64() < 0.25 {
@@ -94,8 +95,9 @@ func main() {
 			ev = engine.Insert(t)
 		}
 		check(c.Apply(ev))
-		check(ref.Apply(ev))
+		trace = append(trace, ev)
 	}
+	check(ref.ApplyBatch(trace))
 	check(c.Drain()) // barrier: every event applied server-side
 	check(ref.Drain())
 

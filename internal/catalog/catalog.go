@@ -74,7 +74,8 @@ var ErrReadOnly = errors.New("catalog: read-only follower")
 // Options configures a catalog. PartitionBy applies to every registered
 // query (the catalog serves one logical relation, so grouping keys are
 // shared); Shards/QueueLen/BatchSize parameterize each query's executor
-// service exactly as serve.Options does.
+// service exactly as serve.Options does, and are validated the same way
+// before a data directory is touched.
 type Options struct {
 	PartitionBy []string
 	Shards      int
@@ -134,7 +135,7 @@ type execSet struct {
 	stateKey string
 	baseKey  string
 	baseSpec engine.ProbeSpec
-	svc      *serve.Service[engine.Event]
+	svc      *serve.Service
 	refs     map[QueryID]struct{}
 	since    uint64
 	founded  uint64
@@ -185,6 +186,9 @@ func New(opt Options) (*Service, error) {
 	if opt.CompactEvery > 0 && opt.Dir == "" {
 		return nil, errors.New("catalog: Options.CompactEvery requires Options.Dir")
 	}
+	if err := opt.serveOptions().Validate(); err != nil {
+		return nil, err
+	}
 	s := &Service{
 		opt:      opt,
 		regs:     make(map[QueryID]*registration),
@@ -203,8 +207,8 @@ func New(opt Options) (*Service, error) {
 }
 
 // serveOptions are the per-set service options.
-func (s *Service) serveOptions() serve.Options {
-	return serve.Options{Shards: s.opt.Shards, QueueLen: s.opt.QueueLen, BatchSize: s.opt.BatchSize}
+func (o Options) serveOptions() serve.Options {
+	return serve.Options{Shards: o.Shards, QueueLen: o.QueueLen, BatchSize: o.BatchSize}
 }
 
 // deriveState resolves a founder query's sharing identity and the query its
@@ -288,7 +292,7 @@ func (s *Service) Register(sql string) (QueryID, Explain, error) {
 	joinedFork := false
 	var oldSince uint64
 	if set == nil {
-		svc, err := serve.ForQuery(exec, s.opt.PartitionBy, s.serveOptions())
+		svc, err := serve.ForQuery(exec, s.opt.PartitionBy, s.opt.serveOptions())
 		if err != nil {
 			return 0, Explain{}, err
 		}
@@ -583,9 +587,6 @@ func (s *Service) regLocked(id QueryID) (*registration, error) {
 	return reg, nil
 }
 
-// Apply ingests one event into every registered query.
-func (s *Service) Apply(e engine.Event) error { return s.ApplyBatch([]engine.Event{e}) }
-
 // ApplyBatch ingests one batch into every registered query: one WAL record —
 // regardless of query count — then a fan-out to each distinct executor set.
 // Batches are serialized so WAL order equals application order. With
@@ -804,7 +805,7 @@ func (s *Service) Shards() int {
 	if s.opt.Shards > 0 {
 		return s.opt.Shards
 	}
-	return 1 // serve.New's default for Shards <= 0
+	return 1 // serve's default for Shards == 0
 }
 
 // ShardStats returns one query's per-shard serving counters.
@@ -892,7 +893,7 @@ func (s *Service) DrainAll() error {
 }
 
 // Close stops every executor set and closes the WAL. Events still queued are
-// applied first (serve.Close drains); the catalog stays recoverable. On a
+// applied first (serve's Close drains); the catalog stays recoverable. On a
 // follower it stops the tailer first and returns the error that stopped it
 // early, if any.
 func (s *Service) Close() error {

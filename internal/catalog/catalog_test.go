@@ -274,7 +274,7 @@ func TestCatalogDifferential16(t *testing.T) {
 	defer cat.Close()
 
 	ids := make([]QueryID, len(sqls))
-	indep := make([]*serve.Service[engine.Event], len(sqls))
+	indep := make([]*serve.Service, len(sqls))
 	for i, sql := range sqls {
 		id, _, err := cat.Register(sql)
 		if err != nil {

@@ -483,6 +483,9 @@ func restore(opt Options) (s *Service, m manifest, raw []byte, err error) {
 	if opt.Dir == "" {
 		return nil, m, nil, errors.New("catalog: recovery requires Options.Dir")
 	}
+	if err := opt.serveOptions().Validate(); err != nil {
+		return nil, m, nil, err
+	}
 	if m, raw, err = readCatalogFile(opt.Dir); err != nil {
 		return nil, m, nil, err
 	}
@@ -516,7 +519,7 @@ func restore(opt Options) (s *Service, m manifest, raw []byte, err error) {
 		s.closeSets()
 		return nil, m, nil, err
 	}
-	serveOpt := s.serveOptions()
+	serveOpt := opt.serveOptions()
 	for _, sid := range setIDs {
 		ents := bySet[sid]
 		// Parse and plan every member: one set's members have distinct SQL
@@ -545,7 +548,7 @@ func restore(opt Options) (s *Service, m manifest, raw []byte, err error) {
 		exec, stateKey, baseKey, baseSpec, setShared := deriveState(bq, m.partitionBy)
 		sd := setDir(opt.Dir, m.gen, sid)
 		fd := forkDir(opt.Dir, m.gen, sid, ents[0].since)
-		var svc *serve.Service[engine.Event]
+		var svc *serve.Service
 		snapDir, snapAt := "", uint64(0)
 		if _, statErr := os.Stat(fd); statErr == nil {
 			// A late joiner forked this set at record `since`; the fork is the

@@ -610,3 +610,57 @@ func TestCatalogRefusesPoisonBatch(t *testing.T) {
 		t.Fatalf("recovered: %s", d)
 	}
 }
+
+// TestOptionsValidatedBeforeDir pins that a negative serving option fails
+// New, Recover and Follow up front, naming the option, before any of them
+// touches a data directory: New creates nothing, and a recoverable directory
+// is left exactly as it was (Recover would otherwise rotate a generation).
+func TestOptionsValidatedBeforeDir(t *testing.T) {
+	dir := t.TempDir()
+	cat, err := New(Options{PartitionBy: []string{"sym"}, Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := cat.Register(sqlVWAP); err != nil {
+		t.Fatal(err)
+	}
+	if err := cat.ApplyBatch(catEvents(5, 200, 4)); err != nil {
+		t.Fatal(err)
+	}
+	if err := cat.Close(); err != nil {
+		t.Fatal(err)
+	}
+	before := dirListing(t, dir)
+	for _, tc := range []struct {
+		field string
+		opt   Options
+	}{
+		{"Shards", Options{Shards: -1}},
+		{"QueueLen", Options{QueueLen: -2}},
+		{"BatchSize", Options{BatchSize: -1}},
+	} {
+		want := "Options." + tc.field
+		opt := tc.opt
+		opt.PartitionBy = []string{"sym"}
+		opt.Dir = filepath.Join(t.TempDir(), "fresh")
+		if c, err := New(opt); err == nil || !strings.Contains(err.Error(), want) {
+			if c != nil {
+				c.Close()
+			}
+			t.Fatalf("New with negative %s = %v, want an error naming %s", tc.field, err, want)
+		}
+		if _, err := os.Stat(opt.Dir); !errors.Is(err, os.ErrNotExist) {
+			t.Fatalf("refused New touched its data dir (stat: %v)", err)
+		}
+		opt.Dir = dir
+		if _, err := Recover(opt); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("Recover with negative %s = %v, want an error naming %s", tc.field, err, want)
+		}
+		if _, err := Follow(opt, 0); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("Follow with negative %s = %v, want an error naming %s", tc.field, err, want)
+		}
+		if after := dirListing(t, dir); after != before {
+			t.Fatalf("refused recovery wrote to the directory:\nbefore %s\nafter  %s", before, after)
+		}
+	}
+}

@@ -96,7 +96,7 @@ type fuzzRef interface {
 // COUNT service over the same predicate, finished by their quotient at every
 // read. This is exactly the raw pair the catalog's AVG probe lane carries,
 // so the two must stay bit-identical.
-type avgRef struct{ sum, cnt *serve.Service[engine.Event] }
+type avgRef struct{ sum, cnt *serve.Service }
 
 func (r *avgRef) ApplyBatch(b []engine.Event) error {
 	if err := r.sum.ApplyBatch(b); err != nil {

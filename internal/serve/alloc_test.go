@@ -4,88 +4,31 @@ import (
 	"testing"
 
 	"rpai/internal/engine"
+	"rpai/internal/query"
 )
 
-type sumExec struct{ total float64 }
+// allocTuple is one VWAP insert on partition sym. Repeating a fixed set of
+// them keeps the executor's key set fixed, so the steady state measures the
+// serving pipeline rather than tree growth.
+func allocTuple(sym, price float64) engine.Event {
+	return engine.Insert(query.Tuple{"sym": sym, "price": price, "volume": 1})
+}
 
-func (s *sumExec) Apply(e engine.Event) { s.total += e.X * e.Tuple["v"] }
-func (s *sumExec) Result() float64      { return s.total }
-
-// TestAllocGuardApply bounds the steady-state per-event cost of the serving
-// pipeline: partition-key extraction, shard routing, the worker's apply loop
-// and the snapshot refresh. The ceiling is deliberately generous — the guard
-// exists to catch a regression that starts allocating per event inside the
-// ingest path (a lost scratch buffer, an escaping closure), not to pin an
-// exact count: refresh cost depends on how the worker's batching interleaves
-// with the producer.
-func TestAllocGuardApply(t *testing.T) {
-	svc, err := New(Config[engine.Event]{
-		Shards: 1,
-		Partition: func(e engine.Event, buf []float64) []float64 {
-			return append(buf, e.Tuple["g"])
-		},
-		New: func([]float64) Executor[engine.Event] { return &sumExec{} },
-	})
+// allocService is a one-shard VWAP service warmed up on a fixed 64-event
+// batch: the partition and its index keys exist, the worker's pend buffer is
+// grown and the batch-box pool is seeded. It returns the batch with it.
+func allocService(t *testing.T) (*Service, []engine.Event) {
+	t.Helper()
+	svc, err := ForQuery(vwapSpec(), []string{"sym"}, Options{Shards: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer svc.Close()
-
-	tup := engine.Insert(map[string]float64{"g": 1, "v": 2})
-	// Warm up: create the partition and grow the worker's scratch buffers.
-	for i := 0; i < 256; i++ {
-		if err := svc.Apply(tup); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := svc.Drain(); err != nil {
-		t.Fatal(err)
-	}
-
-	const ceiling = 8.0
-	if got := testing.AllocsPerRun(500, func() {
-		if err := svc.Apply(tup); err != nil {
-			t.Fatal(err)
-		}
-	}); got > ceiling {
-		t.Errorf("Service.Apply allocates %.1f per event, ceiling %.0f", got, ceiling)
-	}
-	if err := svc.Drain(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func (s *sumExec) ApplyBatch(events []engine.Event) {
-	for i := range events {
-		s.Apply(events[i])
-	}
-}
-
-// TestAllocGuardApplyBatch bounds the steady-state per-batch cost of the
-// batched ingest path: the pooled batch box, the single-shard fast path, the
-// worker's per-partition buffering and one snapshot refresh. The ceiling is
-// per batch of 64 events — the point of batching is that this cost no longer
-// scales with the event count, so a regression that allocates per event blows
-// through it immediately.
-func TestAllocGuardApplyBatch(t *testing.T) {
-	svc, err := New(Config[engine.Event]{
-		Shards: 1,
-		Partition: func(e engine.Event, buf []float64) []float64 {
-			return append(buf, e.Tuple["g"])
-		},
-		New: func([]float64) Executor[engine.Event] { return &sumExec{} },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer svc.Close()
+	t.Cleanup(func() { svc.Close() })
 
 	batch := make([]engine.Event, 64)
 	for i := range batch {
-		batch[i] = engine.Insert(map[string]float64{"g": 1, "v": float64(i)})
+		batch[i] = allocTuple(1, float64(i%8+1))
 	}
-	// Warm up: create the partition, grow the worker's pend buffer and seed
-	// the batch-box pool.
 	for i := 0; i < 8; i++ {
 		if err := svc.ApplyBatch(batch); err != nil {
 			t.Fatal(err)
@@ -94,16 +37,46 @@ func TestAllocGuardApplyBatch(t *testing.T) {
 	if err := svc.Drain(); err != nil {
 		t.Fatal(err)
 	}
+	return svc, batch
+}
 
-	const ceiling = 16.0
+// checkBatchAllocs fails t if one ApplyBatch of events allocates more than
+// ceiling in the steady state.
+func checkBatchAllocs(t *testing.T, svc *Service, events []engine.Event, ceiling float64) {
+	t.Helper()
 	if got := testing.AllocsPerRun(200, func() {
-		if err := svc.ApplyBatch(batch); err != nil {
+		if err := svc.ApplyBatch(events); err != nil {
 			t.Fatal(err)
 		}
 	}); got > ceiling {
-		t.Errorf("Service.ApplyBatch allocates %.1f per 64-event batch, ceiling %.0f", got, ceiling)
+		t.Errorf("Service.ApplyBatch allocates %.1f per %d-event batch, ceiling %.0f", got, len(events), ceiling)
 	}
 	if err := svc.Drain(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestAllocGuardApply bounds the steady-state per-event cost of the serving
+// pipeline on an engine plan — partition-key extraction, shard routing, the
+// worker's apply and the snapshot refresh — through a one-event batch, the
+// finest-grained way in. The ceiling is deliberately generous: the guard
+// exists to catch a regression that starts allocating per event inside the
+// ingest path (a lost scratch buffer, an escaping closure), not to pin an
+// exact count, since refresh cost depends on how the worker's batching
+// interleaves with the producer.
+func TestAllocGuardApply(t *testing.T) {
+	svc, batch := allocService(t)
+	checkBatchAllocs(t, svc, batch[:1], 8)
+}
+
+// TestAllocGuardApplyBatch bounds the steady-state per-batch cost of the
+// batched ingest path on an engine plan: the pooled batch box, the
+// single-shard fast path, the worker's per-partition buffering, the
+// executor's ApplyBatch and one snapshot refresh. The ceiling is per batch of
+// 64 events — the point of batching is that this cost no longer scales with
+// the event count, so a regression that allocates per event blows through it
+// immediately.
+func TestAllocGuardApplyBatch(t *testing.T) {
+	svc, batch := allocService(t)
+	checkBatchAllocs(t, svc, batch, 16)
 }

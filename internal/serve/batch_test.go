@@ -23,7 +23,7 @@ func chunkEvents(events []engine.Event, rng *rand.Rand, max int) [][]engine.Even
 
 // TestApplyBatchMatchesApply is the serving-layer batching contract: feeding
 // a trace through ApplyBatch in arbitrary chunks leaves exactly the state of
-// feeding it event by event through Apply, for any shard count. Chunks are
+// one executor per partition fed event by event, for any shard count. Chunks are
 // staged through a reused scratch slice that is overwritten between calls,
 // pinning the documented copy semantics (the service must not retain the
 // caller's slice).
@@ -97,7 +97,7 @@ func TestApplyBatchDurableRecovery(t *testing.T) {
 }
 
 // TestApplyBatchEdgeCases covers the trivial paths: an empty batch is a no-op
-// and a batch after Close is rejected like Apply.
+// and a batch after Close is rejected with ErrClosed.
 func TestApplyBatchEdgeCases(t *testing.T) {
 	svc, err := ForQuery(vwapSpec(), []string{"sym"}, Options{})
 	if err != nil {

@@ -8,11 +8,14 @@ import (
 	"sort"
 
 	"rpai/internal/checkpoint"
+	"rpai/internal/engine"
+	"rpai/internal/query"
 )
 
 // This file is the snapshot half of durability: Checkpoint exports a
-// consistent point-in-time copy of every shard to a directory, Recover
-// rebuilds a service from one. There is no log here — events between two
+// consistent point-in-time copy of every shard to a directory through the
+// executors' engine.Snapshotter, RecoverForQuery rebuilds a service from one
+// through engine.Restore. There is no log here — events between two
 // snapshots are the catalog's shared WAL's business. All shard-state access
 // happens on the owning worker goroutine via control requests, so none of
 // this code takes locks on partition state.
@@ -23,8 +26,7 @@ const snapshotGen = 1
 
 // snapshotShard writes one shard's partitions to dir. It runs on the shard's
 // worker goroutine, so it owns ws exclusively.
-func (s *Service[E]) snapshotShard(ws *workerState[E], dir string) error {
-	d := s.cfg.Durable
+func (s *Service) snapshotShard(ws *workerState, dir string) error {
 	keys := make([]string, 0, len(ws.parts))
 	for k := range ws.parts {
 		keys = append(keys, k)
@@ -34,8 +36,12 @@ func (s *Service[E]) snapshotShard(ws *workerState[E], dir string) error {
 	var buf bytes.Buffer
 	for _, k := range keys {
 		p := ws.parts[k]
+		sn, ok := p.ex.(engine.Snapshotter)
+		if !ok {
+			return fmt.Errorf("serve: executor %T does not support snapshots", p.ex)
+		}
 		buf.Reset()
-		if err := d.Snapshot(&buf, p.vals, p.ex); err != nil {
+		if err := sn.Snapshot(&buf); err != nil {
 			return fmt.Errorf("serve: snapshotting partition %v: %w", p.vals, err)
 		}
 		parts = append(parts, checkpoint.Partition{Key: p.vals, State: append([]byte(nil), buf.Bytes()...)})
@@ -46,17 +52,13 @@ func (s *Service[E]) snapshotShard(ws *workerState[E], dir string) error {
 
 // Checkpoint exports a standalone snapshot of every shard to dir: one
 // snapshot file per shard, then the MANIFEST, written last so a directory
-// with a manifest is always complete. Recover opens it later, on any shard
-// count.
+// with a manifest is always complete. RecoverForQuery opens it later, on any
+// shard count.
 //
 // Each shard snapshots between batches, so the checkpoint captures a
 // point-in-time state per partition; call Drain first for a state that
 // includes everything sent so far. Checkpoint returns ErrClosed after Close.
-func (s *Service[E]) Checkpoint(dir string) error {
-	d := s.cfg.Durable
-	if d == nil || d.Snapshot == nil {
-		return errors.New("serve: Checkpoint requires Config.Durable.Snapshot")
-	}
+func (s *Service) Checkpoint(dir string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
@@ -69,8 +71,8 @@ func (s *Service[E]) Checkpoint(dir string) error {
 	for i, sh := range s.shards {
 		done := make(chan error, 1)
 		dones[i] = done
-		sh.in <- item[E]{ctl: &ctl[E]{
-			fn:   func(ws *workerState[E]) error { return s.snapshotShard(ws, dir) },
+		sh.in <- item{ctl: &ctl{
+			fn:   func(ws *workerState) error { return s.snapshotShard(ws, dir) },
 			done: done,
 		}}
 	}
@@ -88,28 +90,28 @@ func (s *Service[E]) Checkpoint(dir string) error {
 }
 
 // control runs fn on shard i's worker goroutine and returns its error.
-func (s *Service[E]) control(i int, fn func(ws *workerState[E]) error) error {
+func (s *Service) control(i int, fn func(ws *workerState) error) error {
 	done := make(chan error, 1)
 	s.mu.RLock()
 	if s.closed {
 		s.mu.RUnlock()
 		return ErrClosed
 	}
-	s.shards[i].in <- item[E]{ctl: &ctl[E]{fn: fn, done: done}}
+	s.shards[i].in <- item{ctl: &ctl{fn: fn, done: done}}
 	s.mu.RUnlock()
 	return <-done
 }
 
-// Recover rebuilds a Service from a directory Checkpoint wrote: it restores
-// every partition executor from the shard snapshots the MANIFEST names and
-// returns the service ready for new events.
-//
-// cfg.Shards need not match the checkpointed shard count — partitions are
-// rehashed onto the new shards. cfg.Durable must provide Restore.
-func Recover[E any](dir string, cfg Config[E]) (*Service[E], error) {
-	d := cfg.Durable
-	if d == nil || d.Restore == nil {
-		return nil, errors.New("serve: Recover requires Config.Durable.Restore")
+// RecoverForQuery rebuilds a ForQuery service from the checkpoint directory
+// dir: it restores every partition executor from the shard snapshots the
+// MANIFEST names and returns the service ready for new events. The query and
+// partition columns must match the ones the checkpoint was written under (a
+// mismatched query fails executor restoration); the shard count may differ —
+// partitions are rehashed onto opt.Shards.
+func RecoverForQuery(dir string, q *query.Query, partitionBy []string, opt Options) (*Service, error) {
+	pl, err := newPlan(q, partitionBy)
+	if err != nil {
+		return nil, err
 	}
 	m, err := checkpoint.ReadManifest(dir)
 	if err != nil {
@@ -118,17 +120,17 @@ func Recover[E any](dir string, cfg Config[E]) (*Service[E], error) {
 		}
 		return nil, err
 	}
-	svc, err := New(cfg)
+	svc, err := start(pl, opt)
 	if err != nil {
 		return nil, err
 	}
-	fail := func(err error) (*Service[E], error) {
+	fail := func(err error) (*Service, error) {
 		svc.Close()
 		return nil, err
 	}
 	// Rehash the restored partitions onto the (possibly different) shard
 	// count, then install each list on its owning worker.
-	installs := make([][]*partition[E], len(svc.shards))
+	installs := make([][]*partition, len(svc.shards))
 	for i := 0; i < int(m.Shards); i++ {
 		h, parts, err := checkpoint.ReadSnapshotFile(checkpoint.SnapPath(dir, m.Gen, i))
 		if err != nil {
@@ -139,15 +141,20 @@ func Recover[E any](dir string, cfg Config[E]) (*Service[E], error) {
 				dir, i, h.Gen, h.Shard, h.ShardCount, m.Gen, m.Shards))
 		}
 		for _, sp := range parts {
-			ex, err := d.Restore(bytes.NewReader(sp.State), sp.Key)
+			// Normalize restored keys so checkpoints written before the -0/NaN
+			// canonicalization still rehash onto the same shard as live events.
+			vals := normalizeVals(append([]float64(nil), sp.Key...))
+			ex, err := engine.Restore(pl.exec, bytes.NewReader(sp.State))
+			var bex engine.BatchExecutor
+			if err == nil {
+				bex, err = pl.partitionExec(ex, vals)
+			}
 			if err != nil {
 				return fail(fmt.Errorf("serve: %s shard %d partition %v: %w", dir, i, sp.Key, err))
 			}
-			// Normalize restored keys so checkpoints written before the -0/NaN
-			// canonicalization still rehash onto the same shard as live events.
-			p := newPartition(normalizeVals(append([]float64(nil), sp.Key...)), ex)
+			p := newPartition(vals, bex)
 			p.ekey = string(encodeKey(nil, p.vals))
-			p.last = ex.Result()
+			p.last = bex.Result()
 			t := int(hashVals(p.vals) % uint64(len(svc.shards)))
 			installs[t] = append(installs[t], p)
 		}
@@ -157,7 +164,7 @@ func Recover[E any](dir string, cfg Config[E]) (*Service[E], error) {
 			continue
 		}
 		list := list
-		if err := svc.control(i, func(ws *workerState[E]) error {
+		if err := svc.control(i, func(ws *workerState) error {
 			for _, p := range list {
 				if _, dup := ws.parts[p.ekey]; dup {
 					return fmt.Errorf("serve: duplicate partition %v in checkpoint", p.vals)
@@ -171,7 +178,8 @@ func Recover[E any](dir string, cfg Config[E]) (*Service[E], error) {
 		}
 	}
 	// The installs ran as control requests, each followed by a publication;
-	// the barrier makes the restored results readable before Recover returns.
+	// the barrier makes the restored results readable before RecoverForQuery
+	// returns.
 	if err := svc.Drain(); err != nil {
 		return fail(err)
 	}

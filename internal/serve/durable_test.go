@@ -13,7 +13,7 @@ import (
 
 // groupedMap flattens ResultGrouped into partition-key -> value (all serving
 // tests partition by a single column).
-func groupedMap(svc *Service[engine.Event]) map[float64]float64 {
+func groupedMap(svc *Service) map[float64]float64 {
 	out := map[float64]float64{}
 	for _, g := range svc.ResultGrouped() {
 		out[g.Key[0]] = g.Value
@@ -41,11 +41,7 @@ func exportDir(t *testing.T, dir string, shards int, events []engine.Event) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, e := range events {
-		if err := svc.Apply(e); err != nil {
-			t.Fatal(err)
-		}
-	}
+	applyEach(t, svc, events)
 	if err := svc.Drain(); err != nil {
 		t.Fatal(err)
 	}
@@ -92,11 +88,7 @@ func TestRecoverResumesService(t *testing.T) {
 		t.Fatal(err)
 	}
 	second := symEvents(22, 2500, 13)
-	for _, e := range second {
-		if err := rec.Apply(e); err != nil {
-			t.Fatal(err)
-		}
-	}
+	applyEach(t, rec, second)
 	if err := rec.Drain(); err != nil {
 		t.Fatal(err)
 	}
@@ -130,11 +122,7 @@ func TestExportCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, e := range events {
-		if err := svc.Apply(e); err != nil {
-			t.Fatal(err)
-		}
-	}
+	applyEach(t, svc, events)
 	if err := svc.Drain(); err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +131,7 @@ func TestExportCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The live service keeps running after an export.
-	if err := svc.Apply(events[0]); err != nil {
+	if err := svc.ApplyBatch(events[:1]); err != nil {
 		t.Fatal(err)
 	}
 	if err := svc.Close(); err != nil {
@@ -160,9 +148,9 @@ func TestExportCheckpoint(t *testing.T) {
 }
 
 // TestDurableErrors pins the error surface: Checkpoint after Close returns
-// ErrClosed, Recover refuses a directory that holds no checkpoint, a
-// configuration that cannot restore, and a checkpoint whose snapshot is
-// damaged — it must error rather than silently serve corrupt state.
+// ErrClosed, and RecoverForQuery refuses a directory that holds no checkpoint
+// and a checkpoint whose snapshot is damaged — it must error rather than
+// silently serve corrupt state.
 func TestDurableErrors(t *testing.T) {
 	q := vwapSpec()
 	svc, err := ForQuery(q, []string{"sym"}, Options{Shards: 2})
@@ -183,12 +171,6 @@ func TestDurableErrors(t *testing.T) {
 
 	dir := t.TempDir()
 	exportDir(t, dir, 2, symEvents(3, 50, 3))
-	if _, err := Recover(dir, Config[engine.Event]{
-		Partition: func(e engine.Event, buf []float64) []float64 { return append(buf, e.Tuple["sym"]) },
-		New:       func([]float64) Executor[engine.Event] { panic("unused") },
-	}); err == nil || !strings.Contains(err.Error(), "Restore") {
-		t.Fatalf("Recover without Durable = %v", err)
-	}
 
 	snap := checkpoint.SnapPath(dir, 1, 1)
 	b, err := os.ReadFile(snap)

@@ -30,15 +30,9 @@ func TestForQueryMissingPartitionColumn(t *testing.T) {
 		}
 		noKey = append(noKey, engine.Event{X: e.X, Tuple: tup})
 	}
-	for _, e := range withKey {
-		if err := svc.Apply(e); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, e := range noKey {
-		if err := svc.Apply(e); err != nil {
-			t.Fatalf("event without partition column rejected: %v", err)
-		}
+	applyEach(t, svc, withKey)
+	if err := svc.ApplyBatch(noKey); err != nil {
+		t.Fatalf("events without the partition column rejected: %v", err)
 	}
 	if err := svc.Drain(); err != nil {
 		t.Fatal(err)
@@ -63,7 +57,7 @@ func TestForQueryMissingPartitionColumn(t *testing.T) {
 // ResultGrouped must be empty (no phantom partitions) — for both a fresh
 // service and one restored from the checkpoint of an empty service.
 func TestDrainBeforeAnyEvent(t *testing.T) {
-	run := func(t *testing.T, svc *Service[engine.Event]) {
+	run := func(t *testing.T, svc *Service) {
 		if err := svc.Drain(); err != nil {
 			t.Fatalf("Drain on empty service: %v", err)
 		}

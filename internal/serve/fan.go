@@ -21,12 +21,6 @@ import (
 // the same events — the engine's ProbeExecutor contract plus gate-zeroing —
 // so a catalog can serve N structural variants from one executor set.
 
-// ProbeExecutor mirrors engine.ProbeExecutor through the serving layer; see
-// that contract for the vals/cnts convention (AVG lanes are raw pairs).
-type ProbeExecutor interface {
-	ResultProbe(specs []engine.ProbeSpec, vals, cnts []float64)
-}
-
 // canonSpecs sorts and deduplicates lane specs. Lanes are addressed by spec
 // value (ProbeSpec is comparable), so callers never track positions; the
 // order is deterministic — by constant bits, then kind, then residual — so
@@ -71,29 +65,29 @@ func canonSpecs(specs []engine.ProbeSpec) []engine.ProbeSpec {
 // delta on the previous lane set). An empty specs disables lane reads. The
 // specs are deduplicated and canonically ordered; lanes are addressed by
 // spec value, not index. Fails when any partition's executor does not
-// implement ProbeExecutor, or when a residual spec names a column outside
-// Config.PartitionCols — partitions created after a successful SetProbes
-// are guaranteed lane-capable because every partition runs the same
-// Config.New. Shard installation errors are joined (errors.Join), not
+// implement engine.ProbeExecutor, or when a residual spec names a column
+// outside the partition columns — partitions created after a successful
+// SetProbes are guaranteed lane-capable because every partition runs the
+// same plan. Shard installation errors are joined (errors.Join), not
 // truncated to the first shard's report; a failed shard keeps its previous
 // lanes. SetProbes returns after every shard has installed the lanes; the
 // publication carrying them follows the shard's next commit (Drain for a
 // barrier).
-func (s *Service[E]) SetProbes(specs []engine.ProbeSpec) error {
+func (s *Service) SetProbes(specs []engine.ProbeSpec) error {
 	canon := canonSpecs(specs)
 	hasAvg := false
 	for _, sp := range canon {
 		if sp.Kind == query.Avg {
 			hasAvg = true
 		}
-		if sp.Residual && !colNamed(s.cfg.PartitionCols, sp.ResidualCol) {
-			return fmt.Errorf("serve: residual probe column %q is not a partition column (Config.PartitionCols: %v)",
-				sp.ResidualCol, s.cfg.PartitionCols)
+		if sp.Residual && !colNamed(s.plan.cols, sp.ResidualCol) {
+			return fmt.Errorf("serve: residual probe column %q is not a partition column (partition columns: %v)",
+				sp.ResidualCol, s.plan.cols)
 		}
 	}
 	var errs []error
 	for i := range s.shards {
-		if err := s.control(i, func(ws *workerState[E]) error {
+		if err := s.control(i, func(ws *workerState) error {
 			if len(canon) == 0 {
 				ws.specs, ws.hasAvg = nil, false
 				for _, p := range ws.plist {
@@ -141,24 +135,13 @@ func laneOfSpec(specs []engine.ProbeSpec, spec engine.ProbeSpec) int {
 	return -1
 }
 
-// Probes returns the installed lane specs (canonical order) as of the
-// shards' published snapshots; nil when lane reads are off. Shards install
-// lanes one at a time, so during a SetProbes the reported set is the first
-// shard's.
-func (s *Service[E]) Probes() []engine.ProbeSpec {
-	if len(s.shards) == 0 {
-		return nil
-	}
-	return s.shards[0].snap.Load().Probes
-}
-
 // ProbeResult returns the service-wide value of the lane serving spec, as of
 // each shard's last published snapshot — the lane counterpart of Result. For
 // AVG lanes the raw sum and count sides are summed across all shards first
 // and finished as one quotient, the exact global average. ok is false when
 // some shard's snapshot does not carry the lane (SetProbes with spec has not
 // published everywhere yet, or spec was never installed).
-func (s *Service[E]) ProbeResult(spec engine.ProbeSpec) (float64, bool) {
+func (s *Service) ProbeResult(spec engine.ProbeSpec) (float64, bool) {
 	var sum, cnt float64
 	for _, sh := range s.shards {
 		snap := sh.snap.Load()
@@ -178,7 +161,7 @@ func (s *Service[E]) ProbeResult(spec engine.ProbeSpec) (float64, bool) {
 // spec, sorted by partition key — the lane counterpart of ResultGrouped.
 // AVG lanes finish per partition (each group is its partition's exact
 // average).
-func (s *Service[E]) ProbeResultGrouped(spec engine.ProbeSpec) ([]engine.GroupResult, bool) {
+func (s *Service) ProbeResultGrouped(spec engine.ProbeSpec) ([]engine.GroupResult, bool) {
 	var out []engine.GroupResult
 	for _, sh := range s.shards {
 		snap := sh.snap.Load()

@@ -43,7 +43,7 @@ func TestServeFanDifferential(t *testing.T) {
 	if err := fam.SetProbes(lanes); err != nil {
 		t.Fatalf("SetProbes: %v", err)
 	}
-	solo := make([]*Service[engine.Event], len(consts))
+	solo := make([]*Service, len(consts))
 	for i, c := range consts {
 		s, err := ForQuery(fanVWAP(c), []string{"broker"}, opt)
 		if err != nil {

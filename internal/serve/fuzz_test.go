@@ -8,47 +8,18 @@ import (
 	"path/filepath"
 	"testing"
 
-	"rpai/internal/aggindex"
 	"rpai/internal/engine"
-	"rpai/internal/queries"
 	"rpai/internal/query"
-	"rpai/internal/stream"
 )
 
-// pointerVWAP is the hand-written VWAP executor of package queries on the
-// pointer RPAI tree, fed the engine's event type.
-type pointerVWAP struct{ queries.BidsExecutor }
-
-func (p pointerVWAP) Apply(e engine.Event) {
-	p.BidsExecutor.Apply(stream.Event{Op: stream.Op(e.X), Side: stream.Bids,
-		Rec: stream.Record{Price: e.Tuple["price"], Volume: e.Tuple["volume"]}})
-}
-
-// subFuzzService builds a sharded VWAP service whose per-partition executors
-// run on the chosen RPAI representation — "arena", the engine's executor, or
-// "rpai", pointerVWAP (the engine builds only the arena) — with BatchSize 1
-// so every applied event is its own commit and publication: the densest
-// possible delta stream for a fuzzed subscriber to reconstruct.
-func subFuzzService(t *testing.T, shards int, kind string) *Service[engine.Event] {
+// subFuzzService builds a sharded VWAP service on the engine plan with the
+// given drain bound: BatchSize 1 makes every applied event its own commit and
+// publication — the densest possible delta stream for a fuzzed subscriber to
+// reconstruct — while 16 lets single-event queue items coalesce into shared
+// commits, so frames carry several partitions' changes at once.
+func subFuzzService(t *testing.T, shards, batchSize int) *Service {
 	t.Helper()
-	svc, err := New(Config[engine.Event]{
-		Shards:    shards,
-		BatchSize: 1,
-		Partition: func(e engine.Event, buf []float64) []float64 {
-			return append(buf, e.Tuple["sym"])
-		},
-		New: func([]float64) Executor[engine.Event] {
-			if kind == "rpai" {
-				return pointerVWAP{queries.NewVWAPWithIndex(aggindex.KindRPAI)}
-			}
-			ex, err := engine.New(vwapSpec())
-			if err != nil {
-				// Unreachable: the VWAP query is in the fragment.
-				panic("serve fuzz: " + err.Error())
-			}
-			return ex
-		},
-	})
+	svc, err := ForQuery(vwapSpec(), []string{"sym"}, Options{Shards: shards, BatchSize: batchSize})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,9 +30,8 @@ func subFuzzService(t *testing.T, shards int, kind string) *Service[engine.Event
 // The input layout is shared with the engine's FuzzEngineDifferential — a
 // shape byte, an 8-byte seed, then op/b1/b2 event triples — so adversarial
 // traces found by one fuzzer can be replayed through the other. Here the
-// shape byte selects the shard count and the RPAI representation instead of
-// the query (the serving layer is query-agnostic; the executors are not the
-// surface under test).
+// shape byte selects the shard count and the drain bound instead of the query
+// (the executors are not the surface under test; commit boundaries are).
 func subFuzzSeeds() [][]byte {
 	trace := []byte{
 		1, 5, 9, 1, 5, 3, 1, 17, 28, 1, 5, 9, 0, 0, 1, 1, 200, 100,
@@ -77,9 +47,9 @@ func subFuzzSeeds() [][]byte {
 
 // FuzzSubscriptionDeltas is the subscription half of the differential fuzz
 // suite: a random insert/delete stream with random publish boundaries and
-// random subscriber attach/detach/resume churn, on one or two shards, over
-// both RPAI representations (the engine's arena executor and the hand-written
-// pointer-tree VWAP). The invariant is the
+// random subscriber attach/detach/resume churn, on one or two shards, with
+// every event its own commit (BatchSize 1) or queued events coalescing into
+// shared commits (BatchSize 16). The invariant is the
 // replay-equals-pull contract: at every drained boundary the subscriber's
 // view, reconstructed from delta frames alone, is bit-identical to what
 // ResultGrouped returns at the same shard versions.
@@ -92,12 +62,12 @@ func FuzzSubscriptionDeltas(f *testing.F) {
 			return
 		}
 		shape := data[0]
-		kind := "arena"
+		batchSize := 1
 		if shape&1 == 1 {
-			kind = "rpai"
+			batchSize = 16
 		}
 		shards := 1 + int(shape>>1)%2
-		svc := subFuzzService(t, shards, kind)
+		svc := subFuzzService(t, shards, batchSize)
 		defer svc.Close()
 
 		rng := rand.New(rand.NewSource(int64(binary.BigEndian.Uint64(data[1:9]))))
@@ -140,7 +110,7 @@ func FuzzSubscriptionDeltas(f *testing.F) {
 				live = append(live, tup)
 				e = engine.Insert(tup)
 			}
-			if err := svc.Apply(e); err != nil {
+			if err := svc.ApplyBatch([]engine.Event{e}); err != nil {
 				t.Fatal(err)
 			}
 			events++

@@ -1,37 +1,20 @@
 package serve
 
 import (
-	"errors"
 	"math"
-	"sync"
 	"testing"
 	"time"
+
+	"rpai/internal/engine"
+	"rpai/internal/query"
 )
-
-// countEvent is a minimal event for the routing tests: the partition key is
-// carried verbatim.
-type countEvent struct{ key float64 }
-
-// countExec counts applied events per partition.
-type countExec struct{ n float64 }
-
-func (c *countExec) Apply(countEvent) { c.n++ }
-func (c *countExec) Result() float64  { return c.n }
-
-func countConfig(shards, queueLen int) Config[countEvent] {
-	return Config[countEvent]{
-		Shards:    shards,
-		QueueLen:  queueLen,
-		BatchSize: 4,
-		Partition: func(e countEvent, buf []float64) []float64 { return append(buf, e.key) },
-		New:       func([]float64) Executor[countEvent] { return &countExec{} },
-	}
-}
 
 // TestKeyNormalization pins the fix for -0/+0 and NaN-payload partition keys:
 // all bit patterns of one logical key must hash to the same shard and encode
-// to the same partition, so the pair of events lands in a single partition
-// with count 2 — never in two partitions of one event each.
+// to the same partition. The pair of events carries the two bit patterns in
+// the partition column of two identical VWAP inserts (price 1, volume 1): one
+// partition holding both reads 2, two partitions of one event each would read
+// 1 apiece.
 func TestKeyNormalization(t *testing.T) {
 	nan := func(bits uint64) float64 { return math.Float64frombits(bits) }
 	cases := []struct {
@@ -48,16 +31,16 @@ func TestKeyNormalization(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			// Many shards so a hash mismatch almost surely splits the pair.
-			svc, err := New(countConfig(16, 64))
+			svc, err := ForQuery(vwapSpec(), []string{"sym"}, Options{Shards: 16, BatchSize: 4})
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer svc.Close()
-			if err := svc.Apply(countEvent{tc.a}); err != nil {
-				t.Fatal(err)
-			}
-			if err := svc.Apply(countEvent{tc.b}); err != nil {
-				t.Fatal(err)
+			for _, sym := range []float64{tc.a, tc.b} {
+				ev := engine.Insert(query.Tuple{"sym": sym, "price": 1, "volume": 1})
+				if err := svc.ApplyBatch([]engine.Event{ev}); err != nil {
+					t.Fatal(err)
+				}
 			}
 			if err := svc.Drain(); err != nil {
 				t.Fatal(err)
@@ -68,7 +51,7 @@ func TestKeyNormalization(t *testing.T) {
 					math.Float64bits(tc.a), math.Float64bits(tc.b), len(groups))
 			}
 			if groups[0].Value != 2 {
-				t.Fatalf("partition count = %v, want 2", groups[0].Value)
+				t.Fatalf("partition result = %v, want 2", groups[0].Value)
 			}
 			var parts int
 			for _, st := range svc.Stats() {
@@ -104,84 +87,51 @@ func TestNormalizeValsTable(t *testing.T) {
 	}
 }
 
-// gateExec blocks every Apply on the gate channel; the admission tests use it
-// to wedge a shard worker deterministically.
-type gateExec struct {
-	gate <-chan struct{}
-	n    float64
-}
-
-func (g *gateExec) Apply(countEvent) { <-g.gate; g.n++ }
-func (g *gateExec) Result() float64  { return g.n }
-
-// TestTryApplyShedsAndCounts wedges a one-shard service and checks TryApply
-// sheds with ErrBusy once the queue is full, the Rejected counter matches the
-// shed count, the queue depth never exceeds QueueLen, and blocked Apply time
-// shows up in EnqueueWaitNS.
-func TestTryApplyShedsAndCounts(t *testing.T) {
-	gate := make(chan struct{})
-	cfg := countConfig(1, 4)
-	cfg.BatchSize = 1
-	cfg.New = func([]float64) Executor[countEvent] { return &gateExec{gate: gate} }
-	svc, err := New(cfg)
+// TestEnqueueWaitAccounting wedges a one-shard service's worker and checks
+// the backpressure surface: the queue depth never exceeds QueueLen, an
+// ApplyBatch blocked on the full queue shows up in EnqueueWaitNS once a slot
+// frees, and every queued event is applied after the release.
+func TestEnqueueWaitAccounting(t *testing.T) {
+	const queueLen = 4
+	svc, err := ForQuery(vwapSpec(), []string{"sym"}, Options{Shards: 1, QueueLen: queueLen, BatchSize: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer svc.Close()
+	gate, wedged := make(chan struct{}), make(chan struct{})
+	go svc.control(0, func(*workerState) error {
+		close(wedged)
+		<-gate
+		return nil
+	})
+	<-wedged
 
-	// One event wedges the worker; QueueLen more fill the channel.
-	total := 1 + cfg.QueueLen
-	for i := 0; i < total; i++ {
-		if err := svc.Apply(countEvent{1}); err != nil {
+	ev := []engine.Event{engine.Insert(query.Tuple{"sym": 1, "price": 1, "volume": 1})}
+	for i := 0; i < queueLen; i++ {
+		if err := svc.ApplyBatch(ev); err != nil {
 			t.Fatal(err)
 		}
 	}
-	var shed int
-	for i := 0; i < 7; i++ {
-		err := svc.TryApply(countEvent{1})
-		if err == nil {
-			total++ // raced a batch drain; the event was accepted
-			continue
-		}
-		if !errors.Is(err, ErrBusy) {
-			t.Fatalf("TryApply error = %v, want ErrBusy", err)
-		}
-		shed++
+	if st := svc.Stats()[0]; st.QueueDepth != queueLen || st.EnqueueWaitNS != 0 {
+		t.Fatalf("wedged shard: queue depth %d, wait %dns; want %d, 0", st.QueueDepth, st.EnqueueWaitNS, queueLen)
 	}
-	if shed == 0 {
-		t.Fatal("no TryApply call was shed against a wedged shard")
+	// The next batch finds the queue full and blocks until the worker is
+	// released; the release fires from a timer so the wait is measurable.
+	time.AfterFunc(20*time.Millisecond, func() { close(gate) })
+	if err := svc.ApplyBatch(ev); err != nil {
+		t.Fatal(err)
 	}
-	st := svc.Stats()[0]
-	if st.Rejected != uint64(shed) {
-		t.Fatalf("Rejected = %d, want %d", st.Rejected, shed)
+	if st := svc.Stats()[0]; st.QueueDepth > queueLen {
+		t.Fatalf("queue depth %d exceeds QueueLen %d", st.QueueDepth, queueLen)
 	}
-	if st.QueueDepth > cfg.QueueLen {
-		t.Fatalf("queue depth %d exceeds QueueLen %d", st.QueueDepth, cfg.QueueLen)
-	}
-
-	// A blocking Apply against the full queue must record its wait once a
-	// slot frees up.
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		if err := svc.Apply(countEvent{1}); err == nil {
-			total++
-		}
-	}()
-	time.Sleep(20 * time.Millisecond)
-	close(gate) // release the worker; everything drains
-	wg.Wait()
 	if err := svc.Drain(); err != nil {
 		t.Fatal(err)
 	}
-	st = svc.Stats()[0]
+	st := svc.Stats()[0]
 	if st.EnqueueWaitNS == 0 {
-		t.Fatal("EnqueueWaitNS = 0 after a blocked Apply")
+		t.Fatal("EnqueueWaitNS = 0 after a blocked ApplyBatch")
 	}
-	if got := svc.Result(); got != float64(total) {
-		t.Fatalf("Result = %v, want %v", got, total)
-	}
-	if err := svc.Close(); err != nil {
-		t.Fatal(err)
+	if st.Applied != queueLen+1 {
+		t.Fatalf("Applied = %d, want %d", st.Applied, queueLen+1)
 	}
 }

@@ -12,8 +12,9 @@ import (
 // TestParallelIngestDifferential is the multicore half of the differential
 // suite: many producer goroutines apply partition-disjoint batches at
 // GOMAXPROCS>1, and the drained grouped results must be bit-identical to a
-// sequential single-goroutine apply of the same trace — for both RPAI
-// representations (see subFuzzService). Partition disjointness is the load-bearing property: each
+// sequential single-goroutine apply of the same trace, on the engine's
+// arena-tree executor (the one index serve runs). Partition disjointness is
+// the load-bearing property: each
 // producer owns the partitions where sym%producers matches its index, so
 // within every partition the event order is the trace order no matter how the
 // scheduler interleaves producers, and float non-associativity cannot leak
@@ -32,74 +33,72 @@ func TestParallelIngestDifferential(t *testing.T) {
 	)
 	trace := symEvents(42, events, partitions)
 
-	for _, kind := range []string{"arena", "rpai"} {
-		t.Run(kind, func(t *testing.T) {
-			// Sequential reference on the same representation and shard count,
-			// applied as one goroutine's worth of batches.
-			ref := subFuzzService(t, 4, kind)
-			defer ref.Close()
-			for lo := 0; lo < len(trace); lo += batch {
-				hi := min(lo+batch, len(trace))
-				if err := ref.ApplyBatch(trace[lo:hi]); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if err := ref.Drain(); err != nil {
+	t.Run("arena", func(t *testing.T) {
+		// Sequential reference on the same representation and shard count,
+		// applied as one goroutine's worth of batches.
+		ref := subFuzzService(t, 4, 1)
+		defer ref.Close()
+		for lo := 0; lo < len(trace); lo += batch {
+			hi := min(lo+batch, len(trace))
+			if err := ref.ApplyBatch(trace[lo:hi]); err != nil {
 				t.Fatal(err)
 			}
-			want := map[float64]uint64{}
-			for _, g := range ref.ResultGrouped() {
-				want[g.Key[0]] = math.Float64bits(g.Value)
-			}
-			wantTotal := math.Float64bits(ref.Result())
+		}
+		if err := ref.Drain(); err != nil {
+			t.Fatal(err)
+		}
+		want := map[float64]uint64{}
+		for _, g := range ref.ResultGrouped() {
+			want[g.Key[0]] = math.Float64bits(g.Value)
+		}
+		wantTotal := math.Float64bits(ref.Result())
 
-			// Parallel run: split the trace into producer-owned partition
-			// classes, preserving trace order within each class.
-			svc := subFuzzService(t, 4, kind)
-			defer svc.Close()
-			slices := make([][]engine.Event, producers)
-			for _, e := range trace {
-				p := int(uint64(e.Tuple["sym"])) % producers
-				slices[p] = append(slices[p], e)
-			}
-			var wg sync.WaitGroup
-			for _, own := range slices {
-				wg.Add(1)
-				go func(own []engine.Event) {
-					defer wg.Done()
-					for lo := 0; lo < len(own); lo += batch {
-						hi := min(lo+batch, len(own))
-						if err := svc.ApplyBatch(own[lo:hi]); err != nil {
-							t.Errorf("ApplyBatch: %v", err)
-							return
-						}
+		// Parallel run: split the trace into producer-owned partition
+		// classes, preserving trace order within each class.
+		svc := subFuzzService(t, 4, 1)
+		defer svc.Close()
+		slices := make([][]engine.Event, producers)
+		for _, e := range trace {
+			p := int(uint64(e.Tuple["sym"])) % producers
+			slices[p] = append(slices[p], e)
+		}
+		var wg sync.WaitGroup
+		for _, own := range slices {
+			wg.Add(1)
+			go func(own []engine.Event) {
+				defer wg.Done()
+				for lo := 0; lo < len(own); lo += batch {
+					hi := min(lo+batch, len(own))
+					if err := svc.ApplyBatch(own[lo:hi]); err != nil {
+						t.Errorf("ApplyBatch: %v", err)
+						return
 					}
-				}(own)
-			}
-			wg.Wait()
-			if err := svc.Drain(); err != nil {
-				t.Fatal(err)
-			}
+				}
+			}(own)
+		}
+		wg.Wait()
+		if err := svc.Drain(); err != nil {
+			t.Fatal(err)
+		}
 
-			got := svc.ResultGrouped()
-			if len(got) != len(want) {
-				t.Fatalf("parallel run has %d partitions, sequential %d", len(got), len(want))
+		got := svc.ResultGrouped()
+		if len(got) != len(want) {
+			t.Fatalf("parallel run has %d partitions, sequential %d", len(got), len(want))
+		}
+		for _, g := range got {
+			w, ok := want[g.Key[0]]
+			if !ok {
+				t.Fatalf("partition %v missing from sequential run", g.Key[0])
 			}
-			for _, g := range got {
-				w, ok := want[g.Key[0]]
-				if !ok {
-					t.Fatalf("partition %v missing from sequential run", g.Key[0])
-				}
-				if math.Float64bits(g.Value) != w {
-					t.Fatalf("partition %v: parallel %x, sequential %x (not bit-identical)",
-						g.Key[0], math.Float64bits(g.Value), w)
-				}
+			if math.Float64bits(g.Value) != w {
+				t.Fatalf("partition %v: parallel %x, sequential %x (not bit-identical)",
+					g.Key[0], math.Float64bits(g.Value), w)
 			}
-			if gt := math.Float64bits(svc.Result()); gt != wantTotal {
-				t.Fatalf("total: parallel %x, sequential %x", gt, wantTotal)
-			}
-		})
-	}
+		}
+		if gt := math.Float64bits(svc.Result()); gt != wantTotal {
+			t.Fatalf("total: parallel %x, sequential %x", gt, wantTotal)
+		}
+	})
 }
 
 // TestStatsRaceDuringApplyBatch hammers Stats() from reader goroutines while

@@ -59,9 +59,9 @@ func TestConcurrentProducersAndReaders(t *testing.T) {
 		pwg.Add(1)
 		go func(events []engine.Event) {
 			defer pwg.Done()
-			for _, e := range events {
-				if err := svc.Apply(e); err != nil {
-					t.Errorf("Apply: %v", err)
+			for i := range events {
+				if err := svc.ApplyBatch(events[i : i+1]); err != nil {
+					t.Errorf("ApplyBatch: %v", err)
 					return
 				}
 			}
@@ -121,7 +121,7 @@ func producerTrace(seed int64, n, partitions int) []engine.Event {
 }
 
 // TestCloseRacesWithProducers closes the service while producers are still
-// applying: every Apply must either succeed or return ErrClosed, never panic
+// applying: every ApplyBatch must either succeed or return ErrClosed, never panic
 // (send on closed channel) or deadlock, and Close must still drain cleanly.
 func TestCloseRacesWithProducers(t *testing.T) {
 	for round := 0; round < 20; round++ {
@@ -136,10 +136,10 @@ func TestCloseRacesWithProducers(t *testing.T) {
 			wg.Add(1)
 			go func(off int) {
 				defer wg.Done()
-				for _, e := range events[off:] {
-					if err := svc.Apply(e); err != nil {
+				for i := off; i < len(events); i++ {
+					if err := svc.ApplyBatch(events[i : i+1]); err != nil {
 						if err != ErrClosed {
-							t.Errorf("Apply: %v", err)
+							t.Errorf("ApplyBatch: %v", err)
 						}
 						return
 					}
@@ -167,9 +167,9 @@ func TestDrainRacesWithProducers(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		for _, e := range events {
-			if err := svc.Apply(e); err != nil {
-				t.Errorf("Apply: %v", err)
+		for i := range events {
+			if err := svc.ApplyBatch(events[i : i+1]); err != nil {
+				t.Errorf("ApplyBatch: %v", err)
 				return
 			}
 		}

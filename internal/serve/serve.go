@@ -1,20 +1,22 @@
-// Package serve is the sharded concurrent serving layer over the incremental
-// executors: the substrate that turns the single-threaded RPAI machinery into
-// a streaming service consuming batched deltas under concurrent reads, the
+// Package serve is the sharded concurrent serving layer over the engine's
+// incremental executors: the substrate that turns one query plan — the
+// single-threaded RPAI machinery engine.New derives from SQL — into a
+// streaming service consuming batched deltas under concurrent reads, the
 // execution model DBToaster-style higher-order IVM and DBSP frame for
 // incremental maintenance.
 //
-// The design is share-nothing. The event stream is partitioned by a
-// user-supplied partition key (for example an instrument symbol, a broker id,
-// or a TPC-H order key); partitions are assigned to N shards by key hash, and
-// each shard is one worker goroutine owning one incremental executor per
-// partition. A shard drains its buffered input channel in batches: it applies
-// every event of the batch to the owning partition's executor, refreshes the
-// results of the partitions the batch touched, and then publishes an
-// immutable snapshot of all its partition results through an atomic pointer.
-// Readers therefore never take a lock and never block a writer: Result and
-// ResultGrouped read the last published snapshots, which lag the input by at
-// most one batch per shard (call Drain for a barrier).
+// The design is share-nothing. Engine events are partitioned by the values of
+// named tuple columns (for example an instrument symbol, a broker id, or a
+// TPC-H order key); partitions are assigned to N shards by key hash, and each
+// shard is one worker goroutine owning one engine executor per partition.
+// Events enter only through ApplyBatch. A shard drains its buffered input
+// channel in batches: it hands every touched partition its run of the batch
+// through the executor's ApplyBatch, refreshes the results of the partitions
+// the batch touched, and then publishes an immutable snapshot of all its
+// partition results through an atomic pointer. Readers therefore never take a
+// lock and never block a writer: Result and ResultGrouped read the last
+// published snapshots, which lag the input by at most one batch per shard
+// (call Drain for a barrier).
 //
 // Semantics: the served query is evaluated independently per partition, as if
 // each partition key had its own relation. Result returns the sum over
@@ -30,7 +32,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"sort"
 	"sync"
@@ -38,119 +39,152 @@ import (
 	"time"
 
 	"rpai/internal/engine"
+	"rpai/internal/query"
 )
 
-// ErrClosed is returned by Apply, Drain, Checkpoint and Close itself once the
-// service has been closed. Every public entry point that needs a live service
-// reports the closed state this way; callers can test for it with errors.Is.
+// ErrClosed is returned by ApplyBatch, Drain, Checkpoint, Subscribe and Close
+// itself once the service has been closed. Every public entry point that
+// needs a live service reports the closed state this way; callers can test
+// for it with errors.Is.
 var ErrClosed = errors.New("serve: service is closed")
 
-// ErrBusy is returned by TryApply when the owning shard's queue is full. It is
-// the serving layer's load-shed signal: callers that must not block (the wire
-// server's non-batched fast path, for example) surface it to the client
-// instead of queueing unboundedly.
-var ErrBusy = errors.New("serve: shard queue full")
-
-// Executor is the per-partition maintained state: the subset of
-// engine.Executor (and of the hand-written query executors in package
-// queries) the serving layer needs.
-type Executor[E any] interface {
-	// Apply processes one event.
-	Apply(e E)
-	// Result returns the current query output for this partition.
-	Result() float64
-}
-
-// BatchExecutor is an Executor with a native bulk path (engine.BatchExecutor
-// seen through the serving layer's event type). ApplyBatch must leave exactly
-// the state an Apply loop over the same events leaves — shard workers hand
-// each partition its drained events in one call, so an implementation that
-// reordered float operations would change served results.
-type BatchExecutor[E any] interface {
-	Executor[E]
-	// ApplyBatch processes events in order as one batch.
-	ApplyBatch(events []E)
-}
-
-// Config parameterizes a Service.
-type Config[E any] struct {
-	// Shards is the number of worker goroutines (default 1). Partitions are
+// Options configures ForQuery and RecoverForQuery; the zero value selects
+// every default. Negative values are rejected (see Validate).
+type Options struct {
+	// Shards is the number of worker goroutines (0 selects 1). Partitions are
 	// assigned to shards by key hash, so the same key always lands on the
 	// same shard and per-partition event order is preserved.
 	Shards int
-	// QueueLen is the per-shard input channel buffer (default 1024 events).
+	// QueueLen is the per-shard input channel buffer in queue items — one
+	// ApplyBatch call's share of a shard is one item (0 selects 1024).
 	QueueLen int
 	// BatchSize bounds how many queued events a shard drains into one batch
-	// before it applies them and republishes its snapshot. The zero value
-	// selects the default of 64; negative values are rejected by New. Larger
+	// before it applies them and publishes a snapshot (0 selects 64). Larger
 	// batches amortize executor dispatch and snapshot publication; smaller
-	// ones tighten read freshness.
-	// The effective value is surfaced per shard in ShardStats.BatchSize.
+	// ones tighten read freshness. The effective value is surfaced per shard
+	// in ShardStats.BatchSize.
 	BatchSize int
-	// Partition appends the event's partition key columns to buf and returns
-	// the extended slice (append-style, so steady-state routing does not
-	// allocate). It must be pure: the same event must always yield the same
-	// key.
-	Partition func(e E, buf []float64) []float64
-	// PartitionCols names the key columns Partition extracts, in order. It is
-	// only required for probe lanes with residual conjuncts (SetProbes): a
-	// residual gate compares one named key column against a constant per
-	// partition.
-	PartitionCols []string
-	// New constructs the executor for a new partition key.
-	New func(key []float64) Executor[E]
-	// Durable enables snapshot export and restore (nil disables both).
-	Durable *Durable[E]
 }
 
-// Durable says how partition executors are snapshotted and restored, which
-// is all Checkpoint and Recover need. The service keeps no log of its own:
-// the catalog's shared WAL is the only one (see catalog/durable.go).
-type Durable[E any] struct {
-	// Snapshot writes one partition executor's state to w.
-	Snapshot func(w io.Writer, key []float64, ex Executor[E]) error
-	// Restore rebuilds one partition executor from a Snapshot stream.
-	Restore func(r io.Reader, key []float64) (Executor[E], error)
+// Validate rejects negative fields. The constructors call it, and so does
+// the catalog before it touches its data directory, so a bad option fails at
+// construction rather than at the first registration.
+func (o Options) Validate() error {
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"Shards", o.Shards}, {"QueueLen", o.QueueLen}, {"BatchSize", o.BatchSize}} {
+		if f.v < 0 {
+			return fmt.Errorf("serve: Options.%s must not be negative (got %d)", f.name, f.v)
+		}
+	}
+	return nil
 }
 
-// item is one queue entry: an event, a whole pre-routed batch of events when
-// batch is set, a drain barrier when sync is set, or a control request when
-// ctl is set. Control requests run on the shard's worker goroutine, giving
-// them exclusive access to the shard state without locks.
-type item[E any] struct {
-	ev    E
-	batch *batchBox[E]
+// plan is the per-partition executor recipe, validated once by newPlan so
+// that building a partition's executor cannot fail afterwards. exec is the
+// query every partition runs; when the served query carries one bare
+// partition-column conjunct, exec is its shareable base and gate the residual
+// (gate.Residual set): partitions the conjunct excludes are gated to 0 — the
+// same read the catalog serves for such a query as a residual probe lane, so
+// a dedicated service and a shared lane stay bit-identical. Snapshots persist
+// only the base state; the gate is configuration, re-derived from the key.
+type plan struct {
+	exec *query.Query
+	cols []string
+	gate engine.ProbeSpec
+}
+
+func newPlan(q *query.Query, partitionBy []string) (*plan, error) {
+	if len(partitionBy) == 0 {
+		return nil, errors.New("serve: ForQuery requires at least one partition column")
+	}
+	if q.Outer == query.Avg {
+		// A partitioned service composes its scalar result by summing the
+		// partitions, and an average is not sum-decomposable. AVG queries are
+		// served as probe lanes (raw sum/count pairs finished at the read
+		// boundary) — register them against a catalog instead.
+		return nil, errors.New("serve: top-level AVG is not sum-decomposable across partitions; register it against a catalog, which serves it as a probe lane")
+	}
+	pl := &plan{exec: q, cols: partitionBy}
+	if base, spec, ok := engine.SplitResidual(q, partitionBy); ok {
+		pl.exec, pl.gate = base, spec
+	}
+	ex, err := engine.New(pl.exec)
+	if err != nil {
+		return nil, err
+	}
+	if _, err := pl.partitionExec(ex, nil); err != nil {
+		return nil, err
+	}
+	return pl, nil
+}
+
+// partitionExec finishes an executor (fresh or restored) for the partition
+// keyed key: gated on the key when the plan carries a residual conjunct.
+// ApplyBatch is the only way a shard worker feeds an executor, and every
+// single-relation engine executor has one.
+func (pl *plan) partitionExec(ex engine.Executor, key []float64) (engine.BatchExecutor, error) {
+	if pl.gate.Residual {
+		ex = engine.NewGated(ex, pl.gate.GateOn(pl.cols, key))
+	}
+	b, ok := ex.(engine.BatchExecutor)
+	if !ok {
+		return nil, fmt.Errorf("serve: executor %T has no ApplyBatch", ex)
+	}
+	return b, nil
+}
+
+// newExec builds a fresh executor for the partition keyed key.
+func (pl *plan) newExec(key []float64) engine.BatchExecutor {
+	ex, err := engine.New(pl.exec)
+	if err == nil {
+		var b engine.BatchExecutor
+		if b, err = pl.partitionExec(ex, key); err == nil {
+			return b
+		}
+	}
+	// Unreachable: newPlan built the same executor successfully.
+	panic("serve: " + err.Error())
+}
+
+// item is one queue entry: a pre-routed batch of events, a drain barrier
+// when sync is set, or a control request when ctl is set. Control requests
+// run on the shard's worker goroutine, giving them exclusive access to the
+// shard state without locks.
+type item struct {
+	batch *batchBox
 	sync  chan<- struct{}
-	ctl   *ctl[E]
+	ctl   *ctl
 }
 
 // batchBox carries one shard's slice of an ApplyBatch call through the queue.
 // Boxes are pooled: the worker returns them after unpacking, so steady-state
 // batch ingest reuses the same backing arrays.
-type batchBox[E any] struct {
-	events []E
+type batchBox struct {
+	events []engine.Event
 }
 
 // ctl is a control request executed inline by a shard worker (snapshot
 // export, restore installation, lane changes). The worker sends fn's error on
 // done.
-type ctl[E any] struct {
-	fn   func(ws *workerState[E]) error
+type ctl struct {
+	fn   func(ws *workerState) error
 	done chan<- error
 }
 
 // workerState is the state a shard worker owns exclusively: its partitions
 // and publication counters. Control requests mutate it between batches.
-type workerState[E any] struct {
+type workerState struct {
 	idx      int
-	partCols []string // Config.PartitionCols (residual gate evaluation)
-	parts    map[string]*partition[E]
+	partCols []string // the partition columns (residual gate evaluation)
+	parts    map[string]*partition
 	// plist is the insertion-ordered partition list and groups its parallel
 	// result row per partition (groups[p.slot] tracks p.last). commit
 	// publishes by cloning groups in one copy instead of walking the parts
 	// map and re-boxing every row — the map walk plus per-row append was the
 	// dominant snapshot-publish cost at high partition counts.
-	plist  []*partition[E]
+	plist  []*partition
 	groups []engine.GroupResult
 	// version counts this shard's snapshot publications: every commit bumps
 	// it, so it is the monotonic version readers and subscribers key on.
@@ -178,13 +212,12 @@ type workerState[E any] struct {
 // result the snapshots are built from. pend buffers the current batch's
 // events for this partition so the whole run is handed to the executor's
 // ApplyBatch in one call.
-type partition[E any] struct {
+type partition struct {
 	vals    []float64 // partition key values (immutable, shared with snapshots)
 	ekey    string    // canonical byte encoding of vals (subscriber filter key)
-	ex      Executor[E]
-	bex     BatchExecutor[E] // ex's native batched path, nil if it has none
-	probeEx ProbeExecutor    // ex's probe-lane path, nil if it has none
-	pend    []E              // events buffered for the in-progress batch
+	ex      engine.BatchExecutor
+	probeEx engine.ProbeExecutor // ex's probe-lane path, nil if it has none
+	pend    []engine.Event       // events buffered for the in-progress batch
 	last    float64
 	// fan/fanCnt are the per-lane results, parallel to the worker's specs:
 	// final values for SUM/COUNT lanes, raw (term sum, count) pairs for AVG
@@ -201,7 +234,7 @@ type partition[E any] struct {
 
 // refreshLanes re-evaluates every installed lane against this partition's
 // executor and applies the residual gates.
-func (p *partition[E]) refreshLanes(ws *workerState[E]) {
+func (p *partition) refreshLanes(ws *workerState) {
 	if len(ws.specs) == 0 || p.probeEx == nil {
 		return
 	}
@@ -216,7 +249,7 @@ func (p *partition[E]) refreshLanes(ws *workerState[E]) {
 
 // addPartition registers p in the worker's map and ordered list, keeping the
 // published-groups row aligned with the partition's slot.
-func (ws *workerState[E]) addPartition(p *partition[E]) {
+func (ws *workerState) addPartition(p *partition) {
 	p.slot = len(ws.plist)
 	ws.parts[p.ekey] = p
 	ws.plist = append(ws.plist, p)
@@ -231,7 +264,7 @@ func (ws *workerState[E]) addPartition(p *partition[E]) {
 
 // sizeLanes sizes p's lane buffers to the installed spec count and evaluates
 // the partition's residual gates.
-func (ws *workerState[E]) sizeLanes(p *partition[E]) {
+func (ws *workerState) sizeLanes(p *partition) {
 	k := len(ws.specs)
 	p.fan = sizedFloats(p.fan, k)
 	p.fanCnt = sizedFloats(p.fanCnt, k)
@@ -247,7 +280,7 @@ func (ws *workerState[E]) sizeLanes(p *partition[E]) {
 
 // laneMatrix clones the workers' per-partition lane rows (the value side, or
 // the count side for AVG lanes) into one slot-major immutable matrix.
-func laneMatrix[E any](ws *workerState[E], cntSide bool) []float64 {
+func laneMatrix(ws *workerState, cntSide bool) []float64 {
 	k := len(ws.specs)
 	m := make([]float64, len(ws.plist)*k)
 	for _, p := range ws.plist {
@@ -285,27 +318,12 @@ func sizedFloats(buf []float64, n int) []float64 {
 	return buf
 }
 
-// newPartition wraps an executor, capturing its batched path once so the hot
-// loop dispatches without a per-batch type assertion.
-func newPartition[E any](vals []float64, ex Executor[E]) *partition[E] {
-	p := &partition[E]{vals: vals, ex: ex}
-	p.bex, _ = ex.(BatchExecutor[E])
-	p.probeEx, _ = ex.(ProbeExecutor)
+// newPartition wraps an executor, capturing its probe-lane path once so the
+// refresh loop dispatches without a per-batch type assertion.
+func newPartition(vals []float64, ex engine.BatchExecutor) *partition {
+	p := &partition{vals: vals, ex: ex}
+	p.probeEx, _ = ex.(engine.ProbeExecutor)
 	return p
-}
-
-// applyPend feeds the partition's buffered events to its executor — one
-// ApplyBatch call when the executor is batch-native, an Apply loop otherwise
-// (identical results either way; see BatchExecutor).
-func (p *partition[E]) applyPend() {
-	if p.bex != nil {
-		p.bex.ApplyBatch(p.pend)
-	} else {
-		for i := range p.pend {
-			p.ex.Apply(p.pend[i])
-		}
-	}
-	p.pend = p.pend[:0]
 }
 
 // Snapshot is one shard's published state: the per-partition results as of
@@ -338,53 +356,50 @@ type ShardStats struct {
 	Shard      int    // shard index
 	Applied    uint64 // events applied
 	Flushed    uint64 // batches flushed (snapshot publications)
-	QueueDepth int    // events currently buffered in the input channel
+	QueueDepth int    // queue items currently buffered in the input channel
 	Partitions int    // partitions owned
-	// EnqueueWaitNS is the cumulative nanoseconds Apply callers spent blocked
-	// on this shard's full queue — the backpressure admission control reacts
-	// to, surfaced end to end through the wire protocol's stats RPC.
+	// EnqueueWaitNS is the cumulative nanoseconds ApplyBatch callers spent
+	// blocked on this shard's full queue — the backpressure admission control
+	// reacts to, surfaced end to end through the wire protocol's stats RPC.
 	EnqueueWaitNS uint64
-	// Rejected counts TryApply calls shed because the queue was full.
-	Rejected uint64
-	// BatchSize is the shard's effective drain bound: Config.BatchSize after
-	// defaulting (64 when the config left it zero).
+	// BatchSize is the shard's effective drain bound: Options.BatchSize after
+	// defaulting (64 when the options left it zero).
 	BatchSize int
 }
 
-type shard[E any] struct {
+type shard struct {
 	idx int
-	in  chan item[E]
-	// snap is the read-side hot word: every Result/ResultGrouped/Version
-	// call loads it. The pads keep it off the cache lines of the
-	// writer-side counters below (and of the neighboring shard structs), so
-	// cross-core readers do not false-share with producers hammering the
-	// counters.
+	in  chan item
+	// snap is the read-side hot word: every Result/ResultGrouped call loads
+	// it. The pads keep it off the cache lines of the writer-side counters
+	// below (and of the neighboring shard structs), so cross-core readers do
+	// not false-share with producers hammering the counters.
 	_    [64]byte
 	snap atomic.Pointer[Snapshot]
 	_    [64]byte
-	// applied and flushed are written by the worker goroutine; waitNS and
-	// rejected by producers. A line of separation between the two groups
-	// keeps producer stalls from invalidating the worker's line.
+	// applied and flushed are written by the worker goroutine, waitNS by
+	// producers. A line of separation between the two groups keeps producer
+	// stalls from invalidating the worker's line.
 	applied    atomic.Uint64
 	flushed    atomic.Uint64
 	partitions atomic.Int64
 	_          [64]byte
 	waitNS     atomic.Uint64
-	rejected   atomic.Uint64
 }
 
-// Service is the sharded serving layer. Apply may be called from any number
-// of goroutines; Result, ResultGrouped and Stats are safe concurrently with
-// writers and never block them.
-type Service[E any] struct {
-	cfg    Config[E]
-	shards []*shard[E]
+// Service is the sharded serving layer. ApplyBatch may be called from any
+// number of goroutines; Result, ResultGrouped and Stats are safe
+// concurrently with writers and never block them.
+type Service struct {
+	opt    Options // defaults applied
+	plan   *plan
+	shards []*shard
 
 	// batchPool recycles the boxes ApplyBatch ships batches in; workers
 	// return them after unpacking.
 	batchPool sync.Pool
 
-	mu     sync.RWMutex // guards closed vs. in-flight Apply/Drain sends
+	mu     sync.RWMutex // guards closed vs. in-flight ApplyBatch/Drain sends
 	closed bool
 	wg     sync.WaitGroup
 
@@ -393,31 +408,46 @@ type Service[E any] struct {
 	// only when its epoch matches (see Subscribe).
 	epoch uint64
 
-	subMu sync.Mutex // guards subs
+	subMu sync.Mutex // guards subs and subsClosed
 	subs  map[*Subscription]struct{}
+	// subsClosed is set by Close when it collects the live subscriptions to
+	// finalize; a Subscribe that records its subscription afterwards fails
+	// with ErrClosed instead of leaking a subscription nobody closes.
+	subsClosed bool
 }
 
-// New starts the service's shard workers.
-func New[E any](cfg Config[E]) (*Service[E], error) {
-	if cfg.Partition == nil || cfg.New == nil {
-		return nil, errors.New("serve: Config.Partition and Config.New are required")
+// ForQuery builds a service that maintains q independently per partition,
+// partitioning engine events by the given tuple columns. Each partition gets
+// its own executor from engine.New (so eligible queries use the aggregate-
+// index strategy per partition). The query is validated and planned once up
+// front; per-partition construction cannot fail afterwards. The service can
+// always Checkpoint, and RecoverForQuery reopens what it exported.
+func ForQuery(q *query.Query, partitionBy []string, opt Options) (*Service, error) {
+	pl, err := newPlan(q, partitionBy)
+	if err != nil {
+		return nil, err
 	}
-	if cfg.Shards <= 0 {
-		cfg.Shards = 1
+	return start(pl, opt)
+}
+
+// start validates opt, applies its defaults, and starts the shard workers.
+func start(pl *plan, opt Options) (*Service, error) {
+	if err := opt.Validate(); err != nil {
+		return nil, err
 	}
-	if cfg.QueueLen <= 0 {
-		cfg.QueueLen = 1024
+	if opt.Shards == 0 {
+		opt.Shards = 1
 	}
-	if cfg.BatchSize < 0 {
-		return nil, fmt.Errorf("serve: Config.BatchSize must not be negative (got %d)", cfg.BatchSize)
+	if opt.QueueLen == 0 {
+		opt.QueueLen = 1024
 	}
-	if cfg.BatchSize == 0 {
-		cfg.BatchSize = 64
+	if opt.BatchSize == 0 {
+		opt.BatchSize = 64
 	}
-	s := &Service[E]{cfg: cfg, shards: make([]*shard[E], cfg.Shards),
+	s := &Service{opt: opt, plan: pl, shards: make([]*shard, opt.Shards),
 		epoch: newEpoch(), subs: make(map[*Subscription]struct{})}
 	for i := range s.shards {
-		sh := &shard[E]{idx: i, in: make(chan item[E], cfg.QueueLen)}
+		sh := &shard{idx: i, in: make(chan item, opt.QueueLen)}
 		sh.snap.Store(&Snapshot{})
 		s.shards[i] = sh
 	}
@@ -472,16 +502,19 @@ func encodeKey(b []byte, vals []float64) []byte {
 	return b
 }
 
-// route returns the shard owning e's partition.
-func (s *Service[E]) route(e E) *shard[E] {
-	var kb [4]float64
-	vals := normalizeVals(s.cfg.Partition(e, kb[:0]))
-	return s.shards[hashVals(vals)%uint64(len(s.shards))]
+// key appends e's normalized partition key to buf (append-style, so
+// steady-state routing does not allocate). A tuple missing a partition
+// column reads it as 0.
+func (s *Service) key(e engine.Event, buf []float64) []float64 {
+	for _, c := range s.plan.cols {
+		buf = append(buf, e.Tuple[c])
+	}
+	return normalizeVals(buf)
 }
 
 // send enqueues it on sh, accounting backpressure stalls: the fast path is a
 // non-blocking send, and only the full-queue path reads the clock.
-func (s *Service[E]) send(sh *shard[E], it item[E]) {
+func (s *Service) send(sh *shard, it item) {
 	select {
 	case sh.in <- it:
 	default:
@@ -491,29 +524,15 @@ func (s *Service[E]) send(sh *shard[E], it item[E]) {
 	}
 }
 
-// Apply routes one event to its partition's shard. It blocks when the shard's
-// queue is full (natural backpressure, accounted in the shard's EnqueueWaitNS
-// counter) and returns ErrClosed after Close.
-func (s *Service[E]) Apply(e E) error {
-	sh := s.route(e)
-	s.mu.RLock()
-	if s.closed {
-		s.mu.RUnlock()
-		return ErrClosed
-	}
-	s.send(sh, item[E]{ev: e})
-	s.mu.RUnlock()
-	return nil
-}
-
 // ApplyBatch routes a whole batch in one pass: events are split by owning
 // shard into pooled boxes (copied, so the caller may reuse its slice — the
 // wire server decodes batches into per-connection scratch) and each shard
 // receives its run as a single queue item, which its worker unpacks straight
-// into the partitions' pending buffers. Per-shard event order is the slice
-// order, exactly as if Apply had been called event by event. Blocks like
-// Apply when a shard queue is full; returns ErrClosed after Close.
-func (s *Service[E]) ApplyBatch(events []E) error {
+// into the partitions' pending buffers. Per-partition event order is the
+// slice order. It blocks when a shard queue is full (natural backpressure,
+// accounted in the shard's EnqueueWaitNS counter) and returns ErrClosed
+// after Close.
+func (s *Service) ApplyBatch(events []engine.Event) error {
 	if len(events) == 0 {
 		return nil
 	}
@@ -525,15 +544,14 @@ func (s *Service[E]) ApplyBatch(events []E) error {
 	if len(s.shards) == 1 {
 		box := s.getBox()
 		box.events = append(box.events, events...)
-		s.send(s.shards[0], item[E]{batch: box})
+		s.send(s.shards[0], item{batch: box})
 		s.mu.RUnlock()
 		return nil
 	}
-	boxes := make([]*batchBox[E], len(s.shards))
+	boxes := make([]*batchBox, len(s.shards))
 	var kb [4]float64
 	for i := range events {
-		vals := normalizeVals(s.cfg.Partition(events[i], kb[:0]))
-		idx := hashVals(vals) % uint64(len(s.shards))
+		idx := hashVals(s.key(events[i], kb[:0])) % uint64(len(s.shards))
 		b := boxes[idx]
 		if b == nil {
 			b = s.getBox()
@@ -543,7 +561,7 @@ func (s *Service[E]) ApplyBatch(events []E) error {
 	}
 	for i, b := range boxes {
 		if b != nil {
-			s.send(s.shards[i], item[E]{batch: b})
+			s.send(s.shards[i], item{batch: b})
 		}
 	}
 	s.mu.RUnlock()
@@ -551,31 +569,12 @@ func (s *Service[E]) ApplyBatch(events []E) error {
 }
 
 // getBox returns an empty pooled batch box.
-func (s *Service[E]) getBox() *batchBox[E] {
-	if b, ok := s.batchPool.Get().(*batchBox[E]); ok {
+func (s *Service) getBox() *batchBox {
+	if b, ok := s.batchPool.Get().(*batchBox); ok {
 		b.events = b.events[:0]
 		return b
 	}
-	return &batchBox[E]{}
-}
-
-// TryApply is the non-blocking Apply: when the owning shard's queue is full it
-// increments the shard's Rejected counter and returns ErrBusy instead of
-// waiting, so a front end can shed load while the queue depth stays bounded.
-func (s *Service[E]) TryApply(e E) error {
-	sh := s.route(e)
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if s.closed {
-		return ErrClosed
-	}
-	select {
-	case sh.in <- item[E]{ev: e}:
-		return nil
-	default:
-		sh.rejected.Add(1)
-		return ErrBusy
-	}
+	return &batchBox{}
 }
 
 // run is the shard worker: drain a batch, buffer its events per partition,
@@ -585,23 +584,23 @@ func (s *Service[E]) TryApply(e E) error {
 // Control requests and drain barriers terminate the in-progress batch: the
 // worker commits everything queued before them, then serves them, preserving
 // the FIFO semantics snapshot export and restore rely on.
-func (s *Service[E]) run(sh *shard[E]) {
+func (s *Service) run(sh *shard) {
 	defer s.wg.Done()
-	ws := &workerState[E]{idx: sh.idx, partCols: s.cfg.PartitionCols,
-		parts: make(map[string]*partition[E])}
+	ws := &workerState{idx: sh.idx, partCols: s.plan.cols,
+		parts: make(map[string]*partition)}
 	var (
-		dirty   []*partition[E]
+		dirty   []*partition
 		syncs   []chan<- struct{}
 		keyBuf  []float64
 		byteBuf []byte
 	)
-	enqueue := func(e E) {
-		keyBuf = normalizeVals(s.cfg.Partition(e, keyBuf[:0]))
+	enqueue := func(e engine.Event) {
+		keyBuf = s.key(e, keyBuf[:0])
 		byteBuf = encodeKey(byteBuf[:0], keyBuf)
 		p, ok := ws.parts[string(byteBuf)] // no alloc: compiler-optimized map access
 		if !ok {
 			vals := append([]float64(nil), keyBuf...)
-			p = newPartition(vals, s.cfg.New(vals))
+			p = newPartition(vals, s.plan.newExec(vals))
 			p.ekey = string(byteBuf)
 			ws.addPartition(p)
 			sh.partitions.Store(int64(len(ws.parts)))
@@ -611,12 +610,12 @@ func (s *Service[E]) run(sh *shard[E]) {
 			p.dirty = true
 			dirty = append(dirty, p)
 		}
-		sh.applied.Add(1)
 	}
 	// commit applies the drained batch and publishes the snapshot.
 	commit := func() {
 		for _, p := range dirty {
-			p.applyPend()
+			p.ex.ApplyBatch(p.pend)
+			p.pend = p.pend[:0]
 			p.last = p.ex.Result()
 			ws.groups[p.slot].Value = p.last
 			p.refreshLanes(ws)
@@ -666,7 +665,7 @@ func (s *Service[E]) run(sh *shard[E]) {
 	}
 	for it := range sh.in {
 		n, stop := 0, false
-		handle := func(it item[E]) {
+		handle := func(it item) {
 			switch {
 			case it.ctl != nil:
 				// Commit queued work first so the control request observes
@@ -678,20 +677,18 @@ func (s *Service[E]) run(sh *shard[E]) {
 			case it.sync != nil:
 				syncs = append(syncs, it.sync)
 				stop = true
-			case it.batch != nil:
+			default:
 				for i := range it.batch.events {
 					enqueue(it.batch.events[i])
 				}
 				n += len(it.batch.events)
+				sh.applied.Add(uint64(len(it.batch.events)))
 				s.batchPool.Put(it.batch)
-			default:
-				enqueue(it.ev)
-				n++
 			}
 		}
 		handle(it)
 	drain:
-		for !stop && n < s.cfg.BatchSize {
+		for !stop && n < s.opt.BatchSize {
 			select {
 			case it2, ok := <-sh.in:
 				if !ok {
@@ -712,7 +709,7 @@ func (s *Service[E]) run(sh *shard[E]) {
 
 // Result returns the sum of all partition results as of each shard's last
 // published snapshot.
-func (s *Service[E]) Result() float64 {
+func (s *Service) Result() float64 {
 	var total float64
 	for _, sh := range s.shards {
 		total += sh.snap.Load().Total
@@ -723,7 +720,7 @@ func (s *Service[E]) Result() float64 {
 // ResultGrouped returns the per-partition results as of each shard's last
 // published snapshot, sorted by partition key (the engine.GroupedExecutor
 // ordering).
-func (s *Service[E]) ResultGrouped() []engine.GroupResult {
+func (s *Service) ResultGrouped() []engine.GroupResult {
 	var out []engine.GroupResult
 	for _, sh := range s.shards {
 		out = append(out, sh.snap.Load().Groups...)
@@ -746,22 +743,12 @@ func sortGroups(out []engine.GroupResult) {
 	})
 }
 
-// Version returns the sum of the shards' snapshot versions: a monotonic
-// service-wide read version. Every publication on any shard increases it, so
-// two successive calls never observe a decreasing value, and a write that has
-// been committed (Drain returned) is visible to any read observing a version
-// at least as large as the post-Drain one.
-func (s *Service[E]) Version() uint64 {
-	var v uint64
-	for _, sh := range s.shards {
-		v += sh.snap.Load().Version
-	}
-	return v
-}
-
-// ShardVersions returns each shard's current snapshot version, the
-// fine-grained handle subscription resume is keyed on.
-func (s *Service[E]) ShardVersions() []ShardVersion {
+// ShardVersions returns each shard's current snapshot version: the read
+// version of the service. Each shard's version only grows, every publication
+// bumps its shard's, and a write acknowledged by Drain is visible to any read
+// observing versions at least as large as the post-Drain ones. Subscription
+// resume is keyed on it too.
+func (s *Service) ShardVersions() []ShardVersion {
 	out := make([]ShardVersion, len(s.shards))
 	for i, sh := range s.shards {
 		out[i] = ShardVersion{Shard: i, Version: sh.snap.Load().Version}
@@ -772,11 +759,11 @@ func (s *Service[E]) ShardVersions() []ShardVersion {
 // Epoch identifies this service instance: shard versions are only comparable
 // within one epoch, so subscription resume sends the epoch alongside the
 // versions and the service falls back to a full reseed on mismatch.
-func (s *Service[E]) Epoch() uint64 { return s.epoch }
+func (s *Service) Epoch() uint64 { return s.epoch }
 
 // Subscribers reports the number of live subscriptions attached to the
 // service — the per-query fan-out counter the catalog surfaces in stats.
-func (s *Service[E]) Subscribers() int {
+func (s *Service) Subscribers() int {
 	s.subMu.Lock()
 	n := len(s.subs)
 	s.subMu.Unlock()
@@ -784,7 +771,7 @@ func (s *Service[E]) Subscribers() int {
 }
 
 // Stats returns the per-shard serving counters.
-func (s *Service[E]) Stats() []ShardStats {
+func (s *Service) Stats() []ShardStats {
 	out := make([]ShardStats, len(s.shards))
 	for i, sh := range s.shards {
 		out[i] = ShardStats{
@@ -794,8 +781,7 @@ func (s *Service[E]) Stats() []ShardStats {
 			QueueDepth:    len(sh.in),
 			Partitions:    int(sh.partitions.Load()),
 			EnqueueWaitNS: sh.waitNS.Load(),
-			Rejected:      sh.rejected.Load(),
-			BatchSize:     s.cfg.BatchSize,
+			BatchSize:     s.opt.BatchSize,
 		}
 	}
 	return out
@@ -804,7 +790,7 @@ func (s *Service[E]) Stats() []ShardStats {
 // Drain blocks until every event sent before the call has been applied and
 // reflected in the published snapshots (a read barrier for tests, benchmarks
 // and consistent point-in-time reads).
-func (s *Service[E]) Drain() error {
+func (s *Service) Drain() error {
 	dones := make([]chan struct{}, len(s.shards))
 	s.mu.RLock()
 	if s.closed {
@@ -814,7 +800,7 @@ func (s *Service[E]) Drain() error {
 	for i, sh := range s.shards {
 		done := make(chan struct{})
 		dones[i] = done
-		sh.in <- item[E]{sync: done}
+		sh.in <- item{sync: done}
 	}
 	s.mu.RUnlock()
 	for _, done := range dones {
@@ -824,9 +810,10 @@ func (s *Service[E]) Drain() error {
 }
 
 // Close stops accepting events, drains every queue, publishes the final
-// snapshots, and waits for the shard workers to exit. It is idempotent only
-// in the sense that a second call returns ErrClosed.
-func (s *Service[E]) Close() error {
+// snapshots, waits for the shard workers to exit, and closes every live
+// subscription. It is idempotent only in the sense that a second call
+// returns ErrClosed.
+func (s *Service) Close() error {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
@@ -841,6 +828,7 @@ func (s *Service[E]) Close() error {
 	// Finalize live subscriptions so their Frames channels close; collect
 	// first, since Close detaches under subMu.
 	s.subMu.Lock()
+	s.subsClosed = true
 	live := make([]*Subscription, 0, len(s.subs))
 	for sub := range s.subs {
 		live = append(live, sub)
@@ -850,13 +838,4 @@ func (s *Service[E]) Close() error {
 		sub.Close()
 	}
 	return nil
-}
-
-// Shards reports the shard count.
-func (s *Service[E]) Shards() int { return len(s.shards) }
-
-// String summarizes the service configuration.
-func (s *Service[E]) String() string {
-	return fmt.Sprintf("serve.Service{shards: %d, batch: %d, queue: %d}",
-		len(s.shards), s.cfg.BatchSize, s.cfg.QueueLen)
 }

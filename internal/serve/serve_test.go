@@ -3,13 +3,11 @@ package serve
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"rpai/internal/engine"
-	"rpai/internal/queries"
 	"rpai/internal/query"
-	"rpai/internal/stream"
-	"rpai/internal/tpch"
 )
 
 // vwapSpec is Example 2.2 (the per-partition query of most serving tests):
@@ -79,6 +77,18 @@ func serialReference(t *testing.T, q *query.Query, events []engine.Event) map[fl
 	return out
 }
 
+// applyEach feeds events one ApplyBatch call per event: every event is its
+// own queue item, so shard workers see the finest-grained interleaving of
+// queue items and batch boundaries.
+func applyEach(t *testing.T, svc *Service, events []engine.Event) {
+	t.Helper()
+	for i := range events {
+		if err := svc.ApplyBatch(events[i : i+1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // TestShardCountInvariance is the central differential test: the served
 // output must not depend on the shard count, and must equal the serial
 // one-executor-per-partition reference exactly.
@@ -95,11 +105,7 @@ func TestShardCountInvariance(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, e := range events {
-			if err := svc.Apply(e); err != nil {
-				t.Fatal(err)
-			}
-		}
+		applyEach(t, svc, events)
 		if err := svc.Drain(); err != nil {
 			t.Fatal(err)
 		}
@@ -142,8 +148,8 @@ func TestSnapshotsLagAtMostUntilDrain(t *testing.T) {
 	for _, v := range want {
 		wantTotal += v
 	}
-	for i, e := range events {
-		if err := svc.Apply(e); err != nil {
+	for i := range events {
+		if err := svc.ApplyBatch(events[i : i+1]); err != nil {
 			t.Fatal(err)
 		}
 		if i%100 == 0 {
@@ -161,8 +167,8 @@ func TestSnapshotsLagAtMostUntilDrain(t *testing.T) {
 	}
 }
 
-// TestCloseSemantics: Close drains and publishes final state; later Apply,
-// Drain and Close report ErrClosed; reads keep working.
+// TestCloseSemantics: Close drains and publishes final state; later
+// ApplyBatch, Drain and Close report ErrClosed; reads keep working.
 func TestCloseSemantics(t *testing.T) {
 	q := vwapSpec()
 	events := symEvents(3, 800, 5)
@@ -170,11 +176,7 @@ func TestCloseSemantics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, e := range events {
-		if err := svc.Apply(e); err != nil {
-			t.Fatal(err)
-		}
-	}
+	applyEach(t, svc, events)
 	if err := svc.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -186,8 +188,8 @@ func TestCloseSemantics(t *testing.T) {
 	if got := svc.Result(); got != wantTotal {
 		t.Fatalf("post-Close Result = %v, want %v (final snapshots must be published)", got, wantTotal)
 	}
-	if err := svc.Apply(events[0]); err != ErrClosed {
-		t.Fatalf("Apply after Close = %v, want ErrClosed", err)
+	if err := svc.ApplyBatch(events[:1]); err != ErrClosed {
+		t.Fatalf("ApplyBatch after Close = %v, want ErrClosed", err)
 	}
 	if err := svc.Drain(); err != ErrClosed {
 		t.Fatalf("Drain after Close = %v, want ErrClosed", err)
@@ -207,11 +209,7 @@ func TestStatsCounters(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer svc.Close()
-	for _, e := range events {
-		if err := svc.Apply(e); err != nil {
-			t.Fatal(err)
-		}
-	}
+	applyEach(t, svc, events)
 	if err := svc.Drain(); err != nil {
 		t.Fatal(err)
 	}
@@ -234,15 +232,32 @@ func TestStatsCounters(t *testing.T) {
 	if parts != partitions {
 		t.Fatalf("partitions = %d, want %d", parts, partitions)
 	}
-	if svc.Shards() != 4 {
-		t.Fatalf("Shards() = %d, want 4", svc.Shards())
+	if n := len(svc.Stats()); n != 4 {
+		t.Fatalf("%d shards reported, want 4", n)
 	}
 }
 
-// TestConfigValidation covers the constructor error paths and defaults.
+// TestConfigValidation covers the constructor error paths and defaults:
+// every negative option is refused by name, by ForQuery and RecoverForQuery
+// alike, and zero options select the defaults.
 func TestConfigValidation(t *testing.T) {
-	if _, err := New(Config[int]{}); err == nil {
-		t.Fatal("New without Partition/New succeeded")
+	dir := t.TempDir()
+	exportDir(t, dir, 1, symEvents(3, 50, 3))
+	for _, tc := range []struct {
+		field string
+		opt   Options
+	}{
+		{"Shards", Options{Shards: -1}},
+		{"QueueLen", Options{QueueLen: -1}},
+		{"BatchSize", Options{BatchSize: -1}},
+	} {
+		want := "Options." + tc.field
+		if _, err := ForQuery(vwapSpec(), []string{"sym"}, tc.opt); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("ForQuery with negative %s = %v, want an error naming %s", tc.field, err, want)
+		}
+		if _, err := RecoverForQuery(dir, vwapSpec(), []string{"sym"}, tc.opt); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("RecoverForQuery with negative %s = %v, want an error naming %s", tc.field, err, want)
+		}
 	}
 	if _, err := ForQuery(vwapSpec(), nil, Options{}); err == nil {
 		t.Fatal("ForQuery without partition columns succeeded")
@@ -265,90 +280,11 @@ func TestConfigValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if svc.Shards() != 1 {
-		t.Fatalf("default shards = %d, want 1", svc.Shards())
+	if st := svc.Stats(); len(st) != 1 || st[0].BatchSize != 64 || cap(svc.shards[0].in) != 1024 {
+		t.Fatalf("default options: %d shards, batch %d, queue %d; want 1, 64, 1024",
+			len(st), st[0].BatchSize, cap(svc.shards[0].in))
 	}
 	if err := svc.Close(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestFinanceExecutorServing serves the hand-written executors of package
-// queries over raw workload events — the cross-layer deployment the serving
-// layer exists for — at several shard counts, and checks each against
-// per-partition serial replay: VWAP per broker over the order book, and
-// TPC-H Q18 per order key.
-func TestFinanceExecutorServing(t *testing.T) {
-	cfg := stream.DefaultOrderBook(5000)
-	cfg.Seed = 42
-	cfg.DeleteRatio = 0.2
-	cfg.PriceLevels = 40
-	cfg.MaxVolume = 50
-	t.Run("vwap-per-broker", func(t *testing.T) {
-		checkServedAgainstSerial(t, stream.GenerateOrderBook(cfg),
-			func(e stream.Event) float64 { return float64(e.Rec.BrokerID) },
-			func() Executor[stream.Event] { return queries.NewBids("vwap", queries.RPAI) })
-	})
-	t.Run("q18-per-order", func(t *testing.T) {
-		checkServedAgainstSerial(t, tpch.Generate(tpch.DefaultConfig(0.1, false)).Events,
-			func(e tpch.Event) float64 { return float64(e.Rec.OrderKey) },
-			func() Executor[tpch.Event] { return queries.NewQ18(queries.RPAI) })
-	})
-}
-
-// checkServedAgainstSerial replays events through a fresh service per shard
-// count, partitioned by key, and requires the drained scalar and grouped
-// results to equal one serially fed executor per key.
-func checkServedAgainstSerial[E any](t *testing.T, events []E, key func(E) float64, newEx func() Executor[E]) {
-	t.Helper()
-	ref := map[float64]Executor[E]{}
-	for _, e := range events {
-		ex, ok := ref[key(e)]
-		if !ok {
-			ex = newEx()
-			ref[key(e)] = ex
-		}
-		ex.Apply(e)
-	}
-	var wantTotal float64
-	for _, ex := range ref {
-		wantTotal += ex.Result()
-	}
-	if wantTotal == 0 {
-		t.Fatal("degenerate trace: serial reference is 0")
-	}
-	for _, shards := range []int{1, 3, 8} {
-		svc, err := New(Config[E]{
-			Shards:    shards,
-			BatchSize: 32,
-			Partition: func(e E, buf []float64) []float64 { return append(buf, key(e)) },
-			New:       func([]float64) Executor[E] { return newEx() },
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, e := range events {
-			if err := svc.Apply(e); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := svc.Drain(); err != nil {
-			t.Fatal(err)
-		}
-		if got := svc.Result(); got != wantTotal {
-			t.Fatalf("shards=%d: served total = %v, want %v", shards, got, wantTotal)
-		}
-		groups := svc.ResultGrouped()
-		if len(groups) != len(ref) {
-			t.Fatalf("shards=%d: %d groups, want %d", shards, len(groups), len(ref))
-		}
-		for _, g := range groups {
-			if want := ref[g.Key[0]].Result(); g.Value != want {
-				t.Fatalf("shards=%d: partition %v = %v, want %v", shards, g.Key[0], g.Value, want)
-			}
-		}
-		if err := svc.Close(); err != nil {
-			t.Fatal(err)
-		}
 	}
 }

@@ -118,8 +118,10 @@ func newEpoch() uint64 {
 // seeds the subscription with a Full frame at its current version (unless a
 // matching resume makes the seed redundant), after which every snapshot
 // publication is pushed as a coalescing delta. The returned subscription must
-// be Closed when done; the service's Close also finalizes it.
-func (s *Service[E]) Subscribe(opt SubOptions) (*Subscription, error) {
+// be Closed when done; the service's Close also finalizes it. Subscribe
+// returns ErrClosed once Close has begun, so a subscription it does return is
+// always one Close finalizes.
+func (s *Service) Subscribe(opt SubOptions) (*Subscription, error) {
 	buf := opt.Buffer
 	if buf <= 0 {
 		buf = 16
@@ -158,7 +160,7 @@ func (s *Service[E]) Subscribe(opt SubOptions) (*Subscription, error) {
 	for i := range s.shards {
 		ss := sub.shards[i]
 		rv, hasResume := resume[i]
-		if err := s.control(i, func(ws *workerState[E]) error {
+		if err := s.control(i, func(ws *workerState) error {
 			ws.subs = append(ws.subs, ss)
 			if hasResume && rv <= ws.version && rv >= ws.lastChange {
 				// Every commit past the resumed version was empty, so the
@@ -176,7 +178,14 @@ func (s *Service[E]) Subscribe(opt SubOptions) (*Subscription, error) {
 			return nil, fmt.Errorf("serve: subscribe shard %d: %w", i, err)
 		}
 	}
+	// Record the subscription against Close's collection: once Close has
+	// collected the live set it would never finalize this one, so refuse it.
 	s.subMu.Lock()
+	if s.subsClosed {
+		s.subMu.Unlock()
+		sub.Close()
+		return nil, ErrClosed
+	}
 	s.subs[sub] = struct{}{}
 	s.subMu.Unlock()
 	sub.notify() // deliver the seed frames
@@ -184,7 +193,7 @@ func (s *Service[E]) Subscribe(opt SubOptions) (*Subscription, error) {
 	return sub, nil
 }
 
-func (s *Service[E]) detachSub(sub *Subscription) {
+func (s *Service) detachSub(sub *Subscription) {
 	s.subMu.Lock()
 	delete(s.subs, sub)
 	s.subMu.Unlock()
@@ -196,7 +205,7 @@ func (s *Service[E]) detachSub(sub *Subscription) {
 // (results already refreshed); when ws.publishFull is set the worker offers
 // the full partition set instead, because the previous published state is not
 // a valid delta base (a lane change).
-func (s *Service[E]) publishSubs(ws *workerState[E], dirty []*partition[E]) {
+func (s *Service) publishSubs(ws *workerState, dirty []*partition) {
 	live := ws.subs[:0]
 	for _, ss := range ws.subs {
 		if ss.sub.closedNow() {
@@ -222,7 +231,7 @@ func (s *Service[E]) publishSubs(ws *workerState[E], dirty []*partition[E]) {
 // per partition). ok is false when the slot wants a lane the worker has not
 // installed (or the partition carries no lane values), in which case the
 // partition is not offered.
-func subLane[E any](ws *workerState[E], ss *subShard, p *partition[E]) (float64, bool) {
+func subLane(ws *workerState, ss *subShard, p *partition) (float64, bool) {
 	if !ss.hasLane {
 		return p.last, true
 	}
@@ -242,7 +251,7 @@ func subLane[E any](ws *workerState[E], ss *subShard, p *partition[E]) (float64,
 // of the same key overwrite earlier ones — that overwrite is the coalescing
 // that keeps a lagging subscriber's memory bounded while guaranteeing it
 // still converges on the newest values.
-func (s *Service[E]) offerDeltas(ws *workerState[E], ss *subShard, version uint64, dirty []*partition[E]) {
+func (s *Service) offerDeltas(ws *workerState, ss *subShard, version uint64, dirty []*partition) {
 	ss.mu.Lock()
 	if !ss.has {
 		ss.has = true
@@ -266,7 +275,7 @@ func (s *Service[E]) offerDeltas(ws *workerState[E], ss *subShard, version uint6
 // offerFull replaces the slot's pending frame with the shard's complete
 // state. Any pending incremental upserts are overwritten (their keys are a
 // subset of the live partitions), so a full offer is absorbing.
-func (s *Service[E]) offerFull(ws *workerState[E], ss *subShard, version uint64) {
+func (s *Service) offerFull(ws *workerState, ss *subShard, version uint64) {
 	ss.mu.Lock()
 	ss.has = true
 	ss.full = true

@@ -198,8 +198,8 @@ func TestSubscriptionBackpressure(t *testing.T) {
 }
 
 // TestVersionMonotonicPulls is the regression for the latent gap this layer
-// closes: two successive Version pulls must never decrease, even while every
-// shard is publishing concurrently.
+// closes: no shard's version may decrease between two successive
+// ShardVersions pulls, even while every shard is publishing concurrently.
 func TestVersionMonotonicPulls(t *testing.T) {
 	q := vwapSpec()
 	svc, err := ForQuery(q, []string{"sym"}, Options{Shards: 4, BatchSize: 8})
@@ -218,26 +218,28 @@ func TestVersionMonotonicPulls(t *testing.T) {
 				return
 			default:
 			}
-			if err := svc.Apply(events[i]); err != nil {
+			if err := svc.ApplyBatch(events[i : i+1]); err != nil {
 				return
 			}
 		}
 	}()
-	var last uint64
+	last := svc.ShardVersions()
 	for i := 0; i < 50000; i++ {
-		v := svc.Version()
-		if v < last {
-			t.Fatalf("version went backwards: %d after %d", v, last)
+		cur := svc.ShardVersions()
+		for j, sv := range cur {
+			if sv.Version < last[j].Version {
+				t.Fatalf("shard %d version went backwards: %d after %d", sv.Shard, sv.Version, last[j].Version)
+			}
 		}
-		last = v
+		last = cur
 	}
 	close(stop)
 	<-done
 }
 
-// TestDrainVersionBarrier checks Drain is a version barrier: the version
-// after Drain is strictly above every pre-write version, and a reader that
-// observes the post-Drain version observes all acknowledged writes.
+// TestDrainVersionBarrier checks Drain is a version barrier: every shard's
+// version after Drain is strictly above its pre-write version, and a reader
+// that observes the post-Drain versions observes all acknowledged writes.
 func TestDrainVersionBarrier(t *testing.T) {
 	q := vwapSpec()
 	svc, err := ForQuery(q, []string{"sym"}, Options{Shards: 2, BatchSize: 8})
@@ -248,18 +250,16 @@ func TestDrainVersionBarrier(t *testing.T) {
 	events := symEvents(3, 500, 7)
 	want := serialReference(t, q, events)
 
-	v0 := svc.Version()
-	for _, e := range events {
-		if err := svc.Apply(e); err != nil {
-			t.Fatal(err)
-		}
-	}
+	v0 := svc.ShardVersions()
+	applyEach(t, svc, events)
 	if err := svc.Drain(); err != nil {
 		t.Fatal(err)
 	}
-	v1 := svc.Version()
-	if v1 <= v0 {
-		t.Fatalf("Drain did not advance the version: %d -> %d", v0, v1)
+	v1 := svc.ShardVersions()
+	for i := range v1 {
+		if v1[i].Version <= v0[i].Version {
+			t.Fatalf("Drain did not advance shard %d's version: %d -> %d", i, v0[i].Version, v1[i].Version)
+		}
 	}
 	groups := svc.ResultGrouped()
 	if len(groups) != len(want) {
@@ -270,9 +270,11 @@ func TestDrainVersionBarrier(t *testing.T) {
 			t.Fatalf("post-Drain read: group %v = %v, want %v", g.Key, g.Value, want[g.Key[0]])
 		}
 	}
-	// Quiesced: a second pull observes an unchanged (never smaller) version.
-	if v2 := svc.Version(); v2 < v1 {
-		t.Fatalf("version decreased across pulls: %d after %d", v2, v1)
+	// Quiesced: a second pull observes unchanged (never smaller) versions.
+	for i, sv := range svc.ShardVersions() {
+		if sv.Version < v1[i].Version {
+			t.Fatalf("shard %d version decreased across pulls: %d after %d", i, sv.Version, v1[i].Version)
+		}
 	}
 }
 
@@ -403,15 +405,10 @@ func TestSubscribeResume(t *testing.T) {
 // TestSubscribeAllocGuard bounds the steady-state cost a stalled subscriber
 // imposes on the ingest path: merging a publication into the pending slot
 // must reuse the slot's map, not allocate per publication. The ceiling is per
-// 64-event batch, in the style of TestAllocGuardApplyBatch.
+// 64-event batch over four partitions, in the style of
+// TestAllocGuardApplyBatch.
 func TestSubscribeAllocGuard(t *testing.T) {
-	svc, err := New(Config[engine.Event]{
-		Shards: 1,
-		Partition: func(e engine.Event, buf []float64) []float64 {
-			return append(buf, e.Tuple["g"])
-		},
-		New: func([]float64) Executor[engine.Event] { return &sumExec{} },
-	})
+	svc, err := ForQuery(vwapSpec(), []string{"sym"}, Options{Shards: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -424,7 +421,7 @@ func TestSubscribeAllocGuard(t *testing.T) {
 
 	batch := make([]engine.Event, 64)
 	for i := range batch {
-		batch[i] = engine.Insert(map[string]float64{"g": float64(i % 4), "v": float64(i)})
+		batch[i] = allocTuple(float64(i%4), float64(i%8+1))
 	}
 	for i := 0; i < 8; i++ {
 		if err := svc.ApplyBatch(batch); err != nil {
@@ -444,5 +441,44 @@ func TestSubscribeAllocGuard(t *testing.T) {
 	}
 	if err := svc.Drain(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSubscribeCloseRace races Subscribe against the service's Close, many
+// times over: every Subscribe must either fail or hand back a subscription
+// whose Frames channel closes — one that slipped in after Close collected
+// the live set would leak its pump and never close.
+func TestSubscribeCloseRace(t *testing.T) {
+	const pairs = 2000
+	for i := 0; i < pairs; i++ {
+		svc, err := ForQuery(vwapSpec(), []string{"sym"}, Options{Shards: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := make(chan *Subscription, 1)
+		go func() {
+			sub, err := svc.Subscribe(SubOptions{})
+			if err != nil {
+				sub = nil
+			}
+			got <- sub
+		}()
+		svc.Close()
+		sub := <-got
+		if sub == nil {
+			continue
+		}
+		deadline := time.After(10 * time.Second)
+	frames:
+		for {
+			select {
+			case _, ok := <-sub.Frames():
+				if !ok {
+					break frames
+				}
+			case <-deadline:
+				t.Fatalf("pair %d: Subscribe succeeded but Close never finalized it", i)
+			}
+		}
 	}
 }

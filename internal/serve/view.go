@@ -68,18 +68,6 @@ func (v *View) Grouped() []engine.GroupResult {
 	return out
 }
 
-// Version returns the sum of the view's shard versions, comparable with
-// Service.Version at the same point in the stream.
-func (v *View) Version() uint64 {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	var total uint64
-	for _, vs := range v.shards {
-		total += vs.version
-	}
-	return total
-}
-
 // Versions returns the view's per-shard versions, the resume argument for a
 // reconnecting subscriber (pair with the service epoch).
 func (v *View) Versions() []ShardVersion {

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"rpai/internal/catalog"
-	"rpai/internal/engine"
 	"rpai/internal/serve"
 	"rpai/internal/sqlparse"
 )
@@ -74,7 +73,7 @@ func TestServerCatalogRoundtrip(t *testing.T) {
 		t2 := e.Tuple
 		t2["a"] = t2["price"] // the Eq query correlates on column a
 	}
-	refs := make([]*serve.Service[engine.Event], len(sqls))
+	refs := make([]*serve.Service, len(sqls))
 	for i, sql := range sqls {
 		q, err := sqlparse.Parse(sql)
 		if err != nil {

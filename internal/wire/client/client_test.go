@@ -277,10 +277,8 @@ func TestClientKillMidBatchDifferential(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ref.Close()
-	for _, e := range events {
-		if err := ref.Apply(e); err != nil {
-			t.Fatal(err)
-		}
+	if err := ref.ApplyBatch(events); err != nil {
+		t.Fatal(err)
 	}
 	if err := ref.Drain(); err != nil {
 		t.Fatal(err)

@@ -106,7 +106,7 @@ func TestMessageCodecs(t *testing.T) {
 	st := Stats{
 		Server: ServerStats{Accepted: 1, Shed: 2, InFlight: 3, ActiveConns: 4, Sessions: 5},
 		Shards: []serve.ShardStats{
-			{Shard: 0, Applied: 10, Flushed: 9, QueueDepth: 1, Partitions: 3, EnqueueWaitNS: 77, Rejected: 2},
+			{Shard: 0, Applied: 10, Flushed: 9, QueueDepth: 1, Partitions: 3, EnqueueWaitNS: 77, BatchSize: 64},
 			{Shard: 1, Applied: 20, Flushed: 20, QueueDepth: 0, Partitions: 5},
 		},
 		Queries: []QueryStats{{ID: 1, SetID: 1, Applied: 30, Rejected: 2, Subscribers: 1, Strategy: "relstate", SQL: "SELECT 1"}},

@@ -34,7 +34,7 @@ func fuzzSeedFrames() [][]byte {
 		body []byte
 	}{
 		{MsgHello, EncodeHello(nil, Hello{Version: Version, Session: [SessionIDLen]byte{1, 2, 3}})},
-		{MsgApply, ev},
+		{2, ev}, // the retired single-event apply: servers refuse it as unknown
 		{MsgApplyBatch, EncodeBatch(nil, 7, [][]byte{ev, ev})},
 		{MsgDrain, nil},
 		{MsgResult, nil},
@@ -105,8 +105,6 @@ func FuzzWireFrames(f *testing.F) {
 			switch tp {
 			case MsgHello:
 				DecodeHello(body)
-			case MsgApply:
-				engine.DecodeEvent(body)
 			case MsgApplyBatch:
 				if _, events, err := DecodeBatch(body); err == nil {
 					for _, ev := range events {

@@ -288,7 +288,6 @@ func EncodeStats(buf []byte, st Stats) []byte {
 		buf = le.AppendUint64(buf, uint64(s.QueueDepth))
 		buf = le.AppendUint64(buf, uint64(s.Partitions))
 		buf = le.AppendUint64(buf, s.EnqueueWaitNS)
-		buf = le.AppendUint64(buf, s.Rejected)
 		buf = le.AppendUint64(buf, uint64(s.BatchSize))
 	}
 	buf = le.AppendUint32(buf, uint32(len(st.Queries)))
@@ -319,7 +318,7 @@ func DecodeStats(p []byte) (Stats, error) {
 	}
 	n := le.Uint32(p[40:])
 	p = p[44:]
-	const per = 4 + 7*8
+	const per = 4 + 6*8
 	if n > maxStatsShards || int(n)*per > len(p) {
 		return st, fmt.Errorf("wire: stats shard count %d inconsistent with body", n)
 	}
@@ -332,8 +331,7 @@ func DecodeStats(p []byte) (Stats, error) {
 			QueueDepth:    int(le.Uint64(p[20:])),
 			Partitions:    int(le.Uint64(p[28:])),
 			EnqueueWaitNS: le.Uint64(p[36:]),
-			Rejected:      le.Uint64(p[44:]),
-			BatchSize:     int(le.Uint64(p[52:])),
+			BatchSize:     int(le.Uint64(p[44:])),
 		}
 		p = p[per:]
 	}

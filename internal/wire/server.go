@@ -18,9 +18,9 @@ import (
 // ServerConfig parameterizes the daemon. The zero value picks the defaults.
 type ServerConfig struct {
 	// MaxInFlight is the global admission limit: the number of work-carrying
-	// requests (apply, batch, drain, checkpoint) admitted but not yet
-	// completed, across all connections. Beyond it new work is shed with
-	// CodeOverloaded instead of queued (default 256). Read-only requests
+	// requests (batch, drain, checkpoint, register, unregister) admitted but
+	// not yet completed, across all connections. Beyond it new work is shed
+	// with CodeOverloaded instead of queued (default 256). Read-only requests
 	// (result, stats) bypass the limiter so the server stays observable
 	// under overload.
 	MaxInFlight int
@@ -77,8 +77,8 @@ type session struct {
 // Server is the TCP front door over a query catalog: it speaks the wire
 // protocol, pipelines per connection, sheds load past the admission limiter,
 // and deduplicates sequenced batches per session. Over a follower catalog
-// (catalog.Follow) it is read-only: every write-carrying request (apply,
-// batch, drain, checkpoint, register, unregister) is refused with
+// (catalog.Follow) it is read-only: every write-carrying request (batch,
+// drain, checkpoint, register, unregister) is refused with
 // CodeReadOnly before admission, so refused writes never consume tokens,
 // while reads and subscriptions are unaffected.
 type Server struct {
@@ -268,7 +268,7 @@ type connScratch struct {
 // subject to admission control.
 func needsToken(t MsgType) bool {
 	switch t {
-	case MsgApply, MsgApplyBatch, MsgDrain, MsgCheckpoint, MsgRegister, MsgUnregister:
+	case MsgApplyBatch, MsgDrain, MsgCheckpoint, MsgRegister, MsgUnregister:
 		return true
 	}
 	return false
@@ -554,19 +554,6 @@ func (s *Server) process(cs *connScratch, sess *session, it reqItem) (MsgType, [
 		return MsgError, EncodeError(nil, CodeReadOnly, "server is a read-only replica")
 	}
 	switch it.t {
-	case MsgApply:
-		ev, err := cs.dec.Decode(it.body)
-		if err != nil {
-			return MsgError, EncodeError(nil, CodeBadRequest, err.Error())
-		}
-		// Catalog ingest is all-queries-atomic, so there is no per-shard
-		// TryApply; the admission limiter already bounds the blocking.
-		if err := s.cat.Apply(ev); err != nil {
-			return errReply(err)
-		}
-		cs.body = EncodeAck(cs.body[:0], 1)
-		return MsgAck, cs.body
-
 	case MsgApplyBatch:
 		return s.processBatch(cs, sess, it.body)
 

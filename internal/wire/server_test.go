@@ -1,11 +1,15 @@
 package wire
 
 import (
+	"bytes"
 	"errors"
 	"io"
 	"math/rand"
 	"net"
 	"os"
+	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -194,10 +198,8 @@ func TestServerRoundtrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ref.Close()
-	for _, e := range events {
-		if err := ref.Apply(e); err != nil {
-			t.Fatal(err)
-		}
+	if err := ref.ApplyBatch(events); err != nil {
+		t.Fatal(err)
 	}
 	if err := ref.Drain(); err != nil {
 		t.Fatal(err)
@@ -206,12 +208,8 @@ func TestServerRoundtrip(t *testing.T) {
 	addr := startServer(t, oneQueryCatalog(t, catalog.Options{Shards: 4}), ServerConfig{Query: "vwap"})
 	rc := dialRaw(t, addr, 1)
 
-	// One single apply, then the rest in sequenced batches of 256.
-	rc.send(MsgApply, engine.EncodeEvent(nil, events[0]))
-	if tp, _, _ := rc.recv(); tp != MsgAck {
-		t.Fatalf("apply reply %s, want ack", tp)
-	}
-	raw := encodeEvents(events[1:])
+	// The trace in sequenced batches of 256.
+	raw := encodeEvents(events)
 	seq := uint64(0)
 	for i := 0; i < len(raw); i += 256 {
 		end := min(i+256, len(raw))
@@ -309,7 +307,7 @@ func TestServerOverloadSheds(t *testing.T) {
 	// Work must now be shed immediately.
 	probe.send(MsgApplyBatch, batch)
 	probe.errCode(CodeOverloaded)
-	probe.send(MsgApply, ev)
+	probe.send(MsgCheckpoint, nil)
 	probe.errCode(CodeOverloaded)
 	probe.send(MsgDrain, nil)
 	probe.errCode(CodeOverloaded)
@@ -349,10 +347,10 @@ func TestServerOverloadSheds(t *testing.T) {
 
 // TestServerVersionMismatch pins the handshake refusal: there is one
 // protocol version, and a hello carrying any other — newer, or one of the
-// retired versions 2 through 4 — gets CodeVersion.
+// retired versions 2 through 5 — gets CodeVersion.
 func TestServerVersionMismatch(t *testing.T) {
 	addr := startServer(t, oneQueryCatalog(t, catalog.Options{}), ServerConfig{})
-	for _, v := range []uint32{Version + 7, Version + 1, 4, 3, 2, 0} {
+	for _, v := range []uint32{Version + 7, Version + 1, 5, 4, 3, 2, 0} {
 		nc, err := net.Dial("tcp", addr)
 		if err != nil {
 			t.Fatal(err)
@@ -426,6 +424,55 @@ func TestServerSurvivesGarbage(t *testing.T) {
 	if tp, _, _ := rc.recv(); tp != MsgScalar {
 		t.Fatalf("healthy connection got %s", tp)
 	}
+
+	// The committed fuzz inputs carrying the retired single-event apply (type
+	// 2) are refused as unknown requests on a live session, which keeps
+	// serving.
+	retired := 0
+	for _, frame := range corpusFrames(t) {
+		payload, err := ReadFrame(bytes.NewReader(frame), 0)
+		if err != nil {
+			continue
+		}
+		if tp, _, body, err := DecodeMsg(payload); err == nil && tp == 2 {
+			retired++
+			rc.send(tp, body)
+			rc.errCode(CodeBadRequest)
+			rc.send(MsgResult, nil)
+			if tp, _, _ := rc.recv(); tp != MsgScalar {
+				t.Fatalf("connection after a type-2 request got %s", tp)
+			}
+		}
+	}
+	if retired == 0 {
+		t.Fatal("no committed FuzzWireFrames input carries type 2")
+	}
+}
+
+// corpusFrames reads the committed FuzzWireFrames seed inputs.
+func corpusFrames(t *testing.T) [][]byte {
+	t.Helper()
+	files, err := filepath.Glob(filepath.Join("testdata", "fuzz", "FuzzWireFrames", "*"))
+	if err != nil || len(files) == 0 {
+		t.Fatalf("FuzzWireFrames corpus: %d files, %v", len(files), err)
+	}
+	var out [][]byte
+	for _, f := range files {
+		b, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, lit, ok := strings.Cut(strings.TrimSpace(string(b)), "\n[]byte(")
+		if !ok || !strings.HasSuffix(lit, ")") {
+			t.Fatalf("%s: not a go test fuzz v1 []byte input", f)
+		}
+		v, err := strconv.Unquote(strings.TrimSuffix(lit, ")"))
+		if err != nil {
+			t.Fatalf("%s: %v", f, err)
+		}
+		out = append(out, []byte(v))
+	}
+	return out
 }
 
 // TestServerCheckpointRPC triggers a checkpoint over the wire: the data

@@ -170,8 +170,6 @@ func TestServerReadOnly(t *testing.T) {
 
 	rc := dialRaw(t, addr, 7)
 	ev := engine.EncodeEvent(nil, events1())
-	rc.send(MsgApply, ev)
-	rc.errCode(CodeReadOnly)
 	rc.send(MsgApplyBatch, EncodeBatch(nil, 1, [][]byte{ev}))
 	rc.errCode(CodeReadOnly)
 	rc.send(MsgDrain, nil)

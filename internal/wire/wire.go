@@ -50,7 +50,7 @@ import (
 // server refuses a hello carrying any other with CodeVersion, and the client
 // offers no other; a peer built from another version of this package must be
 // rebuilt.
-const Version = 5
+const Version = 6
 
 // DefaultMaxFrame bounds a frame payload (8 MiB) unless overridden: large
 // enough for multi-thousand-event batches and wide grouped results, small
@@ -63,11 +63,12 @@ const SessionIDLen = 16
 // MsgType identifies a frame's message.
 type MsgType uint8
 
-// Request messages (client to server).
+// Request messages (client to server). Type 2 is reserved: it was the
+// unsequenced single-event apply of versions up to 5, and a server answers it
+// like any unknown request type (CodeBadRequest, connection kept).
 const (
 	MsgHello         MsgType = 1 // handshake: version + session id
-	MsgApply         MsgType = 2 // single event, fire-with-ack
-	MsgApplyBatch    MsgType = 3 // sequenced event batch (the bulk ingestion path)
+	MsgApplyBatch    MsgType = 3 // sequenced event batch (the only ingest message)
 	MsgDrain         MsgType = 4 // barrier: ack after all prior events are applied and durable
 	MsgResult        MsgType = 5 // scalar result read (default query)
 	MsgResultGrouped MsgType = 6 // per-partition grouped result read (default query)
@@ -131,8 +132,6 @@ func (t MsgType) String() string {
 	switch t {
 	case MsgHello:
 		return "hello"
-	case MsgApply:
-		return "apply"
 	case MsgApplyBatch:
 		return "apply-batch"
 	case MsgDrain:
@@ -209,8 +208,8 @@ const (
 	// CodeInternal: an unexpected server-side failure.
 	CodeInternal Code = 6
 	// CodeReadOnly: the server fronts a follower catalog; write-carrying
-	// requests (apply, batch, drain, checkpoint, register, unregister) are
-	// refused. Point writes at the primary.
+	// requests (batch, drain, checkpoint, register, unregister) are refused.
+	// Point writes at the primary.
 	CodeReadOnly Code = 7
 )
 
