@@ -4,9 +4,9 @@
 
 # CI's test job: tier-1 (build, vet, every unit test), the stack benchmark's
 # build and unit tests, the allocation guards re-run uncached (steady-state
-# hot paths stay allocation-free: both tree representations, the engine event
-# codec, serve's ApplyBatch on an engine plan), and an end-to-end smoke of
-# every retained rpaibench experiment.
+# hot paths stay allocation-free: the pointer and arena RPAI trees, the level
+# tree, the engine event codec, serve's ApplyBatch on an engine plan), and an
+# end-to-end smoke of every retained rpaibench experiment.
 test: benchmark-check
 	go build ./... && go vet ./... && go test ./...
 	go test -run 'TestAllocGuard' -count 1 ./internal/rpai/ ./internal/engine/ ./internal/serve/
@@ -55,7 +55,7 @@ bench:
 	go test -bench=. -benchmem ./...
 
 # Core micro-benchmarks: the tree operations, pointer vs arena side by side,
-# and the range-shift executor's per-event cost at the stack benchmark's
+# and the relation-state executor's per-event cost at the stack benchmark's
 # deep-index and wide-shallow tree sizes.
 bench-core:
 	go test -run '^$$' -bench 'BenchmarkTree(Put|Add|GetSum|Delete)' -benchmem \
@@ -80,7 +80,7 @@ examples:
 # (a CI job) run the same list and differ only in time per target.
 FUZZ_TARGETS := \
 	internal/rpai:FuzzTreeOps \
-	internal/rpai:FuzzPairOps \
+	internal/rpai:FuzzLevelTree \
 	internal/rpaibtree:FuzzBTreeVsBinary \
 	internal/engine:FuzzEngineDifferential \
 	internal/engine:FuzzBatchEquivalence \

@@ -3,8 +3,9 @@
 // supporting prefix sums and key-range shifting. The hand-written executors
 // of package queries and the benchmarks use it to swap the index structure
 // (the ablation axis of the paper's section 3, Table 1 and Figures 7-9); the
-// engine does not — it builds the two-lane arena tree (rpai.ArenaPair) and
-// the PAI map directly, so the serving build links none of the others.
+// engine does not — it builds the level tree (rpai.LevelTree, an RPAI whose
+// keys are held implicitly as weight-lane prefix sums) and the PAI map
+// directly, so the serving build links none of the others.
 //
 // Six implementations:
 //

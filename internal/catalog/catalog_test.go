@@ -106,6 +106,24 @@ func groupsEqual(a, b []engine.GroupResult) bool {
 	return true
 }
 
+// TestCatalogExplainColumnPredicate: a column-vs-aggregate predicate runs on
+// the relation-state executor, and EXPLAIN names the level tree backing it.
+func TestCatalogExplainColumnPredicate(t *testing.T) {
+	cat, err := New(Options{PartitionBy: []string{"sym"}, Shards: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cat.Close()
+	_, ex, err := cat.Register(`SELECT SUM(b.price * b.volume) FROM bids b
+WHERE b.price < 0.001 * (SELECT SUM(b1.volume) FROM bids b1)`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ex.Strategy != "relstate" || ex.IndexKind != "level-tree" || ex.KeyCol != "price" {
+		t.Fatalf("column-predicate explain = %+v", ex)
+	}
+}
+
 func TestCatalogRegisterSharingExplain(t *testing.T) {
 	cat, err := New(Options{PartitionBy: []string{"sym"}, Shards: 2, BatchSize: 16})
 	if err != nil {

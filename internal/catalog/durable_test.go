@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"strings"
@@ -662,5 +663,57 @@ func TestOptionsValidatedBeforeDir(t *testing.T) {
 		if after := dirListing(t, dir); after != before {
 			t.Fatalf("refused recovery wrote to the directory:\nbefore %s\nafter  %s", before, after)
 		}
+	}
+}
+
+// TestCatalogInexactWeightsRecover logs and replays ROADMAP item 1's crash
+// trace: integer prices, volumes k·0.1 (every running volume sum rounds),
+// 30 % deletes of live rows. Before the level tree a shard worker panicked on
+// such a batch after the catalog had logged it, so Recover replayed the batch
+// and panicked again. Now every batch must apply, and Recover must replay
+// the checkpoint and the log to the state the uninterrupted catalog reached,
+// bit for bit.
+func TestCatalogInexactWeightsRecover(t *testing.T) {
+	dir := t.TempDir()
+	cat, err := New(Options{PartitionBy: []string{"sym"}, Shards: 2, BatchSize: 16, Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cat.Close()
+	if _, _, err := cat.Register(sqlVWAP); err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(11))
+	var live []query.Tuple
+	var events []engine.Event
+	for len(events) < 1200 {
+		if len(live) > 0 && rng.Float64() < 0.3 {
+			j := rng.Intn(len(live))
+			events = append(events, engine.Delete(live[j]))
+			live[j] = live[len(live)-1]
+			live = live[:len(live)-1]
+			continue
+		}
+		tup := query.Tuple{"sym": float64(rng.Intn(3)), "price": float64(rng.Intn(50)), "volume": 0.1 * float64(rng.Intn(9)+1)}
+		live = append(live, tup)
+		events = append(events, engine.Insert(tup))
+	}
+	batches := chunk(events, 32)
+	for i, b := range batches {
+		if i == len(batches)/2 {
+			if err := cat.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := cat.ApplyBatch(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := cat.DrainAll(); err != nil {
+		t.Fatal(err)
+	}
+	crash := crashCopy(t, dir)
+	if diff := diffState(recoverState(t, crash), readState(t, cat)); diff != "" {
+		t.Fatalf("recovered catalog: %s", diff)
 	}
 }

@@ -14,7 +14,7 @@ type Explain struct {
 	Canonical string // canonical rendering (the sharing identity)
 
 	Strategy   string   // "naive" | "general" | "relstate" | "aggindex"
-	IndexKind  string   // "pai" | "rpai-arena" | "treemap" | "" for no index
+	IndexKind  string   // "pai" | "rpai-arena" | "level-tree" | "" for no index
 	KeyCol     string   // column keying the aggregate index
 	SubOp      string   // correlation operator of the indexed predicate
 	Agg        string   // outer aggregate expression

@@ -417,16 +417,20 @@ func TestTreeMapCodecCanonical(t *testing.T) {
 }
 
 // TestIndexCodecAllKinds covers every index kind tag a stream can carry:
-// the PAI map and the two-lane RPAI pair round-trip byte-identically, and a
-// stream of any other kind where one of them belongs — the btree, sorted and
-// Fenwick tags the engine no longer builds, or a single RPAI lane where the
-// PAI map belongs — is refused with an error naming the kind.
+// the PAI map and the level tree round-trip byte-identically, the parent
+// layout's two RPAI lane streams convert, and a stream of any other kind
+// where one of them belongs — the btree, sorted and Fenwick tags the engine
+// no longer builds, a single RPAI lane or a level tree where the PAI map
+// belongs, a PAI map where a level tree or an RPAI lane belongs — is refused
+// with an error naming the kind.
 func TestIndexCodecAllKinds(t *testing.T) {
 	m := paimap.New()
-	p := rpai.NewArenaPair()
+	lt := rpai.NewLevelTree()
+	lane := rpai.NewArena()
 	for _, kv := range [][2]float64{{10, 3}, {4, 1}, {7.5, 2}, {-2, 5}} {
 		m.Add(kv[0], kv[1])
-		p.Add(kv[0], 1, kv[1])
+		lt.Add(kv[0], 1, 1, kv[1])
+		lane.Add(kv[0], kv[1])
 	}
 	encode := func(write func(*Encoder)) []byte {
 		t.Helper()
@@ -452,18 +456,32 @@ func TestIndexCodecAllKinds(t *testing.T) {
 		t.Fatal("pai: re-encode is not byte-identical")
 	}
 
-	pairBytes := encode(func(e *Encoder) { e.IndexPair(p) })
-	d = NewDecoder(bytes.NewReader(pairBytes))
-	gotPair := d.IndexPair()
+	levelBytes := encode(func(e *Encoder) { e.Levels(lt) })
+	d = NewDecoder(bytes.NewReader(levelBytes))
+	gotLevels := d.Levels()
 	if err := d.Err(); err != nil {
 		t.Fatal(err)
 	}
-	if re := encode(func(e *Encoder) { e.IndexPair(gotPair) }); !bytes.Equal(re, pairBytes) {
-		t.Fatal("rpai pair: re-encode is not byte-identical")
+	if re := encode(func(e *Encoder) { e.Levels(gotLevels) }); !bytes.Equal(re, levelBytes) {
+		t.Fatal("levels: re-encode is not byte-identical")
+	}
+
+	// The parent layout: one RPAI stream per lane, zipped with the keys.
+	var laneStream bytes.Buffer
+	if err := lane.Encode(&laneStream); err != nil {
+		t.Fatal(err)
+	}
+	rpaiBytes := encode(func(e *Encoder) {
+		e.U8(idxRPAI)
+		e.Bytes(laneStream.Bytes())
+	})
+	d = NewDecoder(bytes.NewReader(append(append([]byte{}, rpaiBytes...), rpaiBytes...)))
+	if parent := d.ParentLevels([]float64{-20, 40, 75, 100}, []float64{1, 1, 1, 1}); d.Err() != nil || parent.Len() != 4 {
+		t.Fatalf("parent lanes: %v", d.Err())
 	}
 
 	// The retired kinds wrote the same entry list as the PAI map under their
-	// own tag; a single RPAI lane is the first half of the pair stream.
+	// own tag.
 	entries := paiBytes[1:]
 	for _, tc := range []struct {
 		name   string
@@ -473,9 +491,12 @@ func TestIndexCodecAllKinds(t *testing.T) {
 		{"btree", append([]byte{idxBTree}, entries...), func(d *Decoder) { d.Index() }},
 		{"sorted", append([]byte{idxSorted}, entries...), func(d *Decoder) { d.Index() }},
 		{"fenwick", append([]byte{idxFenwick}, entries...), func(d *Decoder) { d.Index() }},
-		{"rpai", pairBytes, func(d *Decoder) { d.Index() }},
-		{"btree", append(append([]byte{idxBTree}, entries...), append([]byte{idxBTree}, entries...)...), func(d *Decoder) { d.IndexPair() }},
-		{"pai", append(paiBytes, paiBytes...), func(d *Decoder) { d.IndexPair() }},
+		{"rpai", rpaiBytes, func(d *Decoder) { d.Index() }},
+		{"levels", levelBytes, func(d *Decoder) { d.Index() }},
+		{"pai", paiBytes, func(d *Decoder) { d.Levels() }},
+		{"rpai", rpaiBytes, func(d *Decoder) { d.Levels() }},
+		{"btree", append(append([]byte{idxBTree}, entries...), append([]byte{idxBTree}, entries...)...), func(d *Decoder) { d.ParentLevels(nil, nil) }},
+		{"pai", append(paiBytes, paiBytes...), func(d *Decoder) { d.ParentLevels(nil, nil) }},
 	} {
 		d := NewDecoder(bytes.NewReader(tc.stream))
 		tc.read(d)

@@ -13,32 +13,34 @@ import (
 
 // This file encodes the engine's index structures. Two regimes:
 //
-//   - The RPAI tree has its own structural codec (rpai.Encode/Decode) that
-//     preserves the exact node layout — parent-relative keys, subtree sums,
-//     link colors — so a restored tree is bit-identical, not merely
-//     equivalent. A relation state's two-lane tree is written as two such
-//     streams, one per lane, each embedded length-prefixed because the
-//     decoder buffers its reader and would otherwise over-read the enclosing
-//     stream.
+//   - The level tree (a relation state's per-predicate index) has its own
+//     structural codec (rpai.LevelTree.Encode/DecodeLevelTree) that preserves
+//     the exact node layout — shape, link colours, lanes — so a restored tree
+//     is bit-identical, not merely equivalent. It is embedded length-prefixed
+//     because the decoder buffers its reader and would otherwise over-read the
+//     enclosing stream; so are the two RPAI lane streams of the layout it
+//     replaced, which ParentLevels still reads.
 //   - Every other structure (treemaps, float maps, the equality executor's
 //     PAI map) is encoded as its canonical sorted entry list and rebuilt by
 //     insertion. Entry lists are canonical regardless of the in-memory shape,
 //     so encode(decode(encode(x))) == encode(x) holds for them too.
 
 // Index kind tags in encoded streams. Stable on-disk values: never renumber.
-// The engine writes only idxRPAI (relation-state lanes) and idxPAI (the
-// equality executor's map); the other three name index kinds it no longer
-// builds, kept so a stream carrying one is refused by name.
+// The engine writes only idxLevels (relation state) and idxPAI (the equality
+// executor's map), and reads idxRPAI in the relation-state layout that
+// preceded idxLevels; the other three name index kinds it no longer builds,
+// kept so a stream carrying one is refused by name.
 const (
 	idxRPAI    = 1
 	idxBTree   = 2
 	idxPAI     = 3
 	idxSorted  = 4
 	idxFenwick = 5
+	idxLevels  = 6
 )
 
 // kindNames names each tag in refusal errors.
-var kindNames = [...]string{idxRPAI: "rpai", idxBTree: "btree", idxPAI: "pai", idxSorted: "sorted", idxFenwick: "fenwick"}
+var kindNames = [...]string{idxRPAI: "rpai", idxBTree: "btree", idxPAI: "pai", idxSorted: "sorted", idxFenwick: "fenwick", idxLevels: "levels"}
 
 // TreeMap encodes t as its sorted entry list. t must be non-nil; callers
 // encode structure presence separately (it is derivable from the query).
@@ -126,19 +128,14 @@ func (e *Encoder) Index(m *paimap.Map) {
 	})
 }
 
-// IndexPair encodes the two lanes of p as two consecutive RPAI index streams,
-// byte for byte what two single-lane trees maintained under p's keys with
-// lane 0's and lane 1's values would write. Both streams come from one walk
-// of the tree.
-func (e *Encoder) IndexPair(p *rpai.ArenaPair) {
-	var b0, b1 bytes.Buffer
+// Levels encodes a relation state's level tree under its kind tag.
+func (e *Encoder) Levels(t *rpai.LevelTree) {
+	var b bytes.Buffer
 	if e.err == nil {
-		e.err = p.Encode(&b0, &b1)
+		e.err = t.Encode(&b)
 	}
-	e.U8(idxRPAI)
-	e.Bytes(b0.Bytes())
-	e.U8(idxRPAI)
-	e.Bytes(b1.Bytes())
+	e.U8(idxLevels)
+	e.Bytes(b.Bytes())
 }
 
 // Index decodes a PAI map written by Encoder.Index. A stream of any other
@@ -154,11 +151,29 @@ func (d *Decoder) Index() *paimap.Map {
 	return m
 }
 
-// IndexPair decodes the two RPAI streams written by Encoder.IndexPair, zipped
-// into one two-lane tree node by node as they are read; a difference in
-// shape, colours or keys fails the decode, and a stream of any other kind is
-// refused with an error naming it.
-func (d *Decoder) IndexPair() *rpai.ArenaPair {
+// Levels decodes a level tree written by Encoder.Levels. A stream of any
+// other kind is refused with an error naming it.
+func (d *Decoder) Levels() *rpai.LevelTree {
+	d.kind(idxLevels)
+	b := d.Bytes()
+	if d.err != nil {
+		return nil
+	}
+	t, err := rpai.DecodeLevelTree(bytes.NewReader(b))
+	if err != nil {
+		d.Fail(err)
+		return nil
+	}
+	return t
+}
+
+// ParentLevels reads the index half of the relation-state layout that
+// preceded the level tree — two idxRPAI streams, the count and term lanes of
+// an RPAI keyed by running weight sums — and converts it with the level keys
+// and weights (the layout's treemap entries, in the RPAI's key order) through
+// rpai.DecodeParentLevels. Lane streams that disagree on structure fail the
+// decode, and a stream of any other kind is refused with an error naming it.
+func (d *Decoder) ParentLevels(keys, weights []float64) *rpai.LevelTree {
 	var lanes [2][]byte
 	for i := range lanes {
 		d.kind(idxRPAI)
@@ -167,12 +182,12 @@ func (d *Decoder) IndexPair() *rpai.ArenaPair {
 	if d.err != nil {
 		return nil
 	}
-	pair, err := rpai.DecodeArenaPair(bytes.NewReader(lanes[0]), bytes.NewReader(lanes[1]))
+	t, err := rpai.DecodeParentLevels(bytes.NewReader(lanes[0]), bytes.NewReader(lanes[1]), keys, weights)
 	if err != nil {
 		d.Fail(err)
 		return nil
 	}
-	return pair
+	return t
 }
 
 // kind reads an index kind tag and fails the decode unless it is want.

@@ -12,14 +12,19 @@ import (
 var ErrBadEvent = errors.New("engine: event cannot be maintained")
 
 // Admission returns the check that tells whether the executor New builds for
-// q can maintain an event at all. Executors assume it: the range-shift
-// executor's index keys are running sums of the correlated subquery's inner
-// weights, which keeps distinct levels on distinct keys only while every
-// weight is positive, and it panics otherwise; a non-finite key, term or X
-// either panics in the index or poisons a sum for good. A server therefore
-// runs the check on input it did not generate before the event is logged or
-// applied — a refused event must leave no trace, or replaying the log fails
-// the same way.
+// q can maintain an event at all. Executors assume it. The relation-state
+// executor keys its level tree by the key column, which must be finite. Under
+// a correlated predicate it reads each level's correlated aggregate as a
+// prefix sum of the inner weights and finds a threshold's qualifying levels
+// by descending on those sums, which needs them monotone — so every weight
+// must be positive, and a non-positive one panics in apply. Inexact weights
+// (0.1 and the like) are admitted and can no longer panic the index: no key
+// is derived from arithmetic. What they can still do is round a prefix sum
+// that ties the threshold in exact arithmetic to either side of it, as the
+// naive oracle's own sums may round it differently (DESIGN §4b). A non-finite
+// term or X poisons a sum for good. A server therefore runs the check on
+// input it did not generate before the event is logged or applied — a
+// refused event must leave no trace, or replaying the log fails the same way.
 //
 // The plan is read off a constructed executor (as Describe does), so the
 // check cannot disagree with execution.
@@ -29,12 +34,12 @@ func Admission(q *query.Query) (func(Event) error, error) {
 		return nil, err
 	}
 	var (
-		keyCol string     // correlation column of a range-shift plan
+		keyCol string     // key column of a relation-state plan's level tree
 		weight query.Expr // its inner contribution, when summed rather than counted
 	)
-	if rx, ok := ex.(*relStateExec); ok && rx.rs.plan.kind == PredCorrelated {
+	if rx, ok := ex.(*relStateExec); ok {
 		keyCol = rx.rs.plan.keyCol
-		if rx.rs.plan.corr.Kind == query.Sum {
+		if rx.rs.plan.kind == PredCorrelated && rx.rs.plan.corr.Kind == query.Sum {
 			weight = rx.rs.plan.corr.Of
 		}
 	}
@@ -50,7 +55,7 @@ func Admission(q *query.Query) (func(Event) error, error) {
 			return nil
 		}
 		if k := e.Tuple[keyCol]; !finite(k) {
-			return fmt.Errorf("%w: correlation column %s is %v", ErrBadEvent, keyCol, k)
+			return fmt.Errorf("%w: key column %s is %v", ErrBadEvent, keyCol, k)
 		}
 		if weight != nil {
 			if w := weight.Eval(e.Tuple); !(w > 0) || math.IsInf(w, 0) {

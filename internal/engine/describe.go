@@ -15,7 +15,7 @@ import (
 // of EXPLAIN, surfaced per registered query by the catalog.
 type Plan struct {
 	Strategy   string   // "naive" | "general" | "aggindex" | "relstate"
-	IndexKind  string   // "pai" | "rpai-arena" | "treemap" | "" (no index)
+	IndexKind  string   // "pai" | "rpai-arena" | "level-tree" | "" (no index)
 	KeyCol     string   // correlation / compared column keying the index
 	SubOp      string   // correlation operator of the indexed predicate
 	Agg        string   // outer aggregate expression
@@ -53,11 +53,13 @@ func Describe(q *query.Query) (Plan, error) {
 		pl.KeyCol = e.rs.plan.keyCol
 		switch e.rs.plan.kind {
 		case PredCorrelated:
+			// An RPAI on the arena with its relative keys held implicitly,
+			// as the weight lane's prefix sums of the level tree (DESIGN §4b).
 			pl.SubOp = e.rs.plan.subOp.String()
 			pl.IndexKind = "rpai-arena"
 		case PredColumn:
 			pl.SubOp = e.rs.plan.thetaCorrFirst.String()
-			pl.IndexKind = "treemap"
+			pl.IndexKind = "level-tree"
 		}
 	}
 	return pl, nil

@@ -21,6 +21,7 @@ func TestDescribe(t *testing.T) {
 		keyCol   string
 	}{
 		{"vwap-le", vwapSpec(), "relstate", "rpai-arena", "price"},
+		{"column-level-tree", columnSpec(), "relstate", "level-tree", "price"},
 		{"eq1-pai", eq1Spec(), "aggindex", "pai", "a"},
 		{"nested-general", nq1Spec(), "general", "", ""},
 		{"two-pred-general", twoPredSpec(), "general", "", ""},
@@ -176,5 +177,18 @@ func TestPredSigDeterministic(t *testing.T) {
 			t.Errorf("%s: PredSig(a)==PredSig(b) = %v, want %v\n a %s\n b %s",
 				tc.name, sa == sb, tc.same, sa, sb)
 		}
+	}
+}
+
+// columnSpec is a column-vs-aggregate predicate (the PredColumn shape):
+// SUM(price*volume) WHERE price < 0.5 * SUM(volume).
+func columnSpec() *query.Query {
+	return &query.Query{
+		Agg: query.Mul(query.Col("price"), query.Col("volume")),
+		Preds: []query.Predicate{{
+			Left:  query.ValExpr(query.Col("price")),
+			Op:    query.Lt,
+			Right: query.ValSub(0.5, &query.Subquery{Kind: query.Sum, Of: query.Col("volume")}),
+		}},
 	}
 }

@@ -7,9 +7,11 @@
 //     by the outer columns the predicates read,
 //   - AggIndex: the aggregate-index optimization (section 4.3, Algorithm 4)
 //     for queries matching the PlanAggIndex pattern — a PAI map for
-//     equality correlations (AggIndexExec), one two-lane arena RPAI tree per
-//     correlated predicate for inequality correlations (relStateExec). These
-//     are the only index structures the engine builds.
+//     equality correlations (AggIndexExec), one level tree per predicate for
+//     inequality correlations and column predicates (relStateExec): an RPAI
+//     on the arena whose keys, the correlated aggregates, are held as
+//     weight-lane prefix sums instead of being stored and shifted. These are
+//     the only index structures the engine builds.
 //
 // New picks the best applicable strategy, mirroring the identification step
 // the paper describes for a query optimizer (section 4.3.1). The hand-tuned
@@ -53,7 +55,8 @@ type Executor interface {
 // New returns the best incremental executor for the query: the aggregate-
 // index strategy when the section 4.3 pattern applies (equality correlations
 // via PAI point moves; <=, <, >=, > correlations and column-vs-aggregate
-// predicates via RPAI range shifts on the arena tree), the general algorithm
+// predicates via the level tree, where a range shift is one weight-lane
+// update), the general algorithm
 // otherwise. It returns an error for queries outside the maintainable
 // fragment (section 4.2.5).
 func New(q *query.Query) (Executor, error) {
@@ -86,8 +89,8 @@ func noNested(q *query.Query) bool {
 
 // relStateExec adapts the multi-relation per-relation machinery (all four
 // inequality orientations plus column predicates) to single-relation
-// queries. The relState is the StateSet half (it maintains both a count and
-// a term index regardless of the outer aggregate); the outer kind is the
+// queries. The relState is the StateSet half (its level tree maintains both
+// a count and a term lane regardless of the outer aggregate); the outer kind is the
 // probe half, deciding which side(s) Result reads: the term sum for SUM, the
 // count for COUNT, their quotient for AVG.
 type relStateExec struct {

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -334,4 +335,132 @@ func TestAggIndexPositiveContributionContract(t *testing.T) {
 		}
 	}()
 	ex.Apply(Insert(query.Tuple{"price": 10, "volume": 0}))
+}
+
+// inexactTrace is ROADMAP item 1's crash trace: integer prices 0–49, volumes
+// k·0.1 (k = 1…9) — not representable, so every running volume sum rounds —
+// and 30 % deletes of live rows.
+func inexactTrace(seed int64, n int) []Event {
+	rng := rand.New(rand.NewSource(seed))
+	var live []query.Tuple
+	events := make([]Event, 0, n)
+	for len(events) < n {
+		if len(live) > 0 && rng.Float64() < 0.3 {
+			j := rng.Intn(len(live))
+			events = append(events, Delete(live[j]))
+			live[j] = live[len(live)-1]
+			live = live[:len(live)-1]
+			continue
+		}
+		t := query.Tuple{"price": float64(rng.Intn(50)), "volume": 0.1 * float64(rng.Intn(9)+1)}
+		live = append(live, t)
+		events = append(events, Insert(t))
+	}
+	return events
+}
+
+// TestInexactWeightsNeverPanic drives the VWAP plan under each correlation
+// operator through inexact-volume traces, 40 seeds each. Before the level
+// tree the index keyed each level by a running volume sum, found it again by
+// float equality after a shift, and panicked (index out of range [-1]) when
+// the lookup landed an ulp off — on all 40 seeds of every operator. Now no
+// key is derived from arithmetic: every event must be admitted and applied,
+// and every Result must stay within almostEqual of the naive oracle (or of
+// the live terms' magnitude, for a result that cancels to about 0) — except
+// where ROADMAP item 1's remaining divergence applies: a level whose exact
+// correlated sum equals the exact threshold (volumes are tenths, the scale
+// 3/4, so such ties are common) qualifies or not by how each side rounded its
+// sums, and the engine and the oracle sum in different orders. Those events
+// are detected in exact integer arithmetic, skipped and counted. -short (the
+// race job) runs 8 of the seeds: the oracle is quadratic per read.
+func TestInexactWeightsNeverPanic(t *testing.T) {
+	seeds := int64(40)
+	if testing.Short() {
+		seeds = 8
+	}
+	for _, op := range []query.CmpOp{query.Lt, query.Le, query.Gt, query.Ge} {
+		q := vwapSpec()
+		q.Preds[0].Right.Sub.Where.Op = op
+		admit, err := Admission(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ties := 0
+		for seed := int64(1); seed <= seeds; seed++ {
+			ex, err := New(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			naive := NewNaive(q)
+			for i, e := range inexactTrace(seed, 400) {
+				if err := admit(e); err != nil {
+					t.Fatalf("%s seed %d event %d: refused: %v", op, seed, i, err)
+				}
+				ex.Apply(e)
+				naive.Apply(e)
+				if exactTie(naive.live, op) {
+					ties++
+					continue
+				}
+				// almostEqual, but relative to the live terms' magnitude as
+				// well: a suffix read is the total minus a prefix, so a
+				// result that cancels to about 0 keeps the total's rounding.
+				var scale float64
+				for _, t := range naive.live {
+					scale += math.Abs(q.Agg.Eval(t))
+				}
+				if got, want := ex.Result(), naive.Result(); !almostEqual(got, want) && math.Abs(got-want) > 1e-9*scale {
+					t.Fatalf("%s seed %d event %d: engine %v, naive %v", op, seed, i, got, want)
+				}
+			}
+		}
+		t.Logf("%s: %d of %d results skipped at an exact threshold tie", op, ties, seeds*400)
+	}
+}
+
+// exactTie reports whether, over live rows with volumes k/10, some price
+// level's correlated volume sum (over the levels whose price compares op to
+// its own) equals 0.75 times the total volume in exact arithmetic:
+// 4·Σk == 3·Σk_all.
+func exactTie(live []query.Tuple, op query.CmpOp) bool {
+	tenths := map[float64]int{}
+	total := 0
+	for _, t := range live {
+		k := int(math.Round(10 * t["volume"]))
+		tenths[t["price"]] += k
+		total += k
+	}
+	for p := range tenths {
+		sum := 0
+		for q, k := range tenths {
+			if op.Compare(q, p) {
+				sum += k
+			}
+		}
+		if 4*sum == 3*total {
+			return true
+		}
+	}
+	return false
+}
+
+// TestAdmissionRefusesNonFiniteColumnKey: a column predicate's level tree is
+// keyed by the compared column, and the tree refuses a non-finite key by
+// panicking, so admission must refuse it first — here on a query whose term
+// does not read the column, so only the key check can catch it.
+func TestAdmissionRefusesNonFiniteColumnKey(t *testing.T) {
+	q := columnSpec()
+	q.Agg = query.Col("volume")
+	admit, err := Admission(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if err := admit(Insert(query.Tuple{"price": bad, "volume": 1})); !errors.Is(err, ErrBadEvent) {
+			t.Errorf("price %v: admission error %v, want ErrBadEvent", bad, err)
+		}
+	}
+	if err := admit(Insert(query.Tuple{"price": 3.5, "volume": 1})); err != nil {
+		t.Errorf("finite price refused: %v", err)
+	}
 }

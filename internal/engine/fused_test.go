@@ -16,16 +16,21 @@ import (
 	"rpai/internal/treemap"
 )
 
-// Tests for the fused form of relState: one two-lane aggregate index in
-// place of the count and term trees, and one byKey descent per event. The
-// reference throughout is what the fused form replaced — twoTreeRef below:
-// the same plan on two single-lane pointer RPAI trees, with byKey maintained
-// by the standalone treemap calls the old apply made.
+// Tests for relState's level tree against the structures it replaced. The
+// reference throughout is twoTreeRef below: the same plan on a column-keyed
+// treemap of weights beside two single-lane pointer RPAI trees keyed by
+// running weight sums, with the range shift of the paper's Algorithm 4 per
+// event. Where every sum is exact (integer or dyadic columns) the level tree
+// must read what it reads bit for bit; with rounding terms it adds them in
+// another order and must stay within almostEqual. Its snapshot is the
+// relation-state layout that preceded the level tree, which Restore still
+// converts — bit-exactly, since the converted tree takes over the RPAI's
+// shape and sums.
 
-// twoTreeRef is the range-shift executor as it stood before the fusion, kept
-// here as a test-only reference for single-relation queries with a
-// correlated predicate. Its snapshot is the two-idxRPAI-stream layout that
-// relStateExec still writes.
+// twoTreeRef is the range-shift executor as it stood before the level tree,
+// kept here as a test-only reference for single-relation queries with a
+// correlated predicate. Its snapshot is the parent relation-state layout: a
+// weight treemap and two idxRPAI streams.
 type twoTreeRef struct {
 	q         *query.Query
 	plan      relPlan
@@ -138,7 +143,8 @@ func (r *twoTreeRef) ResultProbe(specs []ProbeSpec, vals, cnts []float64) {
 	}
 }
 
-// Snapshot writes the relStateExec layout, each tree as one idxRPAI stream.
+// Snapshot writes the parent relStateExec layout, each tree as one idxRPAI
+// stream.
 func (r *twoTreeRef) Snapshot(w io.Writer) error {
 	e := checkpoint.NewEncoder(w)
 	snapHeader(e, tagRelState)
@@ -164,9 +170,15 @@ func (r *twoTreeRef) Snapshot(w io.Writer) error {
 // fractionalEvents is priceVolumeEvents with non-integer columns. Prices are
 // multiples of 0.1 — not representable, so the price*volume terms round and
 // the order they are summed in shows in the bits. Volumes are multiples of
-// 0.25: they become the aggregate index's keys, and the relative-key tree
+// 0.25: they become the reference RPAI's keys, and its relative-key tree
 // needs key arithmetic that is exact.
 func fractionalEvents(seed int64, n int, deleteRatio float64) []Event {
+	return priceStepEvents(seed, n, deleteRatio, 0.1)
+}
+
+// priceStepEvents is fractionalEvents with prices that are multiples of step.
+// With a dyadic step every sum is exact, whatever order it is taken in.
+func priceStepEvents(seed int64, n int, deleteRatio, step float64) []Event {
 	rng := rand.New(rand.NewSource(seed))
 	var live []query.Tuple
 	events := make([]Event, 0, n)
@@ -179,7 +191,7 @@ func fractionalEvents(seed int64, n int, deleteRatio float64) []Event {
 			continue
 		}
 		t := query.Tuple{
-			"price":  0.1 * float64(rng.Intn(60)+1),
+			"price":  step * float64(rng.Intn(60)+1),
 			"volume": 0.25 * float64(rng.Intn(30)+1),
 		}
 		live = append(live, t)
@@ -276,17 +288,22 @@ func TestFusedByKeyUpdate(t *testing.T) {
 }
 
 // TestFusedRelStateMatchesTwoIndexForm drives, for each orientation and outer
-// comparison, the planner's executor (two-lane arena index) and the
-// two-pointer-tree reference through the same fractional trace, per event and
-// in random batches, and requires bit-equal Result and ResultProbe (SUM,
-// COUNT and AVG lanes, several thresholds) throughout, and equal snapshot
-// bytes at the end.
+// comparison, the planner's executor (the level tree) and the two-tree
+// reference through the same traces, per event and in random batches: on a
+// dyadic-price trace, where every sum is exact, Result and ResultProbe (SUM,
+// COUNT and AVG lanes, several thresholds) must be bit-equal throughout; on a
+// fractional-price trace, whose terms round, within 1e-9 of the summed
+// magnitudes. At the end
+// the reference's snapshot (the parent layout) must restore into a level tree
+// that reads what the reference reads, bit for bit, on either trace.
 func TestFusedRelStateMatchesTwoIndexForm(t *testing.T) {
 	for _, o := range orientations {
 		for _, theta := range []query.CmpOp{query.Lt, query.Le, query.Gt, query.Ge} {
 			q := orientedSpec(o.subOp, theta)
 			t.Run(o.name+"/"+theta.String(), func(t *testing.T) {
-				checkFusedMatchesReference(t, q, fractionalEvents(int64(theta)*7+int64(o.subOp), 700, 0.35), true)
+				seed := int64(theta)*7 + int64(o.subOp)
+				checkFusedMatchesReference(t, q, priceStepEvents(seed, 700, 0.35, 0.125), true, true)
+				checkFusedMatchesReference(t, q, fractionalEvents(seed, 700, 0.35), true, false)
 			})
 		}
 	}
@@ -295,7 +312,8 @@ func TestFusedRelStateMatchesTwoIndexForm(t *testing.T) {
 // TestFusedRelStateMatchesTwoIndexFormOnCorpus is the same comparison over
 // the committed FuzzEngineDifferential corpus: every query shape the fuzzer
 // knows, wherever the planner picks the range-shift executor on a correlated
-// predicate.
+// predicate. The corpus traces are integer-valued, so the reads are exact and
+// must be bit-equal.
 func TestFusedRelStateMatchesTwoIndexFormOnCorpus(t *testing.T) {
 	files, err := filepath.Glob(filepath.Join("testdata", "fuzz", "FuzzEngineDifferential", "*"))
 	if err != nil || len(files) == 0 {
@@ -314,7 +332,7 @@ func TestFusedRelStateMatchesTwoIndexFormOnCorpus(t *testing.T) {
 		if q == nil || q.Validate() != nil {
 			continue
 		}
-		if checkFusedMatchesReference(t, q, decodeFuzzTrace(data[9:], 160), false) {
+		if checkFusedMatchesReference(t, q, decodeFuzzTrace(data[9:], 160), false, true) {
 			compared++
 		}
 	}
@@ -325,8 +343,10 @@ func TestFusedRelStateMatchesTwoIndexFormOnCorpus(t *testing.T) {
 
 // checkFusedMatchesReference reports whether q plans onto relStateExec with a
 // correlated predicate; if so it has compared that executor with twoTreeRef
-// over events.
-func checkFusedMatchesReference(t *testing.T, q *query.Query, events []Event, mustPlan bool) bool {
+// over events — bit for bit when exact, else within rounding — and
+// restored the reference's final snapshot through the parent-layout
+// conversion, which must read what the reference reads, bit for bit.
+func checkFusedMatchesReference(t *testing.T, q *query.Query, events []Event, mustPlan, exact bool) bool {
 	t.Helper()
 	a, err := New(q)
 	if err != nil {
@@ -345,23 +365,28 @@ func checkFusedMatchesReference(t *testing.T, q *query.Query, events []Event, mu
 		{Kind: query.Sum, Const: 0.9}, {Kind: query.Avg, Const: 0.05}, {Kind: query.Count, Const: 1.5},
 		{Kind: query.Sum, Const: 0.05}, {Kind: query.Sum, Const: 1.5},
 	}
-	same := func(what string, i int, x, y []float64) {
+	// Rounded sums are compared within 1e-9 of the magnitudes they came
+	// from: a suffix read is a total minus a prefix, so its rounding error
+	// scales with the total, not with the (possibly cancelled) answer.
+	same := func(what string, i int, x, y []float64, bits bool) {
 		t.Helper()
+		scale := math.Max(math.Abs(ref.term.Total()), ref.cnt.Total())
 		for j := range x {
-			if math.Float64bits(x[j]) != math.Float64bits(y[j]) {
-				t.Fatalf("%s: event %d: %s lane %d: arena %v, reference %v", q, i, what, j, x[j], y[j])
+			if bits && math.Float64bits(x[j]) != math.Float64bits(y[j]) ||
+				math.Abs(x[j]-y[j]) > 1e-9*math.Max(scale, math.Max(math.Abs(x[j]), math.Abs(y[j]))) {
+				t.Fatalf("%s: event %d: %s lane %d: level tree %v, reference %v", q, i, what, j, x[j], y[j])
 			}
 		}
 	}
-	check := func(i int) {
+	check := func(i int, ex relExec, bits bool) {
 		t.Helper()
-		same("Result", i, []float64{fused.Result()}, []float64{ref.Result()})
+		same("Result", i, []float64{ex.Result()}, []float64{ref.Result()}, bits)
 		va, ca := make([]float64, len(specs)), make([]float64, len(specs))
 		vr, cr := make([]float64, len(specs)), make([]float64, len(specs))
-		fused.ResultProbe(specs, va, ca)
+		ex.ResultProbe(specs, va, ca)
 		ref.ResultProbe(specs, vr, cr)
-		same("ResultProbe value", i, va, vr)
-		same("ResultProbe count", i, ca, cr)
+		same("ResultProbe value", i, va, vr, bits)
+		same("ResultProbe count", i, ca, cr, bits)
 	}
 	rng := rand.New(rand.NewSource(5))
 	for i := 0; i < len(events); {
@@ -377,19 +402,28 @@ func checkFusedMatchesReference(t *testing.T, q *query.Query, events []Event, mu
 			ref.Apply(e)
 		}
 		i += n
-		check(i)
+		check(i, fused, exact)
 	}
-	if !bytes.Equal(snapshotBytes(t, fused), snapshotBytes(t, ref)) {
-		t.Fatalf("%s: the two-lane index and the two trees it replaces snapshot to different bytes", q)
+	converted, err := Restore(q, bytes.NewReader(snapshotBytes(t, ref)))
+	if err != nil {
+		t.Fatalf("%s: restoring the parent layout: %v", q, err)
 	}
+	check(len(events), converted.(*relStateExec), true)
 	return true
 }
 
+// relExec is what checkFusedMatchesReference reads.
+type relExec interface {
+	Result() float64
+	ProbeExecutor
+}
+
 // TestParentSnapshotRestores restores a relStateExec snapshot written before
-// the count and term trees were fused (VWAP, fractionalEvents(19, 600, 0.3),
-// two idxRPAI streams): the on-disk format did not change, so it must load
-// into the two-lane index, answer what its writer answered, re-encode to the
-// same bytes, and keep step with an executor that never stopped.
+// the level tree (VWAP, fractionalEvents(19, 600, 0.3); a weight treemap and
+// two idxRPAI streams). It must convert into a level tree that answers
+// exactly what its writer answered, re-encode in the level-tree layout, and
+// keep step with the oracle — within almostEqual of naive re-evaluation, and
+// bit-equal to a restore of its own re-snapshot.
 func TestParentSnapshotRestores(t *testing.T) {
 	const writerResult = 0x4094d7e666666666 // Result() bits printed by the writing commit
 	snap, err := os.ReadFile(filepath.Join("testdata", "snapshots", "relstate_vwap_parent.snap"))
@@ -402,41 +436,42 @@ func TestParentSnapshotRestores(t *testing.T) {
 		t.Fatal(err)
 	}
 	rs, ok := restored.(*relStateExec)
-	if !ok || rs.rs.idx == nil {
-		t.Fatalf("restored %T; want the range-shift executor on the two-lane index", restored)
+	if !ok || rs.rs.levels == nil {
+		t.Fatalf("restored %T; want the range-shift executor on the level tree", restored)
 	}
 	if got := math.Float64bits(restored.Result()); got != writerResult {
 		t.Fatalf("restored Result bits %#x, writer had %#x", got, uint64(writerResult))
 	}
-	if !bytes.Equal(snapshotBytes(t, restored), snap) {
-		t.Fatal("restored snapshot does not re-encode to the bytes it was read from")
+	resnap := snapshotBytes(t, restored)
+	if len(resnap) < 3 || resnap[0] != tagRelState || resnap[2] != relLevels {
+		t.Fatalf("re-snapshot begins % x; want the relation state under the level-tree layout tag %d", resnap[:min(3, len(resnap))], relLevels)
 	}
-	live, err := New(q)
+	again, err := Restore(q, bytes.NewReader(resnap))
 	if err != nil {
 		t.Fatal(err)
 	}
-	events := fractionalEvents(19, 900, 0.3)
-	for _, e := range events[:600] {
-		live.Apply(e)
+	if !bytes.Equal(snapshotBytes(t, again), resnap) {
+		t.Fatal("the re-snapshot does not round-trip byte-identically")
 	}
-	if !bytes.Equal(snapshotBytes(t, live), snap) {
-		t.Fatal("replaying the writer's trace does not reproduce its snapshot")
+	events := fractionalEvents(19, 900, 0.3)
+	naive := NewNaive(q)
+	for _, e := range events[:600] {
+		naive.Apply(e)
 	}
 	for i, e := range events[600:] {
-		live.Apply(e)
+		naive.Apply(e)
 		restored.Apply(e)
-		if math.Float64bits(live.Result()) != math.Float64bits(restored.Result()) {
-			t.Fatalf("suffix event %d: restored %v, uninterrupted %v", i, restored.Result(), live.Result())
+		again.Apply(e)
+		if got := restored.Result(); !almostEqual(got, naive.Result()) ||
+			math.Float64bits(got) != math.Float64bits(again.Result()) {
+			t.Fatalf("suffix event %d: restored %v, its re-snapshot %v, naive %v", i, got, again.Result(), naive.Result())
 		}
 	}
 
 	// Lane streams that disagree on structure must not zip: swap the term
 	// stream for one of another shape by restoring a snapshot whose second
 	// index stream was cut from a different prefix of the trace.
-	other, err := New(q)
-	if err != nil {
-		t.Fatal(err)
-	}
+	other := newTwoTreeRef(t, q)
 	for _, e := range events[:300] {
 		other.Apply(e)
 	}
@@ -448,8 +483,8 @@ func TestParentSnapshotRestores(t *testing.T) {
 }
 
 // spliceTermStream returns snapshot a with its last length-prefixed RPAI
-// stream (the term lane) replaced by b's. Both are relStateExec snapshots,
-// which end with that stream.
+// stream (the term lane) replaced by b's. Both are parent-layout relStateExec
+// snapshots, which end with that stream.
 func spliceTermStream(a, b []byte) ([]byte, bool) {
 	cut := func(s []byte) int { return bytes.LastIndex(s, []byte("RPAI")) - 5 } // tag byte + u32 length
 	ia, ib := cut(a), cut(b)

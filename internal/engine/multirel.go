@@ -5,7 +5,6 @@ import (
 
 	"rpai/internal/query"
 	"rpai/internal/rpai"
-	"rpai/internal/treemap"
 )
 
 // This file implements the multi-relation form of the aggregate-index
@@ -189,21 +188,24 @@ type relState struct {
 	plan relPlan
 	thr  *subState // uncorrelated threshold subquery (nil for constants)
 
-	// PredCorrelated state: byKey maps the correlation column to summed
-	// weights. The count and term aggregate indexes, both keyed by the
-	// correlated aggregate value, always hold the same key set (same
-	// shifts, same Add key, deleted together), so they are the two lanes of
-	// one tree: idx lane 0 is the count, lane 1 the term sum — one index per
-	// correlated predicate, as in the paper's Algorithm 4.
-	byKey *treemap.Tree
-	idx   *rpai.ArenaPair
+	// levels is the predicate's one index (the paper's Algorithm 4 keeps one
+	// per correlated predicate): per level of keyCol, the summed inner weight,
+	// the live-row count and the summed term.
+	//
+	// PredCorrelated: the correlated aggregate at a level — the RPAI key of
+	// the paper — is the weight summed over the levels it ranges over, so it
+	// is not stored; a threshold read steers by accumulated weight (steer).
+	// <=/< correlations range over lower levels, so the tree is keyed by the
+	// column; >=/> range over higher ones, so it is keyed by the negated
+	// column (neg) and the same prefix read serves both orientations.
+	//
+	// PredColumn: the weight lane is unused and reads steer by key.
+	levels *rpai.LevelTree
+	steer  rpai.Steer
+	neg    bool
 
-	// PredColumn state: count and term sums keyed by the compared column.
-	cntByCol  *treemap.Tree
-	termByCol *treemap.Tree
-
-	// probeKeys and probeOut are probeFan's scratch (see probe.go).
-	probeKeys, probeOut []float64
+	// probeBounds, probeCnt and probeSum are probe's scratch (see probe.go).
+	probeBounds, probeCnt, probeSum []float64
 }
 
 func newRelState(spec RelSpec) (*relState, error) {
@@ -211,17 +213,18 @@ func newRelState(spec RelSpec) (*relState, error) {
 	if err != nil {
 		return nil, err
 	}
-	rs := &relState{spec: spec, plan: plan}
+	rs := &relState{spec: spec, plan: plan, levels: rpai.NewLevelTree()}
 	if plan.threshold.Sub != nil {
 		rs.thr = newSubState(plan.threshold.Sub)
 	}
-	switch plan.kind {
-	case PredCorrelated:
-		rs.byKey = treemap.New()
-		rs.idx = rpai.NewArenaPair()
-	case PredColumn:
-		rs.cntByCol = treemap.New()
-		rs.termByCol = treemap.New()
+	if plan.kind == PredCorrelated {
+		switch plan.subOp {
+		case query.Le, query.Ge:
+			rs.steer = rpai.SteerWeightThrough
+		default:
+			rs.steer = rpai.SteerWeightBefore
+		}
+		rs.neg = plan.subOp == query.Ge || plan.subOp == query.Gt
 	}
 	return rs, nil
 }
@@ -233,103 +236,58 @@ func (rs *relState) threshold() float64 {
 	return rs.plan.threshold.Expr.Eval(nil)
 }
 
+// apply is one event: one descent of the level tree by the event's level,
+// adding its weight, count and term (and inserting or deleting the level
+// when it appears or empties). Under a correlated predicate this moves the
+// correlated aggregate of every later level too — the range shift of the
+// paper's Algorithm 4 — because those values are prefix sums of the weight
+// lane.
 func (rs *relState) apply(t query.Tuple, x float64) {
 	if rs.thr != nil {
 		rs.thr.apply(t, x)
 	}
 	term := rs.spec.Term.Eval(t)
 	k := t[rs.plan.keyCol]
-	switch rs.plan.kind {
-	case PredColumn:
-		rs.cntByCol.Add(k, x)
-		rs.termByCol.Add(k, x*term)
-		if c, _ := rs.cntByCol.Get(k); c == 0 {
-			rs.cntByCol.Delete(k)
-			rs.termByCol.Delete(k)
-		}
-	case PredCorrelated:
-		w := 1.0
+	var w float64
+	if rs.plan.kind == PredCorrelated {
+		w = 1
 		if rs.plan.corr.Kind == query.Sum {
 			w = rs.plan.corr.Of.Eval(t)
 			if w <= 0 {
 				panic("engine: multi-relation aggregate-index maintenance requires positive inner contributions")
 			}
 		}
-		// Orient by the correlation operator: <=/< index prefix sums of the
-		// weights (VWAP orientation), >=/> index suffix sums (MST
-		// orientation). One byKey descent yields that sum as it stood before
-		// this event and the level's weight before it, and applies the
-		// update.
-		op := rs.plan.subOp
-		strict := op == query.Lt || op == query.Gt
-		var rhs, volAt float64
-		if op == query.Le || op == query.Lt {
-			rhs, volAt, _ = rs.byKey.AddPrefix(k, x*w, strict)
-		} else {
-			rhs, volAt, _ = rs.byKey.AddSuffix(k, x*w, strict)
-		}
-		// The shift boundary mirrors the single-relation executors in package
-		// queries. Inclusive orientations (<=, >=) count the level's own
-		// weight in its key, so the boundary sits just below it. Strict ones
-		// exclude it; a fresh level can then share a key with its neighbour,
-		// which requires the inclusive shift.
-		if strict {
-			rs.shiftAdd(rhs, !(volAt > 0), x*w, rhs, x, x*term)
-		} else {
-			rs.shiftAdd(rhs-volAt, false, x*w, rhs+x*w, x, x*term)
+		if rs.neg {
+			k = -k
 		}
 	}
-}
-
-// shiftAdd is the aggregate-index half of one event: shift the keys above at
-// (from at, when inclusive) by d, then add (dc, dt) to the count and term
-// under key, dropping the key when its count returns to zero.
-func (rs *relState) shiftAdd(at float64, inclusive bool, d, key, dc, dt float64) {
-	p := rs.idx
-	if inclusive {
-		p.ShiftKeysInclusive(at, d)
-	} else {
-		p.ShiftKeys(at, d)
-	}
-	if c, _ := p.Add(key, dc, dt); c == 0 {
-		p.Delete(key)
-	}
+	rs.levels.Add(k, x*w, x, x*term)
 }
 
 // aggregates returns (count, term sum) over the qualifying subset.
 func (rs *relState) aggregates() (cnt, sum float64) {
-	thr := rs.threshold()
-	if rs.plan.kind == PredColumn {
-		return rs.colSum(rs.cntByCol, thr), rs.colSum(rs.termByCol, thr)
-	}
-	// Both lanes from one descent.
-	p := rs.idx
-	switch rs.plan.thetaCorrFirst {
-	case query.Lt:
-		return p.GetSumLess(thr)
-	case query.Le:
-		return p.GetSum(thr)
-	case query.Gt:
-		return p.SuffixSumGreater(thr)
-	case query.Ge:
-		return p.SuffixSum(thr)
-	}
-	panic("engine: equality thresholds are not part of the multi-relation shape")
+	return rs.read(rs.threshold())
 }
 
-// colSum is the qualifying sum of one PredColumn tree at threshold thr.
-func (rs *relState) colSum(t *treemap.Tree, thr float64) float64 {
+// read returns (count, term sum) over the levels whose compared quantity
+// qualifies against bound — the correlated aggregate (PredCorrelated) or the
+// column (PredColumn) — in one descent. Lower values lead the order, so
+// "below the bound" is a prefix read and "above it" the total minus one.
+func (rs *relState) read(bound float64) (cnt, sum float64) {
 	switch rs.plan.thetaCorrFirst {
 	case query.Lt:
-		return t.PrefixSumLess(thr)
+		return rs.levels.Prefix(rs.steer, bound, true)
 	case query.Le:
-		return t.PrefixSum(thr)
+		return rs.levels.Prefix(rs.steer, bound, false)
 	case query.Gt:
-		return t.SuffixSumGreater(thr)
+		cnt, sum = rs.levels.Prefix(rs.steer, bound, false)
 	case query.Ge:
-		return t.SuffixSum(thr)
+		cnt, sum = rs.levels.Prefix(rs.steer, bound, true)
+	default:
+		panic("engine: equality thresholds are not part of the multi-relation shape")
 	}
-	panic("engine: equality thresholds are not part of the multi-relation shape")
+	_, tc, ts := rs.levels.Total()
+	return tc - cnt, ts - sum
 }
 
 // MultiAggIndexExec is the incremental multi-relation executor.

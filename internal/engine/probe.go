@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"slices"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -27,7 +26,7 @@ import (
 //     `price < 0.9*SUM(...)`) share one state set, because the index answers
 //     any threshold as a probe point;
 //   - aggregate variants: SUM, COUNT(*), and AVG lanes over one state set —
-//     relation state maintains both a count and a term index regardless of
+//     relation state maintains both a count and a term lane regardless of
 //     the founding query's outer aggregate, so every variant is a probe;
 //   - filtered variants: a lane whose query carries one extra bare
 //     partition-column conjunct; the conjunct is split off as a residual
@@ -117,39 +116,10 @@ func FinishProbe(spec ProbeSpec, val, cnt float64) float64 {
 	return finishAgg(query.Avg, val, cnt)
 }
 
-// probeScratch backs ResultProbe's per-side sorted constant lists and
-// descent outputs, reused across reads.
+// probeScratch backs ResultProbe's sorted constant list and descent
+// outputs, reused across reads.
 type probeScratch struct {
-	termConsts, cntConsts []float64
-	termVals, cntVals     []float64
-}
-
-// gather appends each spec's constant for the requested side, sorted and
-// deduplicated, so one batched descent serves all lanes of that side.
-func gatherConsts(dst []float64, specs []ProbeSpec, cntSide bool) []float64 {
-	dst = dst[:0]
-	for _, s := range specs {
-		if probeSides(s.Kind, cntSide) {
-			dst = append(dst, s.Const)
-		}
-	}
-	sort.Float64s(dst)
-	uniq := dst[:0]
-	for i, c := range dst {
-		if i == 0 || c != uniq[len(uniq)-1] {
-			uniq = append(uniq, c)
-		}
-	}
-	return uniq
-}
-
-// probeSides reports whether a lane of the given outer aggregate reads the
-// count side (true) or the term side (false). Avg reads both.
-func probeSides(k query.AggKind, cntSide bool) bool {
-	if cntSide {
-		return k == query.Count || k == query.Avg
-	}
-	return k == query.Sum || k == query.Avg
+	consts, cnts, sums []float64
 }
 
 func sized(buf []float64, n int) []float64 {
@@ -159,39 +129,32 @@ func sized(buf []float64, n int) []float64 {
 	return buf[:n]
 }
 
-// laneAt returns the descent output for constant c from the sorted unique
-// constant list and its aligned values.
-func laneAt(consts, vals []float64, c float64) float64 {
-	return vals[sort.SearchFloat64s(consts, c)]
-}
-
 // ResultProbe implements ProbeExecutor for the relation-state executor. The
-// state set maintains both a count and a term index (see relState.apply), so
-// every aggregate variant is one side-probe away: SUM lanes read the term
-// index, COUNT lanes the count index, AVG lanes both. Each side runs one
-// shared batched descent over its sorted unique constants (probeFan),
-// preserving per-lane bit-identity.
+// level tree carries a count and a term lane (see relState), so every
+// aggregate variant reads the same descent: SUM lanes take its term sum,
+// COUNT lanes its count, AVG lanes both. One shared descent over the sorted
+// unique constants (relState.probe) answers every lane, each bit-identical
+// to a dedicated executor's Result.
 func (ex *relStateExec) ResultProbe(specs []ProbeSpec, vals, cnts []float64) {
 	ps := &ex.probe
-	ps.termConsts = gatherConsts(ps.termConsts, specs, false)
-	ps.cntConsts = gatherConsts(ps.cntConsts, specs, true)
-	if len(ps.termConsts) > 0 {
-		ps.termVals = sized(ps.termVals, len(ps.termConsts))
-		ex.rs.probeFan(false, ps.termConsts, ps.termVals)
+	ps.consts = ps.consts[:0]
+	for _, s := range specs {
+		ps.consts = append(ps.consts, s.Const)
 	}
-	if len(ps.cntConsts) > 0 {
-		ps.cntVals = sized(ps.cntVals, len(ps.cntConsts))
-		ex.rs.probeFan(true, ps.cntConsts, ps.cntVals)
-	}
+	slices.Sort(ps.consts)
+	ps.consts = slices.Compact(ps.consts)
+	ps.cnts = sized(ps.cnts, len(ps.consts))
+	ps.sums = sized(ps.sums, len(ps.consts))
+	ex.rs.probe(ps.consts, ps.cnts, ps.sums)
 	for i, s := range specs {
+		j, _ := slices.BinarySearch(ps.consts, s.Const)
 		switch s.Kind {
 		case query.Sum:
-			vals[i] = laneAt(ps.termConsts, ps.termVals, s.Const)
+			vals[i] = ps.sums[j]
 		case query.Count:
-			vals[i] = laneAt(ps.cntConsts, ps.cntVals, s.Const)
+			vals[i] = ps.cnts[j]
 		case query.Avg:
-			vals[i] = laneAt(ps.termConsts, ps.termVals, s.Const)
-			cnts[i] = laneAt(ps.cntConsts, ps.cntVals, s.Const)
+			vals[i], cnts[i] = ps.sums[j], ps.cnts[j]
 		default:
 			panic("engine: non-streamable probe kind " + s.Kind.String())
 		}
@@ -227,76 +190,54 @@ func (ex *AggIndexExec) ResultProbe(specs []ProbeSpec, vals, cnts []float64) {
 	}
 }
 
-// probeFan is the multi-threshold counterpart of aggregates(): one probe per
-// constant (consts sorted ascending, dst the same length) against the term
-// lane (cntSide=false, the side relStateExec.Result's sum comes from) or the
-// count lane (cntSide=true, backing COUNT and AVG probe lanes), each
-// bit-identical to what aggregates() reads at that threshold.
-func (rs *relState) probeFan(cntSide bool, consts, dst []float64) {
-	// The probe keys: constant*base exactly as the solo Result computes
+// probe is the multi-threshold counterpart of aggregates(): for each
+// constant (consts sorted ascending; cnt and sum the same length) the
+// qualifying count and term sum, each bit-identical to what aggregates()
+// reads at that threshold, from one shared descent of the level tree.
+func (rs *relState) probe(consts, cnt, sum []float64) {
+	// The bounds: constant*base exactly as the solo Result computes
 	// Scale*thr.eval(nil), or the constant itself for a literal threshold.
 	var base float64
 	if rs.thr != nil {
 		base = rs.thr.eval(nil)
 	}
-	keys := rs.probeKeys[:0]
+	bounds := rs.probeBounds[:0]
 	for _, c := range consts {
 		if rs.thr != nil {
 			c *= base
 		}
-		keys = append(keys, c)
+		bounds = append(bounds, c)
 	}
-	rs.probeKeys = keys
-	if rs.plan.kind == PredColumn {
-		// treemap probes have no batch path; K point probes, like K solo
-		// reads would do.
-		byCol := rs.termByCol
-		if cntSide {
-			byCol = rs.cntByCol
-		}
-		for i, k := range keys {
-			dst[i] = rs.colSum(byCol, k)
-		}
-		return
-	}
-	// The shared descent needs ascending keys; a negative base made them
+	rs.probeBounds = bounds
+	// The shared descent needs ascending bounds; a negative base made them
 	// descending, so descend over them reversed and reverse the answers back.
 	reversed := base < 0
-	out := dst
+	outC, outS := cnt, sum
 	if reversed {
-		slices.Reverse(keys)
-		out = sized(rs.probeOut, len(dst))
-		rs.probeOut = out
+		slices.Reverse(bounds)
+		rs.probeCnt = sized(rs.probeCnt, len(cnt))
+		rs.probeSum = sized(rs.probeSum, len(sum))
+		outC, outS = rs.probeCnt, rs.probeSum
 	}
-	lane := 1
-	cntTotal, total := rs.idx.Total()
-	if cntSide {
-		lane, total = 0, cntTotal
-	}
-	// One shared descent answers every probe (it clobbers keys). The suffix
-	// orientations are total - prefix, which is how the tree itself defines
-	// SuffixSum.
+	// As in read: "above the bound" is the total minus the prefix.
 	switch rs.plan.thetaCorrFirst {
-	case query.Lt:
-		rs.idx.PrefixSums(lane, keys, out, false)
-	case query.Le:
-		rs.idx.PrefixSums(lane, keys, out, true)
-	case query.Gt:
-		rs.idx.PrefixSums(lane, keys, out, true)
-		for i := range out {
-			out[i] = total - out[i]
-		}
-	case query.Ge:
-		rs.idx.PrefixSums(lane, keys, out, false)
-		for i := range out {
-			out[i] = total - out[i]
-		}
+	case query.Lt, query.Ge:
+		rs.levels.Prefixes(rs.steer, bounds, true, outC, outS)
+	case query.Le, query.Gt:
+		rs.levels.Prefixes(rs.steer, bounds, false, outC, outS)
 	default:
 		panic("engine: equality thresholds are not part of the multi-relation shape")
 	}
+	if op := rs.plan.thetaCorrFirst; op == query.Gt || op == query.Ge {
+		_, tc, ts := rs.levels.Total()
+		for i := range outC {
+			outC[i], outS[i] = tc-outC[i], ts-outS[i]
+		}
+	}
 	if reversed {
-		slices.Reverse(out)
-		copy(dst, out)
+		for i := range outC {
+			cnt[len(cnt)-1-i], sum[len(sum)-1-i] = outC[i], outS[i]
+		}
 	}
 }
 
@@ -307,10 +248,10 @@ func (rs *relState) probeFan(cntSide bool, consts, dst []float64) {
 //     everything that shapes the executor's maintained state, including the
 //     aggregate term expression, with only the read-time threshold constant
 //     masked. Queries with equal keys share a set outright, whatever their
-//     outer aggregate or threshold constant — the state carries both indexes
+//     outer aggregate or threshold constant — the state carries both lanes
 //     and answers any threshold.
 //   - baseKey is key with the aggregate term masked. A COUNT(*) variant
-//     reads only the count index, which is identical across term
+//     reads only the count lane, which is identical across term
 //     expressions, so it may attach to any relation-state set whose baseKey
 //     matches. baseKey is empty for the PAI/aggindex shape, which maintains
 //     no count side (COUNT(*) there matches through key: its term is the

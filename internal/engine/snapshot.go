@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -13,8 +14,8 @@ import (
 )
 
 // This file makes every executor durable: Snapshot serializes the executor's
-// maintained state (RPAI trees via their structural codec, treemaps and maps
-// as canonical sorted entry lists) and Restore rebuilds an executor that is
+// maintained state (level trees via their structural codec, treemaps and
+// maps as canonical sorted entry lists) and Restore rebuilds an executor that is
 // indistinguishable from one that never stopped. The query itself is not
 // serialized — it is the caller's configuration, passed again to Restore —
 // so a snapshot is state only, and Restore cross-checks the decoded
@@ -401,7 +402,13 @@ func restoreRelStateExec(d *checkpoint.Decoder, q *query.Query) *relStateExec {
 	return &relStateExec{rs: rs, outer: q.Outer}
 }
 
+// relLevels tags the relation-state layout that holds the level tree. It
+// leads the layout, where the layout before it began with its threshold flag
+// (0 or 1), so restoreRelState tells the two apart by the first byte.
+const relLevels = 2
+
 func snapRelState(e *checkpoint.Encoder, rs *relState) {
+	e.U8(relLevels)
 	if rs.thr != nil {
 		e.U8(1)
 		snapSubState(e, rs.thr)
@@ -409,48 +416,93 @@ func snapRelState(e *checkpoint.Encoder, rs *relState) {
 		e.U8(0)
 	}
 	e.U8(uint8(rs.plan.kind))
-	switch rs.plan.kind {
-	case PredCorrelated:
-		// The pair writes each lane as the stream a single-lane tree would.
-		e.TreeMap(rs.byKey)
-		e.IndexPair(rs.idx)
-	case PredColumn:
-		e.TreeMap(rs.cntByCol)
-		e.TreeMap(rs.termByCol)
-	}
+	e.Levels(rs.levels)
 }
 
 func restoreRelState(d *checkpoint.Decoder, spec RelSpec) *relState {
-	plan, err := classifyRelPred(spec.Pred)
+	rs, err := newRelState(spec)
 	if err != nil {
 		d.Fail(err)
 		return nil
 	}
-	rs := &relState{spec: spec, plan: plan}
-	hasThr := d.U8()
+	layout := d.U8()
+	hasThr := layout
+	if layout == relLevels {
+		hasThr = d.U8()
+	}
 	if d.Err() != nil {
 		return rs
 	}
-	if (hasThr == 1) != (plan.threshold.Sub != nil) {
+	if hasThr > 1 {
+		d.Fail(fmt.Errorf("engine: relation-state threshold flag %d (layout %d) is neither 0 nor 1", hasThr, layout))
+		return rs
+	}
+	if (hasThr == 1) != (rs.plan.threshold.Sub != nil) {
 		d.Fail(errors.New("engine: snapshot threshold structure does not match relation plan"))
 		return rs
 	}
 	if hasThr == 1 {
-		rs.thr = restoreSubState(d, plan.threshold.Sub)
+		rs.thr = restoreSubState(d, rs.plan.threshold.Sub)
 	}
-	if k := d.U8(); d.Err() == nil && RelPredKind(k) != plan.kind {
-		d.Fail(fmt.Errorf("engine: snapshot predicate kind %d does not match plan kind %d", k, plan.kind))
+	if k := d.U8(); d.Err() == nil && RelPredKind(k) != rs.plan.kind {
+		d.Fail(fmt.Errorf("engine: snapshot predicate kind %d does not match plan kind %d", k, rs.plan.kind))
 		return rs
 	}
-	switch plan.kind {
-	case PredCorrelated:
-		rs.byKey = d.TreeMap()
-		rs.idx = d.IndexPair()
-	case PredColumn:
-		rs.cntByCol = d.TreeMap()
-		rs.termByCol = d.TreeMap()
+	if layout == relLevels {
+		rs.levels = d.Levels()
+	} else {
+		restoreParentLevels(d, rs)
 	}
 	return rs
+}
+
+// restoreParentLevels converts the index half of the relation-state layout
+// that preceded the level tree, so a data dir written before it still
+// recovers (and its next snapshot is written in the new layout):
+//
+//   - PredCorrelated: a column-keyed treemap of level weights, then the count
+//     and term lanes of an RPAI keyed by running weight sums. The RPAI's key
+//     order is the level tree's (ascending column, or descending under >=/>),
+//     so the map's entries zip onto the RPAI's shape in that order
+//     (checkpoint.Decoder.ParentLevels): the converted tree caches the sums
+//     the RPAI did, and reads what it read.
+//   - PredColumn: column-keyed count and term treemaps over one key set.
+func restoreParentLevels(d *checkpoint.Decoder, rs *relState) {
+	var keys, vals []float64
+	d.TreeMap().Ascend(func(k, v float64) bool {
+		keys, vals = append(keys, k), append(vals, v)
+		return true
+	})
+	if d.Err() != nil {
+		return
+	}
+	if rs.plan.kind == PredCorrelated {
+		if rs.neg {
+			slices.Reverse(keys)
+			slices.Reverse(vals)
+			for i := range keys {
+				keys[i] = -keys[i]
+			}
+		}
+		rs.levels = d.ParentLevels(keys, vals)
+		return
+	}
+	terms := d.TreeMap()
+	if d.Err() != nil {
+		return
+	}
+	i := 0
+	terms.Ascend(func(k, t float64) bool {
+		if i == len(keys) || k != keys[i] || vals[i] == 0 {
+			return false
+		}
+		rs.levels.Add(k, 0, vals[i], t)
+		i++
+		return true
+	})
+	if i != len(keys) || terms.Len() != len(keys) {
+		d.Fail(errors.New("engine: snapshot count and term maps disagree on their levels"))
+	}
 }
 
 // --- multi-relation ---

@@ -66,24 +66,6 @@ func TestAllocGuardArenaChurn(t *testing.T) {
 		}
 	})
 
-	// The two-lane tree shares the slab and free list, so the same holds,
-	// including the executor's own cycle: add, and delete on a zero count.
-	pair := NewArenaPair()
-	for _, k := range keys {
-		pair.Put(k, 1, 0.5)
-	}
-	for _, k := range keys[:64] {
-		pair.Delete(k)
-		pair.Add(k, 1, 0.5)
-	}
-	requireAllocs(t, "ArenaPair delete/insert churn", 0, func() {
-		i++
-		k := keys[i%len(keys)]
-		if c, _ := pair.Add(k, -1, -0.5); c == 0 {
-			pair.Delete(k)
-		}
-		pair.Add(k, 1, 0.5)
-	})
 }
 
 // TestAllocGuardAddMany pins the batched path: on a warmed tree, a batch
@@ -133,22 +115,33 @@ func TestAllocGuardArenaShift(t *testing.T) {
 		ar.ShiftKeys(100+step, 2)
 	})
 
-	pair := NewArenaPair()
-	for i := 0; i < 1024; i++ {
-		pair.Add(float64(i), 1, 0.5)
+}
+
+// TestAllocGuardLevelTree pins the executor's per-event cycle on the level
+// tree — an add to a live level, a level emptied and deleted, a level
+// inserted from the free list — and both threshold reads at zero
+// allocations once the slab covers the working set.
+func TestAllocGuardLevelTree(t *testing.T) {
+	keys := rand.New(rand.NewSource(12)).Perm(4096)
+	lt := NewLevelTree()
+	for _, k := range keys {
+		lt.Add(float64(k), 2, 1, 0.5)
 	}
-	pair.ShiftKeys(500, -3)
-	step = 0
-	requireAllocs(t, "ArenaPair.ShiftKeys(negative)", 0, func() {
-		step++
-		pair.ShiftKeys(200+step, -2)
+	var i int
+	next := func() float64 { i++; return float64(keys[i%len(keys)]) }
+	requireAllocs(t, "LevelTree.Add(existing)", 0, func() { lt.Add(next(), 0.25, 0, 0.125) })
+	requireAllocs(t, "LevelTree delete/insert churn", 0, func() {
+		k := next()
+		lt.Add(k, -2, -1, -0.5)
+		lt.Add(k, 2, 1, 0.5)
 	})
-	requireAllocs(t, "ArenaPair.ShiftKeysInclusive(negative)", 0, func() {
-		step++
-		pair.ShiftKeysInclusive(600+step, -2)
+	total, _, _ := lt.Total()
+	requireAllocs(t, "LevelTree.Prefix(weight)", 0, func() {
+		benchSink, _ = lt.Prefix(SteerWeightThrough, total*float64(i%7)/7, false)
+		i++
 	})
-	requireAllocs(t, "ArenaPair.ShiftKeys(positive)", 0, func() {
-		step++
-		pair.ShiftKeys(100+step, 2)
+	bounds, cnt, sum := []float64{1, 50, 900, 4000}, make([]float64, 4), make([]float64, 4)
+	requireAllocs(t, "LevelTree.Prefixes(weight)", 0, func() {
+		lt.Prefixes(SteerWeightBefore, bounds, true, cnt, sum)
 	})
 }

@@ -6,14 +6,15 @@ import (
 	"unsafe"
 )
 
-// lanes is the payload of an arena node: one aggregate value per lane. The
+// lanes is the payload of a node: one aggregate value per lane. The arena
 // tree logic below is written once over this payload and Go stencils it per
-// array shape, so the one-lane ArenaTree and the two-lane ArenaPair run the
-// same rotations, rebalancing, shifts and codec — a lane of the pair sees,
-// float for float, the operations a one-lane tree holding only that lane
-// would see, in the same order, and therefore stays bit-identical to it.
+// array shape: the one-lane ArenaTree is the paper's RPAI, and the two-lane
+// shape decodes the two-lane relation-state snapshots that preceded the
+// LevelTree (DecodeParentLevels) — each lane sees, float for float, the
+// operations a one-lane tree holding only that lane would see. The
+// LevelTree's three lanes share the lane helpers.
 type lanes interface {
-	[1]float64 | [2]float64
+	[1]float64 | [2]float64 | [3]float64
 }
 
 // arena is a Relative Partial Aggregate Index with the same semantics as
@@ -33,7 +34,7 @@ type lanes interface {
 // implementation restores into the other and re-encodes to the same bytes.
 //
 // The exported methods declared on arena are the ones whose signatures do not
-// mention values; ArenaTree and ArenaPair embed an arena and inherit them.
+// mention values; ArenaTree embeds an arena and inherits them.
 type arena[V lanes] struct {
 	nodes []anode[V]
 	root  int32
@@ -48,8 +49,7 @@ type arena[V lanes] struct {
 // minRel and maxRel are the min/max true keys of the subtree expressed
 // relative to this node's true key (0 for a leaf). With one lane it is
 // exactly 64 bytes, so indexing compiles to a shift and a node never
-// straddles two cache lines; with two lanes it is 88 bytes, deliberately not
-// padded to 128 — the slab is the executor's resident heap.
+// straddles two cache lines.
 //
 // Where the pointer tree stores each node's own subtree sum, anode caches
 // the two child subtree sums (leftSum/rightSum, 0 for a missing child) and
@@ -74,26 +74,28 @@ type anode[V lanes] struct {
 
 const nilIdx = int32(-1)
 
-// Compile-time asserts on the two node sizes — either direction of drift
-// fails the build.
+// Compile-time asserts on the one-lane node size — either direction of
+// drift fails the build.
 var (
 	_ [unsafe.Sizeof(anode[[1]float64]{}) - 64]byte
 	_ [64 - unsafe.Sizeof(anode[[1]float64]{})]byte
-	_ [unsafe.Sizeof(anode[[2]float64]{}) - 88]byte
-	_ [88 - unsafe.Sizeof(anode[[2]float64]{})]byte
 )
 
-// The lane helpers are written lane 0 then lane 1, not as a loop: len(v) is a
+// The lane helpers are written lane by lane, not as a loop: len(v) is a
 // constant once the shape is stencilled, so the one-lane form compiles to the
 // single float expression the pre-generic ArenaTree had, with no loop
-// control in the descent. (Lane 1 goes through a variable because a constant
-// index must be in range for every shape.)
+// control in the descent. (Lanes 1 and 2 go through a variable because a
+// constant index must be in range for every shape.)
 
 // laneSum returns v + l + r per lane, in node.update's evaluation order.
 func laneSum[V lanes](v, l, r V) V {
 	v[0] = v[0] + l[0] + r[0]
-	if len(v) == 2 {
+	if len(v) >= 2 {
 		i := 1
+		v[i] = v[i] + l[i] + r[i]
+	}
+	if len(v) == 3 {
+		i := 2
 		v[i] = v[i] + l[i] + r[i]
 	}
 	return v
@@ -102,19 +104,13 @@ func laneSum[V lanes](v, l, r V) V {
 // laneAdd returns a + b per lane.
 func laneAdd[V lanes](a, b V) V {
 	a[0] += b[0]
-	if len(a) == 2 {
+	if len(a) >= 2 {
 		i := 1
 		a[i] += b[i]
 	}
-	return a
-}
-
-// laneSub returns a - b per lane.
-func laneSub[V lanes](a, b V) V {
-	a[0] -= b[0]
-	if len(a) == 2 {
-		i := 1
-		a[i] -= b[i]
+	if len(a) == 3 {
+		i := 2
+		a[i] += b[i]
 	}
 	return a
 }

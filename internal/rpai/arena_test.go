@@ -428,10 +428,11 @@ func TestArenaKeyChecks(t *testing.T) {
 	}
 }
 
-// TestDecodeArenaPairRejectsMismatchedLanes pins the zip contract: two
-// streams restore into one two-lane tree only when they describe the same
-// tree — a different node count, shape or key, or a truncated lane, fails.
-func TestDecodeArenaPairRejectsMismatchedLanes(t *testing.T) {
+// TestDecodeParentLevelsRejectsMismatchedLanes pins the zip contract of the
+// parent-format conversion: two lane streams restore only when they describe
+// the same tree — a different node count, shape or key, or a truncated lane,
+// fails — and only beside a weight map of as many levels.
+func TestDecodeParentLevelsRejectsMismatchedLanes(t *testing.T) {
 	encode := func(keys ...float64) []byte {
 		tr := NewArena()
 		for i, k := range keys {
@@ -443,9 +444,13 @@ func TestDecodeArenaPairRejectsMismatchedLanes(t *testing.T) {
 		}
 		return b.Bytes()
 	}
+	cols, weights := []float64{10, 20, 30, 40, 50, 60}, []float64{1, 1, 1, 1, 1, 1}
 	base := encode(1, 2, 3, 4, 5, 6)
-	if p, err := DecodeArenaPair(bytes.NewReader(base), bytes.NewReader(base)); err != nil || p.Len() != 6 {
+	if lt, err := DecodeParentLevels(bytes.NewReader(base), bytes.NewReader(base), cols, weights); err != nil || lt.Len() != 6 {
 		t.Fatalf("identical lanes: %v", err)
+	}
+	if _, err := DecodeParentLevels(bytes.NewReader(base), bytes.NewReader(base), cols[1:], weights[1:]); err == nil {
+		t.Error("a weight map one level short accepted")
 	}
 	for name, other := range map[string][]byte{
 		"count":     encode(1, 2, 3, 4, 5),
@@ -454,10 +459,10 @@ func TestDecodeArenaPairRejectsMismatchedLanes(t *testing.T) {
 		"truncated": base[:len(base)-9],
 		"empty":     encode(),
 	} {
-		if _, err := DecodeArenaPair(bytes.NewReader(base), bytes.NewReader(other)); err == nil {
+		if _, err := DecodeParentLevels(bytes.NewReader(base), bytes.NewReader(other), cols, weights); err == nil {
 			t.Errorf("%s: mismatched lane accepted", name)
 		}
-		if _, err := DecodeArenaPair(bytes.NewReader(other), bytes.NewReader(base)); err == nil {
+		if _, err := DecodeParentLevels(bytes.NewReader(other), bytes.NewReader(base), cols, weights); err == nil {
 			t.Errorf("%s (as lane 0): mismatched lane accepted", name)
 		}
 	}

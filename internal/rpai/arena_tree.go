@@ -52,7 +52,7 @@ func (t *ArenaTree) SuffixSumGreater(k float64) float64 { return t.Total() - t.G
 // each bit-identical to its standalone call (see Tree.PrefixSums). keys must
 // be sorted ascending and is clobbered; dst must have the same length.
 func (t *ArenaTree) PrefixSums(keys, dst []float64, inclusive bool) {
-	t.prefixSums(0, keys, dst, inclusive)
+	t.prefixSums(keys, dst, inclusive)
 }
 
 // AddMany applies Add(e.Key, e.Value) for each entry in order. The resulting

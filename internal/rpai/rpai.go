@@ -35,6 +35,13 @@
 // Every node also maintains the sum of the values in its subtree (serving
 // GetSum) and the minimum and maximum true key of its subtree expressed
 // relative to the node (serving validation and the reference algorithms).
+//
+// Tree, ArenaTree (the same tree on a flat slab) and Reference are the
+// paper's structure, the subject of Table 1, Figure 7 and the ablations.
+// The engine serves correlated predicates from LevelTree instead: the same
+// index with its relative keys made implicit, ordered by the correlation
+// column and searched by accumulated weight, so an event costs one descent
+// and no ShiftKeys (see levels.go).
 package rpai
 
 import (
