@@ -4,9 +4,10 @@
 
 # CI's test job: tier-1 (build, vet, every unit test), the stack benchmark's
 # build and unit tests, the allocation guards re-run uncached (steady-state
-# hot paths stay allocation-free: the pointer and arena RPAI trees, the level
-# tree, the engine event codec, serve's ApplyBatch on an engine plan), and an
-# end-to-end smoke of every retained rpaibench experiment.
+# hot paths stay allocation-free: the RPAI tree's reads, churn, shift and
+# AddMany, the level tree, the engine event codec, serve's ApplyBatch on an
+# engine plan), and an end-to-end smoke of every retained rpaibench
+# experiment.
 test: benchmark-check
 	go build ./... && go vet ./... && go test ./...
 	go test -run 'TestAllocGuard' -count 1 ./internal/rpai/ ./internal/engine/ ./internal/serve/
@@ -54,8 +55,8 @@ catalog:
 bench:
 	go test -bench=. -benchmem ./...
 
-# Core micro-benchmarks: the tree operations, pointer vs arena side by side,
-# and the relation-state executor's per-event cost at the stack benchmark's
+# Core micro-benchmarks: the RPAI tree's Put/Add/GetSum/Delete, and the
+# relation-state executor's per-event cost at the stack benchmark's
 # deep-index and wide-shallow tree sizes.
 bench-core:
 	go test -run '^$$' -bench 'BenchmarkTree(Put|Add|GetSum|Delete)' -benchmem \

@@ -187,7 +187,7 @@ func benchIndexGetSum(b *testing.B, kind aggindex.Kind) {
 	}
 }
 
-func BenchmarkIndex_GetSum_RPAI(b *testing.B)   { benchIndexGetSum(b, aggindex.KindRPAI) }
+func BenchmarkIndex_GetSum_RPAI(b *testing.B)   { benchIndexGetSum(b, aggindex.KindArena) }
 func BenchmarkIndex_GetSum_PAI(b *testing.B)    { benchIndexGetSum(b, aggindex.KindPAI) }
 func BenchmarkIndex_GetSum_Sorted(b *testing.B) { benchIndexGetSum(b, aggindex.KindSorted) }
 
@@ -206,7 +206,7 @@ func benchIndexShift(b *testing.B, kind aggindex.Kind) {
 	}
 }
 
-func BenchmarkIndex_ShiftKeys_RPAI(b *testing.B)   { benchIndexShift(b, aggindex.KindRPAI) }
+func BenchmarkIndex_ShiftKeys_RPAI(b *testing.B)   { benchIndexShift(b, aggindex.KindArena) }
 func BenchmarkIndex_ShiftKeys_PAI(b *testing.B)    { benchIndexShift(b, aggindex.KindPAI) }
 func BenchmarkIndex_ShiftKeys_Sorted(b *testing.B) { benchIndexShift(b, aggindex.KindSorted) }
 
@@ -220,7 +220,7 @@ func benchIndexAdd(b *testing.B, kind aggindex.Kind) {
 	}
 }
 
-func BenchmarkIndex_Add_RPAI(b *testing.B) { benchIndexAdd(b, aggindex.KindRPAI) }
+func BenchmarkIndex_Add_RPAI(b *testing.B) { benchIndexAdd(b, aggindex.KindArena) }
 func BenchmarkIndex_Add_PAI(b *testing.B)  { benchIndexAdd(b, aggindex.KindPAI) }
 
 // BenchmarkAblation_ShiftNeg compares the balanced tree's negative shift
@@ -274,7 +274,7 @@ func benchVWAPKind(b *testing.B, kind aggindex.Kind) {
 	}
 }
 
-func BenchmarkAblation_VWAP_RPAITree(b *testing.B)    { benchVWAPKind(b, aggindex.KindRPAI) }
+func BenchmarkAblation_VWAP_RPAITree(b *testing.B)    { benchVWAPKind(b, aggindex.KindArena) }
 func BenchmarkAblation_VWAP_PAIMap(b *testing.B)      { benchVWAPKind(b, aggindex.KindPAI) }
 func BenchmarkAblation_VWAP_SortedSlice(b *testing.B) { benchVWAPKind(b, aggindex.KindSorted) }
 
@@ -421,4 +421,4 @@ func benchEQ1Kind(b *testing.B, kind aggindex.Kind) {
 }
 
 func BenchmarkAblation_EQ1_PAIMap(b *testing.B)   { benchEQ1Kind(b, aggindex.KindPAI) }
-func BenchmarkAblation_EQ1_RPAITree(b *testing.B) { benchEQ1Kind(b, aggindex.KindRPAI) }
+func BenchmarkAblation_EQ1_RPAITree(b *testing.B) { benchEQ1Kind(b, aggindex.KindArena) }

@@ -7,12 +7,11 @@
 // keys are held implicitly as weight-lane prefix sums) and the PAI map
 // directly, so the serving build links none of the others.
 //
-// Six implementations:
+// Five implementations:
 //
-//   - the binary RPAI tree (package rpai): O(log n) GetSum and ShiftKeys,
-//   - the arena RPAI tree (package rpai): the same tree laid out in a flat
-//     int32-indexed slab with a free list — identical semantics, no pointer
-//     chasing, no steady-state allocation,
+//   - the binary RPAI tree (package rpai): O(log n) GetSum and ShiftKeys, in
+//     a flat int32-indexed slab with a free list — no pointer chasing, no
+//     steady-state allocation,
 //   - the B-tree RPAI (package rpaibtree): same bounds, wider nodes,
 //   - the PAI map (package paimap): O(1) point ops, O(n) GetSum/ShiftKeys,
 //   - a sorted slice (this package): O(log n) search but O(n) updates,
@@ -68,8 +67,7 @@ type Index interface {
 type Kind string
 
 const (
-	KindRPAI    Kind = "rpai"    // balanced binary RPAI tree (pointer nodes)
-	KindArena   Kind = "arena"   // balanced binary RPAI tree in a flat arena
+	KindArena   Kind = "arena"   // balanced binary RPAI tree in a flat slab
 	KindBTree   Kind = "btree"   // B-tree RPAI (paper section 3.2.5's closing note)
 	KindPAI     Kind = "pai"     // hash-based PAI map
 	KindSorted  Kind = "sorted"  // sorted-slice baseline
@@ -80,10 +78,8 @@ const (
 // kind, which is a programming error.
 func New(kind Kind) Index {
 	switch kind {
-	case KindRPAI:
-		return rpai.New()
 	case KindArena:
-		return rpai.NewArena()
+		return rpai.New()
 	case KindBTree:
 		return rpaibtree.New()
 	case KindPAI:
@@ -98,7 +94,7 @@ func New(kind Kind) Index {
 
 // Kinds lists all implementations, for conformance tests and ablations.
 func Kinds() []Kind {
-	return []Kind{KindRPAI, KindArena, KindBTree, KindPAI, KindSorted, KindFenwick}
+	return []Kind{KindArena, KindBTree, KindPAI, KindSorted, KindFenwick}
 }
 
 // Sorted is the sorted-slice aggregate index: keys kept in ascending order

@@ -426,7 +426,7 @@ func TestTreeMapCodecCanonical(t *testing.T) {
 func TestIndexCodecAllKinds(t *testing.T) {
 	m := paimap.New()
 	lt := rpai.NewLevelTree()
-	lane := rpai.NewArena()
+	lane := rpai.New()
 	for _, kv := range [][2]float64{{10, 3}, {4, 1}, {7.5, 2}, {-2, 5}} {
 		m.Add(kv[0], kv[1])
 		lt.Add(kv[0], 1, 1, kv[1])

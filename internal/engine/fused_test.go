@@ -18,10 +18,10 @@ import (
 
 // Tests for relState's level tree against the structures it replaced. The
 // reference throughout is twoTreeRef below: the same plan on a column-keyed
-// treemap of weights beside two single-lane pointer RPAI trees keyed by
-// running weight sums, with the range shift of the paper's Algorithm 4 per
-// event. Where every sum is exact (integer or dyadic columns) the level tree
-// must read what it reads bit for bit; with rounding terms it adds them in
+// treemap of weights beside two single-lane RPAI trees keyed by running
+// weight sums, with the range shift of the paper's Algorithm 4 per event.
+// Where every sum is exact (integer or dyadic columns) the level tree must
+// read what it reads bit for bit; with rounding terms it adds them in
 // another order and must stay within almostEqual. Its snapshot is the
 // relation-state layout that preceded the level tree, which Restore still
 // converts — bit-exactly, since the converted tree takes over the RPAI's
@@ -216,75 +216,6 @@ var orientations = []struct {
 	subOp query.CmpOp
 }{
 	{"le", query.Le}, {"lt", query.Lt}, {"ge", query.Ge}, {"gt", query.Gt},
-}
-
-// TestFusedByKeyUpdate pins AddPrefix/AddSuffix to the calls they replaced,
-// per orientation: the pre-update right-hand side (PrefixSum, PrefixSumLess,
-// SuffixSum or SuffixSumGreater), the level's weight before the update
-// (Get), and the tree afterwards (Add, then Delete once the level is empty).
-// Prices and volumes are arbitrary non-integers — byKey holds absolute keys,
-// so nothing here needs to be exact and every sum is order-sensitive.
-func TestFusedByKeyUpdate(t *testing.T) {
-	for _, o := range orientations {
-		t.Run(o.name, func(t *testing.T) {
-			rng := rand.New(rand.NewSource(int64(o.subOp) + 41))
-			fused, ref := treemap.New(), treemap.New()
-			type row struct{ k, w float64 }
-			var live []row
-			for step := 0; step < 4000; step++ {
-				var k, d float64
-				if len(live) > 0 && rng.Float64() < 0.45 {
-					j := rng.Intn(len(live))
-					k, d = live[j].k, -live[j].w
-					live[j] = live[len(live)-1]
-					live = live[:len(live)-1]
-				} else {
-					r := row{0.1 * float64(rng.Intn(80)+1), 0.3*float64(rng.Intn(30)+1) + 0.07}
-					live = append(live, r)
-					k, d = r.k, r.w
-				}
-
-				var wantRHS float64
-				switch o.subOp {
-				case query.Le:
-					wantRHS = ref.PrefixSum(k)
-				case query.Lt:
-					wantRHS = ref.PrefixSumLess(k)
-				case query.Ge:
-					wantRHS = ref.SuffixSum(k)
-				case query.Gt:
-					wantRHS = ref.SuffixSumGreater(k)
-				}
-				wantOld, _ := ref.Get(k)
-				ref.Add(k, d)
-				wantNew, _ := ref.Get(k)
-				if wantNew == 0 {
-					ref.Delete(k)
-				}
-
-				var rhs, old, now float64
-				switch o.subOp {
-				case query.Le, query.Lt:
-					rhs, old, now = fused.AddPrefix(k, d, o.subOp == query.Lt)
-				case query.Ge, query.Gt:
-					rhs, old, now = fused.AddSuffix(k, d, o.subOp == query.Gt)
-				}
-				if math.Float64bits(rhs) != math.Float64bits(wantRHS) ||
-					math.Float64bits(old) != math.Float64bits(wantOld) ||
-					math.Float64bits(now) != math.Float64bits(wantNew) {
-					t.Fatalf("step %d key %v delta %v: fused (rhs %v, old %v, new %v), standalone (%v, %v, %v)",
-						step, k, d, rhs, old, now, wantRHS, wantOld, wantNew)
-				}
-				if err := fused.Validate(); err != nil {
-					t.Fatalf("step %d: %v", step, err)
-				}
-				if fused.Len() != ref.Len() || math.Float64bits(fused.Total()) != math.Float64bits(ref.Total()) {
-					t.Fatalf("step %d: fused tree has %d entries totalling %v, reference %d totalling %v",
-						step, fused.Len(), fused.Total(), ref.Len(), ref.Total())
-				}
-			}
-		})
-	}
 }
 
 // TestFusedRelStateMatchesTwoIndexForm drives, for each orientation and outer

@@ -106,7 +106,7 @@ func TestMultiPSPAgreesWithNaive(t *testing.T) {
 // TestMultiMSTMatchesHandCoded replays order-book traces through the generic
 // multi-relation executor and the hand-written MST/PSP executors of package
 // queries. For MST this is the independent reference for the range-shift
-// executor: the hand-written side keeps two single-lane pointer RPAI trees
+// executor: the hand-written side keeps two single-lane RPAI trees
 // keyed by running volume sums and shifts them per event, where the generic
 // side reads those sums off its level tree. On the integer trace every sum is
 // exact and the results must be bit-identical after every event. The second

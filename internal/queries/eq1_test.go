@@ -89,7 +89,7 @@ func TestEQ1IndexKindsAgree(t *testing.T) {
 	events := stream.GenerateRAB(cfg)
 	base := NewEQ1WithIndex(aggindex.KindPAI)
 	others := []RABExecutor{
-		NewEQ1WithIndex(aggindex.KindRPAI),
+		NewEQ1WithIndex(aggindex.KindArena),
 		NewEQ1WithIndex(aggindex.KindBTree),
 		NewEQ1WithIndex(aggindex.KindFenwick),
 	}

@@ -163,7 +163,7 @@ func TestMSTIndexKindsAgree(t *testing.T) {
 	cfg.DeleteRatio = 0.25
 	cfg.PriceLevels = 40
 	events := stream.GenerateOrderBook(cfg)
-	base := newMSTWith(aggindex.KindRPAI)
+	base := newMSTWith(aggindex.KindArena)
 	others := []*mstRPAI{
 		newMSTWith(aggindex.KindBTree),
 		newMSTWith(aggindex.KindPAI),
@@ -188,7 +188,7 @@ func TestNQ1IndexKindsAgree(t *testing.T) {
 	cfg.DeleteRatio = 0.3
 	cfg.PriceLevels = 30
 	events := stream.GenerateOrderBook(cfg)
-	base := newNQ1With(aggindex.KindRPAI)
+	base := newNQ1With(aggindex.KindArena)
 	others := []*nq1RPAI{
 		newNQ1With(aggindex.KindBTree),
 		newNQ1With(aggindex.KindPAI),

@@ -211,7 +211,7 @@ type mstRPAI struct {
 	asks *mstSideRPAI
 }
 
-func newMSTRPAI() *mstRPAI { return newMSTWith(aggindex.KindRPAI) }
+func newMSTRPAI() *mstRPAI { return newMSTWith(aggindex.KindArena) }
 
 func newMSTWith(kind aggindex.Kind) *mstRPAI {
 	return &mstRPAI{bids: newMSTSideRPAI(kind), asks: newMSTSideRPAI(kind)}

@@ -168,7 +168,7 @@ type nq1RPAI struct {
 	qstar   float64 // current qualifying boundary, +inf when no level qualifies
 }
 
-func newNQ1RPAI() *nq1RPAI { return newNQ1With(aggindex.KindRPAI) }
+func newNQ1RPAI() *nq1RPAI { return newNQ1With(aggindex.KindArena) }
 
 func newNQ1With(kind aggindex.Kind) *nq1RPAI {
 	return &nq1RPAI{

@@ -111,7 +111,7 @@ type vwapRPAI struct {
 	byPrice *treemap.Tree  // map3: price -> sum(volume)
 }
 
-func newVWAPRPAI() *vwapRPAI { return newVWAPWith(aggindex.KindRPAI) }
+func newVWAPRPAI() *vwapRPAI { return newVWAPWith(aggindex.KindArena) }
 
 // newVWAPWith selects the aggregate-index implementation; benchmarks use it
 // to ablate RPAI trees against PAI maps and sorted slices.

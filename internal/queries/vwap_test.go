@@ -69,7 +69,7 @@ func TestVWAPIndexAblationsAgree(t *testing.T) {
 	cfg := stream.DefaultOrderBook(300)
 	cfg.DeleteRatio = 0.2
 	events := stream.GenerateOrderBook(cfg)
-	base := newVWAPWith(aggindex.KindRPAI)
+	base := newVWAPWith(aggindex.KindArena)
 	pai := newVWAPWith(aggindex.KindPAI)
 	sorted := newVWAPWith(aggindex.KindSorted)
 	for i, e := range events {

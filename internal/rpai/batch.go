@@ -15,12 +15,12 @@ import "runtime"
 //     distinct path suffix when the next entry diverges (or once at batch
 //     end) instead of once per entry.
 //
-// Deferral is safe because anode caches child subtree sums and derives its
-// own as value + leftSum + rightSum — update's exact evaluation order — so a
-// deepest-first recompute of the stale path frames lands on the same bits the
-// per-entry unwind would have stored. Structural inserts (new keys) rebalance
-// the tree, so they first flush any deferred sums and then run the ordinary
-// single-insert path, keeping rotations bit-identical too.
+// Deferral is safe because a node caches its child subtree sums and derives
+// its own as value + leftSum + rightSum — update's exact evaluation order —
+// so a deepest-first recompute of the stale path frames lands on the same
+// bits the per-entry unwind would have stored. Structural inserts (new keys)
+// rebalance the tree, so they first flush any deferred sums and then run the
+// ordinary single-insert path, keeping rotations bit-identical too.
 
 // Entry is a (true key, value) pair: the element of the batched AddMany
 // paths and of the ranges a negative ShiftKeys re-inserts.
@@ -29,24 +29,16 @@ type Entry struct {
 	Value float64
 }
 
-// entryOf is Entry over an arena payload; entryOf[[1]float64] has Entry's
-// memory layout (see ArenaTree.AddMany).
-type entryOf[V lanes] struct {
-	Key   float64
-	Value V
-}
-
-// addMany applies insert(e.Key, e.Value, false) for each entry in order. The
-// resulting tree state is bit-identical to the sequential Adds; see the
-// pointer tree's AddMany and the batch fuzzers for the differential contract.
-func (t *arena[V]) addMany(entries []entryOf[V]) {
+// AddMany applies Add(e.Key, e.Value) for each entry in order. The resulting
+// tree state is bit-identical to the sequential Adds (see the file comment).
+func (t *Tree) AddMany(entries []Entry) {
 	var (
 		path  [maxPathLen]int32
 		dirs  [maxPathLen]bool // dirs[d]: the descent leaves path[d] rightward
 		depth int              // cached frames; path[depth-1] is the last found node
 		dirty bool             // some cached frame has a deferred sum unwind
 		prev  float64          // key of the entry that produced the cached tip
-		touch float64          // see prefix in arena.go
+		touch float64          // see prefix
 	)
 	// flush recomputes the deferred frames deepest-first down to (and
 	// including) frame from. Children of a flushed frame are canonical — the
@@ -73,7 +65,7 @@ entries:
 		// update the tip in place.
 		if depth > 0 && e.Key == prev {
 			tip := t.nodeAt(path[depth-1])
-			tip.value = laneAdd(tip.value, e.Value)
+			tip.value += e.Value
 			dirty = true
 			continue
 		}
@@ -91,7 +83,7 @@ entries:
 					// Found at a cached frame: frames below it leave the
 					// path — flush them — and this frame becomes the tip.
 					flush(j + 1)
-					n.value = laneAdd(n.value, e.Value)
+					n.value += e.Value
 					dirty = true
 					prev = e.Key
 					continue entries
@@ -166,7 +158,7 @@ entries:
 			} else {
 				path[depth] = i
 				depth++
-				n.value = laneAdd(n.value, e.Value)
+				n.value += e.Value
 				dirty = true
 				prev = e.Key
 				continue entries
@@ -203,13 +195,4 @@ entries:
 		flush(0)
 	}
 	runtime.KeepAlive(touch)
-}
-
-// AddMany applies Add(e.Key, e.Value) for each entry in order. The pointer
-// tree has no deferred representation to exploit, so this is the sequential
-// loop — which also makes it the oracle for the arena's batched path.
-func (t *Tree) AddMany(entries []Entry) {
-	for _, e := range entries {
-		t.Add(e.Key, e.Value)
-	}
 }

@@ -34,8 +34,7 @@ func requireSameState(t *testing.T, label string, got, want []Entry) {
 }
 
 // TestAddManyMatchesSequential is the bit-identity contract of the batched
-// path: AddMany on the arena must leave exactly the state a sequential Add
-// loop leaves, across batch shapes that exercise every internal branch —
+// path: AddMany must leave exactly the state a sequential Add loop leaves, across batch shapes that exercise every internal branch —
 // same-key runs (tip fast path), shared prefixes (deferred unwind + partial
 // flush), fresh keys on clean and dirty caches (inline attach vs
 // flush-then-insert), and batches over recycled free-list slots.
@@ -96,34 +95,29 @@ func TestAddManyMatchesSequential(t *testing.T) {
 		t.Run(shape.name, func(t *testing.T) {
 			for seed := int64(1); seed <= 8; seed++ {
 				rng := rand.New(rand.NewSource(seed))
-				batched, seqArena, seqTree := NewArena(), NewArena(), New()
-				// Random warm state, including some deletes so the arena
-				// batch runs over free-listed slots.
+				batched, seq := New(), New()
+				// Random warm state, including some deletes so the batch
+				// runs over free-listed slots.
 				for i := 0; i < 300; i++ {
 					k := float64(rng.Intn(128))
 					batched.Add(k, 1)
-					seqArena.Add(k, 1)
-					seqTree.Add(k, 1)
+					seq.Add(k, 1)
 				}
 				for i := 0; i < 40; i++ {
 					k := float64(rng.Intn(128))
 					batched.Delete(k)
-					seqArena.Delete(k)
-					seqTree.Delete(k)
+					seq.Delete(k)
 				}
 				for round := 0; round < 6; round++ {
 					batch := shape.batch(rng, 1+rng.Intn(120))
 					batched.AddMany(batch)
 					for _, e := range batch {
-						seqArena.Add(e.Key, e.Value)
-						seqTree.Add(e.Key, e.Value)
+						seq.Add(e.Key, e.Value)
 					}
 					if err := batched.Validate(); err != nil {
 						t.Fatalf("seed %d round %d: %v", seed, round, err)
 					}
-					got := collectState(batched)
-					requireSameState(t, "arena AddMany vs arena sequential", got, collectState(seqArena))
-					requireSameState(t, "arena AddMany vs pointer sequential", got, collectState(seqTree))
+					requireSameState(t, "AddMany vs sequential", collectState(batched), collectState(seq))
 				}
 			}
 		})
@@ -134,7 +128,7 @@ func TestAddManyMatchesSequential(t *testing.T) {
 // miss: empty batches, batches into an empty tree, and a batch that is one
 // long same-key run.
 func TestAddManyEdgeCases(t *testing.T) {
-	ar := NewArena()
+	ar := New()
 	ar.AddMany(nil)
 	ar.AddMany([]Entry{})
 	if ar.Len() != 0 {
@@ -157,7 +151,7 @@ func TestAddManyEdgeCases(t *testing.T) {
 	}
 	// Mixed signed zeros descend identically; the fast path must treat them
 	// as the same key, exactly like sequential Add does.
-	zeros := NewArena()
+	zeros := New()
 	zeros.AddMany([]Entry{{math.Copysign(0, 1), 1}, {math.Copysign(0, -1), 2}})
 	if v, _ := zeros.Get(0); v != 3 {
 		t.Fatalf("signed-zero batch: value %v, want 3", v)
@@ -172,20 +166,4 @@ func TestAddManyEdgeCases(t *testing.T) {
 		}
 	}()
 	ar.AddMany([]Entry{{math.NaN(), 1}})
-}
-
-// TestAddManyPointerMatchesLoop pins the pointer tree's AddMany as a plain
-// sequential loop — it is the oracle the arena path is checked against.
-func TestAddManyPointerMatchesLoop(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	a, b := New(), New()
-	batch := make([]Entry, 500)
-	for i := range batch {
-		batch[i] = Entry{float64(rng.Intn(100)), float64(rng.Intn(9) - 4)}
-	}
-	a.AddMany(batch)
-	for _, e := range batch {
-		b.Add(e.Key, e.Value)
-	}
-	requireSameState(t, "pointer AddMany", collectState(a), collectState(b))
 }

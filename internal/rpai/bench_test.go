@@ -6,30 +6,6 @@ import (
 	"testing"
 )
 
-// treeOps abstracts the two implementations so every benchmark runs the same
-// body against both; the sub-benchmark names (pointer vs arena) line up in
-// benchstat output.
-type treeOps interface {
-	Add(k, dv float64)
-	Put(k, v float64)
-	Delete(k float64) bool
-	GetSum(k float64) float64
-	Len() int
-}
-
-func benchImpls() []struct {
-	name string
-	make func() treeOps
-} {
-	return []struct {
-		name string
-		make func() treeOps
-	}{
-		{"pointer", func() treeOps { return New() }},
-		{"arena", func() treeOps { return NewArena() }},
-	}
-}
-
 func benchKeys(n int, seed int64) []float64 {
 	rng := rand.New(rand.NewSource(seed))
 	keys := make([]float64, n)
@@ -42,17 +18,15 @@ func benchKeys(n int, seed int64) []float64 {
 func BenchmarkTreePut(b *testing.B) {
 	for _, n := range []int{10000, 100000} {
 		keys := benchKeys(n, 1)
-		for _, impl := range benchImpls() {
-			b.Run(impl.name+"/n="+strconv.Itoa(n), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					t := impl.make()
-					for _, k := range keys {
-						t.Put(k, 1)
-					}
+		b.Run("n="+strconv.Itoa(n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				t := New()
+				for _, k := range keys {
+					t.Put(k, 1)
 				}
-			})
-		}
+			}
+		})
 	}
 }
 
@@ -61,64 +35,58 @@ func BenchmarkTreePut(b *testing.B) {
 func BenchmarkTreeAdd(b *testing.B) {
 	for _, n := range []int{10000, 100000} {
 		keys := benchKeys(n, 2)
-		for _, impl := range benchImpls() {
-			b.Run(impl.name+"/n="+strconv.Itoa(n), func(b *testing.B) {
-				t := impl.make()
-				for _, k := range keys {
-					t.Put(k, 1)
-				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					t.Add(keys[i%len(keys)], 1)
-				}
-			})
-		}
+		b.Run("n="+strconv.Itoa(n), func(b *testing.B) {
+			t := New()
+			for _, k := range keys {
+				t.Put(k, 1)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				t.Add(keys[i%len(keys)], 1)
+			}
+		})
 	}
 }
 
 func BenchmarkTreeGetSum(b *testing.B) {
 	for _, n := range []int{10000, 100000} {
 		keys := benchKeys(n, 3)
-		for _, impl := range benchImpls() {
-			b.Run(impl.name+"/n="+strconv.Itoa(n), func(b *testing.B) {
-				t := impl.make()
-				for _, k := range keys {
-					t.Put(k, 1)
-				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				var sink float64
-				for i := 0; i < b.N; i++ {
-					sink += t.GetSum(keys[i%len(keys)])
-				}
-				benchSink = sink
-			})
-		}
+		b.Run("n="+strconv.Itoa(n), func(b *testing.B) {
+			t := New()
+			for _, k := range keys {
+				t.Put(k, 1)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			var sink float64
+			for i := 0; i < b.N; i++ {
+				sink += t.GetSum(keys[i%len(keys)])
+			}
+			benchSink = sink
+		})
 	}
 }
 
 // BenchmarkTreeDelete measures delete/re-insert churn at a steady size — the
-// case the arena free list exists for.
+// case the slab's free list exists for.
 func BenchmarkTreeDelete(b *testing.B) {
 	for _, n := range []int{10000, 100000} {
 		keys := benchKeys(n, 4)
-		for _, impl := range benchImpls() {
-			b.Run(impl.name+"/n="+strconv.Itoa(n), func(b *testing.B) {
-				t := impl.make()
-				for _, k := range keys {
+		b.Run("n="+strconv.Itoa(n), func(b *testing.B) {
+			t := New()
+			for _, k := range keys {
+				t.Put(k, 1)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				k := keys[i%len(keys)]
+				if t.Delete(k) {
 					t.Put(k, 1)
 				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					k := keys[i%len(keys)]
-					if t.Delete(k) {
-						t.Put(k, 1)
-					}
-				}
-			})
-		}
+			}
+		})
 	}
 }
 

@@ -82,7 +82,7 @@ func TestDeleteRoot(t *testing.T) {
 			tr, ref := buildBoth(t, entries)
 			requireAgree(t, "built", tr, ref)
 			for tr.Len() > 0 {
-				rootKey := tr.root.key // no parent frame: relative == true key
+				rootKey := tr.nodes[tr.root].key // no parent frame: relative == true key
 				if !tr.Contains(rootKey) {
 					t.Fatalf("root key %v not reported present", rootKey)
 				}

@@ -18,19 +18,13 @@ import (
 // marking child presence and one the link color.
 func (t *Tree) Encode(w io.Writer) error {
 	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(encodeMagic); err != nil {
-		return err
-	}
-	if err := binary.Write(bw, binary.LittleEndian, uint32(encodeVersion)); err != nil {
-		return err
-	}
-	if err := binary.Write(bw, binary.LittleEndian, uint32(t.Len())); err != nil {
-		return err
-	}
-	if err := encodeNode(bw, t.root); err != nil {
-		return err
-	}
-	return bw.Flush()
+	var hdr [12]byte
+	copy(hdr[:], encodeMagic)
+	binary.LittleEndian.PutUint32(hdr[4:], encodeVersion)
+	binary.LittleEndian.PutUint32(hdr[8:], uint32(t.Len()))
+	bw.Write(hdr[:])
+	t.encodeNode(bw, t.root)
+	return bw.Flush() // bufio errors are sticky
 }
 
 const (
@@ -42,33 +36,26 @@ const (
 	flagRed   = 1 << 2
 )
 
-func encodeNode(w *bufio.Writer, n *node) error {
-	if n == nil {
-		return nil
+func (t *Tree) encodeNode(w *bufio.Writer, i int32) {
+	if i < 0 {
+		return
 	}
-	var flags byte
-	if n.left != nil {
-		flags |= flagLeft
+	n := &t.nodes[i]
+	var buf [17]byte
+	if n.left >= 0 {
+		buf[0] |= flagLeft
 	}
-	if n.right != nil {
-		flags |= flagRight
+	if n.right >= 0 {
+		buf[0] |= flagRight
 	}
 	if n.color == red {
-		flags |= flagRed
+		buf[0] |= flagRed
 	}
-	if err := w.WriteByte(flags); err != nil {
-		return err
-	}
-	var buf [16]byte
-	binary.LittleEndian.PutUint64(buf[0:], math.Float64bits(n.key))
-	binary.LittleEndian.PutUint64(buf[8:], math.Float64bits(n.value))
-	if _, err := w.Write(buf[:]); err != nil {
-		return err
-	}
-	if err := encodeNode(w, n.left); err != nil {
-		return err
-	}
-	return encodeNode(w, n.right)
+	binary.LittleEndian.PutUint64(buf[1:], math.Float64bits(n.key))
+	binary.LittleEndian.PutUint64(buf[9:], math.Float64bits(n.value))
+	w.Write(buf[:])
+	t.encodeNode(w, n.left)
+	t.encodeNode(w, n.right)
 }
 
 // Decode reads a snapshot written by Encode and returns the restored tree.
@@ -76,29 +63,28 @@ func encodeNode(w *bufio.Writer, n *node) error {
 // corrupted stream is reported rather than silently accepted.
 func Decode(r io.Reader) (*Tree, error) {
 	br := bufio.NewReader(r)
-	magic := make([]byte, len(encodeMagic))
-	if _, err := io.ReadFull(br, magic); err != nil {
+	var hdr [12]byte
+	if _, err := io.ReadFull(br, hdr[:]); err != nil {
 		return nil, fmt.Errorf("rpai: reading snapshot header: %w", err)
 	}
-	if string(magic) != encodeMagic {
-		return nil, fmt.Errorf("rpai: bad snapshot magic %q", magic)
+	if string(hdr[:4]) != encodeMagic {
+		return nil, fmt.Errorf("rpai: bad snapshot magic %q", hdr[:4])
 	}
-	var version, count uint32
-	if err := binary.Read(br, binary.LittleEndian, &version); err != nil {
-		return nil, err
+	if v := binary.LittleEndian.Uint32(hdr[4:]); v != encodeVersion {
+		return nil, fmt.Errorf("rpai: unsupported snapshot version %d", v)
 	}
-	if version != encodeVersion {
-		return nil, fmt.Errorf("rpai: unsupported snapshot version %d", version)
+	count := binary.LittleEndian.Uint32(hdr[8:])
+	t := New()
+	if count > 0 {
+		// The header is untrusted: preallocate at most 1<<20 nodes and let
+		// append grow the slab past that as the stream proves its length.
+		t.nodes = make([]tnode, 0, min(count, 1<<20))
+		root, err := t.decodeNode(br)
+		if err != nil {
+			return nil, err
+		}
+		t.root = root
 	}
-	if err := binary.Read(br, binary.LittleEndian, &count); err != nil {
-		return nil, err
-	}
-	d := decoder{r: br}
-	root, err := d.node(int(count) > 0)
-	if err != nil {
-		return nil, err
-	}
-	t := &Tree{root: root}
 	if t.Len() != int(count) {
 		return nil, fmt.Errorf("rpai: snapshot node count mismatch: header %d, stream %d", count, t.Len())
 	}
@@ -108,33 +94,28 @@ func Decode(r io.Reader) (*Tree, error) {
 	return t, nil
 }
 
-type decoder struct {
-	r *bufio.Reader
-}
-
-func (d *decoder) node(present bool) (*node, error) {
-	if !present {
-		return nil, nil
+func (t *Tree) decodeNode(r *bufio.Reader) (int32, error) {
+	var buf [17]byte
+	if _, err := io.ReadFull(r, buf[:]); err != nil {
+		return nilIdx, fmt.Errorf("rpai: truncated snapshot: %w", err)
 	}
-	flags, err := d.r.ReadByte()
-	if err != nil {
-		return nil, fmt.Errorf("rpai: truncated snapshot: %w", err)
+	i := t.alloc(math.Float64frombits(binary.LittleEndian.Uint64(buf[1:])),
+		math.Float64frombits(binary.LittleEndian.Uint64(buf[9:])))
+	t.nodes[i].color = buf[0]&flagRed != 0
+	if buf[0]&flagLeft != 0 {
+		c, err := t.decodeNode(r)
+		if err != nil {
+			return nilIdx, err
+		}
+		t.nodes[i].left = c
 	}
-	var buf [16]byte
-	if _, err := io.ReadFull(d.r, buf[:]); err != nil {
-		return nil, fmt.Errorf("rpai: truncated snapshot: %w", err)
+	if buf[0]&flagRight != 0 {
+		c, err := t.decodeNode(r)
+		if err != nil {
+			return nilIdx, err
+		}
+		t.nodes[i].right = c
 	}
-	n := &node{
-		key:   math.Float64frombits(binary.LittleEndian.Uint64(buf[0:])),
-		value: math.Float64frombits(binary.LittleEndian.Uint64(buf[8:])),
-		color: flags&flagRed != 0,
-	}
-	if n.left, err = d.node(flags&flagLeft != 0); err != nil {
-		return nil, err
-	}
-	if n.right, err = d.node(flags&flagRight != 0); err != nil {
-		return nil, err
-	}
-	n.update()
-	return n, nil
+	t.update(i)
+	return i, nil
 }

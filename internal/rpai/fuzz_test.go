@@ -7,8 +7,7 @@ import (
 )
 
 // FuzzTreeOps decodes the fuzz input as a sequence of tree operations and
-// drives four implementations in lockstep: the balanced production Tree, the
-// arena-backed ArenaTree (which must stay bit-identical to Tree), the
+// drives three implementations in lockstep: the balanced production Tree, the
 // paper's unbalanced parent-relative Reference BST (Algorithms 1 and 2
 // verbatim), and a plain map model. Mutations — Add, Put, Delete, ShiftKeys,
 // ShiftKeysInclusive — are applied to all three; queries — Get, GetSum,
@@ -27,7 +26,6 @@ func FuzzTreeOps(f *testing.F) {
 	f.Add([]byte{0, 1, 1, 0, 2, 2, 0, 3, 3, 3, 1, 240, 9, 0, 0, 7, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tr := New()
-		ar := NewArena()
 		ref := NewReference()
 		m := map[float64]float64{}
 		modelShift := func(k, d float64, incl bool) {
@@ -52,12 +50,10 @@ func FuzzTreeOps(f *testing.F) {
 			switch op {
 			case 0:
 				tr.Add(k, v)
-				ar.Add(k, v)
 				ref.Add(k, v)
 				m[k] += v
 			case 1:
 				tr.Put(k, v)
-				ar.Put(k, v)
 				ref.Put(k, v)
 				m[k] = v
 			case 2:
@@ -65,21 +61,16 @@ func FuzzTreeOps(f *testing.F) {
 				if got := tr.Delete(k); got != want {
 					t.Fatalf("Delete(%v) = %v want %v", k, got, want)
 				}
-				if got := ar.Delete(k); got != want {
-					t.Fatalf("arena Delete(%v) = %v want %v", k, got, want)
-				}
 				if got := ref.Delete(k); got != want {
 					t.Fatalf("reference Delete(%v) = %v want %v", k, got, want)
 				}
 				delete(m, k)
 			case 3:
 				tr.ShiftKeys(k, v)
-				ar.ShiftKeys(k, v)
 				ref.ShiftKeys(k, v)
 				modelShift(k, v, false)
 			case 4:
 				tr.ShiftKeysInclusive(k, v)
-				ar.ShiftKeysInclusive(k, v)
 				ref.ShiftKeysInclusive(k, v)
 				modelShift(k, v, true)
 			case 5:
@@ -92,18 +83,12 @@ func FuzzTreeOps(f *testing.F) {
 				if got := tr.GetSum(k); got != want {
 					t.Fatalf("GetSum(%v) = %v want %v", k, got, want)
 				}
-				if got := ar.GetSum(k); got != want {
-					t.Fatalf("arena GetSum(%v) = %v want %v", k, got, want)
-				}
 				if got := ref.GetSum(k); got != want {
 					t.Fatalf("reference GetSum(%v) = %v want %v", k, got, want)
 				}
 			case 6:
 				if got, ok := tr.Get(k); ok != containsKey(m, k) || (ok && got != m[k]) {
 					t.Fatalf("Get(%v) = %v,%v want %v", k, got, ok, m[k])
-				}
-				if got, ok := ar.Get(k); ok != containsKey(m, k) || (ok && got != m[k]) {
-					t.Fatalf("arena Get(%v) = %v,%v want %v", k, got, ok, m[k])
 				}
 				if got, ok := ref.Get(k); ok != containsKey(m, k) || (ok && got != m[k]) {
 					t.Fatalf("reference Get(%v) = %v,%v want %v", k, got, ok, m[k])
@@ -125,12 +110,6 @@ func FuzzTreeOps(f *testing.F) {
 				}
 				if got, ok := tr.Max(); ok != any || (any && got != wantMax) {
 					t.Fatalf("Max() = %v,%v want %v,%v", got, ok, wantMax, any)
-				}
-				if got, ok := ar.Min(); ok != any || (any && got != wantMin) {
-					t.Fatalf("arena Min() = %v,%v want %v,%v", got, ok, wantMin, any)
-				}
-				if got, ok := ar.Max(); ok != any || (any && got != wantMax) {
-					t.Fatalf("arena Max() = %v,%v want %v,%v", got, ok, wantMax, any)
 				}
 				if got, ok := ref.Min(); ok != any || (any && got != wantMin) {
 					t.Fatalf("reference Min() = %v,%v want %v,%v", got, ok, wantMin, any)
@@ -160,15 +139,6 @@ func FuzzTreeOps(f *testing.F) {
 				if got := tr.SuffixSumGreater(k); got != greater {
 					t.Fatalf("SuffixSumGreater(%v) = %v want %v", k, got, greater)
 				}
-				if got := ar.GetSumLess(k); got != less {
-					t.Fatalf("arena GetSumLess(%v) = %v want %v", k, got, less)
-				}
-				if got := ar.SuffixSum(k); got != suffix {
-					t.Fatalf("arena SuffixSum(%v) = %v want %v", k, got, suffix)
-				}
-				if got := ar.SuffixSumGreater(k); got != greater {
-					t.Fatalf("arena SuffixSumGreater(%v) = %v want %v", k, got, greater)
-				}
 				if got := ref.GetSumLess(k); got != less {
 					t.Fatalf("reference GetSumLess(%v) = %v want %v", k, got, less)
 				}
@@ -180,9 +150,6 @@ func FuzzTreeOps(f *testing.F) {
 				if got := tr.Total(); got != want {
 					t.Fatalf("Total() = %v want %v", got, want)
 				}
-				if got := ar.Total(); got != want {
-					t.Fatalf("arena Total() = %v want %v", got, want)
-				}
 				if got := ref.Total(); got != want {
 					t.Fatalf("reference Total() = %v want %v", got, want)
 				}
@@ -191,58 +158,54 @@ func FuzzTreeOps(f *testing.F) {
 			if err := tr.Validate(); err != nil {
 				t.Fatalf("after op %d: %v", i/3, err)
 			}
-			if err := ar.Validate(); err != nil {
-				t.Fatalf("arena after op %d: %v", i/3, err)
-			}
 			if err := ref.Validate(); err != nil {
 				t.Fatalf("after op %d: %v", i/3, err)
 			}
 			if tr.Len() != len(m) {
 				t.Fatalf("Len = %d want %d", tr.Len(), len(m))
 			}
-			if ar.Len() != len(m) {
-				t.Fatalf("arena Len = %d want %d", ar.Len(), len(m))
-			}
 			if ref.Len() != len(m) {
 				t.Fatalf("reference Len = %d want %d", ref.Len(), len(m))
 			}
 		}
-		// Final full comparison: Tree, ArenaTree, Reference and model agree
-		// entry by entry, and the arena tree's structure is bit-identical to
-		// the pointer tree (same snapshot bytes).
+		// Final full comparison: Tree, Reference and model agree entry by
+		// entry, and the tree's snapshot restores and re-encodes to the same
+		// bytes.
 		keys := tr.Keys()
-		arKeys := ar.Keys()
 		refKeys := ref.Keys()
 		want := make([]float64, 0, len(m))
 		for k := range m {
 			want = append(want, k)
 		}
 		sort.Float64s(want)
-		if len(keys) != len(want) || len(arKeys) != len(want) || len(refKeys) != len(want) {
-			t.Fatalf("key counts %d/%d/%d want %d", len(keys), len(arKeys), len(refKeys), len(want))
+		if len(keys) != len(want) || len(refKeys) != len(want) {
+			t.Fatalf("key counts %d/%d want %d", len(keys), len(refKeys), len(want))
 		}
 		for i := range keys {
-			if keys[i] != want[i] || arKeys[i] != want[i] || refKeys[i] != want[i] {
-				t.Fatalf("keys diverge at %d: tree %v, arena %v, reference %v, model %v",
-					i, keys[i], arKeys[i], refKeys[i], want[i])
+			if keys[i] != want[i] || refKeys[i] != want[i] {
+				t.Fatalf("keys diverge at %d: tree %v, reference %v, model %v",
+					i, keys[i], refKeys[i], want[i])
 			}
 			tv, _ := tr.Get(keys[i])
-			av, _ := ar.Get(keys[i])
 			rv, _ := ref.Get(keys[i])
-			if tv != m[keys[i]] || av != m[keys[i]] || rv != m[keys[i]] {
-				t.Fatalf("values diverge at key %v: tree %v, arena %v, reference %v, model %v",
-					keys[i], tv, av, rv, m[keys[i]])
+			if tv != m[keys[i]] || rv != m[keys[i]] {
+				t.Fatalf("values diverge at key %v: tree %v, reference %v, model %v",
+					keys[i], tv, rv, m[keys[i]])
 			}
 		}
-		var tb, ab bytes.Buffer
-		if err := tr.Encode(&tb); err != nil {
+		var snap, again bytes.Buffer
+		if err := tr.Encode(&snap); err != nil {
 			t.Fatal(err)
 		}
-		if err := ar.Encode(&ab); err != nil {
+		back, err := Decode(bytes.NewReader(snap.Bytes()))
+		if err != nil {
+			t.Fatalf("decode: %v", err)
+		}
+		if err := back.Encode(&again); err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(tb.Bytes(), ab.Bytes()) {
-			t.Fatal("pointer and arena trees diverged structurally (snapshot bytes differ)")
+		if !bytes.Equal(snap.Bytes(), again.Bytes()) {
+			t.Fatal("restored tree re-encodes to different bytes")
 		}
 	})
 }

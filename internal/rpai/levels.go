@@ -32,9 +32,9 @@ import (
 // non-zero: Add inserts it on its first contribution and deletes it when the
 // count returns to 0.
 //
-// Storage is the arena's: one slab of nodes linked by int32 indices, vacated
+// Storage is Tree's: one slab of nodes linked by int32 indices, vacated
 // slots recycled through a free list, so steady-state churn allocates nothing.
-// The balancing is the arena's LLRB with the relative-key arithmetic left
+// The balancing is Tree's LLRB with the relative-key arithmetic left
 // out, and every node caches its children's lane sums (leftSum, rightSum)
 // so a descent reads only nodes on its path.
 //
@@ -53,6 +53,16 @@ const (
 	laneT = 2 // summed aggregate term
 )
 
+// sum3 returns v + l + r per lane, in update's evaluation order.
+func sum3(v, l, r [3]float64) [3]float64 {
+	return [3]float64{v[0] + l[0] + r[0], v[1] + l[1] + r[1], v[2] + l[2] + r[2]}
+}
+
+// add3 returns a + b per lane.
+func add3(a, b [3]float64) [3]float64 {
+	return [3]float64{a[0] + b[0], a[1] + b[1], a[2] + b[2]}
+}
+
 // lnode is one level. The fields a key descent reads come first.
 type lnode struct {
 	key      float64
@@ -64,8 +74,8 @@ type lnode struct {
 	red      bool
 }
 
-// A level takes 96 bytes, where the treemap node and two-lane arena node it
-// replaces took 80 + 88. Either direction of drift fails the build.
+// A level takes 96 bytes, where the treemap node and two-lane RPAI node it
+// replaced took 80 + 88. Either direction of drift fails the build.
 var (
 	_ [unsafe.Sizeof(lnode{}) - 96]byte
 	_ [96 - unsafe.Sizeof(lnode{})]byte
@@ -92,7 +102,7 @@ func NewLevelTree() *LevelTree { return &LevelTree{root: nilIdx, free: nilIdx} }
 func (t *LevelTree) Len() int { return len(t.nodes) - int(t.freeN) }
 
 // at returns the node at live index i without a bounds check (see
-// arena.nodeAt).
+// Tree.nodeAt).
 func (t *LevelTree) at(i int32) *lnode {
 	return (*lnode)(unsafe.Add(unsafe.Pointer(unsafe.SliceData(t.nodes)), uintptr(i)*unsafe.Sizeof(lnode{})))
 }
@@ -105,7 +115,7 @@ func (t *LevelTree) sumOf(i int32) (s [3]float64) {
 		return s
 	}
 	n := &t.nodes[i]
-	return laneSum(n.val, n.leftSum, n.rightSum)
+	return sum3(n.val, n.leftSum, n.rightSum)
 }
 
 // Total returns each lane summed over every level.
@@ -208,7 +218,7 @@ func (t *LevelTree) Add(k, dw, dc, dt float64) {
 	var path [maxPathLen]int32
 	var dirs [maxPathLen]bool // dirs[i]: the descent leaves path[i] rightward
 	depth := 0
-	var touch float64 // see arena.prefix
+	var touch float64 // see Tree.prefix
 	for i := t.root; i >= 0; {
 		n := t.at(i)
 		if l := n.left; l >= 0 {
@@ -219,11 +229,11 @@ func (t *LevelTree) Add(k, dw, dc, dt float64) {
 		}
 		if k == n.key {
 			runtime.KeepAlive(touch)
-			n.val = laneAdd(n.val, d)
+			n.val = add3(n.val, d)
 			if n.val[laneC] != 0 {
 				// Each ancestor caches both child sums; refresh the on-path
 				// one.
-				t.propagate(path[:depth], dirs[:depth], laneSum(n.val, n.leftSum, n.rightSum))
+				t.propagate(path[:depth], dirs[:depth], sum3(n.val, n.leftSum, n.rightSum))
 				return
 			}
 			t.root = t.del(t.root, k)
@@ -280,10 +290,10 @@ func (t *LevelTree) propagate(path []int32, dirs []bool, s [3]float64) {
 		m := t.at(path[j])
 		if dirs[j] {
 			m.rightSum = s
-			s = laneSum(m.val, m.leftSum, s)
+			s = sum3(m.val, m.leftSum, s)
 		} else {
 			m.leftSum = s
-			s = laneSum(m.val, s, m.rightSum)
+			s = sum3(m.val, s, m.rightSum)
 		}
 	}
 }
@@ -374,17 +384,17 @@ func (n *lnode) position(by Steer, s, add *[3]float64) float64 {
 // below it when strict. Positions rise with the key (a weight-steered read
 // needs non-negative weights), so those levels are a prefix of the order and
 // one descent finds them, adding a node's lanes and its left subtree's on
-// every right turn: arena.prefix's loop, with the position in place of the
+// every right turn: Tree.prefix's loop, with the position in place of the
 // stored key.
 func (t *LevelTree) Prefix(by Steer, bound float64, strict bool) (cnt, sum float64) {
 	var s [3]float64
 	for i := t.root; i >= 0; {
 		n := t.at(i)
-		add := laneAdd(n.val, n.leftSum)
+		add := add3(n.val, n.leftSum)
 		if p := n.position(by, &s, &add); bound < p || (bound == p && strict) {
 			i = n.left
 		} else {
-			s = laneAdd(s, add)
+			s = add3(s, add)
 			i = n.right
 		}
 	}
@@ -406,7 +416,7 @@ func (t *LevelTree) Prefixes(by Steer, bounds []float64, strict bool, cnt, sum [
 func (t *LevelTree) prefixesAt(i int32, by Steer, bounds []float64, strict bool, cnt, sum []float64, s [3]float64) {
 	for i >= 0 && len(bounds) > 0 {
 		n := t.at(i)
-		add := laneAdd(n.val, n.leftSum)
+		add := add3(n.val, n.leftSum)
 		p := n.position(by, &s, &add)
 		// The bounds that turn left form a prefix of the ascending list.
 		cut := 0
@@ -421,7 +431,7 @@ func (t *LevelTree) prefixesAt(i int32, by Steer, bounds []float64, strict bool,
 			bounds, cnt, sum = bounds[cut:], cnt[cut:], sum[cut:]
 			fallthrough
 		default:
-			s = laneAdd(s, add)
+			s = add3(s, add)
 			i = n.right
 		}
 	}
@@ -601,41 +611,62 @@ func (t *LevelTree) decodeNode(r *bufio.Reader) (int32, error) {
 // DecodeParentLevels converts the state a correlated predicate kept before
 // the level tree — a column-keyed map of level weights beside a two-lane RPAI
 // over the same levels keyed by running weight sums — into a level tree.
-// r0 and r1 are that RPAI's count and term lane streams (each the stream a
-// one-lane tree holding the lane writes; they must agree on shape, colours
-// and keys); keys and weights are the map's entries in the RPAI's key order.
-// The lanes are zipped with them in order onto the RPAI's own shape, so the
-// converted tree caches the very count and term sums the RPAI did, and a read
-// whose weight positions equal the RPAI's keys adds the same floats in the
-// same order.
+// r0 and r1 are that RPAI's count and term lane streams, each decoded as a
+// one-lane Tree; the two must agree on node count, shape, colours and
+// relative keys. keys and weights are the map's entries in the RPAI's key
+// order. The lanes are zipped with them in order onto the RPAI's own shape,
+// so the converted tree caches the very count and term sums the RPAI did, and
+// a read whose weight positions equal the RPAI's keys adds the same floats in
+// the same order.
 func DecodeParentLevels(r0, r1 io.Reader, keys, weights []float64) (*LevelTree, error) {
-	var p arena[[2]float64]
-	if err := p.decode(r0, r1); err != nil {
+	cnt, err := Decode(r0)
+	if err != nil {
 		return nil, err
 	}
-	if p.Len() != len(keys) || len(weights) != len(keys) {
-		return nil, fmt.Errorf("rpai: parent index holds %d levels, its weight map %d", p.Len(), len(keys))
+	term, err := Decode(r1)
+	if err != nil {
+		return nil, err
+	}
+	if cnt.Len() != term.Len() {
+		return nil, fmt.Errorf("rpai: lane snapshots disagree on node count: %d vs %d", cnt.Len(), term.Len())
+	}
+	if !sameShape(cnt, term, cnt.root, term.root) {
+		return nil, fmt.Errorf("rpai: lane snapshots disagree on tree structure")
+	}
+	if cnt.Len() != len(keys) || len(weights) != len(keys) {
+		return nil, fmt.Errorf("rpai: parent index holds %d levels, its weight map %d", cnt.Len(), len(keys))
 	}
 	t := NewLevelTree()
 	t.nodes = make([]lnode, 0, len(keys))
 	next := 0
-	var zip func(j int32) int32
-	zip = func(j int32) int32 {
-		if j < 0 {
+	var zip func(i, j int32) int32
+	zip = func(i, j int32) int32 {
+		if i < 0 {
 			return nilIdx
 		}
-		pn := &p.nodes[j]
-		l := zip(pn.left)
-		i := t.alloc(keys[next], [3]float64{weights[next], pn.value[0], pn.value[1]})
+		c, s := &cnt.nodes[i], &term.nodes[j]
+		l := zip(c.left, s.left)
+		n := t.alloc(keys[next], [3]float64{weights[next], c.value, s.value})
 		next++
-		r := zip(pn.right)
-		t.nodes[i].left, t.nodes[i].right, t.nodes[i].red = l, r, pn.color == red
-		t.update(i)
-		return i
+		r := zip(c.right, s.right)
+		t.nodes[n].left, t.nodes[n].right, t.nodes[n].red = l, r, c.color == red
+		t.update(n)
+		return n
 	}
-	t.root = zip(p.root)
+	t.root = zip(cnt.root, term.root)
 	if err := t.Validate(); err != nil {
 		return nil, fmt.Errorf("rpai: converted parent index fails validation: %w", err)
 	}
 	return t, nil
+}
+
+// sameShape reports whether the subtrees at i in a and at j in b have the
+// same shape, colours and relative keys (bit for bit).
+func sameShape(a, b *Tree, i, j int32) bool {
+	if i < 0 || j < 0 {
+		return i == j
+	}
+	m, n := &a.nodes[i], &b.nodes[j]
+	return math.Float64bits(m.key) == math.Float64bits(n.key) && m.color == n.color &&
+		sameShape(a, b, m.left, n.left) && sameShape(a, b, m.right, n.right)
 }

@@ -13,25 +13,37 @@ import (
 type level struct{ k, w, c, t, abs float64 }
 
 // parentLevels is the state a correlated predicate kept before the level
-// tree: a column-keyed treemap of level weights beside a two-lane RPAI
-// (count, term) keyed by running weight sums, maintained with the parent
-// executor's shift-and-add. On exactly summable inputs the level tree must
-// read from it, bit for bit, what this structure reads.
+// tree: a column-keyed treemap of level weights beside a count and a term
+// RPAI keyed by running weight sums, maintained with the parent executor's
+// shift-and-add. On exactly summable inputs the level tree must read from it,
+// bit for bit, what this structure reads.
 type parentLevels struct {
-	strict bool
-	byKey  *treemap.Tree
-	idx    arena[[2]float64]
+	strict    bool
+	byKey     *treemap.Tree
+	cnt, term *Tree
 }
 
 func (p *parentLevels) add(k, dw, dc, dt float64) {
-	rhs, volAt, _ := p.byKey.AddPrefix(k, dw, p.strict)
+	rhs := p.byKey.PrefixSum(k)
+	if p.strict {
+		rhs = p.byKey.PrefixSumLess(k)
+	}
+	volAt, _ := p.byKey.Get(k)
+	p.byKey.Add(k, dw)
+	if v, _ := p.byKey.Get(k); v == 0 {
+		p.byKey.Delete(k)
+	}
 	at, inclusive, key := rhs-volAt, false, rhs+dw
 	if p.strict {
 		at, inclusive, key = rhs, !(volAt > 0), rhs
 	}
-	p.idx.shift(at, dw, inclusive)
-	if v := p.idx.insert(key, [2]float64{dc, dt}, false); v[0] == 0 {
-		p.idx.Delete(key)
+	p.cnt.shift(at, dw, inclusive)
+	p.term.shift(at, dw, inclusive)
+	p.cnt.Add(key, dc)
+	p.term.Add(key, dt)
+	if v, _ := p.cnt.Get(key); v == 0 {
+		p.cnt.Delete(key)
+		p.term.Delete(key)
 	}
 }
 
@@ -77,7 +89,7 @@ func FuzzLevelTree(f *testing.F) {
 			by = SteerWeightBefore
 		}
 		lt := NewLevelTree()
-		parent := &parentLevels{strict: strict, byKey: treemap.New(), idx: newArena[[2]float64]()}
+		parent := &parentLevels{strict: strict, byKey: treemap.New(), cnt: New(), term: New()}
 		var model []level
 		var live [][3]float64 // (key, weight, term) of each live row
 		const maxOps = 96
@@ -241,15 +253,15 @@ func checkLevelTree(t *testing.T, op int, lt *LevelTree, model []level, by Steer
 // bit for bit: at each of its keys, a little beside them, and past both ends.
 func checkAgainstParent(t *testing.T, op int, lt *LevelTree, p *parentLevels, by Steer) {
 	t.Helper()
-	if p.idx.Len() != lt.Len() || p.byKey.Len() != lt.Len() {
-		t.Fatalf("op %d: %d levels, parent index %d, parent weight map %d", op, lt.Len(), p.idx.Len(), p.byKey.Len())
+	if p.cnt.Len() != lt.Len() || p.term.Len() != lt.Len() || p.byKey.Len() != lt.Len() {
+		t.Fatalf("op %d: %d levels, parent index %d/%d, parent weight map %d", op, lt.Len(), p.cnt.Len(), p.term.Len(), p.byKey.Len())
 	}
 	tw, tc, ts := lt.Total()
-	if pt := p.idx.total(); !sameBits(tc, pt[0]) || !sameBits(ts, pt[1]) || !sameBits(tw, p.byKey.Total()) {
-		t.Fatalf("op %d: totals (%v, %v, %v), parent (%v, %v, %v)", op, tw, tc, ts, p.byKey.Total(), pt[0], pt[1])
+	if !sameBits(tc, p.cnt.Total()) || !sameBits(ts, p.term.Total()) || !sameBits(tw, p.byKey.Total()) {
+		t.Fatalf("op %d: totals (%v, %v, %v), parent (%v, %v, %v)", op, tw, tc, ts, p.byKey.Total(), p.cnt.Total(), p.term.Total())
 	}
 	bounds := []float64{-1}
-	for _, k := range p.idx.Keys() {
+	for _, k := range p.cnt.Keys() {
 		bounds = append(bounds, k-0.125, k, k+0.0625)
 	}
 	bounds = append(bounds, tw+1)
@@ -257,11 +269,11 @@ func checkAgainstParent(t *testing.T, op int, lt *LevelTree, p *parentLevels, by
 		cnt, sum := make([]float64, len(bounds)), make([]float64, len(bounds))
 		lt.Prefixes(by, bounds, strict, cnt, sum)
 		for i, b := range bounds {
-			want := p.idx.prefix(b, strict)
-			if c, s := lt.Prefix(by, b, strict); !sameBits(c, want[0]) || !sameBits(s, want[1]) ||
-				!sameBits(cnt[i], want[0]) || !sameBits(sum[i], want[1]) {
+			wc, ws := p.cnt.prefix(b, strict), p.term.prefix(b, strict)
+			if c, s := lt.Prefix(by, b, strict); !sameBits(c, wc) || !sameBits(s, ws) ||
+				!sameBits(cnt[i], wc) || !sameBits(sum[i], ws) {
 				t.Fatalf("op %d: strict=%v read at %v = (%v, %v), shared (%v, %v), parent RPAI (%v, %v)",
-					op, strict, b, c, s, cnt[i], sum[i], want[0], want[1])
+					op, strict, b, c, s, cnt[i], sum[i], wc, ws)
 			}
 		}
 	}

@@ -465,7 +465,7 @@ func TestHeightLogarithmicUnderSortedInsert(t *testing.T) {
 	for i := 0; i < n; i++ {
 		tr.Put(float64(i), 1)
 	}
-	h := height(tr.root)
+	h := height(tr, tr.root)
 	if max := 2 * int(math.Ceil(math.Log2(n+1))); h > max {
 		t.Fatalf("height %d exceeds %d", h, max)
 	}
@@ -485,7 +485,7 @@ func TestHeightLogarithmicUnderShifts(t *testing.T) {
 		}
 	}
 	n := tr.Len()
-	if h, max := height(tr.root), 2*int(math.Ceil(math.Log2(float64(n)+1))); h > max {
+	if h, max := height(tr, tr.root), 2*int(math.Ceil(math.Log2(float64(n)+1))); h > max {
 		t.Fatalf("height %d exceeds %d for n=%d", h, max, n)
 	}
 	if err := tr.Validate(); err != nil {
@@ -493,11 +493,11 @@ func TestHeightLogarithmicUnderShifts(t *testing.T) {
 	}
 }
 
-func height(n *node) int {
-	if n == nil {
+func height(tr *Tree, i int32) int {
+	if i < 0 {
 		return 0
 	}
-	l, r := height(n.left), height(n.right)
+	l, r := height(tr, tr.nodes[i].left), height(tr, tr.nodes[i].right)
 	if l > r {
 		return l + 1
 	}

@@ -164,7 +164,7 @@ func put(h *node, k, v float64) *node {
 	return fixUp(h)
 }
 
-// maxPathLen bounds the root-to-node path the single-descent updates record.
+// maxPathLen bounds the root-to-node path Add's single descent records.
 // A red-black tree holds height <= 2*log2(n+1), so 64 frames cover any tree
 // that fits in memory; a deeper path falls back to the recursive form.
 const maxPathLen = 64
@@ -193,106 +193,22 @@ func (t *Tree) Add(k, dv float64) {
 			depth++
 			n = n.right
 		default:
-			n.bump(dv, path[:depth])
+			n.value += dv
+			n.sum = n.value + n.left.sumOf() + n.right.sumOf()
+			for d := depth - 1; d >= 0; d-- {
+				p := path[d]
+				p.sum = p.value + p.left.sumOf() + p.right.sumOf()
+			}
 			return
 		}
 	}
-	t.addSlow(k, dv)
-}
-
-// bump adds dv to n's value and recomputes the sums of n and of its
-// ancestors, path[len-1] (n's parent) first.
-func (n *node) bump(dv float64, path []*node) {
-	n.value += dv
-	n.sum = n.value + n.left.sumOf() + n.right.sumOf()
-	for d := len(path) - 1; d >= 0; d-- {
-		p := path[d]
-		p.sum = p.value + p.left.sumOf() + p.right.sumOf()
-	}
-}
-
-// addSlow is Add by Get and recursive Put: the path for a key that is absent
-// (the insert rebalances) or deeper than maxPathLen.
-func (t *Tree) addSlow(k, dv float64) {
+	// An absent key (the insert rebalances) or a path deeper than
+	// maxPathLen: Get and the recursive Put.
 	if v, ok := t.Get(k); ok {
 		t.Put(k, v+dv)
 		return
 	}
 	t.Put(k, dv)
-}
-
-// AddPrefix is Add fused with the reads an executor makes around it, in one
-// descent: it returns the prefix sum as it stood BEFORE the update — over
-// keys <= k (PrefixSum), or keys < k when strict (PrefixSumLess) — together
-// with the value under k before (0 if absent) and after, and it removes the
-// entry when the new value is exactly zero. Every float is evaluated in the
-// order the standalone PrefixSum/PrefixSumLess, Get, Add and Delete calls
-// use, so the results and the tree are bit-identical to that sequence. Only
-// a new key (recursive put) or an emptied one (recursive del) costs a second
-// descent.
-func (t *Tree) AddPrefix(k, dv float64, strict bool) (prefix, old, new float64) {
-	var path [maxPathLen]*node
-	depth := 0
-	n := t.root
-	for n != nil && depth < maxPathLen {
-		switch {
-		case k < n.key:
-			path[depth] = n
-			depth++
-			n = n.left
-		case k > n.key:
-			prefix += n.value + n.left.sumOf()
-			path[depth] = n
-			depth++
-			n = n.right
-		default:
-			if strict {
-				// PrefixSumLess turns left at k, then right all the way
-				// down: everything below is smaller than k.
-				for m := n.left; m != nil; m = m.right {
-					prefix += m.value + m.left.sumOf()
-				}
-			} else {
-				// PrefixSum takes k's own entry and turns right, where
-				// everything is larger and adds nothing.
-				prefix += n.value + n.left.sumOf()
-			}
-			old = n.value
-			new = old + dv
-			if new == 0 {
-				t.root = del(t.root, k)
-				if t.root != nil {
-					t.root.color = black
-				}
-			} else {
-				n.bump(dv, path[:depth])
-			}
-			return prefix, old, new
-		}
-	}
-	if n != nil { // deeper than maxPathLen: the standalone calls
-		if strict {
-			prefix = t.PrefixSumLess(k)
-		} else {
-			prefix = t.PrefixSum(k)
-		}
-		old, _ = t.Get(k)
-	}
-	t.addSlow(k, dv)
-	new = old + dv
-	if new == 0 {
-		t.Delete(k)
-	}
-	return prefix, old, new
-}
-
-// AddSuffix is AddPrefix for the suffix orientation: the sum it returns is
-// the pre-update SuffixSum(k) (keys >= k), or SuffixSumGreater(k) (keys > k)
-// when strict — like them, the total minus the complementary prefix.
-func (t *Tree) AddSuffix(k, dv float64, strict bool) (suffix, old, new float64) {
-	total := t.Total()
-	prefix, old, new := t.AddPrefix(k, dv, !strict)
-	return total - prefix, old, new
 }
 
 // Delete removes k and reports whether it was present.

@@ -500,50 +500,3 @@ func TestAddMatchesGetPut(t *testing.T) {
 		}
 	}
 }
-
-// TestAddPrefixMatchesStandaloneCalls holds AddPrefix to the sequence it
-// fuses — PrefixSum or PrefixSumLess, Get, Add, and Delete once the value is
-// exactly zero — on results and on the resulting tree, bit for bit.
-func TestAddPrefixMatchesStandaloneCalls(t *testing.T) {
-	for _, strict := range []bool{false, true} {
-		rng := rand.New(rand.NewSource(9))
-		got, want := New(), New()
-		var live [][2]float64
-		for step := 0; step < 8000; step++ {
-			var k, dv float64
-			if len(live) > 0 && rng.Intn(2) == 0 {
-				// Retract an earlier delta exactly, so levels empty out.
-				j := rng.Intn(len(live))
-				k, dv = live[j][0], -live[j][1]
-				live[j] = live[len(live)-1]
-				live = live[:len(live)-1]
-			} else {
-				k, dv = 0.1*float64(rng.Intn(300)), 0.3*float64(rng.Intn(40)+1)+0.07
-				live = append(live, [2]float64{k, dv})
-			}
-			wantPrefix := want.PrefixSum(k)
-			if strict {
-				wantPrefix = want.PrefixSumLess(k)
-			}
-			wantOld, _ := want.Get(k)
-			want.Add(k, dv)
-			wantNew, _ := want.Get(k)
-			if wantNew == 0 {
-				want.Delete(k)
-			}
-			prefix, old, now := got.AddPrefix(k, dv, strict)
-			if math.Float64bits(prefix) != math.Float64bits(wantPrefix) ||
-				math.Float64bits(old) != math.Float64bits(wantOld) ||
-				math.Float64bits(now) != math.Float64bits(wantNew) {
-				t.Fatalf("strict=%v step %d: AddPrefix(%v, %v) = (%v, %v, %v), standalone (%v, %v, %v)",
-					strict, step, k, dv, prefix, old, now, wantPrefix, wantOld, wantNew)
-			}
-			if d := sameTree(got.root, want.root); d != "" {
-				t.Fatalf("strict=%v step %d (key %v): trees differ in %s", strict, step, k, d)
-			}
-		}
-		if err := got.Validate(); err != nil {
-			t.Fatal(err)
-		}
-	}
-}

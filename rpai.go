@@ -44,18 +44,6 @@ func NewTree() *Tree { return rpai.New() }
 // DecodeTree restores a tree from a snapshot written with Tree.Encode.
 var DecodeTree = rpai.Decode
 
-// ArenaTree is the RPAI tree stored in a flat index-addressed arena: the
-// same relative-key, subtree-sum and LLRB invariants as Tree, with nodes in
-// one slab, a free list for deletions, and no steady-state allocation.
-type ArenaTree = rpai.ArenaTree
-
-// NewArenaTree returns an empty arena-backed RPAI tree.
-func NewArenaTree() *ArenaTree { return rpai.NewArena() }
-
-// DecodeArenaTree restores an arena tree from a snapshot written by either
-// Tree.Encode or ArenaTree.Encode (the encodings are identical).
-var DecodeArenaTree = rpai.DecodeArena
-
 // BTree is the B-tree variant of the RPAI index (section 3.2.5's closing
 // note): identical semantics and bounds, wider nodes.
 type BTree = rpaibtree.Tree
@@ -71,7 +59,6 @@ type IndexKind = aggindex.Kind
 
 // Available index implementations.
 const (
-	IndexRPAI    = aggindex.KindRPAI
 	IndexArena   = aggindex.KindArena
 	IndexBTree   = aggindex.KindBTree
 	IndexPAI     = aggindex.KindPAI

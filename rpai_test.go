@@ -32,7 +32,7 @@ func TestFacadeTree(t *testing.T) {
 }
 
 func TestFacadeIndexKinds(t *testing.T) {
-	for _, kind := range []rpai.IndexKind{rpai.IndexRPAI, rpai.IndexBTree, rpai.IndexPAI, rpai.IndexSorted} {
+	for _, kind := range []rpai.IndexKind{rpai.IndexArena, rpai.IndexBTree, rpai.IndexPAI, rpai.IndexSorted} {
 		idx := rpai.NewIndex(kind)
 		idx.Add(1, 2)
 		idx.ShiftKeys(0, 10)
