@@ -6,11 +6,12 @@
 # build and unit tests, the allocation guards re-run uncached (steady-state
 # hot paths stay allocation-free: the RPAI tree's reads, churn, shift and
 # AddMany, the level tree, the engine event codec, serve's ApplyBatch on an
-# engine plan), and an end-to-end smoke of every retained rpaibench
-# experiment.
+# engine plan; a shard commit allocates its value column and no more; the
+# catalog's durable ApplyBatch allocates no more for a longer batch), and an
+# end-to-end smoke of every retained rpaibench experiment.
 test: benchmark-check
 	go build ./... && go vet ./... && go test ./...
-	go test -run 'TestAllocGuard' -count 1 ./internal/rpai/ ./internal/engine/ ./internal/serve/
+	go test -run 'TestAllocGuard' -count 1 ./internal/rpai/ ./internal/engine/ ./internal/serve/ ./internal/catalog/
 	go run ./cmd/rpaibench -exp all -quick
 
 # The stack benchmark (BENCHMARK.json) is a module of its own under
@@ -55,14 +56,18 @@ catalog:
 bench:
 	go test -bench=. -benchmem ./...
 
-# Core micro-benchmarks: the RPAI tree's Put/Add/GetSum/Delete, and the
+# Core micro-benchmarks: the RPAI tree's Put/Add/GetSum/Delete, the
 # relation-state executor's per-event cost at the stack benchmark's
-# deep-index and wide-shallow tree sizes.
+# deep-index and wide-shallow tree sizes, and the publish layer's per-event
+# cost and bytes on a wide-shallow-sized shard (2 048 partitions, 128-event
+# commits) with 0 and 8 subscribers.
 bench-core:
 	go test -run '^$$' -bench 'BenchmarkTree(Put|Add|GetSum|Delete)' -benchmem \
 		-benchtime 200ms -count 3 ./internal/rpai/
 	go test -run '^$$' -bench BenchmarkRelStateApply -benchmem \
 		-benchtime 400000x -count 3 ./internal/engine/
+	go test -run '^$$' -bench BenchmarkShardCommit -benchmem \
+		-benchtime 2000x -count 3 ./internal/serve/
 
 experiments:
 	go run ./cmd/rpaibench -exp all

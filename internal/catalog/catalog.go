@@ -164,6 +164,11 @@ type Service struct {
 	nextID   QueryID
 	nextSet  uint64
 	closed   bool
+	// setList is every live executor set once (registrations can share
+	// sets), in set-ID order for deterministic fan-out: what ingest, drain
+	// and rotation walk. indexSetsLocked rebuilds it whenever a registration
+	// is added or removed.
+	setList []*execSet
 
 	// ingestMu serializes ApplyBatch so the WAL record order equals the
 	// per-shard application order — the invariant recovery replay relies on.
@@ -353,12 +358,14 @@ func (s *Service) Register(sql string) (QueryID, Explain, error) {
 	}
 	reg := &registration{id: id, sql: sql, set: set, plan: plan, canon: canon, shared: shared, spec: spec}
 	s.regs[id] = reg
+	s.indexSetsLocked()
 
 	// Roll back: an unpersisted or unservable registration must not serve.
 	// A fork snapshot already written stays on disk (snapDir/snapAt describe
 	// physical state); it is reused by the next joiner or swept at rotation.
 	rollback := func() {
 		delete(s.regs, id)
+		s.indexSetsLocked()
 		delete(set.refs, id)
 		if shared {
 			if set.lanes[spec]--; set.lanes[spec] == 0 {
@@ -467,6 +474,7 @@ func (s *Service) Unregister(id QueryID) error {
 	}
 	set := reg.set
 	delete(s.regs, id)
+	s.indexSetsLocked()
 	delete(set.refs, id)
 	laneFreed := false
 	if reg.shared {
@@ -506,6 +514,7 @@ func (s *Service) Unregister(id QueryID) error {
 		if err := s.writeManifestLocked(); err != nil {
 			// Roll back so the manifest and the live table agree.
 			s.regs[id] = reg
+			s.indexSetsLocked()
 			set.refs[id] = struct{}{}
 			if reg.shared {
 				set.lanes[reg.spec]++
@@ -616,7 +625,7 @@ func (s *Service) applyBatch(events []engine.Event) (full bool, err error) {
 	}
 	s.ingestMu.Lock()
 	defer s.ingestMu.Unlock()
-	sets := s.distinctSetsLocked()
+	sets := s.setList
 	// Admission comes before the log: an event some set's executor cannot
 	// maintain would take down its shard worker after the batch is already
 	// in the shared WAL, and every recovery would replay it. The whole
@@ -665,9 +674,10 @@ func (s *Service) compact() error {
 	return nil
 }
 
-// distinctSetsLocked lists each live executor set once (registrations can
-// share sets), ordered by set ID for deterministic fan-out. Callers hold mu.
-func (s *Service) distinctSetsLocked() []*execSet {
+// indexSetsLocked rebuilds setList from the registrations. Callers hold mu
+// for write. It builds a new slice, so a list read earlier (the recovery
+// replayer captures one) is never edited under its reader.
+func (s *Service) indexSetsLocked() {
 	seen := make(map[uint64]*execSet, len(s.regs))
 	for _, reg := range s.regs {
 		seen[reg.set.setID] = reg.set
@@ -677,7 +687,7 @@ func (s *Service) distinctSetsLocked() []*execSet {
 		out = append(out, set)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].setID < out[j].setID })
-	return out
+	s.setList = out
 }
 
 // encodeBatchRecord frames a batch as one WAL record: a u32-LE
@@ -877,7 +887,7 @@ func (s *Service) DrainAll() error {
 		return ErrClosed
 	}
 	var first error
-	for _, set := range s.distinctSetsLocked() {
+	for _, set := range s.setList {
 		if err := set.svc.Drain(); err != nil && first == nil {
 			first = err
 		}
@@ -907,13 +917,8 @@ func (s *Service) Close() error {
 		return nil
 	}
 	s.closed = true
-	seen := make(map[uint64]bool)
-	for _, reg := range s.regs {
-		if seen[reg.set.setID] {
-			continue
-		}
-		seen[reg.set.setID] = true
-		if err := reg.set.svc.Close(); err != nil && first == nil {
+	for _, set := range s.setList {
+		if err := set.svc.Close(); err != nil && first == nil {
 			first = err
 		}
 	}

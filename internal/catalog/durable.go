@@ -75,6 +75,10 @@ type durableState struct {
 	dir string
 	gen uint64
 	wal *checkpoint.WALWriter
+	// rec is appendWAL's record scratch: ingest holds ingestMu, and Append
+	// copies the record into the writer's buffer, so one buffer serves every
+	// batch.
+	rec []byte
 }
 
 // catEntry is one manifest line: the registration (id, sql), its set (setID,
@@ -159,8 +163,8 @@ func refuseLegacyDir(dir string) error {
 // appendWAL logs one batch as one record and flushes it to the OS. Callers
 // hold ingestMu, so record order is application order.
 func (s *Service) appendWAL(events []engine.Event) error {
-	rec := encodeBatchRecord(nil, events)
-	if err := s.dur.wal.Append(rec); err != nil {
+	s.dur.rec = encodeBatchRecord(s.dur.rec[:0], events)
+	if err := s.dur.wal.Append(s.dur.rec); err != nil {
 		return err
 	}
 	return s.dur.wal.Flush()
@@ -399,7 +403,7 @@ func (s *Service) rotateLocked() error {
 	if err := os.RemoveAll(filepath.Join(dir, fmt.Sprintf("g%d", newGen))); err != nil {
 		return err
 	}
-	sets := s.distinctSetsLocked()
+	sets := s.setList
 	for _, set := range sets {
 		if err := set.svc.Drain(); err != nil {
 			return err
@@ -597,6 +601,7 @@ func restore(opt Options) (s *Service, m manifest, raw []byte, err error) {
 				s.sets[qs[i].String()] = set
 			}
 		}
+		s.indexSetsLocked()
 		if setShared {
 			if prev, ok := s.states[stateKey]; !ok || prev.setID < sid {
 				s.states[stateKey] = set
@@ -622,7 +627,7 @@ func restore(opt Options) (s *Service, m manifest, raw []byte, err error) {
 // fan-out the live catalog performed. The set list is captured once, so the
 // registration tables must not change while the returned function is in use.
 func (s *Service) replayer() func(rec []byte) error {
-	sets := s.distinctSetsLocked()
+	sets := s.setList
 	var dec engine.EventDecoder
 	var batch []engine.Event
 	return func(rec []byte) error {
@@ -649,7 +654,7 @@ func (s *Service) replayer() func(rec []byte) error {
 // closeSets closes every executor set (a failed recovery, or a follower
 // discarding the state a rebuild replaced).
 func (s *Service) closeSets() {
-	for _, set := range s.distinctSetsLocked() {
+	for _, set := range s.setList {
 		set.svc.Close()
 	}
 }

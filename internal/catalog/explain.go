@@ -115,7 +115,7 @@ func (s *Service) explainLocked(reg *registration) Explain {
 	sortIDs(ex.SharedFamily)
 	ex.Since = reg.set.since
 	ex.StateSince = reg.set.founded
-	ex.IngestSets = len(s.distinctSetsLocked())
+	ex.IngestSets = len(s.setList)
 	return ex
 }
 

@@ -150,8 +150,8 @@ func (f *follower) step() error {
 		if n, raw, tail, err := openFollow(s.opt); err == nil {
 			f.tail.Close()
 			s.mu.Lock()
-			stale := s.distinctSetsLocked()
-			s.regs, s.sets, s.states, s.baseKeys = n.regs, n.sets, n.states, n.baseKeys
+			stale := s.setList
+			s.regs, s.sets, s.states, s.baseKeys, s.setList = n.regs, n.sets, n.states, n.baseKeys, n.setList
 			s.nextID, s.nextSet, s.records, s.applied = n.nextID, n.nextSet, n.records, n.applied
 			f.raw, f.tail, f.replay = raw, tail, s.replayer()
 			s.mu.Unlock()

@@ -1,7 +1,8 @@
 package engine
 
 import (
-	"sort"
+	"math"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -13,6 +14,40 @@ import (
 type GroupResult struct {
 	Key   []float64
 	Value float64
+}
+
+// CompareKeys is the total order on group keys every grouped surface sorts
+// by: column by column, numeric order with NaN after every number. It returns
+// -1, 0 or +1. Keys are expected normalized (one zero, one NaN payload), as
+// the serving layer stores them, so equal keys compare 0; the plain `<` is not
+// a strict weak order once a NaN is present, and a sort using it returns an
+// order that depends on the input permutation.
+func CompareKeys(a, b []float64) int {
+	for k := range a {
+		x, y := a[k], b[k]
+		switch {
+		case x < y:
+			return -1
+		case x > y:
+			return 1
+		case x == y:
+			continue
+		}
+		// At least one side is NaN.
+		xn, yn := math.IsNaN(x), math.IsNaN(y)
+		switch {
+		case xn && !yn:
+			return 1
+		case yn && !xn:
+			return -1
+		}
+	}
+	return 0
+}
+
+// SortGroups orders grouped results by key under CompareKeys.
+func SortGroups(gs []GroupResult) {
+	slices.SortFunc(gs, func(a, b GroupResult) int { return CompareKeys(a.Key, b.Key) })
 }
 
 // GroupedExecutor is implemented by executors that can emit per-group
@@ -114,14 +149,6 @@ func sortedGroups(acc map[string]*GroupResult) []GroupResult {
 	for _, g := range acc {
 		out = append(out, *g)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i].Key, out[j].Key
-		for k := range a {
-			if a[k] != b[k] {
-				return a[k] < b[k]
-			}
-		}
-		return false
-	})
+	SortGroups(out)
 	return out
 }

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -133,4 +134,34 @@ func groupsEqual(a, b []GroupResult) bool {
 		}
 	}
 	return true
+}
+
+// TestCompareKeysTotalOrder holds CompareKeys to a total order with NaN after
+// every number: every permutation of a key set containing NaNs sorts to the
+// same sequence. The `<` comparator it replaced is not a strict weak order
+// once a NaN is present, so its sort output depended on the input order.
+func TestCompareKeysTotalOrder(t *testing.T) {
+	nan := math.NaN()
+	keys := [][]float64{{2, 1}, {nan, 0}, {1, nan}, {1, 0}, {3, 3}, {0, 9}, {nan, nan}, {-1, 4}, {1, 2}}
+	want := [][]float64{{-1, 4}, {0, 9}, {1, 0}, {1, 2}, {1, nan}, {2, 1}, {3, 3}, {nan, 0}, {nan, nan}}
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 200; trial++ {
+		gs := make([]GroupResult, len(keys))
+		for i, j := range rng.Perm(len(keys)) {
+			gs[i] = GroupResult{Key: keys[j]}
+		}
+		SortGroups(gs)
+		for i, g := range gs {
+			for c := range g.Key {
+				if math.Float64bits(g.Key[c]) != math.Float64bits(want[i][c]) {
+					t.Fatalf("trial %d: position %d is %v, want %v", trial, i, g.Key, want[i])
+				}
+			}
+		}
+	}
+	for _, k := range keys {
+		if CompareKeys(k, k) != 0 {
+			t.Fatalf("CompareKeys(%v, itself) != 0", k)
+		}
+	}
 }

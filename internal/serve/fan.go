@@ -158,27 +158,25 @@ func (s *Service) ProbeResult(spec engine.ProbeSpec) (float64, bool) {
 }
 
 // ProbeResultGrouped returns the per-partition values of the lane serving
-// spec, sorted by partition key — the lane counterpart of ResultGrouped.
-// AVG lanes finish per partition (each group is its partition's exact
-// average).
+// spec, sorted by partition key — the lane counterpart of ResultGrouped, the
+// same merge of the shards' ordered views. AVG lanes finish per partition
+// (each group is its partition's exact average).
 func (s *Service) ProbeResultGrouped(spec engine.ProbeSpec) ([]engine.GroupResult, bool) {
-	var out []engine.GroupResult
-	for _, sh := range s.shards {
-		snap := sh.snap.Load()
-		lane := laneOfSpec(snap.Probes, spec)
-		if lane < 0 {
+	snaps, n := s.loadSnapshots()
+	lanes := make([]int, len(snaps))
+	for i, snap := range snaps {
+		if lanes[i] = laneOfSpec(snap.Probes, spec); lanes[i] < 0 {
 			return nil, false
 		}
-		k := len(snap.Probes)
-		for slot := range snap.Groups {
-			v := snap.FanVals[slot*k+lane]
-			var c float64
-			if snap.FanCnts != nil {
-				c = snap.FanCnts[slot*k+lane]
-			}
-			out = append(out, engine.GroupResult{Key: snap.Groups[slot].Key, Value: engine.FinishProbe(spec, v, c)})
-		}
 	}
-	sortGroups(out)
+	out := make([]engine.GroupResult, 0, n)
+	mergeSnapshots(snaps, func(i int, slot int32) {
+		snap, at := snaps[i], int(slot)*len(snaps[i].Probes)+lanes[i]
+		var c float64
+		if snap.FanCnts != nil {
+			c = snap.FanCnts[at]
+		}
+		out = append(out, engine.GroupResult{Key: snap.Keys[slot], Value: engine.FinishProbe(spec, snap.FanVals[at], c)})
+	})
 	return out, true
 }

@@ -53,6 +53,12 @@ func subFuzzSeeds() [][]byte {
 // replay-equals-pull contract: at every drained boundary the subscriber's
 // view, reconstructed from delta frames alone, is bit-identical to what
 // ResultGrouped returns at the same shard versions.
+//
+// Three more subscribers share the service, and with it every publication's
+// delta runs: one filtered to two keys (held to the filtered pull), one on a
+// probe lane installed with SetProbes (held to ProbeResultGrouped), and one
+// left unread until the end, whose slot coalesces the whole stream by merging
+// runs and must still converge on the final pull.
 func FuzzSubscriptionDeltas(f *testing.F) {
 	for _, s := range subFuzzSeeds() {
 		f.Add(s)
@@ -71,12 +77,55 @@ func FuzzSubscriptionDeltas(f *testing.F) {
 		defer svc.Close()
 
 		rng := rand.New(rand.NewSource(int64(binary.BigEndian.Uint64(data[1:9]))))
+		lane := engine.ProbeSpec{Const: 0.5}
+		if err := svc.SetProbes([]engine.ProbeSpec{lane}); err != nil {
+			t.Fatal(err)
+		}
 		sub, err := svc.Subscribe(SubOptions{Buffer: 1024})
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer func() { sub.Close() }()
 		view := NewView()
+		// side is one of the fixed subscribers that share the primary's runs.
+		type side struct {
+			name string
+			sub  *Subscription
+			view *View
+			pull func() []engine.GroupResult
+		}
+		attach := func(name string, opt SubOptions, pull func() []engine.GroupResult) side {
+			s, err := svc.Subscribe(opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(s.Close)
+			return side{name, s, NewView(), pull}
+		}
+		filtered := attach("filtered", SubOptions{Buffer: 1024, Keys: [][]float64{{1}, {3}}}, func() []engine.GroupResult {
+			var out []engine.GroupResult
+			for _, g := range svc.ResultGrouped() {
+				if g.Key[0] == 1 || g.Key[0] == 3 {
+					out = append(out, g)
+				}
+			}
+			return out
+		})
+		laneSub := attach("lane", SubOptions{Buffer: 1024, Probe: &lane}, func() []engine.GroupResult {
+			out, ok := svc.ProbeResultGrouped(lane)
+			if !ok {
+				t.Fatal("probe lane not published")
+			}
+			return out
+		})
+		lagging := attach("unread", SubOptions{Buffer: 1}, svc.ResultGrouped)
+		check := func(what string, sd side) {
+			t.Helper()
+			syncView(t, sd.view, sd.sub, svc.ShardVersions())
+			if got, want := sd.view.Grouped(), sd.pull(); !groupsIdentical(got, want) {
+				t.Fatalf("%s: %s subscriber's view != pull:\n got %v\nwant %v", what, sd.name, got, want)
+			}
+		}
 
 		// sync is a publish boundary: quiesce, catch the view up on frames
 		// alone, and hold it to the pulled grouped results bit for bit.
@@ -89,6 +138,8 @@ func FuzzSubscriptionDeltas(f *testing.F) {
 			if got, want := view.Grouped(), svc.ResultGrouped(); !groupsIdentical(got, want) {
 				t.Fatalf("%s: replayed view != pulled results:\n got %v\nwant %v", what, got, want)
 			}
+			check(what, filtered)
+			check(what, laneSub)
 		}
 
 		var live []query.Tuple
@@ -153,6 +204,7 @@ func FuzzSubscriptionDeltas(f *testing.F) {
 			}
 		}
 		sync("final")
+		check("final", lagging)
 	})
 }
 

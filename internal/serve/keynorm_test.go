@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"time"
@@ -84,6 +85,68 @@ func TestNormalizeValsTable(t *testing.T) {
 		if bits := math.Float64bits(got[0]); bits != tc.want {
 			t.Errorf("%s: normalize(%#x) = %#x, want %#x", tc.name, tc.in, bits, tc.want)
 		}
+	}
+}
+
+// TestGroupedOrderNaNKey is the regression for a NaN partition key breaking
+// grouped order: with `<` as the comparator a NaN key is incomparable to
+// every number, so the sort's output depended on the input permutation and
+// therefore on the shard count. Under engine.CompareKeys NaN sorts after
+// every number, and every grouped surface — the pull, a lane pull and a
+// subscriber's reconstructed view — returns the same order at any shard
+// count.
+func TestGroupedOrderNaNKey(t *testing.T) {
+	syms := []float64{2, math.NaN(), 1, 3, 0, 5, 4}
+	want := []float64{0, 1, 2, 3, 4, 5, math.NaN()}
+	spec := engine.ProbeSpec{Const: 0.75}
+	check := func(t *testing.T, what string, got []engine.GroupResult) {
+		t.Helper()
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d groups, want %d", what, len(got), len(want))
+		}
+		for i, g := range got {
+			if math.Float64bits(g.Key[0]) != math.Float64bits(want[i]) {
+				keys := make([]float64, len(got))
+				for j := range got {
+					keys[j] = got[j].Key[0]
+				}
+				t.Fatalf("%s: keys %v, want %v", what, keys, want)
+			}
+		}
+	}
+	for shards := 1; shards <= 16; shards++ {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			svc, err := ForQuery(vwapSpec(), []string{"sym"}, Options{Shards: shards})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer svc.Close()
+			if err := svc.SetProbes([]engine.ProbeSpec{spec}); err != nil {
+				t.Fatal(err)
+			}
+			sub, err := svc.Subscribe(SubOptions{Buffer: 64})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sub.Close()
+			for _, sym := range syms {
+				if err := svc.ApplyBatch([]engine.Event{engine.Insert(query.Tuple{"sym": sym, "price": 1, "volume": 1})}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := svc.Drain(); err != nil {
+				t.Fatal(err)
+			}
+			check(t, "ResultGrouped", svc.ResultGrouped())
+			lane, ok := svc.ProbeResultGrouped(spec)
+			if !ok {
+				t.Fatal("lane not published")
+			}
+			check(t, "ProbeResultGrouped", lane)
+			view := NewView()
+			syncView(t, view, sub, svc.ShardVersions())
+			check(t, "View.Grouped", view.Grouped())
+		})
 	}
 }
 

@@ -13,10 +13,14 @@
 // channel in batches: it hands every touched partition its run of the batch
 // through the executor's ApplyBatch, refreshes the results of the partitions
 // the batch touched, and then publishes an immutable snapshot of all its
-// partition results through an atomic pointer. Readers therefore never take a
-// lock and never block a writer: Result and ResultGrouped read the last
-// published snapshots, which lag the input by at most one batch per shard
-// (call Drain for a barrier).
+// partition results through an atomic pointer. A snapshot is an ordered view:
+// a copy of the shard's value column over its shared, append-only key table,
+// plus the shard's slots in key order, so publication costs eight
+// pointer-free bytes per partition and a grouped read is a k-way merge of the
+// shards' ordered views with no sort. Readers therefore never take a lock and
+// never block a writer: Result and ResultGrouped read the last published
+// snapshots, which lag the input by at most one batch per shard (call Drain
+// for a barrier).
 //
 // Semantics: the served query is evaluated independently per partition, as if
 // each partition key had its own relation. Result returns the sum over
@@ -33,7 +37,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -179,13 +183,22 @@ type workerState struct {
 	idx      int
 	partCols []string // the partition columns (residual gate evaluation)
 	parts    map[string]*partition
-	// plist is the insertion-ordered partition list and groups its parallel
-	// result row per partition (groups[p.slot] tracks p.last). commit
-	// publishes by cloning groups in one copy instead of walking the parts
-	// map and re-boxing every row — the map walk plus per-row append was the
-	// dominant snapshot-publish cost at high partition counts.
-	plist  []*partition
-	groups []engine.GroupResult
+	// plist is the partition list in slot (creation) order, and keys and
+	// vals are its published columns: keys[slot] is the partition's key and
+	// vals[slot] its base result (p.last). keys is append-only and shared
+	// with snapshots by prefix (keys[:n:n]) — keys are immutable and
+	// partitions are never deleted — so a commit copies only vals: eight
+	// bytes per partition, no pointers for the collector to scan. order is
+	// the slots in key order (engine.CompareKeys); a commit that creates
+	// partitions replaces it with a new slice, so published snapshots keep
+	// theirs.
+	plist []*partition
+	keys  [][]float64
+	vals  []float64
+	order []int32
+	// runs are the current publication's shared subscriber delta runs (see
+	// publishSubs), reset after every publication.
+	runs []subRun
 	// version counts this shard's snapshot publications: every commit bumps
 	// it, so it is the monotonic version readers and subscribers key on.
 	version uint64
@@ -229,7 +242,7 @@ type partition struct {
 	fanCnt []float64
 	gate   []bool
 	dirty  bool
-	slot   int // index into the owning worker's plist/groups
+	slot   int // index into the owning worker's plist/keys/vals
 }
 
 // refreshLanes re-evaluates every installed lane against this partition's
@@ -247,13 +260,15 @@ func (p *partition) refreshLanes(ws *workerState) {
 	}
 }
 
-// addPartition registers p in the worker's map and ordered list, keeping the
-// published-groups row aligned with the partition's slot.
+// addPartition registers p in the worker's map and slot list, appending its
+// row to the published key and value columns. The next commit merges the new
+// slot into the key order.
 func (ws *workerState) addPartition(p *partition) {
 	p.slot = len(ws.plist)
 	ws.parts[p.ekey] = p
 	ws.plist = append(ws.plist, p)
-	ws.groups = append(ws.groups, engine.GroupResult{Key: p.vals, Value: p.last})
+	ws.keys = append(ws.keys, p.vals)
+	ws.vals = append(ws.vals, p.last)
 	if len(ws.specs) > 0 && p.probeEx != nil {
 		// Seed the lane results so partitions installed outside the dirty
 		// path (snapshot restore) publish correct lanes.
@@ -276,6 +291,66 @@ func (ws *workerState) sizeLanes(p *partition) {
 	for i, sp := range ws.specs {
 		p.gate[i] = sp.GateOn(ws.partCols, p.vals)
 	}
+}
+
+// extendOrder merges the slots created since the last commit into the key
+// order. It builds a new slice — published snapshots keep the old one — so
+// only commits that create partitions pay for it.
+func (ws *workerState) extendOrder() {
+	old := ws.order
+	fresh := make([]int32, 0, len(ws.plist)-len(old))
+	for slot := len(old); slot < len(ws.plist); slot++ {
+		fresh = append(fresh, int32(slot))
+	}
+	byKey := func(a, b int32) int { return engine.CompareKeys(ws.keys[a], ws.keys[b]) }
+	slices.SortFunc(fresh, byKey)
+	out := make([]int32, 0, len(ws.plist))
+	i, j := 0, 0
+	for i < len(old) && j < len(fresh) {
+		if byKey(fresh[j], old[i]) < 0 {
+			out = append(out, fresh[j])
+			j++
+		} else {
+			out = append(out, old[i])
+			i++
+		}
+	}
+	ws.order = append(append(out, old[i:]...), fresh[j:]...)
+}
+
+// snapshot builds the publication for ws.version. A commit that changed
+// nothing (no dirty partition, no lane change, no new partition) reuses the
+// previous snapshot's columns outright; any other copies the value column
+// (and the lane matrices when lanes are installed) and shares the key table
+// and key order. Total is the slot-order sum, deterministic run to run.
+func (ws *workerState) snapshot(prev *Snapshot, changed bool) *Snapshot {
+	n := len(ws.plist)
+	if len(ws.order) != n {
+		ws.extendOrder()
+		changed = true
+	}
+	if !changed && !ws.publishFull {
+		snap := *prev
+		snap.Version = ws.version
+		return &snap
+	}
+	snap := &Snapshot{Version: ws.version, Keys: ws.keys[:n:n], Order: ws.order,
+		Vals: append(make([]float64, 0, n), ws.vals...)}
+	var total float64
+	for _, v := range snap.Vals {
+		total += v
+	}
+	snap.Total = total
+	if k := len(ws.specs); k > 0 {
+		snap.Probes = ws.specs
+		snap.FanVals = laneMatrix(ws, false)
+		snap.FanTotals = laneTotals(snap.FanVals, k, n)
+		if ws.hasAvg {
+			snap.FanCnts = laneMatrix(ws, true)
+			snap.FanCntTotals = laneTotals(snap.FanCnts, k, n)
+		}
+	}
+	return snap
 }
 
 // laneMatrix clones the workers' per-partition lane rows (the value side, or
@@ -326,19 +401,26 @@ func newPartition(vals []float64, ex engine.BatchExecutor) *partition {
 	return p
 }
 
-// Snapshot is one shard's published state: the per-partition results as of
-// the shard's last batch flush. Groups is immutable and unsorted; Total is
-// the sum of the group values. Version is the shard's monotonic publication
-// counter: it increases by at least one between any two distinct published
-// snapshots, so readers comparing versions can order their observations.
+// Snapshot is one shard's published state, an ordered view of the
+// per-partition results as of the shard's last batch flush. Keys and Vals
+// are the partition columns by slot (partition i has key Keys[i] and result
+// Vals[i]); Order lists the slots in key order (engine.CompareKeys). Every
+// slice is immutable: Keys is a prefix of the shard's append-only key table
+// and Order is replaced, never edited, when partitions are created. Total is
+// the sum of Vals in slot order. Version is the shard's monotonic
+// publication counter: it increases by at least one between any two distinct
+// published snapshots, so readers comparing versions can order their
+// observations.
 type Snapshot struct {
 	Version uint64
 	Total   float64
-	Groups  []engine.GroupResult
+	Keys    [][]float64
+	Vals    []float64
+	Order   []int32
 	// Probe lanes (empty unless SetProbes installed them): Probes are the
 	// lane specs in canonical order, FanVals the per-partition per-lane
 	// results laid out slot-major (partition slot i, lane l at
-	// FanVals[i*K+l], rows parallel to Groups), and FanTotals the per-lane
+	// FanVals[i*K+l], rows parallel to Vals), and FanTotals the per-lane
 	// sums over all partitions in slot order — the same summation order
 	// Total uses, so each lane's total is bit-identical to a dedicated
 	// service's Total. AVG lanes carry raw (term sum, count) pairs: FanCnts
@@ -615,9 +697,11 @@ func (s *Service) run(sh *shard) {
 	commit := func() {
 		for _, p := range dirty {
 			p.ex.ApplyBatch(p.pend)
+			// Applied events are not kept alive by the reused buffer.
+			clear(p.pend)
 			p.pend = p.pend[:0]
 			p.last = p.ex.Result()
-			ws.groups[p.slot].Value = p.last
+			ws.vals[p.slot] = p.last
 			p.refreshLanes(ws)
 			p.dirty = false
 		}
@@ -625,38 +709,7 @@ func (s *Service) run(sh *shard) {
 		if len(dirty) > 0 || ws.publishFull {
 			ws.lastChange = ws.version
 		}
-		// Publish an immutable snapshot of every partition this shard owns.
-		// The worker keeps the per-partition rows up to date in ws.groups, so
-		// publication is one bulk clone of that slice (plus a slice-order
-		// resum of the total, deterministic run to run) — not a walk of the
-		// partition map re-boxing every row, whose iteration and per-batch
-		// garbage dominated ingest CPU at high partition counts. A commit
-		// that changed nothing (drain barriers, empty batches) reuses the
-		// previous snapshot's Groups outright.
-		prev := sh.snap.Load()
-		snap := &Snapshot{Version: ws.version}
-		if len(dirty) > 0 || ws.publishFull || prev == nil || len(prev.Groups) != len(ws.groups) {
-			snap.Groups = append(make([]engine.GroupResult, 0, len(ws.groups)), ws.groups...)
-			var total float64
-			for i := range snap.Groups {
-				total += snap.Groups[i].Value
-			}
-			snap.Total = total
-			if k := len(ws.specs); k > 0 {
-				snap.Probes = ws.specs
-				snap.FanVals = laneMatrix(ws, false)
-				snap.FanTotals = laneTotals(snap.FanVals, k, len(ws.plist))
-				if ws.hasAvg {
-					snap.FanCnts = laneMatrix(ws, true)
-					snap.FanCntTotals = laneTotals(snap.FanCnts, k, len(ws.plist))
-				}
-			}
-		} else {
-			snap.Groups, snap.Total = prev.Groups, prev.Total
-			snap.Probes, snap.FanVals, snap.FanTotals = prev.Probes, prev.FanVals, prev.FanTotals
-			snap.FanCnts, snap.FanCntTotals = prev.FanCnts, prev.FanCntTotals
-		}
-		sh.snap.Store(snap)
+		sh.snap.Store(ws.snapshot(sh.snap.Load(), len(dirty) > 0))
 		sh.flushed.Add(1)
 		if len(ws.subs) > 0 || ws.publishFull {
 			s.publishSubs(ws, dirty)
@@ -683,6 +736,7 @@ func (s *Service) run(sh *shard) {
 				}
 				n += len(it.batch.events)
 				sh.applied.Add(uint64(len(it.batch.events)))
+				clear(it.batch.events)
 				s.batchPool.Put(it.batch)
 			}
 		}
@@ -718,29 +772,51 @@ func (s *Service) Result() float64 {
 }
 
 // ResultGrouped returns the per-partition results as of each shard's last
-// published snapshot, sorted by partition key (the engine.GroupedExecutor
-// ordering).
+// published snapshot, sorted by partition key (engine.CompareKeys, the
+// engine.GroupedExecutor ordering).
 func (s *Service) ResultGrouped() []engine.GroupResult {
-	var out []engine.GroupResult
-	for _, sh := range s.shards {
-		out = append(out, sh.snap.Load().Groups...)
-	}
-	sortGroups(out)
+	snaps, n := s.loadSnapshots()
+	out := make([]engine.GroupResult, 0, n)
+	mergeSnapshots(snaps, func(i int, slot int32) {
+		out = append(out, engine.GroupResult{Key: snaps[i].Keys[slot], Value: snaps[i].Vals[slot]})
+	})
 	return out
 }
 
-// sortGroups orders grouped results by partition key, the
-// engine.GroupedExecutor ordering every grouped surface of this package uses.
-func sortGroups(out []engine.GroupResult) {
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i].Key, out[j].Key
-		for k := range a {
-			if a[k] != b[k] {
-				return a[k] < b[k]
+// loadSnapshots loads every shard's current snapshot and counts their
+// partitions.
+func (s *Service) loadSnapshots() ([]*Snapshot, int) {
+	snaps := make([]*Snapshot, len(s.shards))
+	n := 0
+	for i, sh := range s.shards {
+		snaps[i] = sh.snap.Load()
+		n += len(snaps[i].Order)
+	}
+	return snaps, n
+}
+
+// mergeSnapshots visits every partition of snaps in key order, as (index
+// into snaps, slot): a k-way merge of the shards' ordered views. A key lives
+// on exactly one shard, so the views never tie.
+func mergeSnapshots(snaps []*Snapshot, visit func(i int, slot int32)) {
+	pos := make([]int, len(snaps))
+	for {
+		best := -1
+		var bestKey []float64
+		for i, sn := range snaps {
+			if pos[i] == len(sn.Order) {
+				continue
+			}
+			if k := sn.Keys[sn.Order[pos[i]]]; best < 0 || engine.CompareKeys(k, bestKey) < 0 {
+				best, bestKey = i, k
 			}
 		}
-		return false
-	})
+		if best < 0 {
+			return
+		}
+		visit(best, snaps[best].Order[pos[best]])
+		pos[best]++
+	}
 }
 
 // ShardVersions returns each shard's current snapshot version: the read

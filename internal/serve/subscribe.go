@@ -4,6 +4,7 @@ import (
 	crand "crypto/rand"
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sync"
 
 	"rpai/internal/engine"
@@ -23,6 +24,14 @@ import (
 // transition from any base — that one property powers attach seeding, resume
 // after a version mismatch, and reseeding after a follower's rebuild, with no
 // delta history kept.
+//
+// Publication cost is proportional to the batch, not to the subscriber
+// count: a commit builds each delta run its subscribers need once — the dirty
+// partitions' groups in key order, one run for base-result readers and one
+// per subscribed probe lane — and never changes it afterwards. A slot with
+// nothing pending takes the run by reference; a slot that already holds a
+// pending frame merges the run into it (a sorted merge, later values win), so
+// a lagging slot holds at most one group per partition.
 
 // ShardVersion names one shard's snapshot version, the unit subscription
 // resume is expressed in.
@@ -85,6 +94,11 @@ type Subscription struct {
 // and the subscription's pump drains it into at most one frame — so the
 // memory per slot is bounded by the subscribed partition count no matter how
 // far the subscriber lags.
+//
+// pend is the pending frame's groups in key order: a publication's shared
+// run held by reference (owned false, never written), or a slot-owned merge
+// (owned true) whose backing array the slot may overwrite until take hands
+// it out. spare is the slot's merge target, swapped with pend on every merge.
 type subShard struct {
 	shard   int
 	sub     *Subscription
@@ -98,7 +112,20 @@ type subShard struct {
 	base      uint64 // version the pending frame applies on top of
 	version   uint64 // version the pending frame brings the subscriber to
 	delivered uint64 // version of the last frame handed to the pump
-	groups    map[string]engine.GroupResult
+	pend      []engine.GroupResult
+	owned     bool
+	spare     []engine.GroupResult
+
+	keyBuf []byte // filter lookup scratch, shard worker only
+}
+
+// subRun is one publication's shared delta run for one kind of reader: the
+// base results (hasLane false) or one probe lane's finished values. groups is
+// immutable once built.
+type subRun struct {
+	hasLane bool
+	lane    engine.ProbeSpec
+	groups  []engine.GroupResult
 }
 
 // newEpoch draws a random nonzero service epoch.
@@ -150,8 +177,7 @@ func (s *Service) Subscribe(opt SubOptions) (*Subscription, error) {
 		detach: s.detachSub,
 	}
 	for i := range s.shards {
-		ss := &subShard{shard: i, sub: sub, filter: filter,
-			groups: make(map[string]engine.GroupResult)}
+		ss := &subShard{shard: i, sub: sub, filter: filter}
 		if opt.Probe != nil {
 			ss.hasLane, ss.lane = true, *opt.Probe
 		}
@@ -200,12 +226,16 @@ func (s *Service) detachSub(sub *Subscription) {
 }
 
 // publishSubs runs on a shard worker right after it stored a new snapshot:
-// it merges the publication into every live subscriber slot and drops slots
+// it offers the publication to every live subscriber slot and drops slots
 // whose subscription has closed. dirty is the batch's touched partitions
-// (results already refreshed); when ws.publishFull is set the worker offers
-// the full partition set instead, because the previous published state is not
-// a valid delta base (a lane change).
+// (results already refreshed); each run a slot needs is built from it once
+// and shared by every slot that needs it. When ws.publishFull is set the
+// worker offers the full partition set instead, because the previous
+// published state is not a valid delta base (a lane change).
 func (s *Service) publishSubs(ws *workerState, dirty []*partition) {
+	if !ws.publishFull {
+		slices.SortFunc(dirty, func(a, b *partition) int { return engine.CompareKeys(a.vals, b.vals) })
+	}
 	live := ws.subs[:0]
 	for _, ss := range ws.subs {
 		if ss.sub.closedNow() {
@@ -215,7 +245,7 @@ func (s *Service) publishSubs(ws *workerState, dirty []*partition) {
 		if ws.publishFull {
 			s.offerFull(ws, ss, ws.version)
 		} else {
-			s.offerDeltas(ws, ss, ws.version, dirty)
+			ss.offer(ws.runFor(ss, dirty), ws.version)
 		}
 		ss.sub.notify()
 	}
@@ -224,6 +254,26 @@ func (s *Service) publishSubs(ws *workerState, dirty []*partition) {
 	}
 	ws.subs = live
 	ws.publishFull = false
+	clear(ws.runs)
+	ws.runs = ws.runs[:0]
+}
+
+// runFor returns this publication's run for ss's kind of reader, building
+// it from the key-ordered dirty partitions the first time it is asked for.
+func (ws *workerState) runFor(ss *subShard, dirty []*partition) []engine.GroupResult {
+	for _, r := range ws.runs {
+		if r.hasLane == ss.hasLane && r.lane == ss.lane {
+			return r.groups
+		}
+	}
+	groups := make([]engine.GroupResult, 0, len(dirty))
+	for _, p := range dirty {
+		if v, ok := subLane(ws, ss, p); ok {
+			groups = append(groups, engine.GroupResult{Key: p.vals, Value: v})
+		}
+	}
+	ws.runs = append(ws.runs, subRun{hasLane: ss.hasLane, lane: ss.lane, groups: groups})
+	return groups
 }
 
 // subLane resolves the value a partition contributes to this subscription:
@@ -246,51 +296,95 @@ func subLane(ws *workerState, ss *subShard, p *partition) (float64, bool) {
 	return engine.FinishProbe(ss.lane, p.fan[lane], cnt), true
 }
 
-// offerDeltas merges one incremental publication into a subscriber slot:
-// the pending frame's base stays put, its version advances, and later upserts
-// of the same key overwrite earlier ones — that overwrite is the coalescing
-// that keeps a lagging subscriber's memory bounded while guaranteeing it
-// still converges on the newest values.
-func (s *Service) offerDeltas(ws *workerState, ss *subShard, version uint64, dirty []*partition) {
+// wants reports whether the slot's key filter admits key.
+func (ss *subShard) wants(key []float64) bool {
+	ss.keyBuf = encodeKey(ss.keyBuf[:0], key)
+	return ss.filter[string(ss.keyBuf)]
+}
+
+// offer folds one incremental publication's run into the slot: the pending
+// frame's base stays put, its version advances, and a later value of a key
+// overwrites an earlier one — the coalescing that keeps a lagging
+// subscriber's memory bounded while guaranteeing it still converges on the
+// newest values. A key-filtered slot keeps its own filtered copy of the run.
+func (ss *subShard) offer(run []engine.GroupResult, version uint64) {
+	owned := false
+	if ss.filter != nil {
+		var kept []engine.GroupResult
+		for _, g := range run {
+			if ss.wants(g.Key) {
+				kept = append(kept, g)
+			}
+		}
+		run, owned = kept, true
+	}
 	ss.mu.Lock()
 	if !ss.has {
+		// take left pend empty.
 		ss.has = true
 		ss.full = false
 		ss.base = ss.delivered
 	}
 	ss.version = version
-	for _, p := range dirty {
-		if ss.filter != nil && !ss.filter[p.ekey] {
-			continue
+	switch {
+	case len(run) == 0:
+	case len(ss.pend) == 0:
+		ss.pend, ss.owned = run, owned
+	default:
+		merged := mergeRuns(ss.spare[:0], ss.pend, run)
+		if ss.owned {
+			ss.spare = ss.pend
+		} else {
+			ss.spare = nil
 		}
-		v, ok := subLane(ws, ss, p)
-		if !ok {
-			continue
-		}
-		ss.groups[p.ekey] = engine.GroupResult{Key: p.vals, Value: v}
+		ss.pend, ss.owned = merged, true
 	}
 	ss.mu.Unlock()
 }
 
+// mergeRuns appends to dst the sorted merge of two key-ordered runs; on a
+// key both carry, the later run's group wins.
+func mergeRuns(dst, earlier, later []engine.GroupResult) []engine.GroupResult {
+	i, j := 0, 0
+	for i < len(earlier) && j < len(later) {
+		switch c := engine.CompareKeys(earlier[i].Key, later[j].Key); {
+		case c < 0:
+			dst = append(dst, earlier[i])
+			i++
+		case c > 0:
+			dst = append(dst, later[j])
+			j++
+		default:
+			dst = append(dst, later[j])
+			i++
+			j++
+		}
+	}
+	dst = append(dst, earlier[i:]...)
+	return append(dst, later[j:]...)
+}
+
 // offerFull replaces the slot's pending frame with the shard's complete
-// state. Any pending incremental upserts are overwritten (their keys are a
-// subset of the live partitions), so a full offer is absorbing.
+// state, walked in key order. Any pending incremental upserts are dropped
+// (their keys are a subset of the live partitions), so a full offer is
+// absorbing.
 func (s *Service) offerFull(ws *workerState, ss *subShard, version uint64) {
+	groups := make([]engine.GroupResult, 0, len(ws.order))
+	for _, slot := range ws.order {
+		p := ws.plist[slot]
+		if ss.filter != nil && !ss.filter[p.ekey] {
+			continue
+		}
+		if v, ok := subLane(ws, ss, p); ok {
+			groups = append(groups, engine.GroupResult{Key: p.vals, Value: v})
+		}
+	}
 	ss.mu.Lock()
 	ss.has = true
 	ss.full = true
 	ss.base = 0
 	ss.version = version
-	for k, p := range ws.parts {
-		if ss.filter != nil && !ss.filter[k] {
-			continue
-		}
-		v, ok := subLane(ws, ss, p)
-		if !ok {
-			continue
-		}
-		ss.groups[k] = engine.GroupResult{Key: p.vals, Value: v}
-	}
+	ss.pend, ss.owned = groups, true
 	ss.mu.Unlock()
 }
 
@@ -356,21 +450,16 @@ func (sub *Subscription) pump() {
 
 // take extracts the slot's pending frame, if any, resetting the slot so the
 // next publication starts a fresh delta based on what was just delivered.
+// The pending groups are already in key order; the frame takes them over.
 func (ss *subShard) take() (DeltaFrame, bool) {
 	ss.mu.Lock()
+	defer ss.mu.Unlock()
 	if !ss.has {
-		ss.mu.Unlock()
 		return DeltaFrame{}, false
 	}
-	fr := DeltaFrame{Shard: ss.shard, Version: ss.version, Base: ss.base, Full: ss.full,
-		Groups: make([]engine.GroupResult, 0, len(ss.groups))}
-	for _, g := range ss.groups {
-		fr.Groups = append(fr.Groups, g)
-	}
-	clear(ss.groups)
+	fr := DeltaFrame{Shard: ss.shard, Version: ss.version, Base: ss.base, Full: ss.full, Groups: ss.pend}
+	ss.pend, ss.owned = nil, false
 	ss.has, ss.full = false, false
 	ss.delivered = ss.version
-	ss.mu.Unlock()
-	sortGroups(fr.Groups)
 	return fr, true
 }

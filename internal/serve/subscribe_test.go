@@ -159,7 +159,7 @@ func TestSubscriptionBackpressure(t *testing.T) {
 	// more groups than the shard has partitions.
 	ss := sub.shards[0]
 	ss.mu.Lock()
-	pending := len(ss.groups)
+	pending := len(ss.pend)
 	ss.mu.Unlock()
 	if parts := svc.Stats()[0].Partitions; pending > parts {
 		t.Fatalf("pending slot holds %d groups, shard has %d partitions", pending, parts)
@@ -478,6 +478,67 @@ func TestSubscribeCloseRace(t *testing.T) {
 				}
 			case <-deadline:
 				t.Fatalf("pair %d: Subscribe succeeded but Close never finalized it", i)
+			}
+		}
+	}
+}
+
+// TestLaggingSlotPendingBounded stalls three Buffer-1 subscribers — the base
+// results, a probe lane and a key filter — under sustained ingest on two
+// shards and inspects their coalescing slots after every drained round: a
+// slot's pending run stays in strictly increasing key order (one group per
+// key) and never holds more groups than its shard has partitions, however
+// many publications were merged into it.
+func TestLaggingSlotPendingBounded(t *testing.T) {
+	svc, err := ForQuery(vwapSpec(), []string{"sym"}, Options{Shards: 2, BatchSize: 8, QueueLen: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	lane := engine.ProbeSpec{Const: 0.5}
+	if err := svc.SetProbes([]engine.ProbeSpec{lane}); err != nil {
+		t.Fatal(err)
+	}
+	var subs []*Subscription
+	for _, opt := range []SubOptions{
+		{Buffer: 1},
+		{Buffer: 1, Probe: &lane},
+		{Buffer: 1, Keys: [][]float64{{1}, {4}, {7}, {12}}},
+	} {
+		sub, err := svc.Subscribe(opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sub.Close()
+		subs = append(subs, sub)
+	}
+	events := symEvents(31, 6000, 23)
+	for round := 0; round*300 < len(events); round++ {
+		chunk := events[round*300 : min((round+1)*300, len(events))]
+		for i := 0; i < len(chunk); i += 6 {
+			if err := svc.ApplyBatch(chunk[i:min(i+6, len(chunk))]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := svc.Drain(); err != nil {
+			t.Fatal(err)
+		}
+		stats := svc.Stats()
+		for si, sub := range subs {
+			for _, ss := range sub.shards {
+				ss.mu.Lock()
+				pend := append([]engine.GroupResult(nil), ss.pend...)
+				ss.mu.Unlock()
+				if parts := stats[ss.shard].Partitions; len(pend) > parts {
+					t.Fatalf("round %d, subscriber %d, shard %d: pending run holds %d groups, shard has %d partitions",
+						round, si, ss.shard, len(pend), parts)
+				}
+				for i := 1; i < len(pend); i++ {
+					if engine.CompareKeys(pend[i-1].Key, pend[i].Key) >= 0 {
+						t.Fatalf("round %d, subscriber %d, shard %d: pending run out of key order at %d: %v then %v",
+							round, si, ss.shard, i, pend[i-1].Key, pend[i].Key)
+					}
+				}
 			}
 		}
 	}

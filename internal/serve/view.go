@@ -64,7 +64,7 @@ func (v *View) Grouped() []engine.GroupResult {
 			out = append(out, g)
 		}
 	}
-	sortGroups(out)
+	engine.SortGroups(out)
 	return out
 }
 

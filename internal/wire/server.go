@@ -693,8 +693,10 @@ func (s *Server) processBatch(cs *connScratch, sess *session, body []byte) (MsgT
 	}
 	// ApplyBatch copies the events into pooled per-shard buffers before
 	// returning, so the slice (not the tuples) is safe to reuse for the next
-	// batch.
+	// batch. Cleared on the way out, so the scratch does not keep applied
+	// tuples alive between batches.
 	cs.events = events
+	defer clear(events)
 	if seq != 0 && sess != nil {
 		sess.mu.Lock()
 		defer sess.mu.Unlock()
