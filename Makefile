@@ -58,9 +58,11 @@ bench:
 
 # Core micro-benchmarks: the RPAI tree's Put/Add/GetSum/Delete, the
 # relation-state executor's per-event cost at the stack benchmark's
-# deep-index and wide-shallow tree sizes, and the publish layer's per-event
+# deep-index and wide-shallow tree sizes, the publish layer's per-event
 # cost and bytes on a wide-shallow-sized shard (2 048 partitions, 128-event
-# commits) with 0 and 8 subscribers.
+# commits) with 0 and 8 subscribers, and the catalog's record path (decode,
+# admission, WAL append, fan-out) per event and byte on a 256-event record
+# into 1 and 16 state sets.
 bench-core:
 	go test -run '^$$' -bench 'BenchmarkTree(Put|Add|GetSum|Delete)' -benchmem \
 		-benchtime 200ms -count 3 ./internal/rpai/
@@ -68,6 +70,8 @@ bench-core:
 		-benchtime 400000x -count 3 ./internal/engine/
 	go test -run '^$$' -bench BenchmarkShardCommit -benchmem \
 		-benchtime 2000x -count 3 ./internal/serve/
+	go test -run '^$$' -bench BenchmarkIngestRecord -benchmem \
+		-benchtime 400x -count 3 ./internal/catalog/
 
 experiments:
 	go run ./cmd/rpaibench -exp all
@@ -93,6 +97,7 @@ FUZZ_TARGETS := \
 	internal/engine:FuzzSnapshotRoundTrip \
 	internal/checkpoint:FuzzWALRecords \
 	internal/sqlparse:FuzzParse \
+	internal/query:FuzzBindExpr \
 	internal/wire:FuzzWireFrames \
 	internal/serve:FuzzSubscriptionDeltas \
 	internal/catalog:FuzzCatalogDifferential

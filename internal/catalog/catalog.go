@@ -8,9 +8,13 @@
 //
 //   - Register parses and plans the SQL (Parse/Prepare), assigns a QueryID,
 //     and either joins an existing executor set or boots a fresh one;
-//   - ApplyBatch executes: the batch is logged ONCE to the catalog's shared
-//     WAL — one record per batch regardless of how many queries are
-//     registered — then applied to every distinct executor set;
+//   - DecodeRecord and ApplyRecord execute: a batch, in its WAL record
+//     encoding (the wire batch body after its header), is decoded once into
+//     rows bound to the catalog's column schema — the partition columns plus
+//     every column a live executor set reads — then logged ONCE
+//     to the catalog's shared WAL, as received — one record per batch
+//     regardless of how many queries are registered — and its rows applied
+//     to every distinct executor set; ApplyBatch is the same for map events;
 //   - per-query reads (Result, ResultGrouped, Subscribe, Stats) are served
 //     by the query's own serve.Service, so every property of the sharded
 //     serving layer (sharding, snapshots, coalescing push subscriptions)
@@ -144,9 +148,10 @@ type execSet struct {
 	snapDir  string
 	snapAt   uint64
 	rejected atomic.Uint64
-	// admit is engine.Admission(q): whether the set's executors can maintain
-	// an event. ApplyBatch asks every set before it logs a batch.
-	admit func(engine.Event) error
+	// prep is q bound to the catalog's schema; its Admit is the check whether
+	// the set's executors can maintain an event, which ingest asks every set
+	// before it logs a batch.
+	prep *engine.Prepared
 }
 
 // Service is the catalog. All public methods are safe for concurrent use.
@@ -170,7 +175,18 @@ type Service struct {
 	// is added or removed.
 	setList []*execSet
 
-	// ingestMu serializes ApplyBatch so the WAL record order equals the
+	// schema is the catalog's row layout: the partition columns, then every
+	// column a live set's query reads, in set order. Register extends it and
+	// a set's teardown rebuilds it (rebindSchemaLocked), both under mu held
+	// for write; ingest decodes against the version it loads and, holding mu
+	// for read, decodes again if the schema changed in between (see
+	// ApplyRecord).
+	schema atomic.Pointer[query.Schema]
+	// edgeMu guards edge, the map API's record scratch (see ApplyBatch).
+	edgeMu sync.Mutex
+	edge   edgeBatch
+
+	// ingestMu serializes ingest so the WAL record order equals the
 	// per-shard application order — the invariant recovery replay relies on.
 	ingestMu sync.Mutex
 	records  uint64 // WAL records written this generation (== batches applied)
@@ -203,6 +219,7 @@ func New(opt Options) (*Service, error) {
 		nextID:   1,
 		nextSet:  1,
 	}
+	s.schema.Store(query.NewSchema(opt.PartitionBy...))
 	if opt.Dir != "" {
 		if err := s.initDurable(); err != nil {
 			return nil, err
@@ -297,20 +314,24 @@ func (s *Service) Register(sql string) (QueryID, Explain, error) {
 	joinedFork := false
 	var oldSince uint64
 	if set == nil {
+		// The schema grows by the set's columns before the set exists; a
+		// registration rolled back takes them out again.
+		sch := s.schema.Load().Extend(exec.Columns()...)
+		prep, err := engine.Prepare(exec, sch)
+		if err != nil {
+			return 0, Explain{}, err
+		}
 		svc, err := serve.ForQuery(exec, s.opt.PartitionBy, s.opt.serveOptions())
 		if err != nil {
 			return 0, Explain{}, err
 		}
-		admit, err := engine.Admission(exec)
-		if err != nil {
-			return 0, Explain{}, err
-		}
+		s.schema.Store(sch)
 		set = &execSet{
 			setID:    s.nextSet,
 			canon:    canon,
 			baseSQL:  sql,
 			q:        exec,
-			admit:    admit,
+			prep:     prep,
 			stateKey: stateKey,
 			baseKey:  baseKey,
 			svc:      svc,
@@ -387,6 +408,7 @@ func (s *Service) Register(sql string) (QueryID, Explain, error) {
 					delete(s.baseKeys, baseKey)
 				}
 			}
+			s.rebindSchemaLocked()
 			set.svc.Close()
 		}
 	}
@@ -532,6 +554,7 @@ func (s *Service) Unregister(id QueryID) error {
 		}
 	}
 	if orphan != nil {
+		s.rebindSchemaLocked()
 		orphan.svc.Close()
 		return nil
 	}
@@ -596,25 +619,89 @@ func (s *Service) regLocked(id QueryID) (*registration, error) {
 	return reg, nil
 }
 
-// ApplyBatch ingests one batch into every registered query: one WAL record —
-// regardless of query count — then a fan-out to each distinct executor set.
-// Batches are serialized so WAL order equals application order. With
-// Options.CompactEvery set, the batch that carries the log past the bound
-// also rotates the generation before returning.
-func (s *Service) ApplyBatch(events []engine.Event) error {
-	if len(events) == 0 {
+// Batch is one ingest batch decoded into rows bound to the catalog's schema:
+// the scratch DecodeRecord fills and ApplyRecord consumes. Reuse one per
+// ingesting goroutine (the wire server keeps one per connection) and steady
+// ingest allocates nothing per event. The zero value is ready to use.
+type Batch struct {
+	rec  []byte
+	n    int
+	dec  engine.RowDecoder
+	rows engine.Rows
+}
+
+// decode lays rec out as rows of sch.
+func (b *Batch) decode(sch *query.Schema, rec []byte) error {
+	b.dec.SetSchema(sch)
+	b.rows.Reset(sch.Len())
+	n, err := b.dec.DecodeRecord(&b.rows, rec)
+	b.n = n
+	return err
+}
+
+// DecodeRecord validates rec and decodes it into b against the catalog's
+// current schema. rec is one batch in the WAL's record encoding — per event
+// a u32-LE length and an engine.EncodeEvent payload — which is also the wire
+// protocol's batch body after its 12-byte header. Only the canonical
+// encoding is accepted (engine.RowDecoder), so an accepted rec is exactly
+// the record logging the decoded events would write, and ApplyRecord logs it
+// as it is. A column no registered query reads is validated and skipped.
+// DecodeRecord takes no lock; b aliases rec until ApplyRecord returns.
+func (s *Service) DecodeRecord(b *Batch, rec []byte) error {
+	b.rec = nil
+	if err := b.decode(s.schema.Load(), rec); err != nil {
+		b.n = 0
+		return err
+	}
+	b.rec = rec
+	return nil
+}
+
+// ApplyRecord ingests a batch DecodeRecord accepted into every registered
+// query: admission by every set, one WAL record — the bytes received,
+// regardless of query count — then a fan-out of the rows to each distinct
+// executor set. Batches are serialized so WAL order equals application order.
+// With Options.CompactEvery set, the batch that carries the log past the
+// bound also rotates the generation before returning.
+func (s *Service) ApplyRecord(b *Batch) error {
+	if b.n == 0 {
 		return nil
 	}
-	full, err := s.applyBatch(events)
+	full, err := s.applyRecord(b)
 	if full && err == nil {
 		err = s.compact()
 	}
 	return err
 }
 
-// applyBatch logs and fans out one batch under the shared ingest lock, and
+// ApplyBatch ingests map events: the map edge of DecodeRecord and
+// ApplyRecord, through which the events' record encoding takes the same
+// path as a wire batch. Map-edge callers share one scratch, so they
+// serialize here rather than only at the ingest lock.
+func (s *Service) ApplyBatch(events []engine.Event) error {
+	if len(events) == 0 {
+		return nil
+	}
+	s.edgeMu.Lock()
+	defer s.edgeMu.Unlock()
+	e := &s.edge
+	e.rec = encodeBatchRecord(e.rec[:0], events)
+	if err := s.DecodeRecord(&e.b, e.rec); err != nil {
+		return err
+	}
+	return s.ApplyRecord(&e.b)
+}
+
+// edgeBatch is ApplyBatch's scratch: the encoded record and its decoded
+// rows.
+type edgeBatch struct {
+	rec []byte
+	b   Batch
+}
+
+// applyRecord logs and fans out one batch under the shared ingest lock, and
 // reports whether the log has reached Options.CompactEvery.
-func (s *Service) applyBatch(events []engine.Event) (full bool, err error) {
+func (s *Service) applyRecord(b *Batch) (full bool, err error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	if s.closed {
@@ -625,32 +712,42 @@ func (s *Service) applyBatch(events []engine.Event) (full bool, err error) {
 	}
 	s.ingestMu.Lock()
 	defer s.ingestMu.Unlock()
+	// Registrations extend the schema under mu held for write, so it is
+	// fixed now. A batch decoded before a registration added a column lacks
+	// that column's values — the new set would read 0 — so it is decoded
+	// again against the schema every set was bound under.
+	sch := s.schema.Load()
+	if b.dec.Schema() != sch {
+		if err := b.decode(sch, b.rec); err != nil {
+			return false, err
+		}
+	}
 	sets := s.setList
 	// Admission comes before the log: an event some set's executor cannot
 	// maintain would take down its shard worker after the batch is already
 	// in the shared WAL, and every recovery would replay it. The whole
 	// batch is refused instead — nothing logged, nothing applied.
 	for _, set := range sets {
-		for i := range events {
-			if aerr := set.admit(events[i]); aerr != nil {
+		for i := 0; i < b.n; i++ {
+			if aerr := set.prep.Admit(b.rows.At(i)); aerr != nil {
 				for _, st := range sets {
-					st.rejected.Add(uint64(len(events)))
+					st.rejected.Add(uint64(b.n))
 				}
 				return false, fmt.Errorf("catalog: batch refused: event %d: %w", i, aerr)
 			}
 		}
 	}
 	if s.dur != nil {
-		if err := s.appendWAL(events); err != nil {
+		if err := s.appendWAL(b.rec); err != nil {
 			return false, err
 		}
-		s.logged += len(events)
+		s.logged += b.n
 	}
 	s.records++
 	s.applied++
 	for _, set := range sets {
-		if aerr := set.svc.ApplyBatch(events); aerr != nil {
-			set.rejected.Add(uint64(len(events)))
+		if aerr := set.svc.ApplyRows(sch, &b.rows); aerr != nil {
+			set.rejected.Add(uint64(b.n))
 			if err == nil {
 				err = aerr
 			}
@@ -690,8 +787,41 @@ func (s *Service) indexSetsLocked() {
 	s.setList = out
 }
 
+// rebindSchemaLocked rebuilds the schema from the live sets after one is torn
+// down, so a column only the departed set read stops widening every row
+// ingest decodes — registrations are client input, and a register/unregister
+// churn over fresh column names must not grow the hot path. Each surviving
+// set's admission is bound again to the new layout (its serve.Service keeps
+// its own schema and gathers from whichever one ingest hands it). Nothing
+// changes when the live sets still read every column. Callers hold mu for
+// write, so no batch is between its schema check and its fan-out.
+func (s *Service) rebindSchemaLocked() {
+	sch := query.NewSchema(s.opt.PartitionBy...)
+	for _, set := range s.setList {
+		sch = sch.Extend(set.q.Columns()...)
+	}
+	if sch.Len() == s.schema.Load().Len() {
+		return // the live columns are a subset of the old schema: the same set
+	}
+	preps := make([]*engine.Prepared, len(s.setList))
+	for i, set := range s.setList {
+		prep, err := engine.Prepare(set.q, sch)
+		if err != nil {
+			// Unreachable — set.q was prepared against a schema holding the
+			// same columns — and harmless: the wider schema stays valid.
+			return
+		}
+		preps[i] = prep
+	}
+	for i, set := range s.setList {
+		set.prep = preps[i]
+	}
+	s.schema.Store(sch)
+}
+
 // encodeBatchRecord frames a batch as one WAL record: a u32-LE
-// length-prefixed event encoding per event.
+// length-prefixed event encoding per event. Only the map edge (ApplyBatch)
+// encodes; a wire batch arrives encoded.
 func encodeBatchRecord(buf []byte, events []engine.Event) []byte {
 	for _, e := range events {
 		off := len(buf)
@@ -700,29 +830,6 @@ func encodeBatchRecord(buf []byte, events []engine.Event) []byte {
 		binary.LittleEndian.PutUint32(buf[off:], uint32(len(buf)-off-4))
 	}
 	return buf
-}
-
-// decodeBatchRecord walks one WAL record's events.
-func decodeBatchRecord(rec []byte, dec *engine.EventDecoder, fn func(e engine.Event) error) error {
-	for len(rec) > 0 {
-		if len(rec) < 4 {
-			return errors.New("catalog: truncated WAL record")
-		}
-		n := binary.LittleEndian.Uint32(rec)
-		rec = rec[4:]
-		if uint64(n) > uint64(len(rec)) {
-			return errors.New("catalog: truncated WAL record")
-		}
-		e, err := dec.Decode(rec[:n])
-		if err != nil {
-			return err
-		}
-		if err := fn(e); err != nil {
-			return err
-		}
-		rec = rec[n:]
-	}
-	return nil
 }
 
 // Result returns a query's scalar result (the sum across shards). A shared

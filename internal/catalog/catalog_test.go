@@ -369,13 +369,11 @@ func TestCatalogOneWALRecordPerBatch(t *testing.T) {
 	}
 
 	records, evs := 0, 0
-	var dec engine.EventDecoder
 	h, _, err := checkpoint.ReadWAL(walPath(dir, 1), func(rec []byte) error {
 		records++
-		return decodeBatchRecord(rec, &dec, func(engine.Event) error {
-			evs++
-			return nil
-		})
+		n, err := recordEvents(rec)
+		evs += n
+		return err
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -75,10 +75,6 @@ type durableState struct {
 	dir string
 	gen uint64
 	wal *checkpoint.WALWriter
-	// rec is appendWAL's record scratch: ingest holds ingestMu, and Append
-	// copies the record into the writer's buffer, so one buffer serves every
-	// batch.
-	rec []byte
 }
 
 // catEntry is one manifest line: the registration (id, sql), its set (setID,
@@ -160,11 +156,10 @@ func refuseLegacyDir(dir string) error {
 	return nil
 }
 
-// appendWAL logs one batch as one record and flushes it to the OS. Callers
-// hold ingestMu, so record order is application order.
-func (s *Service) appendWAL(events []engine.Event) error {
-	s.dur.rec = encodeBatchRecord(s.dur.rec[:0], events)
-	if err := s.dur.wal.Append(s.dur.rec); err != nil {
+// appendWAL logs one batch record as received and flushes it to the OS.
+// Callers hold ingestMu, so record order is application order.
+func (s *Service) appendWAL(rec []byte) error {
+	if err := s.dur.wal.Append(rec); err != nil {
 		return err
 	}
 	return s.dur.wal.Flush()
@@ -507,6 +502,7 @@ func restore(opt Options) (s *Service, m manifest, raw []byte, err error) {
 		nextSet:  max(m.nextSet, 1),
 		applied:  m.appliedBase,
 	}
+	sch := query.NewSchema(m.partitionBy...)
 
 	// Rebuild executor sets: group manifest entries by set, restore each set
 	// from its snapshot directory when one exists.
@@ -550,6 +546,7 @@ func restore(opt Options) (s *Service, m manifest, raw []byte, err error) {
 			return fail(fmt.Errorf("catalog: set %d founding query: %w", sid, err))
 		}
 		exec, stateKey, baseKey, baseSpec, setShared := deriveState(bq, m.partitionBy)
+		sch = sch.Extend(exec.Columns()...)
 		sd := setDir(opt.Dir, m.gen, sid)
 		fd := forkDir(opt.Dir, m.gen, sid, ents[0].since)
 		var svc *serve.Service
@@ -574,11 +571,11 @@ func restore(opt Options) (s *Service, m manifest, raw []byte, err error) {
 		if err != nil {
 			return fail(fmt.Errorf("catalog: recover set %d: %w", sid, err))
 		}
-		admit, err := engine.Admission(exec)
+		prep, err := engine.Prepare(exec, sch)
 		if err != nil {
 			return fail(fmt.Errorf("catalog: recover set %d: %w", sid, err))
 		}
-		set := &execSet{setID: sid, canon: bq.String(), baseSQL: baseSQL, q: exec, admit: admit,
+		set := &execSet{setID: sid, canon: bq.String(), baseSQL: baseSQL, q: exec, prep: prep,
 			stateKey: stateKey, baseKey: baseKey,
 			refs: make(map[QueryID]struct{}), svc: svc,
 			since: ents[0].since, founded: ents[0].founded,
@@ -619,6 +616,7 @@ func restore(opt Options) (s *Service, m manifest, raw []byte, err error) {
 			}
 		}
 	}
+	s.schema.Store(sch)
 	return s, m, raw, nil
 }
 
@@ -628,19 +626,15 @@ func restore(opt Options) (s *Service, m manifest, raw []byte, err error) {
 // registration tables must not change while the returned function is in use.
 func (s *Service) replayer() func(rec []byte) error {
 	sets := s.setList
-	var dec engine.EventDecoder
-	var batch []engine.Event
+	sch := s.schema.Load()
+	var b Batch
 	return func(rec []byte) error {
-		batch = batch[:0]
-		if err := decodeBatchRecord(rec, &dec, func(e engine.Event) error {
-			batch = append(batch, e)
-			return nil
-		}); err != nil {
+		if err := b.decode(sch, rec); err != nil {
 			return err
 		}
 		for _, set := range sets {
 			if set.since <= s.records {
-				if err := set.svc.ApplyBatch(batch); err != nil {
+				if err := set.svc.ApplyRows(sch, &b.rows); err != nil {
 					return err
 				}
 			}

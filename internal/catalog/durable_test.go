@@ -125,13 +125,21 @@ func walRecordEnds(w []byte) []int {
 func walEvents(t *testing.T, dir string, gen uint64) int {
 	t.Helper()
 	n := 0
-	var dec engine.EventDecoder
 	if _, _, err := checkpoint.ReadWAL(walPath(dir, gen), func(rec []byte) error {
-		return decodeBatchRecord(rec, &dec, func(engine.Event) error { n++; return nil })
+		k, err := recordEvents(rec)
+		n += k
+		return err
 	}); err != nil {
 		t.Fatal(err)
 	}
 	return n
+}
+
+// recordEvents validates one WAL record and counts its events.
+func recordEvents(rec []byte) (int, error) {
+	var d engine.RowDecoder
+	var rows engine.Rows
+	return d.DecodeRecord(&rows, rec)
 }
 
 // recoverState recovers dir and returns the drained state.

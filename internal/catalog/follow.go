@@ -153,6 +153,7 @@ func (f *follower) step() error {
 			stale := s.setList
 			s.regs, s.sets, s.states, s.baseKeys, s.setList = n.regs, n.sets, n.states, n.baseKeys, n.setList
 			s.nextID, s.nextSet, s.records, s.applied = n.nextID, n.nextSet, n.records, n.applied
+			s.schema.Store(n.schema.Load())
 			f.raw, f.tail, f.replay = raw, tail, s.replayer()
 			s.mu.Unlock()
 			for _, set := range stale {

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"strings"
 	"testing"
 
 	"rpai/internal/query"
@@ -10,14 +11,21 @@ import (
 // indexes, maps and scratch buffers have seen the working set, replaying a
 // balanced insert/delete batch allocates nothing — for both aggregate-index
 // shapes the planner emits (the arena-tree range-shift executor and the
-// PAI-map point-move executor with its deferred move buffer).
+// PAI-map point-move executor with its deferred move buffer) and for the
+// general algorithm on an SQ-shaped query (correlated <=, GROUP BY sym) and
+// on NQ1: their subquery states know at bind time whether they are
+// correlated, and a group lookup formats its key into a reused buffer.
 func TestAllocGuardApplyBatch(t *testing.T) {
+	sqGeneral := vwapSpec()
+	sqGeneral.GroupBy = []string{"sym"}
 	for _, spec := range []struct {
 		name string
 		q    *query.Query
 	}{
 		{"vwap-arena", vwapSpec()},
 		{"eq1-pai", eq1Spec()},
+		{"sq-general", sqGeneral},
+		{"nq1-general", nq1Spec()},
 	} {
 		ex, err := New(spec.q)
 		if err != nil {
@@ -26,6 +34,9 @@ func TestAllocGuardApplyBatch(t *testing.T) {
 		bx, ok := ex.(BatchExecutor)
 		if !ok {
 			t.Fatalf("%s: %T does not implement BatchExecutor", spec.name, ex)
+		}
+		if _, general := ex.(*GeneralExec); general != strings.HasSuffix(spec.name, "-general") {
+			t.Fatalf("%s: planner built %T", spec.name, ex)
 		}
 		// Warm state: a resident copy of every tuple keeps each key level
 		// alive across the measured batch's retractions.
@@ -36,6 +47,7 @@ func TestAllocGuardApplyBatch(t *testing.T) {
 				"volume": float64(i%5 + 1),
 				"a":      float64(i%6 + 1),
 				"b":      float64(i%4 + 1),
+				"sym":    float64(i % 3),
 			}
 			bx.Apply(Insert(tuples[i]))
 		}
@@ -79,5 +91,19 @@ func TestAllocGuardEventCodec(t *testing.T) {
 		}
 	}); got > 2 {
 		t.Errorf("EventDecoder.Decode allocates %.1f per op, want <= 2", got)
+	}
+
+	// The row decoder builds no map and interns nothing: decoding into a
+	// grown Rows is allocation-free, a column the schema lacks included.
+	var rd RowDecoder
+	rd.SetSchema(query.NewSchema("price", "volume"))
+	var rows Rows
+	if got := testing.AllocsPerRun(200, func() {
+		rows.Reset(2)
+		if err := rd.Decode(&rows, payload); err != nil {
+			t.Fatal(err)
+		}
+	}); got > 0 {
+		t.Errorf("RowDecoder.Decode allocates %.1f per op, want 0", got)
 	}
 }

@@ -15,6 +15,7 @@ package engine
 
 import (
 	"math"
+	"strconv"
 
 	"rpai/internal/paimap"
 	"rpai/internal/query"
@@ -68,88 +69,120 @@ func (n *NaiveExec) ApplyBatch(events []Event) {
 	}
 }
 
-// ApplyBatch implements BatchExecutor. Event streams are bursty in their
-// group key — a partition's drain is often one ticker, one group — so the
-// group-key projection (float formatting plus a map lookup) is cached across
-// consecutive events that project to the same column values. The cache
-// compares raw float bits per column: distinct bit patterns (including -0
-// vs +0, which format differently) always miss and recompute, so a hit
-// reuses only work that would have produced the same key string and the
-// same *group.
+// ApplyBatch implements BatchExecutor: the events, laid out as rows of the
+// executor's schema, take the row path.
 func (g *GeneralExec) ApplyBatch(events []Event) {
-	var (
-		lastKey string
-		lastGr  *group
-	)
-	for i := range events {
-		e := &events[i]
+	g.ApplyRows(edgeRows(g.b.schema, &g.edge, events))
+}
+
+// ApplyRows implements RowExecutor. Event streams are bursty in their group
+// key — a partition's drain is often one ticker, one group — so the group
+// lookup is cached across consecutive rows that project to the same column
+// values. The cache compares raw float bits per column: distinct bit
+// patterns (including -0 vs +0, which format differently) always miss and
+// look up again, so a hit reuses only a lookup that would have found the
+// same key and the same *group. A lookup formats the key into a reused
+// buffer and probes the map with it, so only a group's creation allocates.
+func (g *GeneralExec) ApplyRows(rows *Rows) {
+	var gr *group
+	for i, n := 0, rows.Len(); i < n; i++ {
+		x, row := rows.At(i)
 		for _, st := range g.subs {
-			st.apply(e.Tuple, e.X)
+			st.apply(row, x)
 		}
-		if lastGr == nil || !sameProjection(g.groupCols, e.Tuple, lastGr.vals) {
-			key, vals := g.groupKey(e.Tuple)
-			gr := g.groups[key]
-			if gr == nil {
-				gr = &group{vals: vals}
-				g.groups[key] = gr
-			}
-			lastKey, lastGr = key, gr
+		if gr == nil || !sameProjection(g.b.groupSlots, row, gr.vals) {
+			gr = g.group(row)
 		}
-		lastGr.agg += e.X * g.q.Agg.Eval(e.Tuple)
-		lastGr.cnt += e.X
-		if lastGr.cnt == 0 {
-			delete(g.groups, lastKey)
-			lastGr = nil
+		gr.agg += x * g.b.agg(row)
+		gr.cnt += x
+		if gr.cnt == 0 {
+			delete(g.groups, string(g.keyBuf))
+			gr = nil
 		}
 	}
 }
 
-// sameProjection reports whether projecting cols from t yields exactly vals,
-// comparing bit patterns so NaNs compare by payload and signed zeros are
-// distinct (groupProjection formats them differently).
-func sameProjection(cols []string, t query.Tuple, vals []float64) bool {
-	for i, c := range cols {
-		if math.Float64bits(t[c]) != math.Float64bits(vals[i]) {
+// group returns row's result-map entry, creating it if absent, and leaves its
+// key in keyBuf. The key text is groupProjection's, so snapshots and the
+// read side see the keys they always have.
+func (g *GeneralExec) group(row []float64) *group {
+	buf := g.keyBuf[:0]
+	for _, s := range g.b.groupSlots {
+		buf = strconv.AppendFloat(buf, row[s], 'g', -1, 64)
+		buf = append(buf, '|')
+	}
+	g.keyBuf = buf
+	if gr, ok := g.groups[string(buf)]; ok {
+		return gr
+	}
+	gr := &group{vals: make([]float64, len(g.b.groupSlots))}
+	for i, s := range g.b.groupSlots {
+		gr.vals[i] = row[s]
+	}
+	g.groups[string(buf)] = gr
+	return gr
+}
+
+// sameProjection reports whether projecting slots from row yields exactly
+// vals, comparing bit patterns so NaNs compare by payload and signed zeros
+// are distinct (the key text formats them differently).
+func sameProjection(slots []int, row, vals []float64) bool {
+	for i, s := range slots {
+		if math.Float64bits(row[s]) != math.Float64bits(vals[i]) {
 			return false
 		}
 	}
 	return true
 }
 
-// ApplyBatch implements BatchExecutor for the single-relation inequality
+// ApplyBatch implements BatchExecutor through the row path.
+func (ex *relStateExec) ApplyBatch(events []Event) {
+	ex.ApplyRows(edgeRows(ex.rs.b.schema, &ex.edge, events))
+}
+
+// ApplyRows implements RowExecutor for the single-relation inequality
 // executor: a straight loop over the relation state (the per-event work is
 // already O(log n) index maintenance with nothing batch-amortizable that
 // would preserve float evaluation order).
-func (ex *relStateExec) ApplyBatch(events []Event) {
+func (ex *relStateExec) ApplyRows(rows *Rows) {
 	rs := ex.rs
-	for i := range events {
-		rs.apply(events[i].Tuple, events[i].X)
+	for i, n := 0, rows.Len(); i < n; i++ {
+		x, row := rows.At(i)
+		rs.apply(row, x)
 	}
 }
 
-// ApplyBatch implements BatchExecutor, and is Apply's only path. Per event it
-// performs the bookkeeping on thr/byKey/cntAt/groups, but the two
-// aggregate-index writes — retracting the level's portion from its old key
-// (paimap.Take, which drops the key when it zeroes) and adding it under the
-// new one — are buffered as one paimap.MoveOp and flushed in order at the end
-// of the batch. That deferral is sound because the per-event bookkeeping never
-// reads the aggregate index (only Result does), and bit-identical to
-// event-at-a-time moves because MoveMany replays the identical map operations
-// in the identical order. An event that empties its level (cnt reaching zero)
-// issues only the retraction, in order: the buffer is flushed first, then the
-// bare Take.
+// ApplyBatch implements BatchExecutor through the row path.
 func (ex *AggIndexExec) ApplyBatch(events []Event) {
+	ex.ApplyRows(edgeRows(ex.b.schema, &ex.edge, events))
+}
+
+// ApplyRows implements RowExecutor, and is the only path into the executor.
+// Per event it performs the bookkeeping on thr/byKey/cntAt/groups, but the
+// two aggregate-index writes — retracting the level's portion from its old
+// key (paimap.Take, which drops the key when it zeroes) and adding it under
+// the new one — are buffered as one paimap.MoveOp and flushed in order at the
+// end of the batch. That deferral is sound because the per-event bookkeeping
+// never reads the aggregate index (only Result does), and bit-identical to
+// event-at-a-time moves because MoveMany replays the identical map operations
+// in the identical order. An event that empties its level (cnt reaching
+// zero) issues only the retraction, in order: the buffer is flushed first,
+// then the bare Take.
+func (ex *AggIndexExec) ApplyRows(rows *Rows) {
+	b := ex.b
 	pm := ex.agg
 	moves := ex.moveBuf[:0]
-	for i := range events {
-		e := &events[i]
-		t, x := e.Tuple, e.X
+	for i, n := 0, rows.Len(); i < n; i++ {
+		x, row := rows.At(i)
 		if ex.thr != nil {
-			ex.thr.apply(t, x)
+			ex.thr.apply(row, x)
 		}
-		w := ex.contribution(t)
-		k := t[ex.plan.KeyCol]
-		av := x * ex.q.Agg.Eval(t)
+		w := 1.0
+		if b.contrib != nil {
+			w = b.contrib(row)
+		}
+		k := row[b.key]
+		av := x * b.agg(row)
 		// Point move (Figure 1c): the level's key is its own summed weight.
 		oldKey, _ := ex.byKey.Get(k)
 		grpVal := ex.groups[k]
@@ -190,7 +223,7 @@ func (ex *MultiAggIndexExec) ApplyBatch(events []MultiEvent) {
 			}
 			lastRel = e.Rel
 		}
-		rs.apply(e.Tuple, e.X)
+		rs.applyTuple(&ex.edge, e.Tuple, e.X)
 	}
 }
 

@@ -46,19 +46,20 @@ func Describe(q *query.Query) (Plan, error) {
 	}
 	switch e := ex.(type) {
 	case *AggIndexExec:
-		pl.KeyCol = e.plan.KeyCol
-		pl.SubOp = e.plan.SubOp.String()
+		pl.KeyCol = e.b.plan.KeyCol
+		pl.SubOp = e.b.plan.SubOp.String()
 		pl.IndexKind = "pai"
 	case *relStateExec:
-		pl.KeyCol = e.rs.plan.keyCol
-		switch e.rs.plan.kind {
+		rp := e.rs.b.plan
+		pl.KeyCol = rp.keyCol
+		switch rp.kind {
 		case PredCorrelated:
 			// An RPAI on the arena with its relative keys held implicitly,
 			// as the weight lane's prefix sums of the level tree (DESIGN §4b).
-			pl.SubOp = e.rs.plan.subOp.String()
+			pl.SubOp = rp.subOp.String()
 			pl.IndexKind = "rpai-arena"
 		case PredColumn:
-			pl.SubOp = e.rs.plan.thetaCorrFirst.String()
+			pl.SubOp = rp.thetaCorrFirst.String()
 			pl.IndexKind = "level-tree"
 		}
 	}

@@ -19,6 +19,14 @@
 // engine demonstrates that the same algorithms apply to arbitrary queries in
 // the supported fragment, and the tests cross-check it against both the
 // naive executor and the hand-written ones.
+//
+// Events reach the incremental executors as rows: Prepare plans a query
+// once and binds every expression its executors evaluate per event to the
+// slots of a query.Schema, RowDecoder decodes event payloads straight into
+// Rows under that schema, and RowExecutor.ApplyRows applies them — no tuple
+// map, no column-name hashing. The map API (Event, Apply, ApplyBatch,
+// EncodeEvent, EventDecoder) is the edge: it lays tuples out as rows and
+// takes the same path. NaiveExec, the oracle, stays on maps.
 package engine
 
 import (
@@ -58,24 +66,15 @@ type Executor interface {
 // predicates via the level tree, where a range shift is one weight-lane
 // update), the general algorithm
 // otherwise. It returns an error for queries outside the maintainable
-// fragment (section 4.2.5).
+// fragment (section 4.2.5). The executor is bound to the schema of the
+// query's own columns (see Prepare); a caller building many executors of one
+// query prepares it once instead.
 func New(q *query.Query) (Executor, error) {
-	if err := q.Validate(); err != nil {
+	p, err := prepareOwn(q)
+	if err != nil {
 		return nil, err
 	}
-	if len(q.GroupBy) == 0 && len(q.Preds) == 1 {
-		// The PAI equality executor maintains only the summed aggregate, so it
-		// serves SUM outers; COUNT and AVG need the count side relState keeps.
-		if plan, ok := q.PlanAggIndex(); ok && plan.SubOp == query.Eq && q.Outer == query.Sum {
-			return newAggIndexExec(q, plan), nil
-		}
-		if noNested(q) {
-			if rs, err := newRelState(RelSpec{Name: "R", Term: q.Agg, Pred: q.Preds[0]}); err == nil {
-				return &relStateExec{rs: rs, outer: q.Outer}, nil
-			}
-		}
-	}
-	return NewGeneral(q)
+	return p.New(), nil
 }
 
 func noNested(q *query.Query) bool {
@@ -97,6 +96,7 @@ type relStateExec struct {
 	rs    *relState
 	outer query.AggKind
 	probe probeScratch
+	edge  *Rows
 }
 
 // Strategy implements Executor. "relstate" names the range-shift executor
@@ -105,7 +105,7 @@ type relStateExec struct {
 func (ex *relStateExec) Strategy() string { return "relstate" }
 
 // Apply implements Executor.
-func (ex *relStateExec) Apply(e Event) { ex.rs.apply(e.Tuple, e.X) }
+func (ex *relStateExec) Apply(e Event) { ex.ApplyBatch([]Event{e}) }
 
 // Result implements Executor.
 func (ex *relStateExec) Result() float64 {
@@ -253,7 +253,7 @@ func tupleEqual(a, b query.Tuple) bool {
 // free-map lookups of the paper become prefix/suffix queries on these
 // trees).
 type subState struct {
-	sub     *query.Subquery
+	b       *subBinding
 	sumTree *treemap.Tree // inner-expr value -> sum(Of)
 	cntTree *treemap.Tree // inner-expr value -> count
 	sum     float64       // uncorrelated accumulators
@@ -267,63 +267,65 @@ type subState struct {
 	thrSum  float64
 }
 
-func newSubState(s *query.Subquery) *subState {
-	st := &subState{sub: s}
-	if s.Correlated() {
+func newSubState(b *subBinding) *subState {
+	st := &subState{b: b}
+	if b.correlated {
 		st.sumTree = treemap.New()
 		st.cntTree = treemap.New()
 	}
-	if s.Nested != nil {
+	if nb := b.nested; nb != nil {
 		st.wTree = treemap.New()
-		if t := s.Nested.Threshold; t.Sub != nil && t.Sub.Where != nil {
+		if nb.thrTree {
 			st.thrTree = treemap.New()
 		}
 	}
 	return st
 }
 
-// apply folds a tuple (in its inner role) into the subquery state.
-func (st *subState) apply(t query.Tuple, x float64) {
-	s := st.sub
-	if nc := s.Nested; nc != nil {
+// apply folds a row (in its inner role) into the subquery state.
+func (st *subState) apply(row []float64, x float64) {
+	b := st.b
+	if nb := b.nested; nb != nil {
 		// The innermost and threshold aggregates range over every tuple,
 		// regardless of the middle level's filters.
-		if nc.Inner.MatchFilters(t) {
-			st.wTree.Add(t[nc.Col], x*nc.Inner.Of.Eval(t))
-			if w, _ := st.wTree.Get(t[nc.Col]); w == 0 {
-				st.wTree.Delete(t[nc.Col])
+		col := row[nb.col]
+		if matchAll(nb.innerFilters, row) {
+			st.wTree.Add(col, x*nb.innerOf(row))
+			if w, _ := st.wTree.Get(col); w == 0 {
+				st.wTree.Delete(col)
 			}
 		}
-		if ts := nc.Threshold.Sub; ts != nil && ts.MatchFilters(t) {
+		if nb.thrOf != nil && matchAll(nb.thrFilters, row) {
 			if st.thrTree != nil {
-				st.thrTree.Add(t[nc.Col], x*ts.Of.Eval(t))
-				if v, _ := st.thrTree.Get(t[nc.Col]); v == 0 {
-					st.thrTree.Delete(t[nc.Col])
+				st.thrTree.Add(col, x*nb.thrOf(row))
+				if v, _ := st.thrTree.Get(col); v == 0 {
+					st.thrTree.Delete(col)
 				}
 			} else {
-				st.thrSum += x * ts.Of.Eval(t)
+				st.thrSum += x * nb.thrOf(row)
 			}
 		}
 	}
-	if !s.MatchFilters(t) {
+	if !matchAll(b.filters, row) {
 		return
 	}
-	if !s.Correlated() {
+	s := b.sub
+	if !b.correlated {
 		// An uncorrelated filter (outer side without columns) is a constant
 		// condition on the inner tuple.
-		if s.Where != nil && !s.Where.Op.Compare(s.Where.Inner.Eval(t), s.Where.Outer.Eval(nil)) {
+		if b.inner != nil && !s.Where.Op.Compare(b.inner(row), b.outerConst) {
 			return
 		}
 		st.cnt += x
 		if s.Kind != query.Count {
-			st.sum += x * s.Of.Eval(t)
+			st.sum += x * b.of(row)
 		}
 		return
 	}
-	k := s.Where.Inner.Eval(t)
+	k := b.inner(row)
 	st.cntTree.Add(k, x)
 	if s.Kind != query.Count {
-		st.sumTree.Add(k, x*s.Of.Eval(t))
+		st.sumTree.Add(k, x*b.of(row))
 	}
 	if c, _ := st.cntTree.Get(k); c == 0 {
 		st.cntTree.Delete(k)
@@ -333,11 +335,11 @@ func (st *subState) apply(t query.Tuple, x float64) {
 
 // eval returns the subquery's aggregate for an outer tuple.
 func (st *subState) eval(outer query.Tuple) float64 {
-	s := st.sub
+	s := st.b.sub
 	if s.Nested != nil {
 		return st.evalNested(outer)
 	}
-	if !s.Correlated() {
+	if !st.b.correlated {
 		return finishAgg(s.Kind, st.sum, st.cnt)
 	}
 	ov := s.Where.Outer.Eval(outer)
@@ -366,7 +368,7 @@ func (st *subState) eval(outer query.Tuple) float64 {
 // middle sum is a difference of two prefix sums (the NQ1/NQ2 evaluation of
 // section 5.2.1).
 func (st *subState) evalNested(outer query.Tuple) float64 {
-	s := st.sub
+	s := st.b.sub
 	nc := s.Nested
 	ov := s.Where.Outer.Eval(outer)
 	var thr float64
@@ -393,53 +395,71 @@ type group struct {
 	cnt  float64
 }
 
+// genBinding is the general algorithm's plan bound to a schema: the
+// subquery states' reads, the result-map projection and the aggregate term.
+type genBinding struct {
+	q          *query.Query
+	schema     *query.Schema
+	groupCols  []string
+	groupSlots []int
+	agg        query.Bound
+	subs       []*subBinding // in q.Subqueries() order
+	subIdx     map[*query.Subquery]int
+}
+
+func bindGeneral(q *query.Query, s *query.Schema) *genBinding {
+	b := &genBinding{
+		q:         q,
+		schema:    s,
+		groupCols: unionCols(q.OuterCols(), q.GroupBy),
+		agg:       query.Bind(q.Agg, s),
+		subIdx:    make(map[*query.Subquery]int),
+	}
+	for _, c := range b.groupCols {
+		slot, _ := s.Slot(c)
+		b.groupSlots = append(b.groupSlots, slot)
+	}
+	for i, sq := range q.Subqueries() {
+		b.subs = append(b.subs, bindSub(sq, s))
+		b.subIdx[sq] = i
+	}
+	return b
+}
+
 // GeneralExec is the general incrementalization algorithm: O(log n) per
 // event to maintain the maps, O(groups * log n) to recompute the result.
 type GeneralExec struct {
-	q         *query.Query
-	groupCols []string
-	subs      map[*query.Subquery]*subState
-	groups    map[string]*group
+	b      *genBinding
+	subs   []*subState // parallel to b.subs
+	groups map[string]*group
+	// keyBuf holds the result-map key of the group ApplyRows last looked up.
+	keyBuf []byte
+	edge   *Rows
 }
 
 // NewGeneral returns the general-algorithm executor, or an error if the
 // query contains non-streamable nested aggregates.
 func NewGeneral(q *query.Query) (*GeneralExec, error) {
-	if err := q.Validate(); err != nil {
+	p, err := prepareOwn(q)
+	if err != nil {
 		return nil, err
 	}
-	g := &GeneralExec{
-		q:         q,
-		groupCols: unionCols(q.OuterCols(), q.GroupBy),
-		subs:      make(map[*query.Subquery]*subState),
-		groups:    make(map[string]*group),
+	return newGeneralExec(p.gen), nil
+}
+
+func newGeneralExec(b *genBinding) *GeneralExec {
+	g := &GeneralExec{b: b, subs: make([]*subState, len(b.subs)), groups: make(map[string]*group)}
+	for i, sb := range b.subs {
+		g.subs[i] = newSubState(sb)
 	}
-	for _, s := range q.Subqueries() {
-		g.subs[s] = newSubState(s)
-	}
-	return g, nil
+	return g
 }
 
 // Strategy implements Executor.
 func (g *GeneralExec) Strategy() string { return "general" }
 
 // Apply implements Executor.
-func (g *GeneralExec) Apply(e Event) {
-	for _, st := range g.subs {
-		st.apply(e.Tuple, e.X)
-	}
-	key, vals := g.groupKey(e.Tuple)
-	gr := g.groups[key]
-	if gr == nil {
-		gr = &group{vals: vals}
-		g.groups[key] = gr
-	}
-	gr.agg += e.X * g.q.Agg.Eval(e.Tuple)
-	gr.cnt += e.X
-	if gr.cnt == 0 {
-		delete(g.groups, key)
-	}
-}
+func (g *GeneralExec) Apply(e Event) { g.ApplyBatch([]Event{e}) }
 
 func unionCols(a, b []string) []string {
 	seen := map[string]bool{}
@@ -456,20 +476,16 @@ func unionCols(a, b []string) []string {
 	return out
 }
 
-func (g *GeneralExec) groupKey(t query.Tuple) (string, []float64) {
-	return groupProjection(g.groupCols, t)
-}
-
 // Result implements Executor.
 func (g *GeneralExec) Result() float64 {
-	outer := make(query.Tuple, len(g.groupCols))
+	outer := make(query.Tuple, len(g.b.groupCols))
 	var res, cnt float64
 	for _, gr := range g.groups {
-		for i, c := range g.groupCols {
+		for i, c := range g.b.groupCols {
 			outer[c] = gr.vals[i]
 		}
 		ok := true
-		for _, p := range g.q.Preds {
+		for _, p := range g.b.q.Preds {
 			if !p.Op.Compare(g.evalValue(p.Left, outer), g.evalValue(p.Right, outer)) {
 				ok = false
 				break
@@ -480,26 +496,56 @@ func (g *GeneralExec) Result() float64 {
 			cnt += gr.cnt
 		}
 	}
-	return finishAgg(g.q.Outer, res, cnt)
+	return finishAgg(g.b.q.Outer, res, cnt)
 }
 
 func (g *GeneralExec) evalValue(v query.Value, outer query.Tuple) float64 {
 	if v.Sub == nil {
 		return v.Expr.Eval(outer)
 	}
-	return v.Scale * g.subs[v.Sub].eval(outer)
+	return v.Scale * g.subs[g.b.subIdx[v.Sub]].eval(outer)
 }
 
 // --- Aggregate-index optimization (section 4.3), equality correlations ---
+
+// aggBinding is the PAI equality plan bound to a schema.
+type aggBinding struct {
+	q      *query.Query
+	schema *query.Schema
+	plan   query.AggIndexPlan
+	// thr binds the uncorrelated threshold subquery; thrConst is the literal
+	// threshold when there is none.
+	thr      *subBinding
+	thrConst float64
+	// contrib is the level's inner weight (nil: counted, weight 1); key the
+	// correlation column's slot; agg the outer aggregate term.
+	contrib query.Bound
+	key     int
+	agg     query.Bound
+}
+
+func bindAggIndex(q *query.Query, plan query.AggIndexPlan, s *query.Schema) *aggBinding {
+	b := &aggBinding{q: q, schema: s, plan: plan, agg: query.Bind(q.Agg, s)}
+	b.key, _ = s.Slot(plan.KeyCol)
+	if plan.Threshold.Sub != nil {
+		b.thr = bindSub(plan.Threshold.Sub, s)
+	} else {
+		b.thrConst = plan.Threshold.Expr.Eval(nil)
+	}
+	if plan.Corr.Kind != query.Count {
+		b.contrib = query.Bind(plan.Corr.Of, s)
+	}
+	return b
+}
 
 // AggIndexExec executes an equality-correlated query (paper Example 2.1) with
 // a PAI map keyed by the correlated subquery's value: each event is an O(1)
 // point move of its level's portion between two keys. Inequality correlations
 // run on relStateExec.
 type AggIndexExec struct {
-	q    *query.Query
-	plan query.AggIndexPlan
-	// threshold side (uncorrelated): scalar subquery state or constant.
+	b *aggBinding
+	// threshold side (uncorrelated): scalar subquery state, nil for a
+	// constant.
 	thr *subState
 	// byKey maps the correlation column to the level's summed Of values;
 	// cntAt counts live tuples per level (for cleanup).
@@ -510,22 +556,22 @@ type AggIndexExec struct {
 	// groups tracks each level's summed outer aggregate (the portion to move
 	// between index keys).
 	groups map[float64]float64
-	// moveBuf backs the deferred point moves of ApplyBatch so steady-state
+	// moveBuf backs the deferred point moves of ApplyRows so steady-state
 	// batches allocate nothing.
 	moveBuf []paimap.MoveOp
+	edge    *Rows
 }
 
-func newAggIndexExec(q *query.Query, plan query.AggIndexPlan) *AggIndexExec {
+func newAggIndexExec(b *aggBinding) *AggIndexExec {
 	ex := &AggIndexExec{
-		q:      q,
-		plan:   plan,
+		b:      b,
 		byKey:  treemap.New(),
 		cntAt:  make(map[float64]float64),
 		agg:    paimap.New(),
 		groups: make(map[float64]float64),
 	}
-	if plan.Threshold.Sub != nil {
-		ex.thr = newSubState(plan.Threshold.Sub)
+	if b.thr != nil {
+		ex.thr = newSubState(b.thr)
 	}
 	return ex
 }
@@ -533,31 +579,21 @@ func newAggIndexExec(q *query.Query, plan query.AggIndexPlan) *AggIndexExec {
 // Strategy implements Executor.
 func (ex *AggIndexExec) Strategy() string { return "aggindex" }
 
-// contribution is the tuple's inner-side weight in the correlated aggregate.
-func (ex *AggIndexExec) contribution(t query.Tuple) float64 {
-	if ex.plan.Corr.Kind == query.Count {
-		return 1
-	}
-	return ex.plan.Corr.Of.Eval(t)
-}
-
-// Apply implements Executor: a batch of one (see ApplyBatch).
+// Apply implements Executor: a batch of one (see ApplyRows).
 func (ex *AggIndexExec) Apply(e Event) { ex.ApplyBatch([]Event{e}) }
 
 // Result implements Executor.
 func (ex *AggIndexExec) Result() float64 {
-	var thr float64
+	thr := ex.b.thrConst
 	if ex.thr != nil {
-		thr = ex.plan.Threshold.Scale * ex.thr.eval(nil)
-	} else {
-		thr = ex.plan.Threshold.Expr.Eval(nil)
+		thr = ex.b.plan.Threshold.Scale * ex.thr.eval(nil)
 	}
 	return ex.read(thr)
 }
 
 // read sums the index entries whose key qualifies against thr.
 func (ex *AggIndexExec) read(thr float64) float64 {
-	switch ex.plan.ThetaCorrFirst {
+	switch ex.b.plan.ThetaCorrFirst {
 	case query.Lt:
 		return ex.agg.GetSumLess(thr)
 	case query.Le:
@@ -570,5 +606,5 @@ func (ex *AggIndexExec) read(thr float64) float64 {
 		v, _ := ex.agg.Get(thr)
 		return v
 	}
-	panic("engine: unknown comparison " + ex.plan.ThetaCorrFirst.String())
+	panic("engine: unknown comparison " + ex.b.plan.ThetaCorrFirst.String())
 }

@@ -381,10 +381,7 @@ func TestInexactWeightsNeverPanic(t *testing.T) {
 	for _, op := range []query.CmpOp{query.Lt, query.Le, query.Gt, query.Ge} {
 		q := vwapSpec()
 		q.Preds[0].Right.Sub.Where.Op = op
-		admit, err := Admission(q)
-		if err != nil {
-			t.Fatal(err)
-		}
+		admit := admission(t, q)
 		ties := 0
 		for seed := int64(1); seed <= seeds; seed++ {
 			ex, err := New(q)
@@ -444,6 +441,20 @@ func exactTie(live []query.Tuple, op query.CmpOp) bool {
 	return false
 }
 
+// admission is Prepared.Admit on map events: q bound to its own columns,
+// each event laid out as a row first.
+func admission(t *testing.T, q *query.Query) func(Event) error {
+	t.Helper()
+	p, err := prepareOwn(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return func(e Event) error {
+		var scratch *Rows
+		return p.Admit(edgeRows(p.schema, &scratch, []Event{e}).At(0))
+	}
+}
+
 // TestAdmissionRefusesNonFiniteColumnKey: a column predicate's level tree is
 // keyed by the compared column, and the tree refuses a non-finite key by
 // panicking, so admission must refuse it first — here on a query whose term
@@ -451,10 +462,7 @@ func exactTie(live []query.Tuple, op query.CmpOp) bool {
 func TestAdmissionRefusesNonFiniteColumnKey(t *testing.T) {
 	q := columnSpec()
 	q.Agg = query.Col("volume")
-	admit, err := Admission(q)
-	if err != nil {
-		t.Fatal(err)
-	}
+	admit := admission(t, q)
 	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
 		if err := admit(Insert(query.Tuple{"price": bad, "volume": 1})); !errors.Is(err, ErrBadEvent) {
 			t.Errorf("price %v: admission error %v, want ErrBadEvent", bad, err)

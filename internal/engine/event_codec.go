@@ -78,7 +78,7 @@ func (d *EventDecoder) intern(raw []byte) string {
 // Decode parses a payload written by EncodeEvent.
 func (d *EventDecoder) Decode(p []byte) (Event, error) {
 	fail := func() (Event, error) {
-		return Event{}, fmt.Errorf("engine: malformed event payload (%d bytes)", len(p))
+		return Event{}, fmt.Errorf("%w (%d bytes)", ErrMalformed, len(p))
 	}
 	if len(p) < 12 {
 		return fail()

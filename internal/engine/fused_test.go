@@ -34,6 +34,7 @@ import (
 type twoTreeRef struct {
 	q         *query.Query
 	plan      relPlan
+	schema    *query.Schema
 	thr       *subState
 	byKey     *treemap.Tree
 	cnt, term *rpai.Tree
@@ -45,9 +46,10 @@ func newTwoTreeRef(t testing.TB, q *query.Query) *twoTreeRef {
 	if err != nil || plan.kind != PredCorrelated {
 		t.Fatalf("%s: no correlated range-shift plan (%v)", q, err)
 	}
-	r := &twoTreeRef{q: q, plan: plan, byKey: treemap.New(), cnt: rpai.New(), term: rpai.New()}
+	r := &twoTreeRef{q: q, plan: plan, schema: query.NewSchema(q.Columns()...),
+		byKey: treemap.New(), cnt: rpai.New(), term: rpai.New()}
 	if plan.threshold.Sub != nil {
-		r.thr = newSubState(plan.threshold.Sub)
+		r.thr = newSubState(bindSub(plan.threshold.Sub, r.schema))
 	}
 	return r
 }
@@ -57,7 +59,9 @@ func (r *twoTreeRef) Strategy() string { return "two-tree reference" }
 func (r *twoTreeRef) Apply(e Event) {
 	t, x := e.Tuple, e.X
 	if r.thr != nil {
-		r.thr.apply(t, x)
+		var scratch *Rows
+		_, row := edgeRows(r.schema, &scratch, []Event{e}).At(0)
+		r.thr.apply(row, x)
 	}
 	w := 1.0
 	if r.plan.corr.Kind == query.Sum {
@@ -284,7 +288,7 @@ func checkFusedMatchesReference(t *testing.T, q *query.Query, events []Event, mu
 		t.Fatal(err)
 	}
 	fused, ok := a.(*relStateExec)
-	if !ok || fused.rs.plan.kind != PredCorrelated {
+	if !ok || fused.rs.b.plan.kind != PredCorrelated {
 		if mustPlan {
 			t.Fatalf("planner picked %T for %s", a, q)
 		}

@@ -103,15 +103,15 @@ func finishGroups(outer query.AggKind, acc map[string]*GroupResult, cnts map[str
 // result maps are already keyed by the union of the predicate columns and
 // the group-by columns (see NewGeneral), so this only re-projects.
 func (g *GeneralExec) ResultGrouped() []GroupResult {
-	outer := make(query.Tuple, len(g.groupCols))
+	outer := make(query.Tuple, len(g.b.groupCols))
 	acc := map[string]*GroupResult{}
 	cnts := map[string]float64{}
 	for _, gr := range g.groups {
-		for i, c := range g.groupCols {
+		for i, c := range g.b.groupCols {
 			outer[c] = gr.vals[i]
 		}
 		ok := true
-		for _, p := range g.q.Preds {
+		for _, p := range g.b.q.Preds {
 			if !p.Op.Compare(g.evalValue(p.Left, outer), g.evalValue(p.Right, outer)) {
 				ok = false
 				break
@@ -120,7 +120,7 @@ func (g *GeneralExec) ResultGrouped() []GroupResult {
 		if !ok {
 			continue
 		}
-		key, vals := groupProjection(g.q.GroupBy, outer)
+		key, vals := groupProjection(g.b.q.GroupBy, outer)
 		out := acc[key]
 		if out == nil {
 			out = &GroupResult{Key: vals}
@@ -129,7 +129,7 @@ func (g *GeneralExec) ResultGrouped() []GroupResult {
 		out.Value += gr.agg
 		cnts[key] += gr.cnt
 	}
-	finishGroups(g.q.Outer, acc, cnts)
+	finishGroups(g.b.q.Outer, acc, cnts)
 	return sortedGroups(acc)
 }
 

@@ -182,11 +182,61 @@ type MultiExecutor interface {
 
 // --- incremental executor ---
 
+// relBinding is one relation's plan bound to a schema: everything relState
+// reads per event, shared by every relState of the plan.
+type relBinding struct {
+	plan   relPlan
+	schema *query.Schema
+	term   query.Bound
+	// weight is the correlated aggregate's inner contribution (nil when it
+	// counts, or under a column predicate); key the keyed column's slot.
+	weight query.Bound
+	key    int
+	// thr binds the uncorrelated threshold subquery; thrConst is the literal
+	// threshold when there is none.
+	thr      *subBinding
+	thrConst float64
+	steer    rpai.Steer
+	neg      bool
+}
+
+func bindRel(spec RelSpec, s *query.Schema) (*relBinding, error) {
+	plan, err := classifyRelPred(spec.Pred)
+	if err != nil {
+		return nil, err
+	}
+	b := &relBinding{plan: plan, schema: s, term: query.Bind(spec.Term, s)}
+	b.key, _ = s.Slot(plan.keyCol)
+	if plan.threshold.Sub != nil {
+		b.thr = bindSub(plan.threshold.Sub, s)
+	} else {
+		b.thrConst = plan.threshold.Expr.Eval(nil)
+	}
+	if plan.kind == PredCorrelated {
+		if plan.corr.Kind == query.Sum {
+			b.weight = query.Bind(plan.corr.Of, s)
+		}
+		switch plan.subOp {
+		case query.Le, query.Ge:
+			b.steer = rpai.SteerWeightThrough
+		default:
+			b.steer = rpai.SteerWeightBefore
+		}
+		b.neg = plan.subOp == query.Ge || plan.subOp == query.Gt
+	}
+	return b, nil
+}
+
+// bindRelOwn binds a relation to the schema of its own columns.
+func bindRelOwn(spec RelSpec) (*relBinding, error) {
+	cols := (&query.Query{Agg: spec.Term, Preds: []query.Predicate{spec.Pred}}).Columns()
+	return bindRel(spec, query.NewSchema(cols...))
+}
+
 // relState maintains one relation's qualifying count and term sum.
 type relState struct {
-	spec RelSpec
-	plan relPlan
-	thr  *subState // uncorrelated threshold subquery (nil for constants)
+	b   *relBinding
+	thr *subState // uncorrelated threshold subquery (nil for constants)
 
 	// levels is the predicate's one index (the paper's Algorithm 4 keeps one
 	// per correlated predicate): per level of keyCol, the summed inner weight,
@@ -194,46 +244,31 @@ type relState struct {
 	//
 	// PredCorrelated: the correlated aggregate at a level — the RPAI key of
 	// the paper — is the weight summed over the levels it ranges over, so it
-	// is not stored; a threshold read steers by accumulated weight (steer).
+	// is not stored; a threshold read steers by accumulated weight (b.steer).
 	// <=/< correlations range over lower levels, so the tree is keyed by the
 	// column; >=/> range over higher ones, so it is keyed by the negated
-	// column (neg) and the same prefix read serves both orientations.
+	// column (b.neg) and the same prefix read serves both orientations.
 	//
 	// PredColumn: the weight lane is unused and reads steer by key.
 	levels *rpai.LevelTree
-	steer  rpai.Steer
-	neg    bool
 
 	// probeBounds, probeCnt and probeSum are probe's scratch (see probe.go).
 	probeBounds, probeCnt, probeSum []float64
 }
 
-func newRelState(spec RelSpec) (*relState, error) {
-	plan, err := classifyRelPred(spec.Pred)
-	if err != nil {
-		return nil, err
+func newRelState(b *relBinding) *relState {
+	rs := &relState{b: b, levels: rpai.NewLevelTree()}
+	if b.thr != nil {
+		rs.thr = newSubState(b.thr)
 	}
-	rs := &relState{spec: spec, plan: plan, levels: rpai.NewLevelTree()}
-	if plan.threshold.Sub != nil {
-		rs.thr = newSubState(plan.threshold.Sub)
-	}
-	if plan.kind == PredCorrelated {
-		switch plan.subOp {
-		case query.Le, query.Ge:
-			rs.steer = rpai.SteerWeightThrough
-		default:
-			rs.steer = rpai.SteerWeightBefore
-		}
-		rs.neg = plan.subOp == query.Ge || plan.subOp == query.Gt
-	}
-	return rs, nil
+	return rs
 }
 
 func (rs *relState) threshold() float64 {
 	if rs.thr != nil {
-		return rs.plan.threshold.Scale * rs.thr.eval(nil)
+		return rs.b.plan.threshold.Scale * rs.thr.eval(nil)
 	}
-	return rs.plan.threshold.Expr.Eval(nil)
+	return rs.b.thrConst
 }
 
 // apply is one event: one descent of the level tree by the event's level,
@@ -242,26 +277,35 @@ func (rs *relState) threshold() float64 {
 // correlated aggregate of every later level too — the range shift of the
 // paper's Algorithm 4 — because those values are prefix sums of the weight
 // lane.
-func (rs *relState) apply(t query.Tuple, x float64) {
+func (rs *relState) apply(row []float64, x float64) {
+	b := rs.b
 	if rs.thr != nil {
-		rs.thr.apply(t, x)
+		rs.thr.apply(row, x)
 	}
-	term := rs.spec.Term.Eval(t)
-	k := t[rs.plan.keyCol]
+	term := b.term(row)
+	k := row[b.key]
 	var w float64
-	if rs.plan.kind == PredCorrelated {
+	if b.plan.kind == PredCorrelated {
 		w = 1
-		if rs.plan.corr.Kind == query.Sum {
-			w = rs.plan.corr.Of.Eval(t)
+		if b.weight != nil {
+			w = b.weight(row)
 			if w <= 0 {
 				panic("engine: multi-relation aggregate-index maintenance requires positive inner contributions")
 			}
 		}
-		if rs.neg {
+		if b.neg {
 			k = -k
 		}
 	}
 	rs.levels.Add(k, x*w, x, x*term)
+}
+
+// applyTuple lays t out as a row of the relation's schema in *scratch and
+// applies it: the multi-relation executor's map edge.
+func (rs *relState) applyTuple(scratch **Rows, t query.Tuple, x float64) {
+	r := edgeRows(rs.b.schema, scratch, []Event{{X: x, Tuple: t}})
+	_, row := r.At(0)
+	rs.apply(row, x)
 }
 
 // aggregates returns (count, term sum) over the qualifying subset.
@@ -274,15 +318,16 @@ func (rs *relState) aggregates() (cnt, sum float64) {
 // column (PredColumn) — in one descent. Lower values lead the order, so
 // "below the bound" is a prefix read and "above it" the total minus one.
 func (rs *relState) read(bound float64) (cnt, sum float64) {
-	switch rs.plan.thetaCorrFirst {
+	steer := rs.b.steer
+	switch rs.b.plan.thetaCorrFirst {
 	case query.Lt:
-		return rs.levels.Prefix(rs.steer, bound, true)
+		return rs.levels.Prefix(steer, bound, true)
 	case query.Le:
-		return rs.levels.Prefix(rs.steer, bound, false)
+		return rs.levels.Prefix(steer, bound, false)
 	case query.Gt:
-		cnt, sum = rs.levels.Prefix(rs.steer, bound, false)
+		cnt, sum = rs.levels.Prefix(steer, bound, false)
 	case query.Ge:
-		cnt, sum = rs.levels.Prefix(rs.steer, bound, true)
+		cnt, sum = rs.levels.Prefix(steer, bound, true)
 	default:
 		panic("engine: equality thresholds are not part of the multi-relation shape")
 	}
@@ -294,6 +339,7 @@ func (rs *relState) read(bound float64) (cnt, sum float64) {
 type MultiAggIndexExec struct {
 	q    *MultiQuery
 	rels map[string]*relState
+	edge *Rows // the map edge's row scratch
 }
 
 // NewMultiAggIndex builds the incremental executor for a multi-relation
@@ -304,11 +350,11 @@ func NewMultiAggIndex(q *MultiQuery) (*MultiAggIndexExec, error) {
 	}
 	ex := &MultiAggIndexExec{q: q, rels: make(map[string]*relState, len(q.Rels))}
 	for _, spec := range q.Rels {
-		rs, err := newRelState(spec)
+		b, err := bindRelOwn(spec)
 		if err != nil {
 			return nil, err
 		}
-		ex.rels[spec.Name] = rs
+		ex.rels[spec.Name] = newRelState(b)
 	}
 	return ex, nil
 }
@@ -322,7 +368,7 @@ func (ex *MultiAggIndexExec) Apply(e MultiEvent) {
 	if !ok {
 		panic("engine: event for unknown relation " + e.Rel)
 	}
-	rs.apply(e.Tuple, e.X)
+	rs.applyTuple(&ex.edge, e.Tuple, e.X)
 }
 
 // Result implements MultiExecutor.

@@ -178,7 +178,7 @@ func (ex *AggIndexExec) ResultProbe(specs []ProbeSpec, vals, cnts []float64) {
 		case query.Avg:
 			panic("engine: aggindex state has no count side for AVG probes")
 		case query.Count:
-			if c, ok := ex.q.Agg.(query.Const); !ok || c != 1 {
+			if c, ok := ex.b.q.Agg.(query.Const); !ok || c != 1 {
 				panic("engine: COUNT probe against a non-count aggindex term")
 			}
 		}
@@ -220,15 +220,15 @@ func (rs *relState) probe(consts, cnt, sum []float64) {
 		outC, outS = rs.probeCnt, rs.probeSum
 	}
 	// As in read: "above the bound" is the total minus the prefix.
-	switch rs.plan.thetaCorrFirst {
+	switch rs.b.plan.thetaCorrFirst {
 	case query.Lt, query.Ge:
-		rs.levels.Prefixes(rs.steer, bounds, true, outC, outS)
+		rs.levels.Prefixes(rs.b.steer, bounds, true, outC, outS)
 	case query.Le, query.Gt:
-		rs.levels.Prefixes(rs.steer, bounds, false, outC, outS)
+		rs.levels.Prefixes(rs.b.steer, bounds, false, outC, outS)
 	default:
 		panic("engine: equality thresholds are not part of the multi-relation shape")
 	}
-	if op := rs.plan.thetaCorrFirst; op == query.Gt || op == query.Ge {
+	if op := rs.b.plan.thetaCorrFirst; op == query.Gt || op == query.Ge {
 		_, tc, ts := rs.levels.Total()
 		for i := range outC {
 			outC[i], outS[i] = tc-outC[i], ts-outS[i]
@@ -297,17 +297,18 @@ func stateKeys(q *query.Query) (key, baseKey string, constant float64, hasCnt, o
 	}
 	switch e := ex.(type) {
 	case *AggIndexExec:
-		thr, c, ok := maskThreshold(e.plan.Threshold)
+		pl := e.b.plan
+		thr, c, ok := maskThreshold(pl.Threshold)
 		if !ok {
 			return "", "", 0, false, false
 		}
 		render := func(agg string) string {
 			return fmt.Sprintf("aggidx|agg=%s|key=%s|subop=%s|theta=%s|corr=%s|thr=%s",
-				agg, e.plan.KeyCol, e.plan.SubOp, e.plan.ThetaCorrFirst, e.plan.Corr, thr)
+				agg, pl.KeyCol, pl.SubOp, pl.ThetaCorrFirst, pl.Corr, thr)
 		}
 		return render(q.Agg.String()), render("#"), c, false, true
 	case *relStateExec:
-		pl := e.rs.plan
+		pl := e.rs.b.plan
 		thr, c, ok := maskThreshold(pl.threshold)
 		if !ok {
 			return "", "", 0, false, false
@@ -453,6 +454,10 @@ func (g *Gated) ApplyBatch(events []Event) {
 		g.Inner.Apply(e)
 	}
 }
+
+// ApplyRows delegates to the inner executor's row path; Gated wraps only
+// RowExecutors on the serving path.
+func (g *Gated) ApplyRows(rows *Rows) { g.Inner.(RowExecutor).ApplyRows(rows) }
 
 // Snapshot persists the inner executor's state; the gate is configuration,
 // re-derived from the partition key at restore.

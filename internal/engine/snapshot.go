@@ -73,14 +73,12 @@ func Restore(q *query.Query, r io.Reader) (Executor, error) {
 	case d.Err() != nil:
 	case tag == tagNaive:
 		ex = restoreNaive(d, q)
-	case tag == tagGeneral:
-		ex = restoreGeneral(d, q)
-	case tag == tagAggIndex:
-		ex = restoreAggIndex(d, q)
-	case tag == tagRelState:
-		ex = restoreRelStateExec(d, q)
 	default:
-		d.Fail(fmt.Errorf("engine: unknown executor snapshot tag %d", tag))
+		p, err := prepareOwn(q)
+		if err != nil {
+			return nil, err
+		}
+		ex = p.restore(d, tag)
 	}
 	if err := d.Err(); err != nil {
 		return nil, err
@@ -215,11 +213,11 @@ func snapSubState(e *checkpoint.Encoder, st *subState) {
 }
 
 // restoreSubState decodes one subquery's state. The structure flags must
-// match what the query implies for s — newSubState derives the tree set
-// from the subquery shape, so a mismatch means the snapshot belongs to a
-// different query.
-func restoreSubState(d *checkpoint.Decoder, s *query.Subquery) *subState {
-	st := newSubState(s)
+// match what the query implies for the subquery — newSubState derives the
+// tree set from the subquery shape, so a mismatch means the snapshot belongs
+// to a different query.
+func restoreSubState(d *checkpoint.Decoder, b *subBinding) *subState {
+	st := newSubState(b)
 	flags := d.U8()
 	if d.Err() != nil {
 		return st
@@ -264,10 +262,9 @@ func groupKeyFromVals(vals []float64) string {
 func (g *GeneralExec) Snapshot(w io.Writer) error {
 	e := checkpoint.NewEncoder(w)
 	snapHeader(e, tagGeneral)
-	subs := g.q.Subqueries()
-	e.U32(uint32(len(subs)))
-	for _, s := range subs {
-		snapSubState(e, g.subs[s])
+	e.U32(uint32(len(g.subs)))
+	for _, st := range g.subs {
+		snapSubState(e, st)
 	}
 	keys := make([]string, 0, len(g.groups))
 	for k := range g.groups {
@@ -287,22 +284,17 @@ func (g *GeneralExec) Snapshot(w io.Writer) error {
 	return e.Err()
 }
 
-func restoreGeneral(d *checkpoint.Decoder, q *query.Query) *GeneralExec {
-	g, err := NewGeneral(q)
-	if err != nil {
-		d.Fail(err)
-		return nil
-	}
-	subs := q.Subqueries()
-	if n := d.U32(); d.Err() == nil && int(n) != len(subs) {
-		d.Fail(fmt.Errorf("engine: snapshot has %d subqueries, query has %d", n, len(subs)))
+func restoreGeneral(d *checkpoint.Decoder, b *genBinding) *GeneralExec {
+	g := newGeneralExec(b)
+	if n := d.U32(); d.Err() == nil && int(n) != len(b.subs) {
+		d.Fail(fmt.Errorf("engine: snapshot has %d subqueries, query has %d", n, len(b.subs)))
 		return g
 	}
-	for _, s := range subs {
+	for i, sb := range b.subs {
 		if d.Err() != nil {
 			break
 		}
-		g.subs[s] = restoreSubState(d, s)
+		g.subs[i] = restoreSubState(d, sb)
 	}
 	ngroups := d.U32()
 	for i := uint32(0); i < ngroups && d.Err() == nil; i++ {
@@ -310,8 +302,8 @@ func restoreGeneral(d *checkpoint.Decoder, q *query.Query) *GeneralExec {
 		if d.Err() != nil {
 			break
 		}
-		if int(nv) != len(g.groupCols) {
-			d.Fail(fmt.Errorf("engine: snapshot group width %d, query projects %d columns", nv, len(g.groupCols)))
+		if int(nv) != len(b.groupCols) {
+			d.Fail(fmt.Errorf("engine: snapshot group width %d, query projects %d columns", nv, len(b.groupCols)))
 			break
 		}
 		vals := make([]float64, nv)
@@ -350,13 +342,9 @@ func (ex *AggIndexExec) Snapshot(w io.Writer) error {
 // restoreAggIndex rebuilds the equality executor. Snapshots of the retired
 // range-shift form of AggIndexExec carry a single-lane RPAI stream where the
 // PAI map belongs; Decoder.Index refuses it by name.
-func restoreAggIndex(d *checkpoint.Decoder, q *query.Query) *AggIndexExec {
-	plan, ok := q.PlanAggIndex()
-	if !ok {
-		d.Fail(fmt.Errorf("engine: query not eligible for an aggregate-index snapshot: %s", q))
-		return nil
-	}
-	ex := newAggIndexExec(q, plan)
+func restoreAggIndex(d *checkpoint.Decoder, b *aggBinding) *AggIndexExec {
+	plan := b.plan
+	ex := newAggIndexExec(b)
 	hasThr := d.U8()
 	if d.Err() != nil {
 		return ex
@@ -366,7 +354,7 @@ func restoreAggIndex(d *checkpoint.Decoder, q *query.Query) *AggIndexExec {
 		return ex
 	}
 	if hasThr == 1 {
-		ex.thr = restoreSubState(d, plan.Threshold.Sub)
+		ex.thr = restoreSubState(d, b.thr)
 	}
 	ex.byKey = d.TreeMap()
 	d.F64Map(ex.cntAt)
@@ -389,19 +377,6 @@ func (ex *relStateExec) Snapshot(w io.Writer) error {
 	return e.Err()
 }
 
-func restoreRelStateExec(d *checkpoint.Decoder, q *query.Query) *relStateExec {
-	if len(q.GroupBy) != 0 || len(q.Preds) != 1 || !noNested(q) {
-		d.Fail(fmt.Errorf("engine: query shape does not match a single-relation snapshot: %s", q))
-		return nil
-	}
-	spec := RelSpec{Name: "R", Term: q.Agg, Pred: q.Preds[0]}
-	rs := restoreRelState(d, spec)
-	if d.Err() != nil {
-		return nil
-	}
-	return &relStateExec{rs: rs, outer: q.Outer}
-}
-
 // relLevels tags the relation-state layout that holds the level tree. It
 // leads the layout, where the layout before it began with its threshold flag
 // (0 or 1), so restoreRelState tells the two apart by the first byte.
@@ -415,16 +390,12 @@ func snapRelState(e *checkpoint.Encoder, rs *relState) {
 	} else {
 		e.U8(0)
 	}
-	e.U8(uint8(rs.plan.kind))
+	e.U8(uint8(rs.b.plan.kind))
 	e.Levels(rs.levels)
 }
 
-func restoreRelState(d *checkpoint.Decoder, spec RelSpec) *relState {
-	rs, err := newRelState(spec)
-	if err != nil {
-		d.Fail(err)
-		return nil
-	}
+func restoreRelState(d *checkpoint.Decoder, b *relBinding) *relState {
+	rs := newRelState(b)
 	layout := d.U8()
 	hasThr := layout
 	if layout == relLevels {
@@ -437,15 +408,15 @@ func restoreRelState(d *checkpoint.Decoder, spec RelSpec) *relState {
 		d.Fail(fmt.Errorf("engine: relation-state threshold flag %d (layout %d) is neither 0 nor 1", hasThr, layout))
 		return rs
 	}
-	if (hasThr == 1) != (rs.plan.threshold.Sub != nil) {
+	if (hasThr == 1) != (b.thr != nil) {
 		d.Fail(errors.New("engine: snapshot threshold structure does not match relation plan"))
 		return rs
 	}
 	if hasThr == 1 {
-		rs.thr = restoreSubState(d, rs.plan.threshold.Sub)
+		rs.thr = restoreSubState(d, b.thr)
 	}
-	if k := d.U8(); d.Err() == nil && RelPredKind(k) != rs.plan.kind {
-		d.Fail(fmt.Errorf("engine: snapshot predicate kind %d does not match plan kind %d", k, rs.plan.kind))
+	if k := d.U8(); d.Err() == nil && RelPredKind(k) != b.plan.kind {
+		d.Fail(fmt.Errorf("engine: snapshot predicate kind %d does not match plan kind %d", k, b.plan.kind))
 		return rs
 	}
 	if layout == relLevels {
@@ -476,8 +447,8 @@ func restoreParentLevels(d *checkpoint.Decoder, rs *relState) {
 	if d.Err() != nil {
 		return
 	}
-	if rs.plan.kind == PredCorrelated {
-		if rs.neg {
+	if rs.b.plan.kind == PredCorrelated {
+		if rs.b.neg {
 			slices.Reverse(keys)
 			slices.Reverse(vals)
 			for i := range keys {
@@ -534,7 +505,12 @@ func restoreMultiAgg(d *checkpoint.Decoder, q *MultiQuery) *MultiAggIndexExec {
 			d.Fail(fmt.Errorf("engine: snapshot relation %q, query expects %q", name, spec.Name))
 			break
 		}
-		ex.rels[spec.Name] = restoreRelState(d, spec)
+		b, err := bindRelOwn(spec)
+		if err != nil {
+			d.Fail(err)
+			break
+		}
+		ex.rels[spec.Name] = restoreRelState(d, b)
 	}
 	return ex
 }

@@ -12,6 +12,11 @@
 // predicate-value extraction, and the eligibility test for the aggregate-
 // index optimization (section 4.3.1). Executors for these queries live in
 // package engine.
+//
+// Schema and Bind take expressions off tuple maps: a Schema is an
+// append-only column layout, and Bind compiles an Expr into a closure over a
+// row of that layout that evaluates exactly as Eval does on the tuple the
+// row was laid out from.
 package query
 
 import (

@@ -158,9 +158,11 @@ func TestAllocGuardCommitBytes(t *testing.T) {
 }
 
 // TestDrainReleasesEvents checks that applied events are not kept alive by
-// the write path's reused buffers: after Drain no partition's pending buffer
-// and no pooled batch box still references a tuple, anywhere in its
-// capacity.
+// the write path's reused buffers. Partition pending buffers hold events as
+// rows — weights and values in one flat float64 array — so they retain
+// capacity, never a tuple map, and after Drain every one is empty; pooled
+// batch boxes hold rows of the schema's width too (the map edge lays events
+// out as rows before they are queued).
 func TestDrainReleasesEvents(t *testing.T) {
 	svc, ring := commitService(t, 8)
 	for _, batch := range ring {
@@ -171,19 +173,14 @@ func TestDrainReleasesEvents(t *testing.T) {
 	if err := svc.Drain(); err != nil {
 		t.Fatal(err)
 	}
-	held := func(events []engine.Event) int {
-		n := 0
-		for _, e := range events[:cap(events)] {
-			if e.Tuple != nil {
-				n++
-			}
-		}
-		return n
-	}
+	width := svc.plan.schema.Len()
 	if err := svc.control(0, func(ws *workerState) error {
 		for _, p := range ws.plist {
-			if n := held(p.pend); n > 0 {
-				return fmt.Errorf("partition %v: pending buffer still references %d tuples", p.vals, n)
+			if n := p.pend.Len(); n > 0 {
+				return fmt.Errorf("partition %v: pending buffer still holds %d rows", p.vals, n)
+			}
+			if p.pend.Width != width {
+				return fmt.Errorf("partition %v: pending rows of width %d, schema has %d columns", p.vals, p.pend.Width, width)
 			}
 		}
 		return nil
@@ -197,8 +194,8 @@ func TestDrainReleasesEvents(t *testing.T) {
 			break
 		}
 		boxes = append(boxes, b)
-		if n := held(b.events); n > 0 {
-			t.Errorf("pooled batch box still references %d tuples", n)
+		if b.rows.Width != width {
+			t.Errorf("pooled batch box holds rows of width %d, schema has %d columns", b.rows.Width, width)
 		}
 	}
 	if len(boxes) == 0 {

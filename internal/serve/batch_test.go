@@ -1,10 +1,13 @@
 package serve
 
 import (
+	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"rpai/internal/engine"
+	"rpai/internal/query"
 )
 
 // chunkEvents cuts events into consecutive chunks of 1..max events.
@@ -135,5 +138,68 @@ func TestBatchSizeConfig(t *testing.T) {
 		if err := svc.Close(); err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// TestApplyRowsSourceSchema checks ApplyRows' contract on its source schema:
+// a schema holding the service's columns in another order, with extra
+// columns between them, is gathered onto the service's own layout and
+// serves what ApplyBatch of the same events serves; a schema lacking one of
+// the service's columns is refused before anything is queued.
+func TestApplyRowsSourceSchema(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	events := make([]engine.Event, 200)
+	for i := range events {
+		events[i] = engine.Insert(query.Tuple{"sym": float64(rng.Intn(4)),
+			"price": float64(1 + rng.Intn(50)), "volume": float64(1 + rng.Intn(5))})
+	}
+	src := query.NewSchema("extra", "volume", "other", "price", "sym")
+	var rows engine.Rows
+	rows.Reset(src.Len())
+	for _, e := range events {
+		rows.Project(e.X, src.Cols(), e.Tuple)
+	}
+	byRows, err := ForQuery(vwapSpec(), []string{"sym"}, Options{Shards: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer byRows.Close()
+	byMaps, err := ForQuery(vwapSpec(), []string{"sym"}, Options{Shards: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer byMaps.Close()
+	if err := byRows.ApplyRows(src, &rows); err != nil {
+		t.Fatal(err)
+	}
+	if err := byMaps.ApplyBatch(events); err != nil {
+		t.Fatal(err)
+	}
+	if err := byRows.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	if err := byMaps.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := byRows.Result(), byMaps.Result(); math.Float64bits(got) != math.Float64bits(want) {
+		t.Fatalf("ApplyRows result %v, ApplyBatch result %v", got, want)
+	}
+
+	narrow := query.NewSchema("sym", "price")
+	rows.Reset(narrow.Len())
+	rows.Project(1, narrow.Cols(), query.Tuple{"sym": 1, "price": 2})
+	err = byRows.ApplyRows(narrow, &rows)
+	if err == nil || !strings.Contains(err.Error(), `"volume"`) {
+		t.Fatalf("ApplyRows under a schema lacking volume: err = %v, want a refusal naming the column", err)
+	}
+	if err := byRows.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	applied := uint64(0)
+	for _, st := range byRows.Stats() {
+		applied += st.Applied
+	}
+	if applied != uint64(len(events)) {
+		t.Fatalf("refused batch applied: %d events applied, want %d", applied, len(events))
 	}
 }

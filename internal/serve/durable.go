@@ -144,15 +144,12 @@ func RecoverForQuery(dir string, q *query.Query, partitionBy []string, opt Optio
 			// Normalize restored keys so checkpoints written before the -0/NaN
 			// canonicalization still rehash onto the same shard as live events.
 			vals := normalizeVals(append([]float64(nil), sp.Key...))
-			ex, err := engine.Restore(pl.exec, bytes.NewReader(sp.State))
-			var bex engine.BatchExecutor
-			if err == nil {
-				bex, err = pl.partitionExec(ex, vals)
-			}
+			ex, err := pl.prep.Restore(bytes.NewReader(sp.State))
 			if err != nil {
 				return fail(fmt.Errorf("serve: %s shard %d partition %v: %w", dir, i, sp.Key, err))
 			}
-			p := newPartition(vals, bex)
+			bex := pl.partitionExec(ex, vals)
+			p := newPartition(vals, bex, pl.schema.Len())
 			p.ekey = string(encodeKey(nil, p.vals))
 			p.last = bex.Result()
 			t := int(hashVals(p.vals) % uint64(len(svc.shards)))

@@ -9,18 +9,20 @@
 // named tuple columns (for example an instrument symbol, a broker id, or a
 // TPC-H order key); partitions are assigned to N shards by key hash, and each
 // shard is one worker goroutine owning one engine executor per partition.
-// Events enter only through ApplyBatch. A shard drains its buffered input
-// channel in batches: it hands every touched partition its run of the batch
-// through the executor's ApplyBatch, refreshes the results of the partitions
-// the batch touched, and then publishes an immutable snapshot of all its
-// partition results through an atomic pointer. A snapshot is an ordered view:
-// a copy of the shard's value column over its shared, append-only key table,
-// plus the shard's slots in key order, so publication costs eight
-// pointer-free bytes per partition and a grouped read is a k-way merge of the
-// shards' ordered views with no sort. Readers therefore never take a lock and
-// never block a writer: Result and ResultGrouped read the last published
-// snapshots, which lag the input by at most one batch per shard (call Drain
-// for a barrier).
+// Events enter only in batches, as rows laid out under the service's schema
+// (ApplyRows) or as map events (ApplyBatch), and the query is prepared once:
+// every partition executor shares one engine.Prepared. A shard drains its
+// buffered input channel in batches: it hands every touched partition its
+// run of the batch through the executor's ApplyRows, refreshes the results
+// of the partitions the batch touched, and then publishes an immutable
+// snapshot of all its partition results through an atomic pointer. A
+// snapshot is an ordered view: a copy of the shard's value column over its
+// shared, append-only key table, plus the shard's slots in key order, so
+// publication costs eight pointer-free bytes per partition and a grouped
+// read is a k-way merge of the shards' ordered views with no sort. Readers
+// therefore never take a lock and never block a writer: Result and
+// ResultGrouped read the last published snapshots, which lag the input by at
+// most one batch per shard (call Drain for a barrier).
 //
 // Semantics: the served query is evaluated independently per partition, as if
 // each partition key had its own relation. Result returns the sum over
@@ -85,18 +87,27 @@ func (o Options) Validate() error {
 	return nil
 }
 
-// plan is the per-partition executor recipe, validated once by newPlan so
-// that building a partition's executor cannot fail afterwards. exec is the
-// query every partition runs; when the served query carries one bare
-// partition-column conjunct, exec is its shareable base and gate the residual
-// (gate.Residual set): partitions the conjunct excludes are gated to 0 — the
-// same read the catalog serves for such a query as a residual probe lane, so
-// a dedicated service and a shared lane stay bit-identical. Snapshots persist
-// only the base state; the gate is configuration, re-derived from the key.
+// plan is the per-partition executor recipe, validated and bound once by
+// newPlan so that building a partition's executor cannot fail afterwards.
+// exec is the query every partition runs; when the served query carries one
+// bare partition-column conjunct, exec is its shareable base and gate the
+// residual (gate.Residual set): partitions the conjunct excludes are gated to
+// 0 — the same read the catalog serves for such a query as a residual probe
+// lane, so a dedicated service and a shared lane stay bit-identical.
+// Snapshots persist only the base state; the gate is configuration,
+// re-derived from the key.
+//
+// schema is the service's row layout: the partition columns, then every
+// column exec reads. Events are laid out under it once, on the way in, and
+// prep is exec bound to it — every partition executor shares that one
+// binding.
 type plan struct {
-	exec *query.Query
-	cols []string
-	gate engine.ProbeSpec
+	exec     *query.Query
+	cols     []string
+	gate     engine.ProbeSpec
+	schema   *query.Schema
+	prep     *engine.Prepared
+	keySlots []int // schema slot of each partition column
 }
 
 func newPlan(q *query.Query, partitionBy []string) (*plan, error) {
@@ -114,42 +125,27 @@ func newPlan(q *query.Query, partitionBy []string) (*plan, error) {
 	if base, spec, ok := engine.SplitResidual(q, partitionBy); ok {
 		pl.exec, pl.gate = base, spec
 	}
-	ex, err := engine.New(pl.exec)
+	pl.schema = query.NewSchema(partitionBy...).Extend(pl.exec.Columns()...)
+	for _, c := range partitionBy {
+		slot, _ := pl.schema.Slot(c)
+		pl.keySlots = append(pl.keySlots, slot)
+	}
+	prep, err := engine.Prepare(pl.exec, pl.schema)
 	if err != nil {
 		return nil, err
 	}
-	if _, err := pl.partitionExec(ex, nil); err != nil {
-		return nil, err
-	}
+	pl.prep = prep
 	return pl, nil
 }
 
 // partitionExec finishes an executor (fresh or restored) for the partition
 // keyed key: gated on the key when the plan carries a residual conjunct.
-// ApplyBatch is the only way a shard worker feeds an executor, and every
-// single-relation engine executor has one.
-func (pl *plan) partitionExec(ex engine.Executor, key []float64) (engine.BatchExecutor, error) {
+// ApplyRows is the only way a shard worker feeds an executor.
+func (pl *plan) partitionExec(ex engine.RowExecutor, key []float64) engine.RowExecutor {
 	if pl.gate.Residual {
-		ex = engine.NewGated(ex, pl.gate.GateOn(pl.cols, key))
+		return engine.NewGated(ex, pl.gate.GateOn(pl.cols, key))
 	}
-	b, ok := ex.(engine.BatchExecutor)
-	if !ok {
-		return nil, fmt.Errorf("serve: executor %T has no ApplyBatch", ex)
-	}
-	return b, nil
-}
-
-// newExec builds a fresh executor for the partition keyed key.
-func (pl *plan) newExec(key []float64) engine.BatchExecutor {
-	ex, err := engine.New(pl.exec)
-	if err == nil {
-		var b engine.BatchExecutor
-		if b, err = pl.partitionExec(ex, key); err == nil {
-			return b
-		}
-	}
-	// Unreachable: newPlan built the same executor successfully.
-	panic("serve: " + err.Error())
+	return ex
 }
 
 // item is one queue entry: a pre-routed batch of events, a drain barrier
@@ -162,11 +158,11 @@ type item struct {
 	ctl   *ctl
 }
 
-// batchBox carries one shard's slice of an ApplyBatch call through the queue.
-// Boxes are pooled: the worker returns them after unpacking, so steady-state
-// batch ingest reuses the same backing arrays.
+// batchBox carries one shard's slice of an ingest call through the queue as
+// rows of the plan's schema. Boxes are pooled: the worker returns them after
+// unpacking, so steady-state batch ingest reuses the same backing arrays.
 type batchBox struct {
-	events []engine.Event
+	rows engine.Rows
 }
 
 // ctl is a control request executed inline by a shard worker (snapshot
@@ -223,14 +219,14 @@ type workerState struct {
 
 // partition is one partition owned by a shard: its executor plus the cached
 // result the snapshots are built from. pend buffers the current batch's
-// events for this partition so the whole run is handed to the executor's
-// ApplyBatch in one call.
+// rows for this partition so the whole run is handed to the executor's
+// ApplyRows in one call.
 type partition struct {
 	vals    []float64 // partition key values (immutable, shared with snapshots)
 	ekey    string    // canonical byte encoding of vals (subscriber filter key)
-	ex      engine.BatchExecutor
+	ex      engine.RowExecutor
 	probeEx engine.ProbeExecutor // ex's probe-lane path, nil if it has none
-	pend    []engine.Event       // events buffered for the in-progress batch
+	pend    engine.Rows          // rows buffered for the in-progress batch
 	last    float64
 	// fan/fanCnt are the per-lane results, parallel to the worker's specs:
 	// final values for SUM/COUNT lanes, raw (term sum, count) pairs for AVG
@@ -395,8 +391,8 @@ func sizedFloats(buf []float64, n int) []float64 {
 
 // newPartition wraps an executor, capturing its probe-lane path once so the
 // refresh loop dispatches without a per-batch type assertion.
-func newPartition(vals []float64, ex engine.BatchExecutor) *partition {
-	p := &partition{vals: vals, ex: ex}
+func newPartition(vals []float64, ex engine.RowExecutor, width int) *partition {
+	p := &partition{vals: vals, ex: ex, pend: engine.Rows{Width: width}}
 	p.probeEx, _ = ex.(engine.ProbeExecutor)
 	return p
 }
@@ -476,6 +472,9 @@ type Service struct {
 	opt    Options // defaults applied
 	plan   *plan
 	shards []*shard
+	// gather is the mapping of the last source schema ApplyRows saw onto
+	// the plan's (see gatherFor).
+	gather atomic.Pointer[gather]
 
 	// batchPool recycles the boxes ApplyBatch ships batches in; workers
 	// return them after unpacking.
@@ -584,14 +583,54 @@ func encodeKey(b []byte, vals []float64) []byte {
 	return b
 }
 
-// key appends e's normalized partition key to buf (append-style, so
-// steady-state routing does not allocate). A tuple missing a partition
-// column reads it as 0.
-func (s *Service) key(e engine.Event, buf []float64) []float64 {
-	for _, c := range s.plan.cols {
-		buf = append(buf, e.Tuple[c])
+// readKey appends the normalized partition key of row — the values at
+// slots — to buf (append-style, so steady-state routing does not allocate).
+func readKey(buf, row []float64, slots []int) []float64 {
+	for _, i := range slots {
+		buf = append(buf, row[i])
 	}
 	return normalizeVals(buf)
+}
+
+// gather maps a source schema's rows onto the plan's: slots[j] is the
+// source slot of the plan's column j and key the source slot of each
+// partition column. Schemas are immutable, so a gather computed once holds
+// for the source's life.
+type gather struct {
+	src   *query.Schema
+	slots []int
+	key   []int
+}
+
+// gatherFor returns the gather for src, computing it when src is not the
+// schema the last call saw. A source lacking one of the service's columns is
+// refused: its rows cannot carry the events the service maintains.
+func (s *Service) gatherFor(src *query.Schema) (*gather, error) {
+	if g := s.gather.Load(); g != nil && g.src == src {
+		return g, nil
+	}
+	g := &gather{src: src}
+	for _, c := range s.plan.schema.Cols() {
+		i, ok := src.Slot(c)
+		if !ok {
+			return nil, fmt.Errorf("serve: source schema %v lacks column %q", src.Cols(), c)
+		}
+		g.slots = append(g.slots, i)
+	}
+	for _, c := range s.plan.cols {
+		i, _ := src.Slot(c) // the plan's schema holds the partition columns
+		g.key = append(g.key, i)
+	}
+	s.gather.Store(g)
+	return g, nil
+}
+
+// lay appends row, a row of g's source schema, to dst as a row of the plan's.
+func (g *gather) lay(dst *engine.Rows, x float64, row []float64) {
+	out := dst.Add(x)
+	for j, i := range g.slots {
+		out[j] = row[i]
+	}
 }
 
 // send enqueues it on sh, accounting backpressure stalls: the fast path is a
@@ -606,61 +645,118 @@ func (s *Service) send(sh *shard, it item) {
 	}
 }
 
-// ApplyBatch routes a whole batch in one pass: events are split by owning
-// shard into pooled boxes (copied, so the caller may reuse its slice — the
-// wire server decodes batches into per-connection scratch) and each shard
-// receives its run as a single queue item, which its worker unpacks straight
-// into the partitions' pending buffers. Per-partition event order is the
-// slice order. It blocks when a shard queue is full (natural backpressure,
-// accounted in the shard's EnqueueWaitNS counter) and returns ErrClosed
-// after Close.
+// ApplyBatch routes a whole batch of map events in one pass — the map edge
+// of ApplyRows: each event is laid out as a row of the service's schema in
+// the box of its owning shard, and from there on takes ApplyRows' path.
 func (s *Service) ApplyBatch(events []engine.Event) error {
 	if len(events) == 0 {
 		return nil
 	}
 	s.mu.RLock()
+	defer s.mu.RUnlock()
 	if s.closed {
-		s.mu.RUnlock()
 		return ErrClosed
 	}
+	cols := s.plan.schema.Cols()
 	if len(s.shards) == 1 {
 		box := s.getBox()
-		box.events = append(box.events, events...)
+		box.rows.Grow(len(events))
+		for i := range events {
+			box.rows.Project(events[i].X, cols, events[i].Tuple)
+		}
 		s.send(s.shards[0], item{batch: box})
-		s.mu.RUnlock()
 		return nil
 	}
 	boxes := make([]*batchBox, len(s.shards))
 	var kb [4]float64
 	for i := range events {
-		idx := hashVals(s.key(events[i], kb[:0])) % uint64(len(s.shards))
-		b := boxes[idx]
-		if b == nil {
-			b = s.getBox()
-			boxes[idx] = b
+		key := kb[:0]
+		for _, c := range s.plan.cols {
+			key = append(key, events[i].Tuple[c])
 		}
-		b.events = append(b.events, events[i])
+		b := s.boxFor(boxes, hashVals(normalizeVals(key)))
+		b.rows.Project(events[i].X, cols, events[i].Tuple)
 	}
+	s.sendBoxes(boxes)
+	return nil
+}
+
+// ApplyRows routes a batch of rows laid out under src (a schema holding every
+// column of the service's, such as a catalog's; any other is refused) in
+// one pass: events are split by
+// owning shard into pooled boxes, copied onto the service's own schema (so
+// the caller may reuse rows — the catalog decodes every batch into one
+// scratch arena and fans it out to each of its sets), and each shard
+// receives its run as a single queue item, which its worker unpacks straight
+// into the partitions' pending buffers. Per-partition event order is the row
+// order. It blocks when a shard queue is full (natural backpressure,
+// accounted in the shard's EnqueueWaitNS counter) and returns ErrClosed
+// after Close.
+func (s *Service) ApplyRows(src *query.Schema, rows *engine.Rows) error {
+	n := rows.Len()
+	if n == 0 {
+		return nil
+	}
+	g, err := s.gatherFor(src)
+	if err != nil {
+		return err
+	}
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	if s.closed {
+		return ErrClosed
+	}
+	if len(s.shards) == 1 {
+		box := s.getBox()
+		box.rows.Grow(n)
+		for i := 0; i < n; i++ {
+			x, row := rows.At(i)
+			g.lay(&box.rows, x, row)
+		}
+		s.send(s.shards[0], item{batch: box})
+		return nil
+	}
+	boxes := make([]*batchBox, len(s.shards))
+	var kb [4]float64
+	for i := 0; i < n; i++ {
+		x, row := rows.At(i)
+		g.lay(&s.boxFor(boxes, hashVals(readKey(kb[:0], row, g.key))).rows, x, row)
+	}
+	s.sendBoxes(boxes)
+	return nil
+}
+
+// boxFor returns the box of the shard owning a key of hash h, taking one
+// from the pool on the shard's first event.
+func (s *Service) boxFor(boxes []*batchBox, h uint64) *batchBox {
+	idx := h % uint64(len(boxes))
+	if boxes[idx] == nil {
+		boxes[idx] = s.getBox()
+	}
+	return boxes[idx]
+}
+
+// sendBoxes enqueues each shard's box.
+func (s *Service) sendBoxes(boxes []*batchBox) {
 	for i, b := range boxes {
 		if b != nil {
 			s.send(s.shards[i], item{batch: b})
 		}
 	}
-	s.mu.RUnlock()
-	return nil
 }
 
 // getBox returns an empty pooled batch box.
 func (s *Service) getBox() *batchBox {
-	if b, ok := s.batchPool.Get().(*batchBox); ok {
-		b.events = b.events[:0]
-		return b
+	b, ok := s.batchPool.Get().(*batchBox)
+	if !ok {
+		b = &batchBox{}
 	}
-	return &batchBox{}
+	b.rows.Reset(s.plan.schema.Len())
+	return b
 }
 
-// run is the shard worker: drain a batch, buffer its events per partition,
-// hand each touched partition its run via ApplyBatch, refresh the touched
+// run is the shard worker: drain a batch, buffer its rows per partition,
+// hand each touched partition its run via ApplyRows, refresh the touched
 // partitions, publish the snapshot, release any drain barriers — in that
 // order, so a released Drain implies the acknowledged events are readable.
 // Control requests and drain barriers terminate the in-progress batch: the
@@ -676,18 +772,19 @@ func (s *Service) run(sh *shard) {
 		keyBuf  []float64
 		byteBuf []byte
 	)
-	enqueue := func(e engine.Event) {
-		keyBuf = s.key(e, keyBuf[:0])
+	width := s.plan.schema.Len()
+	enqueue := func(x float64, row []float64) {
+		keyBuf = readKey(keyBuf[:0], row, s.plan.keySlots)
 		byteBuf = encodeKey(byteBuf[:0], keyBuf)
 		p, ok := ws.parts[string(byteBuf)] // no alloc: compiler-optimized map access
 		if !ok {
 			vals := append([]float64(nil), keyBuf...)
-			p = newPartition(vals, s.plan.newExec(vals))
+			p = newPartition(vals, s.plan.partitionExec(s.plan.prep.New(), vals), width)
 			p.ekey = string(byteBuf)
 			ws.addPartition(p)
 			sh.partitions.Store(int64(len(ws.parts)))
 		}
-		p.pend = append(p.pend, e)
+		p.pend.Append(x, row)
 		if !p.dirty {
 			p.dirty = true
 			dirty = append(dirty, p)
@@ -696,10 +793,8 @@ func (s *Service) run(sh *shard) {
 	// commit applies the drained batch and publishes the snapshot.
 	commit := func() {
 		for _, p := range dirty {
-			p.ex.ApplyBatch(p.pend)
-			// Applied events are not kept alive by the reused buffer.
-			clear(p.pend)
-			p.pend = p.pend[:0]
+			p.ex.ApplyRows(&p.pend)
+			p.pend.Reset(width)
 			p.last = p.ex.Result()
 			ws.vals[p.slot] = p.last
 			p.refreshLanes(ws)
@@ -731,13 +826,14 @@ func (s *Service) run(sh *shard) {
 				syncs = append(syncs, it.sync)
 				stop = true
 			default:
-				for i := range it.batch.events {
-					enqueue(it.batch.events[i])
+				b := it.batch
+				k := b.rows.Len()
+				for i := 0; i < k; i++ {
+					enqueue(b.rows.At(i))
 				}
-				n += len(it.batch.events)
-				sh.applied.Add(uint64(len(it.batch.events)))
-				clear(it.batch.events)
-				s.batchPool.Put(it.batch)
+				n += k
+				sh.applied.Add(uint64(k))
+				s.batchPool.Put(b)
 			}
 		}
 		handle(it)

@@ -126,31 +126,48 @@ func EncodeBatch(buf []byte, seq uint64, events [][]byte) []byte {
 // DecodeBatch splits a batch body into its sequence number and raw event
 // payloads (aliasing p).
 func DecodeBatch(p []byte) (seq uint64, events [][]byte, err error) {
-	if len(p) < 12 {
-		return 0, nil, fmt.Errorf("wire: batch body too short (%d bytes)", len(p))
+	seq, n, rec, err := splitBatch(p)
+	if err != nil {
+		return 0, nil, err
 	}
-	seq = le.Uint64(p)
-	n := le.Uint32(p[8:])
-	if n > maxBatchEvents {
-		return 0, nil, fmt.Errorf("wire: batch of %d events exceeds limit", n)
-	}
-	p = p[12:]
-	events = make([][]byte, 0, min(int(n), 4096))
-	for i := uint32(0); i < n; i++ {
-		if len(p) < 4 {
-			return 0, nil, fmt.Errorf("wire: batch truncated at event %d", i)
-		}
-		l := le.Uint32(p)
-		if int(l) > len(p)-4 {
-			return 0, nil, fmt.Errorf("wire: batch event %d length %d overruns body", i, l)
-		}
-		events = append(events, p[4:4+l])
-		p = p[4+l:]
-	}
-	if len(p) != 0 {
-		return 0, nil, fmt.Errorf("wire: %d trailing bytes after batch", len(p))
+	events = make([][]byte, 0, n)
+	for len(rec) > 0 {
+		l := le.Uint32(rec)
+		events = append(events, rec[4:4+l])
+		rec = rec[4+l:]
 	}
 	return seq, events, nil
+}
+
+// splitBatch validates a batch body's framing and returns its sequence
+// number, its event count and the rest of the body after the 12-byte header:
+// the per-event u32-length-prefixed payloads, which is the catalog's WAL
+// record encoding of the batch.
+func splitBatch(p []byte) (seq uint64, n uint32, rec []byte, err error) {
+	if len(p) < 12 {
+		return 0, 0, nil, fmt.Errorf("wire: batch body too short (%d bytes)", len(p))
+	}
+	seq = le.Uint64(p)
+	n = le.Uint32(p[8:])
+	if n > maxBatchEvents {
+		return 0, 0, nil, fmt.Errorf("wire: batch of %d events exceeds limit", n)
+	}
+	rec = p[12:]
+	q := rec
+	for i := uint32(0); i < n; i++ {
+		if len(q) < 4 {
+			return 0, 0, nil, fmt.Errorf("wire: batch truncated at event %d", i)
+		}
+		l := le.Uint32(q)
+		if int(l) > len(q)-4 {
+			return 0, 0, nil, fmt.Errorf("wire: batch event %d length %d overruns body", i, l)
+		}
+		q = q[4+l:]
+	}
+	if len(q) != 0 {
+		return 0, 0, nil, fmt.Errorf("wire: %d trailing bytes after batch", len(q))
+	}
+	return seq, n, rec, nil
 }
 
 // --- ack / scalar ---

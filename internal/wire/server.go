@@ -252,16 +252,16 @@ type reqItem struct {
 }
 
 // connScratch holds one connection's reusable buffers: the frame-encode
-// scratch, a reply-body scratch for the hot request types, the decoded-batch
-// event slice, and a column-interning event decoder. A connection's requests
-// are processed by a single worker strictly in order and every reply is
-// written before the next request is taken, so the scratch needs no locking
-// and no copy-out.
+// scratch, a reply-body scratch for the hot request types, and the batch the
+// catalog decodes each apply-batch into — rows bound to the catalog's
+// schema, so a connection retains no column name outside it. A connection's
+// requests are processed by a single worker strictly in order and every
+// reply is written before the next request is taken, so the scratch needs no
+// locking and no copy-out.
 type connScratch struct {
-	frame  []byte
-	body   []byte
-	events []engine.Event
-	dec    engine.EventDecoder
+	frame []byte
+	body  []byte
+	batch catalog.Batch
 }
 
 // needsToken reports whether a request type is work-carrying and therefore
@@ -679,24 +679,16 @@ func (s *Server) processStats() (MsgType, []byte) {
 // a resend racing the original's in-flight application serializes behind it
 // and then deduplicates.
 func (s *Server) processBatch(cs *connScratch, sess *session, body []byte) (MsgType, []byte) {
-	seq, raw, err := DecodeBatch(body)
+	seq, n, rec, err := splitBatch(body)
 	if err != nil {
 		return MsgError, EncodeError(nil, CodeBadRequest, err.Error())
 	}
-	events := cs.events[:0]
-	for i, p := range raw {
-		ev, err := cs.dec.Decode(p)
-		if err != nil {
-			return MsgError, EncodeError(nil, CodeBadRequest, fmt.Sprintf("event %d: %v", i, err))
-		}
-		events = append(events, ev)
+	// The body after its header is the batch's WAL record, byte for byte:
+	// the catalog validates and decodes it here, outside its locks, and logs
+	// it as received.
+	if err := s.cat.DecodeRecord(&cs.batch, rec); err != nil {
+		return MsgError, EncodeError(nil, CodeBadRequest, err.Error())
 	}
-	// ApplyBatch copies the events into pooled per-shard buffers before
-	// returning, so the slice (not the tuples) is safe to reuse for the next
-	// batch. Cleared on the way out, so the scratch does not keep applied
-	// tuples alive between batches.
-	cs.events = events
-	defer clear(events)
 	if seq != 0 && sess != nil {
 		sess.mu.Lock()
 		defer sess.mu.Unlock()
@@ -708,17 +700,16 @@ func (s *Server) processBatch(cs *connScratch, sess *session, body []byte) (MsgT
 				fmt.Sprintf("batch seq %d after %d", seq, sess.lastSeq))
 		}
 	}
-	// Hand the whole decoded batch to the catalog's batched ingest: one WAL
-	// append, then a fan-out to every registered query's executors through
-	// their native ApplyBatch paths, with results bit-identical to per-event
-	// Apply.
-	if err := s.cat.ApplyBatch(events); err != nil {
+	// Hand the decoded batch to the catalog's ingest: one WAL append, then a
+	// fan-out of the rows to every registered query's executors through
+	// their native row paths, with results bit-identical to per-event Apply.
+	if err := s.cat.ApplyRecord(&cs.batch); err != nil {
 		return errReply(err)
 	}
 	if seq != 0 && sess != nil {
 		sess.lastSeq = seq
 	}
-	cs.body = EncodeAck(cs.body[:0], uint32(len(events)))
+	cs.body = EncodeAck(cs.body[:0], n)
 	return MsgAck, cs.body
 }
 
