@@ -56,7 +56,8 @@ catalog:
 bench:
 	go test -bench=. -benchmem ./...
 
-# Core micro-benchmarks: the RPAI tree's Put/Add/GetSum/Delete, the
+# Core micro-benchmarks: the RPAI tree's Put/Add/GetSum/Delete, the level
+# tree's insert/delete churn at the stack benchmark's four tree shapes, the
 # relation-state executor's per-event cost at the stack benchmark's
 # deep-index and wide-shallow tree sizes, the publish layer's per-event
 # cost and bytes on a wide-shallow-sized shard (2 048 partitions, 128-event
@@ -66,6 +67,8 @@ bench:
 bench-core:
 	go test -run '^$$' -bench 'BenchmarkTree(Put|Add|GetSum|Delete)' -benchmem \
 		-benchtime 200ms -count 3 ./internal/rpai/
+	go test -run '^$$' -bench BenchmarkLevelTreeChurn -benchmem \
+		-benchtime 1000000x -count 3 ./internal/rpai/
 	go test -run '^$$' -bench BenchmarkRelStateApply -benchmem \
 		-benchtime 400000x -count 3 ./internal/engine/
 	go test -run '^$$' -bench BenchmarkShardCommit -benchmem \

@@ -111,9 +111,10 @@ func TestAllocGuardArenaShift(t *testing.T) {
 }
 
 // TestAllocGuardLevelTree pins the executor's per-event cycle on the level
-// tree — an add to a live level, a level emptied and deleted, a level
-// inserted from the free list — and both threshold reads at zero
-// allocations once the slab covers the working set.
+// tree — an add to a live level, a level emptied and deleted (from a leaf,
+// and from an inner node by successor takeover), a level inserted from the
+// free list — and both threshold reads at zero allocations once the slab
+// covers the working set.
 func TestAllocGuardLevelTree(t *testing.T) {
 	keys := rand.New(rand.NewSource(12)).Perm(4096)
 	lt := NewLevelTree()
@@ -127,6 +128,14 @@ func TestAllocGuardLevelTree(t *testing.T) {
 		k := next()
 		lt.Add(k, -2, -1, -0.5)
 		lt.Add(k, 2, 1, 0.5)
+	})
+	// The root has two children, so deleting its level takes over the
+	// successor's; the re-insert lands on a leaf.
+	requireAllocs(t, "LevelTree successor-takeover delete/insert", 0, func() {
+		n := lt.at(lt.root)
+		k, v := n.key, n.val
+		lt.Add(k, -v[laneW], -v[laneC], -v[laneT])
+		lt.Add(k, v[laneW], v[laneC], v[laneT])
 	})
 	total, _, _ := lt.Total()
 	requireAllocs(t, "LevelTree.Prefix(weight)", 0, func() {

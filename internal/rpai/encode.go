@@ -79,7 +79,7 @@ func Decode(r io.Reader) (*Tree, error) {
 		// The header is untrusted: preallocate at most 1<<20 nodes and let
 		// append grow the slab past that as the stream proves its length.
 		t.nodes = make([]tnode, 0, min(count, 1<<20))
-		root, err := t.decodeNode(br)
+		root, err := t.decodeNode(br, 1)
 		if err != nil {
 			return nil, err
 		}
@@ -94,7 +94,13 @@ func Decode(r io.Reader) (*Tree, error) {
 	return t, nil
 }
 
-func (t *Tree) decodeNode(r *bufio.Reader) (int32, error) {
+// decodeNode decodes the subtree whose root sits at the given depth (the
+// root's is 1). A stream deeper than any valid tree is refused as it arrives,
+// so the recursion is bounded by maxPathLen rather than by the stream.
+func (t *Tree) decodeNode(r *bufio.Reader, depth int) (int32, error) {
+	if depth > maxPathLen {
+		return nilIdx, fmt.Errorf("rpai: snapshot deeper than %d levels", maxPathLen)
+	}
 	var buf [17]byte
 	if _, err := io.ReadFull(r, buf[:]); err != nil {
 		return nilIdx, fmt.Errorf("rpai: truncated snapshot: %w", err)
@@ -103,14 +109,14 @@ func (t *Tree) decodeNode(r *bufio.Reader) (int32, error) {
 		math.Float64frombits(binary.LittleEndian.Uint64(buf[9:])))
 	t.nodes[i].color = buf[0]&flagRed != 0
 	if buf[0]&flagLeft != 0 {
-		c, err := t.decodeNode(r)
+		c, err := t.decodeNode(r, depth+1)
 		if err != nil {
 			return nilIdx, err
 		}
 		t.nodes[i].left = c
 	}
 	if buf[0]&flagRight != 0 {
-		c, err := t.decodeNode(r)
+		c, err := t.decodeNode(r, depth+1)
 		if err != nil {
 			return nilIdx, err
 		}

@@ -34,9 +34,13 @@ import (
 //
 // Storage is Tree's: one slab of nodes linked by int32 indices, vacated
 // slots recycled through a free list, so steady-state churn allocates nothing.
-// The balancing is Tree's LLRB with the relative-key arithmetic left
-// out, and every node caches its children's lane sums (leftSum, rightSum)
-// so a descent reads only nodes on its path.
+// Every node caches its children's lane sums (leftSum, rightSum), so a
+// descent reads only nodes on its path, and every rotation has to refresh
+// them. The balancing is therefore classic red-black, bottom-up on the path
+// the event's descent recorded: an insert recolours upward and rotates at
+// most twice, a delete at most three times, and each refreshes the cached
+// sums along the path once. Tree's left-leaning trees are red-black trees
+// too, so a stream written under that balancing decodes unchanged.
 //
 // The zero value is not usable; call NewLevelTree.
 type LevelTree struct {
@@ -153,57 +157,69 @@ func (t *LevelTree) update(h int32) {
 	n.rightSum = t.sumOf(n.right)
 }
 
-func (t *LevelTree) rotateLeft(h int32) int32 {
-	hn := &t.nodes[h]
-	x := hn.right
-	xn := &t.nodes[x]
-	hn.right = xn.left
-	xn.left = h
-	xn.red = hn.red
-	hn.red = true
-	t.update(h)
-	t.update(x)
-	return x
+// child returns h's right child when right, else its left.
+func (t *LevelTree) child(h int32, right bool) int32 {
+	if right {
+		return t.at(h).right
+	}
+	return t.at(h).left
 }
 
-func (t *LevelTree) rotateRight(h int32) int32 {
-	hn := &t.nodes[h]
-	x := hn.left
-	xn := &t.nodes[x]
-	hn.left = xn.right
-	xn.right = h
-	xn.red = hn.red
-	hn.red = true
-	t.update(h)
-	t.update(x)
-	return x
+// setChild hangs c below h on side right.
+func (t *LevelTree) setChild(h int32, right bool, c int32) {
+	if right {
+		t.at(h).right = c
+	} else {
+		t.at(h).left = c
+	}
 }
 
-func (t *LevelTree) flipColors(h int32) {
-	n := &t.nodes[h]
-	n.red = !n.red
-	t.nodes[n.left].red = !t.nodes[n.left].red
-	t.nodes[n.right].red = !t.nodes[n.right].red
+// setSum stores s as the cached sum of h's child on side right.
+func (t *LevelTree) setSum(h int32, right bool, s [3]float64) {
+	if right {
+		t.at(h).rightSum = s
+	} else {
+		t.at(h).leftSum = s
+	}
 }
 
-func (t *LevelTree) fixUp(h int32) int32 {
-	if t.isRed(t.nodes[h].right) && !t.isRed(t.nodes[h].left) {
-		h = t.rotateLeft(h)
+// link hangs c where frame j of path sits: under frame j-1 on the side
+// dirs[j-1] records, or at the root when j is 0.
+func (t *LevelTree) link(path []int32, dirs []bool, j int, c int32) {
+	if j == 0 {
+		t.root = c
+	} else {
+		t.setChild(path[j-1], dirs[j-1], c)
 	}
-	if l := t.nodes[h].left; t.isRed(l) && t.isRed(t.nodes[l].left) {
-		h = t.rotateRight(h)
+}
+
+// lift rotates h's child on side right above h and returns it. The child's
+// inner subtree moves under h together with the sum the child cached for it,
+// so the sum h caches for that side stays exact; the lifted node's cached sum
+// on h's side goes stale, and the caller refreshes it. Colours are the
+// caller's.
+func (t *LevelTree) lift(h int32, right bool) int32 {
+	hn := t.at(h)
+	if right {
+		c := hn.right
+		cn := t.at(c)
+		hn.right, hn.rightSum = cn.left, cn.leftSum
+		cn.left = h
+		return c
 	}
-	if t.isRed(t.nodes[h].left) && t.isRed(t.nodes[h].right) {
-		t.flipColors(h)
-	}
-	t.update(h)
-	return h
+	c := hn.left
+	cn := t.at(c)
+	hn.left, hn.leftSum = cn.right, cn.rightSum
+	cn.right = h
+	return c
 }
 
 // Add adds (dw, dc, dt) to the weight, count and term lanes of level k in one
 // descent. An absent level is inserted (unless dc is 0: a level exists only
 // while its count is non-zero), and a level whose count returns to 0 is
-// deleted. k must be finite.
+// deleted. Either structural change works on the path the descent recorded —
+// red-black recolouring and at most two rotations for an insert, three for a
+// delete — and refreshes the cached sums along it once. k must be finite.
 func (t *LevelTree) Add(k, dw, dc, dt float64) {
 	checkKey(k)
 	d := [3]float64{dw, dc, dt}
@@ -214,7 +230,9 @@ func (t *LevelTree) Add(k, dw, dc, dt float64) {
 		}
 		return
 	}
-	// An LLRB over fewer than 2^31 nodes is at most 62 levels deep.
+	// A red-black tree over fewer than 2^31 nodes is at most 62 levels deep,
+	// so a node has at most 61 ancestors; a delete's fix inserts at most two
+	// more frames while it rotates.
 	var path [maxPathLen]int32
 	var dirs [maxPathLen]bool // dirs[i]: the descent leaves path[i] rightward
 	depth := 0
@@ -236,10 +254,7 @@ func (t *LevelTree) Add(k, dw, dc, dt float64) {
 				t.propagate(path[:depth], dirs[:depth], sum3(n.val, n.leftSum, n.rightSum))
 				return
 			}
-			t.root = t.del(t.root, k)
-			if t.root >= 0 {
-				t.nodes[t.root].red = false
-			}
+			t.remove(&path, &dirs, depth, i)
 			return
 		}
 		path[depth], dirs[depth] = i, k > n.key
@@ -251,41 +266,150 @@ func (t *LevelTree) Add(k, dw, dc, dt float64) {
 		}
 	}
 	runtime.KeepAlive(touch)
-	if dc == 0 {
+	if dc != 0 {
+		t.insert(path[:depth], dirs[:depth], t.alloc(k, d))
+	}
+}
+
+// insert hangs the red leaf c below the last frame of path and restores the
+// red-black invariants bottom-up: recolouring while the uncle is red, then at
+// most two rotations. Every node on the path has its cached sums refreshed
+// once, the rotated ones in place and the rest by propagate.
+func (t *LevelTree) insert(path []int32, dirs []bool, c int32) {
+	depth := len(path)
+	t.link(path, dirs, depth, c)
+	// x, the red node whose parent may be red, is frame j of the path (c
+	// when j is depth).
+	j := depth
+	for j > 0 && t.at(path[j-1]).red {
+		// A red parent is not the root, so the grandparent exists.
+		p, g := path[j-1], path[j-2]
+		if u := t.child(g, !dirs[j-2]); t.isRed(u) {
+			t.at(p).red, t.at(u).red, t.at(g).red = false, false, true
+			j -= 2
+			continue
+		}
+		// Below x only sums change; above the grandparent only sums too, once
+		// the rotated subtree's top is known.
+		s := t.propagate(path[j:], dirs[j:], t.sumOf(c))
+		top := p
+		if dirs[j-1] != dirs[j-2] {
+			// x is an inner grandchild: lift it over p first, then over g.
+			x := t.lift(p, dirs[j-1])
+			t.setSum(x, !dirs[j-1], t.sumOf(p))
+			t.setChild(g, dirs[j-2], x)
+			top = x
+		} else {
+			t.setSum(p, dirs[j-1], s)
+		}
+		t.lift(g, dirs[j-2])
+		t.setSum(top, !dirs[j-2], t.sumOf(g))
+		t.at(top).red, t.at(g).red = false, true
+		t.link(path, dirs, j-2, top)
+		t.propagate(path[:j-2], dirs[:j-2], t.sumOf(top))
 		return
 	}
-	c := t.alloc(k, d)
-	if p := path[depth-1]; dirs[depth-1] {
-		t.nodes[p].right = c
-	} else {
-		t.nodes[p].left = c
-	}
-	// Reattach the path deepest-first through fixUp, as the recursive LLRB
-	// insert does on its way out — until a subtree comes back with a black
-	// root. Every fixUp case needs a red child on the path, so above that
-	// point the recursive insert's fixUps would only refresh sums: the found
-	// branch's propagation, which reads no sibling.
-	for j := depth - 1; j >= 0; j-- {
-		h := t.fixUp(path[j])
-		switch {
-		case j == 0:
-			t.root = h
-		case dirs[j-1]:
-			t.nodes[path[j-1]].right = h
-		default:
-			t.nodes[path[j-1]].left = h
-		}
-		if j > 0 && !t.nodes[h].red {
-			t.propagate(path[:j], dirs[:j], t.sumOf(h))
-			return
-		}
-	}
 	t.nodes[t.root].red = false
+	t.propagate(path, dirs, t.sumOf(c))
+}
+
+// remove deletes z, the level the descent found below the first depth frames
+// of path. A node with two children takes over its in-order successor's level
+// and the successor is unlinked instead, the path extended down to it; the
+// unlinked node has at most one child, which takes its place. Unlinking a
+// black leaf leaves its position one black short, and fixDeficit restores the
+// black height with at most three rotations. One propagate pass then
+// refreshes the cached sums from the unlinked position to the root.
+func (t *LevelTree) remove(path *[maxPathLen]int32, dirs *[maxPathLen]bool, depth int, z int32) {
+	y, zn := z, t.at(z)
+	if zn.left >= 0 && zn.right >= 0 {
+		path[depth], dirs[depth] = z, true
+		depth++
+		for y = zn.right; t.at(y).left >= 0; y = t.at(y).left {
+			path[depth], dirs[depth] = y, false
+			depth++
+		}
+		yn := t.at(y)
+		zn.key, zn.val = yn.key, yn.val
+	}
+	yn := t.at(y)
+	c, black := yn.left, !yn.red
+	if c < 0 {
+		c = yn.right
+	}
+	t.link(path[:], dirs[:], depth, c)
+	t.freeNode(y)
+	switch {
+	case c >= 0:
+		// A node with one child is black and the child a red leaf.
+		t.at(c).red = false
+	case black:
+		depth = t.fixDeficit(path, dirs, depth)
+	}
+	t.propagate(path[:depth], dirs[:depth], t.sumOf(c))
+}
+
+// fixDeficit restores the black height after a black node was unlinked from
+// below the last of the depth frames of path, on the side its direction
+// records, and returns the new depth. Rotations keep the path the current
+// root-to-position path: a node lifted above a frame joins the path, and the
+// frames below it keep their places, so the caller's one propagate pass sees
+// every node whose subtree changed. Nodes that leave the path have their
+// cached sums refreshed here.
+func (t *LevelTree) fixDeficit(path *[maxPathLen]int32, dirs *[maxPathLen]bool, depth int) int {
+	for j := depth - 1; j >= 0; {
+		p, right := path[j], dirs[j]
+		s := t.child(p, !right)
+		if t.isRed(s) {
+			// Red sibling: lift it; p, now red, gets a black sibling.
+			t.at(s).red, t.at(p).red = false, true
+			depth = t.raise(path, dirs, depth, j)
+			j++
+			s = t.child(p, !right)
+		}
+		near, far := t.child(s, right), t.child(s, !right)
+		if !t.isRed(near) && !t.isRed(far) {
+			// Black sibling with black children: move the deficit up.
+			t.at(s).red = true
+			if pn := t.at(p); pn.red {
+				pn.red = false
+				break
+			}
+			j--
+			continue
+		}
+		if !t.isRed(far) {
+			// Near nephew red: lift it over s, which leaves the path.
+			near = t.lift(s, right)
+			t.setSum(near, !right, t.sumOf(s))
+			t.setChild(p, !right, near)
+			s, far = near, s
+		}
+		// Far nephew red: lift s over p; the deficit is gone.
+		t.at(s).red, t.at(p).red, t.at(far).red = t.at(p).red, false, false
+		depth = t.raise(path, dirs, depth, j)
+		break
+	}
+	return depth
+}
+
+// raise lifts the sibling of the path's side of frame j over it, inserts the
+// lifted node as frame j and returns the new depth.
+func (t *LevelTree) raise(path *[maxPathLen]int32, dirs *[maxPathLen]bool, depth, j int) int {
+	right := dirs[j]
+	s := t.lift(path[j], !right)
+	t.link(path[:], dirs[:], j, s)
+	copy(path[j+1:depth+1], path[j:depth])
+	copy(dirs[j+1:depth+1], dirs[j:depth])
+	path[j] = s // dirs[j] stays: the old frame hangs on s's side dirs[j]
+	return depth + 1
 }
 
 // propagate stores s, the fresh lane sums of the subtree below the last
-// frame of path, into the frames bottom-up, in update's evaluation order.
-func (t *LevelTree) propagate(path []int32, dirs []bool, s [3]float64) {
+// frame of path, into the frames bottom-up, in update's evaluation order, and
+// returns the sums of the subtree at the first frame (s itself when path is
+// empty).
+func (t *LevelTree) propagate(path []int32, dirs []bool, s [3]float64) [3]float64 {
 	for j := len(path) - 1; j >= 0; j-- {
 		m := t.at(path[j])
 		if dirs[j] {
@@ -296,74 +420,7 @@ func (t *LevelTree) propagate(path []int32, dirs []bool, s [3]float64) {
 			s = sum3(m.val, s, m.rightSum)
 		}
 	}
-}
-
-// del is the LLRB delete of key k, which must be present in the subtree at h.
-func (t *LevelTree) del(h int32, k float64) int32 {
-	if k < t.nodes[h].key {
-		if l := t.nodes[h].left; !t.isRed(l) && !t.isRed(t.nodes[l].left) {
-			h = t.moveRedLeft(h)
-		}
-		l := t.del(t.nodes[h].left, k)
-		t.nodes[h].left = l
-		return t.fixUp(h)
-	}
-	if t.isRed(t.nodes[h].left) {
-		h = t.rotateRight(h)
-	}
-	if k == t.nodes[h].key && t.nodes[h].right < 0 {
-		t.freeNode(h)
-		return nilIdx
-	}
-	if r := t.nodes[h].right; !t.isRed(r) && !t.isRed(t.nodes[r].left) {
-		h = t.moveRedRight(h)
-	}
-	if k == t.nodes[h].key {
-		// Take over the successor's level, then delete the successor.
-		m := t.nodes[h].right
-		for t.nodes[m].left >= 0 {
-			m = t.nodes[m].left
-		}
-		t.nodes[h].key, t.nodes[h].val = t.nodes[m].key, t.nodes[m].val
-		r := t.deleteMin(t.nodes[h].right)
-		t.nodes[h].right = r
-	} else {
-		r := t.del(t.nodes[h].right, k)
-		t.nodes[h].right = r
-	}
-	return t.fixUp(h)
-}
-
-func (t *LevelTree) deleteMin(h int32) int32 {
-	if t.nodes[h].left < 0 {
-		t.freeNode(h)
-		return nilIdx
-	}
-	if l := t.nodes[h].left; !t.isRed(l) && !t.isRed(t.nodes[l].left) {
-		h = t.moveRedLeft(h)
-	}
-	l := t.deleteMin(t.nodes[h].left)
-	t.nodes[h].left = l
-	return t.fixUp(h)
-}
-
-func (t *LevelTree) moveRedLeft(h int32) int32 {
-	t.flipColors(h)
-	if r := t.nodes[h].right; t.isRed(t.nodes[r].left) {
-		t.nodes[h].right = t.rotateRight(r)
-		h = t.rotateLeft(h)
-		t.flipColors(h)
-	}
-	return h
-}
-
-func (t *LevelTree) moveRedRight(h int32) int32 {
-	t.flipColors(h)
-	if l := t.nodes[h].left; t.isRed(t.nodes[l].left) {
-		h = t.rotateRight(h)
-		t.flipColors(h)
-	}
-	return h
+	return s
 }
 
 // position is where a prefix read steering by `by` places node n, given the
@@ -440,7 +497,8 @@ func (t *LevelTree) prefixesAt(i int32, by Steer, bounds []float64, strict bool,
 	}
 }
 
-// Validate checks the key order, the LLRB shape, the cached lane sums (bit
+// Validate checks the key order, the red-black invariants (a black root, no
+// red node with a red child, equal black heights), the cached lane sums (bit
 // for bit), that no level has a zero count, and the slab accounting.
 // Intended for tests and for decoded snapshots.
 func (t *LevelTree) Validate() error {
@@ -474,10 +532,8 @@ func (t *LevelTree) validate(i int32, lo, hi float64) (size int32, blackHeight i
 	switch {
 	case !(lo < k && k < hi):
 		return 0, 0, fmt.Errorf("rpai: level key %v out of order or not finite", k)
-	case t.isRed(n.right):
-		return 0, 0, fmt.Errorf("rpai: right-leaning red link at key %v", k)
-	case n.red && t.isRed(n.left):
-		return 0, 0, fmt.Errorf("rpai: two consecutive red links at key %v", k)
+	case n.red && (t.isRed(n.left) || t.isRed(n.right)):
+		return 0, 0, fmt.Errorf("rpai: red node with a red child at key %v", k)
 	case n.val[laneC] == 0:
 		return 0, 0, fmt.Errorf("rpai: level %v has a zero count", k)
 	case n.leftSum != t.sumOf(n.left) || n.rightSum != t.sumOf(n.right):
@@ -564,7 +620,7 @@ func DecodeLevelTree(r io.Reader) (*LevelTree, error) {
 	t := NewLevelTree()
 	if count > 0 {
 		t.nodes = make([]lnode, 0, min(count, 1<<20))
-		root, err := t.decodeNode(br)
+		root, err := t.decodeNode(br, 1)
 		if err != nil {
 			return nil, err
 		}
@@ -579,7 +635,13 @@ func DecodeLevelTree(r io.Reader) (*LevelTree, error) {
 	return t, nil
 }
 
-func (t *LevelTree) decodeNode(r *bufio.Reader) (int32, error) {
+// decodeNode decodes the subtree whose root sits at the given depth (the
+// root's is 1). A stream deeper than any valid tree is refused as it arrives,
+// so the recursion is bounded by maxPathLen rather than by the stream.
+func (t *LevelTree) decodeNode(r *bufio.Reader, depth int) (int32, error) {
+	if depth > maxPathLen {
+		return nilIdx, fmt.Errorf("rpai: level tree snapshot deeper than %d levels", maxPathLen)
+	}
 	var buf [33]byte
 	if _, err := io.ReadFull(r, buf[:]); err != nil {
 		return nilIdx, fmt.Errorf("rpai: truncated level tree snapshot: %w", err)
@@ -591,14 +653,14 @@ func (t *LevelTree) decodeNode(r *bufio.Reader) (int32, error) {
 	i := t.alloc(math.Float64frombits(binary.LittleEndian.Uint64(buf[1:])), v)
 	t.nodes[i].red = buf[0]&flagRed != 0
 	if buf[0]&flagLeft != 0 {
-		c, err := t.decodeNode(r)
+		c, err := t.decodeNode(r, depth+1)
 		if err != nil {
 			return nilIdx, err
 		}
 		t.nodes[i].left = c
 	}
 	if buf[0]&flagRight != 0 {
-		c, err := t.decodeNode(r)
+		c, err := t.decodeNode(r, depth+1)
 		if err != nil {
 			return nilIdx, err
 		}

@@ -2,8 +2,14 @@ package rpai
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
+	"math/rand"
+	"os"
+	"path/filepath"
 	"sort"
+	"strconv"
+	"strings"
 	"testing"
 
 	"rpai/internal/treemap"
@@ -305,11 +311,326 @@ func TestDecodeLevelTreeRejectsCorruption(t *testing.T) {
 			copy(b[13:21], []byte{0, 0, 0, 0, 0, 0, 0x59, 0x40})
 			return b
 		}),
-		"colour":     mutate(func(b []byte) []byte { b[12] |= flagRed; return b }),
-		"zero count": mutate(func(b []byte) []byte { copy(b[29:37], make([]byte, 8)); return b }),
+		"colour":       mutate(func(b []byte) []byte { b[12] |= flagRed; return b }),
+		"zero count":   mutate(func(b []byte) []byte { copy(b[29:37], make([]byte, 8)); return b }),
+		"red-red":      encodeLevels(t, "10B(5R(3R,-),15R)"),
+		"black height": encodeLevels(t, "10B(5B,-)"),
 	} {
 		if _, err := DecodeLevelTree(bytes.NewReader(bad)); err == nil {
 			t.Errorf("%s: corrupted stream accepted", name)
 		}
+	}
+}
+
+// buildLevels builds a level tree of the given shape without balancing it.
+// A shape is a key, a colour (B or R) and, when the node has a child, the
+// two subtrees in parentheses, "-" standing for an absent one:
+// "10B(5R,15R)". Each level holds one row whose weight and term derive from
+// its key. mirror negates every key, which swaps every left and right.
+func buildLevels(t *testing.T, shape string, mirror bool) *LevelTree {
+	t.Helper()
+	lt := NewLevelTree()
+	rest := shape
+	var node func() int32
+	node = func() int32 {
+		if strings.HasPrefix(rest, "-") {
+			rest = rest[1:]
+			return nilIdx
+		}
+		end := strings.IndexAny(rest, "BR")
+		if end < 0 {
+			t.Fatalf("shape %q: no colour after %q", shape, rest)
+		}
+		k, err := strconv.ParseFloat(rest[:end], 64)
+		if err != nil {
+			t.Fatalf("shape %q: %v", shape, err)
+		}
+		red := rest[end] == 'R'
+		rest = rest[end+1:]
+		if mirror {
+			k = -k
+		}
+		w, term := levelRow(k)
+		i := lt.alloc(k, [3]float64{w, 1, term})
+		lt.nodes[i].red = red
+		if strings.HasPrefix(rest, "(") {
+			rest = rest[1:]
+			l := node()
+			rest = strings.TrimPrefix(rest, ",")
+			r := node()
+			rest = strings.TrimPrefix(rest, ")")
+			if mirror {
+				l, r = r, l
+			}
+			lt.nodes[i].left, lt.nodes[i].right = l, r
+		}
+		lt.update(i)
+		return i
+	}
+	if shape != "" {
+		lt.root = node()
+	}
+	if rest != "" {
+		t.Fatalf("shape %q: trailing %q", shape, rest)
+	}
+	return lt
+}
+
+// levelRow is the weight and term of buildLevels' row at key k.
+func levelRow(k float64) (w, term float64) { return 0.1*math.Abs(k) + 0.3, 0.7 * k }
+
+// shapeOf writes lt's shape in buildLevels' notation, undoing mirror.
+func shapeOf(lt *LevelTree, mirror bool) string {
+	var sb strings.Builder
+	var walk func(i int32)
+	walk = func(i int32) {
+		if i < 0 {
+			sb.WriteByte('-')
+			return
+		}
+		n := &lt.nodes[i]
+		k, l, r := n.key, n.left, n.right
+		if mirror {
+			k, l, r = -k, r, l
+		}
+		sb.WriteString(strconv.FormatFloat(k, 'g', -1, 64))
+		if n.red {
+			sb.WriteByte('R')
+		} else {
+			sb.WriteByte('B')
+		}
+		if l >= 0 || r >= 0 {
+			sb.WriteByte('(')
+			walk(l)
+			sb.WriteByte(',')
+			walk(r)
+			sb.WriteByte(')')
+		}
+	}
+	if lt.root >= 0 {
+		walk(lt.root)
+	}
+	return sb.String()
+}
+
+// encodeLevels is the snapshot stream of a buildLevels shape, which need not
+// be a valid tree.
+func encodeLevels(t *testing.T, shape string) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := buildLevels(t, shape, false).Encode(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestLevelTreeRebalanceCases drives every red-black fix-up case from a tree
+// built to reach it, in both orientations, and holds the result to the
+// shape and colours that case produces — so each case is known to have run
+// — with Validate (shape, colours, cached sums bit for bit) after every op.
+// A seeded churn then runs the cases in combination at larger sizes.
+func TestLevelTreeRebalanceCases(t *testing.T) {
+	for _, tc := range []struct {
+		name, tree string
+		del        bool // delete the level at key, else insert it
+		key        float64
+		want       string
+		oneWay     bool // the successor takeover is not mirror-symmetric
+	}{
+		{"insert under a black parent", "10B(5B,15B)", false, 3, "10B(5B(3R,-),15B)", false},
+		{"insert red uncle", "10B(5R,15R)", false, 3, "10B(5B(3R,-),15B)", false},
+		{"insert red uncle below the root", "20B(10B(5R,15R),30B)", false, 3, "20B(10R(5B(3R,-),15B),30B)", false},
+		{"insert inner child", "10B(5R,-)", false, 7, "7B(5R,10R)", false},
+		{"insert outer child", "10B(5R,-)", false, 3, "5B(3R,10R)", false},
+		{"insert inner child below the root", "20B(10B(5R,-),30B)", false, 7, "20B(7B(5R,10R),30B)", false},
+		{"insert red uncle then outer rotation", "20B(10R(5B(3R,7R),15B),30B)", false, 2,
+			"10B(5R(3B(2R,-),7B),20R(15B,30B))", false},
+		{"insert red uncle then inner rotation", "20B(10R(5B,15B(13R,17R)),30B)", false, 18,
+			"15B(10R(5B,13B),20R(17B(-,18R),30B))", false},
+		{"delete red leaf", "10B(5R,15R)", true, 5, "10B(-,15R)", false},
+		{"delete black node with a red child", "10B(5B(3R,-),15B)", true, 5, "10B(3B,15B)", false},
+		{"delete red sibling", "10B(5B,20R(15B,25B))", true, 5, "20B(10B(-,15R),25B)", false},
+		{"delete black sibling, black nephews, red parent", "20B(10R(5B,15B),30B(25R,35R))", true, 5,
+			"20B(10B(-,15R),30B(25R,35R))", false},
+		{"delete black sibling, black nephews, black parent", "20B(10B(5B,15B),30B(25B,35B))", true, 5,
+			"20B(10B(-,15R),30R(25B,35B))", false},
+		{"delete near-red nephew", "10B(5B,20B(15R,-))", true, 5, "15B(10B,20B)", false},
+		{"delete far-red nephew", "10B(5B,20B(-,25R))", true, 5, "20B(10B,25B)", false},
+		{"delete far-red nephew below the root", "30B(10B(5B,20B(-,25R)),40B(35B,45B))", true, 5,
+			"30B(20B(10B,25B),40B(35B,45B))", false},
+		{"delete red sibling, then near-red nephew", "10B(5B,30R(20B(15R,-),40B))", true, 5,
+			"30B(15R(10B,20B),40B)", false},
+		{"delete by successor takeover", "10B(5B,20B(15R,-))", true, 10, "15B(5B,20B)", true},
+		{"delete by successor takeover with a fix", "10B(5B,20B)", true, 10, "20B(5R,-)", true},
+		{"delete root with one child", "10B(-,15R)", true, 10, "15B", false},
+		{"delete the only level", "10B", true, 10, "", false},
+	} {
+		for _, mirror := range []bool{false, true} {
+			if mirror && tc.oneWay {
+				continue
+			}
+			lt := buildLevels(t, tc.tree, mirror)
+			if err := lt.Validate(); err != nil {
+				t.Fatalf("%s (mirror %v): the starting tree: %v", tc.name, mirror, err)
+			}
+			k := tc.key
+			if mirror {
+				k = -k
+			}
+			w, term := levelRow(k)
+			if tc.del {
+				// Every level holds one row: take it out.
+				lt.Add(k, -w, -1, -term)
+			} else {
+				lt.Add(k, w, 1, term)
+			}
+			if err := lt.Validate(); err != nil {
+				t.Fatalf("%s (mirror %v): %v", tc.name, mirror, err)
+			}
+			if got := shapeOf(lt, mirror); got != tc.want {
+				t.Errorf("%s (mirror %v): %s -> %s, want %s", tc.name, mirror, tc.tree, got, tc.want)
+			}
+		}
+	}
+
+	for seed := int64(1); seed <= 3; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		lt := NewLevelTree()
+		var model []level
+		var live [][3]float64
+		for op := 0; op < 4000; op++ {
+			x := 1.0
+			var r [3]float64
+			if len(live) > 0 && rng.Intn(2) == 0 {
+				j := rng.Intn(len(live))
+				r, x = live[j], -1
+				live[j] = live[len(live)-1]
+				live = live[:len(live)-1]
+			} else {
+				r = [3]float64{float64(rng.Intn(600)) * 0.37, float64(rng.Intn(50)+1)*0.1 + 0.013, float64(rng.Intn(99)-49) * 0.31}
+				live = append(live, r)
+			}
+			lt.Add(r[0], x*r[1], x, x*r[2])
+			model = modelAdd(model, r[0], x*r[1], x, x*r[2])
+			if err := lt.Validate(); err != nil {
+				t.Fatalf("seed %d op %d: %v", seed, op, err)
+			}
+			if lt.Len() != len(model) {
+				t.Fatalf("seed %d op %d: %d levels, model %d", seed, op, lt.Len(), len(model))
+			}
+		}
+		for j, l := range levelsOf(lt) {
+			if m := model[j]; !sameBits(l.k, m.k) || !sameBits(l.w, m.w) || !sameBits(l.c, m.c) || !sameBits(l.t, m.t) {
+				t.Fatalf("seed %d: level %d is (%v, %v, %v, %v), model (%v, %v, %v, %v)", seed, j, l.k, l.w, l.c, l.t, m.k, m.w, m.c, m.t)
+			}
+		}
+	}
+}
+
+// TestDecodeRefusesDeepStreams feeds both decoders a 100-node left chain.
+// No valid tree is that deep, and the decoders must say so before they
+// recurse past maxPathLen rather than after Validate sees the shape.
+func TestDecodeRefusesDeepStreams(t *testing.T) {
+	const n = 100
+	chain := func(magic string, nodeLen int) []byte {
+		b := make([]byte, 12, 12+n*nodeLen)
+		copy(b, magic)
+		binary.LittleEndian.PutUint32(b[4:], 1)
+		binary.LittleEndian.PutUint32(b[8:], n)
+		for i := 0; i < n; i++ {
+			node := make([]byte, nodeLen)
+			if i < n-1 {
+				node[0] = flagLeft
+			}
+			binary.LittleEndian.PutUint64(node[1:], math.Float64bits(float64(n-i)))
+			binary.LittleEndian.PutUint64(node[9:], math.Float64bits(1))
+			b = append(b, node...)
+		}
+		return b
+	}
+	if _, err := DecodeLevelTree(bytes.NewReader(chain(levelsMagic, 33))); err == nil || !strings.Contains(err.Error(), "deeper than") {
+		t.Errorf("DecodeLevelTree of a %d-node chain: %v", n, err)
+	}
+	if _, err := Decode(bytes.NewReader(chain(encodeMagic, 17))); err == nil || !strings.Contains(err.Error(), "deeper than") {
+		t.Errorf("Decode of a %d-node chain: %v", n, err)
+	}
+}
+
+// goldenLevelOps is the fixed insert/delete sequence behind
+// testdata/golden.rlvl: rows with inexact weights and terms over 257 keys,
+// every third step retiring a live row, so levels empty and are deleted.
+func goldenLevelOps(lt *LevelTree) {
+	var rows [][3]float64
+	for i := 0; i < 900; i++ {
+		r := [3]float64{0.25 * float64(i*37%257), 0.1*float64(i%11) + 0.1, 0.3*float64(i%7) - 0.5}
+		rows = append(rows, r)
+		lt.Add(r[0], r[1], 1, r[2])
+		if i%3 == 2 {
+			j := i * 131 % len(rows)
+			r = rows[j]
+			rows[j] = rows[len(rows)-1]
+			rows = rows[:len(rows)-1]
+			lt.Add(r[0], -r[1], -1, -r[2])
+		}
+	}
+}
+
+// TestDecodeGoldenLevelTree pins the level-tree snapshot format and the
+// trees already written in it. testdata/golden.rlvl was written after
+// goldenLevelOps by the left-leaning red-black balancing the level tree used
+// before; the tree it holds must decode, re-encode to the same bytes, answer
+// the recorded reads bit for bit, and keep working under today's balancing.
+func TestDecodeGoldenLevelTree(t *testing.T) {
+	golden, err := os.ReadFile(filepath.Join("testdata", "golden.rlvl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lt, err := DecodeLevelTree(bytes.NewReader(golden))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var re bytes.Buffer
+	if err := lt.Encode(&re); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(re.Bytes(), golden) {
+		t.Fatal("the restored golden level tree re-encodes to different bytes")
+	}
+	if lt.Len() != 254 {
+		t.Fatalf("golden level tree holds %d levels, want 254", lt.Len())
+	}
+	w, c, s := lt.Total()
+	if math.Float64bits(w) != 0x4076a33333333333 || c != 600 || math.Float64bits(s) != 0x406eefffffffffff {
+		t.Fatalf("Total() = (%v, %v, %v), want the recorded (362.2, 600, 247.49999999999997)", w, c, s)
+	}
+	for _, r := range []struct {
+		by     Steer
+		bound  float64
+		strict bool
+		cnt    float64
+		sum    uint64
+	}{
+		{SteerKey, 10.3, false, 96, 0x4045bfffffffffff},
+		{SteerKey, 32, true, 294, 0x40618ccccccccccc},
+		{SteerKey, 32, false, 296, 0x40619ccccccccccc},
+		{SteerKey, 60.25, false, 563, 0x406d933333333333},
+		{SteerWeightThrough, 17.5, false, 28, 0x4028cccccccccccb},
+		{SteerWeightThrough, 170, false, 281, 0x4061033333333333},
+		{SteerWeightThrough, 333.3, true, 552, 0x406d0fffffffffff},
+		{SteerWeightBefore, 0.7, true, 3, 0x3ffccccccccccccc},
+		{SteerWeightBefore, 123.4, true, 212, 0x4059c66666666666},
+		{SteerWeightBefore, 301, false, 503, 0x406b199999999999},
+	} {
+		if c, s := lt.Prefix(r.by, r.bound, r.strict); c != r.cnt || math.Float64bits(s) != r.sum {
+			t.Errorf("Prefix(%d, %v, %v) = (%v, %#x), recorded (%v, %#x)", r.by, r.bound, r.strict, c, math.Float64bits(s), r.cnt, r.sum)
+		}
+	}
+	// The restored tree keeps working: replay the ops on top of it.
+	goldenLevelOps(lt)
+	if err := lt.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if _, c, _ := lt.Total(); c != 1200 {
+		t.Fatalf("after a second replay the tree counts %v rows, want 1200", c)
 	}
 }

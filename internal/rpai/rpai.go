@@ -302,7 +302,9 @@ func checkKey(k float64) {
 
 // maxPathLen bounds the root-to-leaf path of the iterative fast paths. A
 // red-black tree holds height <= 2*log2(n+1); with int32 indices n < 2^31,
-// so 64 frames always suffice.
+// that is at most 62 nodes, so 64 frames always suffice — also for a
+// LevelTree delete, whose at most 61 ancestors gain two frames while it
+// rotates. Decoders refuse a stream nested deeper.
 const maxPathLen = 64
 
 // insert is the single-descent iterative form of Put/Add (set selects Put
