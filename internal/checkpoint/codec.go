@@ -1,6 +1,6 @@
 // Package checkpoint is the durability substrate for the incremental
 // executors and the serving layer: a versioned, checksummed binary codec for
-// executor state (RPAI trees, PAI maps, treemaps, group maps), CRC-framed
+// executor state (level trees, PAI maps, entry lists, group maps), CRC-framed
 // records, per-shard snapshot and write-ahead-log files with generation-based
 // compaction, and a crash-point injection writer for the recovery tests.
 //

@@ -7,12 +7,12 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
 	"rpai/internal/paimap"
 	"rpai/internal/rpai"
-	"rpai/internal/treemap"
 )
 
 func TestPrimitiveRoundTrip(t *testing.T) {
@@ -376,30 +376,40 @@ func TestParseName(t *testing.T) {
 	}
 }
 
-func TestTreeMapCodecCanonical(t *testing.T) {
-	tm := treemap.New()
-	for _, kv := range [][2]float64{{5, 2}, {1, -3}, {9, 4}, {2, 0.5}} {
-		tm.Put(kv[0], kv[1])
-	}
+// TestEntriesCodecCanonical holds the entry-list codec to its canonical
+// form: the length, then each key and value in ascending key order (the
+// layout the treemap codec it replaced wrote, so its streams still decode),
+// re-encoded byte for byte; out-of-order keys are refused.
+func TestEntriesCodecCanonical(t *testing.T) {
+	keys, vals := []float64{1, 2, 5, 9}, []float64{-3, 0.5, 2, 4}
 	var buf bytes.Buffer
 	e := NewEncoder(&buf)
-	e.TreeMap(tm)
+	e.Entries(keys, vals)
 	if err := e.Err(); err != nil {
 		t.Fatal(err)
 	}
+	var want bytes.Buffer
+	we := NewEncoder(&want)
+	we.U32(4)
+	for i, k := range keys {
+		we.F64(k)
+		we.F64(vals[i])
+	}
+	if !bytes.Equal(buf.Bytes(), want.Bytes()) {
+		t.Fatal("entry list layout changed")
+	}
 	d := NewDecoder(bytes.NewReader(buf.Bytes()))
-	got := d.TreeMap()
+	gk, gv := d.Entries()
 	if err := d.Err(); err != nil {
 		t.Fatal(err)
 	}
-	if got.Len() != tm.Len() {
-		t.Fatalf("Len = %d, want %d", got.Len(), tm.Len())
+	if !slices.Equal(gk, keys) || !slices.Equal(gv, vals) {
+		t.Fatalf("decoded %v %v, want %v %v", gk, gv, keys, vals)
 	}
 	var buf2 bytes.Buffer
-	e2 := NewEncoder(&buf2)
-	e2.TreeMap(got)
+	NewEncoder(&buf2).Entries(gk, gv)
 	if !bytes.Equal(buf.Bytes(), buf2.Bytes()) {
-		t.Fatal("treemap re-encode is not byte-identical")
+		t.Fatal("entry list re-encode is not byte-identical")
 	}
 	// Out-of-order entries are rejected (the canonical form is sorted).
 	var bad bytes.Buffer
@@ -410,9 +420,9 @@ func TestTreeMapCodecCanonical(t *testing.T) {
 	be.F64(3)
 	be.F64(1)
 	bd := NewDecoder(bytes.NewReader(bad.Bytes()))
-	bd.TreeMap()
+	bd.Entries()
 	if bd.Err() == nil {
-		t.Fatal("unsorted treemap entries accepted")
+		t.Fatal("unsorted entries accepted")
 	}
 }
 
@@ -503,37 +513,5 @@ func TestIndexCodecAllKinds(t *testing.T) {
 		if err := d.Err(); err == nil || !strings.Contains(err.Error(), tc.name+" index stream") {
 			t.Fatalf("%s stream: decode error %v, want a refusal naming %q", tc.name, err, tc.name)
 		}
-	}
-}
-
-// TestF64MapCanonicalOrder encodes a large map built in descending key order
-// and checks the entry list comes out ascending — the canonical form F64Map
-// decoding requires — with every entry intact.
-func TestF64MapCanonicalOrder(t *testing.T) {
-	const n = 200000
-	m := make(map[float64]float64, n)
-	for i := n; i > 0; i-- {
-		m[float64(i)*0.5-1000] = float64(i)
-	}
-	var buf bytes.Buffer
-	e := NewEncoder(&buf)
-	e.F64Map(m)
-	if err := e.Err(); err != nil {
-		t.Fatal(err)
-	}
-	d := NewDecoder(bytes.NewReader(buf.Bytes()))
-	if got := d.U32(); got != n {
-		t.Fatalf("entry count %d, want %d", got, n)
-	}
-	prev := math.Inf(-1)
-	for i := 0; i < n; i++ {
-		k, v := d.F64(), d.F64()
-		if k <= prev || m[k] != v {
-			t.Fatalf("entry %d: (%v, %v) after key %v; want ascending keys with their values", i, k, v, prev)
-		}
-		prev = k
-	}
-	if err := d.Err(); err != nil {
-		t.Fatal(err)
 	}
 }

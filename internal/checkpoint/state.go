@@ -4,11 +4,9 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"sort"
 
 	"rpai/internal/paimap"
 	"rpai/internal/rpai"
-	"rpai/internal/treemap"
 )
 
 // This file encodes the engine's index structures. Two regimes:
@@ -20,10 +18,11 @@ import (
 //     because the decoder buffers its reader and would otherwise over-read the
 //     enclosing stream; so are the two RPAI lane streams of the layout it
 //     replaced, which ParentLevels still reads.
-//   - Every other structure (treemaps, float maps, the equality executor's
-//     PAI map) is encoded as its canonical sorted entry list and rebuilt by
-//     insertion. Entry lists are canonical regardless of the in-memory shape,
-//     so encode(decode(encode(x))) == encode(x) holds for them too.
+//   - Every other structure (the general algorithm's level trees, the
+//     equality executor's per-level map and PAI map) is encoded as its
+//     canonical entry list — one codec, Entries — and rebuilt by insertion.
+//     Entry lists are canonical regardless of the in-memory shape, so
+//     encode(decode(encode(x))) == encode(x) holds for them too.
 
 // Index kind tags in encoded streams. Stable on-disk values: never renumber.
 // The engine writes only idxLevels (relation state) and idxPAI (the equality
@@ -42,90 +41,46 @@ const (
 // kindNames names each tag in refusal errors.
 var kindNames = [...]string{idxRPAI: "rpai", idxBTree: "btree", idxPAI: "pai", idxSorted: "sorted", idxFenwick: "fenwick", idxLevels: "levels"}
 
-// TreeMap encodes t as its sorted entry list. t must be non-nil; callers
-// encode structure presence separately (it is derivable from the query).
-func (e *Encoder) TreeMap(t *treemap.Tree) {
-	e.U32(uint32(t.Len()))
-	t.Ascend(func(k, v float64) bool {
+// Entries writes an entry list: its length, then each key and its value.
+// keys must be finite and strictly ascending (the canonical order Decoder.
+// Entries checks), and vals as long.
+func (e *Encoder) Entries(keys, vals []float64) {
+	e.U32(uint32(len(keys)))
+	for i, k := range keys {
 		e.F64(k)
-		e.F64(v)
-		return e.err == nil
-	})
+		e.F64(vals[i])
+	}
 }
 
-// TreeMap decodes an entry list into a fresh treemap, validating that keys
-// are finite and strictly ascending (the canonical form TreeMap writes).
-func (d *Decoder) TreeMap() *treemap.Tree {
-	t := treemap.New()
+// Entries reads an entry list written by Encoder.Entries, refusing keys that
+// are not finite or not strictly ascending.
+func (d *Decoder) Entries() (keys, vals []float64) {
 	n := d.U32()
-	var prev float64
 	for i := uint32(0); i < n && d.err == nil; i++ {
 		k := d.FiniteF64()
 		v := d.F64()
 		if d.err != nil {
 			break
 		}
-		if i > 0 && k <= prev {
-			d.Fail(errors.New("checkpoint: treemap keys not strictly ascending"))
+		if i > 0 && k <= keys[i-1] {
+			d.Fail(errors.New("checkpoint: entry keys not strictly ascending"))
 			break
 		}
-		prev = k
-		t.Put(k, v)
+		keys, vals = append(keys, k), append(vals, v)
 	}
-	return t
-}
-
-// F64Map encodes a float-keyed map as its sorted entry list (the canonical
-// order; Go map iteration order is random).
-func (e *Encoder) F64Map(m map[float64]float64) {
-	e.U32(uint32(len(m)))
-	for _, k := range sortedKeys(m) {
-		e.F64(k)
-		e.F64(m[k])
-	}
-}
-
-// F64Map decodes a sorted entry list into m (which must be non-nil when the
-// list is non-empty; engine constructors allocate their maps up front).
-func (d *Decoder) F64Map(m map[float64]float64) {
-	n := d.U32()
-	var prev float64
-	for i := uint32(0); i < n && d.err == nil; i++ {
-		k := d.FiniteF64()
-		v := d.F64()
-		if d.err != nil {
-			break
-		}
-		if i > 0 && k <= prev {
-			d.Fail(errors.New("checkpoint: map keys not strictly ascending"))
-			break
-		}
-		prev = k
-		m[k] = v
-	}
-}
-
-func sortedKeys(m map[float64]float64) []float64 {
-	keys := make([]float64, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	// Keys are finite and distinct (engine state never holds NaN keys), so
-	// the order is total and the encoding canonical.
-	sort.Float64s(keys)
-	return keys
+	return keys, vals
 }
 
 // Index encodes the equality executor's PAI map under its kind tag, as its
 // sorted entry list.
 func (e *Encoder) Index(m *paimap.Map) {
-	e.U8(idxPAI)
-	e.U32(uint32(m.Len()))
+	var keys, vals []float64
 	m.Ascend(func(k, v float64) bool {
-		e.F64(k)
-		e.F64(v)
-		return e.err == nil
+		keys, vals = append(keys, k), append(vals, v)
+		return true
 	})
+	e.U8(idxPAI)
+	e.Entries(keys, vals)
 }
 
 // Levels encodes a relation state's level tree under its kind tag.
@@ -142,11 +97,10 @@ func (e *Encoder) Levels(t *rpai.LevelTree) {
 // kind is refused with an error naming it.
 func (d *Decoder) Index() *paimap.Map {
 	d.kind(idxPAI)
-	entries := make(map[float64]float64)
-	d.F64Map(entries)
+	keys, vals := d.Entries()
 	m := paimap.New()
-	for k, v := range entries {
-		m.Put(k, v)
+	for i, k := range keys {
+		m.Put(k, vals[i])
 	}
 	return m
 }

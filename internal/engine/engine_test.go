@@ -472,3 +472,24 @@ func TestAdmissionRefusesNonFiniteColumnKey(t *testing.T) {
 		t.Errorf("finite price refused: %v", err)
 	}
 }
+
+// TestAdmissionRefusesNonFiniteLevelKey: the general algorithm keys a level
+// tree by each correlated subquery's inner expression (2*price under SQ2)
+// and by each nested ordering column (NQ1's price), and the tree refuses a
+// non-finite key by panicking, so admission must refuse it first — here on
+// queries whose term does not read price, so only the key check can catch
+// it.
+func TestAdmissionRefusesNonFiniteLevelKey(t *testing.T) {
+	for name, q := range map[string]*query.Query{"sq2": sq2Spec(), "nq1": nq1Spec()} {
+		q.Agg = query.Col("volume")
+		admit := admission(t, q)
+		for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			if err := admit(Insert(query.Tuple{"price": bad, "volume": 1})); !errors.Is(err, ErrBadEvent) {
+				t.Errorf("%s: price %v: admission error %v, want ErrBadEvent", name, bad, err)
+			}
+		}
+		if err := admit(Insert(query.Tuple{"price": 3.5, "volume": 1})); err != nil {
+			t.Errorf("%s: finite price refused: %v", name, err)
+		}
+	}
+}

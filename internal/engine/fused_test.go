@@ -159,7 +159,12 @@ func (r *twoTreeRef) Snapshot(w io.Writer) error {
 		e.U8(0)
 	}
 	e.U8(uint8(PredCorrelated))
-	e.TreeMap(r.byKey)
+	var keys, vals []float64
+	r.byKey.Ascend(func(k, v float64) bool {
+		keys, vals = append(keys, k), append(vals, v)
+		return true
+	})
+	e.Entries(keys, vals)
 	for _, tr := range []*rpai.Tree{r.cnt, r.term} {
 		var buf bytes.Buffer
 		if err := tr.Encode(&buf); err != nil {

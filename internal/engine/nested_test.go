@@ -145,3 +145,21 @@ func TestNestedWithGroupBy(t *testing.T) {
 		}
 	}
 }
+
+// TestNestedConstantBoundAgreesWithNaive covers a two-level subquery whose
+// middle bound is a constant and whose threshold is uncorrelated, so no part
+// of it reads an outer column. Its read still sums a key range of the middle
+// level, so it keeps the level tree a correlated one does; without it the
+// first read that found a qualifying level panicked.
+func TestNestedConstantBoundAgreesWithNaive(t *testing.T) {
+	q := nq1Spec()
+	q.Preds[0].Left.Scale = 0.25
+	q.Preds[0].Right.Sub.Where.Outer = query.Const(30)
+	for seed := int64(1); seed <= 3; seed++ {
+		g, err := NewGeneral(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkAgainstNaive(t, q, g, seed, 150)
+	}
+}

@@ -366,3 +366,98 @@ func TestRetiredIndexStreamsRefused(t *testing.T) {
 		}
 	}
 }
+
+// TestLevelListsRefused holds the decoders of the general algorithm's and
+// the PAI executor's level lists to the states their trees and maps can
+// hold: a list pair that disagrees on its keys, a summed-term list under
+// COUNT, a zero count and a zero nested weight are refused, not restored
+// into state that would re-encode differently. Each case's "ok" twin, the
+// same stream with the defect removed, restores.
+func TestLevelListsRefused(t *testing.T) {
+	type lists struct{ sumKeys, sumVals, cntKeys, cntVals []float64 }
+	good := lists{[]float64{1, 2}, []float64{10, 20}, []float64{1, 2}, []float64{1, 2}}
+	// general writes a GeneralExec stream for a query whose subqueries are an
+	// uncorrelated scalar then one correlated subquery, with no groups; tail
+	// appends what follows the correlated subquery's two lists.
+	general := func(l lists, tail func(e *checkpoint.Encoder)) []byte {
+		var buf bytes.Buffer
+		e := checkpoint.NewEncoder(&buf)
+		snapHeader(e, tagGeneral)
+		e.U32(2)
+		e.U8(0)
+		e.F64(0)
+		e.F64(0)
+		flags := uint8(1)
+		if tail != nil {
+			flags |= 2
+		}
+		e.U8(flags)
+		e.Entries(l.sumKeys, l.sumVals)
+		e.Entries(l.cntKeys, l.cntVals)
+		if tail != nil {
+			tail(e)
+		}
+		e.U32(0)
+		return buf.Bytes()
+	}
+	nested := func(wKeys, wVals []float64) func(e *checkpoint.Encoder) {
+		return func(e *checkpoint.Encoder) {
+			e.Entries(wKeys, wVals)
+			e.F64(0)
+		}
+	}
+	// pai writes an AggIndexExec stream for EQ1.
+	pai := func(wKeys, cntKeys, cntVals, grpKeys []float64) []byte {
+		var buf bytes.Buffer
+		e := checkpoint.NewEncoder(&buf)
+		snapHeader(e, tagAggIndex)
+		e.U8(1)
+		e.U8(0)
+		e.F64(0)
+		e.F64(0)
+		e.Entries(wKeys, make([]float64, len(wKeys)))
+		e.Entries(cntKeys, cntVals)
+		e.U8(3) // the PAI map's kind tag
+		e.Entries(nil, nil)
+		e.Entries(grpKeys, make([]float64, len(grpKeys)))
+		return buf.Bytes()
+	}
+	ks := []float64{1, 2}
+	cases := []struct {
+		name string
+		q    *query.Query
+		snap []byte
+		want string // "" for a stream that must restore
+	}{
+		{"sum-ok", vwapSpec(), general(good, nil), ""},
+		{"sum-keys-disagree", vwapSpec(), general(lists{ks, []float64{10, 20}, []float64{1, 3}, []float64{1, 2}}, nil), "disagree"},
+		{"sum-list-short", vwapSpec(), general(lists{ks[:1], []float64{10}, ks, []float64{1, 2}}, nil), "disagree"},
+		{"sum-zero-count", vwapSpec(), general(lists{ks, []float64{10, 20}, ks, []float64{1, 0}}, nil), "zero count"},
+		{"count-ok", countSpec(), general(lists{nil, nil, ks, []float64{1, 2}}, nil), ""},
+		{"count-with-sums", countSpec(), general(lists{ks, []float64{10, 20}, ks, []float64{1, 2}}, nil), "COUNT"},
+		{"count-zero-count", countSpec(), general(lists{nil, nil, ks, []float64{0, 2}}, nil), "zero count"},
+		{"nested-ok", nq1Spec(), general(good, nested(ks, []float64{3, 4})), ""},
+		{"nested-zero-weight", nq1Spec(), general(good, nested(ks, []float64{3, 0})), "zero count"},
+		{"pai-ok", eq1Spec(), pai(ks, ks, []float64{1, 1}, ks), ""},
+		{"pai-count-keys-disagree", eq1Spec(), pai(ks, []float64{1, 3}, []float64{1, 1}, ks), "disagree"},
+		{"pai-aggregate-keys-disagree", eq1Spec(), pai(ks, ks, []float64{1, 1}, ks[1:]), "disagree"},
+		{"pai-zero-count", eq1Spec(), pai(ks, ks, []float64{1, 0}, ks), "zero count"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			ex, err := Restore(c.q, bytes.NewReader(c.snap))
+			if c.want == "" {
+				if err != nil {
+					t.Fatalf("Restore: %v", err)
+				}
+				if got := snapshotBytes(t, ex); !bytes.Equal(got, c.snap) {
+					t.Fatal("restored stream does not re-encode byte for byte")
+				}
+				return
+			}
+			if err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("Restore error %v, want a refusal mentioning %q", err, c.want)
+			}
+		})
+	}
+}

@@ -423,15 +423,14 @@ func (t *LevelTree) propagate(path []int32, dirs []bool, s [3]float64) [3]float6
 	return s
 }
 
-// position is where a prefix read steering by `by` places node n, given the
-// lanes s accumulated over every level before n's subtree and add, n's own
-// lanes plus its left subtree's.
-func (n *lnode) position(by Steer, s, add *[3]float64) float64 {
+// position is where a read steering by `by` places node n, given w, the
+// weight accumulated over every level before n's subtree.
+func (n *lnode) position(by Steer, w float64) float64 {
 	switch by {
 	case SteerWeightThrough:
-		return s[laneW] + add[laneW]
+		return w + (n.val[laneW] + n.leftSum[laneW])
 	case SteerWeightBefore:
-		return s[laneW] + n.leftSum[laneW]
+		return w + n.leftSum[laneW]
 	}
 	return n.key
 }
@@ -444,18 +443,37 @@ func (n *lnode) position(by Steer, s, add *[3]float64) float64 {
 // every right turn: Tree.prefix's loop, with the position in place of the
 // stored key.
 func (t *LevelTree) Prefix(by Steer, bound float64, strict bool) (cnt, sum float64) {
-	var s [3]float64
+	cnt, sum, _, _ = t.descend(by, bound, strict)
+	return cnt, sum
+}
+
+// Seek returns the key of the first level whose position exceeds bound: the
+// level after those Prefix(by, bound, false) sums. ok is false when no
+// level's position exceeds bound.
+func (t *LevelTree) Seek(by Steer, bound float64) (key float64, ok bool) {
+	_, _, key, ok = t.descend(by, bound, false)
+	return key, ok
+}
+
+// descend is the descent of Prefix and Seek. It returns the count and term
+// lanes of the prefix and the key of the last level it turned left at, the
+// first level past the prefix. It carries the lanes in scalars, each summed
+// as Prefixes sums its lane arrays: the same floats in the same order.
+func (t *LevelTree) descend(by Steer, bound float64, strict bool) (cnt, sum, next float64, ok bool) {
+	var w float64
 	for i := t.root; i >= 0; {
 		n := t.at(i)
-		add := add3(n.val, n.leftSum)
-		if p := n.position(by, &s, &add); bound < p || (bound == p && strict) {
+		if p := n.position(by, w); bound < p || (bound == p && strict) {
+			next, ok = n.key, true
 			i = n.left
 		} else {
-			s = add3(s, add)
+			w += n.val[laneW] + n.leftSum[laneW]
+			cnt += n.val[laneC] + n.leftSum[laneC]
+			sum += n.val[laneT] + n.leftSum[laneT]
 			i = n.right
 		}
 	}
-	return s[laneC], s[laneT]
+	return cnt, sum, next, ok
 }
 
 // Prefixes answers Prefix for every bound in one shared descent. bounds must
@@ -474,7 +492,7 @@ func (t *LevelTree) prefixesAt(i int32, by Steer, bounds []float64, strict bool,
 	for i >= 0 && len(bounds) > 0 {
 		n := t.at(i)
 		add := add3(n.val, n.leftSum)
-		p := n.position(by, &s, &add)
+		p := n.position(by, s[laneW])
 		// The bounds that turn left form a prefix of the ascending list.
 		cut := 0
 		for cut < len(bounds) && (bounds[cut] < p || (bounds[cut] == p && strict)) {
@@ -495,6 +513,23 @@ func (t *LevelTree) prefixesAt(i int32, by Steer, bounds []float64, strict bool,
 	for j := range cnt {
 		cnt[j], sum[j] = s[laneC], s[laneT]
 	}
+}
+
+// Get returns the count and term lanes of level k, zero when it is absent:
+// the point read of an equality correlation.
+func (t *LevelTree) Get(k float64) (cnt, sum float64) {
+	for i := t.root; i >= 0; {
+		n := t.at(i)
+		switch {
+		case k < n.key:
+			i = n.left
+		case k > n.key:
+			i = n.right
+		default:
+			return n.val[laneC], n.val[laneT]
+		}
+	}
+	return 0, 0
 }
 
 // Validate checks the key order, the red-black invariants (a black root, no
