@@ -63,7 +63,9 @@ bench:
 # cost and bytes on a wide-shallow-sized shard (2 048 partitions, 128-event
 # commits) with 0 and 8 subscribers, and the catalog's record path (decode,
 # admission, WAL append, fan-out) per event and byte on a 256-event record
-# into 1 and 16 state sets.
+# into 1 and 16 state sets, and the general algorithm (SQ1, SQ2, NQ1, NQ2)
+# and the PAI executor (EQ1) per event, apply plus Result, on a 64-level
+# order-book trace.
 bench-core:
 	go test -run '^$$' -bench 'BenchmarkTree(Put|Add|GetSum|Delete)' -benchmem \
 		-benchtime 200ms -count 3 ./internal/rpai/
@@ -75,6 +77,8 @@ bench-core:
 		-benchtime 2000x -count 3 ./internal/serve/
 	go test -run '^$$' -bench BenchmarkIngestRecord -benchmem \
 		-benchtime 400x -count 3 ./internal/catalog/
+	go test -run '^$$' -bench BenchmarkGeneralApply -benchmem \
+		-benchtime 3x -count 3 ./internal/engine/
 
 experiments:
 	go run ./cmd/rpaibench -exp all
@@ -118,14 +122,15 @@ fuzz-smoke:
 	$(call fuzz-each,10s)
 
 # Static analysis beyond `go vet`: formatting drift, the serving build
-# linking an ablation index package or the paper-evaluation harness, serve's
-# tests reaching past engine plans to the hand-written executors and their
-# workloads (each printed if it does), staticcheck, and the vulnerability
-# scan. CI installs the two tools in its lint job; locally they are skipped
-# with a note when absent (this repo never installs tools for you).
+# linking an ablation index package, the paper-side treemap or the
+# paper-evaluation harness, serve's tests reaching past engine plans to the
+# hand-written executors and their workloads (each printed if it does),
+# staticcheck, and the vulnerability scan. CI installs the two tools in its
+# lint job; locally they are skipped with a note when absent (this repo never
+# installs tools for you).
 lint:
 	test -z "$$(gofmt -l .)" || { gofmt -l .; exit 1; }
-	! go list -deps ./cmd/rpaiserver | grep -E '^rpai/internal/(aggindex|rpaibtree|fenwick|queries|stream|tpch|bench)$$'
+	! go list -deps ./cmd/rpaiserver | grep -E '^rpai/internal/(aggindex|rpaibtree|fenwick|queries|stream|tpch|bench|treemap)$$'
 	! go list -test -deps ./internal/serve | grep -E '^rpai/internal/(queries|stream|tpch|aggindex)$$'
 	go vet ./...
 	@if command -v staticcheck >/dev/null; then staticcheck ./...; \

@@ -4,10 +4,14 @@
 // Keys are float64 column values (prices, volumes, quantities) and values are
 // float64 aggregates. Every node additionally maintains the number of entries
 // and the sum of values in its subtree, so the map answers prefix-sum queries
-// ("sum of all values whose key <= k") and rank queries in O(log n). These are
-// the free/bound maps of the paper's general incrementalization algorithm
-// (SIGMOD '22, section 4.2) and the building block for executors that need
-// ordered aggregates keyed by column values (PSP, Q17).
+// ("sum of all values whose key <= k") and rank queries in O(log n). They are
+// the free/bound maps of the hand-written executors of package queries
+// (SIGMOD '22, section 4.2; PSP, Q17 and the other ordered aggregates keyed
+// by column values) and the value counts of package minmax.
+//
+// The treemap is paper-side only. The served engine keeps its ordered state —
+// the general algorithm's bound maps included — in rpai.LevelTree, and the
+// serving build must not link this package (make lint checks it).
 //
 // Unlike the RPAI tree (package rpai), keys here are stored absolutely: this
 // structure does not support key shifting.

@@ -301,6 +301,24 @@ func TestServerOverloadSheds(t *testing.T) {
 	if tp, _, _ := probe.recv(); tp != MsgAck {
 		t.Fatalf("batch below the limit replied %s", tp)
 	}
+	// The ack can arrive before the shard worker counts the batch as
+	// applied. Stats bypass the limiter, so wait on them for the count
+	// before saturating the server, or the assertion below races the worker.
+	for deadline := time.Now().Add(10 * time.Second); ; {
+		probe.send(MsgStats, nil)
+		_, _, body := probe.recv()
+		st, err := DecodeStats(body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(st.Queries) == 1 && st.Queries[0].Applied == 1 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("the first batch was never counted as applied: %+v", st.Queries)
+		}
+		time.Sleep(time.Millisecond)
+	}
 	srv.tokens <- struct{}{}
 	srv.tokens <- struct{}{}
 
