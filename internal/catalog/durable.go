@@ -197,8 +197,11 @@ func (s *Service) manifestEntriesLocked() []catEntry {
 		entries = append(entries, catEntry{
 			id: reg.id, setID: reg.set.setID, since: reg.set.since, sql: reg.sql,
 			baseSQL: reg.set.baseSQL, founded: reg.set.founded,
-			shared: reg.shared, spec: reg.spec,
+			shared: reg.shared,
 		})
+		if reg.shared {
+			entries[len(entries)-1].spec = reg.spec
+		}
 	}
 	sort.Slice(entries, func(i, j int) bool { return entries[i].id < entries[j].id })
 	return entries
@@ -545,7 +548,7 @@ func restore(opt Options) (s *Service, m manifest, raw []byte, err error) {
 		if err != nil {
 			return fail(fmt.Errorf("catalog: set %d founding query: %w", sid, err))
 		}
-		exec, stateKey, baseKey, baseSpec, setShared := deriveState(bq, m.partitionBy)
+		exec, stateKey, baseKey, _, setShared := deriveState(bq, m.partitionBy)
 		sch = sch.Extend(exec.Columns()...)
 		sd := setDir(opt.Dir, m.gen, sid)
 		fd := forkDir(opt.Dir, m.gen, sid, ents[0].since)
@@ -582,16 +585,16 @@ func restore(opt Options) (s *Service, m manifest, raw []byte, err error) {
 			snapDir: snapDir, snapAt: snapAt}
 		if setShared {
 			set.lanes = make(map[engine.ProbeSpec]int)
-			set.baseSpec = baseSpec
-			set.baseSpec.Kind = exec.Outer
 		}
 		for i, ent := range ents {
-			if ent.shared && set.lanes != nil {
-				set.lanes[ent.spec]++
+			shared, spec := ent.shared && setShared, svc.Spec()
+			if shared {
+				spec = ent.spec
+				set.lanes[spec]++
 			}
 			set.refs[ent.id] = struct{}{}
 			s.regs[ent.id] = &registration{id: ent.id, sql: ent.sql, set: set,
-				plan: plans[i], canon: qs[i].String(), shared: ent.shared && set.lanes != nil, spec: ent.spec}
+				plan: plans[i], canon: qs[i].String(), shared: shared, spec: spec}
 			// Newest set per canonical form wins the join table (higher
 			// setID == created later); every member registers its own form.
 			if prev, ok := s.sets[qs[i].String()]; !ok || prev.setID < sid {
@@ -608,9 +611,8 @@ func restore(opt Options) (s *Service, m manifest, raw []byte, err error) {
 					s.baseKeys[baseKey] = set
 				}
 			}
-			// Reinstall the probe lanes the live catalog was serving, before
-			// WAL replay maintains them (a no-op while every member reads the
-			// base result).
+			// Reinstall the member lanes the live catalog was serving, before
+			// WAL replay maintains them.
 			if err := s.installLanesLocked(set); err != nil {
 				return fail(fmt.Errorf("catalog: recover set %d: %w", sid, err))
 			}

@@ -500,14 +500,19 @@ func unionCols(a, b []string) []string {
 
 // Result implements Executor.
 func (g *GeneralExec) Result() float64 {
-	var res, cnt float64
+	cnt, sum := g.totals()
+	return finishAgg(g.b.q.Outer, sum, cnt)
+}
+
+// totals returns the qualifying groups' summed count and aggregate.
+func (g *GeneralExec) totals() (cnt, sum float64) {
 	for _, gr := range g.groups {
 		if g.qualifies(gr.vals) {
-			res += gr.agg
+			sum += gr.agg
 			cnt += gr.cnt
 		}
 	}
-	return finishAgg(g.b.q.Outer, res, cnt)
+	return cnt, sum
 }
 
 // qualifies reports whether the group whose projection is vals passes every

@@ -93,9 +93,9 @@ func TestResultFanBitIdentity(t *testing.T) {
 			solo = build
 		}
 		family := build(consts[len(consts)/2])
-		fan, ok := family.(ProbeExecutor)
+		fan, ok := family.(RowExecutor)
 		if !ok {
-			t.Fatalf("executor %T does not implement ProbeExecutor", family)
+			t.Fatalf("executor %T does not implement RowExecutor", family)
 		}
 		dedicated := make([]Executor, len(consts))
 		for i, c := range consts {

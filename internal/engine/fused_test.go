@@ -355,7 +355,7 @@ func checkFusedMatchesReference(t *testing.T, q *query.Query, events []Event, mu
 // relExec is what checkFusedMatchesReference reads.
 type relExec interface {
 	Result() float64
-	ProbeExecutor
+	ResultProbe(specs []ProbeSpec, vals, cnts []float64)
 }
 
 // TestParentSnapshotRestores restores a relStateExec snapshot written before

@@ -27,12 +27,25 @@ type RowExecutor interface {
 	// state is bit-identical to applying the events the rows were laid out
 	// from one at a time.
 	ApplyRows(rows *Rows)
+	// ResultProbe reads probe plans against the executor's maintained state;
+	// specs need not be sorted or unique, and vals[i] receives spec i's
+	// value. For AVG specs vals[i] is the raw qualifying term sum and cnts[i]
+	// the qualifying count; for SUM and COUNT specs vals[i] is final and
+	// cnts[i] is untouched. Residual gating is the caller's concern (it is
+	// per partition, and the executor sees only its own partition). Every
+	// executor answers at least its Prepared's Spec, bit-identical to its
+	// Result; the relation-state and PAI executors answer any spec their
+	// state carries (see StateKey), each lane bit-identical to the Result of
+	// a dedicated executor of that variant fed the same events.
+	ResultProbe(specs []ProbeSpec, vals, cnts []float64)
 }
 
 // Prepared is a query planned once and bound to a row schema.
 type Prepared struct {
 	q      *query.Query
 	schema *query.Schema
+	// spec is the probe plan Result reads (see Spec).
+	spec ProbeSpec
 	// Exactly the strategy New picks is built by New; the other bindings
 	// serve Restore, which rebuilds whatever strategy a snapshot names.
 	build func() RowExecutor
@@ -60,7 +73,8 @@ func Prepare(q *query.Query, s *query.Schema) (*Prepared, error) {
 			return nil, fmt.Errorf("engine: schema %v lacks column %q read by %s", s.Cols(), c, q)
 		}
 	}
-	p := &Prepared{q: q, schema: s, gen: bindGeneral(q, s), term: query.Bind(q.Agg, s), key: -1}
+	p := &Prepared{q: q, schema: s, gen: bindGeneral(q, s), term: query.Bind(q.Agg, s), key: -1,
+		spec: ProbeSpec{Kind: q.Outer}}
 	scalar1 := len(q.GroupBy) == 0 && len(q.Preds) == 1
 	if plan, ok := q.PlanAggIndex(); ok {
 		p.agg = bindAggIndex(q, plan, s)
@@ -75,8 +89,10 @@ func Prepare(q *query.Query, s *query.Schema) (*Prepared, error) {
 	// serves SUM outers; COUNT and AVG need the count side relState keeps.
 	case scalar1 && p.agg != nil && p.agg.plan.SubOp == query.Eq && q.Outer == query.Sum:
 		p.build = func() RowExecutor { return newAggIndexExec(p.agg) }
+		p.spec.Const = thresholdConst(p.agg.plan.Threshold, p.agg.thrConst)
 	case scalar1 && p.rel != nil:
 		p.build = func() RowExecutor { return &relStateExec{rs: newRelState(p.rel), outer: q.Outer} }
+		p.spec.Const = thresholdConst(p.rel.plan.threshold, p.rel.thrConst)
 		p.key = p.rel.key
 		if p.rel.plan.kind == PredCorrelated {
 			p.weight = p.rel.weight
@@ -93,6 +109,22 @@ func Prepare(q *query.Query, s *query.Schema) (*Prepared, error) {
 		}
 	}
 	return p, nil
+}
+
+// Spec is the probe plan equal to Result: the query's outer aggregate at the
+// constant its threshold scales (see StateKey), or, for the general
+// algorithm, whose state answers only its own query, the aggregate alone.
+// ResultProbe of Spec is bit-identical to Result, so a served value is always
+// a probe lane.
+func (p *Prepared) Spec() ProbeSpec { return p.spec }
+
+// thresholdConst is the constant a probe multiplies the threshold side's
+// base by: a subquery's scale, or a constant threshold's value.
+func thresholdConst(v query.Value, literal float64) float64 {
+	if v.Sub != nil {
+		return v.Scale
+	}
+	return literal
 }
 
 // prepareOwn prepares q against the schema of its own columns: the binding

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"fmt"
-	"io"
 	"slices"
 	"strconv"
 	"strings"
@@ -88,19 +87,6 @@ func (s ProbeSpec) GateOn(partCols []string, key []float64) bool {
 	return false
 }
 
-// ProbeExecutor is implemented by executors whose maintained state can
-// answer many probe plans. specs need not be sorted or unique; vals[i]
-// receives spec i's value. For Avg specs vals[i] is the raw qualifying term
-// sum and cnts[i] the qualifying count; for Sum and Count specs vals[i] is
-// final and cnts[i] is untouched. Residual gating is the caller's concern
-// (it is per partition, and the executor sees only its own partition).
-//
-// Each lane's value equals, bit for bit, the Result of a dedicated executor
-// of that variant fed the same events.
-type ProbeExecutor interface {
-	ResultProbe(specs []ProbeSpec, vals, cnts []float64)
-}
-
 // FinishProbe combines a lane's ResultProbe outputs into its final value:
 // SUM and COUNT lanes are already final in val; AVG lanes carry the raw
 // (term sum, count) pair and finish as their quotient (0 when the count is
@@ -116,8 +102,8 @@ func FinishProbe(spec ProbeSpec, val, cnt float64) float64 {
 	return finishAgg(query.Avg, val, cnt)
 }
 
-// probeScratch backs ResultProbe's sorted constant list and descent
-// outputs, reused across reads.
+// probeScratch backs a multi-lane ResultProbe's sorted constant list and
+// descent outputs, reused across reads.
 type probeScratch struct {
 	consts, cnts, sums []float64
 }
@@ -129,13 +115,23 @@ func sized(buf []float64, n int) []float64 {
 	return buf[:n]
 }
 
-// ResultProbe implements ProbeExecutor for the relation-state executor. The
+// ResultProbe implements RowExecutor for the relation-state executor. The
 // level tree carries a count and a term lane (see relState), so every
 // aggregate variant reads the same descent: SUM lanes take its term sum,
-// COUNT lanes its count, AVG lanes both. One shared descent over the sorted
-// unique constants (relState.probe) answers every lane, each bit-identical
-// to a dedicated executor's Result.
+// COUNT lanes its count, AVG lanes both. A single lane is one read at its
+// bound, the descent Result makes; more lanes share one descent over their
+// sorted unique constants (relState.probe). Each lane is bit-identical to a
+// dedicated executor's Result.
 func (ex *relStateExec) ResultProbe(specs []ProbeSpec, vals, cnts []float64) {
+	if len(specs) == 1 {
+		bound := specs[0].Const
+		if ex.rs.thr != nil {
+			bound *= ex.rs.thr.eval(nil)
+		}
+		cnt, sum := ex.rs.read(bound)
+		fillLane(specs[0].Kind, 0, vals, cnts, cnt, sum)
+		return
+	}
 	ps := &ex.probe
 	ps.consts = ps.consts[:0]
 	for _, s := range specs {
@@ -148,20 +144,37 @@ func (ex *relStateExec) ResultProbe(specs []ProbeSpec, vals, cnts []float64) {
 	ex.rs.probe(ps.consts, ps.cnts, ps.sums)
 	for i, s := range specs {
 		j, _ := slices.BinarySearch(ps.consts, s.Const)
-		switch s.Kind {
-		case query.Sum:
-			vals[i] = ps.sums[j]
-		case query.Count:
-			vals[i] = ps.cnts[j]
-		case query.Avg:
-			vals[i], cnts[i] = ps.sums[j], ps.cnts[j]
-		default:
-			panic("engine: non-streamable probe kind " + s.Kind.String())
-		}
+		fillLane(s.Kind, i, vals, cnts, ps.cnts[j], ps.sums[j])
 	}
 }
 
-// ResultProbe implements ProbeExecutor for the PAI equality executor. This
+// fillLane writes lane i of a ResultProbe from its qualifying count and
+// term sum: the sum for SUM, the count for COUNT, the raw pair for AVG.
+func fillLane(kind query.AggKind, i int, vals, cnts []float64, cnt, sum float64) {
+	switch kind {
+	case query.Sum:
+		vals[i] = sum
+	case query.Count:
+		vals[i] = cnt
+	case query.Avg:
+		vals[i], cnts[i] = sum, cnt
+	default:
+		panic("engine: non-streamable probe kind " + kind.String())
+	}
+}
+
+// ResultProbe implements RowExecutor for the general algorithm. Its state
+// answers only its own query, so the catalog never installs another lane on
+// it: every lane reads the qualifying groups at the query's own predicates,
+// the loop Result runs.
+func (g *GeneralExec) ResultProbe(specs []ProbeSpec, vals, cnts []float64) {
+	cnt, sum := g.totals()
+	for i, s := range specs {
+		fillLane(s.Kind, i, vals, cnts, cnt, sum)
+	}
+}
+
+// ResultProbe implements RowExecutor for the PAI equality executor. This
 // state maintains only the term index, so SUM lanes are served directly and
 // COUNT lanes only when the maintained aggregate term is the constant 1 (then
 // the term index is bitwise a count index — the catalog's attach rule only
@@ -418,55 +431,4 @@ func bareExpr(v query.Value) (float64, bool) {
 	}
 	c, ok := v.Expr.(query.Const)
 	return float64(c), ok
-}
-
-// Gated wraps an executor with a residual gate decided at construction time
-// (the partition's key is known when the partition is created or restored).
-// A gated-off partition maintains state like any other — the split is pure
-// read-time — but reports 0, exactly what a dedicated executor of the
-// unsplit query would report for a partition its residual conjunct excludes.
-type Gated struct {
-	Inner Executor
-	On    bool
-}
-
-// NewGated wraps ex; on=false zeroes Result.
-func NewGated(ex Executor, on bool) *Gated { return &Gated{Inner: ex, On: on} }
-
-func (g *Gated) Apply(e Event) { g.Inner.Apply(e) }
-
-func (g *Gated) Result() float64 {
-	if !g.On {
-		return 0
-	}
-	return g.Inner.Result()
-}
-
-func (g *Gated) Strategy() string { return "gated+" + g.Inner.Strategy() }
-
-// ApplyBatch delegates to the inner executor's batched path when it has one.
-func (g *Gated) ApplyBatch(events []Event) {
-	if b, ok := g.Inner.(BatchExecutor); ok {
-		b.ApplyBatch(events)
-		return
-	}
-	for _, e := range events {
-		g.Inner.Apply(e)
-	}
-}
-
-// ApplyRows delegates to the inner executor's row path; Gated wraps only
-// RowExecutors on the serving path.
-func (g *Gated) ApplyRows(rows *Rows) { g.Inner.(RowExecutor).ApplyRows(rows) }
-
-// Snapshot persists the inner executor's state; the gate is configuration,
-// re-derived from the partition key at restore.
-func (g *Gated) Snapshot(w io.Writer) error {
-	return g.Inner.(Snapshotter).Snapshot(w)
-}
-
-// ResultProbe delegates: lane gating is the serve layer's job, the inner
-// state answers the probes either way.
-func (g *Gated) ResultProbe(specs []ProbeSpec, vals, cnts []float64) {
-	g.Inner.(ProbeExecutor).ResultProbe(specs, vals, cnts)
 }

@@ -152,9 +152,9 @@ func TestResultProbeBitIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pe, ok := shared.(ProbeExecutor)
+	pe, ok := shared.(RowExecutor)
 	if !ok {
-		t.Fatalf("executor %T does not implement ProbeExecutor", shared)
+		t.Fatalf("executor %T does not implement RowExecutor", shared)
 	}
 	solo := make([]Executor, len(specs))
 	for i, s := range specs {
@@ -197,5 +197,63 @@ func TestResultProbeBitIdentity(t *testing.T) {
 		if i%7 == 0 || i == 199 {
 			verify(i)
 		}
+	}
+}
+
+// TestSpecLaneIsResult pins the contract every served read rests on: for
+// each executor Prepare builds — relation state (SUM, COUNT, AVG, a literal
+// column threshold), the PAI map, the general algorithm, grouped or not —
+// a one-lane ResultProbe of the plan's own Spec finishes to Result, bit for
+// bit, after every event.
+func TestSpecLaneIsResult(t *testing.T) {
+	parse := func(sql string) *query.Query {
+		q, err := sqlparse.Parse(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return q
+	}
+	for _, tc := range []struct {
+		name     string
+		q        *query.Query
+		strategy string
+		events   []Event
+	}{
+		{"vwap", vwapSpec(), "relstate", priceVolumeEvents(3, 300, 0.25)},
+		{"vwap-inexact", vwapSpec(), "relstate", inexactTrace(5, 300)},
+		{"count", countSpec(), "relstate", priceVolumeEvents(4, 300, 0.25)},
+		{"avg", avgSpec(), "relstate", priceVolumeEvents(6, 300, 0.25)},
+		{"column-literal", parse(`SELECT SUM(b.price * b.volume) FROM bids b WHERE b.price < 20`),
+			"relstate", priceVolumeEvents(7, 300, 0.25)},
+		{"eq1", eq1Spec(), "aggindex", priceVolumeEvents(8, 300, 0.25)},
+		{"sq2", sq2Spec(), "general", priceVolumeEvents(9, 200, 0.25)},
+		{"two-pred", twoPredSpec(), "general", priceVolumeEvents(10, 200, 0.25)},
+		{"grouped", parse(`SELECT SUM(b.volume) FROM bids b
+			WHERE b.volume > 1 * (SELECT AVG(b1.volume) FROM bids b1) GROUP BY b.a`),
+			"general", priceVolumeEvents(11, 200, 0.25)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p, err := prepareOwn(tc.q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ex := p.New()
+			if ex.Strategy() != tc.strategy {
+				t.Fatalf("strategy %s, want %s", ex.Strategy(), tc.strategy)
+			}
+			spec := p.Spec()
+			if spec.Kind != tc.q.Outer || spec.Residual {
+				t.Fatalf("spec %s for outer %s", spec, tc.q.Outer)
+			}
+			vals, cnts := make([]float64, 1), make([]float64, 1)
+			for i, e := range tc.events {
+				ex.Apply(e)
+				ex.ResultProbe([]ProbeSpec{spec}, vals, cnts)
+				got, want := FinishProbe(spec, vals[0], cnts[0]), ex.Result()
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("event %d: lane %s = %v, Result %v", i, spec, got, want)
+				}
+			}
+		})
 	}
 }

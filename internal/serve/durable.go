@@ -148,10 +148,8 @@ func RecoverForQuery(dir string, q *query.Query, partitionBy []string, opt Optio
 			if err != nil {
 				return fail(fmt.Errorf("serve: %s shard %d partition %v: %w", dir, i, sp.Key, err))
 			}
-			bex := pl.partitionExec(ex, vals)
-			p := newPartition(vals, bex, pl.schema.Len())
-			p.ekey = string(encodeKey(nil, p.vals))
-			p.last = bex.Result()
+			p := &partition{vals: vals, ex: ex, pend: engine.Rows{Width: pl.schema.Len()},
+				ekey: string(encodeKey(nil, vals))}
 			t := int(hashVals(p.vals) % uint64(len(svc.shards)))
 			installs[t] = append(installs[t], p)
 		}
@@ -167,6 +165,7 @@ func RecoverForQuery(dir string, q *query.Query, partitionBy []string, opt Optio
 					return fmt.Errorf("serve: duplicate partition %v in checkpoint", p.vals)
 				}
 				ws.addPartition(p)
+				ws.refresh(p)
 			}
 			svc.shards[ws.idx].partitions.Store(int64(len(ws.parts)))
 			return nil

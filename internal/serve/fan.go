@@ -4,22 +4,23 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"rpai/internal/engine"
-	"rpai/internal/query"
 )
 
-// This file is the serving side of shared-state reads (probe lanes): one
-// service maintains its executors once, and every snapshot additionally
-// materializes the per-partition results of K probe plans via the executors'
-// ResultProbe. Lanes generalize PR 9's threshold fans three ways: a lane may
-// probe a different threshold constant, a different outer aggregate (SUM,
-// COUNT, AVG — the relation state maintains both index sides), or carry a
-// residual partition-column conjunct applied as a per-partition gate. Each
-// lane's values are bit-identical to a dedicated single-variant service fed
-// the same events — the engine's ProbeExecutor contract plus gate-zeroing —
-// so a catalog can serve N structural variants from one executor set.
+// This file is the lane side of the serving layer: one service maintains its
+// executors once, and every snapshot materializes the per-partition results
+// of K probe plans via the executors' ResultProbe. The plan's own lane is
+// always installed — it is what Result reads — and SetProbes adds member
+// lanes beside it. A lane may probe a different threshold constant, a
+// different outer aggregate (SUM, COUNT, AVG — the relation state maintains
+// both index sides), or carry a residual partition-column conjunct applied
+// as a per-partition gate. Each lane's values are bit-identical to a
+// dedicated single-variant service fed the same events — the engine's
+// ResultProbe contract plus gate-zeroing — so a catalog can serve N
+// structural variants from one executor set.
 
 // canonSpecs sorts and deduplicates lane specs. Lanes are addressed by spec
 // value (ProbeSpec is comparable), so callers never track positions; the
@@ -59,52 +60,38 @@ func canonSpecs(specs []engine.ProbeSpec) []engine.ProbeSpec {
 	return out[:w]
 }
 
-// SetProbes installs the service's probe lanes, replacing any previous set:
-// every partition's per-lane results are re-evaluated on its owning shard's
-// worker, and the next publication is a full one (lane values are not a
-// delta on the previous lane set). An empty specs disables lane reads. The
-// specs are deduplicated and canonically ordered; lanes are addressed by
-// spec value, not index. Fails when any partition's executor does not
-// implement engine.ProbeExecutor, or when a residual spec names a column
-// outside the partition columns — partitions created after a successful
-// SetProbes are guaranteed lane-capable because every partition runs the
-// same plan. Shard installation errors are joined (errors.Join), not
-// truncated to the first shard's report; a failed shard keeps its previous
-// lanes. SetProbes returns after every shard has installed the lanes; the
-// publication carrying them follows the shard's next commit (Drain for a
-// barrier).
+// SetProbes installs the service's member lanes beside the plan's own,
+// replacing any previous member set: every partition's lanes are
+// re-evaluated on its owning shard's worker, and the next publication is a
+// full one (lane values are not a delta on the previous lane set). An empty
+// specs leaves the plan's lane alone, and a call that changes nothing
+// changes nothing. The specs are deduplicated and canonically ordered after
+// the plan's lane; lanes are addressed by spec value, not index. Fails when
+// a residual spec names a column outside the partition columns. Shard
+// installation errors are joined (errors.Join), not truncated to the first
+// shard's report. SetProbes returns after every shard has installed the
+// lanes; the publication carrying them follows the shard's next commit
+// (Drain for a barrier).
 func (s *Service) SetProbes(specs []engine.ProbeSpec) error {
-	canon := canonSpecs(specs)
-	hasAvg := false
-	for _, sp := range canon {
-		if sp.Kind == query.Avg {
-			hasAvg = true
-		}
+	lanes := []engine.ProbeSpec{s.plan.spec}
+	for _, sp := range canonSpecs(specs) {
 		if sp.Residual && !colNamed(s.plan.cols, sp.ResidualCol) {
 			return fmt.Errorf("serve: residual probe column %q is not a partition column (partition columns: %v)",
 				sp.ResidualCol, s.plan.cols)
+		}
+		if sp != s.plan.spec {
+			lanes = append(lanes, sp)
 		}
 	}
 	var errs []error
 	for i := range s.shards {
 		if err := s.control(i, func(ws *workerState) error {
-			if len(canon) == 0 {
-				ws.specs, ws.hasAvg = nil, false
-				for _, p := range ws.plist {
-					p.fan, p.fanCnt, p.gate = nil, nil, nil
-				}
-				ws.publishFull = true
+			if slices.Equal(ws.specs, lanes) {
 				return nil
 			}
+			ws.setLanes(lanes)
 			for _, p := range ws.plist {
-				if p.probeEx == nil {
-					return fmt.Errorf("serve: executor %T does not support probe reads", p.ex)
-				}
-			}
-			ws.specs, ws.hasAvg = canon, hasAvg
-			for _, p := range ws.plist {
-				ws.sizeLanes(p)
-				p.refreshLanes(ws)
+				ws.refresh(p)
 			}
 			ws.publishFull = true
 			return nil
@@ -136,11 +123,11 @@ func laneOfSpec(specs []engine.ProbeSpec, spec engine.ProbeSpec) int {
 }
 
 // ProbeResult returns the service-wide value of the lane serving spec, as of
-// each shard's last published snapshot — the lane counterpart of Result. For
-// AVG lanes the raw sum and count sides are summed across all shards first
-// and finished as one quotient, the exact global average. ok is false when
-// some shard's snapshot does not carry the lane (SetProbes with spec has not
-// published everywhere yet, or spec was never installed).
+// each shard's last published snapshot; Result is ProbeResult of the plan's
+// lane. For AVG lanes the raw sum and count sides are summed across all
+// shards first and finished as one quotient, the exact global average. ok
+// is false when some shard's snapshot does not carry the lane (SetProbes
+// with spec has not published everywhere yet, or spec was never installed).
 func (s *Service) ProbeResult(spec engine.ProbeSpec) (float64, bool) {
 	var sum, cnt float64
 	for _, sh := range s.shards {
@@ -149,18 +136,18 @@ func (s *Service) ProbeResult(spec engine.ProbeSpec) (float64, bool) {
 		if lane < 0 {
 			return 0, false
 		}
-		sum += snap.FanTotals[lane]
-		if snap.FanCntTotals != nil {
-			cnt += snap.FanCntTotals[lane]
+		sum += snap.Totals[lane]
+		if snap.CntTotals != nil {
+			cnt += snap.CntTotals[lane]
 		}
 	}
 	return engine.FinishProbe(spec, sum, cnt), true
 }
 
 // ProbeResultGrouped returns the per-partition values of the lane serving
-// spec, sorted by partition key — the lane counterpart of ResultGrouped, the
-// same merge of the shards' ordered views. AVG lanes finish per partition
-// (each group is its partition's exact average).
+// spec, sorted by partition key (a merge of the shards' ordered views);
+// ResultGrouped is ProbeResultGrouped of the plan's lane. AVG lanes finish
+// per partition (each group is its partition's exact average).
 func (s *Service) ProbeResultGrouped(spec engine.ProbeSpec) ([]engine.GroupResult, bool) {
 	snaps, n := s.loadSnapshots()
 	lanes := make([]int, len(snaps))
@@ -173,10 +160,10 @@ func (s *Service) ProbeResultGrouped(spec engine.ProbeSpec) ([]engine.GroupResul
 	mergeSnapshots(snaps, func(i int, slot int32) {
 		snap, at := snaps[i], int(slot)*len(snaps[i].Probes)+lanes[i]
 		var c float64
-		if snap.FanCnts != nil {
-			c = snap.FanCnts[at]
+		if snap.Cnts != nil {
+			c = snap.Cnts[at]
 		}
-		out = append(out, engine.GroupResult{Key: snap.Keys[slot], Value: engine.FinishProbe(spec, snap.FanVals[at], c)})
+		out = append(out, engine.GroupResult{Key: snap.Keys[slot], Value: engine.FinishProbe(spec, snap.Vals[at], c)})
 	})
 	return out, true
 }

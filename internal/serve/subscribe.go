@@ -27,8 +27,8 @@ import (
 //
 // Publication cost is proportional to the batch, not to the subscriber
 // count: a commit builds each delta run its subscribers need once — the dirty
-// partitions' groups in key order, one run for base-result readers and one
-// per subscribed probe lane — and never changes it afterwards. A slot with
+// partitions' groups in key order, one run per subscribed probe lane — and
+// never changes it afterwards. A slot with
 // nothing pending takes the run by reference; a slot that already holds a
 // pending frame merges the run into it (a sorted merge, later values win), so
 // a lagging slot holds at most one group per partition.
@@ -70,11 +70,12 @@ type SubOptions struct {
 	// attach.
 	Resume      []ShardVersion
 	ResumeEpoch uint64
-	// Probe, when non-nil, subscribes to the probe lane serving that spec
-	// instead of the base results: frames carry the lane's per-partition
-	// values (AVG lanes are finished per partition, each group its
-	// partition's exact average; see SetProbes). Publications made while the
-	// lane is not installed offer nothing to this subscription.
+	// Probe names the probe lane the frames carry; nil selects the plan's
+	// own lane (Spec), the values ResultGrouped reads. A member lane's frames
+	// carry its per-partition values (AVG lanes are finished per partition,
+	// each group its partition's exact average; see SetProbes). Publications
+	// made while the lane is not installed offer nothing to this
+	// subscription.
 	Probe *engine.ProbeSpec
 }
 
@@ -100,11 +101,10 @@ type Subscription struct {
 // (owned true) whose backing array the slot may overwrite until take hands
 // it out. spare is the slot's merge target, swapped with pend on every merge.
 type subShard struct {
-	shard   int
-	sub     *Subscription
-	filter  map[string]bool  // encoded-key subset, nil = all partitions
-	hasLane bool             // frames carry a probe lane's values, not the base results
-	lane    engine.ProbeSpec // the lane spec (valid when hasLane)
+	shard  int
+	sub    *Subscription
+	filter map[string]bool  // encoded-key subset, nil = all partitions
+	lane   engine.ProbeSpec // the lane the frames carry
 
 	mu        sync.Mutex
 	has       bool   // a pending frame exists
@@ -119,13 +119,11 @@ type subShard struct {
 	keyBuf []byte // filter lookup scratch, shard worker only
 }
 
-// subRun is one publication's shared delta run for one kind of reader: the
-// base results (hasLane false) or one probe lane's finished values. groups is
-// immutable once built.
+// subRun is one publication's shared delta run for one probe lane's
+// finished values. groups is immutable once built.
 type subRun struct {
-	hasLane bool
-	lane    engine.ProbeSpec
-	groups  []engine.GroupResult
+	lane   engine.ProbeSpec
+	groups []engine.GroupResult
 }
 
 // newEpoch draws a random nonzero service epoch.
@@ -176,12 +174,12 @@ func (s *Service) Subscribe(opt SubOptions) (*Subscription, error) {
 		shards: make([]*subShard, len(s.shards)),
 		detach: s.detachSub,
 	}
+	lane := s.plan.spec
+	if opt.Probe != nil {
+		lane = *opt.Probe
+	}
 	for i := range s.shards {
-		ss := &subShard{shard: i, sub: sub, filter: filter}
-		if opt.Probe != nil {
-			ss.hasLane, ss.lane = true, *opt.Probe
-		}
-		sub.shards[i] = ss
+		sub.shards[i] = &subShard{shard: i, sub: sub, filter: filter, lane: lane}
 	}
 	for i := range s.shards {
 		ss := sub.shards[i]
@@ -258,42 +256,33 @@ func (s *Service) publishSubs(ws *workerState, dirty []*partition) {
 	ws.runs = ws.runs[:0]
 }
 
-// runFor returns this publication's run for ss's kind of reader, building
-// it from the key-ordered dirty partitions the first time it is asked for.
+// runFor returns this publication's run for ss's lane, building it from the
+// key-ordered dirty partitions the first time it is asked for.
 func (ws *workerState) runFor(ss *subShard, dirty []*partition) []engine.GroupResult {
 	for _, r := range ws.runs {
-		if r.hasLane == ss.hasLane && r.lane == ss.lane {
+		if r.lane == ss.lane {
 			return r.groups
 		}
 	}
 	groups := make([]engine.GroupResult, 0, len(dirty))
-	for _, p := range dirty {
-		if v, ok := subLane(ws, ss, p); ok {
-			groups = append(groups, engine.GroupResult{Key: p.vals, Value: v})
+	if lane := laneOfSpec(ws.specs, ss.lane); lane >= 0 {
+		for _, p := range dirty {
+			groups = append(groups, engine.GroupResult{Key: p.vals, Value: ws.laneValue(lane, ss.lane, p)})
 		}
 	}
-	ws.runs = append(ws.runs, subRun{hasLane: ss.hasLane, lane: ss.lane, groups: groups})
+	ws.runs = append(ws.runs, subRun{lane: ss.lane, groups: groups})
 	return groups
 }
 
-// subLane resolves the value a partition contributes to this subscription:
-// the base result, or the subscribed probe lane's value (AVG lanes finished
-// per partition). ok is false when the slot wants a lane the worker has not
-// installed (or the partition carries no lane values), in which case the
-// partition is not offered.
-func subLane(ws *workerState, ss *subShard, p *partition) (float64, bool) {
-	if !ss.hasLane {
-		return p.last, true
-	}
-	lane := laneOfSpec(ws.specs, ss.lane)
-	if lane < 0 || lane >= len(p.fan) {
-		return 0, false
-	}
+// laneValue is p's value of the installed lane at index lane, whose spec is
+// spec (AVG lanes finished per partition).
+func (ws *workerState) laneValue(lane int, spec engine.ProbeSpec, p *partition) float64 {
+	at := p.slot*len(ws.specs) + lane
 	var cnt float64
-	if lane < len(p.fanCnt) {
-		cnt = p.fanCnt[lane]
+	if ws.cnts != nil {
+		cnt = ws.cnts[at]
 	}
-	return engine.FinishProbe(ss.lane, p.fan[lane], cnt), true
+	return engine.FinishProbe(spec, ws.vals[at], cnt)
 }
 
 // wants reports whether the slot's key filter admits key.
@@ -370,13 +359,12 @@ func mergeRuns(dst, earlier, later []engine.GroupResult) []engine.GroupResult {
 // absorbing.
 func (s *Service) offerFull(ws *workerState, ss *subShard, version uint64) {
 	groups := make([]engine.GroupResult, 0, len(ws.order))
-	for _, slot := range ws.order {
-		p := ws.plist[slot]
-		if ss.filter != nil && !ss.filter[p.ekey] {
-			continue
-		}
-		if v, ok := subLane(ws, ss, p); ok {
-			groups = append(groups, engine.GroupResult{Key: p.vals, Value: v})
+	if lane := laneOfSpec(ws.specs, ss.lane); lane >= 0 {
+		for _, slot := range ws.order {
+			p := ws.plist[slot]
+			if ss.filter == nil || ss.filter[p.ekey] {
+				groups = append(groups, engine.GroupResult{Key: p.vals, Value: ws.laneValue(lane, ss.lane, p)})
+			}
 		}
 	}
 	ss.mu.Lock()
