@@ -184,7 +184,10 @@ func newFuzzRef(t *testing.T, sql string, opt serve.Options) fuzzRef {
 // bytes 1-2 pick shard count and batch boundaries, byte 3 selects a
 // mid-ingest registration wave, and byte 4 packs unregister churn (low bits
 // arm it, high bits pick the victim) plus a durable bit that ends the run
-// with a crash-copy recovery compared against the same references.
+// with a crash-copy recovery compared against the same references. A record
+// whose op is 7 mod 16 instead subscribes to query b1 (mod the live count)
+// and one whose op is 11 mod 16 unregisters it; every live subscription's
+// View must equal its query's ResultGrouped, bit for bit, after every batch.
 //
 // Late waves pin the retroactive-join contract: a mid-stream registration
 // joins its family's live state set (forking its checkpoint when durable)
@@ -224,6 +227,12 @@ func FuzzCatalogDifferential(f *testing.F) {
 		refOpt := serve.Options{Shards: shards, BatchSize: 8}
 		var ids []QueryID
 		var indep []fuzzRef
+		var subs []*liveSub
+		defer func() {
+			for _, ls := range subs {
+				ls.sub.Close()
+			}
+		}()
 		var flushed [][]engine.Event
 		register := func(sql string) {
 			id, ex, err := cat.Register(sql)
@@ -292,9 +301,39 @@ func FuzzCatalogDifferential(f *testing.F) {
 					t.Fatalf("query %d after %d events: grouped results diverged", i, events)
 				}
 			}
+			if err := checkReaders(cat, nil, subs); err != nil {
+				t.Fatalf("after %d events: %v", events, err)
+			}
+		}
+		unregister := func(v int) {
+			if err := cat.Unregister(ids[v]); err != nil {
+				t.Fatal(err)
+			}
+			indep[v].Close()
+			live := subs[:0]
+			for _, ls := range subs {
+				if ls.id == ids[v] {
+					ls.sub.Close()
+				} else {
+					live = append(live, ls)
+				}
+			}
+			subs = live
+			ids = append(ids[:v], ids[v+1:]...)
+			indep = append(indep[:v], indep[v+1:]...)
 		}
 		for i := 9; i+2 < len(data) && events < 120; i += 3 {
 			op, b1, b2 := data[i], data[i+1], data[i+2]
+			switch op % 16 {
+			case 7:
+				subs = append(subs, subscribeView(t, cat, ids[int(b1)%len(ids)]))
+				continue
+			case 11:
+				if len(ids) > 1 {
+					unregister(int(b1) % len(ids))
+				}
+				continue
+			}
 			var e engine.Event
 			if op%4 == 0 && len(live) > 0 {
 				j := (int(b1)<<8 | int(b2)) % len(live)
@@ -340,13 +379,7 @@ func FuzzCatalogDifferential(f *testing.F) {
 				// Unregister one member mid-ingest; survivors (co-tenants of
 				// its set included) must keep serving bit-identically.
 				flush()
-				v := victimPick % len(ids)
-				if err := cat.Unregister(ids[v]); err != nil {
-					t.Fatal(err)
-				}
-				indep[v].Close()
-				ids = append(ids[:v], ids[v+1:]...)
-				indep = append(indep[:v], indep[v+1:]...)
+				unregister(victimPick % len(ids))
 				churn = false
 			}
 		}
@@ -415,6 +448,27 @@ func fuzzSeedInputs() [][]byte {
 		{11, 3, 3, 4, 1 | 4 | 2<<3}, // AVG-founded mix: late wave, churn, recovery
 	} {
 		out = append(out, append(append(append([]byte{}, hdr...), 0, 0, 0, 77), long...))
+	}
+	// Subscriber seeds: subscribe (op 7) and unregister (op 11) records
+	// spliced into the trace. The first is the stranded subscriber: the
+	// founder's subscription must outlive its threshold variant.
+	sub := func(at int, recs ...byte) []byte {
+		return append(append(append([]byte{}, long[:at]...), recs...), long[at:]...)
+	}
+	// The variant leaves, then registers again in the late wave (after the
+	// sixth event) and is subscribed to.
+	again := append(sub(6, 7, 0, 0, 11, 1, 0)[:30:30], append([]byte{7, 1, 0}, long[24:]...)...)
+	for _, seed := range []struct {
+		hdr   []byte
+		trace []byte
+	}{
+		{[]byte{2, 2, 3, 0, 0}, sub(9, 7, 0, 0, 11, 1, 0)},                            // variant leaves the founder's subscriber
+		{[]byte{2, 2, 3, 0, 0}, sub(9, 7, 1, 0, 7, 0, 0, 11, 0, 0)},                   // founder leaves the variant's subscriber
+		{[]byte{2, 1, 2, 1, 0}, again},                                                // variant leaves, registers late again
+		{[]byte{11, 2, 3, 4, 4}, sub(3, 7, 0, 0, 7, 1, 0, 7, 3, 0, 11, 4, 0)},         // every lane kind subscribed
+		{[]byte{6, 3, 5, 2, 1 | 2<<3}, sub(12, 7, 4, 0, 7, 9, 0, 11, 4, 0, 11, 0, 0)}, // 16-query mix
+	} {
+		out = append(out, append(append(append([]byte{}, seed.hdr...), 0, 0, 0, 77), seed.trace...))
 	}
 	return out
 }
