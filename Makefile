@@ -61,7 +61,8 @@ bench:
 # relation-state executor's per-event cost at the stack benchmark's
 # deep-index and wide-shallow tree sizes, the publish layer's per-event
 # cost and bytes on a wide-shallow-sized shard (2 048 partitions, 128-event
-# commits) with 0 and 8 subscribers, and the catalog's record path (decode,
+# commits) with 0 and 8 subscribers and with two probe lanes (a founder and
+# one threshold variant), and the catalog's record path (decode,
 # admission, WAL append, fan-out) per event and byte on a 256-event record
 # into 1 and 16 state sets, and the general algorithm (SQ1, SQ2, NQ1, NQ2)
 # and the PAI executor (EQ1) per event, apply plus Result, on a 64-level

@@ -739,49 +739,6 @@ func (t *Tree) Keys() []float64 {
 	return out
 }
 
-// Rank returns the number of entries with key <= k.
-func (t *Tree) Rank(k float64) int {
-	var c int32
-	i := t.root
-	for i >= 0 {
-		n := &t.nodes[i]
-		if k < n.key {
-			k -= n.key
-			i = n.left
-		} else {
-			c += 1 + t.sizeOf(n.left)
-			k -= n.key
-			i = n.right
-		}
-	}
-	return int(c)
-}
-
-// Kth returns the i-th smallest key (0-based) and its value. ok is false
-// when i is out of range. O(log n) via the size augmentation.
-func (t *Tree) Kth(i int) (key, value float64, ok bool) {
-	if i < 0 || i >= t.Len() {
-		return 0, 0, false
-	}
-	h := t.root
-	var base float64
-	for {
-		n := &t.nodes[h]
-		ls := int(t.sizeOf(n.left))
-		switch {
-		case i < ls:
-			base += n.key
-			h = n.left
-		case i == ls:
-			return base + n.key, n.value, true
-		default:
-			i -= ls + 1
-			base += n.key
-			h = n.right
-		}
-	}
-}
-
 // Higher returns the smallest key strictly greater than k.
 func (t *Tree) Higher(k float64) (float64, bool) {
 	var best, base float64

@@ -614,43 +614,6 @@ func TestNonFiniteKeysPanic(t *testing.T) {
 	}
 }
 
-func TestRankAndKth(t *testing.T) {
-	tr := New()
-	keys := []float64{10, 20, 30, 40, 50}
-	for i, k := range keys {
-		tr.Put(k, float64(i+1))
-	}
-	if got := tr.Rank(5); got != 0 {
-		t.Fatalf("Rank(5) = %d", got)
-	}
-	if got := tr.Rank(30); got != 3 {
-		t.Fatalf("Rank(30) = %d", got)
-	}
-	if got := tr.Rank(99); got != 5 {
-		t.Fatalf("Rank(99) = %d", got)
-	}
-	for i, want := range keys {
-		k, v, ok := tr.Kth(i)
-		if !ok || k != want || v != float64(i+1) {
-			t.Fatalf("Kth(%d) = %v,%v,%v", i, k, v, ok)
-		}
-	}
-	if _, _, ok := tr.Kth(-1); ok {
-		t.Fatal("Kth(-1) ok")
-	}
-	if _, _, ok := tr.Kth(5); ok {
-		t.Fatal("Kth(len) ok")
-	}
-	// Rank/Kth stay consistent after shifts.
-	tr.ShiftKeys(25, 100)
-	if got := tr.Rank(30); got != 2 {
-		t.Fatalf("Rank(30) after shift = %d", got)
-	}
-	if k, _, _ := tr.Kth(2); k != 130 {
-		t.Fatalf("Kth(2) after shift = %v", k)
-	}
-}
-
 func TestHigherLowerRPAI(t *testing.T) {
 	tr := New()
 	for _, k := range []float64{10, 20, 30} {
@@ -677,6 +640,22 @@ func TestHigherLowerRPAI(t *testing.T) {
 	}
 }
 
+// rankOf counts tr's keys <= q in key order.
+func rankOf(tr *Tree, q float64) int {
+	n := 0
+	tr.Ascend(func(k, _ float64) bool {
+		if k > q {
+			return false
+		}
+		n++
+		return true
+	})
+	return n
+}
+
+// TestRankMatchesModelRandom holds the tree's key order under random adds
+// and shifts of either sign to a map model: after every operation the rank
+// of a random probe point equals the model's.
 func TestRankMatchesModelRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	tr := New()
@@ -706,8 +685,8 @@ func TestRankMatchesModelRandom(t *testing.T) {
 				want++
 			}
 		}
-		if got := tr.Rank(q); got != want {
-			t.Fatalf("op %d: Rank(%v) = %d want %d", i, q, got, want)
+		if got := rankOf(tr, q); got != want {
+			t.Fatalf("op %d: rank(%v) = %d want %d", i, q, got, want)
 		}
 	}
 }

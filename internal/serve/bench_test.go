@@ -1,23 +1,40 @@
 package serve
 
 import (
-	"fmt"
 	"runtime"
 	"testing"
+
+	"rpai/internal/engine"
+	"rpai/internal/query"
 )
 
 // BenchmarkShardCommit times the publish layer in process: one shard owning
 // 2 048 partitions, fed 128-event batches over random partitions (one commit
 // each, about 124 dirty partitions), with 0 and with 8 subscribers reading
-// every frame. It reports ns/event (routing, apply, publication and, with
+// every frame, and with two lanes — the plan's own and one threshold variant
+// (SetProbes), as a catalog set serving a founder and its variant publishes.
+// It reports ns/event (routing, apply, lane refresh, publication and, with
 // subscribers, the shared delta runs and their delivery) and B/event
 // allocated process-wide, the publish-side counterpart of the engine's
 // BenchmarkRelStateApply.
 func BenchmarkShardCommit(b *testing.B) {
-	for _, subs := range []int{0, 8} {
-		b.Run(fmt.Sprintf("subs=%d", subs), func(b *testing.B) {
+	founder := engine.ProbeSpec{Kind: query.Sum, Const: 0.75}
+	variant := engine.ProbeSpec{Kind: query.Sum, Const: 0.9}
+	for _, tc := range []struct {
+		name  string
+		subs  int
+		lanes []engine.ProbeSpec
+	}{
+		{"subs=0", 0, nil},
+		{"subs=8", 8, nil},
+		{"lanes=2", 0, []engine.ProbeSpec{founder, variant}},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
 			svc, ring := commitService(b, 64)
-			for i := 0; i < subs; i++ {
+			if err := svc.SetProbes(tc.lanes); err != nil {
+				b.Fatal(err)
+			}
+			for i := 0; i < tc.subs; i++ {
 				sub, err := svc.Subscribe(SubOptions{})
 				if err != nil {
 					b.Fatal(err)

@@ -10,7 +10,7 @@ func rangeTree() *Tree {
 	return tr
 }
 
-func TestHigherLower(t *testing.T) {
+func TestHigher(t *testing.T) {
 	tr := rangeTree()
 	if h, ok := tr.Higher(20); !ok || h != 30 {
 		t.Fatalf("Higher(20) = %v,%v", h, ok)
@@ -20,12 +20,6 @@ func TestHigherLower(t *testing.T) {
 	}
 	if _, ok := tr.Higher(50); ok {
 		t.Fatal("Higher(50) should be absent")
-	}
-	if l, ok := tr.Lower(30); !ok || l != 20 {
-		t.Fatalf("Lower(30) = %v,%v", l, ok)
-	}
-	if _, ok := tr.Lower(10); ok {
-		t.Fatal("Lower(10) should be absent")
 	}
 }
 

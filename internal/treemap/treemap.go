@@ -348,39 +348,6 @@ func (t *Tree) SuffixSumGreater(k float64) float64 {
 	return t.Total() - t.PrefixSum(k)
 }
 
-// CountLE returns the number of entries with key <= k.
-func (t *Tree) CountLE(k float64) int {
-	var c int
-	n := t.root
-	for n != nil {
-		if k < n.key {
-			n = n.left
-		} else {
-			c += 1 + n.left.sizeOf()
-			n = n.right
-		}
-	}
-	return c
-}
-
-// CountLess returns the number of entries with key < k.
-func (t *Tree) CountLess(k float64) int {
-	var c int
-	n := t.root
-	for n != nil {
-		if k <= n.key {
-			n = n.left
-		} else {
-			c += 1 + n.left.sizeOf()
-			n = n.right
-		}
-	}
-	return c
-}
-
-// CountGreater returns the number of entries with key > k.
-func (t *Tree) CountGreater(k float64) int { return t.Len() - t.CountLE(k) }
-
 // Ascend calls fn for each entry in increasing key order until fn returns
 // false.
 func (t *Tree) Ascend(fn func(k, v float64) bool) { ascend(t.root, fn) }
@@ -396,55 +363,6 @@ func ascend(n *node, fn func(k, v float64) bool) bool {
 		return false
 	}
 	return ascend(n.right, fn)
-}
-
-// Descend calls fn for each entry in decreasing key order until fn returns
-// false.
-func (t *Tree) Descend(fn func(k, v float64) bool) { descend(t.root, fn) }
-
-func descend(n *node, fn func(k, v float64) bool) bool {
-	if n == nil {
-		return true
-	}
-	if !descend(n.right, fn) {
-		return false
-	}
-	if !fn(n.key, n.value) {
-		return false
-	}
-	return descend(n.left, fn)
-}
-
-// Ceiling returns the smallest key >= k.
-func (t *Tree) Ceiling(k float64) (float64, bool) {
-	var best float64
-	found := false
-	n := t.root
-	for n != nil {
-		if n.key >= k {
-			best, found = n.key, true
-			n = n.left
-		} else {
-			n = n.right
-		}
-	}
-	return best, found
-}
-
-// Floor returns the largest key <= k.
-func (t *Tree) Floor(k float64) (float64, bool) {
-	var best float64
-	found := false
-	n := t.root
-	for n != nil {
-		if n.key <= k {
-			best, found = n.key, true
-			n = n.right
-		} else {
-			n = n.left
-		}
-	}
-	return best, found
 }
 
 // Keys returns all keys in increasing order. Intended for tests and small
@@ -533,22 +451,6 @@ func (t *Tree) Higher(k float64) (float64, bool) {
 			n = n.left
 		} else {
 			n = n.right
-		}
-	}
-	return best, found
-}
-
-// Lower returns the largest key strictly less than k.
-func (t *Tree) Lower(k float64) (float64, bool) {
-	var best float64
-	found := false
-	n := t.root
-	for n != nil {
-		if n.key < k {
-			best, found = n.key, true
-			n = n.right
-		} else {
-			n = n.left
 		}
 	}
 	return best, found

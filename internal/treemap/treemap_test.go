@@ -128,29 +128,7 @@ func TestPrefixSumBoundaries(t *testing.T) {
 	}
 }
 
-func TestCountQueries(t *testing.T) {
-	tr := New()
-	for _, k := range []float64{1, 2, 3, 4, 5} {
-		tr.Put(k, 100)
-	}
-	if got := tr.CountLE(3); got != 3 {
-		t.Fatalf("CountLE(3) = %d", got)
-	}
-	if got := tr.CountLess(3); got != 2 {
-		t.Fatalf("CountLess(3) = %d", got)
-	}
-	if got := tr.CountGreater(3); got != 2 {
-		t.Fatalf("CountGreater(3) = %d", got)
-	}
-	if got := tr.CountLE(0); got != 0 {
-		t.Fatalf("CountLE(0) = %d", got)
-	}
-	if got := tr.CountLE(9); got != 5 {
-		t.Fatalf("CountLE(9) = %d", got)
-	}
-}
-
-func TestAscendDescendOrder(t *testing.T) {
+func TestAscendOrder(t *testing.T) {
 	tr := New()
 	keys := []float64{9, 1, 5, 3, 7, 2, 8, 4, 6}
 	for _, k := range keys {
@@ -167,16 +145,6 @@ func TestAscendDescendOrder(t *testing.T) {
 	if !sort.Float64sAreSorted(got) || len(got) != len(keys) {
 		t.Fatalf("Ascend out of order: %v", got)
 	}
-	var down []float64
-	tr.Descend(func(k, _ float64) bool {
-		down = append(down, k)
-		return true
-	})
-	for i := range down {
-		if down[i] != got[len(got)-1-i] {
-			t.Fatalf("Descend mismatch: %v", down)
-		}
-	}
 }
 
 func TestAscendEarlyStop(t *testing.T) {
@@ -191,31 +159,6 @@ func TestAscendEarlyStop(t *testing.T) {
 	})
 	if n != 3 {
 		t.Fatalf("visited %d entries, want 3", n)
-	}
-}
-
-func TestFloorCeiling(t *testing.T) {
-	tr := New()
-	for _, k := range []float64{10, 20, 30} {
-		tr.Put(k, 1)
-	}
-	if f, ok := tr.Floor(25); !ok || f != 20 {
-		t.Fatalf("Floor(25) = %v,%v", f, ok)
-	}
-	if f, ok := tr.Floor(20); !ok || f != 20 {
-		t.Fatalf("Floor(20) = %v,%v", f, ok)
-	}
-	if _, ok := tr.Floor(5); ok {
-		t.Fatal("Floor(5) should be absent")
-	}
-	if c, ok := tr.Ceiling(15); !ok || c != 20 {
-		t.Fatalf("Ceiling(15) = %v,%v", c, ok)
-	}
-	if c, ok := tr.Ceiling(30); !ok || c != 30 {
-		t.Fatalf("Ceiling(30) = %v,%v", c, ok)
-	}
-	if _, ok := tr.Ceiling(31); ok {
-		t.Fatal("Ceiling(31) should be absent")
 	}
 }
 
@@ -275,8 +218,8 @@ func TestNegativeAndFractionalKeys(t *testing.T) {
 	for _, k := range keys {
 		tr.Put(k, 1)
 	}
-	if got := tr.CountLE(0); got != 3 {
-		t.Fatalf("CountLE(0) = %d, want 3", got)
+	if got := tr.PrefixSum(0); got != 3 {
+		t.Fatalf("PrefixSum(0) = %v, want 3", got)
 	}
 	if got := tr.PrefixSum(-1.25); got != 2 {
 		t.Fatalf("PrefixSum(-1.25) = %v, want 2", got)
@@ -391,7 +334,8 @@ func TestQuickCountMatchesRank(t *testing.T) {
 				want++
 			}
 		}
-		return tr.CountLE(float64(q)) == want
+		// Every value is 1, so the prefix sum at q is q's rank.
+		return tr.PrefixSum(float64(q)) == float64(want)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
