@@ -31,10 +31,12 @@ import (
 	"rpai/internal/tpch"
 )
 
-// replay runs a prepared runner once per b.N iteration.
+// replay runs a prepared runner once per b.N iteration; generating the
+// trace before the call is not timed.
 func replay(b *testing.B, mk func() *bench.Runner) {
 	b.Helper()
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		r := mk()
@@ -306,55 +308,96 @@ func BenchmarkBatch_VWAP_Toaster_Every100(b *testing.B) { benchBatch(b, bench.Sy
 func BenchmarkBatch_VWAP_RPAI_Every1(b *testing.B)      { benchBatch(b, bench.SysRPAI, 1) }
 func BenchmarkBatch_VWAP_RPAI_Every100(b *testing.B)    { benchBatch(b, bench.SysRPAI, 100) }
 
-// Generic-engine overhead: the planner-built executor vs the hand-coded
-// VWAP executor on the same trace (both O(log n); the generic one pays for
-// AST interpretation).
-func BenchmarkEngine_VWAP_Generic(b *testing.B) {
-	trace := bench.FinanceTrace(2000, false, 1)
-	sql := `SELECT Sum(b.price * b.volume) FROM bids b
-	        WHERE 0.75 * (SELECT Sum(b1.volume) FROM bids b1)
-	              < (SELECT Sum(b2.volume) FROM bids b2 WHERE b2.price <= b.price)`
+// Generic-engine overhead (ROADMAP item 8): each BenchmarkEngine_*_Generic
+// replays the trace its _HandCoded partner replays — the 10 000-event
+// Figure 7 trace — through the executor the planner builds from the query's
+// SQL, reading Result after every event as the hand-coded runner does. VWAP
+// and EQ1 run on the aggregate-index executors and SQ1, SQ2, NQ1 and NQ2 on
+// the general algorithm, each fed rows as the server feeds it (ApplyRows);
+// MST and PSP run on the multi-relation executor, which has only the map
+// API. Both sides get their events prebuilt, so the ratio of a pair is the
+// cost of plan generality.
+const engineEvents = 10000
+
+// Each query's SQL, as the queries package documents it.
+const (
+	engineVWAP = `SELECT Sum(b.price * b.volume) FROM bids b
+	WHERE 0.75 * (SELECT Sum(b1.volume) FROM bids b1)
+	      < (SELECT Sum(b2.volume) FROM bids b2 WHERE b2.price <= b.price)`
+	engineSQ1 = `SELECT Sum(b.price * b.volume) FROM bids b
+	WHERE 0.75 * (SELECT Sum(b1.volume) FROM bids b1 WHERE b1.volume <= b.volume)
+	      < (SELECT Sum(b2.volume) FROM bids b2 WHERE b2.price <= b.price)`
+	engineSQ2 = `SELECT Sum(b.price * b.volume) FROM bids b
+	WHERE 0.75 * (SELECT Sum(b1.volume) FROM bids b1)
+	      < (SELECT Sum(b2.volume) FROM bids b2 WHERE 2 * b2.price <= b.price)`
+	engineNQ1 = `SELECT Sum(b.price * b.volume) FROM bids b
+	WHERE 0.75 * (SELECT Sum(b1.volume) FROM bids b1)
+	   < (SELECT Sum(b2.volume) FROM bids b2
+	      WHERE b2.price <= b.price
+	        AND 0.5 * (SELECT Sum(b3.volume) FROM bids b3)
+	            < (SELECT Sum(b4.volume) FROM bids b4 WHERE b4.price <= b2.price))`
+	engineNQ2 = `SELECT Sum(b.price * b.volume) FROM bids b
+	WHERE 0.75 * (SELECT Sum(b1.volume) FROM bids b1)
+	   < (SELECT Sum(b2.volume) FROM bids b2
+	      WHERE b2.price <= b.price
+	        AND 0.5 * (SELECT Sum(b3.volume) FROM bids b3 WHERE b3.price <= b.price)
+	            < (SELECT Sum(b4.volume) FROM bids b4 WHERE b4.price <= b2.price))`
+	engineEQ1 = `SELECT Sum(r.A * r.B) FROM R r
+	WHERE 0.5 * (SELECT Sum(r1.B) FROM R r1)
+	    = (SELECT Sum(r2.B) FROM R r2 WHERE r2.A = r.A)`
+)
+
+// engineBench replays n events, event i being event(i), each laid out as a
+// one-row batch, through a fresh executor of sql per iteration.
+func engineBench(b *testing.B, sql string, n int, event func(i int) engine.Event) {
+	q := sqlparse.MustParse(sql)
+	schema := query.NewSchema(q.Columns()...)
+	p, err := engine.Prepare(q, schema)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rows := make([]engine.Rows, n)
+	for i := range rows {
+		e := event(i)
+		rows[i].Reset(schema.Len())
+		rows[i].Project(e.X, schema.Cols(), e.Tuple)
+	}
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		ex, err := engine.New(sqlparse.MustParse(sql))
-		if err != nil {
-			b.Fatal(err)
-		}
+		ex := p.New()
 		b.StartTimer()
-		for _, e := range trace {
-			ex.Apply(engine.Event{X: e.X(), Tuple: query.Tuple{"price": e.Rec.Price, "volume": e.Rec.Volume}})
+		for j := range rows {
+			ex.ApplyRows(&rows[j])
 			ex.Result()
 		}
 	}
 }
 
-func BenchmarkEngine_VWAP_HandCoded(b *testing.B) {
-	financeBench(b, "vwap", bench.SysRPAI, 2000, false)
+// bidsEngineBench is engineBench over the bids-only finance trace.
+func bidsEngineBench(b *testing.B, sql string) {
+	trace := bench.FinanceTrace(engineEvents, false, 1)
+	engineBench(b, sql, len(trace), func(i int) engine.Event {
+		e := trace[i]
+		return engine.Event{X: e.X(), Tuple: query.Tuple{"price": e.Rec.Price, "volume": e.Rec.Volume}}
+	})
 }
 
-// The multi-relation generic executor vs the hand-coded MST executor.
-func BenchmarkEngine_MST_Generic(b *testing.B) {
-	trace := bench.FinanceTrace(2000, true, 1)
-	spec := func() *engine.MultiQuery {
-		side := func(rel string, sign float64) engine.RelSpec {
-			return engine.RelSpec{
-				Name: rel,
-				Term: query.Mul(query.Const(sign), query.Mul(query.Col("price"), query.Col("volume"))),
-				Pred: query.Predicate{
-					Left: query.ValSub(0.25, &query.Subquery{Kind: query.Sum, Of: query.Col("volume")}),
-					Op:   query.Gt,
-					Right: query.ValSub(1, &query.Subquery{
-						Kind:  query.Sum,
-						Of:    query.Col("volume"),
-						Where: &query.CorrPred{Inner: query.Col("price"), Op: query.Gt, Outer: query.Col("price")},
-					}),
-				},
-			}
+// multiEngineBench replays the two-sided finance trace through a fresh
+// multi-relation executor of spec per iteration.
+func multiEngineBench(b *testing.B, spec func() *engine.MultiQuery) {
+	trace := bench.FinanceTrace(engineEvents, true, 1)
+	events := make([]engine.MultiEvent, len(trace))
+	for i, e := range trace {
+		rel := "bids"
+		if e.Side == stream.Asks {
+			rel = "asks"
 		}
-		return &engine.MultiQuery{Combine: query.OpAdd, Rels: []engine.RelSpec{side("asks", 1), side("bids", -1)}}
+		events[i] = engine.MultiEvent{Rel: rel, X: e.X(), Tuple: query.Tuple{"price": e.Rec.Price, "volume": e.Rec.Volume}}
 	}
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		ex, err := engine.NewMultiAggIndex(spec())
@@ -362,20 +405,82 @@ func BenchmarkEngine_MST_Generic(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.StartTimer()
-		for _, e := range trace {
-			rel := "bids"
-			if e.Side == stream.Asks {
-				rel = "asks"
-			}
-			ex.Apply(engine.MultiEvent{Rel: rel, X: e.X(), Tuple: query.Tuple{"price": e.Rec.Price, "volume": e.Rec.Volume}})
+		for _, e := range events {
+			ex.Apply(e)
 			ex.Result()
 		}
 	}
 }
 
-func BenchmarkEngine_MST_HandCoded(b *testing.B) {
-	financeBench(b, "mst", bench.SysRPAI, 2000, true)
+// twoSided builds the MST/PSP shape: the asks side's term minus the bids
+// side's, each relation filtered by pred.
+func twoSided(term query.Expr, pred query.Predicate) *engine.MultiQuery {
+	side := func(rel string, sign float64) engine.RelSpec {
+		return engine.RelSpec{Name: rel, Term: query.Mul(query.Const(sign), term), Pred: pred}
+	}
+	return &engine.MultiQuery{Combine: query.OpAdd, Rels: []engine.RelSpec{side("asks", 1), side("bids", -1)}}
 }
+
+// mstSpec is MST: SUM(a.price*a.volume) - SUM(b.price*b.volume) over each
+// side's levels holding more than a quarter of its volume above them.
+func mstSpec() *engine.MultiQuery {
+	return twoSided(query.Mul(query.Col("price"), query.Col("volume")), query.Predicate{
+		Left: query.ValSub(0.25, &query.Subquery{Kind: query.Sum, Of: query.Col("volume")}),
+		Op:   query.Gt,
+		Right: query.ValSub(1, &query.Subquery{
+			Kind:  query.Sum,
+			Of:    query.Col("volume"),
+			Where: &query.CorrPred{Inner: query.Col("price"), Op: query.Gt, Outer: query.Col("price")},
+		}),
+	})
+}
+
+// pspSpec is PSP: SUM(a.price) - SUM(b.price) over each side's significant
+// records (volume above 0.0001 of the side's total).
+func pspSpec() *engine.MultiQuery {
+	return twoSided(query.Col("price"), query.Predicate{
+		Left:  query.ValExpr(query.Col("volume")),
+		Op:    query.Gt,
+		Right: query.ValSub(0.0001, &query.Subquery{Kind: query.Sum, Of: query.Col("volume")}),
+	})
+}
+
+func BenchmarkEngine_VWAP_Generic(b *testing.B) { bidsEngineBench(b, engineVWAP) }
+func BenchmarkEngine_VWAP_HandCoded(b *testing.B) {
+	financeBench(b, "vwap", bench.SysRPAI, engineEvents, false)
+}
+func BenchmarkEngine_MST_Generic(b *testing.B) { multiEngineBench(b, mstSpec) }
+func BenchmarkEngine_MST_HandCoded(b *testing.B) {
+	financeBench(b, "mst", bench.SysRPAI, engineEvents, true)
+}
+func BenchmarkEngine_PSP_Generic(b *testing.B) { multiEngineBench(b, pspSpec) }
+func BenchmarkEngine_PSP_HandCoded(b *testing.B) {
+	financeBench(b, "psp", bench.SysRPAI, engineEvents, true)
+}
+func BenchmarkEngine_SQ1_Generic(b *testing.B) { bidsEngineBench(b, engineSQ1) }
+func BenchmarkEngine_SQ1_HandCoded(b *testing.B) {
+	financeBench(b, "sq1", bench.SysRPAI, engineEvents, false)
+}
+func BenchmarkEngine_SQ2_Generic(b *testing.B) { bidsEngineBench(b, engineSQ2) }
+func BenchmarkEngine_SQ2_HandCoded(b *testing.B) {
+	financeBench(b, "sq2", bench.SysRPAI, engineEvents, false)
+}
+func BenchmarkEngine_NQ1_Generic(b *testing.B) { bidsEngineBench(b, engineNQ1) }
+func BenchmarkEngine_NQ1_HandCoded(b *testing.B) {
+	financeBench(b, "nq1", bench.SysRPAI, engineEvents, false)
+}
+func BenchmarkEngine_NQ2_Generic(b *testing.B) { bidsEngineBench(b, engineNQ2) }
+func BenchmarkEngine_NQ2_HandCoded(b *testing.B) {
+	financeBench(b, "nq2", bench.SysRPAI, engineEvents, false)
+}
+func BenchmarkEngine_EQ1_Generic(b *testing.B) {
+	trace := bench.EQ1Trace(engineEvents, 1)
+	engineBench(b, engineEQ1, len(trace), func(i int) engine.Event {
+		e := trace[i]
+		return engine.Event{X: e.X(), Tuple: query.Tuple{"A": e.Rec.A, "B": e.Rec.B}}
+	})
+}
+func BenchmarkEngine_EQ1_HandCoded(b *testing.B) { eq1Bench(b, bench.SysRPAI, engineEvents) }
 
 // The full-benchmark-family extras (no nested aggregates; both systems
 // incremental).
