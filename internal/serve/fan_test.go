@@ -138,7 +138,8 @@ func TestServeFanDifferential(t *testing.T) {
 		}
 	}
 
-	// Removing the lanes disables lane reads.
+	// Removing the member lanes disables their reads; the plan's own lane
+	// (0.75) stays, and it is what Result reads.
 	if err := fam.SetProbes(nil); err != nil {
 		t.Fatalf("SetProbes(nil): %v", err)
 	}
@@ -147,5 +148,8 @@ func TestServeFanDifferential(t *testing.T) {
 	}
 	if _, ok := fam.ProbeResult(lanes[0]); ok {
 		t.Fatalf("lane read succeeded after lanes removed")
+	}
+	if got, ok := fam.ProbeResult(fam.Spec()); !ok || got != fam.Result() || got != solo[1].Result() {
+		t.Fatalf("plan lane after SetProbes(nil): %v (ok %v), Result %v, solo %v", got, ok, fam.Result(), solo[1].Result())
 	}
 }
