@@ -4,8 +4,8 @@
 
 # CI's test job: tier-1 (build, vet, every unit test), the stack benchmark's
 # build and unit tests, the allocation guards re-run uncached (steady-state
-# hot paths stay allocation-free: the RPAI tree's reads, churn, shift and
-# AddMany, the level tree, the engine event codec, serve's ApplyBatch on an
+# hot paths stay allocation-free: the RPAI tree's reads, churn and shift,
+# the level tree, the engine event codec, serve's ApplyBatch on an
 # engine plan; a shard commit allocates its value column and no more; the
 # catalog's durable ApplyBatch allocates no more for a longer batch), and an
 # end-to-end smoke of every retained rpaibench experiment.
@@ -64,9 +64,11 @@ bench:
 # commits) with 0 and 8 subscribers and with two probe lanes (a founder and
 # one threshold variant), and the catalog's record path (decode,
 # admission, WAL append, fan-out) per event and byte on a 256-event record
-# into 1 and 16 state sets, and the general algorithm (SQ1, SQ2, NQ1, NQ2)
-# and the PAI executor (EQ1) per event, apply plus Result, on a 64-level
-# order-book trace.
+# into 1 and 16 state sets, the catalog's registration path per Register or
+# Unregister call (24 registrations into 16 sets on a durable catalog, then
+# their removal), and the general algorithm (SQ1, SQ2, NQ1, NQ2) and the PAI
+# executor (EQ1) per event, apply plus Result, on a 64-level order-book
+# trace.
 bench-core:
 	go test -run '^$$' -bench 'BenchmarkTree(Put|Add|GetSum|Delete)' -benchmem \
 		-benchtime 200ms -count 3 ./internal/rpai/
@@ -78,6 +80,8 @@ bench-core:
 		-benchtime 2000x -count 3 ./internal/serve/
 	go test -run '^$$' -bench BenchmarkIngestRecord -benchmem \
 		-benchtime 400x -count 3 ./internal/catalog/
+	go test -run '^$$' -bench BenchmarkCatalogRegister -benchmem \
+		-benchtime 20x -count 3 ./internal/catalog/
 	go test -run '^$$' -bench BenchmarkGeneralApply -benchmem \
 		-benchtime 3x -count 3 ./internal/engine/
 

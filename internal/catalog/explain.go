@@ -99,7 +99,7 @@ func (s *Service) explainLocked(reg *registration) Explain {
 			ex.Residual = fmt.Sprintf("%s %s %v", reg.spec.ResidualCol, reg.spec.ResidualOp, reg.spec.ResidualVal)
 		}
 	}
-	for id := range reg.set.refs {
+	for _, id := range reg.set.refs { // in QueryID order
 		if id == reg.id {
 			continue
 		}
@@ -110,19 +110,8 @@ func (s *Service) explainLocked(reg *registration) Explain {
 			ex.SharedExact = append(ex.SharedExact, id)
 		}
 	}
-	sortIDs(ex.SharedWith)
-	sortIDs(ex.SharedExact)
-	sortIDs(ex.SharedFamily)
 	ex.Since = reg.set.since
 	ex.StateSince = reg.set.founded
 	ex.IngestSets = len(s.setList)
 	return ex
-}
-
-func sortIDs(ids []QueryID) {
-	for i := 1; i < len(ids); i++ {
-		for j := i; j > 0 && ids[j] < ids[j-1]; j-- {
-			ids[j], ids[j-1] = ids[j-1], ids[j]
-		}
-	}
 }

@@ -151,13 +151,18 @@ func (f *follower) step() error {
 			f.tail.Close()
 			s.mu.Lock()
 			stale := s.setList
-			s.regs, s.sets, s.states, s.baseKeys, s.setList = n.regs, n.sets, n.states, n.baseKeys, n.setList
+			s.regs = n.regs
 			s.nextID, s.nextSet, s.records, s.applied = n.nextID, n.nextSet, n.records, n.applied
-			s.schema.Store(n.schema.Load())
+			// The sets are n's, their lanes installed and bound to the same
+			// schema, so the derivation only re-points the tables at them.
+			err = s.reindexLocked()
 			f.raw, f.tail, f.replay = raw, tail, s.replayer()
 			s.mu.Unlock()
 			for _, set := range stale {
 				set.svc.Close()
+			}
+			if err != nil {
+				return err
 			}
 		}
 	}

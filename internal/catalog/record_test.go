@@ -300,3 +300,53 @@ func BenchmarkIngestRecord(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkCatalogRegister is the registration path on a durable catalog:
+// the 16 distinct state sets of vwapVariant plus 8 threshold, COUNT and AVG
+// variants of the first (which join its set as probe lanes) are registered,
+// then every one is unregistered. Each call parses and plans, derives the
+// catalog's tables and commits the manifest; ns/call is reported per
+// Register or Unregister.
+func BenchmarkCatalogRegister(b *testing.B) {
+	first := func(agg string, scale float64) string {
+		return fmt.Sprintf(`SELECT %s FROM bids b
+WHERE %v * (SELECT SUM(b1.volume) FROM bids b1 WHERE b1.volume > 0)
+      < (SELECT SUM(b2.volume) FROM bids b2 WHERE b2.price <= b.price)`, agg, scale)
+	}
+	const sum, count, avg = "SUM(b.price * b.volume)", "COUNT(*)", "AVG(b.price * b.volume)"
+	var sqls []string
+	for k := 0; k < 16; k++ {
+		sqls = append(sqls, vwapVariant(k))
+	}
+	sqls = append(sqls, first(sum, 0.5), first(sum, 0.9), first(sum, 0.25), first(count, 0.75),
+		first(avg, 0.75), first(count, 0.9), first(avg, 0.5), first(sum, 0.6))
+	ids := make([]QueryID, len(sqls))
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		cat, err := New(Options{PartitionBy: []string{"sym"}, Shards: 1, Dir: b.TempDir()})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		var ex Explain
+		for j, sql := range sqls {
+			if ids[j], ex, err = cat.Register(sql); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if ex.IngestSets != 16 {
+			b.Fatalf("%d registrations fan out to %d sets, want 16", len(sqls), ex.IngestSets)
+		}
+		for _, id := range ids {
+			if err := cat.Unregister(id); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.StopTimer()
+		if err := cat.Close(); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*2*len(sqls)), "ns/call")
+}

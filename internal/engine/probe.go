@@ -396,25 +396,16 @@ func bareConjunct(p query.Predicate, partCols []string) (col string, op query.Cm
 	if c, isConst := bareExpr(left); isConst {
 		// const op col → col flipped-op const
 		if name, isCol := bareCol(right); isCol {
-			return name, op.Flip(), c, partColumn(name, partCols)
+			return name, op.Flip(), c, slices.Contains(partCols, name)
 		}
 		return "", 0, 0, false
 	}
 	if name, isCol := bareCol(left); isCol {
 		if c, isConst := bareExpr(right); isConst {
-			return name, op, c, partColumn(name, partCols)
+			return name, op, c, slices.Contains(partCols, name)
 		}
 	}
 	return "", 0, 0, false
-}
-
-func partColumn(name string, partCols []string) bool {
-	for _, c := range partCols {
-		if c == name {
-			return true
-		}
-	}
-	return false
 }
 
 func bareCol(v query.Value) (string, bool) {

@@ -61,34 +61,6 @@ func TestAllocGuardArenaChurn(t *testing.T) {
 
 }
 
-// TestAllocGuardAddMany pins the batched path: on a warmed tree, a batch
-// that lands on existing keys (the steady-state grouped-aggregate shape)
-// allocates nothing — no closure captures, no path-stack escapes — and a
-// churn batch over free-listed slots allocates nothing either.
-func TestAllocGuardAddMany(t *testing.T) {
-	tr, keys := warmed(4096, 11)
-	batch := make([]Entry, 64)
-	var i int
-	requireAllocs(t, "Tree.AddMany(existing)", 0, func() {
-		for j := range batch {
-			i++
-			batch[j] = Entry{keys[i%len(keys)], 1}
-		}
-		tr.AddMany(batch)
-	})
-	// Churn: delete a run of keys, then re-insert them in one batch drawing
-	// from the free list.
-	requireAllocs(t, "Tree.AddMany(churn)", 0, func() {
-		for j := range batch {
-			i++
-			k := keys[i%len(keys)]
-			batch[j] = Entry{k, 1}
-			tr.Delete(k)
-		}
-		tr.AddMany(batch)
-	})
-}
-
 // TestAllocGuardArenaShift pins the negative-shift path, which reuses the
 // extraction scratch buffer and free-listed slots.
 func TestAllocGuardArenaShift(t *testing.T) {

@@ -232,13 +232,12 @@ func TestArenaDecodeEmpty(t *testing.T) {
 }
 
 // TestArenaKeyChecks pins the finite-key contract on the entry points
-// TestNonFiniteKeysPanic leaves out: an insert below the root, a batch, and
-// an inclusive shift.
+// TestNonFiniteKeysPanic leaves out: an insert below the root and an
+// inclusive shift.
 func TestArenaKeyChecks(t *testing.T) {
 	for name, f := range map[string]func(*Tree){
 		"Add":                func(tr *Tree) { tr.Add(math.Inf(-1), 1) },
 		"Put":                func(tr *Tree) { tr.Put(math.NaN(), 1) },
-		"AddMany":            func(tr *Tree) { tr.AddMany([]Entry{{2, 1}, {math.Inf(1), 1}}) },
 		"ShiftKeysInclusive": func(tr *Tree) { tr.ShiftKeysInclusive(0, math.Inf(1)) },
 	} {
 		func() {

@@ -423,7 +423,7 @@ func (t *Tree) unwind(path []int32, dirs []bool) {
 }
 
 // ins is the recursive LLRB insert (set selects Put semantics); the iterative
-// insert and AddMany fall back to it only past maxPathLen.
+// insert falls back to it only past maxPathLen.
 func (t *Tree) ins(h int32, k, v float64, set bool) int32 {
 	if h < 0 {
 		return t.alloc(k, v)
@@ -633,10 +633,9 @@ func (t *Tree) shift(k, d float64, inclusive bool) {
 		// negative shifts allocate nothing at steady state.
 		moved := t.extractRange(k, k-d, inclusive)
 		t.shiftRel(t.root, k, d, inclusive)
-		for i := range moved {
-			moved[i].Key += d
+		for _, e := range moved {
+			t.Add(e.Key+d, e.Value)
 		}
-		t.AddMany(moved)
 		t.scratch = moved[:0]
 		return
 	}
@@ -674,6 +673,13 @@ func (t *Tree) shiftRel(i int32, k, d float64, inclusive bool) {
 			n.maxRel = r.key + r.maxRel
 		}
 	}
+}
+
+// Entry is a (true key, value) pair: an element of the ranges a negative
+// ShiftKeys extracts and re-inserts.
+type Entry struct {
+	Key   float64
+	Value float64
 }
 
 // extractRange removes and returns all entries with key in (lo, hi], or

@@ -75,7 +75,7 @@ func canonSpecs(specs []engine.ProbeSpec) []engine.ProbeSpec {
 func (s *Service) SetProbes(specs []engine.ProbeSpec) error {
 	lanes := []engine.ProbeSpec{s.plan.spec}
 	for _, sp := range canonSpecs(specs) {
-		if sp.Residual && !colNamed(s.plan.cols, sp.ResidualCol) {
+		if sp.Residual && !slices.Contains(s.plan.cols, sp.ResidualCol) {
 			return fmt.Errorf("serve: residual probe column %q is not a partition column (partition columns: %v)",
 				sp.ResidualCol, s.plan.cols)
 		}
@@ -100,15 +100,6 @@ func (s *Service) SetProbes(specs []engine.ProbeSpec) error {
 		}
 	}
 	return errors.Join(errs...)
-}
-
-func colNamed(cols []string, name string) bool {
-	for _, c := range cols {
-		if c == name {
-			return true
-		}
-	}
-	return false
 }
 
 // laneOfSpec locates the lane serving spec in the canonical lane set; -1
