@@ -502,6 +502,7 @@ func restore(opt Options) (s *Service, m manifest, raw []byte, err error) {
 		nextID:  max(QueryID(m.nextID), 1),
 		nextSet: max(m.nextSet, 1),
 		applied: m.appliedBase,
+		parts:   serve.NewPartitions(m.partitionBy),
 	}
 
 	// Rebuild executor sets: group manifest entries by set, restore each set
@@ -550,17 +551,17 @@ func restore(opt Options) (s *Service, m manifest, raw []byte, err error) {
 		if _, statErr := os.Stat(fd); statErr == nil {
 			// A late joiner forked this set at record `since`; the fork is the
 			// newest committed state.
-			svc, err = serve.RecoverForQuery(fd, exec, m.partitionBy, serveOpt)
+			svc, err = serve.RecoverForPartitions(fd, s.parts, exec, serveOpt)
 			snapDir, snapAt = fd, ents[0].since
 		} else if !errors.Is(statErr, os.ErrNotExist) {
 			err = statErr
 		} else if _, statErr := os.Stat(sd); statErr == nil {
-			svc, err = serve.RecoverForQuery(sd, exec, m.partitionBy, serveOpt)
+			svc, err = serve.RecoverForPartitions(sd, s.parts, exec, serveOpt)
 			snapDir, snapAt = sd, ents[0].since
 		} else if errors.Is(statErr, os.ErrNotExist) {
 			// Registered after the last checkpoint: state lives in the WAL
 			// suffix alone.
-			svc, err = serve.ForQuery(exec, m.partitionBy, serveOpt)
+			svc, err = serve.ForPartitions(s.parts, exec, serveOpt)
 		} else {
 			err = statErr
 		}
@@ -589,20 +590,25 @@ func restore(opt Options) (s *Service, m manifest, raw []byte, err error) {
 }
 
 // replayer returns the function that applies the shared WAL's records in
-// order: record i fans out to every set with since <= i — exactly the
-// fan-out the live catalog performed. The set list is captured once, so the
-// registration tables must not change while the returned function is in use.
+// order: each record's partitions are resolved once through the catalog's
+// dictionary, and record i fans out to every set with since <= i — exactly
+// the fan-out the live catalog performed. The set list and the dictionary
+// are captured once, so the registration tables must not change while the
+// returned function is in use.
 func (s *Service) replayer() func(rec []byte) error {
-	sets := s.setList
+	sets, parts := s.setList, s.parts
 	sch := s.schema.Load()
 	var b Batch
 	return func(rec []byte) error {
 		if err := b.decode(sch, rec); err != nil {
 			return err
 		}
+		if err := parts.Route(sch, &b.rows, &b.rt); err != nil {
+			return err
+		}
 		for _, set := range sets {
 			if set.since <= s.records {
-				if err := set.svc.ApplyRows(sch, &b.rows); err != nil {
+				if err := set.svc.ApplyRows(sch, &b.rows, &b.rt); err != nil {
 					return err
 				}
 			}

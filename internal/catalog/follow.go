@@ -151,7 +151,7 @@ func (f *follower) step() error {
 			f.tail.Close()
 			s.mu.Lock()
 			stale := s.setList
-			s.regs = n.regs
+			s.regs, s.parts = n.regs, n.parts
 			s.nextID, s.nextSet, s.records, s.applied = n.nextID, n.nextSet, n.records, n.applied
 			// The sets are n's, their lanes installed and bound to the same
 			// schema, so the derivation only re-points the tables at them.

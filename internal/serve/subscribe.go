@@ -362,7 +362,7 @@ func (s *Service) offerFull(ws *workerState, ss *subShard, version uint64) {
 	if lane := laneOfSpec(ws.specs, ss.lane); lane >= 0 {
 		for _, slot := range ws.order {
 			p := ws.plist[slot]
-			if ss.filter == nil || ss.filter[p.ekey] {
+			if ss.filter == nil || ss.wants(p.vals) {
 				groups = append(groups, engine.GroupResult{Key: p.vals, Value: ws.laneValue(lane, ss.lane, p)})
 			}
 		}
