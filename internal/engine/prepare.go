@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"io"
+	"strings"
 
 	"rpai/internal/checkpoint"
 	"rpai/internal/query"
@@ -59,6 +60,8 @@ type Prepared struct {
 	// levelKeys read the keys of the general algorithm's level trees, when
 	// New builds it.
 	levelKeys []query.Bound
+	// admitKey identifies the checks above (see AdmitKey).
+	admitKey string
 }
 
 // Prepare plans q and binds it to s, which must hold every column q reads
@@ -75,6 +78,7 @@ func Prepare(q *query.Query, s *query.Schema) (*Prepared, error) {
 	}
 	p := &Prepared{q: q, schema: s, gen: bindGeneral(q, s), term: query.Bind(q.Agg, s), key: -1,
 		spec: ProbeSpec{Kind: q.Outer}}
+	checks := []string{admitCheck("term", q.Agg, s)}
 	scalar1 := len(q.GroupBy) == 0 && len(q.Preds) == 1
 	if plan, ok := q.PlanAggIndex(); ok {
 		p.agg = bindAggIndex(q, plan, s)
@@ -94,22 +98,49 @@ func Prepare(q *query.Query, s *query.Schema) (*Prepared, error) {
 		p.build = func() RowExecutor { return &relStateExec{rs: newRelState(p.rel), outer: q.Outer} }
 		p.spec.Const = thresholdConst(p.rel.plan.threshold, p.rel.thrConst)
 		p.key = p.rel.key
+		checks = append(checks, admitCheck("key", query.Col(p.rel.plan.keyCol), s))
 		if p.rel.plan.kind == PredCorrelated {
 			p.weight = p.rel.weight
+			if p.weight != nil {
+				checks = append(checks, admitCheck("weight", p.rel.plan.corr.Of, s))
+			}
 		}
 	default:
 		p.build = func() RowExecutor { return newGeneralExec(p.gen) }
 		for _, b := range p.gen.subs {
 			if b.correlated {
 				p.levelKeys = append(p.levelKeys, b.inner)
+				checks = append(checks, admitCheck("level", b.sub.Where.Inner, s))
 			}
 			if b.nested != nil {
-				p.levelKeys = append(p.levelKeys, query.Bind(query.Col(b.sub.Nested.Col), s))
+				nested := query.Col(b.sub.Nested.Col)
+				p.levelKeys = append(p.levelKeys, query.Bind(nested, s))
+				checks = append(checks, admitCheck("level", nested, s))
 			}
 		}
 	}
+	p.admitKey = strings.Join(checks, "; ")
 	return p, nil
 }
+
+// admitCheck renders one of Admit's checks for AdmitKey: what it checks,
+// the expression, and the schema slot of each column the expression reads.
+func admitCheck(kind string, e query.Expr, s *query.Schema) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "%s %s @", kind, e)
+	for _, c := range e.Cols() {
+		slot, _ := s.Slot(c)
+		fmt.Fprintf(&b, " %d", slot)
+	}
+	return b.String()
+}
+
+// AdmitKey identifies the checks Admit runs: the expressions it reads and
+// the row slots they read them from. Two Prepared with equal keys admit
+// exactly the same events with the same errors, so a caller checking rows
+// against several of them (a catalog's state sets) runs each distinct key
+// once.
+func (p *Prepared) AdmitKey() string { return p.admitKey }
 
 // Spec is the probe plan equal to Result: the query's outer aggregate at the
 // constant its threshold scales (see StateKey), or, for the general
