@@ -39,8 +39,8 @@ test-race:
 # smokes under -race at GOMAXPROCS=4.
 race: catalog
 	go test -race -short ./...
-	GOMAXPROCS=4 go test -race -fuzz FuzzBatchEquivalence -fuzztime 10s -run '^$$' ./internal/engine/
-	GOMAXPROCS=4 go test -race -fuzz FuzzSubscriptionDeltas -fuzztime 10s -run '^$$' ./internal/serve/
+	GOMAXPROCS=4 go test -race -fuzz FuzzBatchEquivalence -fuzztime 10s $(MINIMIZE) -run '^$$' ./internal/engine/
+	GOMAXPROCS=4 go test -race -fuzz FuzzSubscriptionDeltas -fuzztime 10s $(MINIMIZE) -run '^$$' ./internal/serve/
 
 # The serving surface unabridged under -race (catalog lifecycle and sharing,
 # the shared WAL's crash/recover/torn-tail matrices, the follower, wire server
@@ -114,9 +114,18 @@ FUZZ_TARGETS := \
 	internal/serve:FuzzSubscriptionDeltas \
 	internal/catalog:FuzzCatalogDifferential
 
+# Go minimizes every input that finds new coverage for up to
+# -fuzzminimizetime (default 60s), and the exec counter stands still while it
+# does. The targets that start goroutines (FuzzSubscriptionDeltas,
+# FuzzCatalogDifferential) take milliseconds per exec and find
+# scheduling-dependent coverage often, so their minimizations ran to the
+# limit and one could stall a run for most of its fuzz time; MINIMIZE bounds
+# each to a few seconds.
+MINIMIZE := -fuzzminimizetime 5s
+
 # $(call fuzz-each,TIME): one recipe line per target.
 define fuzz-each
-$(foreach t,$(FUZZ_TARGETS),go test -fuzz '^$(lastword $(subst :, ,$t))$$' -fuzztime $(1) -run '^$$' ./$(firstword $(subst :, ,$t))/
+$(foreach t,$(FUZZ_TARGETS),go test -fuzz '^$(lastword $(subst :, ,$t))$$' -fuzztime $(1) $(MINIMIZE) -run '^$$' ./$(firstword $(subst :, ,$t))/
 )
 endef
 

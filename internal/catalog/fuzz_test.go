@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"rpai/internal/engine"
+	"rpai/internal/fuzzwatch"
 	"rpai/internal/query"
 	"rpai/internal/serve"
 	"rpai/internal/sqlparse"
@@ -214,6 +215,7 @@ func FuzzCatalogDifferential(f *testing.F) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
+		defer fuzzwatch.Start(fuzzwatch.Deadline)()
 		if len(data) < 9 {
 			return
 		}

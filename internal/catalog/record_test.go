@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -247,33 +248,57 @@ WHERE 0.75 * (SELECT SUM(b1.volume) FROM bids b1 WHERE b1.volume > %d)
       < (SELECT SUM(b2.volume) FROM bids b2 WHERE b2.price <= b.price)`, k)
 }
 
-// BenchmarkIngestRecord is the record path per event: one 256-event VWAP
-// record (8 partitions x 16 price levels, so re-applying it grows no index)
-// through decode, admission by every set, the WAL append (in a temp dir)
-// and the fan-out of its rows to 1 and to 16 state sets, with a drain per
-// record so the shard workers' apply is counted too. ns/event and B/event
-// are reported per event of the record.
+// BenchmarkIngestRecord is the record path per event: 256-event VWAP
+// records through decode, admission, the WAL append (in a temp dir) and the
+// fan-out of their rows to the state sets, with a drain per record so the
+// shard workers' apply is counted too. sets=1 and sets=16 fan one record
+// (8 partitions x 16 price levels) out to 1 and to 16 distinct sets on one
+// shard; multi-distinct is the stack benchmark's shape of that name — 16
+// distinct sets on 2 shards over 512 partitions, records drawn from a ring
+// of 8 at random — where a shard's partition lookup no longer fits a small
+// map. Re-applying a record grows no index. ns/event and B/event are
+// reported per event of the record.
 func BenchmarkIngestRecord(b *testing.B) {
 	const n = 256
-	events := make([]engine.Event, n)
-	for i := range events {
-		events[i] = engine.Insert(query.Tuple{"sym": float64(i % 8), "price": float64(i%16 + 1), "volume": float64(i%3 + 1)})
+	record := func(rng *rand.Rand, parts int) []byte {
+		events := make([]engine.Event, n)
+		for i := range events {
+			sym := i % parts
+			if rng != nil {
+				sym = rng.Intn(parts)
+			}
+			events[i] = engine.Insert(query.Tuple{"sym": float64(sym), "price": float64(i%16 + 1), "volume": float64(i%3 + 1)})
+		}
+		return encodeBatchRecord(nil, events)
 	}
-	rec := encodeBatchRecord(nil, events)
-	for _, sets := range []int{1, 16} {
-		b.Run(fmt.Sprintf("sets=%d", sets), func(b *testing.B) {
-			cat, err := New(Options{PartitionBy: []string{"sym"}, Shards: 1, Dir: b.TempDir()})
+	fixed := [][]byte{record(nil, 8)}
+	rng := rand.New(rand.NewSource(1))
+	ring := make([][]byte, 8)
+	for i := range ring {
+		ring[i] = record(rng, 512)
+	}
+	for _, bc := range []struct {
+		name         string
+		sets, shards int
+		recs         [][]byte
+	}{
+		{"sets=1", 1, 1, fixed},
+		{"sets=16", 16, 1, fixed},
+		{"multi-distinct", 16, 2, ring},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			cat, err := New(Options{PartitionBy: []string{"sym"}, Shards: bc.shards, Dir: b.TempDir()})
 			if err != nil {
 				b.Fatal(err)
 			}
 			defer cat.Close()
-			for k := 0; k < sets; k++ {
+			for k := 0; k < bc.sets; k++ {
 				if _, _, err := cat.Register(vwapVariant(k)); err != nil {
 					b.Fatal(err)
 				}
 			}
 			var batch Batch
-			apply := func() {
+			apply := func(rec []byte) {
 				if err := cat.DecodeRecord(&batch, rec); err != nil {
 					b.Fatal(err)
 				}
@@ -284,14 +309,14 @@ func BenchmarkIngestRecord(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-			for i := 0; i < 4; i++ {
-				apply()
+			for i := 0; i < 4*len(bc.recs); i++ {
+				apply(bc.recs[i%len(bc.recs)])
 			}
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				apply()
+				apply(bc.recs[i%len(bc.recs)])
 			}
 			b.StopTimer()
 			runtime.ReadMemStats(&after)

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"rpai/internal/engine"
+	"rpai/internal/fuzzwatch"
 	"rpai/internal/query"
 )
 
@@ -64,6 +65,7 @@ func FuzzSubscriptionDeltas(f *testing.F) {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
+		defer fuzzwatch.Start(fuzzwatch.Deadline)()
 		if len(data) < 9 {
 			return
 		}
