@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"math/rand"
 	"runtime"
 	"testing"
 
@@ -16,7 +17,8 @@ import (
 // It reports ns/event (routing, apply, lane refresh, publication and, with
 // subscribers, the shared delta runs and their delivery) and B/event
 // allocated process-wide, the publish-side counterpart of the engine's
-// BenchmarkRelStateApply.
+// BenchmarkRelStateApply. The parts=8,events=4 sub-case is the other
+// extreme (benchSmallBatches).
 func BenchmarkShardCommit(b *testing.B) {
 	founder := engine.ProbeSpec{Kind: query.Sum, Const: 0.75}
 	variant := engine.ProbeSpec{Kind: query.Sum, Const: 0.9}
@@ -65,4 +67,45 @@ func BenchmarkShardCommit(b *testing.B) {
 			b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/events, "B/event")
 		})
 	}
+	b.Run("parts=8,events=4", benchSmallBatches)
+}
+
+// benchSmallBatches feeds one shard owning 8 partitions of 1 024 price
+// levels 4-event batches — a client applying a few events per call — with a
+// drain bound of 64, so under backlog a commit drains up to sixteen boxes,
+// most touching partitions an earlier box of the same commit touched. It
+// times what a refresh per box rather than per commit would multiply.
+func benchSmallBatches(b *testing.B) {
+	svc, err := ForQuery(vwapSpec(), []string{"sym"}, Options{Shards: 1, BatchSize: 64})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer svc.Close()
+	rng := rand.New(rand.NewSource(7))
+	ring := make([][]engine.Event, 4096)
+	for i := range ring {
+		ring[i] = make([]engine.Event, 4)
+		for j := range ring[i] {
+			ring[i][j] = allocTuple(float64(rng.Intn(8)), float64(1+rng.Intn(1024)))
+		}
+	}
+	for _, batch := range ring {
+		if err := svc.ApplyBatch(batch); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := svc.Drain(); err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := svc.ApplyBatch(ring[i%len(ring)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := svc.Drain(); err != nil {
+		b.Fatal(err)
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(4*b.N), "ns/event")
 }
