@@ -137,7 +137,10 @@ func commitService(tb testing.TB, ringLen int) (*Service, [][]engine.Event) {
 // so the ceiling is 8·P plus fixed slack for the snapshot header and the
 // drain barrier. Cloning a 32-byte (key, value) row per partition, as a
 // grouped-row snapshot does, is four times the column and fails it; so does
-// any per-event allocation on the write path.
+// any per-event allocation on the write path. Each commit is drained before
+// the next batch is queued: a producer that runs ahead of the worker fills
+// the queue with fresh batch boxes the pool has not had back yet, and would
+// measure how far it ran ahead rather than the commit.
 func TestAllocGuardCommitBytes(t *testing.T) {
 	svc, ring := commitService(t, 32)
 	const commits, ceiling = 256, 8*commitParts + 4096
@@ -147,9 +150,9 @@ func TestAllocGuardCommitBytes(t *testing.T) {
 		if err := svc.ApplyBatch(ring[i%len(ring)]); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if err := svc.Drain(); err != nil {
-		t.Fatal(err)
+		if err := svc.Drain(); err != nil {
+			t.Fatal(err)
+		}
 	}
 	runtime.ReadMemStats(&after)
 	if got := (after.TotalAlloc - before.TotalAlloc) / commits; got > ceiling {
