@@ -846,10 +846,12 @@ func (t *Tree) validate(i int32, base float64) (blackHeight int, err error) {
 	if n.size != 1+t.sizeOf(n.left)+t.sizeOf(n.right) {
 		return 0, fmt.Errorf("rpai: size mismatch at key %v", k)
 	}
-	if n.leftSum != t.sumOf(n.left) {
+	// Bits, not float equality: a cached -0 where the recomputation gives +0
+	// is stale, and a read adding it could come out with the other sign.
+	if math.Float64bits(n.leftSum) != math.Float64bits(t.sumOf(n.left)) {
 		return 0, fmt.Errorf("rpai: leftSum mismatch at key %v: have %v want %v", k, n.leftSum, t.sumOf(n.left))
 	}
-	if n.rightSum != t.sumOf(n.right) {
+	if math.Float64bits(n.rightSum) != math.Float64bits(t.sumOf(n.right)) {
 		return 0, fmt.Errorf("rpai: rightSum mismatch at key %v: have %v want %v", k, n.rightSum, t.sumOf(n.right))
 	}
 	wantMin, wantMax := 0.0, 0.0

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -688,5 +689,26 @@ func TestRankMatchesModelRandom(t *testing.T) {
 		if got := rankOf(tr, q); got != want {
 			t.Fatalf("op %d: rank(%v) = %d want %d", i, q, got, want)
 		}
+	}
+}
+
+// TestValidateComparesSumBits plants a -0 leftSum where update computes +0
+// (the left child holds a zero value): equal as floats, different bits, so a
+// prefix read adding it could come out with a different sign. Validate must
+// report it stale at the parent.
+func TestValidateComparesSumBits(t *testing.T) {
+	tr := New()
+	tr.Put(10, 5)
+	tr.Put(0, 0)
+	if err := tr.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	root := tr.nodeAt(tr.root)
+	if root.key != 10 || root.left < 0 || math.Float64bits(root.leftSum) != 0 {
+		t.Fatalf("the root at key %v caches leftSum %v, want +0 over a left child at key 10", root.key, root.leftSum)
+	}
+	root.leftSum = math.Copysign(0, -1)
+	if err := tr.Validate(); err == nil || !strings.Contains(err.Error(), "leftSum mismatch at key 10") {
+		t.Fatalf("a -0 leftSum where update makes +0: Validate says %v", err)
 	}
 }
