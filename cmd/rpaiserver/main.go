@@ -6,9 +6,8 @@
 // grouped reads, push subscriptions, stats, and checkpoint triggers.
 //
 // Queries are registered at boot with -register (repeatable) and at runtime
-// by clients. -query (or -query-file) is shorthand for a single -register:
-// the un-routed reads and subscriptions of the protocol address the lowest
-// registered QueryID, so a client of a one-query daemon never needs an id.
+// by clients; every read and subscription names its query by QueryID (boot
+// registrations take 1, 2, ... in flag order on a fresh directory).
 //
 // With -data the catalog is durable: registrations persist in a manifest,
 // every applied batch is logged once to a shared WAL however many queries are
@@ -26,7 +25,7 @@
 // Usage:
 //
 //	rpaiserver -addr :7411 -partition sym -data /var/lib/rpai \
-//	  -query "SELECT Sum(b.price * b.volume) FROM bids b WHERE 0.75 * (SELECT Sum(b1.volume) FROM bids b1) < (SELECT Sum(b2.volume) FROM bids b2 WHERE b2.price <= b.price)"
+//	  -register "SELECT Sum(b.price * b.volume) FROM bids b WHERE 0.75 * (SELECT Sum(b1.volume) FROM bids b1) < (SELECT Sum(b2.volume) FROM bids b2 WHERE b2.price <= b.price)"
 //
 //	rpaiserver -addr :7412 -partition sym -data /var/lib/rpai2 \
 //	  -register "SELECT ..." -register "SELECT ..."
@@ -67,8 +66,6 @@ func (m *multiFlag) Set(s string) error {
 func main() {
 	var (
 		addr         = flag.String("addr", "127.0.0.1:7411", "TCP listen address")
-		queryText    = flag.String("query", "", "SQL query to serve; shorthand for one -register")
-		queryFile    = flag.String("query-file", "", "read the -query text from a file instead")
 		partition    = flag.String("partition", "", "comma-separated partition key columns (required unless -replica)")
 		shards       = flag.Int("shards", 0, "shard worker count (0: serve default)")
 		queueLen     = flag.Int("queue", 0, "per-shard queue length (0: serve default)")
@@ -79,7 +76,7 @@ func main() {
 		compactEvery = flag.Int("compact-every", 0, "rotate a checkpoint generation after this many logged events (0: off; needs -data)")
 		maxInFlight  = flag.Int("max-inflight", 0, "admission limit for in-flight work requests (0: wire default)")
 		perConn      = flag.Int("per-conn", 0, "pipelined requests buffered per connection (0: wire default)")
-		idleTimeout  = flag.Duration("idle-timeout", 0, "per-frame read deadline (0: wire default)")
+		idleTimeout  = flag.Duration("idle-timeout", 0, "per-frame read deadline (0: wire default; negative: off)")
 		pprofAddr    = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. 127.0.0.1:6060; empty: off)")
 	)
 	var registers multiFlag
@@ -96,17 +93,6 @@ func main() {
 		}()
 	}
 
-	sql := *queryText
-	if *queryFile != "" {
-		data, err := os.ReadFile(*queryFile)
-		if err != nil {
-			fatal(err)
-		}
-		sql = string(data)
-	}
-	if strings.TrimSpace(sql) != "" {
-		registers = append(multiFlag{sql}, registers...) // lowest QueryID: the default query
-	}
 	var partitionBy []string
 	for _, c := range strings.Split(*partition, ",") {
 		if c = strings.TrimSpace(c); c != "" {
@@ -123,7 +109,7 @@ func main() {
 	}
 	if *replicaDir != "" {
 		if *dataDir != "" || *compactEvery != 0 || len(registers) > 0 {
-			usage("-replica follows the primary's directory, log and queries; it excludes -data, -compact-every, -query and -register")
+			usage("-replica follows the primary's directory, log and queries; it excludes -data, -compact-every and -register")
 		}
 		opt.Dir = *replicaDir
 	} else if len(partitionBy) == 0 {
@@ -138,7 +124,6 @@ func main() {
 		MaxInFlight:  *maxInFlight,
 		PerConnQueue: *perConn,
 		IdleTimeout:  *idleTimeout,
-		Query:        "catalog",
 	})
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {

@@ -25,7 +25,7 @@ WHERE 0.75 * (SELECT SUM(b1.volume) FROM bids b1)
       < (SELECT SUM(b2.volume) FROM bids b2 WHERE b2.price <= b.price)`
 
 // TestBoot pins the daemon's one boot path: a fresh directory starts a
-// catalog, a second boot recovers it without registering the same -query
+// catalog, a second boot recovers it without registering the same query
 // twice, -replica follows it read-only, a directory in the retired
 // single-query layout is refused by name instead of gaining a catalog
 // generation beside its files, and a negative -batch is refused at boot —
@@ -38,8 +38,8 @@ func TestBoot(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if id, ok := cat.Default(); cat.Len() != 1 || !ok || id != 1 {
-			t.Fatalf("boot %d serves %d queries, default %d", boots, cat.Len(), id)
+		if list := cat.List(); len(list) != 1 || list[0].ID != 1 {
+			t.Fatalf("boot %d serves %v", boots, list)
 		}
 		if boots == 1 {
 			fol, err := boot(catalog.Options{Dir: dir}, true, 0, nil)
@@ -173,8 +173,8 @@ func (d *daemon) term() {
 }
 
 // TestDaemon is the boot smoke, end to end on real processes: the daemon
-// started three ways — -query, -register twice, and -replica on the second
-// one's data directory — answers a read each; -compact-every rotates
+// started three ways — -register once, -register twice, and -replica on the
+// second one's data directory — answers a read each; -compact-every rotates
 // generations; SIGTERM drains and exits 0; and a restart on the same -data
 // recovers the answer without registering the query twice.
 func TestDaemon(t *testing.T) {
@@ -199,11 +199,11 @@ WHERE 0.5 * (SELECT SUM(b1.volume) FROM bids b1)
 
 	// One query, durable, auto-compacting.
 	dirA := t.TempDir()
-	argsA := []string{"-partition", "sym", "-data", dirA, "-compact-every", "300", "-query", vwapSQL}
+	argsA := []string{"-partition", "sym", "-data", dirA, "-compact-every", "300", "-register", vwapSQL}
 	a := startDaemon(t, argsA...)
 	ca := a.dial()
 	feed(ca, 0, 2000)
-	want, err := ca.Result() // un-routed: the default query
+	want, err := ca.ResultQuery(1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +217,7 @@ WHERE 0.5 * (SELECT SUM(b1.volume) FROM bids b1)
 	a.term()
 	a = startDaemon(t, argsA...)
 	ca = a.dial()
-	if got, err := ca.Result(); err != nil || got != want {
+	if got, err := ca.ResultQuery(1); err != nil || got != want {
 		t.Fatalf("after restart Result = %v (%v), want %v\n%s", got, err, want, a.out)
 	}
 	if list, err := ca.ListQueries(); err != nil || len(list) != 1 {

@@ -1,9 +1,10 @@
 // Wiredemo: the networked serving layer end to end, in one process.
 //
 // This example boots the wire-protocol server (the core of cmd/rpaiserver)
-// over a one-query catalog — what `rpaiserver -query` serves — on a loopback
-// port, then drives it with the pipelined client: batched applies routed by
-// symbol, a drain barrier, scalar and grouped reads, and the stats RPC. The
+// over a one-query catalog — what `rpaiserver -register` serves — on a
+// loopback port, then drives it with the pipelined client: batched applies
+// routed by symbol, a drain barrier, scalar and grouped reads by QueryID, and
+// the stats RPC. The
 // networked results are compared bit for bit against an in-process service
 // fed the same trace — the serving layer adds a network without changing a
 // single bit of the query's semantics.
@@ -40,7 +41,7 @@ func vwap() *query.Query {
 	}
 }
 
-// vwapSQL is vwap() as the SQL a client (or rpaiserver -query) registers.
+// vwapSQL is vwap() as the SQL a client (or rpaiserver -register) registers.
 const vwapSQL = `SELECT SUM(b.price * b.volume) FROM bids b
 WHERE 0.75 * (SELECT SUM(b1.volume) FROM bids b1)
       < (SELECT SUM(b2.volume) FROM bids b2 WHERE b2.price <= b.price)`
@@ -49,14 +50,14 @@ func main() {
 	q := vwap()
 
 	// Server side: a 4-shard catalog serving the one query behind the TCP
-	// front door. The client's un-routed reads address it.
+	// front door. The client reads it by the QueryID Register assigned.
 	cat, err := catalog.New(catalog.Options{PartitionBy: []string{"sym"}, Shards: 4})
 	check(err)
-	_, ex, err := cat.Register(vwapSQL)
+	id, ex, err := cat.Register(vwapSQL)
 	check(err)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	check(err)
-	srv := wire.NewCatalogServer(cat, wire.ServerConfig{Query: ex.Canonical})
+	srv := wire.NewCatalogServer(cat, wire.ServerConfig{})
 	go srv.Serve(ln)
 	fmt.Printf("serving %s\n  on %s with %d shards\n\n", ex.Canonical, ln.Addr(), cat.Shards())
 
@@ -101,7 +102,7 @@ func main() {
 	check(c.Drain()) // barrier: every event applied server-side
 	check(ref.Drain())
 
-	got, err := c.Result()
+	got, err := c.ResultQuery(id)
 	check(err)
 	fmt.Printf("networked result:  %g\n", got)
 	fmt.Printf("in-process result: %g\n", ref.Result())
@@ -109,7 +110,7 @@ func main() {
 		panic("results diverged")
 	}
 
-	groups, err := c.ResultGrouped()
+	groups, err := c.ResultGroupedQuery(id)
 	check(err)
 	want := ref.ResultGrouped()
 	for i, g := range groups {

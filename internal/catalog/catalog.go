@@ -460,20 +460,6 @@ func (s *Service) Len() int {
 	return len(s.regs)
 }
 
-// Default is the lowest live QueryID — the query un-routed wire reads and
-// subscriptions address (with rpaiserver -query, the only one).
-func (s *Service) Default() (QueryID, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	best, ok := QueryID(0), false
-	for id := range s.regs {
-		if !ok || id < best {
-			best, ok = id, true
-		}
-	}
-	return best, ok
-}
-
 // regLocked resolves a QueryID. Callers hold mu (read or write) and must
 // KEEP holding it across every use of the registration's executor set:
 // Unregister tears a set down under the write lock, so releasing the read

@@ -557,12 +557,11 @@ func TestCatalogRecoverDoubleCrash(t *testing.T) {
 	if err := rec1.DrainAll(); err != nil {
 		t.Fatal(err)
 	}
-	var id QueryID
-	if d, ok := rec1.Default(); ok {
-		id = d
-	} else {
-		t.Fatal("no default query after recovery")
+	list := rec1.List()
+	if len(list) == 0 {
+		t.Fatal("no query after recovery")
 	}
+	id := list[0].ID
 	want, err := rec1.Result(id)
 	if err != nil {
 		t.Fatal(err)

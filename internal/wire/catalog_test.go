@@ -134,13 +134,6 @@ func TestServerCatalogRoundtrip(t *testing.T) {
 		}
 	}
 
-	// The un-routed reads address the default (lowest-ID) query.
-	rc.send(MsgResult, nil)
-	_, _, body := rc.recv()
-	if got, _ := DecodeScalar(body); got != refs[0].Result() {
-		t.Fatalf("default-routed result %v, want %v", got, refs[0].Result())
-	}
-
 	// EXPLAIN and the list reply must round-trip the registrations.
 	rc.send(MsgExplain, EncodeQueryID(nil, exs[3].ID))
 	tp, _, body := rc.recv()
@@ -211,7 +204,7 @@ func TestServerCatalogRoundtrip(t *testing.T) {
 	// A malformed registration is refused without tearing the connection down.
 	rc.send(MsgRegister, EncodeRegister(nil, "SELECT FROM WHERE"))
 	rc.errCode(CodeBadRequest)
-	rc.send(MsgResult, nil)
+	rc.send(MsgResultQ, EncodeQueryID(nil, exs[0].ID))
 	if tp, _, _ := rc.recv(); tp != MsgScalar {
 		t.Fatalf("connection unusable after refused registration: %s", tp)
 	}

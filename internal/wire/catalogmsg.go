@@ -12,8 +12,9 @@ import (
 // encoders/decoders follow messages.go's discipline: encoders never fail,
 // decoders are total and strictly bounds-checked.
 
-// maxSQLLen bounds a registered query's SQL text on the wire.
-const maxSQLLen = 1 << 16
+// maxStrLen bounds every string on the wire: a query's SQL text and the
+// EXPLAIN and stats fields.
+const maxStrLen = 1 << 16
 
 // maxExplainQueries bounds a query-list reply and an explain's shared-with
 // list.
@@ -25,13 +26,13 @@ func appendStr(buf []byte, s string) []byte {
 	return append(buf, s...)
 }
 
-// takeStr consumes a u32-length-prefixed string bounded by max.
-func takeStr(p []byte, max int, what string) (string, []byte, error) {
+// takeStr consumes a u32-length-prefixed string bounded by maxStrLen.
+func takeStr(p []byte, what string) (string, []byte, error) {
 	if len(p) < 4 {
 		return "", nil, fmt.Errorf("wire: %s truncated", what)
 	}
 	n := le.Uint32(p)
-	if int64(n) > int64(max) || int64(n) > int64(len(p)-4) {
+	if n > maxStrLen || int64(n) > int64(len(p)-4) {
 		return "", nil, fmt.Errorf("wire: %s length %d overruns body", what, n)
 	}
 	return string(p[4 : 4+n]), p[4+n:], nil
@@ -39,15 +40,15 @@ func takeStr(p []byte, max int, what string) (string, []byte, error) {
 
 // EncodeRegister appends a register body: the SQL text.
 func EncodeRegister(buf []byte, sql string) []byte {
-	if len(sql) > maxSQLLen {
-		sql = sql[:maxSQLLen]
+	if len(sql) > maxStrLen {
+		sql = sql[:maxStrLen]
 	}
 	return appendStr(buf, sql)
 }
 
 // DecodeRegister parses a register body.
 func DecodeRegister(p []byte) (string, error) {
-	sql, rest, err := takeStr(p, maxSQLLen, "register sql")
+	sql, rest, err := takeStr(p, "register sql")
 	if err != nil {
 		return "", err
 	}
@@ -123,19 +124,18 @@ func decodeExplain(p []byte) (catalog.Explain, []byte, error) {
 	var err error
 	for _, f := range []struct {
 		dst *string
-		max int
 		tag string
 	}{
-		{&ex.SQL, maxSQLLen, "explain sql"},
-		{&ex.Canonical, maxSQLLen, "explain canonical"},
-		{&ex.Strategy, maxQueryDesc, "explain strategy"},
-		{&ex.IndexKind, maxQueryDesc, "explain index kind"},
-		{&ex.KeyCol, maxQueryDesc, "explain key column"},
-		{&ex.SubOp, maxQueryDesc, "explain sub-op"},
-		{&ex.Agg, maxQueryDesc, "explain aggregate"},
-		{&ex.PredSig, maxSQLLen, "explain predicate signature"},
+		{&ex.SQL, "explain sql"},
+		{&ex.Canonical, "explain canonical"},
+		{&ex.Strategy, "explain strategy"},
+		{&ex.IndexKind, "explain index kind"},
+		{&ex.KeyCol, "explain key column"},
+		{&ex.SubOp, "explain sub-op"},
+		{&ex.Agg, "explain aggregate"},
+		{&ex.PredSig, "explain predicate signature"},
 	} {
-		if *f.dst, p, err = takeStr(p, f.max, f.tag); err != nil {
+		if *f.dst, p, err = takeStr(p, f.tag); err != nil {
 			return ex, nil, err
 		}
 	}
@@ -149,7 +149,7 @@ func decodeExplain(p []byte) (catalog.Explain, []byte, error) {
 	}
 	for i := uint32(0); i < gn; i++ {
 		var c string
-		if c, p, err = takeStr(p, maxQueryDesc, "explain group-by column"); err != nil {
+		if c, p, err = takeStr(p, "explain group-by column"); err != nil {
 			return ex, nil, err
 		}
 		ex.GroupBy = append(ex.GroupBy, c)
@@ -164,7 +164,7 @@ func decodeExplain(p []byte) (catalog.Explain, []byte, error) {
 	}
 	for i := uint32(0); i < pn; i++ {
 		var pr string
-		if pr, p, err = takeStr(p, maxSQLLen, "explain predicate"); err != nil {
+		if pr, p, err = takeStr(p, "explain predicate"); err != nil {
 			return ex, nil, err
 		}
 		ex.Predicates = append(ex.Predicates, pr)
@@ -189,13 +189,13 @@ func decodeExplain(p []byte) (catalog.Explain, []byte, error) {
 	ex.Since = le.Uint64(p)
 	ex.IngestSets = int(le.Uint32(p[8:]))
 	p = p[12:]
-	if ex.StateKey, p, err = takeStr(p, maxSQLLen, "explain state key"); err != nil {
+	if ex.StateKey, p, err = takeStr(p, "explain state key"); err != nil {
 		return ex, nil, err
 	}
-	if ex.Probe, p, err = takeStr(p, maxSQLLen, "explain probe"); err != nil {
+	if ex.Probe, p, err = takeStr(p, "explain probe"); err != nil {
 		return ex, nil, err
 	}
-	if ex.Residual, p, err = takeStr(p, maxSQLLen, "explain residual"); err != nil {
+	if ex.Residual, p, err = takeStr(p, "explain residual"); err != nil {
 		return ex, nil, err
 	}
 	if len(p) < 8 {
@@ -253,10 +253,10 @@ func DecodeQueryList(p []byte) ([]catalog.Explain, error) {
 }
 
 // EncodeSubscribeQ appends a subscribe-q body: the QueryID followed by the
-// plain subscribe body.
+// subscribe body.
 func EncodeSubscribeQ(buf []byte, id catalog.QueryID, s Subscribe) []byte {
 	buf = le.AppendUint64(buf, uint64(id))
-	return EncodeSubscribe(buf, s)
+	return encodeSubscribe(buf, s)
 }
 
 // DecodeSubscribeQ parses a subscribe-q body.
@@ -264,15 +264,15 @@ func DecodeSubscribeQ(p []byte) (catalog.QueryID, Subscribe, error) {
 	if len(p) < 8 {
 		return 0, Subscribe{}, fmt.Errorf("wire: subscribe-q body too short (%d bytes)", len(p))
 	}
-	s, err := DecodeSubscribe(p[8:])
+	s, err := decodeSubscribe(p[8:])
 	return catalog.QueryID(le.Uint64(p)), s, err
 }
 
-// EncodeDeltaQ appends a delta-q body: the QueryID followed by the plain
-// delta body.
+// EncodeDeltaQ appends a delta-q body: the QueryID followed by the delta
+// body.
 func EncodeDeltaQ(buf []byte, id catalog.QueryID, f serve.DeltaFrame) []byte {
 	buf = le.AppendUint64(buf, uint64(id))
-	return EncodeDelta(buf, f)
+	return encodeDelta(buf, f)
 }
 
 // DecodeDeltaQ parses a delta-q body.
@@ -280,6 +280,6 @@ func DecodeDeltaQ(p []byte) (catalog.QueryID, serve.DeltaFrame, error) {
 	if len(p) < 8 {
 		return 0, serve.DeltaFrame{}, fmt.Errorf("wire: delta-q body too short (%d bytes)", len(p))
 	}
-	f, err := DecodeDelta(p[8:])
+	f, err := decodeDelta(p[8:])
 	return catalog.QueryID(le.Uint64(p)), f, err
 }

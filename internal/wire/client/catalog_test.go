@@ -173,8 +173,8 @@ func TestClientCatalog(t *testing.T) {
 }
 
 // TestClientCatalogAgainstPlainServer: a server booted with one query — what
-// `rpaiserver -query` serves — is a catalog like any other. The catalog calls
-// work against it, the un-routed reads keep addressing the boot query, and a
+// `rpaiserver -register` serves — is a catalog like any other. The catalog
+// calls work against it, the boot query keeps serving by its QueryID, and a
 // refused registration surfaces ErrBadRequest without wedging the pool.
 func TestClientCatalogAgainstPlainServer(t *testing.T) {
 	addr, _ := startServer(t, 1, wire.ServerConfig{})
@@ -196,7 +196,7 @@ func TestClientCatalogAgainstPlainServer(t *testing.T) {
 	if err := c.Unregister(ex.ID); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Result(); err != nil {
+	if _, err := c.ResultQuery(1); err != nil {
 		t.Fatalf("pool unusable after refused catalog call: %v", err)
 	}
 }

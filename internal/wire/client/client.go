@@ -227,25 +227,6 @@ func (c *Client) Drain() error {
 	return nil
 }
 
-// Result reads the scalar result of the server's default query (its lowest
-// live QueryID — the one query of an rpaiserver -query daemon).
-func (c *Client) Result() (float64, error) {
-	r, err := c.roundtrip(wire.MsgResult, nil)
-	if err != nil {
-		return 0, err
-	}
-	return wire.DecodeScalar(r.body)
-}
-
-// ResultGrouped reads the default query's per-partition grouped results.
-func (c *Client) ResultGrouped() ([]engine.GroupResult, error) {
-	r, err := c.roundtrip(wire.MsgResultGrouped, nil)
-	if err != nil {
-		return nil, err
-	}
-	return wire.DecodeGrouped(r.body)
-}
-
 // Stats reads the server's admission and per-shard serving counters.
 func (c *Client) Stats() (wire.Stats, error) {
 	r, err := c.roundtrip(wire.MsgStats, nil)

@@ -58,8 +58,9 @@ func symEvents(seed int64, n, partitions int) []engine.Event {
 	return out
 }
 
-// oneQuery is a one-query catalog read through its default query: the
-// in-process twin of what the un-routed client calls read over the wire.
+// oneQuery is a one-query catalog read through its QueryID 1: the in-process
+// twin of what the client's ResultQuery(1) and ResultGroupedQuery(1) read
+// over the wire.
 type oneQuery struct {
 	t   *testing.T
 	cat *catalog.Service
@@ -93,8 +94,8 @@ func (q oneQuery) ShardVersions() []serve.ShardVersion {
 }
 
 // startServer boots a wire server over a catalog serving only the vwap query
-// — what rpaiserver -query boots — and returns its address plus the query
-// (for direct result comparison).
+// as QueryID 1 — what rpaiserver -register boots — and returns its address
+// plus the query (for direct result comparison).
 func startServer(t *testing.T, shards int, cfg wire.ServerConfig) (string, oneQuery) {
 	t.Helper()
 	addr, cat := startCatalogServer(t, shards, cfg)
@@ -184,7 +185,7 @@ func (p *chaosProxy) KillAll() {
 // TestClientBasic drives the happy path: batched ingestion, the drain
 // barrier, reads, stats, and the batch-ack hook.
 func TestClientBasic(t *testing.T) {
-	addr, svc := startServer(t, 4, wire.ServerConfig{Query: "vwap"})
+	addr, svc := startServer(t, 4, wire.ServerConfig{})
 	events := symEvents(3, 1500, 11)
 
 	var acks atomic.Uint64
@@ -216,14 +217,14 @@ func TestClientBasic(t *testing.T) {
 		t.Fatal("batch-ack hook never fired")
 	}
 
-	got, err := c.Result()
+	got, err := c.ResultQuery(1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if want := svc.Result(); got != want {
 		t.Fatalf("Result = %v, want %v", got, want)
 	}
-	groups, err := c.ResultGrouped()
+	groups, err := c.ResultGroupedQuery(1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +258,7 @@ func TestClientBasic(t *testing.T) {
 	if err := c.Checkpoint(); !errors.Is(err, wire.ErrBadRequest) {
 		t.Fatalf("Checkpoint = %v, want ErrBadRequest", err)
 	}
-	if _, err := c.Result(); err != nil {
+	if _, err := c.ResultQuery(1); err != nil {
 		t.Fatalf("client poisoned after typed error: %v", err)
 	}
 }
@@ -317,14 +318,14 @@ func TestClientKillMidBatchDifferential(t *testing.T) {
 		t.Fatalf("only %d kills fired; trace too short to exercise reconnects", proxy.kills.Load())
 	}
 
-	got, err := c.Result()
+	got, err := c.ResultQuery(1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if want := ref.Result(); got != want {
 		t.Fatalf("networked Result = %v, want %v (exactly-once violated)", got, want)
 	}
-	groups, err := c.ResultGrouped()
+	groups, err := c.ResultGroupedQuery(1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -357,7 +358,7 @@ func TestClientClose(t *testing.T) {
 	if err := c.Apply(engine.Insert(query.Tuple{"sym": 1})); !errors.Is(err, client.ErrClientClosed) {
 		t.Fatalf("Apply after Close = %v", err)
 	}
-	if _, err := c.Result(); !errors.Is(err, client.ErrClientClosed) {
+	if _, err := c.ResultQuery(1); !errors.Is(err, client.ErrClientClosed) {
 		t.Fatalf("Result after Close = %v", err)
 	}
 }

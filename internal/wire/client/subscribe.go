@@ -14,7 +14,7 @@ import (
 	"rpai/internal/wire"
 )
 
-// SubOptions parameterizes Client.Subscribe.
+// SubOptions parameterizes Client.SubscribeQuery.
 type SubOptions struct {
 	// Keys, when non-empty, restricts the subscription to those partition
 	// keys; delta frames carry only matching groups. Empty subscribes to all.
@@ -26,23 +26,19 @@ type SubOptions struct {
 	Buffer int
 }
 
-// Subscription is a server-pushed stream of grouped-result delta frames. It
-// rides its own dedicated connection — the pool's connections are strictly
-// request-reply and cannot carry pushes — and survives connection loss by
-// reconnecting with backoff and resuming from the last received per-shard
-// versions. When the server can honor the resume the stream continues
-// incrementally; when it cannot (server restarted, subscriber too far
-// behind a state change) the next frames are Full reseeds. Either way a
-// consumer applying every frame to a serve.View converges bit-identically
-// on the server's grouped results.
+// Subscription is a server-pushed stream of one registered query's
+// grouped-result delta frames. It rides its own dedicated connection — the
+// pool's connections are strictly request-reply and cannot carry pushes — and
+// survives connection loss by reconnecting with backoff and resuming from the
+// last received per-shard versions. When the server can honor the resume the
+// stream continues incrementally; when it cannot (server restarted,
+// subscriber too far behind a state change) the next frames are Full
+// reseeds. Either way a consumer applying every frame to a serve.View
+// converges bit-identically on the server's grouped results.
 type Subscription struct {
 	c   *Client
 	opt SubOptions
-
-	// routed subscriptions (SubscribeQuery) target one registered catalog
-	// query; unrouted ones follow the server's default query.
-	routed bool
-	qid    catalog.QueryID
+	qid catalog.QueryID
 
 	frames  chan serve.DeltaFrame
 	session [wire.SessionIDLen]byte
@@ -57,22 +53,12 @@ type Subscription struct {
 	versions map[int]uint64
 }
 
-// Subscribe opens a push subscription to the server's grouped results. The
-// first frames seed the subscriber with each shard's full state; every later
-// server-side publication arrives as a coalesced delta. The returned
-// subscription must be Closed when done; closing the client also ends it.
-func (c *Client) Subscribe(opt SubOptions) (*Subscription, error) {
-	return c.subscribe(opt, false, 0)
-}
-
 // SubscribeQuery opens a push subscription to one registered catalog query's
-// grouped results. The stream's semantics match
-// Subscribe; the server routes the query's delta frames by QueryID.
+// grouped results. The first frames seed the subscriber with each shard's
+// full state; every later server-side publication arrives as a coalesced
+// delta. The returned subscription must be Closed when done; closing the
+// client also ends it.
 func (c *Client) SubscribeQuery(id catalog.QueryID, opt SubOptions) (*Subscription, error) {
-	return c.subscribe(opt, true, id)
-}
-
-func (c *Client) subscribe(opt SubOptions, routed bool, id catalog.QueryID) (*Subscription, error) {
 	if c.closed.Load() {
 		return nil, ErrClientClosed
 	}
@@ -83,7 +69,6 @@ func (c *Client) subscribe(opt SubOptions, routed bool, id catalog.QueryID) (*Su
 	sub := &Subscription{
 		c:      c,
 		opt:    opt,
-		routed: routed,
 		qid:    id,
 		frames: make(chan serve.DeltaFrame, buf),
 		quit:   make(chan struct{}),
@@ -93,7 +78,7 @@ func (c *Client) subscribe(opt SubOptions, routed bool, id catalog.QueryID) (*Su
 		copy(sub.session[:], time.Now().Format("150405.000000000"))
 	}
 	// The first attach happens synchronously so a server that permanently
-	// refuses subscriptions (old protocol, bad keys) fails Subscribe itself
+	// refuses subscriptions (old protocol, bad keys) fails SubscribeQuery itself
 	// instead of parking a sticky error.
 	nc, br, err := sub.attach()
 	if err != nil {
@@ -158,13 +143,9 @@ func (sub *Subscription) attach() (net.Conn, *bufio.Reader, error) {
 		return nil, nil, err
 	}
 	epoch, rs := sub.resumeState()
-	req := wire.Subscribe{Keys: sub.opt.Keys, Epoch: epoch, Resume: rs}
-	t0, body := wire.MsgSubscribe, wire.EncodeSubscribe(nil, req)
-	if sub.routed {
-		t0, body = wire.MsgSubscribeQ, wire.EncodeSubscribeQ(nil, sub.qid, req)
-	}
+	body := wire.EncodeSubscribeQ(nil, sub.qid, wire.Subscribe{Keys: sub.opt.Keys, Epoch: epoch, Resume: rs})
 	nc.SetDeadline(time.Now().Add(sub.c.opt.RequestTimeout))
-	if err := wire.WriteFrame(nc, wire.EncodeMsg(nil, t0, 1, body)); err != nil {
+	if err := wire.WriteFrame(nc, wire.EncodeMsg(nil, wire.MsgSubscribeQ, 1, body)); err != nil {
 		nc.Close()
 		return nil, nil, err
 	}
@@ -278,20 +259,10 @@ func (sub *Subscription) stream(nc net.Conn, br *bufio.Reader) bool {
 			return !sub.closedNow()
 		}
 		switch t {
-		case wire.MsgDelta, wire.MsgDeltaQ:
-			var f serve.DeltaFrame
-			if t == wire.MsgDeltaQ {
-				var qid catalog.QueryID
-				if qid, f, err = wire.DecodeDeltaQ(body); err != nil || !sub.routed || qid != sub.qid {
-					return !sub.closedNow() // corrupt or misrouted push: resync
-				}
-			} else {
-				if sub.routed {
-					return !sub.closedNow() // routed stream must push delta-q
-				}
-				if f, err = wire.DecodeDelta(body); err != nil {
-					return !sub.closedNow() // corrupt push: resync via reconnect
-				}
+		case wire.MsgDeltaQ:
+			qid, f, err := wire.DecodeDeltaQ(body)
+			if err != nil || qid != sub.qid {
+				return !sub.closedNow() // corrupt or misrouted push: resync
 			}
 			sub.record(f)
 			select {

@@ -118,7 +118,7 @@ func TestClientSubscribeDifferential(t *testing.T) {
 	}
 	defer c.Close()
 
-	sub, err := c.Subscribe(client.SubOptions{})
+	sub, err := c.SubscribeQuery(1, client.SubOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +168,7 @@ func TestClientSubscribeClientClose(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sub, err := c.Subscribe(client.SubOptions{})
+	sub, err := c.SubscribeQuery(1, client.SubOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +179,7 @@ func TestClientSubscribeClientClose(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("Frames did not close after client Close")
 	}
-	if _, err := c.Subscribe(client.SubOptions{}); err == nil {
+	if _, err := c.SubscribeQuery(1, client.SubOptions{}); err == nil {
 		t.Fatal("Subscribe after Close succeeded")
 	}
 }
@@ -223,7 +223,7 @@ func TestClientSubscribeFollower(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	sub, err := c.Subscribe(client.SubOptions{})
+	sub, err := c.SubscribeQuery(1, client.SubOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -59,8 +59,10 @@ func TestMessageCodecs(t *testing.T) {
 	if got, err := DecodeHello(EncodeHello(nil, h)); err != nil || got != h {
 		t.Fatalf("hello: %+v, %v", got, err)
 	}
-	w := Welcome{Version: 1, Shards: 8, Query: "vwap over sym"}
-	if got, err := DecodeWelcome(EncodeWelcome(nil, w)); err != nil || got != w {
+	w := Welcome{Version: 1, Shards: 8}
+	if body := EncodeWelcome(nil, w); len(body) != 8 {
+		t.Fatalf("welcome body is %d bytes, want 8", len(body))
+	} else if got, err := DecodeWelcome(body); err != nil || got != w {
 		t.Fatalf("welcome: %+v, %v", got, err)
 	}
 
@@ -133,7 +135,7 @@ func TestMessageCodecs(t *testing.T) {
 func TestDecodersRejectGarbage(t *testing.T) {
 	bodies := map[string][]byte{
 		"hello":   EncodeHello(nil, Hello{Version: 1}),
-		"welcome": EncodeWelcome(nil, Welcome{Query: "q"}),
+		"welcome": EncodeWelcome(nil, Welcome{Shards: 2}),
 		"batch":   EncodeBatch(nil, 1, [][]byte{{1, 2, 3}}),
 		"grouped": EncodeGrouped(nil, []engine.GroupResult{{Key: []float64{1}, Value: 2}}),
 		"stats":   EncodeStats(nil, Stats{Shards: []serve.ShardStats{{Shard: 1}}}),

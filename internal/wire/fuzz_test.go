@@ -25,8 +25,11 @@ func fuzzExplain() catalog.Explain {
 	}
 }
 
-// fuzzSeedFrames builds one valid frame per message type, the same frames the
-// committed corpus under testdata/fuzz/FuzzWireFrames seeds.
+// fuzzSeedFrames builds one valid frame per message type, retired types
+// included. The committed corpus under testdata/fuzz/FuzzWireFrames was
+// written from this list at protocol version 6 and keeps that version's bytes:
+// its hello (seed-00) carries version 6 and its welcome (seed-08) a query
+// string.
 func fuzzSeedFrames() [][]byte {
 	ev := engine.EncodeEvent(nil, engine.Insert(map[string]float64{"sym": 1, "price": 2, "volume": 3}))
 	bodies := []struct {
@@ -37,20 +40,20 @@ func fuzzSeedFrames() [][]byte {
 		{2, ev}, // the retired single-event apply: servers refuse it as unknown
 		{MsgApplyBatch, EncodeBatch(nil, 7, [][]byte{ev, ev})},
 		{MsgDrain, nil},
-		{MsgResult, nil},
-		{MsgResultGrouped, nil},
+		{5, nil}, // the retired un-routed result read
+		{6, nil}, // the retired un-routed grouped read
 		{MsgStats, nil},
 		{MsgCheckpoint, nil},
-		{MsgWelcome, EncodeWelcome(nil, Welcome{Version: Version, Shards: 4, Query: "vwap"})},
+		{MsgWelcome, EncodeWelcome(nil, Welcome{Version: Version, Shards: 4})},
 		{MsgAck, EncodeAck(nil, 2)},
 		{MsgScalar, EncodeScalar(nil, 3.25)},
 		{MsgGrouped, EncodeGrouped(nil, []engine.GroupResult{{Key: []float64{1}, Value: 2}})},
 		{MsgStatsReply, EncodeStats(nil, Stats{Server: ServerStats{Accepted: 1}, Shards: []serve.ShardStats{{Shard: 0, Applied: 3}}})},
 		{MsgError, EncodeError(nil, CodeOverloaded, "busy")},
-		{MsgSubscribe, EncodeSubscribe(nil, Subscribe{Keys: [][]float64{{1}, {2}}, Epoch: 9,
+		{15, encodeSubscribe(nil, Subscribe{Keys: [][]float64{{1}, {2}}, Epoch: 9, // the retired un-routed subscribe
 			Resume: []serve.ShardVersion{{Shard: 0, Version: 5}, {Shard: 1, Version: 7}}})},
 		{MsgSubscribed, EncodeSubscribed(nil, Subscribed{Shards: 2, Epoch: 9})},
-		{MsgDelta, EncodeDelta(nil, serve.DeltaFrame{Shard: 1, Version: 8, Base: 6,
+		{17, encodeDelta(nil, serve.DeltaFrame{Shard: 1, Version: 8, Base: 6, // the retired un-routed delta
 			Groups: []engine.GroupResult{{Key: []float64{2}, Value: 11.5}}})},
 		{MsgRegister, EncodeRegister(nil, "SELECT SUM(b.v) FROM bids b")},
 		{MsgRegistered, EncodeExplain(nil, fuzzExplain())},
@@ -75,7 +78,7 @@ func fuzzSeedFrames() [][]byte {
 	}
 	// Two back-to-back frames in one input, and a bare corrupt header.
 	two := AppendFrame(nil, EncodeMsg(nil, MsgDrain, 1, nil))
-	two = AppendFrame(two, EncodeMsg(nil, MsgResult, 2, nil))
+	two = AppendFrame(two, EncodeMsg(nil, 5, 2, nil))
 	frames = append(frames, two, []byte{1, 0, 0, 0, 0xde, 0xad, 0xbe, 0xef, 0x00})
 	return frames
 }
@@ -123,12 +126,8 @@ func FuzzWireFrames(f *testing.F) {
 				DecodeStats(body)
 			case MsgError:
 				DecodeError(body)
-			case MsgSubscribe:
-				DecodeSubscribe(body)
 			case MsgSubscribed:
 				DecodeSubscribed(body)
-			case MsgDelta:
-				DecodeDelta(body)
 			case MsgRegister:
 				DecodeRegister(body)
 			case MsgRegistered, MsgExplained:

@@ -28,20 +28,20 @@ type ServerConfig struct {
 	// between its read loop and its worker (default 32). A full queue stops
 	// the read loop, pushing backpressure into TCP.
 	PerConnQueue int
-	// IdleTimeout is the per-frame read deadline (default 5m; 0 disables).
-	// A connection that sends nothing for longer is torn down.
+	// IdleTimeout is the per-frame read deadline (0 means the default, 5m;
+	// a negative value disables it). A connection that sends nothing for
+	// longer is torn down.
 	IdleTimeout time.Duration
-	// WriteTimeout is the per-flush write deadline (default 30s; 0 disables).
-	WriteTimeout time.Duration
 	// MaxFrame bounds request frame payloads (default DefaultMaxFrame).
 	MaxFrame uint32
-	// MaxSessions caps the batch-dedup session table; beyond it the oldest
-	// session is evicted (default 4096).
-	MaxSessions int
-	// Query is the human-readable served-query description echoed in the
-	// welcome.
-	Query string
 }
+
+// writeTimeout is the per-flush write deadline.
+const writeTimeout = 30 * time.Second
+
+// maxSessions caps the batch-dedup session table; beyond it the oldest
+// session is evicted.
+const maxSessions = 4096
 
 func (c ServerConfig) withDefaults() ServerConfig {
 	if c.MaxInFlight <= 0 {
@@ -53,14 +53,8 @@ func (c ServerConfig) withDefaults() ServerConfig {
 	if c.IdleTimeout == 0 {
 		c.IdleTimeout = 5 * time.Minute
 	}
-	if c.WriteTimeout == 0 {
-		c.WriteTimeout = 30 * time.Second
-	}
 	if c.MaxFrame == 0 {
 		c.MaxFrame = DefaultMaxFrame
-	}
-	if c.MaxSessions <= 0 {
-		c.MaxSessions = 4096
 	}
 	return c
 }
@@ -101,9 +95,8 @@ type Server struct {
 }
 
 // NewCatalogServer returns a Server hosting cat: ingest fans out to every
-// registered query, connections register, unregister, explain, and read by
-// QueryID, and the un-routed reads and subscriptions address the catalog's
-// default (lowest-ID) query. The caller keeps ownership of cat: after Close
+// registered query, and connections register, unregister, explain, read and
+// subscribe by QueryID. The caller keeps ownership of cat: after Close
 // returns, drain and close it.
 func NewCatalogServer(cat *catalog.Service, cfg ServerConfig) *Server {
 	cfg = cfg.withDefaults()
@@ -115,15 +108,6 @@ func NewCatalogServer(cat *catalog.Service, cfg ServerConfig) *Server {
 		lns:      make(map[net.Listener]struct{}),
 		conns:    make(map[net.Conn]struct{}),
 	}
-}
-
-// defaultQuery resolves the query an un-routed request addresses.
-func (s *Server) defaultQuery() (catalog.QueryID, error) {
-	id, ok := s.cat.Default()
-	if !ok {
-		return 0, errors.New("no queries registered")
-	}
-	return id, nil
 }
 
 // ListenAndServe listens on addr and serves until Close.
@@ -229,7 +213,7 @@ func (s *Server) session(id [SessionIDLen]byte) *session {
 	if sess, ok := s.sessions[id]; ok {
 		return sess
 	}
-	for len(s.sessions) >= s.cfg.MaxSessions && len(s.sessOrder) > 0 {
+	for len(s.sessions) >= maxSessions && len(s.sessOrder) > 0 {
 		old := s.sessOrder[0]
 		s.sessOrder = s.sessOrder[1:]
 		delete(s.sessions, old)
@@ -362,7 +346,7 @@ func (s *Server) handshake(nc net.Conn, br *bufio.Reader, bw *bufio.Writer) (*se
 			fmt.Sprintf("server speaks version %d, client sent %d", Version, h.Version)))
 		return nil, ErrVersion
 	}
-	w := Welcome{Version: Version, Shards: uint32(s.cat.Shards()), Query: s.cfg.Query}
+	w := Welcome{Version: Version, Shards: uint32(s.cat.Shards())}
 	if err := s.reply(nc, bw, MsgWelcome, id, EncodeWelcome(nil, w)); err != nil {
 		return nil, err
 	}
@@ -371,9 +355,7 @@ func (s *Server) handshake(nc net.Conn, br *bufio.Reader, bw *bufio.Writer) (*se
 
 // reply writes one framed message and flushes it.
 func (s *Server) reply(nc net.Conn, bw *bufio.Writer, t MsgType, id uint64, body []byte) error {
-	if s.cfg.WriteTimeout > 0 {
-		nc.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
-	}
+	nc.SetWriteDeadline(time.Now().Add(writeTimeout))
 	if err := WriteFrame(bw, EncodeMsg(make([]byte, 0, msgHeaderLen+len(body)), t, id, body)); err != nil {
 		return err
 	}
@@ -387,9 +369,7 @@ func (s *Server) reply(nc net.Conn, bw *bufio.Writer, t MsgType, id uint64, body
 func (s *Server) worker(nc net.Conn, bw *bufio.Writer, sess *session, streaming *atomic.Bool, work <-chan reqItem) {
 	cs := &connScratch{}
 	flush := func() {
-		if s.cfg.WriteTimeout > 0 {
-			nc.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
-		}
+		nc.SetWriteDeadline(time.Now().Add(writeTimeout))
 		bw.Flush()
 	}
 	for {
@@ -405,16 +385,14 @@ func (s *Server) worker(nc net.Conn, bw *bufio.Writer, sess *session, streaming 
 			flush()
 			return
 		}
-		if it.t == MsgSubscribe || it.t == MsgSubscribeQ {
+		if it.t == MsgSubscribeQ {
 			if s.subscribeConn(nc, bw, streaming, it, work) {
 				return // push mode ran until the connection went away
 			}
 			continue // subscribe refused with an error reply; keep serving
 		}
 		t, body := s.process(cs, sess, it)
-		if s.cfg.WriteTimeout > 0 {
-			nc.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
-		}
+		nc.SetWriteDeadline(time.Now().Add(writeTimeout))
 		cs.frame = EncodeMsg(cs.frame[:0], t, it.id, body)
 		err := WriteFrame(bw, cs.frame)
 		if it.token {
@@ -432,24 +410,15 @@ func (s *Server) worker(nc net.Conn, bw *bufio.Writer, sess *session, streaming 
 	}
 }
 
-// subscribeConn handles MsgSubscribe / MsgSubscribeQ on the connection's
-// worker. A refused subscribe (bad body, unknown query, closed catalog) gets
-// an error reply and returns false so the worker keeps serving requests. A
-// successful subscribe turns the worker into the subscription's pump: it
-// acknowledges with MsgSubscribed and then streams MsgDelta (or
-// QueryID-routed MsgDeltaQ) frames — echoing the subscribe request's id —
-// until the connection or the query's executor set goes away, returning true
-// so the worker exits.
+// subscribeConn handles MsgSubscribeQ on the connection's worker. A refused
+// subscribe (bad body, unknown query, closed catalog) gets an error reply and
+// returns false so the worker keeps serving requests. A successful subscribe
+// turns the worker into the subscription's pump: it acknowledges with
+// MsgSubscribed and then streams MsgDeltaQ frames — echoing the subscribe
+// request's id — until the connection or the query's executor set goes away,
+// returning true so the worker exits.
 func (s *Server) subscribeConn(nc net.Conn, bw *bufio.Writer, streaming *atomic.Bool, it reqItem, work <-chan reqItem) bool {
-	// A plain subscribe goes to the default query; subscribe-q names a QueryID.
-	var req Subscribe
-	var qid catalog.QueryID
-	var err error
-	if it.t == MsgSubscribeQ {
-		qid, req, err = DecodeSubscribeQ(it.body)
-	} else if req, err = DecodeSubscribe(it.body); err == nil {
-		qid, err = s.defaultQuery()
-	}
+	qid, req, err := DecodeSubscribeQ(it.body)
 	if err != nil {
 		s.reply(nc, bw, MsgError, it.id, EncodeError(nil, CodeBadRequest, err.Error()))
 		return false
@@ -485,10 +454,6 @@ func (s *Server) subscribeConn(nc net.Conn, bw *bufio.Writer, streaming *atomic.
 		s.drainWork(work)
 		return true
 	}
-	deltaType := MsgDelta
-	if it.t == MsgSubscribeQ {
-		deltaType = MsgDeltaQ
-	}
 	var frame, body []byte
 	for {
 		select {
@@ -500,15 +465,9 @@ func (s *Server) subscribeConn(nc net.Conn, bw *bufio.Writer, streaming *atomic.
 				s.drainWork(work)
 				return true
 			}
-			if deltaType == MsgDeltaQ {
-				body = EncodeDeltaQ(body[:0], qid, fr)
-			} else {
-				body = EncodeDelta(body[:0], fr)
-			}
-			frame = EncodeMsg(frame[:0], deltaType, it.id, body)
-			if s.cfg.WriteTimeout > 0 {
-				nc.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
-			}
+			body = EncodeDeltaQ(body[:0], qid, fr)
+			frame = EncodeMsg(frame[:0], MsgDeltaQ, it.id, body)
+			nc.SetWriteDeadline(time.Now().Add(writeTimeout))
 			if err := WriteFrame(bw, frame); err != nil {
 				s.drainWork(work)
 				return true
@@ -563,8 +522,8 @@ func (s *Server) process(cs *connScratch, sess *session, it reqItem) (MsgType, [
 		}
 		return MsgAck, EncodeAck(nil, 0)
 
-	case MsgResult, MsgResultQ:
-		id, err := s.queryID(it)
+	case MsgResultQ:
+		id, err := DecodeQueryID(it.body)
 		if err != nil {
 			return MsgError, EncodeError(nil, CodeBadRequest, err.Error())
 		}
@@ -575,8 +534,8 @@ func (s *Server) process(cs *connScratch, sess *session, it reqItem) (MsgType, [
 		cs.body = EncodeScalar(cs.body[:0], v)
 		return MsgScalar, cs.body
 
-	case MsgResultGrouped, MsgGroupedQ:
-		id, err := s.queryID(it)
+	case MsgGroupedQ:
+		id, err := DecodeQueryID(it.body)
 		if err != nil {
 			return MsgError, EncodeError(nil, CodeBadRequest, err.Error())
 		}
@@ -640,25 +599,17 @@ func (s *Server) process(cs *connScratch, sess *session, it reqItem) (MsgType, [
 	return MsgError, EncodeError(nil, CodeBadRequest, fmt.Sprintf("unknown request type %d", it.t))
 }
 
-// queryID resolves the query a read addresses: the QueryID in the body of a
-// routed read, the catalog's default query for the un-routed shorthand.
-func (s *Server) queryID(it reqItem) (catalog.QueryID, error) {
-	if it.t == MsgResultQ || it.t == MsgGroupedQ {
-		return DecodeQueryID(it.body)
-	}
-	return s.defaultQuery()
-}
-
-// processStats builds the stats reply: daemon counters, the default query's
-// shard table, and the per-query counter table.
+// processStats builds the stats reply: daemon counters, the shard table of
+// the lowest live QueryID (the first of the QueryID-ordered stats list), and
+// the per-query counter table.
 func (s *Server) processStats() (MsgType, []byte) {
 	st := Stats{Server: s.Stats()}
-	if id, err := s.defaultQuery(); err == nil {
-		if sh, err := s.cat.ShardStats(id); err == nil {
+	qs := s.cat.Stats()
+	if len(qs) > 0 {
+		if sh, err := s.cat.ShardStats(qs[0].ID); err == nil {
 			st.Shards = sh
 		}
 	}
-	qs := s.cat.Stats()
 	st.Queries = make([]QueryStats, 0, len(qs))
 	for _, q := range qs {
 		st.Queries = append(st.Queries, QueryStats{

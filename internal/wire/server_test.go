@@ -63,8 +63,8 @@ func symEvents(seed int64, n, partitions int) []engine.Event {
 // vwapSQL is vwapSpec as SQL, the one query of the single-query tests.
 const vwapSQL = catSQLVWAP
 
-// oneQueryCatalog builds a catalog serving exactly vwapSQL — what rpaiserver
-// -query boots — so the un-routed reads and subscriptions address it.
+// oneQueryCatalog builds a catalog serving exactly vwapSQL as QueryID 1 —
+// what rpaiserver -register boots.
 func oneQueryCatalog(t *testing.T, opt catalog.Options) *catalog.Service {
 	t.Helper()
 	opt.PartitionBy = []string{"sym"}
@@ -186,8 +186,8 @@ func encodeEvents(events []engine.Event) [][]byte {
 	return out
 }
 
-// TestServerRoundtrip drives the un-routed request catalogue over one
-// loopback connection to a one-query catalog and checks the networked results
+// TestServerRoundtrip drives the request catalogue over one loopback
+// connection to a one-query catalog and checks the networked results
 // are bit-identical to an in-process service fed the same trace.
 func TestServerRoundtrip(t *testing.T) {
 	q := vwapSpec()
@@ -205,7 +205,7 @@ func TestServerRoundtrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	addr := startServer(t, oneQueryCatalog(t, catalog.Options{Shards: 4}), ServerConfig{Query: "vwap"})
+	addr := startServer(t, oneQueryCatalog(t, catalog.Options{Shards: 4}), ServerConfig{})
 	rc := dialRaw(t, addr, 1)
 
 	// The trace in sequenced batches of 256.
@@ -241,7 +241,7 @@ func TestServerRoundtrip(t *testing.T) {
 		t.Fatal("drain not acked")
 	}
 
-	rc.send(MsgResult, nil)
+	rc.send(MsgResultQ, EncodeQueryID(nil, 1))
 	_, _, body := rc.recv()
 	got, err := DecodeScalar(body)
 	if err != nil {
@@ -251,7 +251,7 @@ func TestServerRoundtrip(t *testing.T) {
 		t.Fatalf("networked Result = %v, want %v", got, want)
 	}
 
-	rc.send(MsgResultGrouped, nil)
+	rc.send(MsgGroupedQ, EncodeQueryID(nil, 1))
 	_, _, body = rc.recv()
 	groups, err := DecodeGrouped(body)
 	if err != nil {
@@ -333,7 +333,7 @@ func TestServerOverloadSheds(t *testing.T) {
 	probe.errCode(CodeOverloaded)
 
 	// Reads bypass the limiter: the server stays observable while saturated.
-	probe.send(MsgResult, nil)
+	probe.send(MsgResultQ, EncodeQueryID(nil, 1))
 	if tp, _, _ := probe.recv(); tp != MsgScalar {
 		t.Fatalf("result under overload replied %s", tp)
 	}
@@ -365,10 +365,10 @@ func TestServerOverloadSheds(t *testing.T) {
 
 // TestServerVersionMismatch pins the handshake refusal: there is one
 // protocol version, and a hello carrying any other — newer, or one of the
-// retired versions 2 through 5 — gets CodeVersion.
+// retired versions 2 through 6 — gets CodeVersion.
 func TestServerVersionMismatch(t *testing.T) {
 	addr := startServer(t, oneQueryCatalog(t, catalog.Options{}), ServerConfig{})
-	for _, v := range []uint32{Version + 7, Version + 1, 5, 4, 3, 2, 0} {
+	for _, v := range []uint32{Version + 7, Version + 1, 6, 5, 4, 3, 2, 0} {
 		nc, err := net.Dial("tcp", addr)
 		if err != nil {
 			t.Fatal(err)
@@ -438,32 +438,42 @@ func TestServerSurvivesGarbage(t *testing.T) {
 
 	// A well-behaved connection still gets full service.
 	rc := dialRaw(t, addr, 4)
-	rc.send(MsgResult, nil)
+	rc.send(MsgResultQ, EncodeQueryID(nil, 1))
 	if tp, _, _ := rc.recv(); tp != MsgScalar {
 		t.Fatalf("healthy connection got %s", tp)
 	}
+}
 
-	// The committed fuzz inputs carrying the retired single-event apply (type
-	// 2) are refused as unknown requests on a live session, which keeps
-	// serving.
-	retired := 0
+// TestServerRefusesRetiredTypes sends, on one live session, the committed
+// fuzz inputs that carry a retired request type: the single-event apply (2)
+// and the un-routed result, grouped result and subscribe (5, 6, 15). Each is
+// refused as an unknown request with CodeBadRequest, and the connection goes
+// on answering a QueryID-routed read.
+func TestServerRefusesRetiredTypes(t *testing.T) {
+	addr := startServer(t, oneQueryCatalog(t, catalog.Options{Shards: 2}), ServerConfig{})
+	rc := dialRaw(t, addr, 4)
+	retired := map[MsgType]int{2: 0, 5: 0, 6: 0, 15: 0}
 	for _, frame := range corpusFrames(t) {
 		payload, err := ReadFrame(bytes.NewReader(frame), 0)
 		if err != nil {
 			continue
 		}
-		if tp, _, body, err := DecodeMsg(payload); err == nil && tp == 2 {
-			retired++
-			rc.send(tp, body)
-			rc.errCode(CodeBadRequest)
-			rc.send(MsgResult, nil)
-			if tp, _, _ := rc.recv(); tp != MsgScalar {
-				t.Fatalf("connection after a type-2 request got %s", tp)
-			}
+		tp, _, body, err := DecodeMsg(payload)
+		if _, ok := retired[tp]; !ok || err != nil {
+			continue
+		}
+		retired[tp]++
+		rc.send(tp, body)
+		rc.errCode(CodeBadRequest)
+		rc.send(MsgResultQ, EncodeQueryID(nil, 1))
+		if got, _, _ := rc.recv(); got != MsgScalar {
+			t.Fatalf("connection after a type-%d request got %s", tp, got)
 		}
 	}
-	if retired == 0 {
-		t.Fatal("no committed FuzzWireFrames input carries type 2")
+	for tp, n := range retired {
+		if n == 0 {
+			t.Fatalf("no committed FuzzWireFrames input carries type %d", tp)
+		}
 	}
 }
 
@@ -509,7 +519,7 @@ func TestServerCheckpointRPC(t *testing.T) {
 	if tp, _, _ := rc.recv(); tp != MsgAck {
 		t.Fatal("checkpoint not acked")
 	}
-	rc.send(MsgResult, nil)
+	rc.send(MsgResultQ, EncodeQueryID(nil, 1))
 	_, _, body := rc.recv()
 	want, err := DecodeScalar(body)
 	if err != nil {
@@ -557,7 +567,7 @@ func TestServerRefusesPoisonBatch(t *testing.T) {
 		t.Fatal("drain not acked")
 	}
 	result := func() float64 {
-		rc.send(MsgResult, nil)
+		rc.send(MsgResultQ, EncodeQueryID(nil, 1))
 		_, _, body := rc.recv()
 		v, err := DecodeScalar(body)
 		if err != nil {

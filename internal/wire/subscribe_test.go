@@ -32,10 +32,10 @@ func wireGroupsIdentical(a, b []engine.GroupResult) bool {
 	return true
 }
 
-// subscribeRaw sends MsgSubscribe on rc and asserts the MsgSubscribed ack.
+// subscribeRaw subscribes rc to QueryID 1 and asserts the MsgSubscribed ack.
 func subscribeRaw(t *testing.T, rc *rawConn, req Subscribe, wantShards uint32) (uint64, Subscribed) {
 	t.Helper()
-	id := rc.send(MsgSubscribe, EncodeSubscribe(nil, req))
+	id := rc.send(MsgSubscribeQ, EncodeSubscribeQ(nil, 1, req))
 	tp, rid, body := rc.recv()
 	if tp != MsgSubscribed || rid != id {
 		t.Fatalf("subscribe reply %s (id %d), want subscribed echoing %d", tp, rid, id)
@@ -50,9 +50,9 @@ func subscribeRaw(t *testing.T, rc *rawConn, req Subscribe, wantShards uint32) (
 	return id, ack
 }
 
-// catchUpView reads pushed MsgDelta frames off rc into view until every shard
-// reaches its target version, then asserts the view reconstructs the default
-// query's grouped results bit-identically.
+// catchUpView reads pushed MsgDeltaQ frames of QueryID 1 off rc into view
+// until every shard reaches its target version, then asserts the view
+// reconstructs that query's grouped results bit-identically.
 func catchUpView(t *testing.T, rc *rawConn, subID uint64, view *serve.View,
 	cat *catalog.Service, what string) {
 	t.Helper()
@@ -78,12 +78,12 @@ func catchUpView(t *testing.T, rc *rawConn, subID uint64, view *serve.View,
 	}
 	for !caughtUp() {
 		tp, id, body := rc.recv()
-		if tp != MsgDelta || id != subID {
-			t.Fatalf("%s: push %s (id %d), want delta echoing %d", what, tp, id, subID)
+		if tp != MsgDeltaQ || id != subID {
+			t.Fatalf("%s: push %s (id %d), want delta-q echoing %d", what, tp, id, subID)
 		}
-		f, err := DecodeDelta(body)
-		if err != nil {
-			t.Fatalf("%s: %v", what, err)
+		qid, f, err := DecodeDeltaQ(body)
+		if err != nil || qid != 1 {
+			t.Fatalf("%s: push for query %d: %v", what, qid, err)
 		}
 		if err := view.Apply(f); err != nil {
 			t.Fatalf("%s: %v", what, err)
@@ -182,7 +182,7 @@ func TestServerReadOnly(t *testing.T) {
 	rc.errCode(CodeReadOnly)
 
 	// Reads still flow, bit-identical to the primary.
-	rc.send(MsgResult, nil)
+	rc.send(MsgResultQ, EncodeQueryID(nil, 1))
 	_, _, body := rc.recv()
 	got, err := DecodeScalar(body)
 	if err != nil {
@@ -215,9 +215,9 @@ func TestServerReadOnly(t *testing.T) {
 // client must be able to refuse every structurally invalid frame without
 // panicking, over-reading, or accepting an inconsistent version window.
 func TestDecodeDeltaMalformed(t *testing.T) {
-	good := EncodeDelta(nil, serve.DeltaFrame{Shard: 1, Version: 8, Base: 6,
+	good := encodeDelta(nil, serve.DeltaFrame{Shard: 1, Version: 8, Base: 6,
 		Groups: []engine.GroupResult{{Key: []float64{2}, Value: 11.5}}})
-	if _, err := DecodeDelta(good); err != nil {
+	if _, err := decodeDelta(good); err != nil {
 		t.Fatalf("canonical frame rejected: %v", err)
 	}
 	patch := func(mut func(b []byte)) []byte {
@@ -240,7 +240,7 @@ func TestDecodeDeltaMalformed(t *testing.T) {
 		{"key width overruns body", patch(func(b []byte) { le.PutUint32(b[25:], maxGroupKey+1) })},
 	}
 	for _, tc := range cases {
-		if _, err := DecodeDelta(tc.body); err == nil {
+		if _, err := decodeDelta(tc.body); err == nil {
 			t.Errorf("%s: malformed delta accepted", tc.name)
 		}
 	}
@@ -249,9 +249,9 @@ func TestDecodeDeltaMalformed(t *testing.T) {
 // TestDecodeSubscribeMalformed is the matching rejection table for the
 // subscribe request body.
 func TestDecodeSubscribeMalformed(t *testing.T) {
-	good := EncodeSubscribe(nil, Subscribe{Keys: [][]float64{{1, 2}}, Epoch: 5,
+	good := encodeSubscribe(nil, Subscribe{Keys: [][]float64{{1, 2}}, Epoch: 5,
 		Resume: []serve.ShardVersion{{Shard: 0, Version: 3}}})
-	if _, err := DecodeSubscribe(good); err != nil {
+	if _, err := decodeSubscribe(good); err != nil {
 		t.Fatalf("canonical subscribe rejected: %v", err)
 	}
 	patch := func(mut func(b []byte)) []byte {
@@ -272,7 +272,7 @@ func TestDecodeSubscribeMalformed(t *testing.T) {
 		{"resume count mismatch", patch(func(b []byte) { le.PutUint32(b[len(b)-16:], 2) })},
 	}
 	for _, tc := range cases {
-		if _, err := DecodeSubscribe(tc.body); err == nil {
+		if _, err := decodeSubscribe(tc.body); err == nil {
 			t.Errorf("%s: malformed subscribe accepted", tc.name)
 		}
 	}
@@ -282,7 +282,7 @@ func TestDecodeSubscribeMalformed(t *testing.T) {
 func TestSubscribeCodecRoundTrip(t *testing.T) {
 	s := Subscribe{Keys: [][]float64{{1}, {2, 3}}, Epoch: 77,
 		Resume: []serve.ShardVersion{{Shard: 0, Version: 9}, {Shard: 2, Version: 4}}}
-	got, err := DecodeSubscribe(EncodeSubscribe(nil, s))
+	got, err := decodeSubscribe(encodeSubscribe(nil, s))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,7 +301,7 @@ func TestSubscribeCodecRoundTrip(t *testing.T) {
 
 	f := serve.DeltaFrame{Shard: 2, Version: 10, Base: 0, Full: true,
 		Groups: []engine.GroupResult{{Key: []float64{1, 2}, Value: 3.5}}}
-	gf, err := DecodeDelta(EncodeDelta(nil, f))
+	gf, err := decodeDelta(encodeDelta(nil, f))
 	if err != nil {
 		t.Fatal(err)
 	}
