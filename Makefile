@@ -93,7 +93,6 @@ examples:
 	go run ./examples/tpch_q17
 	go run ./examples/orderbook
 	go run ./examples/queryengine
-	go run ./examples/minmax
 	go run ./examples/checkpoint
 	go run ./examples/wiredemo
 
@@ -103,6 +102,7 @@ FUZZ_TARGETS := \
 	internal/rpai:FuzzTreeOps \
 	internal/rpai:FuzzLevelTree \
 	internal/rpaibtree:FuzzBTreeVsBinary \
+	internal/queries:FuzzFinanceStrategies \
 	internal/engine:FuzzEngineDifferential \
 	internal/engine:FuzzBatchEquivalence \
 	internal/engine:FuzzSnapshotRoundTrip \

@@ -27,7 +27,6 @@ import (
 	"rpai/internal/query"
 	"rpai/internal/rpai"
 	"rpai/internal/sqlparse"
-	"rpai/internal/stream"
 	"rpai/internal/tpch"
 )
 
@@ -313,10 +312,10 @@ func BenchmarkBatch_VWAP_RPAI_Every100(b *testing.B)    { benchBatch(b, bench.Sy
 // Figure 7 trace — through the executor the planner builds from the query's
 // SQL, reading Result after every event as the hand-coded runner does. VWAP
 // and EQ1 run on the aggregate-index executors and SQ1, SQ2, NQ1 and NQ2 on
-// the general algorithm, each fed rows as the server feeds it (ApplyRows);
-// MST and PSP run on the multi-relation executor, which has only the map
-// API. Both sides get their events prebuilt, so the ratio of a pair is the
-// cost of plan generality.
+// the general algorithm, each fed rows as the server feeds it (ApplyRows).
+// MST and PSP join two relations, which the grammar has no FROM for, so
+// they have no generic side. Both sides get their events prebuilt, so the
+// ratio of a pair is the cost of plan generality.
 const engineEvents = 10000
 
 // Each query's SQL, as the queries package documents it.
@@ -384,78 +383,9 @@ func bidsEngineBench(b *testing.B, sql string) {
 	})
 }
 
-// multiEngineBench replays the two-sided finance trace through a fresh
-// multi-relation executor of spec per iteration.
-func multiEngineBench(b *testing.B, spec func() *engine.MultiQuery) {
-	trace := bench.FinanceTrace(engineEvents, true, 1)
-	events := make([]engine.MultiEvent, len(trace))
-	for i, e := range trace {
-		rel := "bids"
-		if e.Side == stream.Asks {
-			rel = "asks"
-		}
-		events[i] = engine.MultiEvent{Rel: rel, X: e.X(), Tuple: query.Tuple{"price": e.Rec.Price, "volume": e.Rec.Volume}}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		ex, err := engine.NewMultiAggIndex(spec())
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.StartTimer()
-		for _, e := range events {
-			ex.Apply(e)
-			ex.Result()
-		}
-	}
-}
-
-// twoSided builds the MST/PSP shape: the asks side's term minus the bids
-// side's, each relation filtered by pred.
-func twoSided(term query.Expr, pred query.Predicate) *engine.MultiQuery {
-	side := func(rel string, sign float64) engine.RelSpec {
-		return engine.RelSpec{Name: rel, Term: query.Mul(query.Const(sign), term), Pred: pred}
-	}
-	return &engine.MultiQuery{Combine: query.OpAdd, Rels: []engine.RelSpec{side("asks", 1), side("bids", -1)}}
-}
-
-// mstSpec is MST: SUM(a.price*a.volume) - SUM(b.price*b.volume) over each
-// side's levels holding more than a quarter of its volume above them.
-func mstSpec() *engine.MultiQuery {
-	return twoSided(query.Mul(query.Col("price"), query.Col("volume")), query.Predicate{
-		Left: query.ValSub(0.25, &query.Subquery{Kind: query.Sum, Of: query.Col("volume")}),
-		Op:   query.Gt,
-		Right: query.ValSub(1, &query.Subquery{
-			Kind:  query.Sum,
-			Of:    query.Col("volume"),
-			Where: &query.CorrPred{Inner: query.Col("price"), Op: query.Gt, Outer: query.Col("price")},
-		}),
-	})
-}
-
-// pspSpec is PSP: SUM(a.price) - SUM(b.price) over each side's significant
-// records (volume above 0.0001 of the side's total).
-func pspSpec() *engine.MultiQuery {
-	return twoSided(query.Col("price"), query.Predicate{
-		Left:  query.ValExpr(query.Col("volume")),
-		Op:    query.Gt,
-		Right: query.ValSub(0.0001, &query.Subquery{Kind: query.Sum, Of: query.Col("volume")}),
-	})
-}
-
 func BenchmarkEngine_VWAP_Generic(b *testing.B) { bidsEngineBench(b, engineVWAP) }
 func BenchmarkEngine_VWAP_HandCoded(b *testing.B) {
 	financeBench(b, "vwap", bench.SysRPAI, engineEvents, false)
-}
-func BenchmarkEngine_MST_Generic(b *testing.B) { multiEngineBench(b, mstSpec) }
-func BenchmarkEngine_MST_HandCoded(b *testing.B) {
-	financeBench(b, "mst", bench.SysRPAI, engineEvents, true)
-}
-func BenchmarkEngine_PSP_Generic(b *testing.B) { multiEngineBench(b, pspSpec) }
-func BenchmarkEngine_PSP_HandCoded(b *testing.B) {
-	financeBench(b, "psp", bench.SysRPAI, engineEvents, true)
 }
 func BenchmarkEngine_SQ1_Generic(b *testing.B) { bidsEngineBench(b, engineSQ1) }
 func BenchmarkEngine_SQ1_HandCoded(b *testing.B) {

@@ -349,6 +349,16 @@ func decodeManifest(b []byte) (manifest, error) {
 		ent.founded = d.U64()
 		ent.shared = flags&entryShared != 0
 		ent.spec.Residual = flags&entryResidual != 0
+		// A restored shared entry reads its lane through this spec: an
+		// unknown kind would kill a shard worker at the first ingest, and an
+		// unknown residual operator would gate every partition out.
+		switch {
+		case d.Err() != nil:
+		case ent.spec.Kind > query.Avg:
+			return m, fmt.Errorf("CATALOG manifest: query %d has probe kind %d, not SUM, COUNT or AVG", ent.id, ent.spec.Kind)
+		case ent.spec.Residual && ent.spec.ResidualOp > query.Gt:
+			return m, fmt.Errorf("CATALOG manifest: query %d has residual operator %d, not one of < <= = >= >", ent.id, ent.spec.ResidualOp)
+		}
 		if !ent.spec.Residual {
 			ent.spec.ResidualCol, ent.spec.ResidualOp, ent.spec.ResidualVal = "", 0, 0
 		}

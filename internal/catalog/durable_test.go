@@ -509,6 +509,77 @@ func TestCatalogRefusesOldFormats(t *testing.T) {
 	}
 }
 
+// TestCatalogRefusesBadProbeSpec rewrites the shared member of a two-member
+// (SUM + COUNT) CATALOG with a probe kind or a residual operator no build
+// writes. Recovery installs a shared entry's spec as its lane, so accepting
+// one would panic a shard worker at the first ingest (an unknown kind) or
+// silently read zero (an unknown operator): Recover and Follow must refuse
+// the manifest, naming the entry and the value.
+func TestCatalogRefusesBadProbeSpec(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		mutate func(*engine.ProbeSpec)
+		want   string
+	}{
+		{"kind 3", func(s *engine.ProbeSpec) { s.Kind = 3 }, "probe kind 3"},
+		{"kind 9", func(s *engine.ProbeSpec) { s.Kind = 9 }, "probe kind 9"},
+		{"op 99", func(s *engine.ProbeSpec) {
+			s.Residual, s.ResidualCol, s.ResidualOp, s.ResidualVal = true, "sym", 99, 2
+		}, "residual operator 99"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			opt := Options{PartitionBy: []string{"sym"}, Dir: dir}
+			cat, err := New(opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, sql := range []string{sqlVWAP, sqlCountVWAP} {
+				if _, _, err := cat.Register(sql); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := cat.Close(); err != nil {
+				t.Fatal(err)
+			}
+			m, _, err := readCatalogFile(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			shared := -1
+			for i, ent := range m.entries {
+				if ent.shared {
+					shared = i
+				}
+			}
+			if shared < 0 {
+				t.Fatal("the COUNT variant is not a shared member")
+			}
+			tc.mutate(&m.entries[shared].spec)
+			if err := writeCatalogFile(dir, m); err != nil {
+				t.Fatal(err)
+			}
+			rec, recErr := Recover(opt)
+			if recErr == nil {
+				rec.Close()
+			}
+			fol, folErr := Follow(opt, 0)
+			if folErr == nil {
+				fol.Close()
+			}
+			for what, err := range map[string]error{"Recover": recErr, "Follow": folErr} {
+				if err == nil {
+					t.Fatalf("%s accepted the manifest", what)
+				}
+				id := fmt.Sprintf("query %d", m.entries[shared].id)
+				if !strings.Contains(err.Error(), tc.want) || !strings.Contains(err.Error(), id) {
+					t.Fatalf("%s error %q does not name %s and %q", what, err, id, tc.want)
+				}
+			}
+		})
+	}
+}
+
 // dirListing is the sorted relative paths and sizes under dir.
 func dirListing(t *testing.T, dir string) string {
 	t.Helper()

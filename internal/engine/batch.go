@@ -31,13 +31,6 @@ type BatchExecutor interface {
 	ApplyBatch(events []Event)
 }
 
-// MultiBatchExecutor is the multi-relation analogue of BatchExecutor.
-type MultiBatchExecutor interface {
-	MultiExecutor
-	// ApplyBatch processes events in order as one batch.
-	ApplyBatch(events []MultiEvent)
-}
-
 // ApplyAll feeds events through the executor's batched path when it has one,
 // falling back to an Apply loop otherwise. Results are identical either way.
 func ApplyAll(ex Executor, events []Event) {
@@ -204,34 +197,4 @@ func (ex *AggIndexExec) ApplyRows(rows *Rows) {
 	}
 	pm.MoveMany(moves)
 	ex.moveBuf = moves[:0]
-}
-
-// ApplyBatch implements MultiBatchExecutor. Batches drained from a partition
-// are usually runs of events on the same relation, so the relation-map lookup
-// is cached across consecutive same-relation events.
-func (ex *MultiAggIndexExec) ApplyBatch(events []MultiEvent) {
-	var (
-		rs      *relState
-		lastRel string
-	)
-	for i := range events {
-		e := &events[i]
-		if rs == nil || e.Rel != lastRel {
-			var ok bool
-			rs, ok = ex.rels[e.Rel]
-			if !ok {
-				panic("engine: event for unknown relation " + e.Rel)
-			}
-			lastRel = e.Rel
-		}
-		rs.applyTuple(&ex.edge, e.Tuple, e.X)
-	}
-}
-
-// ApplyBatch implements MultiBatchExecutor for the re-evaluation oracle: a
-// plain loop, since all cost sits in Result's rescans.
-func (ex *MultiNaiveExec) ApplyBatch(events []MultiEvent) {
-	for i := range events {
-		ex.Apply(events[i])
-	}
 }

@@ -53,12 +53,12 @@ func Describe(q *query.Query) (Plan, error) {
 		rp := e.rs.b.plan
 		pl.KeyCol = rp.keyCol
 		switch rp.kind {
-		case PredCorrelated:
+		case predCorrelated:
 			// An RPAI on the arena with its relative keys held implicitly,
 			// as the weight lane's prefix sums of the level tree (DESIGN §4b).
 			pl.SubOp = rp.subOp.String()
 			pl.IndexKind = "rpai-arena"
-		case PredColumn:
+		case predColumn:
 			pl.SubOp = rp.thetaCorrFirst.String()
 			pl.IndexKind = "level-tree"
 		}

@@ -180,7 +180,7 @@ func TestPredSigDeterministic(t *testing.T) {
 	}
 }
 
-// columnSpec is a column-vs-aggregate predicate (the PredColumn shape):
+// columnSpec is a column-vs-aggregate predicate (the predColumn shape):
 // SUM(price*volume) WHERE price < 0.5 * SUM(volume).
 func columnSpec() *query.Query {
 	return &query.Query{

@@ -89,9 +89,9 @@ func noNested(q *query.Query) bool {
 	return true
 }
 
-// relStateExec adapts the multi-relation per-relation machinery (all four
-// inequality orientations plus column predicates) to single-relation
-// queries. The relState is the StateSet half (its level tree maintains both
+// relStateExec serves single-relation queries from the relation state (all
+// four inequality orientations plus column predicates; relstate.go). The
+// relState is the StateSet half (its level tree maintains both
 // a count and a term lane regardless of the outer aggregate); the outer kind is the
 // probe half, deciding which side(s) Result reads: the term sum for SUM, the
 // count for COUNT, their quotient for AVG.
@@ -468,7 +468,7 @@ type GeneralExec struct {
 }
 
 // NewGeneral returns the general-algorithm executor, or an error if the
-// query contains non-streamable nested aggregates.
+// query fails validation.
 func NewGeneral(q *query.Query) (*GeneralExec, error) {
 	p, err := prepareOwn(q)
 	if err != nil {

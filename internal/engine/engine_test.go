@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"rpai/internal/queries"
 	"rpai/internal/query"
 	"rpai/internal/stream"
 )
@@ -124,6 +125,36 @@ func twoPredSpec() *query.Query {
 	}
 }
 
+// mstSideSpec is one side of MST (package queries): SUM(price*volume) over
+// the levels holding more than a quarter of the side's volume above them.
+func mstSideSpec() *query.Query {
+	return &query.Query{
+		Agg: query.Mul(query.Col("price"), query.Col("volume")),
+		Preds: []query.Predicate{{
+			Left: query.ValSub(0.25, &query.Subquery{Kind: query.Sum, Of: query.Col("volume")}),
+			Op:   query.Gt,
+			Right: query.ValSub(1, &query.Subquery{
+				Kind:  query.Sum,
+				Of:    query.Col("volume"),
+				Where: &query.CorrPred{Inner: query.Col("price"), Op: query.Gt, Outer: query.Col("price")},
+			}),
+		}},
+	}
+}
+
+// pspSideSpec is one side of PSP, a column predicate: SUM(price) over the
+// records whose volume exceeds 0.0001 of the side's total.
+func pspSideSpec() *query.Query {
+	return &query.Query{
+		Agg: query.Col("price"),
+		Preds: []query.Predicate{{
+			Left:  query.ValExpr(query.Col("volume")),
+			Op:    query.Gt,
+			Right: query.ValSub(0.0001, &query.Subquery{Kind: query.Sum, Of: query.Col("volume")}),
+		}},
+	}
+}
+
 // --- helpers ---
 
 func priceVolumeEvents(seed int64, n int, deleteRatio float64) []Event {
@@ -205,6 +236,8 @@ func TestAggIndexAgreesWithNaive(t *testing.T) {
 		"eq1":   eq1Spec(),
 		"count": countSpec(),
 		"avg":   avgSpec(),
+		"mst":   mstSideSpec(),
+		"psp":   pspSideSpec(),
 	}
 	for name, q := range specs {
 		q := q
@@ -258,20 +291,25 @@ func TestAggIndexRejectsIneligible(t *testing.T) {
 	}
 }
 
+// TestNonStreamableRejected pins that both constructors refuse a query the
+// validator refuses, here a COUNT query whose term is not the constant 1
+// (the grammar has no MIN or MAX to refuse: section 4.2.5's non-streamable
+// aggregates are refused by the parser).
 func TestNonStreamableRejected(t *testing.T) {
 	q := &query.Query{
-		Agg: query.Col("volume"),
+		Outer: query.Count,
+		Agg:   query.Col("volume"),
 		Preds: []query.Predicate{{
 			Left:  query.ValExpr(query.Col("price")),
 			Op:    query.Gt,
-			Right: query.ValSub(1, &query.Subquery{Kind: query.Max, Of: query.Col("price")}),
+			Right: query.ValSub(1, &query.Subquery{Kind: query.Sum, Of: query.Col("price")}),
 		}},
 	}
 	if _, err := New(q); err == nil {
-		t.Fatal("New accepted a MAX subquery under deletion streams")
+		t.Fatal("New accepted a COUNT query over a non-constant term")
 	}
 	if _, err := NewGeneral(q); err == nil {
-		t.Fatal("NewGeneral accepted a MAX subquery")
+		t.Fatal("NewGeneral accepted a COUNT query over a non-constant term")
 	}
 }
 
@@ -293,6 +331,76 @@ func TestEngineMatchesHandCodedVWAP(t *testing.T) {
 		naive.Apply(ev)
 		if got, want := ex.Result(), naive.Result(); !almostEqual(got, want) {
 			t.Fatalf("event %d: %v vs %v", i, got, want)
+		}
+	}
+}
+
+// TestRelStateMatchesHandCodedMSTPSP is the independent reference for the
+// relation state: MST and PSP join bids and asks, and their cross join
+// factorizes per side into a qualifying count C and term sum S, so each is
+// |QB|·S_A - |QA|·S_B over single-relation SUM and COUNT plans of one side's
+// predicate. It replays order-book traces through those plans and through
+// the hand-written MST/PSP executors of package queries, whose RPAI side keeps
+// two single-lane trees keyed by running volume sums and shifts them per
+// event where the relation state reads those sums off its level tree. On the
+// integer trace every sum is exact and the results must be bit-identical after
+// every event. The second trace has 0.1-multiple prices (inexact, so the
+// terms round and the level tree and the RPAI add them in different orders)
+// and 0.25-multiple volumes (exact, as the hand-written index keys require);
+// there they must agree within almostEqual.
+func TestRelStateMatchesHandCodedMSTPSP(t *testing.T) {
+	cfg := stream.DefaultOrderBook(800)
+	cfg.BothSides = true
+	cfg.DeleteRatio = 0.15
+	cfg.PriceLevels = 40
+	integer := stream.GenerateOrderBook(cfg)
+	fractional := make([]stream.Event, len(integer))
+	for i, e := range integer {
+		e.Rec.Price = 0.1 * (e.Rec.Price - cfg.BasePrice + 1)
+		e.Rec.Volume = 0.25 * e.Rec.Volume
+		fractional[i] = e
+	}
+	for _, trace := range []struct {
+		name   string
+		events []stream.Event
+	}{{"integer", integer}, {"fractional", fractional}} {
+		for _, tc := range []struct {
+			name string
+			spec func() *query.Query
+		}{{"mst", mstSideSpec}, {"psp", pspSideSpec}} {
+			count := tc.spec()
+			count.Outer, count.Agg = query.Count, query.Const(1)
+			// side[0] is bids, side[1] asks; each holds its SUM and COUNT plan.
+			var side [2][2]Executor
+			for i := range side {
+				for j, q := range []*query.Query{tc.spec(), count} {
+					ex, err := New(q)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if ex.Strategy() != "relstate" {
+						t.Fatalf("%s: planner picked %s, want relstate", q, ex.Strategy())
+					}
+					side[i][j] = ex
+				}
+			}
+			hand := queries.NewBids(tc.name, queries.RPAI)
+			for i, e := range trace.events {
+				s := 0
+				if e.Side == stream.Asks {
+					s = 1
+				}
+				ev := Event{X: e.X(), Tuple: query.Tuple{"price": e.Rec.Price, "volume": e.Rec.Volume}}
+				side[s][0].Apply(ev)
+				side[s][1].Apply(ev)
+				hand.Apply(e)
+				sumB, cntB := side[0][0].Result(), side[0][1].Result()
+				sumA, cntA := side[1][0].Result(), side[1][1].Result()
+				got, want := cntB*sumA-cntA*sumB, hand.Result()
+				if trace.name == "integer" && math.Float64bits(got) != math.Float64bits(want) || !almostEqual(got, want) {
+					t.Fatalf("%s trace, %s event %d: relation state %v vs hand-coded %v", trace.name, tc.name, i, got, want)
+				}
+			}
 		}
 	}
 }

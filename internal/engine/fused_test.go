@@ -43,7 +43,7 @@ type twoTreeRef struct {
 func newTwoTreeRef(t testing.TB, q *query.Query) *twoTreeRef {
 	t.Helper()
 	plan, err := classifyRelPred(q.Preds[0])
-	if err != nil || plan.kind != PredCorrelated {
+	if err != nil || plan.kind != predCorrelated {
 		t.Fatalf("%s: no correlated range-shift plan (%v)", q, err)
 	}
 	r := &twoTreeRef{q: q, plan: plan, schema: query.NewSchema(q.Columns()...),
@@ -158,7 +158,7 @@ func (r *twoTreeRef) Snapshot(w io.Writer) error {
 	} else {
 		e.U8(0)
 	}
-	e.U8(uint8(PredCorrelated))
+	e.U8(uint8(predCorrelated))
 	var keys, vals []float64
 	r.byKey.Ascend(func(k, v float64) bool {
 		keys, vals = append(keys, k), append(vals, v)
@@ -293,7 +293,7 @@ func checkFusedMatchesReference(t *testing.T, q *query.Query, events []Event, mu
 		t.Fatal(err)
 	}
 	fused, ok := a.(*relStateExec)
-	if !ok || fused.rs.b.plan.kind != PredCorrelated {
+	if !ok || fused.rs.b.plan.kind != predCorrelated {
 		if mustPlan {
 			t.Fatalf("planner picked %T for %s", a, q)
 		}

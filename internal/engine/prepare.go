@@ -84,7 +84,7 @@ func Prepare(q *query.Query, s *query.Schema) (*Prepared, error) {
 		p.agg = bindAggIndex(q, plan, s)
 	}
 	if scalar1 && noNested(q) {
-		if rb, err := bindRel(RelSpec{Name: "R", Term: q.Agg, Pred: q.Preds[0]}, s); err == nil {
+		if rb, err := bindRel(q.Agg, q.Preds[0], s); err == nil {
 			p.rel = rb
 		}
 	}
@@ -99,7 +99,7 @@ func Prepare(q *query.Query, s *query.Schema) (*Prepared, error) {
 		p.spec.Const = thresholdConst(p.rel.plan.threshold, p.rel.thrConst)
 		p.key = p.rel.key
 		checks = append(checks, admitCheck("key", query.Col(p.rel.plan.keyCol), s))
-		if p.rel.plan.kind == PredCorrelated {
+		if p.rel.plan.kind == predCorrelated {
 			p.weight = p.rel.weight
 			if p.weight != nil {
 				checks = append(checks, admitCheck("weight", p.rel.plan.corr.Of, s))

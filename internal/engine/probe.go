@@ -159,7 +159,7 @@ func fillLane(kind query.AggKind, i int, vals, cnts []float64, cnt, sum float64)
 	case query.Avg:
 		vals[i], cnts[i] = sum, cnt
 	default:
-		panic("engine: non-streamable probe kind " + kind.String())
+		panic(fmt.Sprintf("engine: unknown probe kind %d", kind))
 	}
 }
 
@@ -239,7 +239,7 @@ func (rs *relState) probe(consts, cnt, sum []float64) {
 	case query.Le, query.Gt:
 		rs.levels.Prefixes(rs.b.steer, bounds, false, outC, outS)
 	default:
-		panic("engine: equality thresholds are not part of the multi-relation shape")
+		panic("engine: equality thresholds are not part of the relation-state shape")
 	}
 	if op := rs.b.plan.thetaCorrFirst; op == query.Gt || op == query.Ge {
 		_, tc, ts := rs.levels.Total()

@@ -102,7 +102,7 @@ func TestRandomQueriesGeneralVsNaive(t *testing.T) {
 // path too.
 func TestRandomQueriesPlannedVsNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(777))
-	tried, aggPlanned := 0, 0
+	tried, aggPlanned, colPlanned := 0, 0, 0
 	for tried < 80 {
 		q := randomQuery(rng)
 		if rng.Intn(3) == 0 {
@@ -124,6 +124,9 @@ func TestRandomQueriesPlannedVsNaive(t *testing.T) {
 		if ex.Strategy() == "aggindex" {
 			aggPlanned++
 		}
+		if r, ok := ex.(*relStateExec); ok && r.rs.b.plan.kind == predColumn {
+			colPlanned++
+		}
 		naive := NewNaive(q)
 		for i, e := range priceVolumeEvents(int64(1000+tried), 120, 0.25) {
 			ex.Apply(e)
@@ -136,20 +139,47 @@ func TestRandomQueriesPlannedVsNaive(t *testing.T) {
 	if aggPlanned == 0 {
 		t.Fatal("random generation never produced an aggregate-index-eligible query; widen the generator")
 	}
+	if colPlanned == 0 {
+		t.Fatal("random generation never produced a column predicate on the relation state; widen the generator")
+	}
 }
 
 // randomEligibleQuery generates queries inside the aggregate-index pattern:
-// one predicate, an uncorrelated threshold side and a symmetric same-column
-// correlation (all orientations the unified planner accepts).
+// one predicate with an uncorrelated threshold side. The other side is, in
+// two queries of three, a symmetric same-column correlation (every
+// orientation the unified planner accepts) and otherwise a plain column — the
+// relation state's column predicate, col θ literal or col θ s·SUM/COUNT(...)
+// under each of the four inequalities.
 func randomEligibleQuery(rng *rand.Rand) *query.Query {
 	cols := []string{"price", "volume"}
 	keyCol := query.Col(cols[rng.Intn(len(cols))])
 	kinds := []query.AggKind{query.Sum, query.Count}
 	corrOps := []query.CmpOp{query.Eq, query.Le, query.Lt, query.Ge, query.Gt}
 	thetaOps := []query.CmpOp{query.Lt, query.Le, query.Ge, query.Gt, query.Eq}
+	q := &query.Query{Agg: query.Mul(query.Col("price"), query.Col("volume"))}
+	pred := func(keyed, thr query.Value, theta query.CmpOp) []query.Predicate {
+		if rng.Intn(2) == 0 {
+			return []query.Predicate{{Left: thr, Op: theta, Right: keyed}}
+		}
+		return []query.Predicate{{Left: keyed, Op: theta, Right: thr}}
+	}
+	if rng.Intn(3) == 0 {
+		var thr query.Value
+		switch rng.Intn(3) {
+		case 0:
+			thr = query.ValSub([]float64{0.01, 0.05, 0.1}[rng.Intn(3)],
+				&query.Subquery{Kind: query.Sum, Of: query.Col("volume")})
+		case 1:
+			thr = query.ValSub([]float64{0.1, 0.25, 0.5}[rng.Intn(3)], &query.Subquery{Kind: query.Count})
+		default:
+			thr = query.ValExpr(query.Const(float64(rng.Intn(40) + 1)))
+		}
+		q.Preds = pred(query.ValExpr(keyCol), thr, thetaOps[rng.Intn(4)])
+		return q
+	}
 	corr := &query.Subquery{
 		Kind:  kinds[rng.Intn(2)],
-		Where: &query.CorrPred{Inner: keyCol, Op: corrOps[rng.Intn(2)], Outer: keyCol},
+		Where: &query.CorrPred{Inner: keyCol, Op: corrOps[rng.Intn(len(corrOps))], Outer: keyCol},
 	}
 	if corr.Kind == query.Sum {
 		corr.Of = query.Col("volume") // positive weights
@@ -161,12 +191,6 @@ func randomEligibleQuery(rng *rand.Rand) *query.Query {
 	} else {
 		thr = query.ValExpr(query.Const(float64(rng.Intn(200) + 1)))
 	}
-	theta := thetaOps[rng.Intn(len(thetaOps))]
-	q := &query.Query{Agg: query.Mul(query.Col("price"), query.Col("volume"))}
-	if rng.Intn(2) == 0 {
-		q.Preds = []query.Predicate{{Left: thr, Op: theta, Right: query.ValSub(1, corr)}}
-	} else {
-		q.Preds = []query.Predicate{{Left: query.ValSub(1, corr), Op: theta, Right: thr}}
-	}
+	q.Preds = pred(query.ValSub(1, corr), thr, thetaOps[rng.Intn(len(thetaOps))])
 	return q
 }

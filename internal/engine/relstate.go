@@ -7,92 +7,41 @@ import (
 	"rpai/internal/rpai"
 )
 
-// This file implements the multi-relation form of the aggregate-index
-// optimization (paper section 4.3):
-//
-//	AggrQ(AggrFunc, R1 ... Rn, v1 θ q_R1 AND ... AND vn θ q_Rn)
-//
-// Each predicate concerns exactly one relation: its correlated subquery
-// ranges over Ri and is correlated only on Ri's columns (MST's shape), or it
-// compares an Ri column against an uncorrelated aggregate over Ri (PSP's
-// shape). Because the predicates are per-relation, the cross join
-// factorizes: with Qi the qualifying subset of Ri, Ci = |Qi| and
-// Si = sum of the relation's term over Qi,
-//
-//	SUM over the join of (f1(t1) + ... + fn(tn)) = sum_i Si * prod_{j!=i} Cj
-//	SUM over the join of (f1(t1) * ... * fn(tn)) = prod_i Si
-//
-// so the incremental executor maintains only (Ci, Si) per relation, each via
-// the single-relation aggregate-index machinery, and every update costs
-// O(log n) (Table 1's MST and PSP rows).
+// This file implements the relation state of the aggregate-index
+// optimization (paper section 4.3) for a single-relation query with one
+// predicate v θ q_R of either shape: its correlated subquery ranges over R
+// and is correlated only on R's own column (MST's and VWAP's shape), or it
+// compares an R column against an uncorrelated aggregate over R (PSP's
+// shape). With Q the qualifying subset of R, the state maintains C = |Q| and
+// S = the sum of the query's term over Q through the single-relation
+// aggregate-index machinery, so every update costs O(log n) (Table 1's rows).
 
-// RelPredKind distinguishes the two per-relation predicate shapes.
-type RelPredKind int
+// relPredKind distinguishes the two predicate shapes.
+type relPredKind int
 
-// Per-relation predicate shapes.
+// Predicate shapes.
 const (
-	// PredCorrelated: threshold θ SUM/COUNT(... WHERE inner-col θ' own-col) —
+	// predCorrelated: threshold θ SUM/COUNT(... WHERE inner-col θ' own-col) —
 	// a correlated subquery over the same relation (MST).
-	PredCorrelated RelPredKind = iota
-	// PredColumn: own-col θ scale*SUM(...) — a column compared against an
+	predCorrelated relPredKind = iota
+	// predColumn: own-col θ scale*SUM(...) — a column compared against an
 	// uncorrelated aggregate over the same relation (PSP).
-	PredColumn
+	predColumn
 )
-
-// RelSpec describes one relation of a multi-relation aggregate query.
-type RelSpec struct {
-	// Name identifies the relation in events.
-	Name string
-	// Term is the relation's factor fi(ti) in the combined aggregate.
-	Term query.Expr
-	// Pred is the relation's predicate; its subqueries range over this
-	// relation only.
-	Pred query.Predicate
-}
-
-// MultiQuery is an aggregate over the cross join of several streamed
-// relations with per-relation predicates.
-type MultiQuery struct {
-	// Combine is OpAdd (terms summed, as in MST and PSP) or OpMul (terms
-	// multiplied).
-	Combine byte
-	Rels    []RelSpec
-}
-
-// Validate checks the structural requirements described above.
-func (m *MultiQuery) Validate() error {
-	if m.Combine != query.OpAdd && m.Combine != query.OpMul {
-		return fmt.Errorf("engine: multi-relation combine must be + or *")
-	}
-	if len(m.Rels) == 0 {
-		return fmt.Errorf("engine: multi-relation query needs at least one relation")
-	}
-	seen := map[string]bool{}
-	for _, r := range m.Rels {
-		if seen[r.Name] {
-			return fmt.Errorf("engine: duplicate relation %q", r.Name)
-		}
-		seen[r.Name] = true
-		if _, err := classifyRelPred(r.Pred); err != nil {
-			return fmt.Errorf("engine: relation %q: %w", r.Name, err)
-		}
-	}
-	return nil
-}
 
 // relPlan is the analyzed form of one relation's predicate.
 type relPlan struct {
-	kind RelPredKind
+	kind relPredKind
 	// threshold: the uncorrelated side (scaled subquery or constant).
 	threshold query.Value
 	// thetaCorrFirst: comparison with the correlated quantity first.
 	thetaCorrFirst query.CmpOp
-	// corr: the correlated subquery (PredCorrelated).
+	// corr: the correlated subquery (predCorrelated).
 	corr *query.Subquery
-	// keyCol: correlation column (PredCorrelated) or compared column
-	// (PredColumn).
+	// keyCol: correlation column (predCorrelated) or compared column
+	// (predColumn).
 	keyCol string
-	// subOp: the subquery's correlation operator (PredCorrelated).
+	// subOp: the subquery's correlation operator (predCorrelated).
 	subOp query.CmpOp
 }
 
@@ -127,7 +76,7 @@ func classifyRelPred(p query.Predicate) (relPlan, error) {
 			return relPlan{}, false
 		}
 		return relPlan{
-			kind:           PredCorrelated,
+			kind:           predCorrelated,
 			threshold:      other,
 			thetaCorrFirst: theta,
 			corr:           s,
@@ -151,7 +100,7 @@ func classifyRelPred(p query.Predicate) (relPlan, error) {
 			return relPlan{}, false
 		}
 		return relPlan{
-			kind:           PredColumn,
+			kind:           predColumn,
 			threshold:      other,
 			thetaCorrFirst: theta,
 			keyCol:         string(c),
@@ -163,24 +112,8 @@ func classifyRelPred(p query.Predicate) (relPlan, error) {
 	if plan, ok := tryCol(p.Right, p.Left, p.Op.Flip()); ok {
 		return plan, nil
 	}
-	return relPlan{}, fmt.Errorf("predicate %s does not match the section 4.3 multi-relation shapes", p)
+	return relPlan{}, fmt.Errorf("predicate %s does not match the section 4.3 relation-state shapes", p)
 }
-
-// MultiEvent is one update to one relation of a MultiQuery.
-type MultiEvent struct {
-	Rel   string
-	X     float64
-	Tuple query.Tuple
-}
-
-// MultiExecutor incrementally maintains a MultiQuery result.
-type MultiExecutor interface {
-	Apply(e MultiEvent)
-	Result() float64
-	Strategy() string
-}
-
-// --- incremental executor ---
 
 // relBinding is one relation's plan bound to a schema: everything relState
 // reads per event, shared by every relState of the plan.
@@ -200,19 +133,19 @@ type relBinding struct {
 	neg      bool
 }
 
-func bindRel(spec RelSpec, s *query.Schema) (*relBinding, error) {
-	plan, err := classifyRelPred(spec.Pred)
+func bindRel(term query.Expr, pred query.Predicate, s *query.Schema) (*relBinding, error) {
+	plan, err := classifyRelPred(pred)
 	if err != nil {
 		return nil, err
 	}
-	b := &relBinding{plan: plan, schema: s, term: query.Bind(spec.Term, s)}
+	b := &relBinding{plan: plan, schema: s, term: query.Bind(term, s)}
 	b.key, _ = s.Slot(plan.keyCol)
 	if plan.threshold.Sub != nil {
 		b.thr = bindSub(plan.threshold.Sub, s)
 	} else {
 		b.thrConst = plan.threshold.Expr.Eval(nil)
 	}
-	if plan.kind == PredCorrelated {
+	if plan.kind == predCorrelated {
 		if plan.corr.Kind == query.Sum {
 			b.weight = query.Bind(plan.corr.Of, s)
 		}
@@ -227,12 +160,6 @@ func bindRel(spec RelSpec, s *query.Schema) (*relBinding, error) {
 	return b, nil
 }
 
-// bindRelOwn binds a relation to the schema of its own columns.
-func bindRelOwn(spec RelSpec) (*relBinding, error) {
-	cols := (&query.Query{Agg: spec.Term, Preds: []query.Predicate{spec.Pred}}).Columns()
-	return bindRel(spec, query.NewSchema(cols...))
-}
-
 // relState maintains one relation's qualifying count and term sum.
 type relState struct {
 	b   *relBinding
@@ -242,14 +169,14 @@ type relState struct {
 	// per correlated predicate): per level of keyCol, the summed inner weight,
 	// the live-row count and the summed term.
 	//
-	// PredCorrelated: the correlated aggregate at a level — the RPAI key of
+	// predCorrelated: the correlated aggregate at a level — the RPAI key of
 	// the paper — is the weight summed over the levels it ranges over, so it
 	// is not stored; a threshold read steers by accumulated weight (b.steer).
 	// <=/< correlations range over lower levels, so the tree is keyed by the
 	// column; >=/> range over higher ones, so it is keyed by the negated
 	// column (b.neg) and the same prefix read serves both orientations.
 	//
-	// PredColumn: the weight lane is unused and reads steer by key.
+	// predColumn: the weight lane is unused and reads steer by key.
 	levels *rpai.LevelTree
 
 	// probeBounds, probeCnt and probeSum are probe's scratch (see probe.go).
@@ -285,12 +212,12 @@ func (rs *relState) apply(row []float64, x float64) {
 	term := b.term(row)
 	k := row[b.key]
 	var w float64
-	if b.plan.kind == PredCorrelated {
+	if b.plan.kind == predCorrelated {
 		w = 1
 		if b.weight != nil {
 			w = b.weight(row)
 			if w <= 0 {
-				panic("engine: multi-relation aggregate-index maintenance requires positive inner contributions")
+				panic("engine: relation-state maintenance requires positive inner contributions")
 			}
 		}
 		if b.neg {
@@ -300,22 +227,14 @@ func (rs *relState) apply(row []float64, x float64) {
 	rs.levels.Add(k, x*w, x, x*term)
 }
 
-// applyTuple lays t out as a row of the relation's schema in *scratch and
-// applies it: the multi-relation executor's map edge.
-func (rs *relState) applyTuple(scratch **Rows, t query.Tuple, x float64) {
-	r := edgeRows(rs.b.schema, scratch, []Event{{X: x, Tuple: t}})
-	_, row := r.At(0)
-	rs.apply(row, x)
-}
-
 // aggregates returns (count, term sum) over the qualifying subset.
 func (rs *relState) aggregates() (cnt, sum float64) {
 	return rs.read(rs.threshold())
 }
 
 // read returns (count, term sum) over the levels whose compared quantity
-// qualifies against bound — the correlated aggregate (PredCorrelated) or the
-// column (PredColumn) — in one descent. Lower values lead the order, so
+// qualifies against bound — the correlated aggregate (predCorrelated) or the
+// column (predColumn) — in one descent. Lower values lead the order, so
 // "below the bound" is a prefix read and "above it" the total minus one.
 func (rs *relState) read(bound float64) (cnt, sum float64) {
 	steer := rs.b.steer
@@ -329,143 +248,8 @@ func (rs *relState) read(bound float64) (cnt, sum float64) {
 	case query.Ge:
 		cnt, sum = rs.levels.Prefix(steer, bound, true)
 	default:
-		panic("engine: equality thresholds are not part of the multi-relation shape")
+		panic("engine: equality thresholds are not part of the relation-state shape")
 	}
 	_, tc, ts := rs.levels.Total()
 	return tc - cnt, ts - sum
-}
-
-// MultiAggIndexExec is the incremental multi-relation executor.
-type MultiAggIndexExec struct {
-	q    *MultiQuery
-	rels map[string]*relState
-	edge *Rows // the map edge's row scratch
-}
-
-// NewMultiAggIndex builds the incremental executor for a multi-relation
-// query, or reports why the query is outside the supported shape.
-func NewMultiAggIndex(q *MultiQuery) (*MultiAggIndexExec, error) {
-	if err := q.Validate(); err != nil {
-		return nil, err
-	}
-	ex := &MultiAggIndexExec{q: q, rels: make(map[string]*relState, len(q.Rels))}
-	for _, spec := range q.Rels {
-		b, err := bindRelOwn(spec)
-		if err != nil {
-			return nil, err
-		}
-		ex.rels[spec.Name] = newRelState(b)
-	}
-	return ex, nil
-}
-
-// Strategy implements MultiExecutor.
-func (ex *MultiAggIndexExec) Strategy() string { return "aggindex" }
-
-// Apply implements MultiExecutor.
-func (ex *MultiAggIndexExec) Apply(e MultiEvent) {
-	rs, ok := ex.rels[e.Rel]
-	if !ok {
-		panic("engine: event for unknown relation " + e.Rel)
-	}
-	rs.applyTuple(&ex.edge, e.Tuple, e.X)
-}
-
-// Result implements MultiExecutor.
-func (ex *MultiAggIndexExec) Result() float64 {
-	cnts := make([]float64, len(ex.q.Rels))
-	sums := make([]float64, len(ex.q.Rels))
-	for i, spec := range ex.q.Rels {
-		cnts[i], sums[i] = ex.rels[spec.Name].aggregates()
-	}
-	if ex.q.Combine == query.OpMul {
-		res := 1.0
-		for _, s := range sums {
-			res *= s
-		}
-		return res
-	}
-	var res float64
-	for i, s := range sums {
-		contrib := s
-		for j, c := range cnts {
-			if j != i {
-				contrib *= c
-			}
-		}
-		res += contrib
-	}
-	return res
-}
-
-// MultiNaiveExec re-evaluates the multi-relation query from live tuple sets;
-// it is the correctness oracle for MultiAggIndexExec.
-type MultiNaiveExec struct {
-	q    *MultiQuery
-	live map[string][]query.Tuple
-}
-
-// NewMultiNaive returns the re-evaluation executor.
-func NewMultiNaive(q *MultiQuery) (*MultiNaiveExec, error) {
-	if err := q.Validate(); err != nil {
-		return nil, err
-	}
-	return &MultiNaiveExec{q: q, live: map[string][]query.Tuple{}}, nil
-}
-
-// Strategy implements MultiExecutor.
-func (ex *MultiNaiveExec) Strategy() string { return "naive" }
-
-// Apply implements MultiExecutor.
-func (ex *MultiNaiveExec) Apply(e MultiEvent) {
-	if e.X > 0 {
-		ex.live[e.Rel] = append(ex.live[e.Rel], e.Tuple)
-		return
-	}
-	l := ex.live[e.Rel]
-	for i := range l {
-		if tupleEqual(l[i], e.Tuple) {
-			l[i] = l[len(l)-1]
-			ex.live[e.Rel] = l[:len(l)-1]
-			return
-		}
-	}
-}
-
-// Result implements MultiExecutor. Per-relation qualification is evaluated
-// per tuple by scanning the relation (the correlated subqueries re-run from
-// scratch), then the factored combination is applied.
-func (ex *MultiNaiveExec) Result() float64 {
-	cnts := make([]float64, len(ex.q.Rels))
-	sums := make([]float64, len(ex.q.Rels))
-	for i, spec := range ex.q.Rels {
-		n := &NaiveExec{
-			q:    &query.Query{Agg: spec.Term, Preds: []query.Predicate{spec.Pred}},
-			live: ex.live[spec.Name],
-		}
-		sums[i] = n.Result()
-		cq := &NaiveExec{
-			q:    &query.Query{Agg: query.Const(1), Preds: []query.Predicate{spec.Pred}},
-			live: ex.live[spec.Name],
-		}
-		cnts[i] = cq.Result()
-	}
-	if ex.q.Combine == query.OpMul {
-		res := 1.0
-		for _, s := range sums {
-			res *= s
-		}
-		return res
-	}
-	var res float64
-	for i, s := range sums {
-		contrib := s
-		for j, c := range cnts {
-			if j != i {
-				contrib *= c
-			}
-		}
-		res += contrib
-	}
-	return res
 }

@@ -39,12 +39,14 @@ type Snapshotter interface {
 const (
 	snapVersion = 1
 
-	tagNaive      = 1
-	tagGeneral    = 2
-	tagAggIndex   = 3
-	tagRelState   = 4
-	tagMultiAgg   = 5
-	tagMultiNaive = 6
+	tagNaive    = 1
+	tagGeneral  = 2
+	tagAggIndex = 3
+	tagRelState = 4
+	// Tags 5 and 6 were the retired multi-relation executors' streams; they
+	// stay reserved and are never reused.
+	_ = 5
+	_ = 6
 )
 
 func snapHeader(e *checkpoint.Encoder, tag uint8) {
@@ -80,29 +82,6 @@ func Restore(q *query.Query, r io.Reader) (Executor, error) {
 			return nil, err
 		}
 		ex = p.restore(d, tag)
-	}
-	if err := d.Err(); err != nil {
-		return nil, err
-	}
-	return ex, nil
-}
-
-// RestoreMulti rebuilds a multi-relation executor of q from a stream written
-// by its Snapshot.
-func RestoreMulti(q *MultiQuery, r io.Reader) (MultiExecutor, error) {
-	if err := q.Validate(); err != nil {
-		return nil, err
-	}
-	d := checkpoint.NewDecoder(r)
-	var ex MultiExecutor
-	switch tag := readSnapHeader(d); {
-	case d.Err() != nil:
-	case tag == tagMultiAgg:
-		ex = restoreMultiAgg(d, q)
-	case tag == tagMultiNaive:
-		ex = restoreMultiNaive(d, q)
-	default:
-		d.Fail(fmt.Errorf("engine: unknown multi-relation snapshot tag %d", tag))
 	}
 	if err := d.Err(); err != nil {
 		return nil, err
@@ -473,7 +452,7 @@ func restoreRelState(d *checkpoint.Decoder, b *relBinding) *relState {
 	if hasThr == 1 {
 		rs.thr = restoreSubState(d, b.thr)
 	}
-	if k := d.U8(); d.Err() == nil && RelPredKind(k) != b.plan.kind {
+	if k := d.U8(); d.Err() == nil && relPredKind(k) != b.plan.kind {
 		d.Fail(fmt.Errorf("engine: snapshot predicate kind %d does not match plan kind %d", k, b.plan.kind))
 		return rs
 	}
@@ -489,19 +468,19 @@ func restoreRelState(d *checkpoint.Decoder, b *relBinding) *relState {
 // that preceded the level tree, so a data dir written before it still
 // recovers (and its next snapshot is written in the new layout):
 //
-//   - PredCorrelated: a column-keyed entry list of level weights, then the count
+//   - predCorrelated: a column-keyed entry list of level weights, then the count
 //     and term lanes of an RPAI keyed by running weight sums. The RPAI's key
 //     order is the level tree's (ascending column, or descending under >=/>),
 //     so the map's entries zip onto the RPAI's shape in that order
 //     (checkpoint.Decoder.ParentLevels): the converted tree caches the sums
 //     the RPAI did, and reads what it read.
-//   - PredColumn: column-keyed count and term entry lists over one key set.
+//   - predColumn: column-keyed count and term entry lists over one key set.
 func restoreParentLevels(d *checkpoint.Decoder, rs *relState) {
 	keys, vals := d.Entries()
 	if d.Err() != nil {
 		return
 	}
-	if rs.b.plan.kind == PredCorrelated {
+	if rs.b.plan.kind == predCorrelated {
 		if rs.b.neg {
 			slices.Reverse(keys)
 			slices.Reverse(vals)
@@ -517,85 +496,4 @@ func restoreParentLevels(d *checkpoint.Decoder, rs *relState) {
 		d.Fail(errors.New("engine: snapshot count and term maps disagree on their levels"))
 	}
 	restoreLevels(d, keys, vals, func(i int, k, c float64) { rs.levels.Add(k, 0, c, terms[i]) })
-}
-
-// --- multi-relation ---
-
-// Snapshot implements Snapshotter: per-relation state in MultiQuery.Rels
-// order, each labeled with its relation name.
-func (ex *MultiAggIndexExec) Snapshot(w io.Writer) error {
-	e := checkpoint.NewEncoder(w)
-	snapHeader(e, tagMultiAgg)
-	e.U32(uint32(len(ex.q.Rels)))
-	for _, spec := range ex.q.Rels {
-		e.Str(spec.Name)
-		snapRelState(e, ex.rels[spec.Name])
-	}
-	return e.Err()
-}
-
-func restoreMultiAgg(d *checkpoint.Decoder, q *MultiQuery) *MultiAggIndexExec {
-	if n := d.U32(); d.Err() == nil && int(n) != len(q.Rels) {
-		d.Fail(fmt.Errorf("engine: snapshot has %d relations, query has %d", n, len(q.Rels)))
-		return nil
-	}
-	ex := &MultiAggIndexExec{q: q, rels: make(map[string]*relState, len(q.Rels))}
-	for _, spec := range q.Rels {
-		if d.Err() != nil {
-			break
-		}
-		if name := d.Str(); d.Err() == nil && name != spec.Name {
-			d.Fail(fmt.Errorf("engine: snapshot relation %q, query expects %q", name, spec.Name))
-			break
-		}
-		b, err := bindRelOwn(spec)
-		if err != nil {
-			d.Fail(err)
-			break
-		}
-		ex.rels[spec.Name] = restoreRelState(d, b)
-	}
-	return ex
-}
-
-// Snapshot implements Snapshotter: per-relation live multisets in
-// MultiQuery.Rels order.
-func (ex *MultiNaiveExec) Snapshot(w io.Writer) error {
-	e := checkpoint.NewEncoder(w)
-	snapHeader(e, tagMultiNaive)
-	e.U32(uint32(len(ex.q.Rels)))
-	for _, spec := range ex.q.Rels {
-		e.Str(spec.Name)
-		live := ex.live[spec.Name]
-		e.U32(uint32(len(live)))
-		for _, t := range live {
-			snapTuple(e, t)
-		}
-	}
-	return e.Err()
-}
-
-func restoreMultiNaive(d *checkpoint.Decoder, q *MultiQuery) *MultiNaiveExec {
-	if n := d.U32(); d.Err() == nil && int(n) != len(q.Rels) {
-		d.Fail(fmt.Errorf("engine: snapshot has %d relations, query has %d", n, len(q.Rels)))
-		return nil
-	}
-	ex := &MultiNaiveExec{q: q, live: map[string][]query.Tuple{}}
-	for _, spec := range q.Rels {
-		if d.Err() != nil {
-			break
-		}
-		if name := d.Str(); d.Err() == nil && name != spec.Name {
-			d.Fail(fmt.Errorf("engine: snapshot relation %q, query expects %q", name, spec.Name))
-			break
-		}
-		cnt := d.U32()
-		for i := uint32(0); i < cnt && d.Err() == nil; i++ {
-			t := restoreTuple(d)
-			if d.Err() == nil {
-				ex.live[spec.Name] = append(ex.live[spec.Name], t)
-			}
-		}
-	}
-	return ex
 }

@@ -294,56 +294,6 @@ func TestSnapshotRejectsWrongQuery(t *testing.T) {
 	}
 }
 
-// TestMultiRelSnapshotRoundTrip covers the multi-relation executors: MST and
-// PSP shapes, snapshot mid-trace, byte-identical re-encode, and bit-identical
-// suffix agreement for both the incremental executor and its naive oracle.
-func TestMultiRelSnapshotRoundTrip(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		q    *MultiQuery
-	}{
-		{"mst", mstSpec()},
-		{"psp", pspSpec()},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			events := multiEvents(11, 120, 0.25)
-			split := len(events) / 2
-			agg, err := NewMultiAggIndex(tc.q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			naive, err := NewMultiNaive(tc.q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, ex := range []MultiExecutor{agg, naive} {
-				for _, e := range events[:split] {
-					ex.Apply(e)
-				}
-				snap := snapshotBytes(t, ex)
-				restored, err := RestoreMulti(tc.q, bytes.NewReader(snap))
-				if err != nil {
-					t.Fatalf("%s: RestoreMulti: %v", ex.Strategy(), err)
-				}
-				if re := snapshotBytes(t, restored); !bytes.Equal(re, snap) {
-					t.Fatalf("%s: multi-relation re-encode is not byte-identical", ex.Strategy())
-				}
-				for i, e := range events[split:] {
-					ex.Apply(e)
-					restored.Apply(e)
-					if got, want := restored.Result(), ex.Result(); got != want {
-						t.Fatalf("%s: recovered executor diverged at suffix event %d: %v vs %v", ex.Strategy(), i, got, want)
-					}
-				}
-				// Torn multi-relation snapshots are rejected too.
-				if _, err := RestoreMulti(tc.q, bytes.NewReader(snap[:len(snap)/2])); err == nil {
-					t.Fatalf("%s: torn multi-relation snapshot accepted", ex.Strategy())
-				}
-			}
-		})
-	}
-}
-
 // TestRetiredIndexStreamsRefused restores snapshots the parent of the
 // one-index engine wrote with index kinds it no longer builds — relStateExec
 // over B-tree, sorted-slice and Fenwick indexes, and AggIndexExec's

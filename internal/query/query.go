@@ -164,25 +164,19 @@ func Mul(l, r Expr) Expr { return BinOp{OpMul, l, r} }
 // AggKind is the aggregate function of a subquery.
 type AggKind int
 
-// Aggregate kinds. Min and Max are representable but rejected by the
-// incremental engines for deletion streams (paper section 4.2.5); package
-// minmax provides the order-statistic structure that lifts that restriction.
+// Aggregate kinds: the ones maintainable under insertions and deletions from
+// their current value alone. MIN and MAX are not (paper section 4.2.5), so the
+// grammar has no kind for them and the parser refuses them by name.
 const (
 	Sum AggKind = iota
 	Count
 	Avg
-	Min
-	Max
 )
 
 // String returns the SQL name of the aggregate.
 func (k AggKind) String() string {
-	return [...]string{"SUM", "COUNT", "AVG", "MIN", "MAX"}[k]
+	return [...]string{"SUM", "COUNT", "AVG"}[k]
 }
-
-// Streamable reports whether the aggregate can be maintained under both
-// insertions and deletions from its current value alone (section 4.2.5).
-func (k AggKind) Streamable() bool { return k == Sum || k == Count || k == Avg }
 
 // CorrPred is the predicate inside a nested subquery, comparing an
 // expression over the inner tuple against an expression over the outer
@@ -437,22 +431,15 @@ func (q *Query) OuterCols() []string {
 	return dedup(all)
 }
 
-// Validate rejects queries the incremental engines cannot maintain under
-// deletion streams (non-streamable nested aggregates, section 4.2.5) and
+// Validate rejects a COUNT query over a term other than the constant 1 and
 // malformed two-level nesting.
 func (q *Query) Validate() error {
-	if !q.Outer.Streamable() {
-		return fmt.Errorf("query: top-level %s is not maintainable under deletions (section 4.2.5)", q.Outer)
-	}
 	if q.Outer == Count {
 		if c, ok := q.Agg.(Const); !ok || c != 1 {
 			return fmt.Errorf("query: a COUNT(*) query must carry the constant-1 aggregate term, found %s", q.Agg)
 		}
 	}
 	for _, s := range q.Subqueries() {
-		if !s.Kind.Streamable() {
-			return fmt.Errorf("query: %s is not streamable under deletions (section 4.2.5)", s.Kind)
-		}
 		if s.Nested != nil {
 			if err := s.Nested.validate(s); err != nil {
 				return err

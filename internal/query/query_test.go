@@ -145,30 +145,29 @@ func TestExtractPredValuesAndOuterCols(t *testing.T) {
 	}
 }
 
+// TestValidateStreamability pins that every aggregate kind of the grammar
+// validates as an outer and as a subquery aggregate (each is maintainable
+// under deletions; MIN and MAX have no kind), and that a COUNT query over a
+// term other than the constant 1 is refused.
 func TestValidateStreamability(t *testing.T) {
 	if err := vwapQuery().Validate(); err != nil {
 		t.Fatal(err)
 	}
-	bad := &Query{
-		Agg: Col("volume"),
-		Preds: []Predicate{{
-			Left:  ValExpr(Col("price")),
-			Op:    Gt,
-			Right: ValSub(1, &Subquery{Kind: Min, Of: Col("price")}),
-		}},
-	}
-	if err := bad.Validate(); err == nil {
-		t.Fatal("MIN subquery passed validation")
-	}
 	for _, k := range []AggKind{Sum, Count, Avg} {
-		if !k.Streamable() {
-			t.Fatalf("%s should be streamable", k)
+		q := vwapQuery()
+		q.Outer = k
+		if k == Count {
+			q.Agg = Const(1)
+		}
+		q.Preds[0].Left.Sub.Kind = k
+		if err := q.Validate(); err != nil {
+			t.Fatalf("%s: %v", k, err)
 		}
 	}
-	for _, k := range []AggKind{Min, Max} {
-		if k.Streamable() {
-			t.Fatalf("%s should not be streamable", k)
-		}
+	bad := vwapQuery()
+	bad.Outer = Count
+	if err := bad.Validate(); err == nil {
+		t.Fatal("COUNT over a non-constant term passed validation")
 	}
 }
 

@@ -100,14 +100,15 @@ func TestForQueryValidation(t *testing.T) {
 		t.Fatal("ForQuery with no partition columns succeeded")
 	}
 	invalid := &query.Query{
-		Agg: query.Col("price"),
+		Outer: query.Count,
+		Agg:   query.Col("price"),
 		Preds: []query.Predicate{{
-			Left:  query.ValSub(1, &query.Subquery{Kind: query.Min, Of: query.Col("price")}),
+			Left:  query.ValSub(1, &query.Subquery{Kind: query.Count}),
 			Op:    query.Lt,
 			Right: query.ValSub(1, &query.Subquery{Kind: query.Sum, Of: query.Col("volume")}),
 		}},
 	}
 	if _, err := ForQuery(invalid, []string{"sym"}, Options{}); err == nil {
-		t.Fatal("ForQuery with a non-streamable query succeeded")
+		t.Fatal("ForQuery with a COUNT query over a non-constant term succeeded")
 	}
 }

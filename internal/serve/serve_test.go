@@ -262,18 +262,19 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := ForQuery(vwapSpec(), nil, Options{}); err == nil {
 		t.Fatal("ForQuery without partition columns succeeded")
 	}
-	// MIN is representable but not streamable under deletions, so planning
-	// must fail and ForQuery must surface the error.
+	// A COUNT query must count the constant 1, so planning must fail and
+	// ForQuery must surface the error.
 	bad := &query.Query{
-		Agg: query.Col("price"),
+		Outer: query.Count,
+		Agg:   query.Col("price"),
 		Preds: []query.Predicate{{
 			Left:  query.ValExpr(query.Col("price")),
 			Op:    query.Ge,
-			Right: query.ValSub(1, &query.Subquery{Kind: query.Min, Of: query.Col("price")}),
+			Right: query.ValSub(1, &query.Subquery{Kind: query.Sum, Of: query.Col("price")}),
 		}},
 	}
 	if _, err := ForQuery(bad, []string{"sym"}, Options{}); err == nil {
-		t.Fatal("ForQuery with a non-streamable query succeeded")
+		t.Fatal("ForQuery with a COUNT query over a non-constant term succeeded")
 	}
 	// Zero options fall back to defaults and the service still works.
 	svc, err := ForQuery(vwapSpec(), []string{"sym"}, Options{})

@@ -207,13 +207,9 @@ func (p *parser) parseQuery() (*query.Query, error) {
 	if err := p.expectKeyword("SELECT"); err != nil {
 		return nil, err
 	}
-	kindTok := p.peek()
 	kind, err := p.parseAggKind()
 	if err != nil {
 		return nil, err
-	}
-	if !kind.Streamable() {
-		return nil, p.errAt(kindTok, "top-level aggregate must be SUM, COUNT, or AVG, found %s", kind)
 	}
 	if err := p.expectSymbol("("); err != nil {
 		return nil, err
@@ -334,10 +330,8 @@ func (p *parser) parseAggKind() (query.AggKind, error) {
 		return query.Count, nil
 	case "AVG", "AVERAGE":
 		return query.Avg, nil
-	case "MIN":
-		return query.Min, nil
-	case "MAX":
-		return query.Max, nil
+	case "MIN", "MAX":
+		return 0, p.errAt(t, "aggregate must be SUM, COUNT, or AVG, found %s: MIN and MAX are not maintainable under deletions (section 4.2.5)", strings.ToUpper(t.text))
 	}
 	return 0, p.errAt(t, "unknown aggregate function %q", t.text)
 }

@@ -7,7 +7,7 @@
 // ("sum of all values whose key <= k") and rank queries in O(log n). They are
 // the free/bound maps of the hand-written executors of package queries
 // (SIGMOD '22, section 4.2; PSP, Q17 and the other ordered aggregates keyed
-// by column values) and the value counts of package minmax.
+// by column values).
 //
 // The treemap is paper-side only. The served engine keeps its ordered state —
 // the general algorithm's bound maps included — in rpai.LevelTree, and the

@@ -7,7 +7,7 @@
 //   - the RPAI tree and the other aggregate-index implementations,
 //   - the query AST, the SQL parser for the paper's grammar fragment, and
 //   - the incremental executors (aggregate-index optimization, general
-//     algorithm, multi-relation form).
+//     algorithm) and the naive re-evaluation oracle.
 //
 // A minimal end-to-end use:
 //
@@ -26,7 +26,6 @@ package rpai
 import (
 	"rpai/internal/aggindex"
 	"rpai/internal/engine"
-	"rpai/internal/minmax"
 	"rpai/internal/query"
 	"rpai/internal/rpai"
 	"rpai/internal/rpaibtree"
@@ -109,33 +108,3 @@ func NewExecutor(q *Query) (Executor, error) { return engine.New(q) }
 
 // NewNaiveExecutor returns the re-evaluation oracle for a query.
 func NewNaiveExecutor(q *Query) Executor { return engine.NewNaive(q) }
-
-// MinMaxAggregate maintains MIN or MAX under insertions and deletions (the
-// section 4.2.5 extension for non-streamable aggregates).
-type MinMaxAggregate = minmax.Aggregate
-
-// Extremum kinds for NewMinMax.
-const (
-	Min = minmax.Min
-	Max = minmax.Max
-)
-
-// NewMinMax returns an empty MIN or MAX aggregate.
-func NewMinMax(kind minmax.Kind) *MinMaxAggregate { return minmax.NewAggregate(kind) }
-
-// MultiQuery is an aggregate over the cross join of several streamed
-// relations with per-relation predicates (the section 4.3 multi-relation
-// form; the MST/PSP shape).
-type MultiQuery = engine.MultiQuery
-
-// RelSpec describes one relation of a MultiQuery.
-type RelSpec = engine.RelSpec
-
-// MultiEvent is one update to one relation of a MultiQuery.
-type MultiEvent = engine.MultiEvent
-
-// NewMultiExecutor builds the incremental multi-relation executor
-// (O(log n) per event).
-func NewMultiExecutor(q *MultiQuery) (*engine.MultiAggIndexExec, error) {
-	return engine.NewMultiAggIndex(q)
-}

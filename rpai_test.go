@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"rpai"
-	"rpai/internal/query"
 )
 
 // TestFacadeTree exercises the re-exported tree API end to end, including
@@ -90,51 +89,5 @@ func TestFacadeGrouped(t *testing.T) {
 	groups := ge.ResultGrouped()
 	if len(groups) != 2 {
 		t.Fatalf("groups = %v", groups)
-	}
-}
-
-func TestFacadeMinMax(t *testing.T) {
-	a := rpai.NewMinMax(rpai.Max)
-	a.Apply(3, 1)
-	a.Apply(9, 1)
-	a.Apply(9, -1)
-	if v, ok := a.Value(); !ok || v != 3 {
-		t.Fatalf("Value = %v,%v", v, ok)
-	}
-}
-
-func TestFacadeMultiRelation(t *testing.T) {
-	q := &rpai.MultiQuery{
-		Combine: query.OpAdd,
-		Rels: []rpai.RelSpec{
-			{
-				Name: "asks",
-				Term: query.Col("price"),
-				Pred: query.Predicate{
-					Left:  query.ValExpr(query.Col("volume")),
-					Op:    query.Gt,
-					Right: query.ValExpr(query.Const(0)),
-				},
-			},
-			{
-				Name: "bids",
-				Term: query.Mul(query.Const(-1), query.Col("price")),
-				Pred: query.Predicate{
-					Left:  query.ValExpr(query.Col("volume")),
-					Op:    query.Gt,
-					Right: query.ValExpr(query.Const(0)),
-				},
-			},
-		},
-	}
-	ex, err := rpai.NewMultiExecutor(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ex.Apply(rpai.MultiEvent{Rel: "asks", X: 1, Tuple: rpai.Tuple{"price": 105, "volume": 2}})
-	ex.Apply(rpai.MultiEvent{Rel: "bids", X: 1, Tuple: rpai.Tuple{"price": 100, "volume": 3}})
-	// One pair: 105 - 100 = 5.
-	if got := ex.Result(); got != 5 {
-		t.Fatalf("Result = %v, want 5", got)
 	}
 }
