@@ -91,10 +91,10 @@ func noNested(q *query.Query) bool {
 
 // relStateExec serves single-relation queries from the relation state (all
 // four inequality orientations plus column predicates; relstate.go). The
-// relState is the StateSet half (its level tree maintains both
-// a count and a term lane regardless of the outer aggregate); the outer kind is the
-// probe half, deciding which side(s) Result reads: the term sum for SUM, the
-// count for COUNT, their quotient for AVG.
+// relState is the StateSet half (its level tree maintains both a count and a
+// term lane regardless of the outer aggregate); the outer kind is the probe
+// half, deciding which side(s) Result reads: the term sum for SUM, the count
+// for COUNT, their quotient for AVG.
 type relStateExec struct {
 	rs    *relState
 	outer query.AggKind

@@ -159,7 +159,7 @@ func fillLane(kind query.AggKind, i int, vals, cnts []float64, cnt, sum float64)
 	case query.Avg:
 		vals[i], cnts[i] = sum, cnt
 	default:
-		panic(fmt.Sprintf("engine: unknown probe kind %d", kind))
+		panic("engine: unknown probe kind")
 	}
 }
 

@@ -25,9 +25,9 @@ const (
 //
 // Run with `go test -fuzz FuzzFinanceStrategies ./internal/queries`.
 func FuzzFinanceStrategies(f *testing.F) {
-	// The seeds follow one long-run soak's parameters: 30 % deletes and, for
-	// trace seed s, 32 + s%64 price levels (and 10 + s%50 as the maximum
-	// volume, which the target derives from the seed too).
+	// Seeds: every query at trace seeds 2 and 3, 30 % deletes and 32 + s%64
+	// price levels for trace seed s (the maximum volume, 10 + s%50, comes
+	// from the seed inside the target).
 	for s := int64(2); s <= 3; s++ {
 		for qi := range FinanceQueries() {
 			f.Add(s, uint8(qi), uint8(30), uint16(32+s%64))

@@ -436,6 +436,7 @@ func TestParsePositionedErrors(t *testing.T) {
 		{"not sql", "INSERT INTO r", 0, "INSERT", "expected SELECT"},
 		{"missing from", "SELECT SUM(a.b) ", 16, "", "expected FROM"},
 		{"top-level min", "SELECT MIN(a.b) FROM r a", 7, "MIN", "must be SUM, COUNT, or AVG"},
+		{"subquery max", "SELECT SUM(b.v) FROM r b WHERE b.v > 1 * (SELECT max(c.v) FROM r c)", 49, "max", "MAX are not maintainable under deletions (section 4.2.5)"},
 		{"top-level count of expr", "SELECT COUNT(a.b) FROM r a", 13, "a", "COUNT supports only COUNT(*)"},
 		{"missing alias", "SELECT SUM(b.v) FROM r", 22, "", "expected relation alias"},
 		{"bad aggregate", "SELECT TOTAL(b.v) FROM r b", 7, "TOTAL", "unknown aggregate function"},
