@@ -213,7 +213,7 @@ func FuzzBatchEquivalence(f *testing.F) {
 	for shape := byte(0); shape < 11; shape++ {
 		f.Add(append([]byte{shape, 0, 0, 0, 0, 0, 0, 0, 77}, trace...))
 	}
-	f.Add(append([]byte{10, 0, 0, 0, 0, 0, 0, 0, 2}, trace...)) // a column predicate: 0.1*SUM(volume) < price
+	f.Add(append([]byte{10, 0, 0, 0, 0, 0, 0, 0, 1}, trace...)) // a column predicate: volume > 0.1*SUM(volume)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 9 {
 			return

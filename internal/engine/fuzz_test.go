@@ -31,7 +31,7 @@ func FuzzEngineDifferential(f *testing.F) {
 		f.Add(append([]byte{shape, 0, 0, 0, 0, 0, 0, 0, 77}, trace...))
 	}
 	f.Add(append([]byte{9, 0, 0, 0, 0, 0, 0, 1, 44}, trace...)) // another random-query seed
-	f.Add(append([]byte{10, 0, 0, 0, 0, 0, 0, 0, 2}, trace...)) // a column predicate: 0.1*SUM(volume) < price
+	f.Add(append([]byte{10, 0, 0, 0, 0, 0, 0, 0, 1}, trace...)) // a column predicate: volume > 0.1*SUM(volume)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 9 {
 			return

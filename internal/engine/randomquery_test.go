@@ -149,37 +149,18 @@ func TestRandomQueriesPlannedVsNaive(t *testing.T) {
 // two queries of three, a symmetric same-column correlation (every
 // orientation the unified planner accepts) and otherwise a plain column — the
 // relation state's column predicate, col θ literal or col θ s·SUM/COUNT(...)
-// under each of the four inequalities.
+// under each of the four inequalities. The orientation and column draws come
+// after the draws the committed fuzz corpora were recorded with, so a corpus
+// input keeps its threshold, its θ and its choice between = and an
+// inequality correlation.
 func randomEligibleQuery(rng *rand.Rand) *query.Query {
 	cols := []string{"price", "volume"}
 	keyCol := query.Col(cols[rng.Intn(len(cols))])
 	kinds := []query.AggKind{query.Sum, query.Count}
-	corrOps := []query.CmpOp{query.Eq, query.Le, query.Lt, query.Ge, query.Gt}
 	thetaOps := []query.CmpOp{query.Lt, query.Le, query.Ge, query.Gt, query.Eq}
-	q := &query.Query{Agg: query.Mul(query.Col("price"), query.Col("volume"))}
-	pred := func(keyed, thr query.Value, theta query.CmpOp) []query.Predicate {
-		if rng.Intn(2) == 0 {
-			return []query.Predicate{{Left: thr, Op: theta, Right: keyed}}
-		}
-		return []query.Predicate{{Left: keyed, Op: theta, Right: thr}}
-	}
-	if rng.Intn(3) == 0 {
-		var thr query.Value
-		switch rng.Intn(3) {
-		case 0:
-			thr = query.ValSub([]float64{0.01, 0.05, 0.1}[rng.Intn(3)],
-				&query.Subquery{Kind: query.Sum, Of: query.Col("volume")})
-		case 1:
-			thr = query.ValSub([]float64{0.1, 0.25, 0.5}[rng.Intn(3)], &query.Subquery{Kind: query.Count})
-		default:
-			thr = query.ValExpr(query.Const(float64(rng.Intn(40) + 1)))
-		}
-		q.Preds = pred(query.ValExpr(keyCol), thr, thetaOps[rng.Intn(4)])
-		return q
-	}
 	corr := &query.Subquery{
 		Kind:  kinds[rng.Intn(2)],
-		Where: &query.CorrPred{Inner: keyCol, Op: corrOps[rng.Intn(len(corrOps))], Outer: keyCol},
+		Where: &query.CorrPred{Inner: keyCol, Op: []query.CmpOp{query.Eq, query.Le}[rng.Intn(2)], Outer: keyCol},
 	}
 	if corr.Kind == query.Sum {
 		corr.Of = query.Col("volume") // positive weights
@@ -191,6 +172,30 @@ func randomEligibleQuery(rng *rand.Rand) *query.Query {
 	} else {
 		thr = query.ValExpr(query.Const(float64(rng.Intn(200) + 1)))
 	}
-	q.Preds = pred(query.ValSub(1, corr), thr, thetaOps[rng.Intn(len(thetaOps))])
+	theta := thetaOps[rng.Intn(len(thetaOps))]
+	thrFirst := rng.Intn(2) == 0
+	if corr.Where.Op == query.Le {
+		corr.Where.Op = []query.CmpOp{query.Le, query.Lt, query.Ge, query.Gt}[rng.Intn(4)]
+	}
+	keyed := query.ValSub(1, corr)
+	if rng.Intn(3) == 1 {
+		keyed = query.ValExpr(keyCol)
+		switch rng.Intn(3) {
+		case 0:
+			thr = query.ValSub([]float64{0.01, 0.05, 0.1}[rng.Intn(3)],
+				&query.Subquery{Kind: query.Sum, Of: query.Col("volume")})
+		case 1:
+			thr = query.ValSub([]float64{0.1, 0.25, 0.5}[rng.Intn(3)], &query.Subquery{Kind: query.Count})
+		default:
+			thr = query.ValExpr(query.Const(float64(rng.Intn(40) + 1)))
+		}
+		theta = thetaOps[rng.Intn(4)]
+	}
+	q := &query.Query{Agg: query.Mul(query.Col("price"), query.Col("volume"))}
+	if thrFirst {
+		q.Preds = []query.Predicate{{Left: thr, Op: theta, Right: keyed}}
+	} else {
+		q.Preds = []query.Predicate{{Left: keyed, Op: theta, Right: thr}}
+	}
 	return q
 }

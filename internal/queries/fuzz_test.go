@@ -9,7 +9,7 @@ import (
 // Trace bounds of FuzzFinanceStrategies: every input replays financeFuzzEvents
 // events through RPAI and Toaster and the first financeFuzzNaive of them
 // through the naive oracle too, whose per-event cost grows with the live set
-// (cubically for NQ2).
+// (cubically for NQ2). -short divides both by ten, as the soak does.
 const (
 	financeFuzzEvents = 2000
 	financeFuzzNaive  = 200
@@ -33,27 +33,30 @@ func FuzzFinanceStrategies(f *testing.F) {
 			f.Add(s, uint8(qi), uint8(30), uint16(32+s%64))
 		}
 	}
+	events, naive := financeFuzzEvents, financeFuzzNaive
+	if testing.Short() {
+		events, naive = events/10, naive/10
+	}
 	f.Fuzz(func(t *testing.T, seed int64, qi uint8, deletePct uint8, levels uint16) {
 		qs := FinanceQueries()
 		q := qs[int(qi)%len(qs)]
-		cfg := stream.DefaultOrderBook(financeFuzzEvents)
+		cfg := stream.DefaultOrderBook(events)
 		cfg.Seed = seed
 		cfg.DeleteRatio = float64(deletePct%100) / 100
 		cfg.PriceLevels = 1 + int(levels%512)
 		cfg.MaxVolume = 10 + int(uint64(seed)%50)
 		cfg.BothSides = q.BothSides
-		events := stream.GenerateOrderBook(cfg)
 		rp := NewBids(q.Name, RPAI)
 		to := NewBids(q.Name, Toaster)
 		na := NewBids(q.Name, Naive)
-		for i, e := range events {
+		for i, e := range stream.GenerateOrderBook(cfg) {
 			rp.Apply(e)
 			to.Apply(e)
 			got := rp.Result()
 			if want := to.Result(); !almostEqual(got, want) {
 				t.Fatalf("%s %+v event %d: rpai %v vs toaster %v", q.Name, cfg, i, got, want)
 			}
-			if i < financeFuzzNaive {
+			if i < naive {
 				na.Apply(e)
 				if want := na.Result(); !almostEqual(got, want) {
 					t.Fatalf("%s %+v event %d: rpai %v vs naive %v", q.Name, cfg, i, got, want)
