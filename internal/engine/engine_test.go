@@ -256,6 +256,74 @@ func TestAggIndexAgreesWithNaive(t *testing.T) {
 	}
 }
 
+// correlatedSideSpec is one side of the former two-relation tests: SUM or
+// COUNT of term over the records whose correlated subquery (inner price op
+// outer price, of the same kind) compares by theta against scale times the
+// uncorrelated aggregate.
+func correlatedSideSpec(kind query.AggKind, term query.Expr, scale float64, theta, op query.CmpOp) *query.Query {
+	sub := func(where *query.CorrPred) *query.Subquery {
+		s := &query.Subquery{Kind: kind, Where: where}
+		if kind == query.Sum {
+			s.Of = query.Col("volume")
+		}
+		return s
+	}
+	return &query.Query{
+		Agg: term,
+		Preds: []query.Predicate{{
+			Left:  query.ValSub(scale, sub(nil)),
+			Op:    theta,
+			Right: query.ValSub(1, sub(&query.CorrPred{Inner: query.Col("price"), Op: op, Outer: query.Col("price")})),
+		}},
+	}
+}
+
+// checkRelStateSides plans each side query, requires the relation state,
+// and runs it against the naive oracle.
+func checkRelStateSides(t *testing.T, sides map[string]*query.Query, seeds int64, n int) {
+	t.Helper()
+	for name, q := range sides {
+		for seed := int64(1); seed <= seeds; seed++ {
+			ex, err := New(q)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if s := ex.Strategy(); s != "relstate" {
+				t.Fatalf("%s: planner picked %s, want relstate", name, s)
+			}
+			checkAgainstNaive(t, q, ex, seed, n)
+		}
+	}
+}
+
+// TestMultiProductCombine covers the two correlation orientations the
+// product-combined two-relation query paired, now one query each: a <=
+// correlation under a strict < threshold, a >= correlation under <=.
+func TestMultiProductCombine(t *testing.T) {
+	checkRelStateSides(t, map[string]*query.Query{
+		"le-under-lt": correlatedSideSpec(query.Sum, query.Col("volume"), 0.5, query.Lt, query.Le),
+		"ge-under-le": correlatedSideSpec(query.Sum, query.Col("volume"), 0.5, query.Le, query.Ge),
+	}, 3, 350)
+}
+
+// TestMultiStrictOrientations covers the strict < and > correlation
+// operators (fresh-level inclusive shifts).
+func TestMultiStrictOrientations(t *testing.T) {
+	term := query.Mul(query.Col("price"), query.Col("volume"))
+	checkRelStateSides(t, map[string]*query.Query{
+		"lt": correlatedSideSpec(query.Sum, term, 0.3, query.Lt, query.Lt),
+		"gt": correlatedSideSpec(query.Sum, term, 0.3, query.Lt, query.Gt),
+	}, 3, 350)
+}
+
+// TestMultiCountCorrelation uses COUNT subqueries (weight 1 per tuple) on
+// both sides of the predicate.
+func TestMultiCountCorrelation(t *testing.T) {
+	checkRelStateSides(t, map[string]*query.Query{
+		"count-le": correlatedSideSpec(query.Count, query.Col("volume"), 0.5, query.Ge, query.Le),
+	}, 3, 300)
+}
+
 func TestPlannerSelection(t *testing.T) {
 	cases := []struct {
 		q    *query.Query
