@@ -92,21 +92,21 @@ const (
 	commitBatch = 128
 )
 
-// commitService builds a one-shard VWAP service holding commitParts
+// commitService builds a one-shard VWAP service holding parts
 // partitions, each with price levels 1 and 2, and BatchSize commitBatch so
 // every ApplyBatch of a ring batch is exactly one commit. It returns a ring
 // of pre-built batches over random partitions and levels; re-applying them
 // grows no index, so the steady state measures routing, apply and
 // publication, not tree growth.
-func commitService(tb testing.TB, ringLen int) (*Service, [][]engine.Event) {
+func commitService(tb testing.TB, parts, ringLen int) (*Service, [][]engine.Event) {
 	tb.Helper()
 	svc, err := ForQuery(vwapSpec(), []string{"sym"}, Options{Shards: 1, BatchSize: commitBatch})
 	if err != nil {
 		tb.Fatal(err)
 	}
 	tb.Cleanup(func() { svc.Close() })
-	warm := make([]engine.Event, 0, 2*commitParts)
-	for sym := 0; sym < commitParts; sym++ {
+	warm := make([]engine.Event, 0, 2*parts)
+	for sym := 0; sym < parts; sym++ {
 		warm = append(warm, allocTuple(float64(sym), 1), allocTuple(float64(sym), 2))
 	}
 	rng := rand.New(rand.NewSource(7))
@@ -114,7 +114,7 @@ func commitService(tb testing.TB, ringLen int) (*Service, [][]engine.Event) {
 	for i := range ring {
 		ring[i] = make([]engine.Event, commitBatch)
 		for j := range ring[i] {
-			ring[i][j] = allocTuple(float64(rng.Intn(commitParts)), float64(1+rng.Intn(2)))
+			ring[i][j] = allocTuple(float64(rng.Intn(parts)), float64(1+rng.Intn(2)))
 		}
 	}
 	if err := svc.ApplyBatch(warm); err != nil {
@@ -142,7 +142,7 @@ func commitService(tb testing.TB, ringLen int) (*Service, [][]engine.Event) {
 // the queue with fresh batch boxes the pool has not had back yet, and would
 // measure how far it ran ahead rather than the commit.
 func TestAllocGuardCommitBytes(t *testing.T) {
-	svc, ring := commitService(t, 32)
+	svc, ring := commitService(t, commitParts, 32)
 	const commits, ceiling = 256, 8*commitParts + 4096
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -167,7 +167,7 @@ func TestAllocGuardCommitBytes(t *testing.T) {
 // float64 array, never a tuple map (the map edge lays events out as rows
 // before they are queued) — and their partition runs.
 func TestDrainReleasesEvents(t *testing.T) {
-	svc, ring := commitService(t, 8)
+	svc, ring := commitService(t, commitParts, 8)
 	for _, batch := range ring {
 		if err := svc.ApplyBatch(batch); err != nil {
 			t.Fatal(err)

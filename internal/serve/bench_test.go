@@ -14,37 +14,55 @@ import (
 // each, about 124 dirty partitions), with 0 and with 8 subscribers reading
 // every frame, and with two lanes — the plan's own and one threshold variant
 // (SetProbes), as a catalog set serving a founder and its variant publishes.
-// It reports ns/event (routing, apply, lane refresh, publication and, with
-// subscribers, the shared delta runs and their delivery) and B/event
-// allocated process-wide, the publish-side counterpart of the engine's
+// The stalled cases attach 8 Buffer-1 subscribers that never read to shards
+// of 256 and 4 096 partitions (stalled=0 is the same shard with none, the
+// baseline the subscribers' share is read against): every publication is
+// offered to slots that already hold a pending frame, the steady state of a
+// lagging reader, whose cost should follow the batch, not the partition
+// count. It reports
+// ns/event (routing, apply, lane refresh, publication and, with
+// subscribers, the slot offers and frame delivery) and B/event allocated
+// process-wide, the publish-side counterpart of the engine's
 // BenchmarkRelStateApply. The parts=8,events=4 sub-case is the other
 // extreme (benchSmallBatches).
 func BenchmarkShardCommit(b *testing.B) {
 	founder := engine.ProbeSpec{Kind: query.Sum, Const: 0.75}
 	variant := engine.ProbeSpec{Kind: query.Sum, Const: 0.9}
 	for _, tc := range []struct {
-		name  string
-		subs  int
-		lanes []engine.ProbeSpec
+		name    string
+		parts   int
+		subs    int
+		stalled bool
+		lanes   []engine.ProbeSpec
 	}{
-		{"subs=0", 0, nil},
-		{"subs=8", 8, nil},
-		{"lanes=2", 0, []engine.ProbeSpec{founder, variant}},
+		{"subs=0", commitParts, 0, false, nil},
+		{"subs=8", commitParts, 8, false, nil},
+		{"lanes=2", commitParts, 0, false, []engine.ProbeSpec{founder, variant}},
+		{"stalled=0,parts=256", 256, 0, true, nil},
+		{"stalled=8,parts=256", 256, 8, true, nil},
+		{"stalled=0,parts=4096", 4096, 0, true, nil},
+		{"stalled=8,parts=4096", 4096, 8, true, nil},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
-			svc, ring := commitService(b, 64)
+			svc, ring := commitService(b, tc.parts, 64)
 			if err := svc.SetProbes(tc.lanes); err != nil {
 				b.Fatal(err)
 			}
 			for i := 0; i < tc.subs; i++ {
-				sub, err := svc.Subscribe(SubOptions{})
+				opt := SubOptions{}
+				if tc.stalled {
+					opt.Buffer = 1
+				}
+				sub, err := svc.Subscribe(opt)
 				if err != nil {
 					b.Fatal(err)
 				}
-				go func() {
-					for range sub.Frames() {
-					}
-				}()
+				if !tc.stalled {
+					go func() {
+						for range sub.Frames() {
+						}
+					}()
+				}
 			}
 			if err := svc.Drain(); err != nil {
 				b.Fatal(err)

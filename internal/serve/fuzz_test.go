@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"rpai/internal/engine"
@@ -33,6 +34,9 @@ func subFuzzService(t *testing.T, shards, batchSize int) *Service {
 // traces found by one fuzzer can be replayed through the other. Here the
 // shape byte selects the shard count and the drain bound instead of the query
 // (the executors are not the surface under test; commit boundaries are).
+// The bytes after the triples the fuzzer reads are a trailer no earlier
+// input depended on: its first byte, when its top bit is set, selects the
+// wide key space (see subFuzzWide). The last seed is a wide one on one shard.
 func subFuzzSeeds() [][]byte {
 	trace := []byte{
 		1, 5, 9, 1, 5, 3, 1, 17, 28, 1, 5, 9, 0, 0, 1, 1, 200, 100,
@@ -43,8 +47,28 @@ func subFuzzSeeds() [][]byte {
 	for shape := byte(0); shape < 4; shape++ {
 		seeds = append(seeds, append([]byte{shape, 0, 0, 0, 0, 0, 0, 0, 77}, trace...))
 	}
-	return seeds
+	wide := []byte{1, 0, 0, 0, 0, 0, 0, 0, 91}
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < 120; i++ {
+		wide = append(wide, byte(rng.Intn(256)), byte(rng.Intn(256)), byte(rng.Intn(256)))
+	}
+	return append(seeds, append(wide, 0x80|64))
 }
+
+// subFuzzWide decodes the wide key space from an input's trailer: 0 (the
+// narrow space, syms 1–5) unless the trailer's first byte has its top bit
+// set, else 256–383 syms, so every shard's partition slots span several
+// 64-bit mark words.
+func subFuzzWide(data []byte) int {
+	triples := min((len(data)-9)/3, subFuzzEvents)
+	if tail := data[9+3*triples:]; len(tail) > 0 && tail[0]&0x80 != 0 {
+		return 256 + int(tail[0]&0x7f)
+	}
+	return 0
+}
+
+// subFuzzEvents caps the events one FuzzSubscriptionDeltas input applies.
+const subFuzzEvents = 200
 
 // FuzzSubscriptionDeltas is the subscription half of the differential fuzz
 // suite: a random insert/delete stream with random publish boundaries and
@@ -56,10 +80,15 @@ func subFuzzSeeds() [][]byte {
 // ResultGrouped returns at the same shard versions.
 //
 // Three more subscribers share the service, and with it every publication's
-// delta runs: one filtered to two keys (held to the filtered pull), one on a
-// probe lane installed with SetProbes (held to ProbeResultGrouped), and one
-// left unread until the end, whose slot coalesces the whole stream by merging
-// runs and must still converge on the final pull.
+// publications: one filtered to two keys (four in the wide key space; held
+// to the filtered pull), one on a probe lane installed with SetProbes (held
+// to ProbeResultGrouped), and one left unread until the end, whose slots
+// coalesce the whole stream and must still converge on the final pull.
+//
+// In the wide key space the service is first given one event on each of
+// several hundred syms, in scrambled key order, and the trace spreads over
+// all of them, so the slot-indexed coalescing state crosses 64-bit words
+// and key order differs from slot order.
 func FuzzSubscriptionDeltas(f *testing.F) {
 	for _, s := range subFuzzSeeds() {
 		f.Add(s)
@@ -75,6 +104,7 @@ func FuzzSubscriptionDeltas(f *testing.F) {
 			batchSize = 16
 		}
 		shards := 1 + int(shape>>1)%2
+		wide := subFuzzWide(data)
 		svc := subFuzzService(t, shards, batchSize)
 		defer svc.Close()
 
@@ -89,7 +119,8 @@ func FuzzSubscriptionDeltas(f *testing.F) {
 		}
 		defer func() { sub.Close() }()
 		view := NewView()
-		// side is one of the fixed subscribers that share the primary's runs.
+		// side is one of the fixed subscribers that share the primary's
+		// publications.
 		type side struct {
 			name string
 			sub  *Subscription
@@ -104,10 +135,14 @@ func FuzzSubscriptionDeltas(f *testing.F) {
 			t.Cleanup(s.Close)
 			return side{name, s, NewView(), pull}
 		}
-		filtered := attach("filtered", SubOptions{Buffer: 1024, Keys: [][]float64{{1}, {3}}}, func() []engine.GroupResult {
+		keys := [][]float64{{1}, {3}}
+		if wide > 0 {
+			keys = append(keys, []float64{130}, []float64{float64(wide)})
+		}
+		filtered := attach("filtered", SubOptions{Buffer: 1024, Keys: keys}, func() []engine.GroupResult {
 			var out []engine.GroupResult
 			for _, g := range svc.ResultGrouped() {
-				if g.Key[0] == 1 || g.Key[0] == 3 {
+				if slices.ContainsFunc(keys, func(k []float64) bool { return k[0] == g.Key[0] }) {
 					out = append(out, g)
 				}
 			}
@@ -145,8 +180,22 @@ func FuzzSubscriptionDeltas(f *testing.F) {
 		}
 
 		var live []query.Tuple
+		if wide > 0 {
+			// One event per sym, in a scrambled order (193 is prime to every
+			// wide count), so slots are not in key order.
+			warm := make([]engine.Event, wide)
+			for i := range warm {
+				tup := query.Tuple{"sym": float64(i*193%wide + 1), "price": 20, "volume": 1}
+				live = append(live, tup)
+				warm[i] = engine.Insert(tup)
+			}
+			if err := svc.ApplyBatch(warm); err != nil {
+				t.Fatal(err)
+			}
+			sync("wide warm-up")
+		}
 		events := 0
-		for i := 9; i+2 < len(data) && events < 200; i += 3 {
+		for i := 9; i+2 < len(data) && events < subFuzzEvents; i += 3 {
 			op, b1, b2 := data[i], data[i+1], data[i+2]
 			var e engine.Event
 			if op%4 == 0 && len(live) > 0 {
@@ -155,8 +204,12 @@ func FuzzSubscriptionDeltas(f *testing.F) {
 				live[j] = live[len(live)-1]
 				live = live[:len(live)-1]
 			} else {
+				sym := float64(b1%5 + 1)
+				if wide > 0 {
+					sym = float64((int(b1)<<8|int(b2))%wide + 1)
+				}
 				tup := query.Tuple{
-					"sym":    float64(b1%5 + 1),
+					"sym":    sym,
 					"price":  float64(b2%40 + 1),
 					"volume": float64((b1^b2)%30 + 1),
 				}

@@ -1,7 +1,9 @@
 package serve
 
 import (
+	"fmt"
 	"math"
+	"math/bits"
 	"testing"
 	"time"
 
@@ -120,10 +122,56 @@ func TestSubscriptionReconstructs(t *testing.T) {
 	}
 }
 
+// pendingSlot reads a coalescing slot's pending state under its lock: the
+// number of marked partition slots, the mark words it holds, and the pinned
+// snapshot (nil when nothing is pending).
+func pendingSlot(ss *subShard) (marked, words int, snap *Snapshot) {
+	ss.mu.Lock()
+	defer ss.mu.Unlock()
+	for _, w := range ss.marks {
+		marked += bits.OnesCount64(w)
+	}
+	return marked, len(ss.marks), ss.snap
+}
+
+// checkPendingBounded fails unless ss's pending state is bounded by the
+// partitions its shard owns: at most one mark per partition, mark words for
+// no more slots than the shard has (rounded up to a word), and the pinned
+// snapshot, if any, the shard's newest publication.
+func checkPendingBounded(t *testing.T, what string, svc *Service, ss *subShard) {
+	t.Helper()
+	parts := svc.Stats()[ss.shard].Partitions
+	marked, words, snap := pendingSlot(ss)
+	if marked > parts || words > (parts+63)/64 {
+		t.Fatalf("%s: shard %d slot holds %d marks in %d words, shard has %d partitions",
+			what, ss.shard, marked, words, parts)
+	}
+	if newest := svc.shards[ss.shard].snap.Load(); snap != nil && snap != newest {
+		t.Fatalf("%s: shard %d slot pins snapshot version %d, newest is %d", what, ss.shard, snap.Version, newest.Version)
+	}
+}
+
+// checkFrameOrdered fails unless fr carries at most one group per partition
+// of its shard, in strictly increasing key order.
+func checkFrameOrdered(t *testing.T, what string, svc *Service, fr DeltaFrame) {
+	t.Helper()
+	if parts := svc.Stats()[fr.Shard].Partitions; len(fr.Groups) > parts {
+		t.Fatalf("%s: shard %d frame carries %d groups, shard has %d partitions", what, fr.Shard, len(fr.Groups), parts)
+	}
+	for i := 1; i < len(fr.Groups); i++ {
+		if engine.CompareKeys(fr.Groups[i-1].Key, fr.Groups[i].Key) >= 0 {
+			t.Fatalf("%s: shard %d frame out of key order at %d: %v then %v",
+				what, fr.Shard, i, fr.Groups[i-1].Key, fr.Groups[i].Key)
+		}
+	}
+}
+
 // TestSubscriptionBackpressure stalls a Buffer-1 subscriber under sustained
-// ingest, then lets it drain: it must converge on the newest version (never a
-// stale final state), its per-shard frame versions must be strictly
-// increasing (never out-of-order), and coalescing must have collapsed the
+// ingest on a shard owning 300 partitions (five mark words), then lets it
+// drain: its pending state must stay bounded by the partition count, it must
+// converge on the newest version (never a stale final state), its frame
+// versions must be strictly increasing (never out-of-order) with groups in
+// strictly increasing key order, and coalescing must have collapsed the
 // backlog into far fewer frames than publications.
 func TestSubscriptionBackpressure(t *testing.T) {
 	q := vwapSpec()
@@ -140,7 +188,7 @@ func TestSubscriptionBackpressure(t *testing.T) {
 	defer sub.Close()
 
 	// Stall the subscriber: nobody reads sub.Frames while ingest runs.
-	events := symEvents(23, 5000, 9)
+	events := symEvents(23, 5000, 300)
 	for i := 0; i < len(events); i += 8 {
 		end := i + 8
 		if end > len(events) {
@@ -154,16 +202,10 @@ func TestSubscriptionBackpressure(t *testing.T) {
 		t.Fatal(err)
 	}
 	flushed := svc.Stats()[0].Flushed
-
-	// Bounded memory: the pending slot coalesces by key, so it can never hold
-	// more groups than the shard has partitions.
-	ss := sub.shards[0]
-	ss.mu.Lock()
-	pending := len(ss.pend)
-	ss.mu.Unlock()
-	if parts := svc.Stats()[0].Partitions; pending > parts {
-		t.Fatalf("pending slot holds %d groups, shard has %d partitions", pending, parts)
+	if parts := svc.Stats()[0].Partitions; parts <= 256 {
+		t.Fatalf("trace reached %d partitions, want more than 256", parts)
 	}
+	checkPendingBounded(t, "stalled", svc, sub.shards[0])
 
 	// Drain: versions strictly increasing, convergence on the newest state.
 	view := NewView()
@@ -181,6 +223,7 @@ func TestSubscriptionBackpressure(t *testing.T) {
 				t.Fatalf("out-of-order frame: version %d after %d", fr.Version, lastVer)
 			}
 			lastVer = fr.Version
+			checkFrameOrdered(t, "drain", svc, fr)
 			if err := view.Apply(fr); err != nil {
 				t.Fatal(err)
 			}
@@ -403,8 +446,9 @@ func TestSubscribeResume(t *testing.T) {
 }
 
 // TestSubscribeAllocGuard bounds the steady-state cost a stalled subscriber
-// imposes on the ingest path: merging a publication into the pending slot
-// must reuse the slot's map, not allocate per publication. The ceiling is per
+// imposes on the ingest path: offering a publication to the pending slot
+// sets marks in the slot's words and pins the new snapshot, allocating
+// nothing per publication. The ceiling is per
 // 64-event batch over four partitions, in the style of
 // TestAllocGuardApplyBatch.
 func TestSubscribeAllocGuard(t *testing.T) {
@@ -485,10 +529,12 @@ func TestSubscribeCloseRace(t *testing.T) {
 
 // TestLaggingSlotPendingBounded stalls three Buffer-1 subscribers — the base
 // results, a probe lane and a key filter — under sustained ingest on two
-// shards and inspects their coalescing slots after every drained round: a
-// slot's pending run stays in strictly increasing key order (one group per
-// key) and never holds more groups than its shard has partitions, however
-// many publications were merged into it.
+// shards owning about 200 partitions each, so marks span several words.
+// After every drained round it inspects their coalescing slots — pending
+// state bounded by the shard's partition count however many publications
+// were folded into it — and then catches each up: every frame it takes is
+// in strictly increasing key order with one group per key, and the caught-up
+// view equals its pull bit for bit.
 func TestLaggingSlotPendingBounded(t *testing.T) {
 	svc, err := ForQuery(vwapSpec(), []string{"sym"}, Options{Shards: 2, BatchSize: 8, QueueLen: 64})
 	if err != nil {
@@ -499,22 +545,51 @@ func TestLaggingSlotPendingBounded(t *testing.T) {
 	if err := svc.SetProbes([]engine.ProbeSpec{lane}); err != nil {
 		t.Fatal(err)
 	}
-	var subs []*Subscription
-	for _, opt := range []SubOptions{
-		{Buffer: 1},
-		{Buffer: 1, Probe: &lane},
-		{Buffer: 1, Keys: [][]float64{{1}, {4}, {7}, {12}}},
+	keys := [][]float64{{1}, {4}, {7}, {12}, {130}, {257}, {399}}
+	wantKey := map[float64]bool{}
+	for _, k := range keys {
+		wantKey[k[0]] = true
+	}
+	filtered := func() []engine.GroupResult {
+		var out []engine.GroupResult
+		for _, g := range svc.ResultGrouped() {
+			if wantKey[g.Key[0]] {
+				out = append(out, g)
+			}
+		}
+		return out
+	}
+	laneGrouped := func() []engine.GroupResult {
+		out, ok := svc.ProbeResultGrouped(lane)
+		if !ok {
+			t.Fatal("probe lane not published")
+		}
+		return out
+	}
+	type lagging struct {
+		sub  *Subscription
+		view *View
+		pull func() []engine.GroupResult
+	}
+	var subs []lagging
+	for _, c := range []struct {
+		opt  SubOptions
+		pull func() []engine.GroupResult
+	}{
+		{SubOptions{Buffer: 1}, svc.ResultGrouped},
+		{SubOptions{Buffer: 1, Probe: &lane}, laneGrouped},
+		{SubOptions{Buffer: 1, Keys: keys}, filtered},
 	} {
-		sub, err := svc.Subscribe(opt)
+		sub, err := svc.Subscribe(c.opt)
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer sub.Close()
-		subs = append(subs, sub)
+		subs = append(subs, lagging{sub, NewView(), c.pull})
 	}
-	events := symEvents(31, 6000, 23)
-	for round := 0; round*300 < len(events); round++ {
-		chunk := events[round*300 : min((round+1)*300, len(events))]
+	events := symEvents(31, 6000, 400)
+	for round := 0; round*600 < len(events); round++ {
+		chunk := events[round*600 : min((round+1)*600, len(events))]
 		for i := 0; i < len(chunk); i += 6 {
 			if err := svc.ApplyBatch(chunk[i:min(i+6, len(chunk))]); err != nil {
 				t.Fatal(err)
@@ -523,23 +598,35 @@ func TestLaggingSlotPendingBounded(t *testing.T) {
 		if err := svc.Drain(); err != nil {
 			t.Fatal(err)
 		}
-		stats := svc.Stats()
-		for si, sub := range subs {
-			for _, ss := range sub.shards {
-				ss.mu.Lock()
-				pend := append([]engine.GroupResult(nil), ss.pend...)
-				ss.mu.Unlock()
-				if parts := stats[ss.shard].Partitions; len(pend) > parts {
-					t.Fatalf("round %d, subscriber %d, shard %d: pending run holds %d groups, shard has %d partitions",
-						round, si, ss.shard, len(pend), parts)
-				}
-				for i := 1; i < len(pend); i++ {
-					if engine.CompareKeys(pend[i-1].Key, pend[i].Key) >= 0 {
-						t.Fatalf("round %d, subscriber %d, shard %d: pending run out of key order at %d: %v then %v",
-							round, si, ss.shard, i, pend[i-1].Key, pend[i].Key)
+		for si, l := range subs {
+			what := fmt.Sprintf("round %d, subscriber %d", round, si)
+			for _, ss := range l.sub.shards {
+				checkPendingBounded(t, what, svc, ss)
+			}
+			target := svc.ShardVersions()
+			deadline := time.After(10 * time.Second)
+			for !viewCaughtUp(l.view, target) {
+				select {
+				case fr, ok := <-l.sub.Frames():
+					if !ok {
+						t.Fatalf("%s: frames closed early", what)
 					}
+					checkFrameOrdered(t, what, svc, fr)
+					if err := l.view.Apply(fr); err != nil {
+						t.Fatal(err)
+					}
+				case <-deadline:
+					t.Fatalf("%s: never caught up", what)
 				}
 			}
+			if got, want := l.view.Grouped(), l.pull(); !groupsIdentical(got, want) {
+				t.Fatalf("%s: caught-up view != pull:\n got %v\nwant %v", what, got, want)
+			}
+		}
+	}
+	for _, st := range svc.Stats() {
+		if st.Partitions <= 128 {
+			t.Fatalf("shard %d owns %d partitions, want more than 128", st.Shard, st.Partitions)
 		}
 	}
 }
