@@ -61,7 +61,8 @@ bench:
 # cost at the stack benchmark's deep-index and wide-shallow tree sizes, the
 # publish layer's per-event cost and bytes on a wide-shallow-sized shard
 # (2 048 partitions, 128-event commits) with 0 and 8 subscribers and with two probe lanes (a founder and
-# one threshold variant), and the catalog's record path (decode,
+# one threshold variant) and with 8 stalled subscribers on 256- and
+# 4 096-partition shards, and the catalog's record path (decode,
 # admission, WAL append, fan-out) per event and byte on a 256-event record
 # into 1 and 16 state sets, the catalog's registration path per Register or
 # Unregister call (24 registrations into 16 sets on a durable catalog, then
