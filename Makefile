@@ -1,14 +1,15 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: test test-race race catalog bench bench-core experiments examples fuzz fuzz-smoke lint benchmark benchmark-check benchmark-smoke serve-demo
+.PHONY: test test-race race catalog bench-core experiments examples fuzz fuzz-smoke lint benchmark benchmark-check benchmark-smoke serve-demo
 
 # CI's test job: tier-1 (build, vet, every unit test), the stack benchmark's
 # build and unit tests, the allocation guards re-run uncached (steady-state
 # hot paths stay allocation-free: the RPAI tree's reads, churn and shift,
 # the level tree, the engine event codec, serve's ApplyBatch on an
 # engine plan; a shard commit allocates its value column and no more; the
-# catalog's durable ApplyBatch allocates no more for a longer batch), and an
-# end-to-end smoke of every retained rpaibench experiment.
+# catalog's durable ApplyBatch allocates no more for a longer batch), and
+# every rpaibench experiment at -quick scale, which exits 1 when one of the
+# paper's shape claims (EXPERIMENTS.md) fails or two systems' results differ.
 test: benchmark-check
 	go build ./... && go vet ./... && go test ./...
 	go test -run 'TestAllocGuard' -count 1 ./internal/rpai/ ./internal/engine/ ./internal/serve/ ./internal/catalog/
@@ -51,9 +52,6 @@ catalog:
 	go test -race -count 1 ./internal/catalog/ ./internal/wire/... ./internal/serve/
 	go run ./examples/wiredemo
 	go test -run 'TestDaemon|TestBoot' -count 1 -v ./cmd/rpaiserver/
-
-bench:
-	go test -bench=. -benchmem ./...
 
 # Core micro-benchmarks: the RPAI tree's Put/Add/GetSum/Delete, the level
 # tree's insert/delete churn and weight-steered refresh reads at the stack
@@ -137,7 +135,9 @@ fuzz-smoke:
 
 # Static analysis beyond `go vet`: formatting drift, the serving build
 # linking an ablation index package, the paper-side treemap or the
-# paper-evaluation harness, serve's tests reaching past engine plans to the
+# paper-evaluation harness, the paper-evaluation harness linking the serving
+# stack (it times executors; serving numbers come from `make benchmark`),
+# serve's tests reaching past engine plans to the
 # hand-written executors and their workloads (each printed if it does), a
 # Fuzz* target in the module missing from FUZZ_TARGETS (named if one is),
 # staticcheck, and the vulnerability scan. CI installs the two tools in its
@@ -146,6 +146,7 @@ fuzz-smoke:
 lint:
 	test -z "$$(gofmt -l .)" || { gofmt -l .; exit 1; }
 	! go list -deps ./cmd/rpaiserver | grep -E '^rpai/internal/(aggindex|rpaibtree|fenwick|queries|stream|tpch|bench|treemap)$$'
+	! go list -deps ./cmd/rpaibench | grep -E '^rpai/internal/(serve|catalog|wire)$$'
 	! go list -test -deps ./internal/serve | grep -E '^rpai/internal/(queries|stream|tpch|aggindex)$$'
 	! grep -rEo --include='*_test.go' --exclude-dir=benchmark '^func Fuzz[A-Za-z0-9_]+' . | sed -E 's|^\./||; s|/[^/]*_test\.go:func |:|' | grep -vxF $(foreach t,$(FUZZ_TARGETS),-e '$t')
 	go vet ./...

@@ -3,12 +3,17 @@
 //
 // Usage:
 //
-//	rpaibench -exp table1|scaling|fig7|fig8|fig8d|fig9|cadence|latency|all [flags]
+//	rpaibench -exp table1|scaling|fig7|fig8|fig8d|fig9|cadence|latency|ablation|all [flags]
 //	rpaibench -exp replay -trace book.csv [-query vwap]
 //
-// Every experiment here runs the hand-written executors of internal/queries.
-// The serving stack (catalog, shards, WAL, wire, subscriptions) is measured
-// by the stack benchmark instead: `make benchmark` (BENCHMARK.json).
+// Every experiment runs the hand-written executors of internal/queries and,
+// for each query with a SQL form, the engine the server runs (sqlparse,
+// engine.Prepare, ApplyRows). After each experiment's table it prints the
+// experiment's shape checks, one line per claim of EXPERIMENTS.md, and it
+// exits 1 if any fails ("FAIL <claim>: <observed> vs <bound>") or if the
+// systems' results disagree; replay likewise exits 1 on disagreement. The
+// serving stack (catalog, shards, WAL, wire, subscriptions) is measured by
+// the stack benchmark instead: `make benchmark` (BENCHMARK.json).
 //
 // The default scales finish in minutes on a laptop; -full switches Figure 8
 // to the paper's 100k-event sweep. Any experiment can be profiled with
@@ -29,7 +34,7 @@ import (
 
 // experiments lists every -exp value, for the flag's help text and the
 // unknown-experiment message.
-const experiments = "table1, scaling, fig7, fig8, fig8d, fig9, cadence, latency, replay, or all"
+const experiments = "table1, scaling, fig7, fig8, fig8d, fig9, cadence, latency, ablation, replay, or all"
 
 func main() {
 	var (
@@ -47,6 +52,14 @@ func main() {
 		memProf = flag.String("memprofile", "", "write a heap profile to this file on exit")
 	)
 	flag.Parse()
+	failed := false
+	// Deferred first so it runs last, after the profiles are written.
+	defer func() {
+		if failed {
+			fmt.Fprintln(os.Stderr, "rpaibench: shape checks failed")
+			os.Exit(1)
+		}
+	}()
 	if *cpuProf != "" {
 		f, err := os.Create(*cpuProf)
 		if err != nil {
@@ -85,6 +98,19 @@ func main() {
 
 	run := func(name string) bool { return *exp == "all" || *exp == name }
 	ran := false
+	// report prints an experiment's checks after its table (to stderr under
+	// -format csv, so stdout stays CSV).
+	report := func(checks []bench.Check) {
+		out := os.Stdout
+		if csvOut {
+			out = os.Stderr
+		}
+		for _, c := range checks {
+			fmt.Fprintln(out, c)
+			failed = failed || !c.Pass
+		}
+		fmt.Fprintln(out)
+	}
 
 	if run("table1") && !csvOut {
 		ran = true
@@ -105,6 +131,7 @@ func main() {
 			fmt.Print(bench.FormatScaling(rows))
 			fmt.Println()
 		}
+		report(bench.Table1Checks(rows))
 	}
 	if run("fig7") {
 		ran = true
@@ -119,6 +146,7 @@ func main() {
 			fmt.Print(bench.FormatFig7(rows))
 			fmt.Println()
 		}
+		report(bench.Fig7Checks(rows))
 	}
 	if run("fig8") {
 		ran = true
@@ -136,6 +164,7 @@ func main() {
 		} else {
 			fmt.Print(bench.FormatFig8(series))
 		}
+		report(bench.Fig8Checks(series))
 	}
 	if run("fig8d") {
 		ran = true
@@ -151,6 +180,7 @@ func main() {
 			fmt.Print(bench.FormatFig8d(points))
 			fmt.Println()
 		}
+		report(bench.Fig8dChecks(points))
 	}
 	if run("cadence") {
 		ran = true
@@ -166,6 +196,7 @@ func main() {
 			fmt.Print(bench.FormatCadence(cfg.Query, points))
 			fmt.Println()
 		}
+		report(bench.CadenceChecks(points))
 	}
 	if run("latency") {
 		ran = true
@@ -181,6 +212,23 @@ func main() {
 			fmt.Print(bench.FormatLatency(cfg.Query, rows))
 			fmt.Println()
 		}
+		report(bench.LatencyChecks(rows))
+	}
+	if run("ablation") {
+		ran = true
+		cfg := bench.DefaultAblation()
+		if *quick {
+			cfg.Keys, cfg.Ops, cfg.Events = 2000, 200, 400
+		}
+		cfg.Seed = *seed
+		rows := bench.Ablation(cfg)
+		if csvOut {
+			fmt.Print(bench.AblationCSV(rows))
+		} else {
+			fmt.Print(bench.FormatAblation(rows))
+			fmt.Println()
+		}
+		report(bench.AblationChecks(rows))
 	}
 	if *exp == "replay" {
 		ran = true
@@ -200,10 +248,17 @@ func main() {
 			os.Exit(1)
 		}
 		fmt.Printf("replaying %d events from %s through %s\n", len(events), *trace, *rQuery)
-		for _, sys := range []bench.System{bench.SysToaster, bench.SysRPAI} {
-			elapsed, res := bench.NewFinanceRunner(*rQuery, sys, events).Run()
-			fmt.Printf("  %-8s %12v   result %g\n", sys, elapsed.Round(time.Microsecond), res)
+		systems := []bench.System{bench.SysToaster, bench.SysRPAI}
+		if bench.HasSQL(*rQuery) {
+			systems = append(systems, bench.SysEngine)
 		}
+		var outs []bench.Outcome
+		for _, sys := range systems {
+			o := bench.NewFinanceRunner(*rQuery, sys, events).Run()
+			fmt.Printf("  %-8s %12v   result %g\n", sys, o.Elapsed.Round(time.Microsecond), o.Final)
+			outs = append(outs, o)
+		}
+		report([]bench.Check{bench.Agree("replay: results agree", outs)})
 	}
 	if run("fig9") {
 		ran = true
@@ -219,6 +274,7 @@ func main() {
 		} else {
 			fmt.Print(bench.FormatFig9(curves))
 		}
+		report(bench.Fig9Checks(curves))
 	}
 	if !ran {
 		fmt.Fprintf(os.Stderr, "rpaibench: unknown experiment %q; valid: %s. Serving-stack numbers come from `make benchmark`.\n", *exp, experiments)

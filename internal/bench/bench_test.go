@@ -9,8 +9,9 @@ import (
 	"rpai/internal/tpch"
 )
 
-// Tiny configurations keep the harness tests fast; the real scales run via
-// cmd/rpaibench and the root bench_test.go.
+// Tiny configurations keep the harness tests fast; the real scales, and the
+// shape checks at their bounds, run via cmd/rpaibench (`make test` runs
+// `rpaibench -exp all -quick`).
 
 func tinyFig7() Fig7Config { return Fig7Config{FinanceEvents: 200, TPCHScale: 0.02, Seed: 1} }
 
@@ -24,11 +25,14 @@ func TestFig7ProducesAllQueriesAndAgreement(t *testing.T) {
 		if r.Query != want[i] {
 			t.Fatalf("row %d = %s, want %s", i, r.Query, want[i])
 		}
-		if !r.ResultsAgree {
-			t.Fatalf("%s: systems disagree on the final result", r.Query)
+		if d := disagreement(r.Outcomes); d != "" {
+			t.Fatalf("%s: %s disagree", r.Query, d)
 		}
 		if r.Toaster <= 0 || r.RPAI <= 0 {
 			t.Fatalf("%s: non-positive timing", r.Query)
+		}
+		if (r.Engine > 0) != HasSQL(r.Query) {
+			t.Fatalf("%s: engine time %v, SQL form %v", r.Query, r.Engine, HasSQL(r.Query))
 		}
 	}
 }
@@ -40,7 +44,7 @@ func TestFig8RespectsCaps(t *testing.T) {
 		t.Fatalf("series = %d", len(series))
 	}
 	for _, s := range series {
-		if len(s.Points) != len(cfg.Sizes)*3 {
+		if len(s.Points) != len(cfg.Sizes)*len(withEngine(s.Query, SysNaive, SysToaster, SysRPAI)) {
 			t.Fatalf("%s: points = %d", s.Query, len(s.Points))
 		}
 		for _, p := range s.Points {
@@ -75,7 +79,7 @@ func TestFig8dCoversGrid(t *testing.T) {
 func TestFig9SamplesAndCaps(t *testing.T) {
 	cfg := Fig9Config{Events: 300, SampleEvery: 100, NaiveCap: 100, NQ2NaiveCap: 100, Seed: 1}
 	curves := Fig9(cfg)
-	if len(curves) != 9 { // 3 queries x 3 systems
+	if len(curves) != 11 { // 3 queries x 3 systems, and the engine on vwap and nq2
 		t.Fatalf("curves = %d", len(curves))
 	}
 	for _, c := range curves {
@@ -127,18 +131,18 @@ func TestMeasureScalingShape(t *testing.T) {
 
 func TestRunnersProduceConsistentResults(t *testing.T) {
 	events := FinanceTrace(300, false, 3)
-	_, naive := NewFinanceRunner("vwap", SysNaive, events).Run()
-	_, toaster := NewFinanceRunner("vwap", SysToaster, events).Run()
-	_, rpai := NewFinanceRunner("vwap", SysRPAI, events).Run()
-	if !nearlyEqual(naive, toaster) || !nearlyEqual(naive, rpai) {
-		t.Fatalf("results diverge: %v %v %v", naive, toaster, rpai)
+	var outs []Outcome
+	for _, sys := range []System{SysNaive, SysToaster, SysRPAI, SysEngine} {
+		outs = append(outs, NewFinanceRunner("vwap", sys, events).Run())
+	}
+	if d := disagreement(outs); d != "" || outs[0].Final == 0 {
+		t.Fatalf("vwap: %s disagree: %+v", d, outs)
 	}
 
 	d := tpch.Generate(tpch.DefaultConfig(0.02, true))
-	_, q17t := NewQ17Runner(SysToaster, d).Run()
-	_, q17r := NewQ17Runner(SysRPAI, d).Run()
-	if !nearlyEqual(q17t, q17r) {
-		t.Fatalf("q17 diverges: %v %v", q17t, q17r)
+	q17 := []Outcome{NewQ17Runner(SysToaster, d).Run(), NewQ17Runner(SysRPAI, d).Run()}
+	if d := disagreement(q17); d != "" {
+		t.Fatalf("q17: %s disagree: %+v", d, q17)
 	}
 }
 
@@ -173,17 +177,19 @@ func TestFormatters(t *testing.T) {
 
 func TestEQ1Runner(t *testing.T) {
 	trace := EQ1Trace(400, 1)
-	_, naive := NewEQ1Runner(SysNaive, trace).Run()
-	_, rpai := NewEQ1Runner(SysRPAI, trace).Run()
-	if !nearlyEqual(naive, rpai) {
-		t.Fatalf("eq1 diverges: %v vs %v", naive, rpai)
+	var outs []Outcome
+	for _, sys := range []System{SysNaive, SysToaster, SysRPAI, SysEngine} {
+		outs = append(outs, NewEQ1Runner(sys, trace).Run())
+	}
+	if d := disagreement(outs); d != "" {
+		t.Fatalf("eq1: %s disagree: %+v", d, outs)
 	}
 }
 
 func TestCadenceExperiment(t *testing.T) {
 	cfg := CadenceConfig{Query: "vwap", Events: 400, BatchSizes: []int{1, 100}, Seed: 1}
 	points := Cadence(cfg)
-	if len(points) != 4 {
+	if len(points) != 6 { // toaster, rpai, engine x 2 cadences
 		t.Fatalf("points = %d", len(points))
 	}
 	byKey := map[string]float64{}
@@ -208,7 +214,7 @@ func itoa(i int) string { return strconv.Itoa(i) }
 func TestLatencyExperiment(t *testing.T) {
 	cfg := LatencyConfig{Query: "vwap", Events: 400, Seed: 1, WarmUp: 50}
 	rows := Latency(cfg)
-	if len(rows) != 2 {
+	if len(rows) != 3 {
 		t.Fatalf("rows = %d", len(rows))
 	}
 	for _, r := range rows {

@@ -1,18 +1,13 @@
 package bench
 
-import (
-	"time"
-
-	"rpai/internal/queries"
-)
-
 // CadenceConfig parameterizes the refresh-cadence experiment: the paper's
 // introduction motivates incremental processing both for per-event refresh
 // and for mini-batched evaluation; this experiment measures how the refresh
 // cadence shifts the balance between the systems. DBToaster-style executors
 // pay most of their cost in the result recomputation, so large batches
 // amortize it; the RPAI executors pay O(log n) in Apply and O(log n) in
-// Result, so their total barely depends on the cadence.
+// Result, so their total barely depends on the cadence. The engine runs
+// beside them when the query has a SQL form.
 type CadenceConfig struct {
 	// Query is the finance query to replay.
 	Query string
@@ -28,11 +23,11 @@ func DefaultCadence() CadenceConfig {
 	return CadenceConfig{Query: "vwap", Events: 10000, BatchSizes: []int{1, 10, 100, 1000}, Seed: 1}
 }
 
-// CadencePoint is one (system, batch size) measurement.
+// CadencePoint is one (system, batch size) measurement; its digest covers
+// the results read at the batch boundaries.
 type CadencePoint struct {
-	System  System
-	Batch   int
-	Elapsed time.Duration
+	Batch int
+	Outcome
 }
 
 // Cadence replays the query under Toaster and RPAI, reading the result once
@@ -41,18 +36,10 @@ func Cadence(cfg CadenceConfig) []CadencePoint {
 	bothSides := cfg.Query == "mst" || cfg.Query == "psp"
 	events := FinanceTrace(cfg.Events, bothSides, cfg.Seed)
 	var out []CadencePoint
-	for _, sys := range []System{SysToaster, SysRPAI} {
+	for _, sys := range withEngine(cfg.Query, SysToaster, SysRPAI) {
 		for _, bs := range cfg.BatchSizes {
-			ex := queries.NewBids(cfg.Query, sys.strategy())
-			start := time.Now()
-			for i, e := range events {
-				ex.Apply(e)
-				if (i+1)%bs == 0 {
-					ex.Result()
-				}
-			}
-			ex.Result()
-			out = append(out, CadencePoint{System: sys, Batch: bs, Elapsed: time.Since(start)})
+			o := best(func() Outcome { return NewFinanceRunner(cfg.Query, sys, events).runEvery(bs) })
+			out = append(out, CadencePoint{Batch: bs, Outcome: o})
 		}
 	}
 	return out

@@ -12,10 +12,10 @@ import (
 // Fig7CSV renders the Figure 7 rows as CSV.
 func Fig7CSV(rows []Fig7Row) string {
 	var b strings.Builder
-	b.WriteString("query,toaster_s,rpai_s,speedup,agree\n")
+	b.WriteString("query,toaster_s,rpai_s,engine_s,speedup,agree\n")
 	for _, r := range rows {
-		fmt.Fprintf(&b, "%s,%.6f,%.6f,%.3f,%v\n",
-			r.Query, r.Toaster.Seconds(), r.RPAI.Seconds(), r.Speedup, r.ResultsAgree)
+		fmt.Fprintf(&b, "%s,%.6f,%.6f,%.6f,%.3f,%v\n", r.Query, r.Toaster.Seconds(),
+			r.RPAI.Seconds(), r.Engine.Seconds(), r.Speedup, disagreement(r.Outcomes) == "")
 	}
 	return b.String()
 }
@@ -84,6 +84,16 @@ func LatencyCSV(query string, rows []LatencyRow) string {
 	for _, r := range rows {
 		fmt.Fprintf(&b, "%s,%s,%.9f,%.9f,%.9f,%.9f\n",
 			query, r.System, r.P50.Seconds(), r.P95.Seconds(), r.P99.Seconds(), r.Max.Seconds())
+	}
+	return b.String()
+}
+
+// AblationCSV renders the section 3 ablations as CSV.
+func AblationCSV(rows []AblationRow) string {
+	var b strings.Builder
+	b.WriteString("group,variant,per_op_s\n")
+	for _, r := range rows {
+		fmt.Fprintf(&b, "%s,%s,%.9f\n", r.Group, r.Variant, r.PerOp.Seconds())
 	}
 	return b.String()
 }

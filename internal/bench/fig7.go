@@ -7,7 +7,8 @@ import (
 )
 
 // Fig7Config parameterizes the Figure 7 reproduction: relative execution
-// time of RPAI vs DBToaster on every benchmark query.
+// time of RPAI vs DBToaster on every benchmark query, with the engine beside
+// them on every query that has a SQL form.
 type Fig7Config struct {
 	// FinanceEvents is the finance trace length (the paper uses 10k).
 	FinanceEvents int
@@ -21,22 +22,27 @@ func DefaultFig7() Fig7Config {
 	return Fig7Config{FinanceEvents: 10000, TPCHScale: 1, Seed: 1}
 }
 
+// naivePrefix is the length of the finance trace's prefix on which naive
+// re-evaluation, O(n)-O(n^3) per event, checks the engine bit for bit.
+const naivePrefix = 100
+
 // Fig7Row is one bar of Figure 7 plus the table beneath it.
 type Fig7Row struct {
 	Query   string
 	Toaster time.Duration
 	RPAI    time.Duration
+	// Engine is zero for a query without a SQL form.
+	Engine time.Duration
 	// Speedup is Toaster/RPAI, the figure's y-axis.
 	Speedup float64
-	// FinalResult is the (agreeing) query output, kept as a cross-check.
-	FinalResult float64
-	// ResultsAgree records that both systems produced the same output.
-	ResultsAgree bool
+	// Outcomes are every replay behind the row: toaster, rpai and engine
+	// over the whole trace, and naive and engine again over its first
+	// naivePrefix events.
+	Outcomes []Outcome
 }
 
-// Fig7 measures every query of the evaluation under the Toaster and RPAI
-// systems and returns rows in the paper's order: Q17, Q17* (skewed), Q18,
-// MST, PSP, VWAP, SQ1, SQ2, NQ1, NQ2.
+// Fig7 measures every query of the evaluation and returns rows in the
+// paper's order: Q17, Q17* (skewed), Q18, MST, PSP, VWAP, SQ1, SQ2, NQ1, NQ2.
 func Fig7(cfg Fig7Config) []Fig7Row {
 	rows := make([]Fig7Row, 0, 10)
 
@@ -61,48 +67,28 @@ func Fig7(cfg Fig7Config) []Fig7Row {
 	finance := map[bool][]string{true: {"mst", "psp"}, false: {"vwap", "sq1", "sq2", "nq1", "nq2"}}
 	for _, both := range []bool{true, false} {
 		events := FinanceTrace(cfg.FinanceEvents, both, cfg.Seed)
+		prefix := events[:min(naivePrefix, len(events))]
 		for _, q := range finance[both] {
-			q := q
-			rows = append(rows, measureRow(q, func(sys System) *Runner {
-				return NewFinanceRunner(q, sys, events)
-			}))
+			row := measureRow(q, func(sys System) *Runner { return NewFinanceRunner(q, sys, events) })
+			if HasSQL(q) {
+				e := best(func() Outcome { return NewFinanceRunner(q, SysEngine, events).Run() })
+				row.Engine = e.Elapsed
+				row.Outcomes = append(row.Outcomes, e,
+					NewFinanceRunner(q, SysNaive, prefix).Run(),
+					NewFinanceRunner(q, SysEngine, prefix).Run())
+			}
+			rows = append(rows, row)
 		}
 	}
 	return rows
 }
 
 func measureRow(name string, mk func(System) *Runner) Fig7Row {
-	tTime, tRes := mk(SysToaster).Run()
-	rTime, rRes := mk(SysRPAI).Run()
-	row := Fig7Row{
-		Query:        name,
-		Toaster:      tTime,
-		RPAI:         rTime,
-		FinalResult:  rRes,
-		ResultsAgree: nearlyEqual(tRes, rRes),
-	}
-	if rTime > 0 {
-		row.Speedup = float64(tTime) / float64(rTime)
+	t := best(func() Outcome { return mk(SysToaster).Run() })
+	r := best(func() Outcome { return mk(SysRPAI).Run() })
+	row := Fig7Row{Query: name, Toaster: t.Elapsed, RPAI: r.Elapsed, Outcomes: []Outcome{t, r}}
+	if r.Elapsed > 0 {
+		row.Speedup = float64(t.Elapsed) / float64(r.Elapsed)
 	}
 	return row
-}
-
-func nearlyEqual(a, b float64) bool {
-	if a == b {
-		return true
-	}
-	d := a - b
-	if d < 0 {
-		d = -d
-	}
-	m := a
-	if m < 0 {
-		m = -m
-	}
-	if b > m {
-		m = b
-	} else if -b > m {
-		m = -b
-	}
-	return d <= 1e-9*m
 }

@@ -1,13 +1,14 @@
 package bench
 
 import (
-	"time"
+	"math"
 
 	"rpai/internal/tpch"
 )
 
 // Fig8Config parameterizes the scalability sweeps of Figures 8a-8c: running
-// time over stream trace size for MST, SQ1 and NQ2 under all three systems.
+// time over stream trace size for MST, SQ1 and NQ2 under all three systems,
+// and the engine on SQ1 and NQ2.
 type Fig8Config struct {
 	// Sizes are the trace lengths (the paper sweeps 100 -> 100k).
 	Sizes []int
@@ -47,9 +48,8 @@ func FullFig8() Fig8Config {
 // system's cap.
 type Fig8Point struct {
 	Size    int
-	System  System
-	Elapsed time.Duration
 	Skipped bool
+	Outcome
 }
 
 // Fig8Series is the measured curve set for one query.
@@ -66,11 +66,12 @@ func Fig8(cfg Fig8Config) []Fig8Series {
 	out := make([]Fig8Series, 0, 3)
 	for _, q := range Fig8Queries() {
 		bothSides := q == "mst"
+		systems := withEngine(q, SysNaive, SysToaster, SysRPAI)
 		s := Fig8Series{Query: q}
 		for _, size := range cfg.Sizes {
 			events := FinanceTrace(size, bothSides, cfg.Seed)
-			for _, sys := range []System{SysNaive, SysToaster, SysRPAI} {
-				limit := 0
+			for _, sys := range systems {
+				limit := math.MaxInt
 				switch sys {
 				case SysNaive:
 					limit = cfg.NaiveCap
@@ -79,15 +80,13 @@ func Fig8(cfg Fig8Config) []Fig8Series {
 					}
 				case SysToaster:
 					limit = cfg.ToasterCap
-				case SysRPAI:
-					limit = 1 << 62
 				}
 				if size > limit {
-					s.Points = append(s.Points, Fig8Point{Size: size, System: sys, Skipped: true})
+					s.Points = append(s.Points, Fig8Point{Size: size, Skipped: true, Outcome: Outcome{System: sys}})
 					continue
 				}
-				elapsed, _ := NewFinanceRunner(q, sys, events).Run()
-				s.Points = append(s.Points, Fig8Point{Size: size, System: sys, Elapsed: elapsed})
+				o := best(func() Outcome { return NewFinanceRunner(q, sys, events).Run() })
+				s.Points = append(s.Points, Fig8Point{Size: size, Outcome: o})
 			}
 		}
 		out = append(out, s)
@@ -110,10 +109,9 @@ func DefaultFig8d() Fig8dConfig {
 
 // Fig8dPoint is one Q17 measurement.
 type Fig8dPoint struct {
-	Scale   float64
-	Skewed  bool
-	System  System
-	Elapsed time.Duration
+	Scale  float64
+	Skewed bool
+	Outcome
 }
 
 // Fig8d runs the Q17 scale sweep: four curves (two systems x two datasets).
@@ -125,8 +123,8 @@ func Fig8d(cfg Fig8dConfig) []Fig8dPoint {
 			tcfg.Seed = cfg.Seed
 			d := tpch.Generate(tcfg)
 			for _, sys := range []System{SysToaster, SysRPAI} {
-				elapsed, _ := NewQ17Runner(sys, d).Run()
-				out = append(out, Fig8dPoint{Scale: sf, Skewed: skewed, System: sys, Elapsed: elapsed})
+				o := best(func() Outcome { return NewQ17Runner(sys, d).Run() })
+				out = append(out, Fig8dPoint{Scale: sf, Skewed: skewed, Outcome: o})
 			}
 		}
 	}

@@ -8,7 +8,7 @@ import (
 // Fig9Config parameterizes the runtime-characteristics experiment of
 // Figure 9: memory footprint, record-processing rate and cumulative time
 // sampled as the stream is processed, for MST, VWAP and NQ2 under all three
-// systems.
+// systems, and the engine on VWAP and NQ2.
 type Fig9Config struct {
 	// Events is the trace length per query (the paper uses ~8-10k).
 	Events int
@@ -40,11 +40,12 @@ type Fig9Sample struct {
 	CumSeconds float64
 }
 
-// Fig9Curve is one system's sampled behaviour on one query.
+// Fig9Curve is one system's sampled behaviour on one query; its Outcome
+// covers the events it processed.
 type Fig9Curve struct {
 	Query   string
-	System  System
 	Samples []Fig9Sample
+	Outcome
 }
 
 // Fig9Queries are the three queries of Figures 9a-9c.
@@ -57,7 +58,7 @@ func Fig9(cfg Fig9Config) []Fig9Curve {
 	for _, q := range Fig9Queries() {
 		bothSides := q == "mst"
 		events := FinanceTrace(cfg.Events, bothSides, cfg.Seed)
-		for _, sys := range []System{SysNaive, SysToaster, SysRPAI} {
+		for _, sys := range withEngine(q, SysNaive, SysToaster, SysRPAI) {
 			limit := cfg.Events
 			if sys == SysNaive {
 				limit = cfg.NaiveCap
@@ -66,19 +67,16 @@ func Fig9(cfg Fig9Config) []Fig9Curve {
 				}
 			}
 			r := NewFinanceRunner(q, sys, events)
-			curve := Fig9Curve{Query: q, System: sys}
+			curve := Fig9Curve{Query: q, Outcome: Outcome{System: sys, Digest: digestSeed}}
 			var cum time.Duration
-			for i := 0; i < r.N && i < limit; {
-				windowEnd := i + cfg.SampleEvery
-				if windowEnd > r.N {
-					windowEnd = r.N
-				}
-				if windowEnd > limit {
-					windowEnd = limit
-				}
+			i := 0
+			for i < r.N && i < limit {
+				windowEnd := min(i+cfg.SampleEvery, r.N, limit)
 				start := time.Now()
 				for ; i < windowEnd; i++ {
 					r.Apply(i)
+					curve.Final = r.Result()
+					curve.Digest = fold(curve.Digest, curve.Final)
 				}
 				w := time.Since(start)
 				cum += w
@@ -95,6 +93,7 @@ func Fig9(cfg Fig9Config) []Fig9Curve {
 					CumSeconds: cum.Seconds(),
 				})
 			}
+			curve.Events, curve.Elapsed = i, cum
 			out = append(out, curve)
 		}
 	}

@@ -8,14 +8,19 @@ import (
 )
 
 // FormatFig7 renders Figure 7's table: total execution time per query under
-// both systems and the relative speedup.
+// each system, the relative speedup, the engine's time over the hand-written
+// RPAI executor's, and whether every system's results agreed bit for bit.
 func FormatFig7(rows []Fig7Row) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "Figure 7: relative execution time (RPAI vs DBToaster-style)\n")
-	fmt.Fprintf(&b, "%-8s %14s %14s %10s %8s\n", "query", "toaster", "rpai", "speedup", "agree")
+	fmt.Fprintf(&b, "Figure 7: relative execution time (RPAI vs DBToaster-style; engine = the SQL engine)\n")
+	fmt.Fprintf(&b, "%-8s %14s %14s %14s %10s %12s %8s\n", "query", "toaster", "rpai", "engine", "speedup", "engine/rpai", "agree")
 	for _, r := range rows {
-		fmt.Fprintf(&b, "%-8s %14s %14s %9.1fx %8v\n",
-			r.Query, fmtDur(r.Toaster), fmtDur(r.RPAI), r.Speedup, r.ResultsAgree)
+		engine, ratio := "-", "-"
+		if r.Engine > 0 {
+			engine, ratio = fmtDur(r.Engine), fmt.Sprintf("%.2fx", float64(r.Engine)/float64(r.RPAI))
+		}
+		fmt.Fprintf(&b, "%-8s %14s %14s %14s %9.1fx %12s %8v\n",
+			r.Query, fmtDur(r.Toaster), fmtDur(r.RPAI), engine, r.Speedup, ratio, disagreement(r.Outcomes) == "")
 	}
 	return b.String()
 }
@@ -26,7 +31,7 @@ func FormatFig8(series []Fig8Series) string {
 	labels := map[string]string{"mst": "8a MST", "sq1": "8b SQ1", "nq2": "8c NQ2"}
 	for _, s := range series {
 		fmt.Fprintf(&b, "Figure %s: running time vs trace size\n", labels[s.Query])
-		fmt.Fprintf(&b, "%-8s %14s %14s %14s\n", "size", "naive", "toaster", "rpai")
+		fmt.Fprintf(&b, "%-8s %14s %14s %14s %14s\n", "size", "naive", "toaster", "rpai", "engine")
 		bySize := map[int]map[System]Fig8Point{}
 		var sizes []int
 		for _, p := range s.Points {
@@ -38,8 +43,8 @@ func FormatFig8(series []Fig8Series) string {
 		}
 		for _, size := range sizes {
 			row := bySize[size]
-			fmt.Fprintf(&b, "%-8d %14s %14s %14s\n", size,
-				fmtPoint(row[SysNaive]), fmtPoint(row[SysToaster]), fmtPoint(row[SysRPAI]))
+			fmt.Fprintf(&b, "%-8d %14s %14s %14s %14s\n", size, fmtPoint(row, SysNaive),
+				fmtPoint(row, SysToaster), fmtPoint(row, SysRPAI), fmtPoint(row, SysEngine))
 		}
 		b.WriteByte('\n')
 	}
@@ -119,8 +124,9 @@ func FormatScaling(rows []ScalingRow) string {
 	return b.String()
 }
 
-func fmtPoint(p Fig8Point) string {
-	if p.Skipped {
+func fmtPoint(row map[System]Fig8Point, sys System) string {
+	p, ok := row[sys]
+	if !ok || p.Skipped {
 		return "-"
 	}
 	return fmtDur(p.Elapsed)
@@ -152,7 +158,7 @@ func mark(b bool) string {
 func FormatCadence(query string, points []CadencePoint) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Mini-batch refresh cadence (%s): total time per trace\n", query)
-	fmt.Fprintf(&b, "%-8s %14s %14s\n", "batch", "toaster", "rpai")
+	fmt.Fprintf(&b, "%-8s %14s %14s %14s\n", "batch", "toaster", "rpai", "engine")
 	byBatch := map[int]map[System]time.Duration{}
 	var batches []int
 	for _, p := range points {
@@ -164,8 +170,8 @@ func FormatCadence(query string, points []CadencePoint) string {
 	}
 	sort.Ints(batches)
 	for _, bs := range batches {
-		fmt.Fprintf(&b, "%-8d %14s %14s\n", bs,
-			fmtDur(byBatch[bs][SysToaster]), fmtDur(byBatch[bs][SysRPAI]))
+		fmt.Fprintf(&b, "%-8d %14s %14s %14s\n", bs, fmtDur(byBatch[bs][SysToaster]),
+			fmtDur(byBatch[bs][SysRPAI]), fmtDur(byBatch[bs][SysEngine]))
 	}
 	return b.String()
 }
@@ -178,6 +184,17 @@ func FormatLatency(query string, rows []LatencyRow) string {
 	for _, r := range rows {
 		fmt.Fprintf(&b, "%-8s %12s %12s %12s %12s\n",
 			r.System, fmtDur(r.P50), fmtDur(r.P95), fmtDur(r.P99), fmtDur(r.Max))
+	}
+	return b.String()
+}
+
+// FormatAblation renders the section 3 ablations.
+func FormatAblation(rows []AblationRow) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "Ablations (section 3): time per index operation, or per event of a replay (vwap, eq1)\n")
+	fmt.Fprintf(&b, "%-10s %-14s %12s\n", "group", "variant", "per-op")
+	for _, r := range rows {
+		fmt.Fprintf(&b, "%-10s %-14s %12s\n", r.Group, r.Variant, fmtDur(r.PerOp))
 	}
 	return b.String()
 }

@@ -3,8 +3,6 @@ package bench
 import (
 	"sort"
 	"time"
-
-	"rpai/internal/queries"
 )
 
 // LatencyConfig parameterizes the per-event latency experiment: algorithmic
@@ -26,38 +24,42 @@ func DefaultLatency() LatencyConfig {
 
 // LatencyRow is one system's per-event latency distribution.
 type LatencyRow struct {
-	System System
-	P50    time.Duration
-	P95    time.Duration
-	P99    time.Duration
-	Max    time.Duration
+	Outcome
+	P50 time.Duration
+	P95 time.Duration
+	P99 time.Duration
+	Max time.Duration
 }
 
-// Latency replays the query under Toaster and RPAI, timing every event
-// (apply + result refresh) individually.
+// Latency replays the query under Toaster and RPAI, and the engine when the
+// query has a SQL form, timing every event (apply + result refresh)
+// individually.
 func Latency(cfg LatencyConfig) []LatencyRow {
 	bothSides := cfg.Query == "mst" || cfg.Query == "psp"
 	events := FinanceTrace(cfg.Events, bothSides, cfg.Seed)
 	var out []LatencyRow
-	for _, sys := range []System{SysToaster, SysRPAI} {
-		ex := queries.NewBids(cfg.Query, sys.strategy())
-		samples := make([]time.Duration, 0, len(events))
-		for i, e := range events {
+	for _, sys := range withEngine(cfg.Query, SysToaster, SysRPAI) {
+		r := NewFinanceRunner(cfg.Query, sys, events)
+		o := Outcome{System: sys, Events: r.N, Digest: digestSeed}
+		samples := make([]time.Duration, 0, r.N)
+		for i := 0; i < r.N; i++ {
 			start := time.Now()
-			ex.Apply(e)
-			ex.Result()
+			r.Apply(i)
+			o.Final = r.Result()
 			d := time.Since(start)
+			o.Elapsed += d
+			o.Digest = fold(o.Digest, o.Final)
 			if i >= cfg.WarmUp {
 				samples = append(samples, d)
 			}
 		}
 		sort.Slice(samples, func(i, j int) bool { return samples[i] < samples[j] })
 		out = append(out, LatencyRow{
-			System: sys,
-			P50:    percentile(samples, 0.50),
-			P95:    percentile(samples, 0.95),
-			P99:    percentile(samples, 0.99),
-			Max:    samples[len(samples)-1],
+			Outcome: o,
+			P50:     percentile(samples, 0.50),
+			P95:     percentile(samples, 0.95),
+			P99:     percentile(samples, 0.99),
+			Max:     samples[len(samples)-1],
 		})
 	}
 	return out

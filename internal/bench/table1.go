@@ -36,6 +36,8 @@ type ScalingRow struct {
 	SmallPerOp   time.Duration
 	LargePerOp   time.Duration
 	GrowthFactor float64
+	// Digests are the small and large replays' result digests (Outcome).
+	Digests [2]uint64
 }
 
 // ScalingConfig parameterizes MeasureScaling.
@@ -62,15 +64,16 @@ func MeasureScaling(cfg ScalingConfig) []ScalingRow {
 		small := FinanceTrace(cfg.SmallN, q.both, cfg.Seed)
 		large := FinanceTrace(cfg.LargeN, q.both, cfg.Seed)
 		for _, sys := range []System{SysToaster, SysRPAI} {
-			st, _ := NewFinanceRunner(q.name, sys, small).Run()
-			lt, _ := NewFinanceRunner(q.name, sys, large).Run()
+			so := best(func() Outcome { return NewFinanceRunner(q.name, sys, small).Run() })
+			lo := best(func() Outcome { return NewFinanceRunner(q.name, sys, large).Run() })
 			row := ScalingRow{
 				Query:      q.name,
 				System:     sys,
 				SmallN:     cfg.SmallN,
 				LargeN:     cfg.LargeN,
-				SmallPerOp: st / time.Duration(cfg.SmallN),
-				LargePerOp: lt / time.Duration(cfg.LargeN),
+				SmallPerOp: so.Elapsed / time.Duration(cfg.SmallN),
+				LargePerOp: lo.Elapsed / time.Duration(cfg.LargeN),
+				Digests:    [2]uint64{so.Digest, lo.Digest},
 			}
 			if row.SmallPerOp > 0 {
 				row.GrowthFactor = float64(row.LargePerOp) / float64(row.SmallPerOp)

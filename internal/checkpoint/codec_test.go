@@ -352,30 +352,6 @@ func TestManifest(t *testing.T) {
 	}
 }
 
-func TestParseName(t *testing.T) {
-	cases := []struct {
-		name  string
-		gen   uint64
-		shard int
-		isWAL bool
-		ok    bool
-	}{
-		{"g1-shard-0.snap", 1, 0, false, true},
-		{"g42-shard-7.wal", 42, 7, true, true},
-		{"MANIFEST", 0, 0, false, false},
-		{"g1-shard-0.snap.tmp-123", 0, 0, false, false},
-		{"gx-shard-0.snap", 0, 0, false, false},
-		{"g1-shard--1.wal", 0, 0, false, false},
-	}
-	for _, c := range cases {
-		gen, shard, isWAL, ok := ParseName(c.name)
-		if gen != c.gen || shard != c.shard || isWAL != c.isWAL || ok != c.ok {
-			t.Fatalf("ParseName(%q) = (%d,%d,%v,%v), want (%d,%d,%v,%v)",
-				c.name, gen, shard, isWAL, ok, c.gen, c.shard, c.isWAL, c.ok)
-		}
-	}
-}
-
 // TestEntriesCodecCanonical holds the entry-list codec to its canonical
 // form: the length, then each key and value in ascending key order (the
 // layout the treemap codec it replaced wrote, so its streams still decode),

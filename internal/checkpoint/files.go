@@ -8,8 +8,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"strconv"
-	"strings"
 )
 
 // On-disk layout of a checkpoint directory (one generation G, S shards):
@@ -97,34 +95,6 @@ func SnapPath(dir string, gen uint64, shard int) string {
 // WALPath returns the WAL path for a generation's shard.
 func WALPath(dir string, gen uint64, shard int) string {
 	return filepath.Join(dir, fmt.Sprintf("g%d-shard-%d%s", gen, shard, WALSuffix))
-}
-
-// ParseName parses a per-shard checkpoint file name, reporting its
-// generation, shard index and kind. ok is false for foreign files.
-func ParseName(name string) (gen uint64, shard int, isWAL bool, ok bool) {
-	switch {
-	case strings.HasSuffix(name, SnapSuffix):
-		name = strings.TrimSuffix(name, SnapSuffix)
-	case strings.HasSuffix(name, WALSuffix):
-		name = strings.TrimSuffix(name, WALSuffix)
-		isWAL = true
-	default:
-		return 0, 0, false, false
-	}
-	rest, found := strings.CutPrefix(name, "g")
-	if !found {
-		return 0, 0, false, false
-	}
-	gs, ss, found := strings.Cut(rest, "-shard-")
-	if !found {
-		return 0, 0, false, false
-	}
-	g, err1 := strconv.ParseUint(gs, 10, 64)
-	s, err2 := strconv.Atoi(ss)
-	if err1 != nil || err2 != nil || s < 0 {
-		return 0, 0, false, false
-	}
-	return g, s, isWAL, true
 }
 
 // --- snapshot files ---
