@@ -57,16 +57,18 @@ catalog:
 # tree's insert/delete churn and weight-steered refresh reads at the stack
 # benchmark's four tree shapes, the relation-state executor's per-event
 # cost at the stack benchmark's deep-index and wide-shallow tree sizes, the
-# publish layer's per-event cost and bytes on a wide-shallow-sized shard
-# (2 048 partitions, 128-event commits) with 0 and 8 subscribers and with two probe lanes (a founder and
-# one threshold variant) and with 8 stalled subscribers on 256- and
-# 4 096-partition shards, and the catalog's record path (decode,
-# admission, WAL append, fan-out) per event and byte on a 256-event record
-# into 1 and 16 state sets, the catalog's registration path per Register or
-# Unregister call (24 registrations into 16 sets on a durable catalog, then
-# their removal), and the general algorithm (SQ1, SQ2, NQ1, NQ2) and the PAI
-# executor (EQ1) per event, apply plus Result, on a 64-level order-book
-# trace.
+# publish layer's per-event cost and commits per event (an exact count;
+# its allocation is the alloc guards' business) on a wide-shallow-sized
+# shard (2 048 partitions, 128-event commits) with 0 and 8 subscribers,
+# with two probe lanes (a founder and one threshold variant), with 8
+# stalled subscribers on 256- and 4 096-partition shards, and with a
+# six-batch backlog group-committed at the default drain bound, the
+# catalog's record path (decode, admission, WAL append, fan-out) per event
+# and byte on a 256-event record into 1 and 16 state sets, the catalog's
+# registration path per Register or Unregister call (24 registrations into
+# 16 sets on a durable catalog, then their removal), and the general
+# algorithm (SQ1, SQ2, NQ1, NQ2) and the PAI executor (EQ1) per event,
+# apply plus Result, on a 64-level order-book trace.
 bench-core:
 	go test -run '^$$' -bench 'BenchmarkTree(Put|Add|GetSum|Delete)' -benchmem \
 		-benchtime 200ms -count 3 ./internal/rpai/
@@ -74,7 +76,7 @@ bench-core:
 		-benchtime 1000000x -count 3 ./internal/rpai/
 	go test -run '^$$' -bench BenchmarkRelStateApply -benchmem \
 		-benchtime 400000x -count 3 ./internal/engine/
-	go test -run '^$$' -bench BenchmarkShardCommit -benchmem \
+	go test -run '^$$' -bench BenchmarkShardCommit \
 		-benchtime 2000x -count 3 ./internal/serve/
 	go test -run '^$$' -bench BenchmarkIngestRecord -benchmem \
 		-benchtime 400x -count 3 ./internal/catalog/

@@ -69,7 +69,7 @@ func main() {
 		partition    = flag.String("partition", "", "comma-separated partition key columns (required unless -replica)")
 		shards       = flag.Int("shards", 0, "shard worker count (0: serve default)")
 		queueLen     = flag.Int("queue", 0, "per-shard queue length (0: serve default)")
-		batch        = flag.Int("batch", 0, "per-shard apply batch size (0: serve default)")
+		batch        = flag.Int("batch", 0, "per-shard group-commit bound: events a shard drains into one commit (0: serve default, 4096)")
 		dataDir      = flag.String("data", "", "checkpoint/WAL directory; enables durability and boot-time recovery")
 		replicaDir   = flag.String("replica", "", "serve as a read-only follower of this primary data directory")
 		replicaPoll  = flag.Duration("replica-poll", 0, "follower WAL tail polling interval (0: catalog default)")

@@ -83,7 +83,8 @@ var ErrReadOnly = errors.New("catalog: read-only follower")
 // query (the catalog serves one logical relation, so grouping keys are
 // shared); Shards/QueueLen/BatchSize parameterize each query's executor
 // service exactly as serve.Options does, and are validated the same way
-// before a data directory is touched.
+// before a data directory is touched. BatchSize is each shard's group-commit
+// bound: zero selects serve's default of 4 096 events per commit.
 type Options struct {
 	PartitionBy []string
 	Shards      int

@@ -93,14 +93,15 @@ const (
 )
 
 // commitService builds a one-shard VWAP service holding parts
-// partitions, each with price levels 1 and 2, and BatchSize commitBatch so
-// every ApplyBatch of a ring batch is exactly one commit. It returns a ring
-// of pre-built batches over random partitions and levels; re-applying them
-// grows no index, so the steady state measures routing, apply and
-// publication, not tree growth.
-func commitService(tb testing.TB, parts, ringLen int) (*Service, [][]engine.Event) {
+// partitions, each with price levels 1 and 2, with drain bound bound —
+// commitBatch makes every ApplyBatch of a ring batch exactly one commit, 0
+// is the default. It returns a ring of pre-built commitBatch-event batches
+// over random partitions and levels; re-applying them grows no index, so
+// the steady state measures routing, apply and publication, not tree
+// growth.
+func commitService(tb testing.TB, parts, ringLen, bound int) (*Service, [][]engine.Event) {
 	tb.Helper()
-	svc, err := ForQuery(vwapSpec(), []string{"sym"}, Options{Shards: 1, BatchSize: commitBatch})
+	svc, err := ForQuery(vwapSpec(), []string{"sym"}, Options{Shards: 1, BatchSize: bound})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -142,7 +143,7 @@ func commitService(tb testing.TB, parts, ringLen int) (*Service, [][]engine.Even
 // the queue with fresh batch boxes the pool has not had back yet, and would
 // measure how far it ran ahead rather than the commit.
 func TestAllocGuardCommitBytes(t *testing.T) {
-	svc, ring := commitService(t, commitParts, 32)
+	svc, ring := commitService(t, commitParts, 32, commitBatch)
 	const commits, ceiling = 256, 8*commitParts + 4096
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -167,7 +168,7 @@ func TestAllocGuardCommitBytes(t *testing.T) {
 // float64 array, never a tuple map (the map edge lays events out as rows
 // before they are queued) — and their partition runs.
 func TestDrainReleasesEvents(t *testing.T) {
-	svc, ring := commitService(t, commitParts, 8)
+	svc, ring := commitService(t, commitParts, 8, commitBatch)
 	for _, batch := range ring {
 		if err := svc.ApplyBatch(batch); err != nil {
 			t.Fatal(err)

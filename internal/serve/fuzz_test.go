@@ -18,7 +18,9 @@ import (
 // given drain bound: BatchSize 1 makes every applied event its own commit and
 // publication — the densest possible delta stream for a fuzzed subscriber to
 // reconstruct — while 16 lets single-event queue items coalesce into shared
-// commits, so frames carry several partitions' changes at once.
+// commits, so frames carry several partitions' changes at once, and 0
+// selects the default bound the service ships, under which a commit absorbs
+// everything queued.
 func subFuzzService(t *testing.T, shards, batchSize int) *Service {
 	t.Helper()
 	svc, err := ForQuery(vwapSpec(), []string{"sym"}, Options{Shards: shards, BatchSize: batchSize})
@@ -36,7 +38,9 @@ func subFuzzService(t *testing.T, shards, batchSize int) *Service {
 // (the executors are not the surface under test; commit boundaries are).
 // The bytes after the triples the fuzzer reads are a trailer no earlier
 // input depended on: its first byte, when its top bit is set, selects the
-// wide key space (see subFuzzWide). The last seed is a wide one on one shard.
+// wide key space (see subFuzzWide). Seed 4 is a wide one on one shard;
+// seeds 5 and 6 run the narrow trace at the default bound on one and two
+// shards.
 func subFuzzSeeds() [][]byte {
 	trace := []byte{
 		1, 5, 9, 1, 5, 3, 1, 17, 28, 1, 5, 9, 0, 0, 1, 1, 200, 100,
@@ -52,7 +56,11 @@ func subFuzzSeeds() [][]byte {
 	for i := 0; i < 120; i++ {
 		wide = append(wide, byte(rng.Intn(256)), byte(rng.Intn(256)), byte(rng.Intn(256)))
 	}
-	return append(seeds, append(wide, 0x80|64))
+	seeds = append(seeds, append(wide, 0x80|64))
+	for _, shape := range []byte{4, 6} {
+		seeds = append(seeds, append([]byte{shape, 0, 0, 0, 0, 0, 0, 0, 77}, trace...))
+	}
+	return seeds
 }
 
 // subFuzzWide decodes the wide key space from an input's trailer: 0 (the
@@ -72,9 +80,11 @@ const subFuzzEvents = 200
 
 // FuzzSubscriptionDeltas is the subscription half of the differential fuzz
 // suite: a random insert/delete stream with random publish boundaries and
-// random subscriber attach/detach/resume churn, on one or two shards, with
-// every event its own commit (BatchSize 1) or queued events coalescing into
-// shared commits (BatchSize 16). The invariant is the
+// random subscriber attach/detach/resume churn, on one or two shards (shape
+// bit 1), with every event its own commit (BatchSize 1) or queued events
+// coalescing into shared commits (BatchSize 16, shape bit 0) — or, when
+// shape bit 2 is set, under the default bound (BatchSize 0), whatever bit 0
+// says. The invariant is the
 // replay-equals-pull contract: at every drained boundary the subscriber's
 // view, reconstructed from delta frames alone, is bit-identical to what
 // ResultGrouped returns at the same shard versions.
@@ -102,6 +112,9 @@ func FuzzSubscriptionDeltas(f *testing.F) {
 		batchSize := 1
 		if shape&1 == 1 {
 			batchSize = 16
+		}
+		if shape&4 != 0 {
+			batchSize = 0
 		}
 		shards := 1 + int(shape>>1)%2
 		wide := subFuzzWide(data)

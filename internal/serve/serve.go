@@ -66,11 +66,15 @@ type Options struct {
 	// QueueLen is the per-shard input channel buffer in queue items — one
 	// ApplyBatch call's share of a shard is one item (0 selects 1024).
 	QueueLen int
-	// BatchSize bounds how many queued events a shard drains into one batch
-	// before it applies them and publishes a snapshot (0 selects 64). Larger
-	// batches amortize executor dispatch and snapshot publication; smaller
-	// ones tighten read freshness. The effective value is surfaced per shard
-	// in ShardStats.BatchSize.
+	// BatchSize bounds how many queued events a shard drains into one commit
+	// (0 selects defaultBatchSize). A commit applies every queued box up to
+	// the bound, then refreshes each touched partition once and publishes one
+	// snapshot, so under backlog refresh and publication are paid once per
+	// commit, not once per box. A larger bound delays the publication of a
+	// backlog's first boxes by at most the bound's apply time; it never
+	// delays an acknowledgment, which follows the enqueue. An idle shard
+	// commits each box as it arrives whatever the bound. The effective value
+	// is surfaced per shard in ShardStats.BatchSize.
 	BatchSize int
 }
 
@@ -415,7 +419,8 @@ type ShardStats struct {
 	// reacts to, surfaced end to end through the wire protocol's stats RPC.
 	EnqueueWaitNS uint64
 	// BatchSize is the shard's effective drain bound: Options.BatchSize after
-	// defaulting (64 when the options left it zero).
+	// defaulting (defaultBatchSize, 4 096, when the options left it zero).
+	// Applied/Flushed is the events per commit the shard achieved against it.
 	BatchSize int
 }
 
@@ -494,6 +499,13 @@ func ForPartitions(d *Partitions, q *query.Query, opt Options) (*Service, error)
 	return start(pl, d, opt)
 }
 
+// defaultBatchSize is the drain bound a zero Options.BatchSize selects. The
+// stack benchmark puts about 128 events on a shard per client batch, so a
+// bound of 64 made every box its own commit; 4 096 was the best of 64, 256,
+// 1 024 and 4 096 on its multi-distinct workload (EXPERIMENTS.md, "Group
+// commit").
+const defaultBatchSize = 4096
+
 // start validates opt, applies its defaults, and starts the shard workers.
 func start(pl *plan, d *Partitions, opt Options) (*Service, error) {
 	if err := opt.Validate(); err != nil {
@@ -506,7 +518,7 @@ func start(pl *plan, d *Partitions, opt Options) (*Service, error) {
 		opt.QueueLen = 1024
 	}
 	if opt.BatchSize == 0 {
-		opt.BatchSize = 64
+		opt.BatchSize = defaultBatchSize
 	}
 	s := &Service{opt: opt, plan: pl, dict: d, shards: make([]*shard, opt.Shards),
 		epoch: newEpoch(), subs: make(map[*Subscription]struct{})}
@@ -749,13 +761,16 @@ func (s *Service) getBox(n, runs int) *batchBox {
 	return b
 }
 
-// run is the shard worker: drain a batch, hand each box's partition runs to
-// their executors' ApplyRows straight from the box, refresh the touched
-// partitions, publish the snapshot, release any drain barriers — in that
-// order, so a released Drain implies the acknowledged events are readable.
-// Control requests and drain barriers terminate the in-progress batch: the
-// worker commits everything queued before them, then serves them, preserving
-// the FIFO semantics snapshot export and restore rely on.
+// run is the shard worker, a group commit: drain the queued boxes up to
+// BatchSize events, hand each box's partition runs to their executors'
+// ApplyRows straight from the box, refresh the touched partitions once,
+// publish one snapshot, release any drain barriers — in that order, so a
+// released Drain implies the acknowledged events are readable. A drain
+// barrier ends the commit. A control request commits everything queued
+// before it and then runs, preserving the FIFO semantics snapshot export
+// and restore rely on; the worker keeps draining after it, so the commit
+// that ends the drain publishes the control's effect together with the
+// boxes queued behind it.
 func (s *Service) run(sh *shard) {
 	defer s.wg.Done()
 	ws := &workerState{idx: sh.idx, partCols: s.plan.cols}
@@ -827,11 +842,11 @@ func (s *Service) run(sh *shard) {
 			switch {
 			case it.ctl != nil:
 				// Commit queued work first so the control request observes
-				// (and snapshots) fully applied state, then stop: the next
-				// loop iteration starts a fresh batch.
+				// (and snapshots) fully applied state; the drain then goes
+				// on with a fresh count.
 				commit()
+				n = 0
 				it.ctl.done <- it.ctl.fn(ws)
-				stop = true
 			case it.sync != nil:
 				syncs = append(syncs, it.sync)
 				stop = true

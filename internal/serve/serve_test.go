@@ -281,8 +281,8 @@ func TestConfigValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st := svc.Stats(); len(st) != 1 || st[0].BatchSize != 64 || cap(svc.shards[0].in) != 1024 {
-		t.Fatalf("default options: %d shards, batch %d, queue %d; want 1, 64, 1024",
+	if st := svc.Stats(); len(st) != 1 || st[0].BatchSize != 4096 || cap(svc.shards[0].in) != 1024 {
+		t.Fatalf("default options: %d shards, batch %d, queue %d; want 1, 4096, 1024",
 			len(st), st[0].BatchSize, cap(svc.shards[0].in))
 	}
 	if err := svc.Close(); err != nil {

@@ -3,9 +3,11 @@ package serve
 import (
 	crand "crypto/rand"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math/bits"
 	"sync"
+	"sync/atomic"
 
 	"rpai/internal/engine"
 )
@@ -34,6 +36,16 @@ import (
 // slot holds at most one mark per partition and one pinned snapshot however
 // many publications it absorbs, and a frame costs its marks plus one pass
 // over the mark words.
+
+// ErrSubscriptionFailed ends a subscription whose pump panicked while it
+// built a frame: its Frames channel closes and Err returns this error with
+// the panic value. Only that subscription ends; the service, its shard
+// workers and every other subscription keep running.
+var ErrSubscriptionFailed = errors.New("serve: subscription failed")
+
+// frameFault, when set, is called with the subscription at the start of
+// every frame build. Tests set it to make one subscription's build panic.
+var frameFault atomic.Pointer[func(*Subscription)]
 
 // ShardVersion names one shard's snapshot version, the unit subscription
 // resume is expressed in.
@@ -82,7 +94,8 @@ type SubOptions struct {
 }
 
 // Subscription is one registered reader. Frames delivers coalesced
-// DeltaFrames until Close (or the service closing) closes the channel.
+// DeltaFrames until Close (or the service closing, or a failure Err
+// reports) closes the channel.
 type Subscription struct {
 	frames chan DeltaFrame
 	wake   chan struct{} // cap 1: publication token for the pump
@@ -90,6 +103,7 @@ type Subscription struct {
 	once   sync.Once
 	shards []*subShard
 	detach func(*Subscription)
+	err    atomic.Pointer[error] // set by the pump before it closes frames
 }
 
 // subShard is one subscription's coalescing slot for one shard. The shard
@@ -297,6 +311,16 @@ func (ss *subShard) admits(buf *[]byte, key []float64) bool {
 // reaches the newest published one.
 func (sub *Subscription) Frames() <-chan DeltaFrame { return sub.frames }
 
+// Err returns the failure that ended the subscription (wrapping
+// ErrSubscriptionFailed), or nil while it runs or when Close ended it. It
+// is set before Frames closes.
+func (sub *Subscription) Err() error {
+	if p := sub.err.Load(); p != nil {
+		return *p
+	}
+	return nil
+}
+
 // Close detaches the subscription. Shard workers drop its slots at their next
 // publication; the pump exits and closes Frames. Safe to call more than once
 // and concurrently with delivery.
@@ -328,9 +352,19 @@ func (sub *Subscription) notify() {
 
 // pump turns pending slot state into delivered frames. It blocks on the
 // delivery channel, not the shard workers: a slow subscriber stalls only its
-// own pump while publications keep coalescing into the slots.
+// own pump while publications keep coalescing into the slots. A panic while
+// a frame is built ends this subscription alone: the pump records it as Err,
+// detaches, and closes Frames; the shard workers drop its slots at their
+// next publication.
 func (sub *Subscription) pump() {
 	defer close(sub.frames)
+	defer func() {
+		if r := recover(); r != nil {
+			err := fmt.Errorf("%w: frame build panicked: %v", ErrSubscriptionFailed, r)
+			sub.err.Store(&err)
+			sub.Close()
+		}
+	}()
 	for {
 		select {
 		case <-sub.wake:
@@ -367,6 +401,9 @@ func (ss *subShard) take() (DeltaFrame, bool) {
 	ss.has, ss.full = false, false
 	ss.delivered = snap.Version
 	ss.mu.Unlock()
+	if fault := frameFault.Load(); fault != nil {
+		(*fault)(ss.sub)
+	}
 	fr := DeltaFrame{Shard: ss.shard, Version: snap.Version, Base: base, Full: full, Groups: ss.groups(snap, marks, full)}
 	clear(marks)
 	ss.free = marks

@@ -1,9 +1,11 @@
 package serve
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/bits"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -627,6 +629,119 @@ func TestLaggingSlotPendingBounded(t *testing.T) {
 	for _, st := range svc.Stats() {
 		if st.Partitions <= 128 {
 			t.Fatalf("shard %d owns %d partitions, want more than 128", st.Shard, st.Partitions)
+		}
+	}
+}
+
+// TestPumpPanicEndsOnlyItsSubscription makes one subscription's frame build
+// panic through the frameFault hook. That subscription must end with
+// ErrSubscriptionFailed and a closed Frames channel, and its slots must
+// leave the shard workers; the service must keep serving: every other
+// subscriber's view, a subscription attached after the failure and every
+// pull read stay bit-equal to an unfaulted service fed the same batches.
+func TestPumpPanicEndsOnlyItsSubscription(t *testing.T) {
+	var victim atomic.Pointer[Subscription]
+	fault := func(sub *Subscription) {
+		if sub == victim.Load() {
+			panic("injected frame fault")
+		}
+	}
+	frameFault.Store(&fault)
+	t.Cleanup(func() { frameFault.Store(nil) })
+
+	events := symEvents(23, 2400, 13)
+	open := func() *Service {
+		svc, err := ForQuery(vwapSpec(), []string{"sym"}, Options{Shards: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { svc.Close() })
+		return svc
+	}
+	svc, ref := open(), open()
+	subscribe := func(svc *Service, opt SubOptions) *Subscription {
+		sub, err := svc.Subscribe(opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(sub.Close)
+		return sub
+	}
+	doomed := subscribe(svc, SubOptions{})
+	other := subscribe(svc, SubOptions{})
+	filtered := subscribe(svc, SubOptions{Keys: [][]float64{{2}, {7}}})
+	refSub := subscribe(ref, SubOptions{})
+	refFiltered := subscribe(ref, SubOptions{Keys: [][]float64{{2}, {7}}})
+	views := map[*Subscription]*View{doomed: NewView(), other: NewView(), filtered: NewView(), refSub: NewView(), refFiltered: NewView()}
+
+	feed := func(batch []engine.Event) {
+		t.Helper()
+		for _, s := range []*Service{svc, ref} {
+			if err := s.ApplyBatch(batch); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Drain(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	check := func(what string, subs ...*Subscription) {
+		t.Helper()
+		if got, want := svc.Result(), ref.Result(); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("%s: Result %v, unfaulted service %v", what, got, want)
+		}
+		want := ref.ResultGrouped()
+		if got := svc.ResultGrouped(); !groupsIdentical(got, want) {
+			t.Fatalf("%s: ResultGrouped differs from the unfaulted service:\n got %v\nwant %v", what, got, want)
+		}
+		syncView(t, views[refSub], refSub, ref.ShardVersions())
+		syncView(t, views[refFiltered], refFiltered, ref.ShardVersions())
+		for _, sub := range subs {
+			syncView(t, views[sub], sub, svc.ShardVersions())
+			twin := refSub
+			if sub == filtered {
+				twin = refFiltered
+			}
+			if got, want := views[sub].Grouped(), views[twin].Grouped(); !groupsIdentical(got, want) {
+				t.Fatalf("%s: subscriber view differs from the unfaulted one:\n got %v\nwant %v", what, got, want)
+			}
+		}
+	}
+
+	feed(events[:800])
+	check("before the fault", doomed, other, filtered)
+
+	victim.Store(doomed)
+	feed(events[800:1200])
+	deadline := time.After(10 * time.Second)
+	for open := true; open; {
+		select {
+		case _, open = <-doomed.Frames():
+		case <-deadline:
+			t.Fatal("the faulted subscription's Frames channel did not close")
+		}
+	}
+	if err := doomed.Err(); !errors.Is(err, ErrSubscriptionFailed) {
+		t.Fatalf("faulted subscription Err() = %v, want ErrSubscriptionFailed", err)
+	}
+	if err := other.Err(); err != nil {
+		t.Fatalf("unfaulted subscription Err() = %v", err)
+	}
+
+	late := subscribe(svc, SubOptions{})
+	views[late] = NewView()
+	feed(events[1200:])
+	check("after the fault", other, filtered, late)
+	if n := svc.Subscribers(); n != 3 {
+		t.Fatalf("%d live subscribers after the fault, want 3", n)
+	}
+	for i := range svc.shards {
+		var slots int
+		if err := svc.control(i, func(ws *workerState) error { slots = len(ws.subs); return nil }); err != nil {
+			t.Fatal(err)
+		}
+		if slots != 3 {
+			t.Fatalf("shard %d holds %d subscriber slots after the fault, want 3", i, slots)
 		}
 	}
 }

@@ -416,7 +416,9 @@ func (s *Server) worker(nc net.Conn, bw *bufio.Writer, sess *session, streaming 
 // turns the worker into the subscription's pump: it acknowledges with
 // MsgSubscribed and then streams MsgDeltaQ frames — echoing the subscribe
 // request's id — until the connection or the query's executor set goes away,
-// returning true so the worker exits.
+// returning true so the worker exits. A subscription that ended on a failure
+// (serve.ErrSubscriptionFailed) is reported with a CodeInternal error frame
+// before the connection closes.
 func (s *Server) subscribeConn(nc net.Conn, bw *bufio.Writer, streaming *atomic.Bool, it reqItem, work <-chan reqItem) bool {
 	qid, req, err := DecodeSubscribeQ(it.body)
 	if err != nil {
@@ -461,6 +463,9 @@ func (s *Server) subscribeConn(nc net.Conn, bw *bufio.Writer, streaming *atomic.
 			if !ok {
 				// The service closed the subscription; tear the connection
 				// down so the read loop unblocks and closes work.
+				if err := sub.Err(); err != nil {
+					s.reply(nc, bw, MsgError, it.id, EncodeError(nil, CodeInternal, err.Error()))
+				}
 				nc.Close()
 				s.drainWork(work)
 				return true
