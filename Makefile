@@ -66,7 +66,9 @@ catalog:
 # catalog's record path (decode, admission, WAL append, fan-out) per event
 # and byte on a 256-event record into 1 and 16 state sets, the catalog's
 # registration path per Register or Unregister call (24 registrations into
-# 16 sets on a durable catalog, then their removal), and the general
+# 16 sets on a durable catalog, then their removal), recovery's WAL replay
+# per event and records per flush on that catalog (a checkpoint, then a
+# tail of 4 000 six-event records), and the general
 # algorithm (SQ1, SQ2, NQ1, NQ2) and the PAI executor (EQ1) per event,
 # apply plus Result, on a 64-level order-book trace.
 bench-core:
@@ -82,6 +84,8 @@ bench-core:
 		-benchtime 400x -count 3 ./internal/catalog/
 	go test -run '^$$' -bench BenchmarkCatalogRegister -benchmem \
 		-benchtime 20x -count 3 ./internal/catalog/
+	go test -run '^$$' -bench BenchmarkRecover \
+		-benchtime 5x -count 3 ./internal/catalog/
 	go test -run '^$$' -bench BenchmarkGeneralApply -benchmem \
 		-benchtime 3x -count 3 ./internal/engine/
 

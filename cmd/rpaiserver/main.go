@@ -171,14 +171,18 @@ func boot(opt catalog.Options, replica bool, poll time.Duration, registers []str
 		if err != nil {
 			return nil, fmt.Errorf("following %s: %w", opt.Dir, err)
 		}
-		fmt.Printf("rpaiserver: read-only follower of %s (%d queries)\n", opt.Dir, cat.Len())
+		st := cat.Recovery()
+		fmt.Printf("rpaiserver: read-only follower of %s (%d queries): restore %.1fms, replay %.1fms (%d records, %d events, %d flushes)\n",
+			opt.Dir, cat.Len(), ms(st.Restore), ms(st.Replay), st.Records, st.Events, st.Flushes)
 		return cat, nil
 	}
 	var cat *catalog.Service
 	var err error
 	if _, serr := os.Stat(filepath.Join(opt.Dir, "CATALOG")); opt.Dir != "" && serr == nil {
 		if cat, err = catalog.Recover(opt); err == nil {
-			fmt.Printf("rpaiserver: recovered catalog from %s (%d queries)\n", opt.Dir, cat.Len())
+			st := cat.Recovery()
+			fmt.Printf("rpaiserver: recovered catalog from %s (%d queries): restore %.1fms, replay %.1fms (%d records, %d events, %d flushes), rotate %.1fms\n",
+				opt.Dir, cat.Len(), ms(st.Restore), ms(st.Replay), st.Records, st.Events, st.Flushes, ms(st.Rotate))
 		}
 	} else {
 		cat, err = catalog.New(opt)
@@ -217,6 +221,9 @@ func boot(opt catalog.Options, replica bool, poll time.Duration, registers []str
 	}
 	return cat, nil
 }
+
+// ms renders d in milliseconds.
+func ms(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }
 
 func usage(msg string) {
 	fmt.Fprintln(os.Stderr, "rpaiserver:", msg)

@@ -226,6 +226,9 @@ type Service struct {
 
 	dur    *durableState // nil for in-memory catalogs and followers
 	follow *follower     // nil unless built by Follow
+	// recovery is what building the catalog from its directory cost, set
+	// before Recover or Follow returns and never written again.
+	recovery RecoveryStats
 }
 
 // New builds a catalog. With Options.Dir set it becomes durable: an existing

@@ -392,7 +392,7 @@ func TestCatalogOneWALRecordPerBatch(t *testing.T) {
 // crashCopy clones a catalog directory, simulating recovery on the files a
 // crash would leave behind (the WAL is flushed per batch, so a drained
 // catalog's directory is exactly the post-crash state).
-func crashCopy(t *testing.T, dir string) string {
+func crashCopy(t testing.TB, dir string) string {
 	t.Helper()
 	dst := t.TempDir()
 	err := filepath.Walk(dir, func(path string, info os.FileInfo, err error) error {

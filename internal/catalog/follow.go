@@ -25,7 +25,7 @@ type follower struct {
 	// raw, tail and replay belong to the tailer goroutine.
 	raw    []byte
 	tail   *checkpoint.WALTail
-	replay func(rec []byte) error
+	replay *replayer
 
 	err      error // what stopped the tailer early; read after done closes
 	quit     chan struct{}
@@ -36,9 +36,11 @@ type follower struct {
 // Follow opens a read-only follower of the primary catalog whose data
 // directory is opt.Dir (shared with, or mirrored from, the primary). It is
 // Recover without the final rotation and without a WAL writer: the same
-// restore, then a tail over the generation's shared WAL that applies each
-// batch record as the primary appends it — so every state the follower
-// publishes is a batch-boundary prefix of the primary's history. Queries and
+// restore, then a tail over the generation's shared WAL that applies the
+// batch records the primary has appended at every poll, coalesced as
+// recovery replays them (replayer) and flushed before the poll ends — so
+// every state the follower publishes is a batch-boundary prefix of the
+// primary's history, and no record waits for the next poll. Queries and
 // partition columns come from the manifest; opt.Shards may differ from the
 // primary's.
 //
@@ -57,11 +59,11 @@ func Follow(opt Options, poll time.Duration) (*Service, error) {
 		poll = followPollDefault
 	}
 	opt.CompactEvery = 0
-	s, raw, tail, err := openFollow(opt)
+	s, raw, tail, rp, err := openFollow(opt)
 	if err != nil {
 		return nil, err
 	}
-	s.follow = &follower{s: s, poll: poll, raw: raw, tail: tail, replay: s.replayer(),
+	s.follow = &follower{s: s, poll: poll, raw: raw, tail: tail, replay: rp,
 		quit: make(chan struct{}), done: make(chan struct{})}
 	go s.follow.run()
 	return s, nil
@@ -71,14 +73,19 @@ func Follow(opt Options, poll time.Duration) (*Service, error) {
 // opens that generation's WAL, replays every complete record in it, and waits
 // for the executor sets to publish the result — so what it returns is
 // readable, and a rebuild never swaps in state older than what it replaces.
-func openFollow(opt Options) (*Service, []byte, *checkpoint.WALTail, error) {
+// The service's Recovery reports the restore and the replay; the replayer
+// returned is the one the tailer goes on with.
+func openFollow(opt Options) (*Service, []byte, *checkpoint.WALTail, *replayer, error) {
+	start := time.Now()
 	s, m, raw, err := restore(opt)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, nil, nil, err
 	}
+	restored := time.Now()
+	rp := s.replayer()
 	tail, err := checkpoint.OpenWALTail(walPath(opt.Dir, m.gen))
 	if err == nil {
-		if err = drainTail(tail, s.replayer()); err == nil {
+		if err = drainTail(tail, rp); err == nil {
 			err = s.DrainAll()
 		}
 		if err != nil {
@@ -87,27 +94,30 @@ func openFollow(opt Options) (*Service, []byte, *checkpoint.WALTail, error) {
 	}
 	if err != nil {
 		s.closeSets()
-		return nil, nil, nil, fmt.Errorf("catalog: follow %s: %w", opt.Dir, err)
+		return nil, nil, nil, nil, fmt.Errorf("catalog: follow %s: %w", opt.Dir, err)
 	}
-	return s, raw, tail, nil
+	s.recovery = rp.stats(restored.Sub(start), time.Since(restored), 0)
+	return s, raw, tail, rp, nil
 }
 
-// drainTail applies every complete record past the cursor. A torn tail (the
-// primary is mid-append) and a file recreated under the cursor both just end
-// the round: the first completes by the next poll, and the second comes with
-// a manifest change, which rebuilds.
-func drainTail(tail *checkpoint.WALTail, replay func(rec []byte) error) error {
+// drainTail applies every complete record past the cursor and flushes the
+// replayer, so a poll leaves no record unapplied. A torn tail (the primary is
+// mid-append) and a file recreated under the cursor both just end the round:
+// the first completes by the next poll, and the second comes with a manifest
+// change, which rebuilds. A record that fails stops the round after the
+// records before it are applied, as record-by-record replay would leave them.
+func drainTail(tail *checkpoint.WALTail, rp *replayer) error {
 	for {
 		rec, err := tail.Next()
 		switch {
 		case err == nil:
-			if err := replay(rec); err != nil {
-				return fmt.Errorf("replaying WAL record: %w", err)
+			if err := rp.record(rec); err != nil {
+				return errors.Join(fmt.Errorf("replaying WAL record: %w", err), rp.flush())
 			}
 		case errors.Is(err, checkpoint.ErrNoRecord), errors.Is(err, checkpoint.ErrTailRotated):
-			return nil
+			return rp.flush()
 		default:
-			return err
+			return errors.Join(err, rp.flush())
 		}
 	}
 }
@@ -147,7 +157,7 @@ func (f *follower) step() error {
 	if raw, err := os.ReadFile(filepath.Join(s.opt.Dir, catalogName)); err == nil && !bytes.Equal(raw, f.raw) {
 		// A rebuild that fails is retried next round: the primary may be
 		// between its manifest swap and the removal of the old generation.
-		if n, raw, tail, err := openFollow(s.opt); err == nil {
+		if n, raw, tail, _, err := openFollow(s.opt); err == nil {
 			f.tail.Close()
 			s.mu.Lock()
 			stale := s.setList

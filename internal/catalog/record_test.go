@@ -248,6 +248,24 @@ WHERE 0.75 * (SELECT SUM(b1.volume) FROM bids b1 WHERE b1.volume > %d)
       < (SELECT SUM(b2.volume) FROM bids b2 WHERE b2.price <= b.price)`, k)
 }
 
+// multiDistinctSQL is the stack benchmark's multi-distinct registration
+// set: the 16 distinct state sets of vwapVariant, then 8 threshold, COUNT
+// and AVG variants of the first, which join its set as probe lanes.
+func multiDistinctSQL() []string {
+	first := func(agg string, scale float64) string {
+		return fmt.Sprintf(`SELECT %s FROM bids b
+WHERE %v * (SELECT SUM(b1.volume) FROM bids b1 WHERE b1.volume > 0)
+      < (SELECT SUM(b2.volume) FROM bids b2 WHERE b2.price <= b.price)`, agg, scale)
+	}
+	const sum, count, avg = "SUM(b.price * b.volume)", "COUNT(*)", "AVG(b.price * b.volume)"
+	var sqls []string
+	for k := 0; k < 16; k++ {
+		sqls = append(sqls, vwapVariant(k))
+	}
+	return append(sqls, first(sum, 0.5), first(sum, 0.9), first(sum, 0.25), first(count, 0.75),
+		first(avg, 0.75), first(count, 0.9), first(avg, 0.5), first(sum, 0.6))
+}
+
 // BenchmarkIngestRecord is the record path per event: 256-event VWAP
 // records through decode, admission, the WAL append (in a temp dir) and the
 // fan-out of their rows to the state sets, with a drain per record so the
@@ -333,18 +351,7 @@ func BenchmarkIngestRecord(b *testing.B) {
 // catalog's tables and commits the manifest; ns/call is reported per
 // Register or Unregister.
 func BenchmarkCatalogRegister(b *testing.B) {
-	first := func(agg string, scale float64) string {
-		return fmt.Sprintf(`SELECT %s FROM bids b
-WHERE %v * (SELECT SUM(b1.volume) FROM bids b1 WHERE b1.volume > 0)
-      < (SELECT SUM(b2.volume) FROM bids b2 WHERE b2.price <= b.price)`, agg, scale)
-	}
-	const sum, count, avg = "SUM(b.price * b.volume)", "COUNT(*)", "AVG(b.price * b.volume)"
-	var sqls []string
-	for k := 0; k < 16; k++ {
-		sqls = append(sqls, vwapVariant(k))
-	}
-	sqls = append(sqls, first(sum, 0.5), first(sum, 0.9), first(sum, 0.25), first(count, 0.75),
-		first(avg, 0.75), first(count, 0.9), first(avg, 0.5), first(sum, 0.6))
+	sqls := multiDistinctSQL()
 	ids := make([]QueryID, len(sqls))
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()

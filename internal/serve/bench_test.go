@@ -103,9 +103,9 @@ const backlogBoxes = 6
 // benchBacklog is the group commit: one shard of 2 048 partitions at the
 // default drain bound, held by a control request while backlogBoxes ring
 // batches and a drain barrier queue behind it, then released. Each
-// iteration is two commits — the empty one the hold's control request
-// makes, and one for the whole backlog — where a bound below 128 events
-// would commit each box alone.
+// iteration is one commit, for the whole backlog (the hold's control
+// request commits nothing, so it publishes nothing), where a bound below
+// 128 events would commit each box alone.
 func benchBacklog(b *testing.B) {
 	svc, ring := commitService(b, commitParts, 64, 0)
 	before := svc.Stats()[0]

@@ -74,8 +74,17 @@ type Options struct {
 	// backlog's first boxes by at most the bound's apply time; it never
 	// delays an acknowledgment, which follows the enqueue. An idle shard
 	// commits each box as it arrives whatever the bound. The effective value
-	// is surfaced per shard in ShardStats.BatchSize.
+	// is CommitBound, surfaced per shard in ShardStats.BatchSize.
 	BatchSize int
+}
+
+// CommitBound is the drain bound o selects: BatchSize, or defaultBatchSize
+// when it is zero.
+func (o Options) CommitBound() int {
+	if o.BatchSize == 0 {
+		return defaultBatchSize
+	}
+	return o.BatchSize
 }
 
 // Validate rejects negative fields. The constructors call it, and so does
@@ -212,14 +221,11 @@ type workerState struct {
 	cnts  []float64
 	order []int32
 	rank  []int32
-	// version counts this shard's snapshot publications: every commit bumps
-	// it, so it is the monotonic version readers and subscribers key on.
+	// version counts this shard's snapshot publications: every commit that
+	// changes state bumps it (an empty commit publishes nothing), so it is
+	// the monotonic version readers and subscribers key on, and a
+	// subscriber resuming from the current version provably missed nothing.
 	version uint64
-	// lastChange is the newest version whose commit actually changed state
-	// (touched partitions or a wholesale swap). A subscriber resuming from
-	// version v >= lastChange is provably current — every later commit was
-	// empty — so no reseed frame is needed.
-	lastChange uint64
 	// subs are the subscriber slots registered on this shard; commit offers
 	// each publication to every slot (see subscribe.go).
 	subs []*subShard
@@ -336,22 +342,14 @@ func (ws *workerState) extendOrder() {
 	}
 }
 
-// snapshot builds the publication for ws.version. A commit that changed
-// nothing (no dirty partition, no lane change, no new partition) reuses the
-// previous snapshot's columns outright; any other copies the lane matrix
+// snapshot builds the publication for ws.version: it copies the lane matrix
 // (and its count side when an AVG lane is installed) and shares the key
 // table and key order. Lane totals are slot-order sums, deterministic run to
 // run.
-func (ws *workerState) snapshot(prev *Snapshot, changed bool) *Snapshot {
+func (ws *workerState) snapshot() *Snapshot {
 	n := len(ws.plist)
 	if len(ws.order) != n {
 		ws.extendOrder()
-		changed = true
-	}
-	if !changed && !ws.publishFull {
-		snap := *prev
-		snap.Version = ws.version
-		return &snap
 	}
 	k := len(ws.specs)
 	snap := &Snapshot{Version: ws.version, Keys: ws.keys[:n:n], Order: ws.order, rank: ws.rank, Probes: ws.specs,
@@ -517,9 +515,7 @@ func start(pl *plan, d *Partitions, opt Options) (*Service, error) {
 	if opt.QueueLen == 0 {
 		opt.QueueLen = 1024
 	}
-	if opt.BatchSize == 0 {
-		opt.BatchSize = defaultBatchSize
-	}
+	opt.BatchSize = opt.CommitBound()
 	s := &Service{opt: opt, plan: pl, dict: d, shards: make([]*shard, opt.Shards),
 		epoch: newEpoch(), subs: make(map[*Subscription]struct{})}
 	for i := range s.shards {
@@ -815,7 +811,11 @@ func (s *Service) run(sh *shard) {
 		view.Data = nil
 	}
 	// commit refreshes the touched partitions apply left stale and
-	// publishes the snapshot of the drained batch.
+	// publishes the snapshot of the drained batch. A commit that changed
+	// nothing — no touched partition, no partition created (a restore
+	// installs them by control request), no lane change — publishes nothing:
+	// the published snapshot is still the shard's state, so the version
+	// stands and subscribers are not woken.
 	commit := func() {
 		for _, p := range dirty {
 			if p.stale {
@@ -824,11 +824,11 @@ func (s *Service) run(sh *shard) {
 			}
 			p.dirty = false
 		}
-		ws.version++
-		if len(dirty) > 0 || ws.publishFull {
-			ws.lastChange = ws.version
+		if len(dirty) == 0 && !ws.publishFull && len(ws.order) == len(ws.plist) {
+			return
 		}
-		snap := ws.snapshot(sh.snap.Load(), len(dirty) > 0)
+		ws.version++
+		snap := ws.snapshot()
 		sh.snap.Store(snap)
 		sh.flushed.Add(1)
 		if len(ws.subs) > 0 || ws.publishFull {

@@ -192,10 +192,10 @@ func (s *Service) Subscribe(opt SubOptions) (*Subscription, error) {
 		rv, hasResume := resume[i]
 		if err := s.control(i, func(ws *workerState) error {
 			ws.subs = append(ws.subs, ss)
-			if hasResume && rv <= ws.version && rv >= ws.lastChange {
-				// Every commit past the resumed version was empty, so the
-				// reader's state is provably current: no reseed, the next
-				// publication's delta is based on rv.
+			if hasResume && rv == ws.version {
+				// Only a commit that changes state publishes, so a reader
+				// at the current version is provably current: no reseed,
+				// the next publication's delta is based on rv.
 				ss.delivered = rv
 				return nil
 			}
