@@ -106,7 +106,6 @@ examples:
 FUZZ_TARGETS := \
 	internal/rpai:FuzzTreeOps \
 	internal/rpai:FuzzLevelTree \
-	internal/rpaibtree:FuzzBTreeVsBinary \
 	internal/queries:FuzzFinanceStrategies \
 	internal/engine:FuzzEngineDifferential \
 	internal/engine:FuzzBatchEquivalence \
@@ -139,19 +138,32 @@ fuzz:
 fuzz-smoke:
 	$(call fuzz-each,10s)
 
-# Static analysis beyond `go vet`: formatting drift, the serving build
-# linking an ablation index package, the paper-side treemap or the
-# paper-evaluation harness, the paper-evaluation harness linking the serving
-# stack (it times executors; serving numbers come from `make benchmark`),
-# serve's tests reaching past engine plans to the
-# hand-written executors and their workloads (each printed if it does), a
-# Fuzz* target in the module missing from FUZZ_TARGETS (named if one is),
-# staticcheck, and the vulnerability scan. CI installs the two tools in its
-# lint job; locally they are skipped with a note when absent (this repo never
-# installs tools for you).
+# The exact set of internal packages rpaibench links and rpaiserver does
+# not: the ablation index abstraction, the paper-evaluation harness, the
+# hand-written executors, their workloads and the paper-side treemap.
+BENCH_ONLY := aggindex bench queries stream tpch treemap
+
+# Static analysis beyond `go vet`: formatting drift, the internal packages
+# rpaibench links beyond rpaiserver's differing from BENCH_ONLY (so neither
+# the serving build gains one of them nor rpaibench a package of its own
+# that is not listed; each offending package is named), the
+# paper-evaluation harness linking the serving stack (it times executors;
+# serving numbers come from `make benchmark`), serve's tests reaching past
+# engine plans to the hand-written executors and their workloads (each
+# printed if it does), a Fuzz* target in the module missing from
+# FUZZ_TARGETS (named if one is), staticcheck, and the vulnerability scan.
+# CI installs the two tools in its lint job; locally they are skipped with a
+# note when absent (this repo never installs tools for you).
 lint:
 	test -z "$$(gofmt -l .)" || { gofmt -l .; exit 1; }
-	! go list -deps ./cmd/rpaiserver | grep -E '^rpai/internal/(aggindex|rpaibtree|fenwick|queries|stream|tpch|bench|treemap)$$'
+	@srv="$$(go list -deps ./cmd/rpaiserver)" || exit 1; \
+	got="$$(go list -deps ./cmd/rpaibench | grep -vxF "$$srv" | sed -n 's|^rpai/internal/||p')" || exit 1; \
+	bad=; \
+	for p in $$got; do case " $(BENCH_ONLY) " in *" $$p "*) ;; \
+		*) echo "lint: rpaibench links rpai/internal/$$p, which is not in BENCH_ONLY"; bad=1;; esac; done; \
+	for p in $(BENCH_ONLY); do case " $$(echo $$got) " in *" $$p "*) ;; \
+		*) echo "lint: rpai/internal/$$p is in BENCH_ONLY, but rpaibench does not link it or rpaiserver does"; bad=1;; esac; done; \
+	test -z "$$bad"
 	! go list -deps ./cmd/rpaibench | grep -E '^rpai/internal/(serve|catalog|wire)$$'
 	! go list -test -deps ./internal/serve | grep -E '^rpai/internal/(queries|stream|tpch|aggindex)$$'
 	! grep -rEo --include='*_test.go' --exclude-dir=benchmark '^func Fuzz[A-Za-z0-9_]+' . | sed -E 's|^\./||; s|/[^/]*_test\.go:func |:|' | grep -vxF $(foreach t,$(FUZZ_TARGETS),-e '$t')

@@ -114,41 +114,6 @@ func runConformance(t *testing.T, kind Kind, seed int64) {
 	}
 }
 
-func TestSortedBoundaryMergeShift(t *testing.T) {
-	s := NewSorted()
-	s.Put(5, 1)
-	s.Put(10, 2)
-	s.Put(15, 4)
-	s.Put(20, 8)
-	// Shift keys > 8 by -10: 10->0, 15->5 (merges with 5), 20->10.
-	s.ShiftKeys(8, -10)
-	wantKeys := []float64{0, 5, 10}
-	wantVals := []float64{2, 5, 8}
-	if s.Len() != 3 {
-		t.Fatalf("Len = %d", s.Len())
-	}
-	for i, k := range wantKeys {
-		if v, ok := s.Get(k); !ok || v != wantVals[i] {
-			t.Fatalf("Get(%v) = %v,%v want %v", k, v, ok, wantVals[i])
-		}
-	}
-}
-
-func TestSortedShiftEntireAndNothing(t *testing.T) {
-	s := NewSorted()
-	for _, k := range []float64{1, 2, 3} {
-		s.Add(k, 1)
-	}
-	s.ShiftKeys(0, -100)
-	if got := s.GetSum(-97); got != 3 {
-		t.Fatalf("GetSum(-97) = %v", got)
-	}
-	s.ShiftKeys(100, -5) // nothing qualifies
-	if s.Len() != 3 {
-		t.Fatalf("Len = %d", s.Len())
-	}
-}
-
 func TestNewPanicsOnUnknownKind(t *testing.T) {
 	defer func() {
 		if recover() == nil {

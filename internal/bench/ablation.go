@@ -10,9 +10,9 @@ import (
 )
 
 // AblationConfig parameterizes the section 3 ablations: the aggregate-index
-// operations on every index structure, the balanced tree's negative shift
-// against the paper's literal unbalanced algorithm, VWAP with its index
-// swapped, and EQ1 (Example 2.1) under every system and both index kinds.
+// operations on the RPAI tree and the PAI map, the balanced tree's negative
+// shift against the paper's literal unbalanced algorithm, VWAP on both, and
+// EQ1 (Example 2.1) under every system and both index kinds.
 type AblationConfig struct {
 	// Keys is the size of the index the operations are timed on.
 	Keys int

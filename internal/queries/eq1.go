@@ -141,7 +141,7 @@ func newEQ1RPAI() *eq1RPAI { return newEQ1With(aggindex.KindPAI) }
 
 // newEQ1With selects the aggregate-index implementation. Equality
 // correlations need only point moves, so the hash-based PAI map's O(1) is
-// optimal (section 2.1.3); the tree kinds serve as the ablation showing
+// optimal (section 2.1.3); the RPAI tree serves as the ablation showing
 // what the hash map buys.
 func newEQ1With(kind aggindex.Kind) *eq1RPAI {
 	return &eq1RPAI{

@@ -3,7 +3,6 @@ package queries
 import (
 	"testing"
 
-	"rpai/internal/aggindex"
 	"rpai/internal/stream"
 )
 
@@ -150,57 +149,6 @@ func TestFinanceQueriesRegistryComplete(t *testing.T) {
 			ex := NewBids(q.Name, s)
 			if ex.Name() != q.Name || ex.Strategy() != s {
 				t.Fatalf("registry mismatch for %s/%s", q.Name, s)
-			}
-		}
-	}
-}
-
-// TestMSTIndexKindsAgree sweeps the aggregate-index implementations under
-// the MST executor (the suffix-key orientation) on a delete-heavy trace.
-func TestMSTIndexKindsAgree(t *testing.T) {
-	cfg := stream.DefaultOrderBook(400)
-	cfg.BothSides = true
-	cfg.DeleteRatio = 0.25
-	cfg.PriceLevels = 40
-	events := stream.GenerateOrderBook(cfg)
-	base := newMSTWith(aggindex.KindArena)
-	others := []*mstRPAI{
-		newMSTWith(aggindex.KindBTree),
-		newMSTWith(aggindex.KindPAI),
-		newMSTWith(aggindex.KindSorted),
-	}
-	for i, e := range events {
-		base.Apply(e)
-		want := base.Result()
-		for _, ex := range others {
-			ex.Apply(e)
-			if got := ex.Result(); !almostEqual(got, want) {
-				t.Fatalf("event %d: index ablation diverged: %v vs %v", i, got, want)
-			}
-		}
-	}
-}
-
-// TestNQ1IndexKindsAgree sweeps the index implementations under the NQ1
-// executor (the split-key reconciliation machinery).
-func TestNQ1IndexKindsAgree(t *testing.T) {
-	cfg := stream.DefaultOrderBook(600)
-	cfg.DeleteRatio = 0.3
-	cfg.PriceLevels = 30
-	events := stream.GenerateOrderBook(cfg)
-	base := newNQ1With(aggindex.KindArena)
-	others := []*nq1RPAI{
-		newNQ1With(aggindex.KindBTree),
-		newNQ1With(aggindex.KindPAI),
-		newNQ1With(aggindex.KindSorted),
-	}
-	for i, e := range events {
-		base.Apply(e)
-		want := base.Result()
-		for _, ex := range others {
-			ex.Apply(e)
-			if got := ex.Result(); !almostEqual(got, want) {
-				t.Fatalf("event %d: index ablation diverged: %v vs %v", i, got, want)
 			}
 		}
 	}

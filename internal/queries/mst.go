@@ -1,7 +1,7 @@
 package queries
 
 import (
-	"rpai/internal/aggindex"
+	"rpai/internal/rpai"
 	"rpai/internal/stream"
 	"rpai/internal/treemap"
 )
@@ -151,18 +151,14 @@ func (q *mstToaster) Result() float64 {
 // price — a suffix shift of the key space, exactly the paper's Algorithm 4
 // inequality case.
 type mstSideRPAI struct {
-	byPrice *treemap.Tree  // price -> sum(volume), for computing rhs keys
-	cnt     aggindex.Index // rhs -> count of records
-	pv      aggindex.Index // rhs -> sum(price*volume)
+	byPrice *treemap.Tree // price -> sum(volume), for computing rhs keys
+	cnt     *rpai.Tree    // rhs -> count of records
+	pv      *rpai.Tree    // rhs -> sum(price*volume)
 	sumVol  float64
 }
 
-func newMSTSideRPAI(kind aggindex.Kind) *mstSideRPAI {
-	return &mstSideRPAI{
-		byPrice: treemap.New(),
-		cnt:     aggindex.New(kind),
-		pv:      aggindex.New(kind),
-	}
+func newMSTSideRPAI() *mstSideRPAI {
+	return &mstSideRPAI{byPrice: treemap.New(), cnt: rpai.New(), pv: rpai.New()}
 }
 
 func (s *mstSideRPAI) apply(t stream.Record, x float64) {
@@ -211,10 +207,8 @@ type mstRPAI struct {
 	asks *mstSideRPAI
 }
 
-func newMSTRPAI() *mstRPAI { return newMSTWith(aggindex.KindArena) }
-
-func newMSTWith(kind aggindex.Kind) *mstRPAI {
-	return &mstRPAI{bids: newMSTSideRPAI(kind), asks: newMSTSideRPAI(kind)}
+func newMSTRPAI() *mstRPAI {
+	return &mstRPAI{bids: newMSTSideRPAI(), asks: newMSTSideRPAI()}
 }
 
 func (q *mstRPAI) Name() string       { return "mst" }

@@ -3,7 +3,7 @@ package queries
 import (
 	"math"
 
-	"rpai/internal/aggindex"
+	"rpai/internal/rpai"
 	"rpai/internal/stream"
 	"rpai/internal/treemap"
 )
@@ -163,20 +163,18 @@ type nq1RPAI struct {
 	qualVol *treemap.Tree
 	resMap  *treemap.Tree // price -> sum(price*volume)
 	cntAt   map[float64]float64
-	agg     aggindex.Index
+	agg     *rpai.Tree
 	sumVol  float64
 	qstar   float64 // current qualifying boundary, +inf when no level qualifies
 }
 
-func newNQ1RPAI() *nq1RPAI { return newNQ1With(aggindex.KindArena) }
-
-func newNQ1With(kind aggindex.Kind) *nq1RPAI {
+func newNQ1RPAI() *nq1RPAI {
 	return &nq1RPAI{
 		byPrice: treemap.New(),
 		qualVol: treemap.New(),
 		resMap:  treemap.New(),
 		cntAt:   make(map[float64]float64),
-		agg:     aggindex.New(kind),
+		agg:     rpai.New(),
 		qstar:   math.Inf(1),
 	}
 }

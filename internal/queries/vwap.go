@@ -114,7 +114,7 @@ type vwapRPAI struct {
 func newVWAPRPAI() *vwapRPAI { return newVWAPWith(aggindex.KindArena) }
 
 // newVWAPWith selects the aggregate-index implementation; benchmarks use it
-// to ablate RPAI trees against PAI maps and sorted slices.
+// to ablate RPAI trees against PAI maps.
 func newVWAPWith(kind aggindex.Kind) *vwapRPAI {
 	return &vwapRPAI{agg: aggindex.New(kind), byPrice: treemap.New()}
 }

@@ -71,17 +71,12 @@ func TestVWAPIndexAblationsAgree(t *testing.T) {
 	events := stream.GenerateOrderBook(cfg)
 	base := newVWAPWith(aggindex.KindArena)
 	pai := newVWAPWith(aggindex.KindPAI)
-	sorted := newVWAPWith(aggindex.KindSorted)
 	for i, e := range events {
 		base.Apply(e)
 		pai.Apply(e)
-		sorted.Apply(e)
 		want := base.Result()
 		if got := pai.Result(); !almostEqual(got, want) {
 			t.Fatalf("pai diverged at event %d: %v vs %v", i, got, want)
-		}
-		if got := sorted.Result(); !almostEqual(got, want) {
-			t.Fatalf("sorted diverged at event %d: %v vs %v", i, got, want)
 		}
 	}
 }

@@ -4,7 +4,8 @@
 //
 // It re-exports the stable surface of the internal packages:
 //
-//   - the RPAI tree and the other aggregate-index implementations,
+//   - the RPAI tree and the aggregate-index abstraction of the ablations
+//     (the RPAI tree against the PAI map),
 //   - the query AST, the SQL parser for the paper's grammar fragment, and
 //   - the incremental executors (aggregate-index optimization, general
 //     algorithm) and the naive re-evaluation oracle.
@@ -28,7 +29,6 @@ import (
 	"rpai/internal/engine"
 	"rpai/internal/query"
 	"rpai/internal/rpai"
-	"rpai/internal/rpaibtree"
 	"rpai/internal/sqlparse"
 )
 
@@ -43,13 +43,6 @@ func NewTree() *Tree { return rpai.New() }
 // DecodeTree restores a tree from a snapshot written with Tree.Encode.
 var DecodeTree = rpai.Decode
 
-// BTree is the B-tree variant of the RPAI index (section 3.2.5's closing
-// note): identical semantics and bounds, wider nodes.
-type BTree = rpaibtree.Tree
-
-// NewBTree returns an empty B-tree RPAI index.
-func NewBTree() *BTree { return rpaibtree.New() }
-
 // Index is the aggregate-index abstraction shared by all implementations.
 type Index = aggindex.Index
 
@@ -58,11 +51,8 @@ type IndexKind = aggindex.Kind
 
 // Available index implementations.
 const (
-	IndexArena   = aggindex.KindArena
-	IndexBTree   = aggindex.KindBTree
-	IndexPAI     = aggindex.KindPAI
-	IndexSorted  = aggindex.KindSorted
-	IndexFenwick = aggindex.KindFenwick
+	IndexArena = aggindex.KindArena
+	IndexPAI   = aggindex.KindPAI
 )
 
 // NewIndex returns an empty aggregate index of the given kind.
@@ -101,9 +91,9 @@ type GroupedExecutor = engine.GroupedExecutor
 type GroupResult = engine.GroupResult
 
 // NewExecutor plans and builds the best incremental executor for the query:
-// a PAI map for equality correlations, an RPAI tree for symmetric inequality
-// correlations (the section 4.3 optimization), the general algorithm of
-// section 4.2 otherwise.
+// a PAI map for equality correlations, a level tree (an RPAI keyed by price
+// whose correlated sums are weight-lane prefix sums) for correlated ranges,
+// the general algorithm of section 4.2 otherwise.
 func NewExecutor(q *Query) (Executor, error) { return engine.New(q) }
 
 // NewNaiveExecutor returns the re-evaluation oracle for a query.

@@ -31,18 +31,13 @@ func TestFacadeTree(t *testing.T) {
 }
 
 func TestFacadeIndexKinds(t *testing.T) {
-	for _, kind := range []rpai.IndexKind{rpai.IndexArena, rpai.IndexBTree, rpai.IndexPAI, rpai.IndexSorted} {
+	for _, kind := range []rpai.IndexKind{rpai.IndexArena, rpai.IndexPAI} {
 		idx := rpai.NewIndex(kind)
 		idx.Add(1, 2)
 		idx.ShiftKeys(0, 10)
 		if got := idx.GetSum(11); got != 2 {
 			t.Fatalf("%s: GetSum = %v", kind, got)
 		}
-	}
-	bt := rpai.NewBTree()
-	bt.Add(5, 5)
-	if got := bt.Total(); got != 5 {
-		t.Fatalf("BTree Total = %v", got)
 	}
 }
 
