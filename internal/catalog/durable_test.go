@@ -8,7 +8,9 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"rpai/internal/checkpoint"
@@ -794,5 +796,122 @@ func TestCatalogInexactWeightsRecover(t *testing.T) {
 	crash := crashCopy(t, dir)
 	if diff := diffState(recoverState(t, crash), readState(t, cat)); diff != "" {
 		t.Fatalf("recovered catalog: %s", diff)
+	}
+}
+
+// TestCatalogRotationAllOrNothing fails one set's snapshot in the middle of
+// a rotation whose sets snapshot concurrently. Checkpoint must return the
+// error only after every other set's snapshot has returned, leave CATALOG
+// naming the old generation (so a crash now recovers exactly the state
+// before the rotation), and leave the partial new generation to the next
+// Checkpoint, which succeeds and sweeps it.
+func TestCatalogRotationAllOrNothing(t *testing.T) {
+	dir := t.TempDir()
+	cat, err := New(Options{PartitionBy: []string{"sym"}, Shards: 2, Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cat.Close()
+	for k := 0; k < 4; k++ {
+		if _, _, err := cat.Register(vwapVariant(k)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	applyBatches(t, catEvents(23, 600, 9), 40, cat.ApplyBatch)
+	if err := cat.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	applyBatches(t, catEvents(24, 1200, 9), 40, cat.ApplyBatch)
+	if err := cat.DrainAll(); err != nil {
+		t.Fatal(err)
+	}
+	want := resultBits(t, cat)
+	gen := cat.dur.gen
+	sets := cat.setList
+	victim := sets[1].setID
+
+	// The victim fails at once; every other set starts writing only after
+	// that, so a rotation that returned at the first error would return
+	// while they were still writing.
+	injected := errors.New("injected snapshot failure")
+	failed := make(chan struct{})
+	var finished atomic.Int32
+	orig := rotateSnapshot
+	rotateSnapshot = func(s *Service, set *execSet, dst string) error {
+		if set.setID == victim {
+			close(failed)
+			return injected
+		}
+		<-failed
+		err := orig(s, set, dst)
+		finished.Add(1)
+		return err
+	}
+	err = cat.Checkpoint()
+	rotateSnapshot = orig
+	if !errors.Is(err, injected) {
+		t.Fatalf("Checkpoint = %v, want the injected failure", err)
+	}
+	if n := int(finished.Load()); n != len(sets)-1 {
+		t.Fatalf("Checkpoint returned when %d of the other %d sets' snapshots had", n, len(sets)-1)
+	}
+	if _, err := os.Stat(checkpoint.SnapPath(setDir(dir, gen+1, sets[0].setID), 1, 0)); err != nil {
+		t.Fatalf("the failed rotation left no partial generation: %v", err)
+	}
+	m, _, err := readCatalogFile(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.gen != gen {
+		t.Fatalf("CATALOG names generation %d after a failed rotation, want %d", m.gen, gen)
+	}
+	recoverBits := func() string {
+		rec, err := Recover(Options{Dir: crashCopy(t, dir), Shards: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer rec.Close()
+		if err := rec.DrainAll(); err != nil {
+			t.Fatal(err)
+		}
+		return resultBits(t, rec)
+	}
+	if got := recoverBits(); got != want {
+		t.Fatalf("recovery after the failed rotation differs from the state before it:\n got\n%s\n want\n%s", got, want)
+	}
+
+	stale := filepath.Join(dir, fmt.Sprintf("g%d", gen+1), "stale")
+	if err := os.WriteFile(stale, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := cat.Checkpoint(); err != nil {
+		t.Fatalf("Checkpoint after a failed rotation: %v", err)
+	}
+	if m, _, err = readCatalogFile(dir); err != nil || m.gen != gen+1 {
+		t.Fatalf("CATALOG after the retried rotation: generation %d, %v; want %d", m.gen, err, gen+1)
+	}
+	ents, err := os.ReadDir(filepath.Join(dir, fmt.Sprintf("g%d", gen+1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got, wantDirs []string
+	for _, e := range ents {
+		got = append(got, e.Name())
+	}
+	for _, set := range sets {
+		wantDirs = append(wantDirs, fmt.Sprintf("s%d", set.setID))
+	}
+	slices.Sort(wantDirs)
+	if !slices.Equal(got, wantDirs) {
+		t.Fatalf("generation %d holds %v, want exactly the sets' snapshots %v", gen+1, got, wantDirs)
+	}
+	if _, err := os.Stat(filepath.Join(dir, fmt.Sprintf("g%d", gen))); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("generation %d survived the rotation: %v", gen, err)
+	}
+	if got := resultBits(t, cat); got != want {
+		t.Fatalf("the live catalog's results moved across the rotations")
+	}
+	if got := recoverBits(); got != want {
+		t.Fatalf("recovery after the retried rotation differs:\n got\n%s\n want\n%s", got, want)
 	}
 }

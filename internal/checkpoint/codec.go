@@ -110,7 +110,10 @@ func (e *Encoder) write(p []byte) {
 }
 
 // U8 writes one byte.
-func (e *Encoder) U8(v uint8) { e.write([]byte{v}) }
+func (e *Encoder) U8(v uint8) {
+	e.b[0] = v
+	e.write(e.b[:1])
+}
 
 // U32 writes a little-endian uint32.
 func (e *Encoder) U32(v uint32) {

@@ -184,11 +184,26 @@ func testParts() (Header, []Partition) {
 	return h, parts
 }
 
+// writeParts streams parts to w through a SnapshotWriter, each partition's
+// state written by its callback.
+func writeParts(w io.Writer, h Header, parts []Partition) error {
+	sw := NewSnapshotWriter(w, h)
+	for _, p := range parts {
+		if err := sw.Partition(p.Key, func(w io.Writer) error {
+			_, err := w.Write(p.State)
+			return err
+		}); err != nil {
+			return err
+		}
+	}
+	return sw.Close()
+}
+
 func TestSnapshotFileRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	h, parts := testParts()
 	path := SnapPath(dir, h.Gen, int(h.Shard))
-	if err := WriteSnapshotFile(path, h, parts); err != nil {
+	if err := WriteFileAtomic(path, func(w io.Writer) error { return writeParts(w, h, parts) }); err != nil {
 		t.Fatal(err)
 	}
 	gh, gparts, err := ReadSnapshotFile(path)
@@ -220,12 +235,12 @@ func TestSnapshotFileRoundTrip(t *testing.T) {
 func TestSnapshotCrashInjectionMatrix(t *testing.T) {
 	h, parts := testParts()
 	var full bytes.Buffer
-	if err := WriteSnapshot(&full, h, parts); err != nil {
+	if err := writeParts(&full, h, parts); err != nil {
 		t.Fatal(err)
 	}
 	for limit := 0; limit < full.Len(); limit++ {
 		cw := NewCrashWriter(limit)
-		if err := WriteSnapshot(cw, h, parts); !errors.Is(err, ErrCrash) {
+		if err := writeParts(cw, h, parts); !errors.Is(err, ErrCrash) {
 			t.Fatalf("limit %d: write error = %v, want ErrCrash", limit, err)
 		}
 		if !bytes.Equal(cw.Bytes(), full.Bytes()[:limit]) {
@@ -238,6 +253,28 @@ func TestSnapshotCrashInjectionMatrix(t *testing.T) {
 	// Sanity: the untruncated stream still decodes.
 	if _, _, err := ReadSnapshot(bytes.NewReader(full.Bytes())); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSnapshotWriterStateError checks that a partition whose state fails to
+// encode fails the stream: the error is returned by Partition and again by
+// every later call, and the stream never gains its trailer.
+func TestSnapshotWriterStateError(t *testing.T) {
+	h, parts := testParts()
+	var out bytes.Buffer
+	sw := NewSnapshotWriter(&out, h)
+	bad := errors.New("state refused")
+	if err := sw.Partition(parts[0].Key, func(io.Writer) error { return bad }); err != bad {
+		t.Fatalf("Partition = %v, want %v", err, bad)
+	}
+	if err := sw.Partition(parts[1].Key, func(io.Writer) error { return nil }); err != bad {
+		t.Fatalf("Partition after a failure = %v, want %v", err, bad)
+	}
+	if err := sw.Close(); err != bad {
+		t.Fatalf("Close after a failure = %v, want %v", err, bad)
+	}
+	if _, _, err := ReadSnapshot(bytes.NewReader(out.Bytes())); err == nil {
+		t.Fatal("a failed snapshot stream decoded without error")
 	}
 }
 

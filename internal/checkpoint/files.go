@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
@@ -115,37 +116,88 @@ func trailerRecord(h Header) []byte {
 	return buf.Bytes()
 }
 
-// WriteSnapshot writes one shard's snapshot stream to w. It is separated
-// from WriteSnapshotFile so the crash-injection tests can aim a CrashWriter
-// at every byte offset of the stream.
-func WriteSnapshot(w io.Writer, h Header, parts []Partition) error {
-	if _, err := io.WriteString(w, snapMagic); err != nil {
-		return err
+// SnapshotWriter streams one shard's snapshot to an io.Writer:
+// NewSnapshotWriter writes the magic and the header record, each Partition
+// call one partition record, and Close the trailer that marks the stream
+// complete. A partition's record is encoded into one buffer the writer
+// reuses — its frame, its key and the state its caller writes in place — and
+// handed to w in one Write, so a snapshot costs its encoded bytes, not a
+// copy of every partition's state. Errors are sticky: after a failed write
+// every call returns the first error.
+type SnapshotWriter struct {
+	w   io.Writer
+	h   Header
+	buf bytes.Buffer
+	enc Encoder
+	err error
+}
+
+// recordHdr is a record frame's length: payload length and checksum.
+const recordHdr = 8
+
+// NewSnapshotWriter starts h's snapshot stream on w; a failed write is
+// reported by the first call that follows.
+func NewSnapshotWriter(w io.Writer, h Header) *SnapshotWriter {
+	sw := &SnapshotWriter{w: w, h: h}
+	sw.enc.w = &sw.buf
+	if _, sw.err = io.WriteString(w, snapMagic); sw.err == nil {
+		sw.begin()
+		sw.enc.header(h)
+		sw.end()
 	}
-	hr, err := headerRecord(h)
-	if err != nil {
-		return err
+	return sw
+}
+
+// begin starts a record in the buffer, its frame left blank for end.
+func (sw *SnapshotWriter) begin() {
+	var frame [recordHdr]byte
+	sw.buf.Reset()
+	sw.buf.Write(frame[:])
+}
+
+// end fills in the buffered record's frame and writes the record to w.
+func (sw *SnapshotWriter) end() {
+	b := sw.buf.Bytes()
+	payload := b[recordHdr:]
+	le.PutUint32(b[0:4], uint32(len(payload)))
+	le.PutUint32(b[4:8], crc32.Checksum(payload, castagnoli))
+	_, sw.err = sw.w.Write(b)
+}
+
+// Partition writes one partition's record: its key columns, then the
+// executor state that state writes (an engine.Snapshotter's Snapshot), in
+// place, length-prefixed.
+func (sw *SnapshotWriter) Partition(key []float64, state func(io.Writer) error) error {
+	if sw.err != nil {
+		return sw.err
 	}
-	if err := WriteRecord(w, hr); err != nil {
-		return err
+	sw.begin()
+	e := &sw.enc
+	e.U32(uint32(len(key)))
+	for _, v := range key {
+		e.F64(v)
 	}
-	var buf bytes.Buffer
-	for _, p := range parts {
-		buf.Reset()
-		e := NewEncoder(&buf)
-		e.U32(uint32(len(p.Key)))
-		for _, v := range p.Key {
-			e.F64(v)
-		}
-		e.Bytes(p.State)
-		if err := e.Err(); err != nil {
-			return err
-		}
-		if err := WriteRecord(w, buf.Bytes()); err != nil {
-			return err
-		}
+	e.U32(0) // the state's length, known once it is written
+	at := sw.buf.Len()
+	if sw.err = state(&sw.buf); sw.err != nil {
+		return sw.err
 	}
-	return WriteRecord(w, trailerRecord(h))
+	b := sw.buf.Bytes()
+	le.PutUint32(b[at-4:at], uint32(len(b)-at))
+	sw.end()
+	return sw.err
+}
+
+// Close writes the trailer that marks the stream complete. It does not
+// close w.
+func (sw *SnapshotWriter) Close() error {
+	if sw.err != nil {
+		return sw.err
+	}
+	sw.begin()
+	sw.buf.Write(trailerRecord(sw.h))
+	sw.end()
+	return sw.err
 }
 
 // ReadSnapshot decodes a snapshot stream, verifying magic, version, per-
@@ -203,16 +255,17 @@ func ReadSnapshot(r io.Reader) (Header, []Partition, error) {
 	}
 }
 
-// WriteSnapshotFile writes the snapshot atomically: to a temp file in the
-// same directory, synced, then renamed over the target path.
-func WriteSnapshotFile(path string, h Header, parts []Partition) error {
+// WriteFileAtomic writes path through write, atomically: into a temp file
+// in the same directory behind a buffer, flushed and synced, then renamed
+// over path. A reader sees the old file or the complete new one.
+func WriteFileAtomic(path string, write func(w io.Writer) error) error {
 	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp-*")
 	if err != nil {
 		return err
 	}
 	defer os.Remove(tmp.Name())
 	bw := bufio.NewWriter(tmp)
-	if err := WriteSnapshot(bw, h, parts); err != nil {
+	if err := write(bw); err != nil {
 		tmp.Close()
 		return err
 	}
@@ -361,36 +414,17 @@ type Manifest struct {
 
 // WriteManifest atomically swaps the directory's MANIFEST.
 func WriteManifest(dir string, m Manifest) error {
-	var buf bytes.Buffer
-	buf.WriteString(manifestMagic)
 	var rec bytes.Buffer
 	re := NewEncoder(&rec)
 	re.U32(Version)
 	re.U64(m.Gen)
 	re.U32(m.Shards)
-	if err := re.Err(); err != nil {
-		return err
-	}
-	if err := WriteRecord(&buf, rec.Bytes()); err != nil {
-		return err
-	}
-	tmp, err := os.CreateTemp(dir, ManifestName+".tmp-*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name())
-	if _, err := tmp.Write(buf.Bytes()); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), filepath.Join(dir, ManifestName))
+	return WriteFileAtomic(filepath.Join(dir, ManifestName), func(w io.Writer) error {
+		if _, err := io.WriteString(w, manifestMagic); err != nil {
+			return err
+		}
+		return WriteRecord(w, rec.Bytes())
+	})
 }
 
 // ReadManifest reads the directory's MANIFEST. A missing file returns an

@@ -84,14 +84,22 @@ func (e *Encoder) Index(m *paimap.Map) {
 	e.Entries(keys, vals)
 }
 
-// Levels encodes a relation state's level tree under its kind tag.
+// Levels encodes a relation state's level tree under its kind tag. Into a
+// bytes.Buffer (a snapshot being assembled in memory) the stream is encoded
+// in place, in the buffer grown once for it.
 func (e *Encoder) Levels(t *rpai.LevelTree) {
-	var b bytes.Buffer
-	if e.err == nil {
-		e.err = t.Encode(&b)
-	}
 	e.U8(idxLevels)
-	e.Bytes(b.Bytes())
+	n := t.EncodedLen()
+	e.U32(uint32(n))
+	if e.err != nil {
+		return
+	}
+	if buf, ok := e.w.(*bytes.Buffer); ok {
+		buf.Grow(n)
+		buf.Write(t.AppendEncoded(buf.AvailableBuffer()))
+		return
+	}
+	e.write(t.AppendEncoded(make([]byte, 0, n)))
 }
 
 // Index decodes a PAI map written by Encoder.Index. A stream of any other

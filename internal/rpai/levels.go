@@ -1,13 +1,13 @@
 package rpai
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"math"
 	"runtime"
+	"slices"
 	"unsafe"
 )
 
@@ -660,40 +660,46 @@ const (
 // levelNodeLen is one node's length in the snapshot stream.
 const levelNodeLen = 33
 
-// Encode writes the tree's snapshot stream to w.
-func (t *LevelTree) Encode(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	var hdr [12]byte
-	copy(hdr[:], levelsMagic)
-	binary.LittleEndian.PutUint32(hdr[4:], levelsVersion)
-	binary.LittleEndian.PutUint32(hdr[8:], uint32(t.Len()))
-	bw.Write(hdr[:])
-	t.encodeNode(bw, t.root)
-	return bw.Flush() // bufio errors are sticky
+// EncodedLen is the length of the tree's snapshot stream.
+func (t *LevelTree) EncodedLen() int { return 12 + levelNodeLen*t.Len() }
+
+// AppendEncoded appends the tree's snapshot stream to dst; it grows dst at
+// most once.
+func (t *LevelTree) AppendEncoded(dst []byte) []byte {
+	dst = slices.Grow(dst, t.EncodedLen())
+	dst = append(dst, levelsMagic...)
+	dst = binary.LittleEndian.AppendUint32(dst, levelsVersion)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(t.Len()))
+	return t.appendNode(dst, t.root)
 }
 
-func (t *LevelTree) encodeNode(w *bufio.Writer, i int32) {
+// Encode writes the tree's snapshot stream to w.
+func (t *LevelTree) Encode(w io.Writer) error {
+	_, err := w.Write(t.AppendEncoded(nil))
+	return err
+}
+
+func (t *LevelTree) appendNode(dst []byte, i int32) []byte {
 	if i < 0 {
-		return
+		return dst
 	}
 	n := &t.nodes[i]
-	var buf [levelNodeLen]byte
+	var flags byte
 	if n.left >= 0 {
-		buf[0] |= flagLeft
+		flags |= flagLeft
 	}
 	if n.right() >= 0 {
-		buf[0] |= flagRight
+		flags |= flagRight
 	}
 	if n.red() {
-		buf[0] |= flagRed
+		flags |= flagRed
 	}
-	binary.LittleEndian.PutUint64(buf[1:], math.Float64bits(n.key))
-	for l, v := range n.val {
-		binary.LittleEndian.PutUint64(buf[9+8*l:], math.Float64bits(v))
+	dst = binary.LittleEndian.AppendUint64(append(dst, flags), math.Float64bits(n.key))
+	for _, v := range n.val {
+		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
 	}
-	w.Write(buf[:])
-	t.encodeNode(w, n.left)
-	t.encodeNode(w, n.right())
+	dst = t.appendNode(dst, n.left)
+	return t.appendNode(dst, n.right())
 }
 
 // DecodeLevelTree restores a tree from r, read to its end, which must hold
@@ -707,8 +713,8 @@ func DecodeLevelTree(r io.Reader) (*LevelTree, error) {
 }
 
 // UnmarshalLevelTree restores a tree from b, which must hold exactly one
-// snapshot stream (Encode). The result is validated, so a corrupted stream
-// is reported rather than accepted.
+// snapshot stream (AppendEncoded). The result is validated, so a corrupted
+// stream is reported rather than accepted.
 func UnmarshalLevelTree(b []byte) (*LevelTree, error) {
 	if len(b) < 12 {
 		return nil, fmt.Errorf("rpai: level tree snapshot of %d bytes is shorter than its header", len(b))

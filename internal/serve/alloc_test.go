@@ -3,6 +3,7 @@ package serve
 import (
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 
 	"rpai/internal/engine"
@@ -18,7 +19,7 @@ func allocTuple(sym, price float64) engine.Event {
 
 // allocService is a one-shard VWAP service warmed up on a fixed 64-event
 // batch: the partition and its index keys exist, the dictionary's routing
-// scratch is grown and the batch-box pool is seeded. It returns the batch
+// scratch is grown and the batch-box free list is seeded. It returns the batch
 // with it.
 func allocService(t *testing.T) (*Service, []engine.Event) {
 	t.Helper()
@@ -163,8 +164,8 @@ func TestAllocGuardCommitBytes(t *testing.T) {
 
 // TestDrainReleasesEvents checks that applied events are not kept alive by
 // the write path's reused buffers. A shard worker applies each partition's
-// run straight from its batch box, so no partition buffers rows; the pooled
-// boxes hold rows of the schema's width — weights and values in one flat
+// run straight from its batch box, so no partition buffers rows; the idle
+// boxes on the free list hold rows of the schema's width — weights and values in one flat
 // float64 array, never a tuple map (the map edge lays events out as rows
 // before they are queued) — and their partition runs.
 func TestDrainReleasesEvents(t *testing.T) {
@@ -178,21 +179,135 @@ func TestDrainReleasesEvents(t *testing.T) {
 		t.Fatal(err)
 	}
 	width := svc.plan.schema.Len()
-	var boxes []*batchBox
-	for {
-		b, ok := svc.batchPool.Get().(*batchBox)
-		if !ok {
-			break
-		}
-		boxes = append(boxes, b)
-		if b.rows.Width != width {
-			t.Errorf("pooled batch box holds rows of width %d, schema has %d columns", b.rows.Width, width)
-		}
-	}
+	boxes := idleBoxes(svc)
 	if len(boxes) == 0 {
-		t.Log("batch pool was empty (collected); no box to check")
+		t.Fatal("the box free list is empty after a drained burst")
 	}
 	for _, b := range boxes {
-		svc.batchPool.Put(b)
+		if b.rows.Width != width {
+			t.Errorf("idle batch box holds rows of width %d, schema has %d columns", b.rows.Width, width)
+		}
+	}
+}
+
+// idleBoxes returns a copy of svc's batch-box free list.
+func idleBoxes(svc *Service) []*batchBox {
+	svc.boxMu.Lock()
+	defer svc.boxMu.Unlock()
+	return slices.Clone(svc.idle)
+}
+
+// TestCheckpointReleasesBoxes checks that a checkpoint leaves an idle
+// service holding no batch boxes: a burst queued behind blocked workers puts
+// several boxes per shard in flight, and the free list keeps them once they
+// are applied, until Checkpoint empties it — whether the burst was drained
+// first or was still queued when Checkpoint was called.
+func TestCheckpointReleasesBoxes(t *testing.T) {
+	const shards, burst = 2, 8
+	svc, err := ForQuery(vwapSpec(), []string{"sym"}, Options{Shards: shards})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	batch := make([]engine.Event, 64)
+	for i := range batch {
+		batch[i] = allocTuple(float64(i%16), float64(i%8+1))
+	}
+	// blockedBurst queues burst batches, each spanning every shard, while
+	// every worker waits in a control request; the returned func lets the
+	// workers go.
+	blockedBurst := func() func() {
+		started, release := make(chan struct{}), make(chan struct{})
+		for i := 0; i < shards; i++ {
+			go svc.control(i, func(*workerState) error {
+				started <- struct{}{}
+				<-release
+				return nil
+			})
+			<-started
+		}
+		for k := 0; k < burst; k++ {
+			if err := svc.ApplyBatch(batch); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return func() { close(release) }
+	}
+
+	blockedBurst()()
+	if err := svc.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(idleBoxes(svc)); n < shards*burst {
+		t.Fatalf("after a drained burst of %d boxes per shard the free list holds %d", burst, n)
+	}
+	if err := svc.Checkpoint(t.TempDir()); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(idleBoxes(svc)); n != 0 {
+		t.Fatalf("Checkpoint after a drained burst left %d boxes on the free list", n)
+	}
+
+	release := blockedBurst()
+	done := make(chan error, 1)
+	go func() { done <- svc.Checkpoint(t.TempDir()) }()
+	release()
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if n := len(idleBoxes(svc)); n != 0 {
+		t.Fatalf("Checkpoint behind a queued burst left %d boxes on the free list", n)
+	}
+}
+
+// TestAllocGuardCheckpoint bounds what checkpointing a drained service
+// allocates per partition, at two tree sizes 64 times apart: a shard's
+// snapshot streams each partition's record through one reused buffer into
+// its file, and a level tree encodes in place in that buffer, so the count
+// and the bytes per partition do not grow with the tree. A per-tree write
+// buffer, a copy of each partition's state, or a one-byte slice per tag
+// fails it; so does anything else that allocates per level.
+func TestAllocGuardCheckpoint(t *testing.T) {
+	const parts, objCeiling, byteCeiling = 256, 8, 1024
+	for _, levels := range []int{4, 256} {
+		svc, err := ForQuery(vwapSpec(), []string{"sym"}, Options{Shards: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer svc.Close()
+		batch := make([]engine.Event, 0, parts)
+		for l := 0; l < levels; l++ {
+			batch = batch[:0]
+			for p := 0; p < parts; p++ {
+				batch = append(batch, allocTuple(float64(p), float64(l+1)))
+			}
+			if err := svc.ApplyBatch(batch); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := svc.Drain(); err != nil {
+			t.Fatal(err)
+		}
+		dir := t.TempDir()
+		checkpoint := func() {
+			if err := svc.Checkpoint(dir); err != nil {
+				t.Fatal(err)
+			}
+		}
+		checkpoint()
+		const runs = 4
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			checkpoint()
+		}
+		runtime.ReadMemStats(&after)
+		objs := float64(after.Mallocs-before.Mallocs) / (runs * parts)
+		bytes := float64(after.TotalAlloc-before.TotalAlloc) / (runs * parts)
+		t.Logf("%d levels: %.1f objects and %.0f B per partition", levels, objs, bytes)
+		if objs > objCeiling || bytes > byteCeiling {
+			t.Errorf("checkpointing %d partitions of %d levels allocates %.1f objects and %.0f B per partition, ceilings %d and %d B",
+				parts, levels, objs, bytes, objCeiling, byteCeiling)
+		}
 	}
 }

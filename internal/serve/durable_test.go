@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"errors"
 	"os"
 	"path/filepath"
@@ -183,5 +184,36 @@ func TestDurableErrors(t *testing.T) {
 	}
 	if _, err := RecoverForQuery(dir, q, []string{"sym"}, Options{Shards: 2}); err == nil {
 		t.Fatal("recovery from a corrupt snapshot succeeded")
+	}
+}
+
+// TestCheckpointFixtureBytes pins the snapshot format: a two-shard VWAP
+// state checkpointed by the streaming snapshot writer must reproduce, byte
+// for byte, the files testdata/checkpoint-2shard holds — written for the
+// same state by the whole-shard writer it replaced (commit 624f443), which
+// assembled every partition's state in memory before writing the file.
+func TestCheckpointFixtureBytes(t *testing.T) {
+	dir := t.TempDir()
+	exportDir(t, dir, 2, symEvents(29, 600, 20))
+	want := filepath.Join("testdata", "checkpoint-2shard")
+	ents, err := os.ReadDir(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ent := range ents {
+		w, err := os.ReadFile(filepath.Join(want, ent.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, err := os.ReadFile(filepath.Join(dir, ent.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(g, w) {
+			t.Errorf("%s: %d bytes differ from the fixture's %d", ent.Name(), len(g), len(w))
+		}
+	}
+	if got, _ := os.ReadDir(dir); len(got) != len(ents) {
+		t.Errorf("checkpoint wrote %d files, the fixture has %d", len(got), len(ents))
 	}
 }
