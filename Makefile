@@ -6,10 +6,12 @@
 # build and unit tests, the allocation guards re-run uncached (steady-state
 # hot paths stay allocation-free: the RPAI tree's reads, churn and shift,
 # the level tree, the engine event codec, serve's ApplyBatch on an
-# engine plan; a shard commit allocates its value column and no more; the
-# catalog's durable ApplyBatch allocates no more for a longer batch), and
-# every rpaibench experiment at -quick scale, which exits 1 when one of the
-# paper's shape claims (EXPERIMENTS.md) fails or two systems' results differ.
+# engine plan; a shard commit allocates its value column and no more; a
+# checkpoint allocates a bounded count per partition, whatever the tree's
+# size; the catalog's durable ApplyBatch allocates no more for a longer
+# batch), and every rpaibench experiment at -quick scale, which exits 1 when
+# one of the paper's shape claims (EXPERIMENTS.md) fails or two systems'
+# results differ.
 test: benchmark-check
 	go build ./... && go vet ./... && go test ./...
 	go test -run 'TestAllocGuard' -count 1 ./internal/rpai/ ./internal/engine/ ./internal/serve/ ./internal/catalog/
@@ -68,7 +70,8 @@ catalog:
 # registration path per Register or Unregister call (24 registrations into
 # 16 sets on a durable catalog, then their removal), recovery's WAL replay
 # per event and records per flush on that catalog (a checkpoint, then a
-# tail of 4 000 six-event records), and the general
+# tail of 4 000 six-event records), one checkpoint's ms, bytes and
+# allocations on that catalog holding 20 000 rows, and the general
 # algorithm (SQ1, SQ2, NQ1, NQ2) and the PAI executor (EQ1) per event,
 # apply plus Result, on a 64-level order-book trace.
 bench-core:
@@ -86,6 +89,8 @@ bench-core:
 		-benchtime 20x -count 3 ./internal/catalog/
 	go test -run '^$$' -bench BenchmarkRecover \
 		-benchtime 5x -count 3 ./internal/catalog/
+	go test -run '^$$' -bench BenchmarkCheckpoint \
+		-benchtime 10x -count 3 ./internal/catalog/
 	go test -run '^$$' -bench BenchmarkGeneralApply -benchmem \
 		-benchtime 3x -count 3 ./internal/engine/
 
